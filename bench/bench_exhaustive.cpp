@@ -273,10 +273,13 @@ int main(int argc, char** argv) {
                                static_cast<double>(probed)
                          : 0.0;
     std::printf("store: %zu entries, %llu/%llu probed cells served "
-                "(hit rate %.4f)\n",
+                "(hit rate %.4f); %zu commits wrote %llu bytes in %.2fs\n",
                 vstore->size(),
                 static_cast<unsigned long long>(vstore->hits()),
-                static_cast<unsigned long long>(probed), store_hit_rate);
+                static_cast<unsigned long long>(probed), store_hit_rate,
+                report.stream.commits,
+                static_cast<unsigned long long>(report.stream.bytes_committed),
+                report.stream.stages.seal);
   }
   const double rss = bench::peak_rss_mb();
   if (rss >= 0) std::printf("peak RSS: %.1f MB\n", rss);
@@ -433,7 +436,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 3,\n");
+    std::fprintf(js, "  \"schema_version\": 4,\n");
     std::fprintf(js, "  \"zoo_fingerprint\": \"%016llx%016llx\",\n",
                  static_cast<unsigned long long>(zoo_fp.hi),
                  static_cast<unsigned long long>(zoo_fp.lo));
@@ -459,9 +462,9 @@ int main(int argc, char** argv) {
                  wall > 0 ? static_cast<double>(s.tests_streamed) / wall : 0.0);
     std::fprintf(js,
                  "  \"stages_seconds\": {\"produce\": %.3f, \"keys\": %.3f, "
-                 "\"dedup\": %.3f, \"verdict\": %.3f},\n",
+                 "\"dedup\": %.3f, \"verdict\": %.3f, \"seal\": %.3f},\n",
                  s.stages.produce, s.stages.keys, s.stages.dedup,
-                 s.stages.verdict);
+                 s.stages.verdict, s.stages.seal);
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);
     if (norun_keys_ns > 0.0) {
       std::fprintf(js,
@@ -485,13 +488,15 @@ int main(int argc, char** argv) {
       std::fprintf(js,
                    "  \"store\": {\"path\": \"%s\", \"outcome\": \"%s\", "
                    "\"resumed\": %s, \"entries\": %zu, \"hits\": %llu, "
-                   "\"misses\": %llu, \"hit_rate\": %.6f},\n",
+                   "\"misses\": %llu, \"hit_rate\": %.6f, "
+                   "\"commits\": %zu, \"bytes_committed\": %llu},\n",
                    store_path.c_str(),
                    store::to_string(store_outcome).c_str(),
                    resume ? "true" : "false", vstore->size(),
                    static_cast<unsigned long long>(vstore->hits()),
                    static_cast<unsigned long long>(vstore->misses()),
-                   store_hit_rate);
+                   store_hit_rate, s.commits,
+                   static_cast<unsigned long long>(s.bytes_committed));
     } else {
       std::fprintf(js, "  \"store\": null,\n");
     }

@@ -176,9 +176,11 @@ int main(int argc, char** argv) {
                    eng.last_stats().to_string().c_str());
     }
     if (vstore != nullptr) {
+      // Folded commit: one file afterwards, and no write at all when
+      // every verdict came from the store.
       std::string error;
-      if (!vstore->save(store_path, nullptr, &error)) {
-        std::fprintf(stderr, "[store save failed: %s]\n", error.c_str());
+      if (!vstore->commit(store_path, nullptr, /*fold=*/true, &error)) {
+        std::fprintf(stderr, "[store commit failed: %s]\n", error.c_str());
       }
     }
     for (std::size_t t = 0; t < tests.size(); ++t) {

@@ -110,25 +110,16 @@ class ShardedKeySet {
     return slot.index;
   }
 
-  /// Appends every distinct key in the set (sealed plus pending) to
-  /// `out`.  Serial use only (checkpoint sealing, between parallel
-  /// phases); slot order is not meaningful — callers wanting a stable
-  /// serialization sort the result.
-  void export_keys(std::vector<util::Key128>& out) const {
-    for (const auto& shard : shards_) {
-      util::MutexLock lock(shard->mu);
-      for (const SealedSlot& slot : shard->sealed.slots) {
-        if (slot.key != util::Key128{}) out.push_back(slot.key);
-      }
-      for (const Slot& slot : shard->pending.slots) {
-        if (slot.key != util::Key128{}) out.push_back(slot.key);
-      }
-    }
+  /// A key as the set stores it: claim() remaps the all-zero key (the
+  /// empty-slot sentinel), so keys recorded for seed() go through this.
+  [[nodiscard]] static util::Key128 normalized(util::Key128 key) {
+    normalize(key);
+    return key;
   }
 
-  /// Seeds the sealed tables from a checkpoint's exported keys, as if
+  /// Seeds the sealed tables from a checkpoint's recorded keys, as if
   /// every key had been claimed in an already-sealed chunk.  Must run
-  /// before any claim of the new stream (keys were exported
+  /// before any claim of the new stream (keys were recorded
   /// post-normalization, so they are inserted as-is).
   void seed(const std::vector<util::Key128>& keys) {
     for (util::Key128 key : keys) shard_for(key).sealed.insert(key);

@@ -40,6 +40,95 @@ bool parse_backend(const std::string& text, Backend& out) {
   return true;
 }
 
+namespace {
+
+/// Row-level store traffic of one batch, shared by the grouped batch
+/// path and the stream: every row is probed under one shared hold and
+/// written back under one exclusive hold — one index lookup per row
+/// each way, and a row is written back only if this batch added a
+/// column to it, so rewriting store-served verdicts never dirties the
+/// store.
+class StoreRows {
+ public:
+  explicit StoreRows(std::size_t words) : words_(words) {}
+
+  void clear() {
+    keys_.clear();
+    want_.clear();
+    valid_.clear();
+    bits_.clear();
+    touched_.clear();
+  }
+
+  /// Adds a row for `key`; returns its index.
+  std::size_t add(util::Key128 key) {
+    keys_.push_back(key);
+    want_.resize(want_.size() + words_, 0);
+    valid_.resize(valid_.size() + words_, 0);
+    bits_.resize(bits_.size() + words_, 0);
+    touched_.push_back(0);
+    return keys_.size() - 1;
+  }
+
+  /// Asks the probe for column `col` of `row`: it then counts as one
+  /// store hit or miss.
+  void want(std::size_t row, int col) { want_[at(row, col)] |= bit(col); }
+
+  void probe(const store::VerdictStore& vstore) {
+    util::SharedLock lock(vstore.mu());
+    for (std::size_t r = 0; r < keys_.size(); ++r) {
+      vstore.probe_words_locked(keys_[r], &want_[r * words_],
+                                &valid_[r * words_], &bits_[r * words_]);
+    }
+  }
+
+  /// The verdict of (row, col) if the store held it (or set() added it).
+  [[nodiscard]] std::optional<bool> get(std::size_t row, int col) const {
+    if ((valid_[at(row, col)] & bit(col)) == 0) return std::nullopt;
+    return (bits_[at(row, col)] & bit(col)) != 0;
+  }
+
+  /// Records a verdict for write-back; a column the row already holds
+  /// is left as it is (verdicts are deterministic).
+  void set(std::size_t row, int col, bool verdict) {
+    const std::size_t i = at(row, col);
+    if ((valid_[i] & bit(col)) != 0) return;
+    valid_[i] |= bit(col);
+    if (verdict) bits_[i] |= bit(col);
+    touched_[row] = 1;
+  }
+
+  void write_back(store::VerdictStore& vstore) {
+    if (std::find(touched_.begin(), touched_.end(), 1) == touched_.end()) {
+      return;
+    }
+    util::ExclusiveLock lock(vstore.mu());
+    for (std::size_t r = 0; r < keys_.size(); ++r) {
+      if (touched_[r] != 0) {
+        vstore.write_row_locked(keys_[r], &valid_[r * words_],
+                                &bits_[r * words_]);
+      }
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t at(std::size_t row, int col) const {
+    return row * words_ + static_cast<std::size_t>(col) / 64;
+  }
+  [[nodiscard]] static std::uint64_t bit(int col) {
+    return 1ULL << (static_cast<std::size_t>(col) % 64);
+  }
+
+  std::size_t words_;
+  std::vector<util::Key128> keys_;
+  std::vector<std::uint64_t> want_;   ///< rows x words_
+  std::vector<std::uint64_t> valid_;  ///< rows x words_
+  std::vector<std::uint64_t> bits_;   ///< rows x words_
+  std::vector<char> touched_;         ///< set() added a column
+};
+
+}  // namespace
+
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
   cells += other.cells;
   checks_run += other.checks_run;
@@ -324,8 +413,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
     }
   }
 
-  std::vector<Job> jobs;       // from_cache groups stay here too
-  std::size_t live_jobs = 0;   // groups that actually need evaluation
+  std::vector<Job> jobs;  // from_cache groups stay here too
   if (grouped) {
     util::MutexLock lock(cache_mu_);
     // Per model class, its persistent-cache bucket (looked up once).
@@ -349,13 +437,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
           static_cast<std::uint64_t>(test_cls);
       const auto [it, inserted] = group_of.emplace(pair_id, jobs.size());
       if (!inserted) {
-        Job& job = jobs[it->second];
-        job.slots.push_back(i);
-        if (job.from_cache) {
-          ++stats.cache_hits;
-        } else {
-          ++stats.dedup_hits;
-        }
+        jobs[it->second].slots.push_back(i);
         continue;
       }
       Job job;
@@ -384,39 +466,66 @@ std::vector<char> VerdictEngine::run_batch_impl(
           }
         }
       }
-      // Cache miss: one on-disk store probe per new group (canonical
-      // test classes only — custom-model groups have no column).
-      if (!job.from_cache && vstore != nullptr && !mk.custom) {
-        const int col = store_cols[static_cast<std::size_t>(model_cls)];
-        if (col >= 0) {
-          const auto hit = vstore->probe_bit(
-              test_class_key[static_cast<std::size_t>(test_cls)], col);
-          if (hit.has_value()) {
-            job.from_cache = true;
-            job.result = *hit;
-            ++stats.store_hits;
-          } else {
-            ++stats.store_misses;
-          }
-        }
-      }
-      if (!job.from_cache) ++live_jobs;
       jobs.push_back(std::move(job));
     }
-  } else {
-    live_jobs = requests.size();
+  }
+
+  // ---- Cache misses probe the on-disk store: one row per test class,
+  // all under one shared hold (canonical test classes only —
+  // custom-model groups have no column).  Every job with a column is
+  // also written back below. ----
+  StoreRows store_rows(vstore != nullptr ? vstore->words_per_row() : 0);
+  constexpr std::size_t kNoRow = ~std::size_t{0};
+  std::vector<std::size_t> store_row_of;  // test class -> row of store_rows
+  const auto store_col = [&](const Job& job) {
+    return model_keys[static_cast<std::size_t>(job.model)].custom
+               ? -1
+               : store_cols[static_cast<std::size_t>(job.model_cls)];
+  };
+  const auto store_row = [&](const Job& job) {
+    return store_row_of[static_cast<std::size_t>(job.test_cls)];
+  };
+  if (vstore != nullptr) {
+    store_row_of.assign(test_class_key.size(), kNoRow);
+    for (const Job& job : jobs) {
+      const int col = store_col(job);
+      if (col < 0) continue;
+      const auto cls = static_cast<std::size_t>(job.test_cls);
+      if (store_row_of[cls] == kNoRow) {
+        store_row_of[cls] = store_rows.add(test_class_key[cls]);
+      }
+      if (!job.from_cache) store_rows.want(store_row_of[cls], col);
+    }
+    store_rows.probe(*vstore);
+    for (Job& job : jobs) {
+      const int col = store_col(job);
+      if (col < 0 || job.from_cache) continue;
+      const std::optional<bool> hit = store_rows.get(store_row(job), col);
+      if (hit.has_value()) {
+        job.from_cache = true;
+        job.result = *hit;
+        ++stats.store_hits;
+      } else {
+        ++stats.store_misses;
+      }
+    }
   }
 
   // Compact the evaluation list: indices of jobs needing a real check
   // (cache path only; the direct path evaluates requests in place).
+  // A group's extra cells are cache hits when the group was served,
+  // within-batch dedup hits when it is evaluated.
   std::vector<std::size_t> pending;
-  if (grouped) {
-    pending.reserve(live_jobs);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (!jobs[j].from_cache) pending.push_back(j);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t extra = jobs[j].slots.size() - 1;
+    if (jobs[j].from_cache) {
+      stats.cache_hits += extra;
+    } else {
+      stats.dedup_hits += extra;
+      pending.push_back(j);
     }
   }
-  const std::size_t live_checks = grouped ? pending.size() : live_jobs;
+  const std::size_t live_checks = grouped ? pending.size() : requests.size();
 
   // ---- Analyses, now that the cache has spoken: built only for the
   // tests some live job evaluates.  With the fingerprints above coming
@@ -574,21 +683,15 @@ std::vector<char> VerdictEngine::run_batch_impl(
     }
   }
   // Feed the on-disk store: every grouped verdict with a column, cached
-  // or evaluated (rewriting a store-served bit is a no-op, and writing
-  // cache-served ones keeps a part-warm store converging on complete).
-  // One exclusive acquisition covers the whole batch instead of a
-  // lock round trip per cell.
+  // or evaluated (a store-served bit is already there and is skipped;
+  // writing cache-served ones keeps a part-warm store converging on
+  // complete).  One exclusive acquisition covers the whole batch.
   if (vstore != nullptr) {
-    util::ExclusiveLock lock(vstore->mu());
-    for (const auto& job : jobs) {
-      if (model_keys[static_cast<std::size_t>(job.model)].custom) continue;
-      const int col = store_cols[static_cast<std::size_t>(job.model_cls)];
-      if (col >= 0) {
-        vstore->set_bit_locked(
-            test_class_key[static_cast<std::size_t>(job.test_cls)], col,
-            job.result);
-      }
+    for (const Job& job : jobs) {
+      const int col = store_col(job);
+      if (col >= 0) store_rows.set(store_row(job), col, job.result);
     }
+    store_rows.write_back(*vstore);
   }
   for (const auto& job : jobs) {
     for (const auto slot : job.slots) results[slot] = job.result ? 1 : 0;
@@ -639,13 +742,14 @@ StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
   keys += other.keys;
   dedup += other.dedup;
   verdict += other.verdict;
+  seal += other.seal;
   return *this;
 }
 
 std::string StreamStageTimes::to_string() const {
   std::ostringstream os;
   os << "produce=" << produce << "s keys=" << keys << "s dedup=" << dedup
-     << "s verdict=" << verdict << "s";
+     << "s verdict=" << verdict << "s seal=" << seal << "s";
   return os.str();
 }
 
@@ -663,7 +767,11 @@ std::string StreamStats::to_string() const {
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
      << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
      << (overlapped ? " (produce overlapped)" : "")
-     << "] shards=" << dedup_shards << " [" << engine.to_string() << "]";
+     << "] shards=" << dedup_shards;
+  if (commits > 0) {
+    os << " commits=" << commits << " (" << bytes_committed << " bytes)";
+  }
+  os << " [" << engine.to_string() << "]";
   return os.str();
 }
 
@@ -732,6 +840,7 @@ StreamStats VerdictEngine::run_stream(
           : nullptr;
   int seals = 0;
   int chunks_since_seal = 0;
+  bool resumed = false;
   if (persist != nullptr && persist->resume) {
     // checkpoint() hands out a copy (the stored one lives under the
     // store's lock), so the restore steps below work on a stable value.
@@ -745,13 +854,23 @@ StreamStats VerdictEngine::run_stream(
         total.tests_streamed = static_cast<std::size_t>(ck->tests_streamed);
         total.novel_tests = static_cast<std::size_t>(ck->novel_tests);
         total.duplicate_tests = static_cast<std::size_t>(ck->duplicate_tests);
-      } else {
-        // Unusable checkpoint (source shape changed, or a sink that
-        // cannot adopt the state): drop it and recompute from scratch.
-        vstore->clear_checkpoint();
+        resumed = true;
       }
     }
   }
+  // Seals extend the store's checkpoint with the keys claimed since the
+  // previous seal, so a stream that did not adopt the checkpoint drops
+  // it first (an unusable one, or any left by a run this one does not
+  // resume) and recomputes from scratch.
+  if (persist != nullptr && !resumed) vstore->clear_checkpoint();
+  std::vector<util::Key128> seal_keys;  // claimed since the last seal
+  const auto commit_store = [&](bool fold) {
+    const std::uint64_t before = vstore->bytes_committed();
+    if (!vstore->commit(persist->path, persist->fs, fold)) return false;
+    ++total.commits;
+    total.bytes_committed += vstore->bytes_committed() - before;
+    return true;
+  };
 
   // The prefetcher runs on its own thread, not a pool worker, so
   // overlap engages even for a 1-thread engine (production still hides
@@ -771,8 +890,9 @@ StreamStats VerdictEngine::run_stream(
   std::vector<char> dup_of_past;
   std::vector<std::string> full_keys;  // audit mode only
   std::vector<int> novel_idx;
-  std::vector<std::size_t> eval_pos;  // novel positions the store missed
-  std::vector<std::uint64_t> store_row;
+  std::vector<VerdictRequest> requests;  // cells the store missed
+  std::vector<std::size_t> request_pos;  // novel position of each request
+  StoreRows store_rows(stream_store ? vstore->words_per_row() : 0);
 
   bool more = true;
   while (more) {
@@ -886,6 +1006,9 @@ StreamStats VerdictEngine::run_stream(
           ++cs.duplicates;
         } else {
           novel_idx.push_back(static_cast<int>(i));
+          if (persist != nullptr) {
+            seal_keys.push_back(ShardedKeySet::normalized(key_hashes[i]));
+          }
         }
       }
       cs.stages.dedup = dedup_timer.seconds();
@@ -899,41 +1022,43 @@ StreamStats VerdictEngine::run_stream(
 
     util::Timer verdict_timer;
 
-    // ---- Store probe: novel tests whose full verdict row is on disk
-    // are delivered straight from it; only the misses evaluate. ----
+    // ---- Store probe: one row-level pass over the novel tests; only
+    // the cells the store misses evaluate (a test whose whole row is on
+    // disk skips evaluation entirely). ----
     BitMatrix verdicts(num_models, static_cast<int>(novel_idx.size()));
-    eval_pos.clear();
+    requests.clear();
+    request_pos.clear();
+    std::size_t served = 0;
     if (stream_store) {
-      for (std::size_t k = 0; k < novel_idx.size(); ++k) {
-        const auto t = static_cast<std::size_t>(novel_idx[k]);
-        if (vstore->probe_row(key_hashes[t], store_cols, store_row)) {
-          for (int m = 0; m < num_models; ++m) {
-            if ((store_row[static_cast<std::size_t>(m) / 64] >>
-                 (static_cast<std::size_t>(m) % 64)) &
-                1ULL) {
-              verdicts.set(m, static_cast<int>(k), true);
-            }
-          }
+      store_rows.clear();
+      for (const int t : novel_idx) {
+        const util::Key128 key = key_hashes[static_cast<std::size_t>(t)];
+        const std::size_t row = store_rows.add(key);
+        for (const int col : store_cols) store_rows.want(row, col);
+      }
+      store_rows.probe(*vstore);
+    }
+    // Test-major order: a test's checks are adjacent, so its prepared
+    // state is freed almost as soon as it is built.
+    for (std::size_t k = 0; k < novel_idx.size(); ++k) {
+      for (int m = 0; m < num_models; ++m) {
+        std::optional<bool> hit;
+        if (stream_store) {
+          hit = store_rows.get(k, store_cols[static_cast<std::size_t>(m)]);
+        }
+        if (hit.has_value()) {
+          if (*hit) verdicts.set(m, static_cast<int>(k), true);
+          ++served;
         } else {
-          eval_pos.push_back(k);
+          requests.push_back({m, novel_idx[k]});
+          request_pos.push_back(k);
         }
       }
-    } else {
-      eval_pos.resize(novel_idx.size());
-      for (std::size_t k = 0; k < novel_idx.size(); ++k) eval_pos[k] = k;
     }
 
-    // ---- Evaluate the chunk's store-missed novel tests in place (no
-    // moves yet: the analyses point into `chunk`'s programs). ----
-    if (!eval_pos.empty()) {
-      std::vector<VerdictRequest> requests;
-      requests.reserve(static_cast<std::size_t>(num_models) * eval_pos.size());
-      // Test-major order: a test's |models| checks are adjacent, so its
-      // prepared state is freed almost as soon as it is built.
-      for (const std::size_t k : eval_pos) {
-        const int t = novel_idx[k];
-        for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
-      }
+    // ---- Evaluate the missed cells in place (no moves yet: the
+    // analyses point into `chunk`'s programs). ----
+    if (!requests.empty()) {
       // When the stream filter deduped by canonical fingerprints, the
       // novel tests are canonically unique: no within-batch group could
       // ever merge, so skip the batch cache layer instead of
@@ -945,33 +1070,23 @@ StreamStats VerdictEngine::run_stream(
           run_batch_impl(models, chunk, requests,
                          stream_options.persist_verdicts, batch_cache,
                          &analyses);
-      std::size_t slot = 0;
-      for (const std::size_t k : eval_pos) {
-        for (int m = 0; m < num_models; ++m, ++slot) {
-          if (flat[slot]) verdicts.set(m, static_cast<int>(k), true);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const int m = requests[i].model;
+        const std::size_t k = request_pos[i];
+        if (flat[i]) verdicts.set(m, static_cast<int>(k), true);
+        if (stream_store) {
+          const int col = store_cols[static_cast<std::size_t>(m)];
+          store_rows.set(k, col, flat[i] != 0);
         }
       }
       cs.engine = last_stats_;
-      // Write the evaluated rows back so the next cold run (or the next
-      // process) serves them from disk — one exclusive acquisition for
-      // the whole chunk, not per bit.
-      if (stream_store) {
-        util::ExclusiveLock lock(vstore->mu());
-        for (const std::size_t k : eval_pos) {
-          const auto t = static_cast<std::size_t>(novel_idx[k]);
-          for (int m = 0; m < num_models; ++m) {
-            vstore->set_bit_locked(key_hashes[t],
-                                   store_cols[static_cast<std::size_t>(m)],
-                                   verdicts.get(m, static_cast<int>(k)));
-          }
-        }
-      }
+      // Write the evaluated cells back so the next cold run (or the
+      // next process) serves them from disk.
+      if (stream_store) store_rows.write_back(*vstore);
     }
     if (stream_store) {
-      const std::size_t served = novel_idx.size() - eval_pos.size();
-      cs.engine.store_hits += served * static_cast<std::size_t>(num_models);
-      cs.engine.store_misses +=
-          eval_pos.size() * static_cast<std::size_t>(num_models);
+      cs.engine.store_hits += served;
+      cs.engine.store_misses += requests.size();
     }
 
     // ---- Deliver: the novel tests move out of the chunk only after
@@ -990,34 +1105,32 @@ StreamStats VerdictEngine::run_stream(
     total.engine += cs.engine;
     if (on_chunk) on_chunk(novel, verdicts, cs);
 
-    // ---- Seal: every K chunks, snapshot the whole resumable state
-    // (cursor, dedup set, counters, sink) into the store and commit it
-    // atomically.  A failed save (full disk, failing fsync) is not
-    // fatal — the previous complete file stands and sealing retries
-    // after the next chunk. ----
+    // ---- Seal: every K chunks, commit the resumable state (cursor,
+    // the dedup keys claimed since the previous seal, counters, sink)
+    // together with the rows changed since then as one delta segment.
+    // A failed commit (full disk, failing fsync) is not fatal — the
+    // previous commit stands, and sealing retries after the next chunk
+    // with a base carrying everything. ----
     if (persist != nullptr && more &&
         ++chunks_since_seal >= persist->checkpoint_every_chunks &&
         persist->checkpoint_every_chunks > 0) {
+      util::Timer seal_timer;
       store::StreamCheckpoint ck;
       if (input.snapshot_cursor(ck.source_cursor)) {
         ck.chunks = total.chunks;
         ck.tests_streamed = total.tests_streamed;
         ck.novel_tests = total.novel_tests;
         ck.duplicate_tests = total.duplicate_tests;
-        if (seen) {
-          seen->export_keys(ck.seen_keys);
-          // Flat-table slot order depends on claim interleaving; sort
-          // so equal dedup sets checkpoint identically.
-          std::sort(ck.seen_keys.begin(), ck.seen_keys.end());
-        }
+        ck.seen_keys = std::move(seal_keys);
+        seal_keys.clear();
         if (persist->save_sink) persist->save_sink(ck.sink_state);
-        vstore->set_checkpoint(std::move(ck));
-        if (vstore->save(persist->path, persist->fs)) {
+        vstore->extend_checkpoint(std::move(ck));
+        if (commit_store(/*fold=*/false)) {
           chunks_since_seal = 0;
           ++seals;
           if (persist->kill_after_seals >= 0 &&
               seals >= persist->kill_after_seals) {
-            // The file is already committed: on-disk state is exactly a
+            // The seal is already committed: on-disk state is exactly a
             // SIGKILL's right after the rename.
             throw store::StreamInterrupted(
                 "stream killed by test hook after seal " +
@@ -1025,14 +1138,18 @@ StreamStats VerdictEngine::run_stream(
           }
         }
       }
+      total.stages.seal += seal_timer.seconds();
     }
   }
 
-  // ---- Completion: the checkpoint has served its purpose; commit the
-  // warm store without one so the next run starts clean. ----
+  // ---- Completion: the checkpoint has served its purpose; fold the
+  // chain into one checkpoint-free file so the next run starts clean
+  // (a run that changed no row leaves the base untouched). ----
   if (persist != nullptr) {
+    util::Timer seal_timer;
     vstore->clear_checkpoint();
-    (void)vstore->save(persist->path, persist->fs);
+    (void)commit_store(/*fold=*/true);
+    total.stages.seal += seal_timer.seconds();
   }
   total.wall_seconds = timer.seconds();
   return total;

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -175,11 +176,12 @@ struct StreamOptions {
   bool persist_verdicts = false;
   /// Persistent verdict store consulted per novel test (caller-owned,
   /// may be null).  When every streamed model has a store column and
-  /// the stream dedups by canonical fingerprints, a test whose full
-  /// verdict row is present skips evaluation entirely and evaluated
-  /// rows are written back — this is what makes a warm rerun serve
-  /// from disk.  Ignored under structural keys (the store holds
-  /// canonical fingerprints only).
+  /// the stream dedups by canonical fingerprints, only the cells the
+  /// store lacks are evaluated — a test whose full verdict row is
+  /// present skips evaluation entirely — and evaluated cells are
+  /// written back; this is what makes a warm rerun serve from disk.
+  /// Ignored under structural keys (the store holds canonical
+  /// fingerprints only).
   store::VerdictStore* verdict_store = nullptr;
   /// Chunk-granular checkpoint/resume of the stream into
   /// `verdict_store` (null = no checkpointing; requires
@@ -192,12 +194,14 @@ struct StreamOptions {
 /// runs concurrently with the other stages, so it is overlap, not
 /// critical path.  `keys` is the parallel fingerprint/claim phase,
 /// `dedup` the serial chunk-order ownership resolution, `verdict` the
-/// batched evaluation plus delivery.
+/// batched evaluation plus delivery, `seal` the checkpoint seals and
+/// the completion commit of a persisted stream.
 struct StreamStageTimes {
   double produce = 0.0;
   double keys = 0.0;
   double dedup = 0.0;
   double verdict = 0.0;
+  double seal = 0.0;
 
   StreamStageTimes& operator+=(const StreamStageTimes& other);
   [[nodiscard]] std::string to_string() const;
@@ -223,6 +227,9 @@ struct StreamStats {
   int dedup_shards = 0;             ///< stripes of the cross-chunk set
   bool overlapped = false;          ///< producer thread was engaged
   EngineStats engine;               ///< accumulated over chunk batches
+  std::size_t commits = 0;          ///< store commits: seals + completion
+  /// Bytes those commits wrote.
+  std::uint64_t bytes_committed = 0;
   double wall_seconds = 0.0;
 
   /// Fraction of streamed tests served by the cross-chunk dedup.

@@ -107,7 +107,6 @@ bool Server::start(std::string* error) {
     if (col < 0) return fail("served model has no store column");
     store_cols_.push_back(col);
   }
-  rows_at_last_save_ = store_->size();
 
   // The store holds canonical fingerprints exclusively, so serving
   // through it requires canonical dedup whatever the caller asked.
@@ -523,8 +522,9 @@ void Server::batcher_loop() {
 
     try {
       // One run over the coalesced tests; the engine probes the store
-      // for anything another batch computed meanwhile and writes novel
-      // rows back, which is what warms the store under live traffic.
+      // for anything another batch computed meanwhile and writes the
+      // rows it computed back (store-served cells dirty nothing), which
+      // is what warms the store under live traffic.
       const engine::BitMatrix verdicts = engine_->run_matrix(models_, tests);
       std::size_t offset = 0;
       for (auto& item : batch) {
@@ -556,14 +556,15 @@ void Server::batcher_loop() {
 
 void Server::maybe_save(bool force) {
   if (options_.store_path.empty()) return;
-  const std::size_t rows = store_->size();
-  if (!force && (options_.save_every == 0 ||
-                 rows < rows_at_last_save_ + options_.save_every)) {
+  // Count dirty rows: a check that fills the missing columns of a row
+  // that already exists (an extremes-only row from the Theorem-1
+  // harness) grows nothing, yet must reach disk too.
+  const std::size_t dirty = store_->dirty_rows();
+  if (dirty == 0) return;
+  if (!force && (options_.save_every == 0 || dirty < options_.save_every)) {
     return;
   }
-  if (rows == rows_at_last_save_ && !force) return;
-  if (store_->save(options_.store_path)) {
-    rows_at_last_save_ = rows;
+  if (store_->commit(options_.store_path)) {
     store_saves_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -26,8 +26,8 @@
 // Shutdown: request_stop() (SIGTERM in litmusd) closes the listeners,
 // lets queued work finish (novel requests arriving after the flag get
 // kShuttingDown), shuts down connection reads so readers drain and
-// exit, commits the store, and joins everything.  In-flight requests
-// are answered, never dropped.
+// exit, commits what changed in the store, and joins everything.
+// In-flight requests are answered, never dropped.
 #pragma once
 
 #include <atomic>
@@ -66,8 +66,8 @@ struct ServerOptions {
   std::size_t max_queue_tests = 4096;
   /// Most tests one coalesced run_matrix call takes off the queue.
   std::size_t max_batch_tests = 1024;
-  /// Commit the store after this many newly computed rows (0 = only on
-  /// shutdown).
+  /// Commit the store (one delta segment) once this many rows were
+  /// added or changed since the last commit (0 = only on shutdown).
   std::size_t save_every = 256;
   engine::EngineOptions engine;
 };
@@ -175,7 +175,6 @@ class Server {
   std::atomic<std::uint64_t> connections_opened_{0};
   std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> store_saves_{0};
-  std::size_t rows_at_last_save_ = 0;  ///< batcher thread only
 
   /// log2-bucketed request service times (ns); quantiles are bucket
   /// midpoints, which is plenty for a p50/p99 health read.

@@ -42,6 +42,12 @@ bool RealFs::read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   out.clear();
+  // One allocation of the file's size instead of doubling through it
+  // (a full store is tens of MB); the read loop still decides the size.
+  struct stat st {};
+  if (::fstat(fileno(f), &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<std::size_t>(st.st_size));
+  }
   char buf[1 << 16];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
@@ -158,7 +164,13 @@ bool FaultFs::rename(const std::string& from, const std::string& to) {
   return inner_.rename(from, to);
 }
 
-bool FaultFs::remove(const std::string& path) { return inner_.remove(path); }
+bool FaultFs::remove(const std::string& path) {
+  long counter = remove_calls_;
+  const bool fault = fire(fail_remove_at, counter);
+  remove_calls_ = counter;
+  if (fault) return false;
+  return inner_.remove(path);
+}
 
 bool FaultFs::exists(const std::string& path) { return inner_.exists(path); }
 

@@ -74,10 +74,11 @@ class RealFs final : public Fs {
 /// Each operation class has a countdown: `fail_write_after_bytes`
 /// accepts that many bytes and then fails (the accepted prefix IS
 /// written through — a torn write), `fail_sync_at` / `fail_rename_at` /
-/// `fail_create_at` / `fail_read_at` fail the Nth call (0-based) of
-/// that class.  Countdowns at -1 never fire.  Counters keep advancing
-/// after a fault, so "every sync fails from now on" is sync_at=0 with
-/// `sticky` set.
+/// `fail_create_at` / `fail_read_at` / `fail_remove_at` fail the Nth
+/// call (0-based) of that class (a failed remove leaves the file, as a
+/// crash before it would).  Countdowns at -1 never fire.  Counters keep
+/// advancing after a fault, so "every sync fails from now on" is
+/// sync_at=0 with `sticky` set.
 class FaultFs final : public Fs {
  public:
   explicit FaultFs(Fs& inner) : inner_(inner) {}
@@ -88,6 +89,7 @@ class FaultFs final : public Fs {
   long fail_create_at = -1;          ///< Nth create() returns null
   long fail_rename_at = -1;          ///< Nth rename() fails (no replace)
   long fail_read_at = -1;            ///< Nth read_file() fails
+  long fail_remove_at = -1;          ///< Nth remove() fails (file stays)
   bool sticky = false;               ///< once fired, keep failing
 
   // ---- Accounting (reads for assertions). ----
@@ -119,6 +121,7 @@ class FaultFs final : public Fs {
   long create_calls_ = 0;
   long rename_calls_ = 0;
   long read_calls_ = 0;
+  long remove_calls_ = 0;
   bool fired_write_ = false;
 };
 

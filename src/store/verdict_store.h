@@ -8,16 +8,31 @@
 // per-model verdict words, plus an optional stream checkpoint so an
 // exhaustive run can resume from its last sealed chunk.
 //
-// Durability model (see README "Persistence guarantees"):
+// On disk a store is a *base* snapshot at `path` plus a chain of
+// *delta segments* beside it (`path.1`, `path.2`, ...).  save() writes
+// a base; commit() writes one segment holding only what changed since
+// this object's last open, save or commit at `path` (the dirty rows,
+// the checkpoint's newly claimed dedup keys, and its O(1) words), so a
+// seal costs O(delta), not O(store).  Durability model (see README
+// "Persistence guarantees"):
 //
-//   * Atomic commit: save() writes `path + ".tmp"`, fsyncs, and
-//     renames over `path`.  A crash at ANY point leaves either the old
-//     complete file or the new complete file at `path` — never a
-//     partial one (a leftover .tmp is inert and overwritten next save).
-//   * Checksums: the header and every section payload carry a 128-bit
-//     content hash; load verifies all of them before using any byte,
-//     so truncation, torn writes, and bit flips are detected, not
-//     propagated into verdicts.
+//   * Atomic commit: every file (base or segment) is written to
+//     `name + ".tmp"`, fsynced, closed, and renamed over `name`.  A
+//     crash at ANY point leaves only complete files under final names
+//     (a leftover .tmp is inert and overwritten next commit).
+//   * Checksum chaining: every file ends with a 128-bit checksum of all
+//     its bytes, and every segment records the checksum of the file it
+//     extends.  open() replays the base plus the longest chain of
+//     segments that each extend their predecessor exactly, so it
+//     returns a state some commit produced — the base plus a prefix of
+//     the chain, never a mix — and never adopts an orphaned or stale
+//     segment (base deleted or replaced, compaction cut short).
+//   * Bounded writes: when the segments would outgrow the base, commit()
+//     folds everything into a new base (and retires the segments), so
+//     the bytes written stay O(final store).  A base carries a
+//     generation number, advanced past any leftover first segment that
+//     claims to extend it, so stale segments never attach to a new
+//     base even when a crash cut their cleanup short.
 //   * Invalidation: the header carries a fingerprint of the model zoo
 //     the verdict columns were computed against AND the
 //     generator/canonicalization schema version they were keyed under
@@ -26,11 +41,12 @@
 //     stale cache can never serve a verdict for the wrong model, and a
 //     cache written under an older fingerprint/space schema can never
 //     mix its rows into a newer run.
-//   * Graceful degradation: a corrupt file is quarantined (renamed to
-//     `path + ".corrupt"`) and open() returns an empty store; callers
-//     recompute and repopulate.  Recovery never throws, never crashes,
-//     and never yields a wrong verdict — the worst case is doing the
-//     work the cache would have saved.
+//   * Graceful degradation: a corrupt base is quarantined (renamed to
+//     `path + ".corrupt"`) and open() returns an empty store; a corrupt
+//     segment is quarantined the same way and the chain ends before it.
+//     Callers recompute and repopulate.  Recovery never throws, never
+//     crashes, and never yields a wrong verdict — the worst case is
+//     doing the work the cache would have saved.
 //
 // All filesystem access goes through store::Fs, so every recovery path
 // above is exercised by fault injection (store/fs.h) in the dedicated
@@ -44,17 +60,19 @@
 // exclusive hold.  The convenience wrappers (probe_bit, probe_row,
 // set_bit, checkpoint accessors) are EXCLUDES(mu()): they take the
 // right lock themselves, one call at a time.  Batch writers (the
-// engine's chunk write-back) hold one util::ExclusiveLock over
-// mu() and call set_bit_locked per cell — one acquisition per batch.
+// engine's write-back) hold one util::ExclusiveLock over mu() and call
+// write_row_locked per row — one acquisition per batch.
 //
 // Any number of threads may probe concurrently — litmusd's
 // per-connection readers do exactly that — while appends serialize
-// through the exclusive lock; save() may run concurrently with probes
-// (it serializes under the same shared view) but excludes appends, so
-// a commit is always a consistent snapshot.  Hit/miss counters are
-// relaxed atomics outside the lock.  open() constructs fresh state
-// (populating it under the exclusive lock it has sole access to);
-// column_of reads post-construction immutable state and needs no lock.
+// through the exclusive lock.  save() and commit() serialize against
+// each other, capture (and clear) the changes to write under one short
+// exclusive hold, and write the file outside it, so probes and appends
+// continue during the I/O and every committed file is one consistent
+// snapshot.  Hit/miss counters are relaxed atomics outside the lock.
+// open() constructs fresh state (populating it under the exclusive lock
+// it has sole access to); column_of reads post-construction immutable
+// state and needs no lock.
 #pragma once
 
 #include <atomic>
@@ -65,6 +83,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/model.h"
@@ -78,7 +97,9 @@ namespace mcmc::store {
 /// On-disk format version; bumped on any layout change.  A file with a
 /// different version is ignored (not quarantined — it belongs to a
 /// different build, not to bit rot).
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+///   2 = base snapshot plus checksum-chained delta segments; version-1
+///       single-file stores open as VersionMismatch and are recomputed.
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Generator/canonicalization schema the verdict rows were computed
 /// under; bumped whenever the meaning of a canonical fingerprint or of
@@ -120,8 +141,9 @@ struct StoreMeta {
 
 /// Resume state of an interrupted stream: everything run_stream needs
 /// to continue from the first unsealed chunk — cumulative counters,
-/// the cross-chunk dedup set, the source's serialized cursor, and an
-/// opaque sink blob (the Theorem harness stores its fold state there).
+/// the cross-chunk dedup set (its keys in the order they were first
+/// claimed), the source's serialized cursor, and an opaque sink blob
+/// (the Theorem harness stores its fold state there).
 struct StreamCheckpoint {
   std::uint64_t chunks = 0;
   std::uint64_t tests_streamed = 0;
@@ -134,10 +156,13 @@ struct StreamCheckpoint {
 
 /// Checkpoint/resume configuration for VerdictEngine::run_stream (see
 /// StreamOptions::persistence).  The engine seals every
-/// `checkpoint_every_chunks` chunks: it snapshots the source cursor
-/// and dedup set, asks the sink for its state, and commits the whole
-/// store file atomically.  With `resume`, a checkpoint present in the
-/// attached store restores all of that before the first chunk.
+/// `checkpoint_every_chunks` chunks: it snapshots the source cursor,
+/// hands the store the dedup keys claimed since the previous seal,
+/// asks the sink for its state, and commits the change as one delta
+/// segment (VerdictStore::commit).  At completion it drops the
+/// checkpoint and folds the chain, leaving one checkpoint-free file.
+/// With `resume`, a checkpoint present in the attached store restores
+/// all of that before the first chunk.
 struct StreamPersistence {
   std::string path;                   ///< store file (empty = disabled)
   Fs* fs = nullptr;                   ///< null = the real filesystem
@@ -149,8 +174,9 @@ struct StreamPersistence {
   /// resume (the run restarts from scratch instead of diverging).
   std::function<bool(const std::vector<std::uint64_t>&)> restore_sink;
   /// Test hook: after this many successful seals, throw
-  /// StreamInterrupted — the file is then bit-for-bit what a SIGKILL
-  /// right after the atomic rename leaves behind.  -1 never fires.
+  /// StreamInterrupted — the files are then bit-for-bit what a SIGKILL
+  /// right after the seal's atomic rename leaves behind.  -1 never
+  /// fires.
   int kill_after_seals = -1;
 };
 
@@ -164,8 +190,8 @@ struct StreamInterrupted : std::runtime_error {
 
 /// How open() classified the file it found.
 enum class OpenOutcome {
-  Fresh,            ///< no file (or unreadable): empty store
-  Loaded,           ///< parsed, verified, adopted
+  Fresh,            ///< no base file (or unreadable): empty store
+  Loaded,           ///< base (plus its valid segment chain) adopted
   VersionMismatch,  ///< other format version: ignored, not quarantined
   SchemaMismatch,   ///< other generator/fingerprint schema: self-invalidated
   ZooMismatch,      ///< different model zoo: self-invalidated
@@ -190,17 +216,36 @@ class VerdictStore {
  public:
   explicit VerdictStore(StoreMeta meta);
 
-  /// Loads `path` (verifying version, zoo fingerprint, and every
-  /// checksum) or returns an empty store, per the durability model in
-  /// the header comment.  Never throws on bad input.
+  /// Loads the base at `path` (verifying version, zoo fingerprint, and
+  /// every checksum) plus its longest valid segment chain, or returns
+  /// an empty store, per the durability model in the header comment.
+  /// Never throws on bad input.
   [[nodiscard]] static OpenResult open(const std::string& path,
                                        StoreMeta meta, Fs* fs = nullptr);
 
-  /// Atomically commits the store (entries + checkpoint, if any) to
-  /// `path`.  False on any filesystem failure; `path` then still holds
-  /// whatever complete file it held before.
+  /// Atomically commits the whole store (entries + checkpoint, if any)
+  /// to `path` as a new base and retires any segments beside it, so
+  /// `path` afterwards opens to exactly this store.  False on any
+  /// filesystem failure; `path` then still opens to whatever it held
+  /// before.
   [[nodiscard]] bool save(const std::string& path, Fs* fs = nullptr,
                           std::string* error = nullptr) EXCLUDES(mu_);
+
+  /// Commits what changed since this object's last open, save or commit
+  /// at `path` as one delta segment — O(changed rows + new checkpoint
+  /// keys), independent of the store's size.  A no-op when nothing
+  /// changed.  Writes a base instead when `path` has no chain this
+  /// object knows of, when the previous commit failed, or when the
+  /// segments would outgrow the base.  `fold` asks for exactly one file
+  /// at `path` afterwards: the segments are folded into a new base, or
+  /// merely retired when the base already holds this exact state (a
+  /// run that changed no row leaves the base byte-for-byte untouched).
+  /// False on any filesystem failure; `path` then still opens to the
+  /// state of the previous successful commit, and the next commit
+  /// writes a base carrying everything.
+  [[nodiscard]] bool commit(const std::string& path, Fs* fs = nullptr,
+                            bool fold = false, std::string* error = nullptr)
+      EXCLUDES(mu_);
 
   [[nodiscard]] const StoreMeta& meta() const { return meta_; }
   [[nodiscard]] int num_models() const { return meta_.num_models(); }
@@ -209,6 +254,20 @@ class VerdictStore {
     return index_.size();
   }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
+
+  /// Rows added or changed since the last open, save or commit — what
+  /// the next commit() would write.  Writes that leave every bit as it
+  /// was do not count.
+  [[nodiscard]] std::size_t dirty_rows() const EXCLUDES(mu_) {
+    util::SharedLock lock(mu_);
+    return dirty_.size();
+  }
+
+  /// Total bytes save() and commit() have written through the Fs layer
+  /// since construction (successful commits only).
+  [[nodiscard]] std::uint64_t bytes_committed() const {
+    return bytes_committed_.load(std::memory_order_relaxed);
+  }
 
   /// Column of the model with this engine cache key; -1 if absent
   /// (unknown model, or the empty custom-predicate key).
@@ -238,6 +297,21 @@ class VerdictStore {
                                       const std::vector<int>& cols,
                                       std::vector<std::uint64_t>& out) const
       REQUIRES_SHARED(mu_);
+
+  /// Row-level probe with one index lookup: copies `test`'s validity
+  /// and verdict words (words_per_row() each, zeros when the row is
+  /// absent) into `valid` and `bits`, and counts one hit per column set
+  /// in `want` that is valid and one miss per column that is not.
+  void probe_words_locked(util::Key128 test, const std::uint64_t* want,
+                          std::uint64_t* valid, std::uint64_t* bits) const
+      REQUIRES_SHARED(mu_);
+
+  /// Row-level write-back with one index lookup: every column set in
+  /// `mask` (words_per_row() words) becomes valid with its bit from
+  /// `bits`; other columns keep their state.  The row is marked dirty —
+  /// at most once until the next commit — only if a bit changed.
+  void write_row_locked(util::Key128 test, const std::uint64_t* mask,
+                        const std::uint64_t* bits) REQUIRES(mu_);
 
   /// Appends (or overwrites) one verdict bit.
   void set_bit_locked(util::Key128 test, int col, bool verdict) REQUIRES(mu_);
@@ -286,33 +360,81 @@ class VerdictStore {
     util::SharedLock lock(mu_);
     return checkpoint_;
   }
-  void set_checkpoint(StreamCheckpoint ck) EXCLUDES(mu_) {
-    util::ExclusiveLock lock(mu_);
-    checkpoint_ = std::move(ck);
-  }
-  void clear_checkpoint() EXCLUDES(mu_) {
-    util::ExclusiveLock lock(mu_);
-    checkpoint_.reset();
-  }
+  /// Replaces the checkpoint wholesale (the next segment then carries
+  /// its whole key list).
+  void set_checkpoint(StreamCheckpoint ck) EXCLUDES(mu_);
+  /// Seals an incremental checkpoint: `next`'s counters, cursor and
+  /// sink blob replace the current ones, and `next.seen_keys` — the
+  /// dedup keys claimed since the previous seal, in claim order — are
+  /// appended to the current key list (a fresh checkpoint starts
+  /// empty).  The next segment carries only the appended keys.
+  void extend_checkpoint(StreamCheckpoint next) EXCLUDES(mu_);
+  void clear_checkpoint() EXCLUDES(mu_);
 
  private:
+  /// The committed files at one path this object knows to hold its
+  /// state: a base plus `segments` delta segments.
+  struct Chain {
+    std::string path;       ///< empty: none known; next commit is a base
+    util::Key128 base_sum;  ///< checksum of the base file
+    util::Key128 head_sum;  ///< checksum of the chain's last file
+    std::uint32_t segments = 0;
+    std::uint64_t base_bytes = 0;
+    std::uint64_t segment_bytes = 0;
+    std::uint64_t generation = 0;  ///< of the base
+    bool base_checkpoint = false;  ///< the base holds a checkpoint
+  };
+
+  enum class CommitMode { kDelta, kFold, kBase };
+
   [[nodiscard]] std::uint32_t row_of(util::Key128 test) REQUIRES(mu_);
-  [[nodiscard]] std::string serialize() const REQUIRES_SHARED(mu_);
+  void mark_dirty(util::Key128 test, std::uint32_t row) REQUIRES(mu_);
+  /// Serializes the whole store as a base of generation `generation`
+  /// and clears the change tracking (the base carries everything).
+  [[nodiscard]] std::string capture_base(std::uint64_t generation)
+      REQUIRES(mu_);
+  /// Serializes the changes since the last commit as segment number
+  /// chain_.segments + 1 (without its trailer) and clears the change
+  /// tracking.
+  [[nodiscard]] std::string capture_segment() REQUIRES(mu_);
+  /// Forgets the committed chain after a failed commit, so the next
+  /// commit writes a base carrying everything the failed one held.
+  void forget_chain() EXCLUDES(mu_);
+  [[nodiscard]] bool commit_impl(const std::string& path, Fs* fs,
+                                 CommitMode mode, std::string* error)
+      EXCLUDES(mu_);
 
   StoreMeta meta_;
   std::size_t words_ = 0;  ///< words per row (and per validity mask)
-  /// Readers-writer lock implementing the header contract: probes,
-  /// size(), and save()'s serialization hold it shared; appends and
-  /// the checkpoint setters hold it exclusive.
+  /// Readers-writer lock implementing the header contract: probes and
+  /// size() hold it shared; appends, the checkpoint setters, and a
+  /// commit's capture hold it exclusive.
   mutable util::SharedMutex mu_;
+  /// Serializes save() and commit() against each other, so the chain
+  /// advances one file at a time.  Taken before mu_, never inside it.
+  util::Mutex commit_mu_;
   std::unordered_map<util::Key128, std::uint32_t, util::Key128Hash> index_
       GUARDED_BY(mu_);
   std::vector<std::uint64_t> valid_ GUARDED_BY(mu_);  ///< size() x words_
   std::vector<std::uint64_t> bits_ GUARDED_BY(mu_);   ///< size() x words_
   std::unordered_map<std::string, int> column_;  // immutable post-ctor
   std::optional<StreamCheckpoint> checkpoint_ GUARDED_BY(mu_);
+
+  // ---- Change tracking since the last commit (what a segment holds).
+  /// Rows added or changed, in the order they were first dirtied.
+  std::vector<std::pair<util::Key128, std::uint32_t>> dirty_ GUARDED_BY(mu_);
+  std::vector<std::uint8_t> row_dirty_ GUARDED_BY(mu_);  ///< per row
+  /// Some row changed since the chain's base was written or loaded.
+  bool rows_since_base_ GUARDED_BY(mu_) = false;
+  /// The checkpoint changed since the last commit.
+  bool checkpoint_dirty_ GUARDED_BY(mu_) = false;
+  /// Leading checkpoint keys the chain's head already holds.
+  std::size_t committed_keys_ GUARDED_BY(mu_) = 0;
+  Chain chain_ GUARDED_BY(mu_);
+
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> bytes_committed_{0};
 };
 
 }  // namespace mcmc::store

@@ -7,8 +7,9 @@
 // identical verdicts, SIGTERM drains to a clean exit, a store
 // persisted by one daemon lifetime answers the next, a corrupted store
 // file degrades to recomputation with identical verdicts (the PR-7
-// quarantine path, end to end), and garbage bytes on the socket never
-// take the server down.
+// quarantine path, end to end), garbage bytes on the socket never
+// take the server down, and verdicts filled into a row that already
+// existed are committed periodically, surviving a SIGKILL.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -25,10 +26,13 @@
 #include <vector>
 
 #include "enumeration/exhaustive.h"
+#include "explore/distinguish.h"
+#include "explore/space.h"
 #include "litmus/parser.h"
 #include "litmus/test.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "store/verdict_store.h"
 
 namespace mcmc::serve {
 namespace {
@@ -75,8 +79,12 @@ class ServeE2E : public ::testing::Test {
       pid_ = -1;
     }
     ::unlink(socket_path_.c_str());
-    ::unlink(store_path_.c_str());
-    ::unlink((store_path_ + ".corrupt").c_str());
+    for (int i = 0; i <= 16; ++i) {
+      const std::string file =
+          i == 0 ? store_path_ : store_path_ + "." + std::to_string(i);
+      ::unlink(file.c_str());
+      ::unlink((file + ".corrupt").c_str());
+    }
     ::rmdir(dir_.c_str());
   }
 
@@ -176,6 +184,56 @@ TEST_F(ServeE2E, ColdCheckComputesWarmCheckAndProbeHitStore) {
   EXPECT_GE(stats[kStatStoreSaves], 1u);
 
   terminate_cleanly();
+}
+
+TEST_F(ServeE2E, InPlaceVerdictsAreCommittedAndSurviveSigkill) {
+  // A store warmed by the Theorem-1 harness holds only the two extremes
+  // columns for most classes.  A check fills the other 90 columns into
+  // that existing row — the store does not grow — and with
+  // --save-every 1 that must still be committed before the next
+  // request, not only at the SIGTERM drain a SIGKILL never reaches.
+  std::vector<core::MemoryModel> models;
+  for (const auto& choices : explore::model_space(true)) {
+    models.push_back(choices.to_model());
+  }
+  const store::StoreMeta meta = explore::harness_store_meta(models);
+  litmus::KeyScratch scratch;
+  const util::Key128 key =
+      litmus::canonical_fingerprint(litmus::parse_test(kSbTest), scratch);
+  {
+    store::VerdictStore warm(meta);
+    warm.set_bit(key, 0, true);   // F = false allows SB
+    warm.set_bit(key, 1, false);  // F = true forbids it
+    ASSERT_TRUE(warm.save(store_path_));
+  }
+
+  spawn();
+  Client client = connect();
+  std::string error;
+  VerdictRowWire row;
+  ASSERT_TRUE(client.check(kSbTest, row, &error)) << error;
+  EXPECT_EQ(row.source, VerdictSource::kComputed);
+  std::vector<std::uint64_t> stats;
+  ASSERT_TRUE(client.stats(stats, &error)) << error;
+  EXPECT_EQ(stats[kStatStoreEntries], 1u);  // filled in place
+  for (int attempt = 0; attempt < 100 && stats[kStatStoreSaves] == 0;
+       ++attempt) {
+    ::usleep(20 * 1000);
+    ASSERT_TRUE(client.stats(stats, &error)) << error;
+  }
+  EXPECT_GE(stats[kStatStoreSaves], 1u);
+
+  ASSERT_EQ(::kill(pid_, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid_, &status, 0), pid_);
+  pid_ = -1;
+
+  auto opened = store::VerdictStore::open(store_path_, meta);
+  ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded) << opened.detail;
+  ASSERT_EQ(opened.store->size(), 1u);
+  for (int col = 0; col < meta.num_models(); ++col) {
+    EXPECT_TRUE(opened.store->probe_bit(key, col).has_value()) << col;
+  }
 }
 
 TEST_F(ServeE2E, UnknownFingerprintProbeNeverComputes) {

@@ -1,14 +1,18 @@
 // Unit coverage of the persistent verdict store: round trips, the
-// atomic-commit protocol, every corruption class open() must classify
-// (truncation, bit flip, bad magic, trailing bytes, version and zoo
-// mismatches, leftover temp files), and fault-injected save paths
-// (torn writes, ENOSPC-style budgets, failing fsync/create/rename).
-// The invariant throughout: recovery never throws, never yields a
-// wrong verdict, and degrades to an empty store at worst.
+// atomic-commit protocol, delta segments (O(delta) commits, folding,
+// checksum chaining, stale and orphaned segments, save() retiring
+// them), every corruption class open() must classify (truncation, bit
+// flip, bad magic, trailing bytes, version and zoo mismatches, leftover
+// temp files, a damaged segment), and fault-injected save and commit
+// paths (torn writes, ENOSPC-style budgets, failing
+// fsync/create/rename/remove).  The invariant throughout: recovery
+// never throws, never yields a wrong verdict, and degrades to an empty
+// store at worst.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,11 +31,21 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "store_test_" + name + ".vstore";
 }
 
-void scrub(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-  std::remove((path + ".corrupt").c_str());
+std::string segment(const std::string& path, int index) {
+  return path + "." + std::to_string(index);
 }
+
+/// Removes the base, its segments, and their temp and quarantine files.
+void scrub(const std::string& path) {
+  for (int i = 0; i <= 64; ++i) {
+    const std::string file = i == 0 ? path : segment(path, i);
+    std::remove(file.c_str());
+    std::remove((file + ".tmp").c_str());
+    std::remove((file + ".corrupt").c_str());
+  }
+}
+
+bool exists(const std::string& path) { return RealFs::instance().exists(path); }
 
 StoreMeta small_meta() {
   StoreMeta meta;
@@ -327,6 +341,410 @@ TEST(VerdictStore, MissingFileOpensFresh) {
   auto opened = VerdictStore::open(path, small_meta());
   EXPECT_EQ(opened.outcome, OpenOutcome::Fresh);
   EXPECT_EQ(opened.store->size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Delta segments
+// ---------------------------------------------------------------------------
+
+/// Every (key, column) bit of `store` over keys 0..n-1, as probe_bit
+/// reports it: -1 absent, else the verdict.
+std::vector<int> cells(const VerdictStore& store, int n) {
+  std::vector<int> out;
+  for (int i = 0; i < n; ++i) {
+    for (int col = 0; col < 3; ++col) {
+      const auto bit = store.probe_bit(key_of(i), col);
+      out.push_back(bit.has_value() ? (*bit ? 1 : 0) : -1);
+    }
+  }
+  return out;
+}
+
+class StoreSegments : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = temp_path(std::string("segments_") + info->name());
+    scrub(path_);
+    store_ = std::make_unique<VerdictStore>(small_meta());
+    for (int i = 0; i < 200; ++i) store_->set_bit(key_of(i), i % 3, true);
+    ASSERT_TRUE(store_->save(path_));
+    ASSERT_EQ(store_->dirty_rows(), 0u);
+    base_bytes_ = slurp(path_);
+  }
+  void TearDown() override { scrub(path_); }
+
+  /// Opens path_ and expects it to hold exactly `store_`'s cells.
+  void expect_reopens_to_store(const std::string& label) {
+    auto opened = VerdictStore::open(path_, small_meta());
+    EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << label << ": "
+                                                   << opened.detail;
+    EXPECT_EQ(opened.store->size(), store_->size()) << label;
+    EXPECT_EQ(cells(*opened.store, 260), cells(*store_, 260)) << label;
+  }
+
+  std::string path_;
+  std::unique_ptr<VerdictStore> store_;
+  std::string base_bytes_;
+};
+
+TEST_F(StoreSegments, CommitWritesOnlyTheChangedRows) {
+  store_->set_bit(key_of(3), 1, true);     // an existing row, new column
+  store_->set_bit(key_of(250), 0, false);  // a new row
+  EXPECT_EQ(store_->dirty_rows(), 2u);
+  const std::uint64_t before = store_->bytes_committed();
+  ASSERT_TRUE(store_->commit(path_));
+  EXPECT_EQ(store_->dirty_rows(), 0u);
+  // Two rows plus framing, not the 200-row store.
+  const std::uint64_t written = store_->bytes_committed() - before;
+  EXPECT_LT(written, 300u);
+  EXPECT_EQ(slurp(path_), base_bytes_);  // the base is untouched
+  ASSERT_TRUE(exists(segment(path_, 1)));
+  EXPECT_EQ(slurp(segment(path_, 1)).size(), written);
+  expect_reopens_to_store("base + segment");
+}
+
+TEST_F(StoreSegments, UnchangedWritesDirtyNothingAndCommitNothing) {
+  // Rewriting bits the store already holds (the batch path writes back
+  // store-served verdicts) must not dirty a row.
+  VerdictStore& store = *store_;
+  store.set_bit(key_of(0), 0, true);
+  const std::vector<std::uint64_t> mask = {0b111};
+  const std::vector<std::uint64_t> bits = {0b001};
+  {
+    util::ExclusiveLock lock(store.mu());
+    store.write_row_locked(key_of(3), mask.data(), bits.data());
+  }
+  EXPECT_EQ(store.dirty_rows(), 1u);  // key 3 gained columns 1 and 2
+  ASSERT_TRUE(store.commit(path_));
+  store.set_bit(key_of(3), 1, false);
+  {
+    util::ExclusiveLock lock(store.mu());
+    store.write_row_locked(key_of(3), mask.data(), bits.data());
+  }
+  EXPECT_EQ(store.dirty_rows(), 0u);
+  const std::uint64_t before = store.bytes_committed();
+  ASSERT_TRUE(store.commit(path_));
+  EXPECT_EQ(store.bytes_committed(), before);
+  EXPECT_FALSE(exists(segment(path_, 2)));
+  expect_reopens_to_store("after a no-op commit");
+}
+
+TEST_F(StoreSegments, CheckpointKeysAccumulateAcrossSegments) {
+  std::vector<util::Key128> all;
+  for (int seal = 0; seal < 3; ++seal) {
+    StreamCheckpoint ck;
+    ck.chunks = static_cast<std::uint64_t>(seal + 1);
+    ck.source_cursor = {static_cast<std::uint64_t>(seal)};
+    ck.sink_state = {7};
+    for (int k = 0; k < 4; ++k) {
+      ck.seen_keys.push_back(key_of(1000 + seal * 4 + k));
+      all.push_back(ck.seen_keys.back());
+    }
+    store_->extend_checkpoint(ck);
+    ASSERT_TRUE(store_->commit(path_));
+  }
+  EXPECT_TRUE(exists(segment(path_, 3)));
+  auto opened = VerdictStore::open(path_, small_meta());
+  ASSERT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  ASSERT_TRUE(opened.store->checkpoint().has_value());
+  EXPECT_EQ(opened.store->checkpoint()->seen_keys, all);  // claim order
+  EXPECT_EQ(opened.store->checkpoint()->chunks, 3u);
+  EXPECT_EQ(opened.store->checkpoint()->source_cursor,
+            (std::vector<std::uint64_t>{2}));
+
+  // A resumed process keeps extending the same list.
+  StreamCheckpoint more;
+  more.chunks = 4;
+  more.seen_keys = {key_of(2000)};
+  all.push_back(key_of(2000));
+  opened.store->extend_checkpoint(more);
+  ASSERT_TRUE(opened.store->commit(path_));
+  auto again = VerdictStore::open(path_, small_meta());
+  ASSERT_TRUE(again.store->checkpoint().has_value());
+  EXPECT_EQ(again.store->checkpoint()->seen_keys, all);
+
+  // Folding drops the chain into one checkpoint-free base.
+  again.store->clear_checkpoint();
+  ASSERT_TRUE(again.store->commit(path_, nullptr, /*fold=*/true));
+  EXPECT_FALSE(exists(segment(path_, 1)));
+  auto folded = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(folded.outcome, OpenOutcome::Loaded) << folded.detail;
+  EXPECT_FALSE(folded.store->checkpoint().has_value());
+  EXPECT_EQ(cells(*folded.store, 260), cells(*store_, 260));
+}
+
+TEST_F(StoreSegments, FoldOfAnUnchangedStateLeavesTheBaseUntouched) {
+  // A warm rerun: seals commit checkpoints, no row changes, and the
+  // completion fold finds the base already holds the final state.
+  for (int seal = 0; seal < 2; ++seal) {
+    StreamCheckpoint ck;
+    ck.chunks = static_cast<std::uint64_t>(seal + 1);
+    ck.seen_keys = {key_of(seal)};
+    store_->extend_checkpoint(ck);
+    ASSERT_TRUE(store_->commit(path_));
+  }
+  ASSERT_TRUE(exists(segment(path_, 2)));
+  store_->clear_checkpoint();
+  ASSERT_TRUE(store_->commit(path_, nullptr, /*fold=*/true));
+  EXPECT_EQ(slurp(path_), base_bytes_);
+  EXPECT_FALSE(exists(segment(path_, 1)));
+  EXPECT_FALSE(exists(segment(path_, 2)));
+  expect_reopens_to_store("retired chain");
+}
+
+TEST_F(StoreSegments, SegmentsFoldBeforeTheyOutgrowTheBase) {
+  // Grow the store ten-fold one small commit at a time: the segments
+  // fold into a new base whenever they would outgrow it, so the total
+  // bytes written stay a small multiple of the final file.
+  const std::uint64_t before = store_->bytes_committed();
+  for (int i = 200; i < 2000; ++i) {
+    store_->set_bit(key_of(i), i % 3, i % 2 == 0);
+    if (i % 25 == 0) {
+      ASSERT_TRUE(store_->commit(path_));
+    }
+  }
+  ASSERT_TRUE(store_->commit(path_, nullptr, /*fold=*/true));
+  EXPECT_FALSE(exists(segment(path_, 1)));
+  const std::uint64_t final_bytes = slurp(path_).size();
+  EXPECT_LT(store_->bytes_committed() - before, 6 * final_bytes);
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  EXPECT_EQ(cells(*opened.store, 2000), cells(*store_, 2000));
+}
+
+TEST_F(StoreSegments, SaveOfIdenticalContentRetiresSegments) {
+  // litmusd-shaped reset: a daemon extends the store with segments,
+  // then the same rows are saved again over the path; it must reopen
+  // to exactly the saved rows, never to the daemon's.
+  {
+    auto daemon = VerdictStore::open(path_, small_meta());
+    ASSERT_EQ(daemon.outcome, OpenOutcome::Loaded);
+    daemon.store->set_bit(key_of(500), 0, true);
+    ASSERT_TRUE(daemon.store->commit(path_));
+    daemon.store->set_bit(key_of(501), 0, true);
+    ASSERT_TRUE(daemon.store->commit(path_));
+    ASSERT_TRUE(exists(segment(path_, 2)));
+  }
+  ASSERT_TRUE(store_->save(path_));
+  EXPECT_FALSE(exists(segment(path_, 1)));
+  EXPECT_FALSE(exists(segment(path_, 2)));
+  expect_reopens_to_store("after save");
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_FALSE(opened.store->probe_bit(key_of(500), 0).has_value());
+}
+
+TEST_F(StoreSegments, StaleSegmentsAfterAnInterruptedCleanupAreNeverAdopted) {
+  // A crash between a fold's rename and its segment cleanup leaves the
+  // old segments beside the new base; they extend the old base, so
+  // open() must stop before them.  FaultFs's failing remove is that
+  // crash.
+  store_->set_bit(key_of(300), 0, true);
+  ASSERT_TRUE(store_->commit(path_));
+  store_->set_bit(key_of(301), 1, true);
+  ASSERT_TRUE(store_->commit(path_));
+  FaultFs fs(RealFs::instance());
+  fs.fail_remove_at = 0;
+  fs.sticky = true;
+  store_->set_bit(key_of(300), 2, false);
+  ASSERT_TRUE(store_->commit(path_, &fs, /*fold=*/true));
+  EXPECT_TRUE(exists(segment(path_, 1)));  // cleanup never happened
+  EXPECT_TRUE(exists(segment(path_, 2)));
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  EXPECT_NE(opened.detail.find("stale"), std::string::npos) << opened.detail;
+  EXPECT_EQ(cells(*opened.store, 400), cells(*store_, 400));
+
+  // The next segment commit replaces the stale chain instead of
+  // extending it.
+  opened.store->set_bit(key_of(302), 0, true);
+  ASSERT_TRUE(opened.store->commit(path_));
+  EXPECT_FALSE(exists(segment(path_, 2)));
+  auto again = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(again.store->size(), store_->size() + 1);
+  EXPECT_EQ(again.detail.find("stale"), std::string::npos) << again.detail;
+}
+
+TEST_F(StoreSegments, OrphanSegmentsOfADeletedBaseAreNeverAdopted) {
+  store_->set_bit(key_of(400), 0, true);
+  ASSERT_TRUE(store_->commit(path_));
+  ASSERT_TRUE(exists(segment(path_, 1)));
+  ASSERT_EQ(std::remove(path_.c_str()), 0);
+
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::Fresh);
+  EXPECT_EQ(opened.store->size(), 0u);
+
+  // A new base with the deleted one's exact rows — the very bytes the
+  // orphan extends — and a cleanup that never happens: the orphan must
+  // still not attach to it.
+  VerdictStore twin(small_meta());
+  for (int i = 0; i < 200; ++i) twin.set_bit(key_of(i), i % 3, true);
+  FaultFs fs(RealFs::instance());
+  fs.fail_remove_at = 0;
+  fs.sticky = true;
+  ASSERT_TRUE(twin.save(path_, &fs));
+  ASSERT_TRUE(exists(segment(path_, 1)));
+  auto reopened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
+  EXPECT_EQ(reopened.store->size(), 200u);
+  EXPECT_FALSE(reopened.store->probe_bit(key_of(400), 0).has_value());
+}
+
+TEST_F(StoreSegments, CorruptSegmentIsQuarantinedAndTheChainEndsBeforeIt) {
+  std::vector<std::vector<int>> states;
+  for (int seg = 1; seg <= 3; ++seg) {
+    store_->set_bit(key_of(200 + seg), 0, true);
+    ASSERT_TRUE(store_->commit(path_));
+    states.push_back(cells(*store_, 260));
+  }
+  std::string bytes = slurp(segment(path_, 2));
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x08);
+  spit(segment(path_, 2), bytes);
+
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  EXPECT_EQ(cells(*opened.store, 260), states[0]);  // base + segment 1
+  EXPECT_TRUE(exists(segment(path_, 2) + ".corrupt"));
+  EXPECT_FALSE(exists(segment(path_, 2)));
+
+  // Recommitting from there rebuilds the chain; the segment beyond the
+  // quarantined one is retired rather than adopted.
+  opened.store->set_bit(key_of(210), 0, true);
+  ASSERT_TRUE(opened.store->commit(path_));
+  EXPECT_FALSE(exists(segment(path_, 3)));
+  auto again = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(cells(*again.store, 260), cells(*opened.store, 260));
+}
+
+TEST_F(StoreSegments, VersionOneFileOpensAsVersionMismatch) {
+  // A version-1 header (same 40-byte layout, valid checksum) belongs to
+  // an older build: ignored and recomputed, not quarantined.
+  std::string v1 = base_bytes_.substr(0, 40);
+  std::string word;
+  util::append_u32(word, 1);
+  v1.replace(8, 4, word);
+  util::append_key128(v1, util::hash128(v1.data(), 40));
+  v1 += std::string(64, '\0');
+  spit(path_, v1);
+  auto opened = VerdictStore::open(path_, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::VersionMismatch) << opened.detail;
+  EXPECT_EQ(opened.store->size(), 0u);
+  EXPECT_TRUE(exists(path_));
+  EXPECT_FALSE(exists(path_ + ".corrupt"));
+}
+
+/// A segment commit through `fs` that must fail without leaving a
+/// partial segment under a final name; `path` then still opens to the
+/// last committed state.
+void expect_failed_segment_commit(VerdictStore& store, const std::string& path,
+                                  int new_key, FaultFs& fs,
+                                  const std::string& label) {
+  auto committed = VerdictStore::open(path, small_meta());
+  const std::vector<int> before = cells(*committed.store, 260);
+  store.set_bit(key_of(new_key), 2, true);
+  std::string error;
+  EXPECT_FALSE(store.commit(path, &fs, false, &error)) << label;
+  EXPECT_FALSE(error.empty()) << label;
+  EXPECT_FALSE(exists(segment(path, 1))) << label;
+  EXPECT_FALSE(exists(segment(path, 1) + ".tmp")) << label;
+  auto opened = VerdictStore::open(path, small_meta());
+  EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << label;
+  EXPECT_EQ(cells(*opened.store, 260), before) << label;
+}
+
+TEST_F(StoreSegments, TornSegmentWriteLeavesNoPartialSegment) {
+  FaultFs fs(RealFs::instance());
+  fs.fail_write_after_bytes = 40;
+  expect_failed_segment_commit(*store_, path_, 255, fs, "torn write");
+}
+
+TEST_F(StoreSegments, FailedSegmentFsyncOrRenameRecoversOnRetry) {
+  for (const bool rename : {false, true}) {
+    FaultFs fs(RealFs::instance());
+    if (rename) {
+      fs.fail_rename_at = 0;
+    } else {
+      fs.fail_sync_at = 0;
+    }
+    const std::string label = rename ? "rename" : "fsync";
+    expect_failed_segment_commit(*store_, path_, rename ? 256 : 255, fs, label);
+    // Non-sticky: the retry lands (as a base carrying everything the
+    // failed segment held) and the store reopens with every row.
+    ASSERT_TRUE(store_->commit(path_, &fs)) << label;
+    expect_reopens_to_store(label + " retry");
+  }
+}
+
+TEST(VerdictStore, CommitRacesProbesAndAppends) {
+  // Commits capture under a short exclusive hold and write outside it:
+  // probers and the appender keep running through every commit, and
+  // each commit is a consistent snapshot.  Run under the tsan CI job.
+  const std::string path = temp_path("commit_race");
+  scrub(path);
+  VerdictStore store(small_meta());
+  constexpr int kKeys = 600;
+  std::atomic<int> published{0};
+  std::atomic<bool> wrong{false};
+  std::atomic<bool> done{false};
+  std::thread appender([&] {
+    for (int i = 0; i < kKeys; ++i) {
+      {
+        util::ExclusiveLock lock(store.mu());
+        store.set_bit_locked(key_of(i), 0, i % 3 == 0);
+        store.set_bit_locked(key_of(i), 1, i % 5 == 0);
+      }
+      published.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::thread committer([&] {
+    int seal = 0;
+    do {
+      StreamCheckpoint ck;
+      ck.chunks = static_cast<std::uint64_t>(++seal);
+      ck.seen_keys = {key_of(10000 + seal)};
+      store.extend_checkpoint(ck);
+      if (!store.commit(path)) wrong.store(true);
+    } while (!done.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> probers;
+  for (int r = 0; r < 3; ++r) {
+    probers.emplace_back([&] {
+      std::vector<std::uint64_t> valid(1);
+      std::vector<std::uint64_t> bits(1);
+      const std::vector<std::uint64_t> want = {0b11};
+      for (int round = 0; round < 6; ++round) {
+        const int upto = published.load(std::memory_order_acquire);
+        util::SharedLock lock(store.mu());
+        for (int i = 0; i < upto; ++i) {
+          store.probe_words_locked(key_of(i), want.data(), valid.data(),
+                                   bits.data());
+          if ((valid[0] & 0b11) != 0b11 ||
+              (bits[0] & 1) != (i % 3 == 0 ? 1u : 0u)) {
+            wrong.store(true);
+          }
+        }
+      }
+    });
+  }
+  appender.join();
+  for (auto& t : probers) t.join();
+  done.store(true, std::memory_order_release);
+  committer.join();
+  EXPECT_FALSE(wrong.load());
+
+  ASSERT_TRUE(store.commit(path));
+  auto reopened = VerdictStore::open(path, small_meta());
+  EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
+  EXPECT_EQ(reopened.store->size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(reopened.store->checkpoint()->seen_keys,
+            store.checkpoint()->seen_keys);
+  for (int i = 0; i < kKeys; ++i) {
+    const auto bit = reopened.store->probe_bit(key_of(i), 1);
+    ASSERT_TRUE(bit.has_value()) << i;
+    EXPECT_EQ(*bit, i % 5 == 0) << i;
+  }
+  scrub(path);
 }
 
 // ---------------------------------------------------------------------------
