@@ -26,10 +26,12 @@
 //   --chunk N           tests per chunk (default 4096)
 //   --threads N         engine threads (default: hardware concurrency)
 //   --backend B         explicit | sat | adaptive (default: adaptive)
-//   --shards N          dedup-set mutex stripes (default 64)
 //   --no-filter         disable the monotone-extremes prefilter
 //   --no-overlap        disable producer-thread chunk prefetching
-//   --audit             collision-audit the hash-based dedup (more RAM)
+//   --audit             collision-audit the hash-based dedup (more RAM,
+//                       and a serial producer); exits nonzero unless
+//                       the audited classes equal the novel tests.
+//                       Not combinable with --resume
 //   --verify-serial     re-run single-threaded, require a bit-for-bit
 //                       identical distinguishability matrix
 //   --progress N        print chunk stats every N chunks (default 64)
@@ -55,10 +57,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "peak_rss.h"
 
+#include "engine/audited_source.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "enumeration/suite.h"
@@ -77,6 +81,7 @@ int main(int argc, char** argv) {
   explore::TheoremHarnessOptions harness;
   long progress_every = 64;
   bool verify_serial = false;
+  bool audit = false;
   std::string json_path;
   std::string store_path;
   bool resume = false;
@@ -112,14 +117,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown backend '%s'\n", argv[i]);
         return 2;
       }
-    } else if (arg == "--shards" && int_arg(1, 1 << 16, v)) {
-      harness.stream.dedup_shards = static_cast<int>(v);
     } else if (arg == "--no-filter") {
       harness.filter_extremes = false;
     } else if (arg == "--no-overlap") {
       harness.stream.overlap_production = false;
     } else if (arg == "--audit") {
-      harness.stream.audit_dedup_keys = true;
+      audit = true;
     } else if (arg == "--verify-serial") {
       verify_serial = true;
     } else if (arg == "--progress" && int_arg(1, 1 << 20, v)) {
@@ -146,7 +149,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--max-accesses N] [--locations N] [--no-fences]"
                    " [--with-deps]"
-                   " [--chunk N] [--threads N] [--backend B] [--shards N]"
+                   " [--chunk N] [--threads N] [--backend B]"
                    " [--no-filter] [--no-overlap] [--audit] [--verify-serial]"
                    " [--progress N] [--json FILE] [--store FILE] [--resume]"
                    " [--checkpoint-every N] [--require-store-hit-rate R]"
@@ -154,6 +157,11 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+  if (audit && resume) {
+    // A resumed run's counters include chunks the audit never saw.
+    std::fprintf(stderr, "--audit cannot be combined with --resume\n");
+    return 2;
   }
 
   const bool full_space = opts.bounds.max_accesses_per_thread == 3 &&
@@ -201,6 +209,10 @@ int main(int argc, char** argv) {
 
   // ---- The streamed naive-space matrix. ----
   enumeration::ExhaustiveStream stream(opts);
+  std::optional<engine::AuditedSource> audited;
+  if (audit) audited.emplace(stream);
+  engine::TestSource& source =
+      audited ? static_cast<engine::TestSource&>(*audited) : stream;
   explore::TheoremHarnessReport report;
   // Program-class accounting runs behind the FIFO: the producer thread
   // only queues program copies, and this consumer-side tally hashes
@@ -220,7 +232,7 @@ int main(int argc, char** argv) {
   explore::DistinguishMatrix by_naive;
   try {
     by_naive = explore::distinguishability_streamed(
-        eng, models, stream, harness, &report,
+        eng, models, source, harness, &report,
         [&](const engine::StreamChunkStats& cs) {
           stream.take_new_programs(drained_programs);
           program_tally.absorb(drained_programs);
@@ -249,11 +261,10 @@ int main(int argc, char** argv) {
   program_tally.absorb(drained_programs);
 
   std::printf("\nstream: %s\n", report.stream.to_string().c_str());
-  std::printf("pipeline stages: %s%s; dedup set: %d shards\n",
+  std::printf("pipeline stages: %s%s\n",
               report.stream.stages.to_string().c_str(),
               report.stream.overlapped ? " (produce overlapped with consume)"
-                                       : "",
-              report.stream.dedup_shards);
+                                       : "");
   std::printf("throughput: %.0f streamed tests/sec (%.1fs wall, %d threads)\n",
               wall > 0
                   ? static_cast<double>(report.stream.tests_streamed) / wall
@@ -351,6 +362,13 @@ int main(int argc, char** argv) {
   std::printf("naive <= with-dep suite: %s\n",
               within_dep ? "holds" : "VIOLATED");
   ok = ok && within_dep;
+  if (audited) {
+    const bool equal = audited->classes() == report.stream.novel_tests;
+    std::printf("fingerprint audit: %zu classes seen, %zu novel tests: %s\n",
+                audited->classes(), report.stream.novel_tests,
+                equal ? "equal" : "MISMATCH");
+    ok = ok && equal;
+  }
 
   // ---- Dep keys-cost baseline: with deps on, measure the keys stage
   // of a plain no-dep stream (keys cost is model-independent, so two
@@ -368,10 +386,8 @@ int main(int argc, char** argv) {
     enumeration::ExhaustiveStream base_stream(base_opts);
     engine::VerdictEngine base_eng(engine_options);
     const std::vector<core::MemoryModel> probes = {models[0], models[1]};
-    engine::StreamOptions base_so = harness.stream;
-    base_so.audit_dedup_keys = false;
     const auto base_stats =
-        base_eng.run_stream(probes, base_stream, nullptr, base_so);
+        base_eng.run_stream(probes, base_stream, nullptr, harness.stream);
     norun_keys_ns = base_stats.keys_ns_per_test();
     nodep_baseline_tests = base_stats.tests_streamed;
     nodep_keys_seconds = base_stats.stages.keys;
@@ -479,7 +495,7 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"produce_overlapped\": %s,\n",
                  s.overlapped ? "true" : "false");
     std::fprintf(js, "  \"dedup_audit\": %s,\n",
-                 harness.stream.audit_dedup_keys ? "true" : "false");
+                 audit ? "true" : "false");
     std::fprintf(js, "  \"extremes_prefilter\": %s,\n",
                  harness.filter_extremes ? "true" : "false");
     std::fprintf(js, "  \"candidate_tests\": %zu,\n", report.candidate_tests);

@@ -7,19 +7,13 @@
 // The full 90-model x Corollary-1-suite sweep routes through the batched
 // engine::VerdictEngine and is checked bit-for-bit against the serial
 // seed path (per-cell core::is_allowed loop) it replaced, reporting the
-// speedup plus the engine's cache / backend statistics.  When the
-// prepared fast path is on (the default), a second cold engine sweep
-// with the PR-1 per-cell path measures what the skeleton/overlay split
-// and compiled reorder masks buy per cell, and the formula-evaluation
-// ratio (per-cell-equivalent evals / evals actually run) is reported
-// from the EngineStats counters.
+// speedup plus the engine's cache / backend / formula-evaluation
+// statistics.
 //
 // Flags:
 //   --threads N      engine threads (default: hardware concurrency)
 //   --backend B      explicit | sat | adaptive  (default: adaptive)
 //   --no-cache       disable the verdict cache entirely
-//   --no-canonical   keep the cache but use only exact structural keys
-//   --no-prepared    use the PR-1 per-cell path in the main sweep
 //   --skip-baseline  skip the serial reference sweep (and its check)
 #include <cstdio>
 #include <cstdlib>
@@ -87,17 +81,12 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-cache") {
       options.cache_enabled = false;
-    } else if (arg == "--no-canonical") {
-      options.canonical_dedup = false;
-    } else if (arg == "--no-prepared") {
-      options.prepared = false;
     } else if (arg == "--skip-baseline") {
       skip_baseline = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--backend explicit|sat|adaptive]"
-                   " [--no-cache] [--no-canonical] [--no-prepared]"
-                   " [--skip-baseline]\n",
+                   " [--no-cache] [--skip-baseline]\n",
                    argv[0]);
       return 2;
     }
@@ -123,9 +112,8 @@ int main(int argc, char** argv) {
   const explore::AdmissibilityMatrix matrix(eng, models, suite);
   const double matrix_time = timer.seconds();
 
-  bool bits_match = true;
+  const bool bits_match = skip_baseline || matrix.bits() == baseline_bits;
   if (!skip_baseline) {
-    bits_match = matrix.bits() == baseline_bits;
     std::printf("serial seed sweep: %.3fs   engine sweep: %.3fs   "
                 "speedup: %.2fx   verdicts bit-for-bit: %s\n",
                 baseline_time, matrix_time,
@@ -137,44 +125,6 @@ int main(int argc, char** argv) {
   std::printf("engine [backend=%s]: %s\n\n",
               engine::to_string(options.backend).c_str(),
               matrix.build_stats().to_string().c_str());
-
-  // ---- Prepared-vs-PR-1 per-cell cost: rerun the same cold sweep with
-  // the per-cell core::is_allowed path and compare. ----
-  if (options.prepared) {
-    engine::EngineOptions pr1_options = options;
-    pr1_options.prepared = false;
-    engine::VerdictEngine pr1_engine(pr1_options);
-    util::Timer pr1_timer;
-    const explore::AdmissibilityMatrix pr1_matrix(pr1_engine, models, suite);
-    const double pr1_time = pr1_timer.seconds();
-    const bool pr1_match = pr1_matrix.bits() == matrix.bits();
-    bits_match = bits_match && pr1_match;
-
-    const auto& stats = matrix.build_stats();
-    const std::size_t evals_run = stats.formula_evals;
-    const std::size_t evals_equiv =
-        stats.formula_evals + stats.formula_evals_saved;
-    const double eval_ratio =
-        evals_run > 0 ? static_cast<double>(evals_equiv) /
-                            static_cast<double>(evals_run)
-                      : 0.0;
-    const std::size_t cells = stats.cells;
-    std::printf("prepared vs PR-1 per-cell path (cold engines):\n");
-    std::printf("  wall: prepared %.3fs vs PR-1 %.3fs   speedup: %.2fx   "
-                "verdicts bit-for-bit: %s\n",
-                matrix_time, pr1_time,
-                matrix_time > 0 ? pr1_time / matrix_time : 0.0,
-                pr1_match ? "match" : "MISMATCH");
-    std::printf("  formula evals: %zu run vs %zu per-cell-equivalent "
-                "(%.1fx fewer)\n",
-                evals_run, evals_equiv, eval_ratio);
-    std::printf("  per cell: prepared %.2fus vs PR-1 %.2fus   "
-                "(rf enums saved %zu, skeletons reused %zu)\n\n",
-                cells > 0 ? 1e6 * matrix_time / static_cast<double>(cells)
-                          : 0.0,
-                cells > 0 ? 1e6 * pr1_time / static_cast<double>(cells) : 0.0,
-                stats.rf_enums_saved, stats.skeletons_reused);
-  }
 
   int equivalent = 0;
   int ordered = 0;

@@ -186,24 +186,6 @@ BENCHMARK(BM_Full90ModelExploration_EngineCold)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-/// The same cold sweep with the prepared fast path disabled (the PR-1
-/// per-cell core::is_allowed loop), single-threaded: the direct
-/// prepared-vs-PR-1 per-cell comparison.
-void BM_Full90ModelExploration_EngineCold_PR1Path(benchmark::State& state) {
-  for (auto _ : state) {
-    engine::EngineOptions options;
-    options.num_threads = 1;
-    options.prepared = false;
-    engine::VerdictEngine eng(options);
-    const explore::AdmissibilityMatrix matrix(eng, space_models(), suite());
-    if (count_equivalent(matrix) != 8) {
-      state.SkipWithError("expected 8 equivalent pairs");
-    }
-  }
-}
-BENCHMARK(BM_Full90ModelExploration_EngineCold_PR1Path)
-    ->Unit(benchmark::kMillisecond);
-
 /// Engine sweep, warm: one persistent engine, so every iteration after
 /// the first is served from the verdict cache.
 void BM_Full90ModelExploration_EngineWarm(benchmark::State& state) {

@@ -22,8 +22,8 @@
 // Only keys new to this chunk touch the mutex-striped *pending* tables
 // (bounded by the chunk size, reused across chunks); begin_chunk() then
 // migrates them into the sealed tables on the single consumer thread.
-// See util/hash128.h for the collision math and
-// StreamOptions::audit_dedup_keys for the on-demand audit.
+// See util/hash128.h for the collision math and engine::AuditedSource
+// for the on-demand audit.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 // lock.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <deque>
@@ -93,5 +94,22 @@ class WorkStealingPool {
   bool stop_ GUARDED_BY(mu_) = false;
   util::Mutex submit_mu_;   // serializes parallel_for callers
 };
+
+/// Runs fn(begin, end) over [0, n) split into at most
+/// pool.num_threads() x 4 contiguous tasks (inline for one thread or
+/// one item).
+template <typename Fn>
+void parallel_ranges(WorkStealingPool& pool, std::size_t n, const Fn& fn) {
+  const auto threads = static_cast<std::size_t>(pool.num_threads());
+  const std::size_t tasks = threads > 1 && n > 1 ? std::min(n, threads * 4) : 1;
+  const auto range = [&](std::size_t r) {
+    fn(n * r / tasks, n * (r + 1) / tasks);
+  };
+  if (tasks > 1) {
+    pool.parallel_for(tasks, range);
+  } else {
+    range(0);
+  }
+}
 
 }  // namespace mcmc::engine

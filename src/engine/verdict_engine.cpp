@@ -167,7 +167,6 @@ std::string EngineStats::to_string() const {
 
 VerdictEngine::VerdictEngine(EngineOptions options) : options_(options) {
   MCMC_REQUIRE(options_.num_threads >= 0);
-  MCMC_REQUIRE(options_.sat_event_threshold >= 0);
 }
 
 VerdictEngine::~VerdictEngine() = default;
@@ -184,12 +183,9 @@ core::Engine VerdictEngine::resolve_backend(int num_events) const {
       return core::Engine::Explicit;
     case Backend::Sat:
       return core::Engine::Sat;
-    case Backend::Adaptive: {
+    case Backend::Adaptive:
       // The explicit engine's transitive-closure bitmasks hold 64 events.
-      const int limit =
-          options_.sat_event_threshold < 64 ? options_.sat_event_threshold : 64;
-      return num_events <= limit ? core::Engine::Explicit : core::Engine::Sat;
-    }
+      return num_events <= 64 ? core::Engine::Explicit : core::Engine::Sat;
   }
   MCMC_UNREACHABLE("bad backend");
 }
@@ -201,41 +197,26 @@ WorkStealingPool& VerdictEngine::pool() {
   return *pool_;
 }
 
-std::size_t VerdictEngine::cache_size() const {
-  util::MutexLock lock(cache_mu_);
-  std::size_t total = 0;
-  for (const auto& [key, bucket] : cache_) total += bucket.size();
-  return total;
-}
-
-void VerdictEngine::clear_cache() {
-  util::MutexLock lock(cache_mu_);
-  cache_.clear();
-  pinned_custom_formulas_.clear();
-  pinned_ids_.clear();
-}
-
 std::vector<char> VerdictEngine::run_batch(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests) {
-  return run_batch_impl(models, tests, requests, /*persist_verdicts=*/true);
+  return run_batch_impl(models, tests, requests, /*fill_cache=*/true,
+                        /*use_cache=*/true);
 }
 
 std::vector<char> VerdictEngine::run_batch_impl(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests, bool persist_verdicts,
-    bool use_cache,
-    std::vector<std::unique_ptr<core::Analysis>>* premade_analyses) {
+    const std::vector<VerdictRequest>& requests, bool fill_cache,
+    bool use_cache) {
   util::Timer timer;
   const bool cache_enabled = options_.cache_enabled && use_cache;
   // Batch-level store participation: probing is sound only for
   // canonical test classes, and the stream fast path (use_cache off)
   // consults the store itself at stream level, so it is excluded here
   // the same way the cache is.
-  store::VerdictStore* const vstore =
-      use_cache && options_.canonical_dedup ? store_ : nullptr;
+  store::VerdictStore* const vstore = use_cache ? store_ : nullptr;
   // The grouping/fingerprint layer runs for either consumer: the
   // in-memory cache, the on-disk store, or both.
   const bool grouped = cache_enabled || vstore != nullptr;
@@ -299,11 +280,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
     } else {
       mk.key = "F:" + formula.to_string();
     }
-    if (mk.custom || !options_.canonical_dedup) {
-      any_structural = true;
-    } else {
-      any_canonical = true;
-    }
+    any_structural = any_structural || mk.custom;
+    any_canonical = any_canonical || !mk.custom;
   }
 
   const bool need_canonical = grouped && any_canonical;
@@ -320,17 +298,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
   std::vector<util::Key128> structural_fps(need_structural ? tests.size() : 0);
   const int threads = effective_threads();
   if (need_canonical || need_structural) {
-    const std::size_t nk = used_tests.size();
-    const std::size_t tasks =
-        threads > 1 && nk > 1
-            ? (nk < static_cast<std::size_t>(threads) * 4
-                   ? nk
-                   : static_cast<std::size_t>(threads) * 4)
-            : 1;
-    const auto fingerprint_range = [&](std::size_t r) {
+    const auto fingerprint_range = [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
-      const std::size_t begin = nk * r / tasks;
-      const std::size_t end = nk * (r + 1) / tasks;
       for (std::size_t k = begin; k < end; ++k) {
         const auto t = static_cast<std::size_t>(used_tests[k]);
         if (need_canonical) {
@@ -341,11 +310,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
         }
       }
     };
-    if (tasks > 1) {
-      pool().parallel_for(tasks, fingerprint_range);
-    } else {
-      fingerprint_range(0);
-    }
+    parallel_ranges(pool(), used_tests.size(), fingerprint_range);
   }
 
   // ---- Intern fingerprints into dense class ids so the per-cell
@@ -428,9 +393,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
       const auto& r = requests[i];
       const auto& mk = model_keys[static_cast<std::size_t>(r.model)];
       const int test_cls =
-          (mk.custom || !options_.canonical_dedup)
-              ? structural_class[static_cast<std::size_t>(r.test)]
-              : canonical_class[static_cast<std::size_t>(r.test)];
+          mk.custom ? structural_class[static_cast<std::size_t>(r.test)]
+                    : canonical_class[static_cast<std::size_t>(r.test)];
       const int model_cls = model_class[static_cast<std::size_t>(r.model)];
       const std::uint64_t pair_id =
           static_cast<std::uint64_t>(model_cls) * num_test_classes +
@@ -547,10 +511,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
   if (!eval_tests.empty()) {
     const auto analyze_one = [&](std::size_t k) {
       const auto t = static_cast<std::size_t>(eval_tests[k]);
-      analyses[t] =
-          (premade_analyses != nullptr && (*premade_analyses)[t] != nullptr)
-              ? std::move((*premade_analyses)[t])
-              : std::make_unique<core::Analysis>(tests[t].program());
+      analyses[t] = std::make_unique<core::Analysis>(tests[t].program());
     };
     if (threads > 1 && eval_tests.size() > 1) {
       pool().parallel_for(eval_tests.size(), analyze_one);
@@ -572,21 +533,17 @@ std::vector<char> VerdictEngine::run_batch_impl(
   // peak memory tracks the checks in flight, not the batch size — on
   // dense streamed chunks that is the difference between tens of MB
   // and a working set that never leaves the cache. ----
-  const bool prepared_path = options_.prepared && live_checks > 0;
-  std::vector<std::once_flag> prepare_once(prepared_path ? tests.size() : 0);
-  std::vector<std::atomic<std::uint32_t>> checks_left(
-      prepared_path ? tests.size() : 0);
-  if (prepared_path) {
-    if (grouped) {
-      for (const auto j : pending) {
-        checks_left[static_cast<std::size_t>(jobs[j].test)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    } else {
-      for (const auto& r : requests) {
-        checks_left[static_cast<std::size_t>(r.test)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
+  std::vector<std::once_flag> prepare_once(live_checks > 0 ? tests.size() : 0);
+  std::vector<std::atomic<std::uint32_t>> checks_left(prepare_once.size());
+  if (grouped) {
+    for (const auto j : pending) {
+      checks_left[static_cast<std::size_t>(jobs[j].test)].fetch_add(
+          1, std::memory_order_relaxed);
+    }
+  } else {
+    for (const auto& r : requests) {
+      checks_left[static_cast<std::size_t>(r.test)].fetch_add(
+          1, std::memory_order_relaxed);
     }
   }
   std::atomic<std::size_t> explicit_count{0};
@@ -598,42 +555,32 @@ std::vector<char> VerdictEngine::run_batch_impl(
   std::atomic<std::size_t> tests_prepared{0};
   const auto run_check = [&](int model_idx, int test_idx) -> bool {
     const auto st = static_cast<std::size_t>(test_idx);
-    if (options_.prepared) {
-      std::call_once(prepare_once[st], [&] {
-        prepared[st] = std::make_unique<core::PreparedTest>(
-            std::move(*analyses[st]), tests[st].outcome());
-        analyses[st].reset();
-        skeletons_built.fetch_add(prepared[st]->skeletons().size(),
-                                  std::memory_order_relaxed);
-        tests_prepared.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    const auto& analysis = options_.prepared ? prepared[st]->analysis()
-                                             : *analyses[st];
-    const core::Engine backend = resolve_backend(analysis.num_events());
+    std::call_once(prepare_once[st], [&] {
+      prepared[st] = std::make_unique<core::PreparedTest>(
+          std::move(*analyses[st]), tests[st].outcome());
+      analyses[st].reset();
+      skeletons_built.fetch_add(prepared[st]->skeletons().size(),
+                                std::memory_order_relaxed);
+      tests_prepared.fetch_add(1, std::memory_order_relaxed);
+    });
+    const core::Engine backend =
+        resolve_backend(prepared[st]->analysis().num_events());
     if (backend == core::Engine::Explicit) {
       explicit_count.fetch_add(1, std::memory_order_relaxed);
     } else {
       sat_count.fetch_add(1, std::memory_order_relaxed);
     }
-    bool result;
-    if (options_.prepared) {
-      core::PreparedCheckStats cs;
-      result = prepared[st]->allowed(
-          models[static_cast<std::size_t>(model_idx)], backend, &cs);
-      formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
-      equivalent_evals.fetch_add(cs.equivalent_pair_evals,
-                                 std::memory_order_relaxed);
-      skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
-      // Last check of this test: release its prepared state (acq_rel —
-      // every earlier check's use happens-before this free).
-      if (checks_left[st].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        prepared[st].reset();
-      }
-    } else {
-      result = core::is_allowed(analysis,
-                                models[static_cast<std::size_t>(model_idx)],
-                                tests[st].outcome(), backend);
+    core::PreparedCheckStats cs;
+    const bool result = prepared[st]->allowed(
+        models[static_cast<std::size_t>(model_idx)], backend, &cs);
+    formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
+    equivalent_evals.fetch_add(cs.equivalent_pair_evals,
+                               std::memory_order_relaxed);
+    skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
+    // Last check of this test: release its prepared state (acq_rel —
+    // every earlier check's use happens-before this free).
+    if (checks_left[st].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      prepared[st].reset();
     }
     return result;
   };
@@ -656,24 +603,23 @@ std::vector<char> VerdictEngine::run_batch_impl(
   stats.explicit_checks = explicit_count.load();
   stats.sat_checks = sat_count.load();
 
-  if (options_.prepared) {
-    // Per-test work shared across the batch's checks: each check of the
-    // per-cell path would have re-enumerated rf maps and rebuilt every
-    // skeleton it visited.  (Counters were captured at prepare time —
-    // the prepared state itself is already freed test by test.)
-    stats.rf_enums_saved = live_checks - tests_prepared.load();
-    const std::size_t used = skeletons_used.load();
-    const std::size_t built = skeletons_built.load();
-    stats.skeletons_reused = used > built ? used - built : 0;
-    stats.formula_evals = formula_evals.load();
-    const std::size_t equivalent = equivalent_evals.load();
-    stats.formula_evals_saved =
-        equivalent > stats.formula_evals ? equivalent - stats.formula_evals : 0;
-  }
+  // Per-test work shared across the batch's checks: each check of a
+  // per-cell core::is_allowed loop would have re-enumerated rf maps and
+  // rebuilt every skeleton it visited.  (Counters were captured at
+  // prepare time — the prepared state itself is already freed test by
+  // test.)
+  stats.rf_enums_saved = live_checks - tests_prepared.load();
+  const std::size_t used = skeletons_used.load();
+  const std::size_t built = skeletons_built.load();
+  stats.skeletons_reused = used > built ? used - built : 0;
+  stats.formula_evals = formula_evals.load();
+  const std::size_t equivalent = equivalent_evals.load();
+  stats.formula_evals_saved =
+      equivalent > stats.formula_evals ? equivalent - stats.formula_evals : 0;
 
   // ---- Publish results and feed the persistent cache (grouped path
   // only: the direct path wrote results in place and persists nothing).
-  if (cache_enabled && persist_verdicts) {
+  if (cache_enabled && fill_cache) {
     util::MutexLock lock(cache_mu_);
     for (const auto j : pending) {
       const auto& job = jobs[j];
@@ -706,13 +652,6 @@ std::vector<char> VerdictEngine::run_batch_impl(
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
-  return run_matrix_impl(models, tests, /*persist_verdicts=*/true);
-}
-
-BitMatrix VerdictEngine::run_matrix_impl(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests, bool persist_verdicts,
-    bool use_cache) {
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
   std::vector<VerdictRequest> requests;
@@ -724,8 +663,7 @@ BitMatrix VerdictEngine::run_matrix_impl(
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  const auto verdicts =
-      run_batch_impl(models, tests, requests, persist_verdicts, use_cache);
+  const auto verdicts = run_batch(models, tests, requests);
 
   BitMatrix matrix(num_models, num_tests);
   std::size_t i = 0;
@@ -766,8 +704,7 @@ std::string StreamStats::to_string() const {
      << " novel=" << novel_tests << " duplicates=" << duplicate_tests
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
      << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
-     << (overlapped ? " (produce overlapped)" : "")
-     << "] shards=" << dedup_shards;
+     << (overlapped ? " (produce overlapped)" : "") << "]";
   if (commits > 0) {
     os << " commits=" << commits << " (" << bytes_committed << " bytes)";
   }
@@ -775,81 +712,53 @@ std::string StreamStats::to_string() const {
   return os.str();
 }
 
-StreamStats VerdictEngine::run_stream(
-    const std::vector<core::MemoryModel>& models, TestSource& source,
-    const StreamChunkSink& on_chunk, const StreamOptions& stream_options) {
-  util::Timer timer;
-  StreamStats total;
-
-  // Canonical keys are only sound for models built from the built-in
-  // predicates; one custom-predicate model (or a caller that re-uses
-  // the novel tests against custom models), or an engine configured
-  // for structural-only dedup (EngineOptions::canonical_dedup off),
-  // forces structural keys for the whole stream filter.
-  bool structural_filter =
-      stream_options.force_structural_keys || !options_.canonical_dedup;
-  for (const auto& model : models) {
-    structural_filter = structural_filter || model.formula().has_custom();
-  }
-
-  const int num_models = static_cast<int>(models.size());
-  const int threads = effective_threads();
-  const bool dedup = stream_options.dedup_across_chunks;
-
-  // ---- Stream-level verdict store: a novel test whose full verdict
-  // row is on disk skips evaluation; evaluated rows are written back.
-  // Requires canonical dedup keys (the store holds canonical
-  // fingerprints only) and a store column for every swept model. ----
-  store::VerdictStore* const vstore = stream_options.verdict_store;
-  std::vector<int> store_cols;
-  bool stream_store = vstore != nullptr && dedup && !structural_filter;
-  if (stream_store) {
-    store_cols.reserve(models.size());
+/// One run_stream call: the per-run state, hoisted per-chunk buffers,
+/// and the four stage steps the run loop drives chunk by chunk.
+struct VerdictEngine::StreamRun {
+  StreamRun(VerdictEngine& engine, const std::vector<core::MemoryModel>& ms,
+            TestSource& source, const StreamOptions& options)
+      : eng(engine),
+        models(ms),
+        structural(options.force_structural_keys),
+        vstore(options.verdict_store) {
+    // Canonical keys are only sound for models built from the built-in
+    // predicates; one custom-predicate model (or a caller that re-uses
+    // the novel tests against custom models) forces structural keys for
+    // the whole stream filter.
     for (const auto& model : models) {
-      const int col = vstore->column_of(store::model_store_key(model));
-      if (col < 0) {
-        stream_store = false;
-        store_cols.clear();
-        break;
-      }
-      store_cols.push_back(col);
+      structural = structural || model.formula().has_custom();
     }
-  }
 
-  // ---- Pipeline state.  The dedup set stores 128-bit key hashes in
-  // mutex-striped shards; overlap runs the source in a producer thread
-  // (ChunkPrefetcher) so materialization hides behind evaluation.  All
-  // per-chunk buffers are hoisted and reused across chunks. ----
-  std::optional<ShardedKeySet> seen;
-  if (dedup) seen.emplace(stream_options.dedup_shards);
-  total.dedup_shards = seen ? seen->num_shards() : 0;
-  // Audit mode only: fingerprint -> legacy key string and back, proving
-  // fingerprint equality coincides with legacy key equality over the
-  // stream (see StreamOptions::audit_dedup_keys).
-  std::unordered_map<util::Key128, std::string, util::Key128Hash> audit;
-  std::unordered_map<std::string, util::Key128> audit_reverse;
+    // Stream-level verdict store: a novel test whose full verdict row
+    // is on disk skips evaluation; evaluated rows are written back.
+    // Requires canonical dedup keys (the store holds canonical
+    // fingerprints only) and a store column for every swept model.
+    stream_store = vstore != nullptr && !structural;
+    for (std::size_t m = 0; stream_store && m < models.size(); ++m) {
+      store_cols.push_back(
+          vstore->column_of(store::model_store_key(models[m])));
+      stream_store = store_cols.back() >= 0;
+    }
+    if (stream_store) store_rows = StoreRows(vstore->words_per_row());
 
-  // ---- Checkpoint/resume.  Restoring happens before the prefetcher
-  // exists, directly on the raw source; both restore steps validate
-  // before mutating, so a failed resume degrades to streaming from
-  // scratch rather than diverging. ----
-  const store::StreamPersistence* const persist =
-      vstore != nullptr && stream_options.persistence != nullptr &&
-              !stream_options.persistence->path.empty()
-          ? stream_options.persistence
-          : nullptr;
-  int seals = 0;
-  int chunks_since_seal = 0;
-  bool resumed = false;
-  if (persist != nullptr && persist->resume) {
-    // checkpoint() hands out a copy (the stored one lives under the
-    // store's lock), so the restore steps below work on a stable value.
-    const std::optional<store::StreamCheckpoint> ck = vstore->checkpoint();
-    if (ck.has_value()) {
-      const bool sink_ok =
-          !persist->restore_sink || persist->restore_sink(ck->sink_state);
-      if (sink_ok && source.restore_cursor(ck->source_cursor)) {
-        if (seen) seen->seed(ck->seen_keys);
+    // Checkpoint/resume.  Restoring happens before the prefetcher
+    // exists, directly on the raw source; both restore steps validate
+    // before mutating, so a failed resume degrades to streaming from
+    // scratch rather than diverging.
+    if (vstore != nullptr && options.persistence != nullptr &&
+        !options.persistence->path.empty()) {
+      persist = options.persistence;
+    }
+    bool resumed = false;
+    if (persist != nullptr && persist->resume) {
+      // checkpoint() hands out a copy (the stored one lives under the
+      // store's lock), so the restore steps below work on a stable
+      // value.
+      const std::optional<store::StreamCheckpoint> ck = vstore->checkpoint();
+      if (ck.has_value() &&
+          (!persist->restore_sink || persist->restore_sink(ck->sink_state)) &&
+          source.restore_cursor(ck->source_cursor)) {
+        seen.seed(ck->seen_keys);
         total.chunks = static_cast<std::size_t>(ck->chunks);
         total.tests_streamed = static_cast<std::size_t>(ck->tests_streamed);
         total.novel_tests = static_cast<std::size_t>(ck->novel_tests);
@@ -857,174 +766,86 @@ StreamStats VerdictEngine::run_stream(
         resumed = true;
       }
     }
+    // Seals extend the store's checkpoint with the keys claimed since
+    // the previous seal, so a stream that did not adopt the checkpoint
+    // drops it first (an unusable one, or any left by a run this one
+    // does not resume) and recomputes from scratch.
+    if (persist != nullptr && !resumed) vstore->clear_checkpoint();
+
+    // The prefetcher runs on its own thread, not a pool worker, so
+    // overlap engages even for a 1-thread engine.  Cursor capture
+    // exists only for checkpoint seals; without persistence the
+    // producer thread skips the per-chunk snapshot.
+    total.overlapped = options.overlap_production;
+    if (total.overlapped) prefetcher.emplace(source, 1, persist != nullptr);
+    input = total.overlapped ? &*prefetcher : &source;
   }
-  // Seals extend the store's checkpoint with the keys claimed since the
-  // previous seal, so a stream that did not adopt the checkpoint drops
-  // it first (an unusable one, or any left by a run this one does not
-  // resume) and recomputes from scratch.
-  if (persist != nullptr && !resumed) vstore->clear_checkpoint();
-  std::vector<util::Key128> seal_keys;  // claimed since the last seal
-  const auto commit_store = [&](bool fold) {
-    const std::uint64_t before = vstore->bytes_committed();
-    if (!vstore->commit(persist->path, persist->fs, fold)) return false;
-    ++total.commits;
-    total.bytes_committed += vstore->bytes_committed() - before;
-    return true;
-  };
 
-  // The prefetcher runs on its own thread, not a pool worker, so
-  // overlap engages even for a 1-thread engine (production still hides
-  // behind consumption whenever a spare core exists).
-  const bool overlap = stream_options.overlap_production;
-  total.overlapped = overlap;
-  std::optional<ChunkPrefetcher> prefetcher;
-  // Cursor capture exists only for checkpoint seals; without
-  // persistence the producer thread skips the per-chunk snapshot.
-  if (overlap) prefetcher.emplace(source, 1, persist != nullptr);
-  TestSource& input = overlap ? static_cast<TestSource&>(*prefetcher) : source;
-
-  std::vector<litmus::LitmusTest> chunk;
-  std::vector<litmus::LitmusTest> novel;
-  std::vector<std::unique_ptr<core::Analysis>> analyses;
-  std::vector<util::Key128> key_hashes;
-  std::vector<char> dup_of_past;
-  std::vector<std::string> full_keys;  // audit mode only
-  std::vector<int> novel_idx;
-  std::vector<VerdictRequest> requests;  // cells the store missed
-  std::vector<std::size_t> request_pos;  // novel position of each request
-  StoreRows store_rows(stream_store ? vstore->words_per_row() : 0);
-
-  bool more = true;
-  while (more) {
+  /// Pulls the next chunk into `chunk`; false once the source is done.
+  bool produce(StreamChunkStats& cs) {
     chunk.clear();
-    util::Timer produce_timer;
-    more = input.next_chunk(chunk);
-    const double produce_seconds =
-        overlap ? prefetcher->last_produce_seconds() : produce_timer.seconds();
-    if (chunk.empty()) {
-      total.stages.produce += produce_seconds;
-      continue;
-    }
-
-    StreamChunkStats cs;
+    util::Timer timer;
+    const bool more = input->next_chunk(chunk);
+    cs.stages.produce =
+        prefetcher ? prefetcher->last_produce_seconds() : timer.seconds();
+    if (chunk.empty()) total.stages.produce += cs.stages.produce;
     cs.index = total.chunks;
     cs.streamed = chunk.size();
-    cs.stages.produce = produce_seconds;
+    return more;
+  }
 
-    // ---- Cross-chunk dedup, two phases.
-    //
-    // Key phase (parallel): fingerprint computation fans out across the
-    // pool in contiguous ranges, each worker reusing one KeyScratch.
-    // litmus::canonical_fingerprint hashes the canonicalized event walk
-    // directly — no Analysis, no key string, no per-test allocation —
-    // and the 128-bit digest is claimed in the sharded set as it goes.
-    // Only audit mode still builds the Analysis and the legacy string
-    // key per test (handing novel analyses to the batch below).
-    //
-    // Resolve phase (serial, chunk order): a test is novel iff its key
-    // is new to the stream and it holds the chunk's minimum index for
-    // that key — exactly what serial insertion in chunk order would
-    // decide, making results independent of thread count. ----
+  /// Keys (parallel): fingerprints fan out across the pool in
+  /// contiguous ranges, each worker reusing one KeyScratch.
+  /// litmus::canonical_fingerprint hashes the canonicalized event walk
+  /// directly — no Analysis, no key string, no per-test allocation —
+  /// and the 128-bit digest is claimed in the sharded set as it goes.
+  void keys(StreamChunkStats& cs) {
+    util::Timer timer;
     const std::size_t n = chunk.size();
-    analyses.clear();
-    analyses.resize(n);
-    novel_idx.clear();
-    if (dedup) {
-      util::Timer key_timer;
-      key_hashes.resize(n);
-      dup_of_past.assign(n, 0);
-      if (stream_options.audit_dedup_keys) full_keys.assign(n, {});
-      seen->begin_chunk();
-      const std::size_t tasks =
-          threads > 1 && n > 1
-              ? (n < static_cast<std::size_t>(threads) * 4
-                     ? n
-                     : static_cast<std::size_t>(threads) * 4)
-              : 1;
-      const auto key_range = [&](std::size_t r) {
-        litmus::KeyScratch scratch;
-        const std::size_t begin = n * r / tasks;
-        const std::size_t end = n * (r + 1) / tasks;
-        for (std::size_t i = begin; i < end; ++i) {
-          key_hashes[i] =
-              structural_filter
-                  ? litmus::structural_fingerprint(chunk[i])
-                  : litmus::canonical_fingerprint(chunk[i], scratch);
-          if (stream_options.audit_dedup_keys) {
-            // The legacy string key for the cross-check; the canonical
-            // flavor needs the Analysis the fingerprint skipped, which
-            // is handed to the batch below so novel tests are not
-            // re-analyzed.
-            if (structural_filter) {
-              litmus::structural_key(chunk[i], scratch.best);
-              full_keys[i] = scratch.best;
-            } else {
-              analyses[i] =
-                  std::make_unique<core::Analysis>(chunk[i].program());
-              full_keys[i] = litmus::canonical_key(*analyses[i],
-                                                   chunk[i].outcome(), scratch);
-            }
-          }
-          dup_of_past[i] =
-              seen->claim(key_hashes[i], static_cast<std::uint32_t>(i)) ? 1 : 0;
-          // A settled duplicate's audit analysis is dead weight: free it
-          // here in the worker, not after the whole chunk is keyed.
-          if (dup_of_past[i] != 0) analyses[i].reset();
-        }
-      };
-      if (tasks > 1) {
-        pool().parallel_for(tasks, key_range);
-      } else {
-        key_range(0);
+    key_hashes.resize(n);
+    dup_of_past.assign(n, 0);
+    seen.begin_chunk();
+    parallel_ranges(eng.pool(), n, [&](std::size_t begin, std::size_t end) {
+      litmus::KeyScratch scratch;
+      for (std::size_t i = begin; i < end; ++i) {
+        key_hashes[i] = structural
+                            ? litmus::structural_fingerprint(chunk[i])
+                            : litmus::canonical_fingerprint(chunk[i], scratch);
+        dup_of_past[i] =
+            seen.claim(key_hashes[i], static_cast<std::uint32_t>(i)) ? 1 : 0;
       }
-      cs.stages.keys = key_timer.seconds();
+    });
+    cs.stages.keys = timer.seconds();
+  }
 
-      util::Timer dedup_timer;
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool duplicate =
-            dup_of_past[i] != 0 ||
-            seen->owner(key_hashes[i]) != static_cast<std::uint32_t>(i);
-        if (stream_options.audit_dedup_keys) {
-          // Both directions: a fingerprint maps to exactly one legacy
-          // key (no collision merges distinct classes) and a legacy key
-          // maps to exactly one fingerprint (no class is split).
-          const auto it = audit.find(key_hashes[i]);
-          if (it == audit.end()) {
-            MCMC_CHECK_MSG(
-                audit_reverse.emplace(full_keys[i], key_hashes[i]).second,
-                "canonical fingerprint split a key class: equal legacy "
-                "keys produced distinct fingerprints");
-            audit.emplace(key_hashes[i], std::move(full_keys[i]));
-          } else {
-            MCMC_CHECK_MSG(it->second == full_keys[i],
-                           "128-bit fingerprint collision: two distinct "
-                           "canonical keys share a fingerprint");
-          }
-        }
-        if (duplicate) {
-          analyses[i].reset();
-          ++cs.duplicates;
-        } else {
-          novel_idx.push_back(static_cast<int>(i));
-          if (persist != nullptr) {
-            seal_keys.push_back(ShardedKeySet::normalized(key_hashes[i]));
-          }
-        }
+  /// Resolve (serial, chunk order): a test is novel iff its key is new
+  /// to the stream and it holds the chunk's minimum index for that key
+  /// — exactly what serial insertion in chunk order would decide,
+  /// making results independent of thread count.
+  void resolve(StreamChunkStats& cs) {
+    util::Timer timer;
+    novel_idx.clear();
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      if (dup_of_past[i] != 0 ||
+          seen.owner(key_hashes[i]) != static_cast<std::uint32_t>(i)) {
+        ++cs.duplicates;
+        continue;
       }
-      cs.stages.dedup = dedup_timer.seconds();
-    } else {
-      novel_idx.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        novel_idx[i] = static_cast<int>(i);
+      novel_idx.push_back(static_cast<int>(i));
+      if (persist != nullptr) {
+        seal_keys.push_back(ShardedKeySet::normalized(key_hashes[i]));
       }
     }
     cs.novel = novel_idx.size();
+    cs.stages.dedup = timer.seconds();
+  }
 
-    util::Timer verdict_timer;
-
-    // ---- Store probe: one row-level pass over the novel tests; only
-    // the cells the store misses evaluate (a test whose whole row is on
-    // disk skips evaluation entirely). ----
+  /// Verdict: one row-level store probe over the novel tests, one batch
+  /// for the cells the store missed (a test whose whole row is on disk
+  /// skips evaluation entirely), the write-back, then delivery.
+  void verdict(StreamChunkStats& cs, const StreamChunkSink& on_chunk) {
+    util::Timer timer;
+    const int num_models = static_cast<int>(models.size());
     BitMatrix verdicts(num_models, static_cast<int>(novel_idx.size()));
     requests.clear();
     request_pos.clear();
@@ -1032,8 +853,8 @@ StreamStats VerdictEngine::run_stream(
     if (stream_store) {
       store_rows.clear();
       for (const int t : novel_idx) {
-        const util::Key128 key = key_hashes[static_cast<std::size_t>(t)];
-        const std::size_t row = store_rows.add(key);
+        const std::size_t row =
+            store_rows.add(key_hashes[static_cast<std::size_t>(t)]);
         for (const int col : store_cols) store_rows.want(row, col);
       }
       store_rows.probe(*vstore);
@@ -1056,30 +877,24 @@ StreamStats VerdictEngine::run_stream(
       }
     }
 
-    // ---- Evaluate the missed cells in place (no moves yet: the
-    // analyses point into `chunk`'s programs). ----
     if (!requests.empty()) {
-      // When the stream filter deduped by canonical fingerprints, the
-      // novel tests are canonically unique: no within-batch group could
-      // ever merge, so skip the batch cache layer instead of
-      // re-deriving every fingerprint it would intern.  (A structural
-      // filter leaves canonical within-batch sharing worthwhile.)
-      const bool batch_cache =
-          !stream_options.dedup_across_chunks || structural_filter;
-      const auto flat =
-          run_batch_impl(models, chunk, requests,
-                         stream_options.persist_verdicts, batch_cache,
-                         &analyses);
+      // Under canonical keys the novel tests are canonically unique: no
+      // within-batch group could ever merge, so the batch skips its cache
+      // layer (use_cache = structural) instead of re-deriving every
+      // fingerprint it would intern.  (A structural filter leaves
+      // canonical within-batch sharing worthwhile.)
+      const auto flat = eng.run_batch_impl(models, chunk, requests,
+                                           /*fill_cache=*/false, structural);
       for (std::size_t i = 0; i < requests.size(); ++i) {
         const int m = requests[i].model;
         const std::size_t k = request_pos[i];
         if (flat[i]) verdicts.set(m, static_cast<int>(k), true);
         if (stream_store) {
-          const int col = store_cols[static_cast<std::size_t>(m)];
-          store_rows.set(k, col, flat[i] != 0);
+          store_rows.set(k, store_cols[static_cast<std::size_t>(m)],
+                          flat[i] != 0);
         }
       }
-      cs.engine = last_stats_;
+      cs.engine = eng.last_stats_;
       // Write the evaluated cells back so the next cold run (or the
       // next process) serves them from disk.
       if (stream_store) store_rows.write_back(*vstore);
@@ -1089,13 +904,13 @@ StreamStats VerdictEngine::run_stream(
       cs.engine.store_misses += requests.size();
     }
 
-    // ---- Deliver: the novel tests move out of the chunk only after
-    // the batch (and every Analysis into them) is done. ----
+    // Deliver: the novel tests move out of the chunk only after the
+    // batch (and every Analysis into them) is done.
     novel.clear();
     for (const int t : novel_idx) {
       novel.push_back(std::move(chunk[static_cast<std::size_t>(t)]));
     }
-    cs.stages.verdict = verdict_timer.seconds();
+    cs.stages.verdict = timer.seconds();
 
     ++total.chunks;
     total.tests_streamed += cs.streamed;
@@ -1104,55 +919,115 @@ StreamStats VerdictEngine::run_stream(
     total.stages += cs.stages;
     total.engine += cs.engine;
     if (on_chunk) on_chunk(novel, verdicts, cs);
+  }
 
-    // ---- Seal: every K chunks, commit the resumable state (cursor,
-    // the dedup keys claimed since the previous seal, counters, sink)
-    // together with the rows changed since then as one delta segment.
-    // A failed commit (full disk, failing fsync) is not fatal — the
-    // previous commit stands, and sealing retries after the next chunk
-    // with a base carrying everything. ----
-    if (persist != nullptr && more &&
-        ++chunks_since_seal >= persist->checkpoint_every_chunks &&
-        persist->checkpoint_every_chunks > 0) {
-      util::Timer seal_timer;
-      store::StreamCheckpoint ck;
-      if (input.snapshot_cursor(ck.source_cursor)) {
-        ck.chunks = total.chunks;
-        ck.tests_streamed = total.tests_streamed;
-        ck.novel_tests = total.novel_tests;
-        ck.duplicate_tests = total.duplicate_tests;
-        ck.seen_keys = std::move(seal_keys);
-        seal_keys.clear();
-        if (persist->save_sink) persist->save_sink(ck.sink_state);
-        vstore->extend_checkpoint(std::move(ck));
-        if (commit_store(/*fold=*/false)) {
-          chunks_since_seal = 0;
-          ++seals;
-          if (persist->kill_after_seals >= 0 &&
-              seals >= persist->kill_after_seals) {
-            // The seal is already committed: on-disk state is exactly a
-            // SIGKILL's right after the rename.
-            throw store::StreamInterrupted(
-                "stream killed by test hook after seal " +
-                std::to_string(seals));
-          }
+  /// Seal: every K chunks, commit the resumable state (cursor, the
+  /// dedup keys claimed since the previous seal, counters, sink)
+  /// together with the rows changed since then as one delta segment.
+  /// A failed commit (full disk, failing fsync) is not fatal — the
+  /// previous commit stands, and sealing retries after the next chunk
+  /// with a base carrying everything.
+  void seal() {
+    if (persist == nullptr || persist->checkpoint_every_chunks <= 0 ||
+        ++chunks_since_seal < persist->checkpoint_every_chunks) {
+      return;
+    }
+    util::Timer timer;
+    store::StreamCheckpoint ck;
+    if (input->snapshot_cursor(ck.source_cursor)) {
+      ck.chunks = total.chunks;
+      ck.tests_streamed = total.tests_streamed;
+      ck.novel_tests = total.novel_tests;
+      ck.duplicate_tests = total.duplicate_tests;
+      ck.seen_keys = std::move(seal_keys);
+      seal_keys.clear();
+      if (persist->save_sink) persist->save_sink(ck.sink_state);
+      vstore->extend_checkpoint(std::move(ck));
+      if (commit(/*fold=*/false)) {
+        chunks_since_seal = 0;
+        ++seals;
+        if (persist->kill_after_seals >= 0 &&
+            seals >= persist->kill_after_seals) {
+          // The seal is already committed: on-disk state is exactly a
+          // SIGKILL's right after the rename.
+          throw store::StreamInterrupted(
+              "stream killed by test hook after seal " +
+              std::to_string(seals));
         }
       }
-      total.stages.seal += seal_timer.seconds();
     }
+    total.stages.seal += timer.seconds();
   }
 
-  // ---- Completion: the checkpoint has served its purpose; fold the
-  // chain into one checkpoint-free file so the next run starts clean
-  // (a run that changed no row leaves the base untouched). ----
-  if (persist != nullptr) {
-    util::Timer seal_timer;
+  /// Completion: the checkpoint has served its purpose; fold the chain
+  /// into one checkpoint-free file so the next run starts clean (a run
+  /// that changed no row leaves the base untouched).
+  void complete() {
+    if (persist == nullptr) return;
+    util::Timer timer;
     vstore->clear_checkpoint();
-    (void)commit_store(/*fold=*/true);
-    total.stages.seal += seal_timer.seconds();
+    (void)commit(/*fold=*/true);
+    total.stages.seal += timer.seconds();
   }
-  total.wall_seconds = timer.seconds();
-  return total;
+
+  bool commit(bool fold) {
+    const std::uint64_t before = vstore->bytes_committed();
+    if (!vstore->commit(persist->path, persist->fs, fold)) return false;
+    ++total.commits;
+    total.bytes_committed += vstore->bytes_committed() - before;
+    return true;
+  }
+
+  VerdictEngine& eng;
+  const std::vector<core::MemoryModel>& models;
+  /// Structural dedup keys instead of canonical ones.
+  bool structural;
+  /// The caller's store (may be null); with `stream_store`, novel tests
+  /// probe it row by row, with `persist`, seals commit to it.
+  store::VerdictStore* const vstore;
+  bool stream_store = false;
+  std::vector<int> store_cols;
+  StoreRows store_rows{0};
+  const store::StreamPersistence* persist = nullptr;
+  ShardedKeySet seen;
+  StreamStats total;
+  std::optional<ChunkPrefetcher> prefetcher;
+  /// The prefetcher, or the raw source.
+  TestSource* input = nullptr;
+
+  // Per-chunk buffers, reused across chunks.
+  std::vector<litmus::LitmusTest> chunk;
+  std::vector<litmus::LitmusTest> novel;
+  std::vector<util::Key128> key_hashes;
+  std::vector<char> dup_of_past;
+  std::vector<int> novel_idx;
+  std::vector<VerdictRequest> requests;  // cells the store missed
+  std::vector<std::size_t> request_pos;  // novel position of each request
+
+  // Keys claimed since the last seal, and the seal counters.
+  std::vector<util::Key128> seal_keys;
+  int seals = 0;
+  int chunks_since_seal = 0;
+};
+
+StreamStats VerdictEngine::run_stream(
+    const std::vector<core::MemoryModel>& models, TestSource& source,
+    const StreamChunkSink& on_chunk, const StreamOptions& stream_options) {
+  util::Timer timer;
+  StreamRun run(*this, models, source, stream_options);
+  bool more = true;
+  while (more) {
+    StreamChunkStats cs;
+    more = run.produce(cs);
+    if (run.chunk.empty()) continue;
+    run.keys(cs);
+    run.resolve(cs);
+    run.verdict(cs, on_chunk);
+    if (more) run.seal();
+  }
+  run.complete();
+  run.total.wall_seconds = timer.seconds();
+  return run.total;
 }
 
 bool VerdictEngine::allowed(const core::MemoryModel& model,

@@ -61,7 +61,7 @@ namespace mcmc::engine {
 enum class Backend {
   Explicit,  ///< core::Engine::Explicit for every cell (<= 64 events)
   Sat,       ///< core::Engine::Sat for every cell
-  Adaptive,  ///< Explicit below `sat_event_threshold` events, Sat above
+  Adaptive,  ///< Explicit up to the explicit engine's 64 events, Sat above
 };
 
 [[nodiscard]] std::string to_string(Backend backend);
@@ -77,19 +77,6 @@ struct EngineOptions {
   /// Master switch for the verdict cache (both within-batch dedup and
   /// the persistent cross-batch map).
   bool cache_enabled = true;
-  /// Use canonical keys (thread-permutation / location-renaming
-  /// invariant) where sound; structural keys otherwise.  Disabling
-  /// keeps only exact structural dedup.
-  bool canonical_dedup = true;
-  /// Adaptive backend: instances with more events than this go to SAT.
-  /// The explicit engine's transitive-closure bitmasks cap it at 64.
-  int sat_event_threshold = 64;
-  /// Route checks through the prepared fast path (core::PreparedTest:
-  /// shared rf enumeration + skeletons, compiled reorder masks,
-  /// allocation-free explicit search).  Off = the PR-1 per-cell
-  /// core::is_allowed loop, kept for benchmarking and differential
-  /// testing; verdicts are bit-for-bit identical either way.
-  bool prepared = true;
 };
 
 /// One cell of a batch: indices into the caller's model and test vectors.
@@ -112,7 +99,7 @@ struct EngineStats {
                                    ///  (tests reaching evaluation only:
                                    ///  dedup/cache hits build none)
 
-  // Prepared-path accounting (zero when EngineOptions::prepared is off).
+  // Prepared-path accounting (core::PreparedTest).
   std::size_t rf_enums_saved = 0;  ///< enumerate_read_from calls avoided
                                    ///  vs one-per-check (checks minus
                                    ///  distinct tests evaluated)
@@ -122,9 +109,10 @@ struct EngineStats {
                                    ///  matrix traversals + per-pair
                                    ///  fallbacks (custom predicates,
                                    ///  >64-event analyses)
-  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations the
-                                   ///  per-cell path would have run,
-                                   ///  minus the evaluations above
+  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations a
+                                   ///  per-cell core::is_allowed loop
+                                   ///  would have run, minus the
+                                   ///  evaluations above
 
   int threads_used = 1;
   double wall_seconds = 0.0;
@@ -136,31 +124,12 @@ struct EngineStats {
 
 /// Options for a streaming run (see VerdictEngine::run_stream).
 struct StreamOptions {
-  /// Skip tests whose dedup key was already seen earlier in the stream
-  /// (canonical keys, or structural keys when any model's formula has
-  /// custom predicates).  Duplicates are counted, not re-evaluated or
-  /// re-delivered: a duplicate's verdicts equal its first
-  /// occurrence's, so downstream aggregation loses nothing.
-  bool dedup_across_chunks = true;
   /// Overlap chunk production with consumption: a producer thread
   /// (engine::ChunkPrefetcher, dedicated — not a pool worker, so this
   /// engages even for a 1-thread engine) materializes the next chunks
   /// while the pool processes the current one.  Never changes results
   /// (chunk order and boundaries are preserved).
   bool overlap_production = true;
-  /// Mutex stripes of the cross-chunk dedup set (rounded up to a power
-  /// of two); 0 means the default (ShardedKeySet::kDefaultShards).
-  int dedup_shards = 0;
-  /// Fingerprint audit: additionally compute every test's legacy string
-  /// key (building the Analysis the fingerprint path skips) and verify,
-  /// both directions, that fingerprint equality coincides with string
-  /// key equality — a fingerprint collision between distinct keys or
-  /// two fingerprints for one key throws mid-stream.  This re-adds the
-  /// per-test Analysis plus O(classes x key length) memory the
-  /// fingerprint path removed, so it is for tests (the slow full-space
-  /// run proves the whole 5.16M-test matrix is collision-free), not
-  /// production streams.
-  bool audit_dedup_keys = false;
   /// Force structural dedup keys even when every streamed model is
   /// custom-free.  Callers that reuse the delivered verdicts beyond the
   /// streamed models (e.g. the extremes-prefiltered Theorem harness,
@@ -168,12 +137,6 @@ struct StreamOptions {
   /// this when any of *those* models carries custom predicates —
   /// canonical sharing is unsound for them.
   bool force_structural_keys = false;
-  /// Feed the novel verdicts into the engine's persistent verdict
-  /// cache.  Off by default: a million-test stream against 90 models
-  /// would pin |models| x |unique tests| cache entries, while the
-  /// seen-key filter above already provides cross-chunk sharing at
-  /// O(unique tests) memory.
-  bool persist_verdicts = false;
   /// Persistent verdict store consulted per novel test (caller-owned,
   /// may be null).  When every streamed model has a store column and
   /// the stream dedups by canonical fingerprints, only the cells the
@@ -224,7 +187,6 @@ struct StreamStats {
   std::size_t novel_tests = 0;
   std::size_t duplicate_tests = 0;  ///< cross-chunk dedup hits
   StreamStageTimes stages;          ///< accumulated per-stage breakdown
-  int dedup_shards = 0;             ///< stripes of the cross-chunk set
   bool overlapped = false;          ///< producer thread was engaged
   EngineStats engine;               ///< accumulated over chunk batches
   std::size_t commits = 0;          ///< store commits: seals + completion
@@ -281,14 +243,13 @@ class VerdictEngine {
 
   /// Streaming evaluation: pulls chunks from `source` until exhausted,
   /// evaluates the `models` x chunk product for each, and invokes
-  /// `on_chunk` (may be null) after every chunk.  With
-  /// StreamOptions::dedup_across_chunks (the default), tests whose
-  /// canonical fingerprint appeared in an earlier chunk are counted as
+  /// `on_chunk` (may be null) after every chunk.  Tests whose canonical
+  /// fingerprint appeared earlier in the stream are counted as
   /// duplicates and skipped — the dedup set stores the 128-bit
   /// fingerprints directly (16 bytes per class, no Analysis and no key
-  /// string ever materialized; auditable via audit_dedup_keys), so the
-  /// peak resident set stays O(chunk size + unique classes) no matter
-  /// how long the stream runs.
+  /// string ever materialized; engine::AuditedSource cross-checks them
+  /// against the string keys), so the peak resident set stays
+  /// O(chunk size + unique classes) no matter how long the stream runs.
   ///
   /// The run is a parallel pipeline: chunk production overlaps with
   /// consumption (overlap_production), fingerprinting fans out across
@@ -307,10 +268,8 @@ class VerdictEngine {
   /// pair missing the in-memory cache probes the store before
   /// evaluating, and evaluated verdicts are written back.  Only models
   /// with a store column (custom-free, see store::model_store_key)
-  /// participate, and only under canonical dedup — the store holds
-  /// canonical fingerprints exclusively.
+  /// participate — the store holds canonical fingerprints exclusively.
   void set_store(store::VerdictStore* store) { store_ = store; }
-  [[nodiscard]] store::VerdictStore* store() const { return store_; }
 
   /// Stats of the most recent batch.
   [[nodiscard]] const EngineStats& last_stats() const { return last_stats_; }
@@ -318,8 +277,6 @@ class VerdictEngine {
   [[nodiscard]] const EngineStats& total_stats() const { return total_stats_; }
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
-  [[nodiscard]] std::size_t cache_size() const;
-  void clear_cache();
 
   /// Threads a batch will actually use (resolves the 0 = hardware
   /// default).
@@ -328,30 +285,22 @@ class VerdictEngine {
  private:
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch with control over the cache layer.  `persist_verdicts`
+  /// run_batch with control over the cache layer.  `fill_cache`
   /// gates the persistent-cache writes; `use_cache` false skips
   /// fingerprint computation, interning, and lookups entirely — the
   /// streaming path passes it for batches whose tests its canonical
   /// seen-key filter already proved unique (no within-batch group could
   /// ever merge, so re-deriving fingerprints would be pure overhead).
-  /// `premade_analyses`, when given, is aligned with `tests`; entries
-  /// present are adopted (moved from) instead of re-analyzing — the
-  /// streaming audit mode hands over the analyses it built for the
-  /// legacy-key cross-check.
   [[nodiscard]] std::vector<char> run_batch_impl(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, bool persist_verdicts,
-      bool use_cache = true,
-      std::vector<std::unique_ptr<core::Analysis>>* premade_analyses =
-          nullptr);
-  [[nodiscard]] BitMatrix run_matrix_impl(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests, bool persist_verdicts,
-      bool use_cache = true);
+      const std::vector<VerdictRequest>& requests, bool fill_cache,
+      bool use_cache);
+  /// run_stream's per-run state and stage steps (verdict_engine.cpp).
+  struct StreamRun;
 
   EngineOptions options_;
-  std::unique_ptr<WorkStealingPool> pool_;  // created on first parallel batch
+  std::unique_ptr<WorkStealingPool> pool_;  // created on first use
   store::VerdictStore* store_ = nullptr;    // caller-owned, optional
 
   mutable util::Mutex cache_mu_;

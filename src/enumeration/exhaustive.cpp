@@ -288,7 +288,10 @@ bool ProgramClassTally::restore_state(const std::vector<std::uint64_t>& data) {
   classes_.clear();
   if (data.empty()) return false;
   const std::uint64_t count = data[0];
-  if (data.size() - 1 != count * 2) return false;
+  // Bound before multiplying: count * 2 wraps for count >= 2^63.
+  if (count > (data.size() - 1) / 2 || data.size() - 1 != count * 2) {
+    return false;
+  }
   std::size_t pos = 1;
   for (std::uint64_t c = 0; c < count; ++c) {
     util::Key128 key;
@@ -304,9 +307,9 @@ ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
   tracked.track_program_classes = true;
   ExhaustiveStream stream(tracked);
 
-  // Classes are counted as 128-bit canonical fingerprints (run_stream's
-  // audit mode verifies fingerprint-equality == key-equality on the
-  // same space).
+  // Classes are counted as 128-bit canonical fingerprints
+  // (engine::AuditedSource verifies fingerprint-equality ==
+  // key-equality on the same space).
   std::unordered_set<util::Key128, util::Key128Hash> test_classes;
   litmus::KeyScratch scratch;
   ProgramClassTally programs;

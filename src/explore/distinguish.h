@@ -112,8 +112,8 @@ struct TheoremHarnessOptions {
   /// every F, custom predicates included.  Disable for a direct full
   /// sweep (the differential tests do).
   bool filter_extremes = true;
-  /// Stream behavior; dedup on / persist off are the right defaults for
-  /// bounded-memory corpus runs.
+  /// Stream behavior (producer overlap, forced structural keys); the
+  /// harness fills in the store fields from the two below.
   engine::StreamOptions stream;
   /// Persistent verdict store shared by the prefilter stream and the
   /// candidate sweep (caller-owned, may be null).  Open it with

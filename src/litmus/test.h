@@ -120,8 +120,8 @@ struct KeyScratch {
 /// any injective serialization, the *set* of per-permutation digests is
 /// an orbit invariant, so two tests share a minimum digest iff they
 /// share an orbit (iff their canonical_key strings are equal) — up to
-/// 128-bit hash collisions, which StreamOptions::audit_dedup_keys
-/// cross-checks against the strings over the full streamed space.
+/// 128-bit hash collisions, which engine::AuditedSource cross-checks
+/// against the strings over the full streamed space.
 /// Programs outside core::KeyFacts' fast path (threads longer than 64
 /// instructions — a class-invariant condition) fall back to hashing the
 /// legacy string key.

@@ -108,11 +108,7 @@ bool Server::start(std::string* error) {
     store_cols_.push_back(col);
   }
 
-  // The store holds canonical fingerprints exclusively, so serving
-  // through it requires canonical dedup whatever the caller asked.
-  engine::EngineOptions engine_options = options_.engine;
-  engine_options.canonical_dedup = true;
-  engine_ = std::make_unique<engine::VerdictEngine>(engine_options);
+  engine_ = std::make_unique<engine::VerdictEngine>(options_.engine);
   engine_->set_store(store_.get());
 
   if (!options_.socket_path.empty()) {

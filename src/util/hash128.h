@@ -5,9 +5,9 @@
 // per class (the ~100 MB peak RSS of the full naive-space run); a
 // 128-bit digest costs 16, and at the corpus sizes here (~half a
 // million classes) the collision probability of a well-mixed 128-bit
-// hash is ~1e-27 — far below any hardware error rate.  run_stream's
-// audit mode (StreamOptions::audit_dedup_keys) re-verifies the
-// no-collision assumption against the full strings on demand.
+// hash is ~1e-27 — far below any hardware error rate.  The stream
+// audit (engine::AuditedSource) re-verifies the no-collision assumption
+// against the full strings on demand.
 #pragma once
 
 #include <cstddef>

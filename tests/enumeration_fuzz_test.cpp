@@ -1,7 +1,8 @@
 // Randomized differential fuzzing of the check pipelines over generated
-// tests: the prepared-explicit fast path, the per-cell (PR-1) path, and
-// the SAT backend must agree bit for bit on a seeded sample of the
-// naive space, for a cross-section of the model zoo.
+// tests: the prepared-explicit engine, the SAT backend, and the
+// unbatched core::is_allowed reference must agree bit for bit on a
+// seeded sample of the naive space, for a cross-section of the model
+// zoo.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,6 +10,7 @@
 
 #include "core/analysis.h"
 #include "core/checker.h"
+#include "engine/audited_source.h"
 #include "engine/test_stream.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/naive.h"
@@ -34,6 +36,20 @@ std::vector<core::MemoryModel> model_sample() {
   return models;
 }
 
+/// Every cell of `bits` against the unbatched reference.
+void expect_matches_reference(const engine::BitMatrix& bits,
+                              const std::vector<core::MemoryModel>& models,
+                              const std::vector<litmus::LitmusTest>& tests) {
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const core::Analysis an(tests[t].program());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      EXPECT_EQ(bits.get(static_cast<int>(m), static_cast<int>(t)),
+                core::is_allowed(an, models[m], tests[t].outcome()))
+          << models[m].name() << " on " << tests[t].name();
+    }
+  }
+}
+
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnSampledTests) {
   // ~500 seeded naive-space tests through three independent pipelines.
   enumeration::NaiveOptions bounds;
@@ -42,34 +58,17 @@ TEST(EnumerationFuzz, BackendsAgreeBitForBitOnSampledTests) {
 
   engine::EngineOptions prepared_explicit;
   prepared_explicit.backend = engine::Backend::Explicit;
-
-  engine::EngineOptions per_cell = prepared_explicit;
-  per_cell.prepared = false;
-
   engine::EngineOptions sat;
   sat.backend = engine::Backend::Sat;
 
-  engine::VerdictEngine eng_prepared(prepared_explicit);
-  engine::VerdictEngine eng_per_cell(per_cell);
+  engine::VerdictEngine eng_explicit(prepared_explicit);
   engine::VerdictEngine eng_sat(sat);
 
-  const auto bits_prepared = eng_prepared.run_matrix(models, tests);
-  const auto bits_per_cell = eng_per_cell.run_matrix(models, tests);
-  const auto bits_sat = eng_sat.run_matrix(models, tests);
-
-  EXPECT_EQ(bits_prepared, bits_per_cell);
-  EXPECT_EQ(bits_prepared, bits_sat);
+  const auto bits_explicit = eng_explicit.run_matrix(models, tests);
+  EXPECT_EQ(bits_explicit, eng_sat.run_matrix(models, tests));
   EXPECT_GT(eng_sat.last_stats().sat_checks, 0u);
-  EXPECT_GT(eng_prepared.last_stats().explicit_checks, 0u);
-
-  // Spot-check a diagonal stripe against the unbatched reference.
-  for (std::size_t i = 0; i < tests.size(); i += 37) {
-    const std::size_t m = i % models.size();
-    const core::Analysis an(tests[i].program());
-    EXPECT_EQ(bits_prepared.get(static_cast<int>(m), static_cast<int>(i)),
-              core::is_allowed(an, models[m], tests[i].outcome()))
-        << models[m].name() << " on " << tests[i].name();
-  }
+  EXPECT_GT(eng_explicit.last_stats().explicit_checks, 0u);
+  expect_matches_reference(bits_explicit, models, tests);
 }
 
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
@@ -96,26 +95,15 @@ TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
 
   engine::EngineOptions prepared_explicit;
   prepared_explicit.backend = engine::Backend::Explicit;
-  engine::EngineOptions per_cell = prepared_explicit;
-  per_cell.prepared = false;
   engine::EngineOptions sat;
   sat.backend = engine::Backend::Sat;
 
-  engine::VerdictEngine eng_prepared(prepared_explicit);
-  engine::VerdictEngine eng_per_cell(per_cell);
+  engine::VerdictEngine eng_explicit(prepared_explicit);
   engine::VerdictEngine eng_sat(sat);
 
-  const auto bits_prepared = eng_prepared.run_matrix(models, tests);
-  EXPECT_EQ(bits_prepared, eng_per_cell.run_matrix(models, tests));
-  EXPECT_EQ(bits_prepared, eng_sat.run_matrix(models, tests));
-
-  for (std::size_t i = 0; i < tests.size(); i += 29) {
-    const std::size_t m = i % models.size();
-    const core::Analysis an(tests[i].program());
-    EXPECT_EQ(bits_prepared.get(static_cast<int>(m), static_cast<int>(i)),
-              core::is_allowed(an, models[m], tests[i].outcome()))
-        << models[m].name() << " on " << tests[i].name();
-  }
+  const auto bits_explicit = eng_explicit.run_matrix(models, tests);
+  EXPECT_EQ(bits_explicit, eng_sat.run_matrix(models, tests));
+  expect_matches_reference(bits_explicit, models, tests);
 }
 
 TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {
@@ -146,9 +134,9 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClasses) {
   // The streamed dedup filter now runs on 128-bit canonical
   // fingerprints with no Analysis and no key string; on a
   // duplicate-rich sample its novel count must equal the number of
-  // distinct legacy canonical_key strings, and the built-in audit
+  // distinct legacy canonical_key strings, and the audit decorator
   // (which recomputes the strings and cross-checks both directions)
-  // must pass throughout.
+  // must pass throughout and see exactly the novel classes.
   enumeration::NaiveOptions bounds;
   bounds.num_locations = 2;
   bounds.max_accesses_per_thread = 2;
@@ -161,12 +149,12 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClasses) {
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
+  engine::AuditedSource audited(source);
   engine::VerdictEngine eng;
-  engine::StreamOptions stream_options;
-  stream_options.audit_dedup_keys = true;
-  const auto stats = eng.run_stream(models, source, nullptr, stream_options);
+  const auto stats = eng.run_stream(models, audited, nullptr);
 
   EXPECT_EQ(stats.novel_tests, legacy_classes.size());
+  EXPECT_EQ(stats.novel_tests, audited.classes());
   EXPECT_GT(stats.duplicate_tests, 0u);
 }
 
@@ -175,7 +163,7 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClassesWithDeps) {
   // KeyFacts' dep bitmasks, DepConst constants, and indirect-address
   // resolution all feed canonical_fingerprint, so the novel count must
   // still equal the number of distinct legacy canonical_key strings,
-  // with the two-direction audit on throughout.
+  // with the two-direction audit decorator on throughout.
   enumeration::NaiveOptions bounds;
   bounds.num_locations = 2;
   bounds.max_accesses_per_thread = 2;
@@ -189,12 +177,12 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClassesWithDeps) {
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
+  engine::AuditedSource audited(source);
   engine::VerdictEngine eng;
-  engine::StreamOptions stream_options;
-  stream_options.audit_dedup_keys = true;
-  const auto stats = eng.run_stream(models, source, nullptr, stream_options);
+  const auto stats = eng.run_stream(models, audited, nullptr);
 
   EXPECT_EQ(stats.novel_tests, legacy_classes.size());
+  EXPECT_EQ(stats.novel_tests, audited.classes());
   EXPECT_GT(stats.duplicate_tests, 0u);
 }
 

@@ -20,6 +20,7 @@
 // 3,997 - 3,843 = 154 pairs.
 #include <gtest/gtest.h>
 
+#include "engine/audited_source.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "enumeration/suite.h"
@@ -43,15 +44,14 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   enumeration::ExhaustiveOptions options;  // the full default bounds
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
-  explore::TheoremHarnessReport report;
-  explore::TheoremHarnessOptions harness;
   // Collision-audit the hash-based dedup over the whole 5.16M-test
   // space: every class's full canonical key is retained and checked
   // against its 128-bit hash, so the equivalence below also proves the
   // hash dedup changes nothing (a collision throws mid-stream).
-  harness.stream.audit_dedup_keys = true;
+  engine::AuditedSource audited(stream);
+  explore::TheoremHarnessReport report;
   const auto by_naive = explore::distinguishability_streamed(
-      eng, models, stream, harness, &report);
+      eng, models, audited, explore::TheoremHarnessOptions{}, &report);
 
   // ---- The headline equivalence, bit for bit. ----
   EXPECT_TRUE(by_naive == by_suite_nodep)
@@ -69,6 +69,8 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
             stream.emitted().tests);
   EXPECT_EQ(stream.emitted().programs, 887364);
   EXPECT_EQ(report.stream.novel_tests, 445565u);  // canonical test classes
+  // The engine's novel tests are exactly the audited classes.
+  EXPECT_EQ(report.stream.novel_tests, audited.classes());
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 40817u);  // survive the extremes filter

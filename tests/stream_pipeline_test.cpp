@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/audited_source.h"
 #include "engine/sharded_key_set.h"
 #include "engine/test_stream.h"
 #include "engine/thread_pool.h"
@@ -316,12 +317,13 @@ struct StreamCapture {
   std::vector<std::size_t> chunk_duplicates;
 };
 
-StreamCapture run_slice_stream(int threads, bool overlap, bool audit,
-                               int shards) {
+/// Streams the 2-access slice through the fingerprint audit.
+StreamCapture run_slice_stream(int threads, bool overlap) {
   enumeration::ExhaustiveOptions options;
   options.bounds.max_accesses_per_thread = 2;
   options.chunk_size = 512;
   enumeration::ExhaustiveStream stream(options);
+  engine::AuditedSource audited(stream);
 
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
@@ -329,16 +331,14 @@ StreamCapture run_slice_stream(int threads, bool overlap, bool audit,
 
   engine::StreamOptions stream_options;
   stream_options.overlap_production = overlap;
-  stream_options.audit_dedup_keys = audit;
-  stream_options.dedup_shards = shards;
 
   const std::vector<core::MemoryModel> models = {
       explore::ModelChoices{4, 4, 4, 4}.to_model(),
       explore::ModelChoices{1, 0, 1, 0}.to_model()};
 
   StreamCapture capture;
-  (void)eng.run_stream(
-      models, stream,
+  const auto stats = eng.run_stream(
+      models, audited,
       [&](const std::vector<litmus::LitmusTest>& novel,
           const engine::BitMatrix& verdicts,
           const engine::StreamChunkStats& cs) {
@@ -354,22 +354,23 @@ StreamCapture run_slice_stream(int threads, bool overlap, bool audit,
         capture.chunk_duplicates.push_back(cs.duplicates);
       },
       stream_options);
+  // The audit saw every streamed test; the engine's novel tests must be
+  // exactly its classes.
+  EXPECT_EQ(stats.novel_tests, audited.classes());
   return capture;
 }
 
 TEST(StreamDeterminism, TwoAccessSliceBitForBitAcrossThreadCounts) {
-  // The serial reference: 1 thread, no producer overlap, audit on (the
-  // collision audit must hold on the whole slice).
-  const StreamCapture serial =
-      run_slice_stream(1, /*overlap=*/false, /*audit=*/true, /*shards=*/0);
+  // The serial reference: 1 thread, no producer overlap (the collision
+  // audit must hold on the whole slice).
+  const StreamCapture serial = run_slice_stream(1, /*overlap=*/false);
   ASSERT_FALSE(serial.novel_names.empty());
 
-  // Parallel runs with different thread counts, shard counts, overlap
-  // on: every delivered name, verdict bit, and chunk stat identical.
+  // Parallel runs with different thread counts, overlap on (the audit
+  // then runs on the producer thread): every delivered name, verdict
+  // bit, and chunk stat identical.
   for (const int threads : {2, 4}) {
-    const StreamCapture parallel =
-        run_slice_stream(threads, /*overlap=*/true, /*audit=*/true,
-                         threads == 2 ? 8 : 0);
+    const StreamCapture parallel = run_slice_stream(threads, /*overlap=*/true);
     EXPECT_EQ(parallel.novel_names, serial.novel_names) << threads;
     EXPECT_EQ(parallel.verdict_bits, serial.verdict_bits) << threads;
     EXPECT_EQ(parallel.chunk_streamed, serial.chunk_streamed) << threads;

@@ -43,13 +43,10 @@ struct Folded {
 };
 
 Folded run_once(const std::vector<litmus::LitmusTest>& corpus, int threads,
-                std::size_t chunk_size, int shards) {
+                std::size_t chunk_size) {
   engine::EngineOptions options;
   options.num_threads = threads;
   engine::VerdictEngine eng(options);
-
-  engine::StreamOptions stream_options;
-  stream_options.dedup_shards = shards;
 
   const std::vector<core::MemoryModel> models = {
       models::sc(), models::tso(), models::pso(),
@@ -67,8 +64,7 @@ Folded run_once(const std::vector<litmus::LitmusTest>& corpus, int threads,
             folded.bits.push_back(verdicts.get(m, static_cast<int>(i)) ? 1 : 0);
           }
         }
-      },
-      stream_options);
+      });
   folded.novel = stats.novel_tests;
   folded.duplicates = stats.duplicate_tests;
   return folded;
@@ -76,13 +72,13 @@ Folded run_once(const std::vector<litmus::LitmusTest>& corpus, int threads,
 
 TEST(StreamStress, TinyChunksManyThreadsDuplicateHeavy) {
   const auto corpus = duplicate_heavy_corpus(5);
-  const auto reference = run_once(corpus, 1, 7, 1);
+  const auto reference = run_once(corpus, 1, 7);
   ASSERT_GT(reference.novel, 0u);
   ASSERT_GT(reference.duplicates, reference.novel);  // 5 copies: ~80% dups
 
   for (int round = 0; round < 3; ++round) {
     for (const int threads : {4, 8}) {
-      const auto contended = run_once(corpus, threads, 7, 4);
+      const auto contended = run_once(corpus, threads, 7);
       EXPECT_EQ(contended.names, reference.names)
           << "threads=" << threads << " round=" << round;
       EXPECT_EQ(contended.bits, reference.bits)
