@@ -35,10 +35,11 @@
 //   --verify-serial     re-run single-threaded, require a bit-for-bit
 //                       identical distinguishability matrix
 //   --progress N        print chunk stats every N chunks (default 64)
-//   --json FILE         also write the run summary (bounds, counts,
-//                       stage breakdown, throughput, matrix outcome) as
-//                       JSON; BENCH_exhaustive.json in the repo root is
-//                       a committed snapshot of a full-space run
+//   --json FILE         also write the run summary (host, bounds,
+//                       counts, stage breakdown, throughput, matrix
+//                       outcome) as JSON; BENCH_exhaustive.json in the
+//                       repo root is a committed snapshot of a
+//                       full-space run
 //   --store FILE        persistent verdict store: verdicts load from and
 //                       commit to FILE (crash-safe; see README
 //                       "Persistence guarantees")
@@ -57,9 +58,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 
+#include "host_info.h"
 #include "peak_rss.h"
 
 #include "engine/audited_source.h"
@@ -215,13 +218,13 @@ int main(int argc, char** argv) {
       audited ? static_cast<engine::TestSource&>(*audited) : stream;
   explore::TheoremHarnessReport report;
   // Program-class accounting runs behind the FIFO: the producer thread
-  // only queues program copies, and this consumer-side tally hashes
-  // them per chunk.  The tally rides the harness checkpoint through
+  // only queues shared program handles, and this consumer-side tally
+  // hashes them per chunk.  The tally rides the harness checkpoint through
   // the extra-sink hooks, so a killed-and-resumed run still reports
   // the full class count (absorb is idempotent across the replayed
   // boundary chunk).
   enumeration::ProgramClassTally program_tally;
-  std::vector<core::Program> drained_programs;
+  std::vector<std::shared_ptr<const core::Program>> drained_programs;
   harness.save_extra_sink = [&](std::vector<std::uint64_t>& out) {
     program_tally.export_state(out);
   };
@@ -414,7 +417,7 @@ int main(int argc, char** argv) {
     serial_harness.restore_extra_sink = nullptr;
     engine::VerdictEngine serial_eng(serial_options);
     // The guard compares matrices and stream accounting; program-class
-    // accounting is not re-run, so don't queue (and leak) copies.
+    // accounting is not re-run, so don't queue (and leak) programs.
     enumeration::ExhaustiveOptions serial_opts = opts;
     serial_opts.track_program_classes = false;
     enumeration::ExhaustiveStream serial_stream(serial_opts);
@@ -452,7 +455,13 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 4,\n");
+    std::fprintf(js, "  \"schema_version\": 5,\n");
+    const bench::HostInfo host = bench::host_info();
+    std::fprintf(js,
+                 "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+                 "\"build_type\": \"%s\", \"git_rev\": \"%s\"},\n",
+                 host.nproc, host.compiler.c_str(), host.build_type.c_str(),
+                 host.git_rev.c_str());
     std::fprintf(js, "  \"zoo_fingerprint\": \"%016llx%016llx\",\n",
                  static_cast<unsigned long long>(zoo_fp.hi),
                  static_cast<unsigned long long>(zoo_fp.lo));
@@ -477,10 +486,11 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"tests_per_second\": %.0f,\n",
                  wall > 0 ? static_cast<double>(s.tests_streamed) / wall : 0.0);
     std::fprintf(js,
-                 "  \"stages_seconds\": {\"produce\": %.3f, \"keys\": %.3f, "
-                 "\"dedup\": %.3f, \"verdict\": %.3f, \"seal\": %.3f},\n",
-                 s.stages.produce, s.stages.keys, s.stages.dedup,
-                 s.stages.verdict, s.stages.seal);
+                 "  \"stages_seconds\": {\"produce\": %.3f, \"wait\": %.3f, "
+                 "\"keys\": %.3f, \"dedup\": %.3f, \"verdict\": %.3f, "
+                 "\"seal\": %.3f},\n",
+                 s.stages.produce, s.stages.wait, s.stages.keys,
+                 s.stages.dedup, s.stages.verdict, s.stages.seal);
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);
     if (norun_keys_ns > 0.0) {
       std::fprintf(js,

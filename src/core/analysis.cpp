@@ -6,6 +6,18 @@
 
 namespace mcmc::core {
 
+std::shared_ptr<const Analysis> analyze_shared(
+    std::shared_ptr<const Program> program) {
+  struct Pinned {
+    explicit Pinned(std::shared_ptr<const Program> p)
+        : program(std::move(p)), analysis(*program) {}
+    std::shared_ptr<const Program> program;
+    Analysis analysis;
+  };
+  auto pinned = std::make_shared<const Pinned>(std::move(program));
+  return std::shared_ptr<const Analysis>(pinned, &pinned->analysis);
+}
+
 Analysis::Analysis(const Program& program) : program_(&program) {
   program.validate();
   resolve_events();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/program.h"
@@ -140,5 +141,12 @@ class Analysis {
   std::vector<std::uint64_t> data_dep_mask_;
   std::vector<std::uint64_t> ctrl_dep_mask_;
 };
+
+/// Analyzes a shared program into a shared Analysis that keeps the
+/// program alive for as long as the analysis is referenced (one
+/// allocation holds both), so it may be handed to PreparedTests that
+/// outlive the program's other handles.
+[[nodiscard]] std::shared_ptr<const Analysis> analyze_shared(
+    std::shared_ptr<const Program> program);
 
 }  // namespace mcmc::core

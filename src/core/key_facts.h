@@ -5,12 +5,13 @@
 // (millions per run), and a full Analysis is overkill for that: keys
 // never consult rf indexes, po-pair counts, or predicate bitmask rows,
 // and the Analysis constructor re-validates the program and heap-
-// allocates O(events^2) dependency matrices per test.  KeyFacts
-// resolves the same events and the same transitive data/control
-// dependency relation into flat per-thread 64-bit masks, reusing its
-// buffers across builds (generation-stamped register tables, no
-// std::map), so the steady-state cost of keying a test is zero heap
-// allocations.
+// allocates O(events^2) dependency matrices.  KeyFacts resolves the
+// same events and the same transitive data/control dependency relation
+// into flat per-thread 64-bit masks, reusing its buffers across builds
+// (generation-stamped register tables, no std::map), so the
+// steady-state cost of keying is zero heap allocations.  The facts
+// depend on the program alone: the stream builds them once per program
+// and hashes every outcome over them (litmus::load_key_facts).
 //
 // KeyFacts trusts its input: callers hand it programs that already
 // passed Program::validate (litmus::LitmusTest validates at

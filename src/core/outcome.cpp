@@ -4,8 +4,18 @@
 
 namespace mcmc::core {
 
-Outcome::Outcome(std::vector<std::pair<Reg, int>> constraints) {
-  for (const auto& [reg, value] : constraints) require(reg, value);
+Outcome::Outcome(std::vector<std::pair<Reg, int>> constraints)
+    : constraints_(std::move(constraints)) {
+  // require()'s checks, in the same order, over the adopted vector (no
+  // second allocation).
+  for (std::size_t i = 0; i < constraints_.size(); ++i) {
+    const Reg reg = constraints_[i].first;
+    MCMC_REQUIRE(reg >= 0);
+    for (std::size_t j = 0; j < i; ++j) {
+      MCMC_REQUIRE_MSG(constraints_[j].first != reg,
+                       "register constrained more than once");
+    }
+  }
 }
 
 void Outcome::require(Reg reg, int value) {

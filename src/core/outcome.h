@@ -18,6 +18,7 @@ namespace mcmc::core {
 class Outcome {
  public:
   Outcome() = default;
+  /// Adopts `constraints` (checked as require() checks each).
   explicit Outcome(std::vector<std::pair<Reg, int>> constraints);
 
   /// Adds `reg == value`; a register may be constrained at most once.

@@ -6,43 +6,46 @@
 namespace mcmc::core {
 
 PreparedTest::PreparedTest(const Program& program, Outcome outcome)
-    : PreparedTest(Analysis(program), std::move(outcome)) {}
+    : PreparedTest(std::make_shared<const Analysis>(program),
+                   std::move(outcome)) {}
 
-PreparedTest::PreparedTest(Analysis analysis, Outcome outcome)
+PreparedTest::PreparedTest(std::shared_ptr<const Analysis> analysis,
+                           Outcome outcome)
     : analysis_(std::move(analysis)), outcome_(std::move(outcome)) {
-  rf_maps_ = enumerate_read_from(analysis_, outcome_);
+  MCMC_REQUIRE(analysis_ != nullptr);
+  rf_maps_ = enumerate_read_from(*analysis_, outcome_);
   skeletons_.reserve(rf_maps_.size());
   for (const RfMap& rf : rf_maps_) {
-    skeletons_.push_back(build_hb_skeleton(analysis_, rf));
+    skeletons_.push_back(build_hb_skeleton(*analysis_, rf));
   }
 }
 
 void PreparedTest::compile_mask(const MemoryModel& model, ReorderMask& out,
                                 PreparedCheckStats* stats) const {
-  out.num_events = analysis_.num_events();
+  out.num_events = analysis_->num_events();
   const std::size_t pair_evals =
-      model.formula().eval_po_matrix(analysis_, out.rows);
+      model.formula().eval_po_matrix(*analysis_, out.rows);
   if (stats != nullptr) stats->formula_evals += 1 + pair_evals;
 }
 
 bool PreparedTest::allowed(const MemoryModel& model, Engine engine,
                            PreparedCheckStats* stats) const {
   if (rf_maps_.empty()) return false;
-  if (engine == Engine::Explicit || analysis_.masks_valid()) {
-    MCMC_REQUIRE_MSG(analysis_.masks_valid(),
+  if (engine == Engine::Explicit || analysis_->masks_valid()) {
+    MCMC_REQUIRE_MSG(analysis_->masks_valid(),
                      "explicit engine supports up to 64 events");
     ReorderMask mask;
     compile_mask(model, mask, stats);
     if (engine == Engine::Explicit) return allowed_explicit(mask, stats);
     // SAT on a small instance: materialize each problem from the mask +
     // skeleton (the SAT encoding needs explicit edge lists anyway).
-    const int n = analysis_.num_events();
+    const int n = analysis_->num_events();
     for (std::size_t k = 0; k < skeletons_.size(); ++k) {
       const HbSkeleton& skel = skeletons_[k];
       if (stats != nullptr) {
         ++stats->skeletons_used;
         stats->equivalent_pair_evals +=
-            static_cast<std::size_t>(analysis_.num_po_pairs());
+            static_cast<std::size_t>(analysis_->num_po_pairs());
       }
       if (skel.infeasible) continue;
       HbProblem p;
@@ -66,7 +69,7 @@ bool PreparedTest::allowed(const MemoryModel& model, Engine engine,
 
 bool PreparedTest::allowed_explicit(const ReorderMask& mask,
                                     PreparedCheckStats* stats) const {
-  const int n = analysis_.num_events();
+  const int n = analysis_->num_events();
   detail::ClosureSearch search(n);
   // Base closure over the model's program-order edges, built once and
   // copied per rf map (the skeletons differ, the po overlay does not).
@@ -90,7 +93,7 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask,
       // The per-cell path would rebuild this rf map's HbProblem,
       // re-evaluating F on every po pair.
       stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_.num_po_pairs());
+          static_cast<std::size_t>(analysis_->num_po_pairs());
     }
     if (skel.infeasible) continue;
     detail::Reach64 reach = base;
@@ -114,13 +117,15 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model,
                                         PreparedCheckStats* stats) const {
   // Beyond 64 events there are no bitmask rows; evaluate F per pair once
   // (still hoisted out of the per-rf-map loop) and share the edge list.
-  const int n = analysis_.num_events();
+  const int n = analysis_->num_events();
   std::vector<Edge> po_forced;
   for (EventId x = 0; x < n; ++x) {
     for (EventId y = 0; y < n; ++y) {
-      if (x == y || !analysis_.po(x, y)) continue;
+      if (x == y || !analysis_->po(x, y)) continue;
       if (stats != nullptr) ++stats->formula_evals;
-      if (model.must_not_reorder(analysis_, x, y)) po_forced.emplace_back(x, y);
+      if (model.must_not_reorder(*analysis_, x, y)) {
+        po_forced.emplace_back(x, y);
+      }
     }
   }
   for (std::size_t k = 0; k < skeletons_.size(); ++k) {
@@ -128,7 +133,7 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model,
     if (stats != nullptr) {
       ++stats->skeletons_used;
       stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_.num_po_pairs());
+          static_cast<std::size_t>(analysis_->num_po_pairs());
     }
     if (skel.infeasible) continue;
     HbProblem p;

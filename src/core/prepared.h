@@ -28,6 +28,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/analysis.h"
@@ -71,20 +72,24 @@ struct PreparedCheckStats {
 /// One litmus test prepared for checking against many models: the
 /// model-independent skeleton of the admissibility question.  Immutable
 /// after construction and safe to share across threads.
+///
+/// The Analysis depends only on the program, the rf maps and skeletons
+/// on the outcome too: tests over one program share one Analysis.
 class PreparedTest {
  public:
-  /// Analyzes `program` and enumerates the outcome's rf maps and their
-  /// skeletons.  The program must outlive the prepared test (as with
-  /// Analysis).
+  /// Analyzes `program` (an Analysis of its own) and enumerates the
+  /// outcome's rf maps and their skeletons.  The program must outlive
+  /// the prepared test (as with Analysis).
   PreparedTest(const Program& program, Outcome outcome);
 
-  /// Adopts an already-built analysis instead of re-analyzing (the
-  /// batched engine computes cache keys from bare analyses first and
-  /// only prepares the tests that miss).  The analyzed program must
-  /// still outlive the prepared test.
-  PreparedTest(Analysis analysis, Outcome outcome);
+  /// Adopts a shared analysis of the test's program instead of
+  /// analyzing it: the engine builds one Analysis per program and hands
+  /// it to the prepared test of every outcome over that program.  The
+  /// analyzed program must outlive the analysis (core::analyze_shared
+  /// guarantees that by keeping the program alive).
+  PreparedTest(std::shared_ptr<const Analysis> analysis, Outcome outcome);
 
-  [[nodiscard]] const Analysis& analysis() const { return analysis_; }
+  [[nodiscard]] const Analysis& analysis() const { return *analysis_; }
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
   /// Rf maps in enumeration order (empty when the outcome is statically
   /// impossible), and their parallel skeletons.
@@ -113,7 +118,7 @@ class PreparedTest {
                                           Engine engine,
                                           PreparedCheckStats* stats) const;
 
-  Analysis analysis_;
+  std::shared_ptr<const Analysis> analysis_;
   Outcome outcome_;
   std::vector<RfMap> rf_maps_;
   std::vector<HbSkeleton> skeletons_;

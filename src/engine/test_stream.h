@@ -112,8 +112,10 @@ class ChunkPrefetcher final : public TestSource {
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
     Item item;
     {
+      util::Timer wait_timer;
       util::MutexLock lock(mu_);
       while (queue_.empty() && !done_) chunk_ready_.wait(mu_);
+      last_wait_seconds_ = wait_timer.seconds();
       if (queue_.empty()) {
         if (error_) std::rethrow_exception(error_);
         return false;
@@ -157,6 +159,10 @@ class ChunkPrefetcher final : public TestSource {
   [[nodiscard]] double last_produce_seconds() const {
     return last_produce_seconds_;
   }
+
+  /// Time the most recent next_chunk call blocked waiting for the
+  /// producer (the part of production the consumer did not overlap).
+  [[nodiscard]] double last_wait_seconds() const { return last_wait_seconds_; }
 
  private:
   struct Item {
@@ -212,6 +218,7 @@ class ChunkPrefetcher final : public TestSource {
   // Below: consumer-thread-only state (written in next_chunk, read by
   // the consumer's snapshot/stat accessors) — no guard needed.
   double last_produce_seconds_ = 0.0;
+  double last_wait_seconds_ = 0.0;
   std::vector<std::uint64_t> last_cursor_;
   bool last_cursor_valid_ = false;
 };

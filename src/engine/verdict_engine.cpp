@@ -293,7 +293,6 @@ std::vector<char> VerdictEngine::run_batch_impl(
   // until the cache and the within-batch dedup have spoken, so only
   // tests that actually reach evaluation pay for one. ----
   std::vector<std::unique_ptr<core::PreparedTest>> prepared(tests.size());
-  std::vector<std::unique_ptr<core::Analysis>> analyses(tests.size());
   std::vector<util::Key128> canonical_fps(need_canonical ? tests.size() : 0);
   std::vector<util::Key128> structural_fps(need_structural ? tests.size() : 0);
   const int threads = effective_threads();
@@ -492,9 +491,13 @@ std::vector<char> VerdictEngine::run_batch_impl(
   const std::size_t live_checks = grouped ? pending.size() : requests.size();
 
   // ---- Analyses, now that the cache has spoken: built only for the
-  // tests some live job evaluates.  With the fingerprints above coming
-  // from core::KeyFacts, a dedup- or cache-served test never constructs
-  // an Analysis at all. ----
+  // tests some live job evaluates, and once per run of consecutive such
+  // tests that share one program object (the stream emits a program's
+  // outcomes back to back, and copies of a test share its program).
+  // With the fingerprints above coming from core::KeyFacts, a dedup- or
+  // cache-served test never constructs an Analysis at all.  Grouping
+  // only shares work: a test sharing nothing gets an Analysis of its
+  // own. ----
   std::vector<int> eval_tests;
   if (grouped) {
     std::vector<char> evaluated(tests.size(), 0);
@@ -507,32 +510,58 @@ std::vector<char> VerdictEngine::run_batch_impl(
   } else {
     eval_tests = used_tests;
   }
-  stats.unique_analyses = eval_tests.size();
-  if (!eval_tests.empty()) {
-    const auto analyze_one = [&](std::size_t k) {
-      const auto t = static_cast<std::size_t>(eval_tests[k]);
-      analyses[t] = std::make_unique<core::Analysis>(tests[t].program());
+  // run_of[t]: the program run of evaluated test t; run_first[r]: the
+  // test whose program run r analyzes.
+  std::vector<int> run_of(eval_tests.empty() ? 0 : tests.size(), -1);
+  std::vector<int> run_first;
+  std::vector<std::uint32_t> run_size;
+  const core::Program* run_program = nullptr;
+  for (const int t : eval_tests) {
+    const auto& test = tests[static_cast<std::size_t>(t)];
+    if (&test.program() != run_program) {
+      run_first.push_back(t);
+      run_size.push_back(0);
+      run_program = &test.program();
+    }
+    ++run_size.back();
+    run_of[static_cast<std::size_t>(t)] =
+        static_cast<int>(run_first.size()) - 1;
+  }
+  // run_analysis[r] is dropped once every test of run r has adopted it
+  // (run_unprepared[r] reaches 0); the prepared tests then own it.
+  std::vector<std::shared_ptr<const core::Analysis>> run_analysis(
+      run_first.size());
+  std::vector<std::atomic<std::uint32_t>> run_unprepared(run_first.size());
+  for (std::size_t r = 0; r < run_size.size(); ++r) {
+    run_unprepared[r].store(run_size[r], std::memory_order_relaxed);
+  }
+  stats.unique_analyses = run_first.size();
+  if (!run_first.empty()) {
+    const auto analyze_run = [&](std::size_t r) {
+      run_analysis[r] = core::analyze_shared(
+          tests[static_cast<std::size_t>(run_first[r])].shared_program());
     };
-    if (threads > 1 && eval_tests.size() > 1) {
-      pool().parallel_for(eval_tests.size(), analyze_one);
+    if (threads > 1 && run_first.size() > 1) {
+      pool().parallel_for(run_first.size(), analyze_run);
     } else {
-      for (std::size_t k = 0; k < eval_tests.size(); ++k) analyze_one(k);
+      for (std::size_t r = 0; r < run_first.size(); ++r) analyze_run(r);
     }
   }
 
   // ---- Evaluate the deduplicated jobs across ONE pool pass.  A
   // cache-miss test's expensive prepared state (rf enumeration +
-  // HbProblem skeletons, adopted from the phase-one analyses instead of
-  // re-analyzing) is built by whichever worker touches the test first
-  // (std::call_once) and is immutable afterward, so worker threads
-  // share it without further synchronization and evaluation of other
-  // tests proceeds while it builds — no prepare/evaluate barrier.  On
-  // cache-heavy streams deduplicated tests never pay for preparation at
-  // all.  The job completing a test's last check frees its prepared
-  // state (every check of it happens-before the freeing decrement), so
-  // peak memory tracks the checks in flight, not the batch size — on
-  // dense streamed chunks that is the difference between tens of MB
-  // and a working set that never leaves the cache. ----
+  // HbProblem skeletons over its program run's shared Analysis) is
+  // built by whichever worker touches the test first (std::call_once)
+  // and is immutable afterward, so worker threads share it without
+  // further synchronization and evaluation of other tests proceeds
+  // while it builds — no prepare/evaluate barrier.  On cache-heavy
+  // streams deduplicated tests never pay for preparation at all.  The
+  // job completing a test's last check frees its prepared state (every
+  // check of it happens-before the freeing decrement), and the last
+  // prepared test of a run frees the run's Analysis, so peak memory
+  // tracks the checks in flight, not the batch size — on dense
+  // streamed chunks that is the difference between tens of MB and a
+  // working set that never leaves the cache. ----
   std::vector<std::once_flag> prepare_once(live_checks > 0 ? tests.size() : 0);
   std::vector<std::atomic<std::uint32_t>> checks_left(prepare_once.size());
   if (grouped) {
@@ -556,9 +585,14 @@ std::vector<char> VerdictEngine::run_batch_impl(
   const auto run_check = [&](int model_idx, int test_idx) -> bool {
     const auto st = static_cast<std::size_t>(test_idx);
     std::call_once(prepare_once[st], [&] {
+      const auto r = static_cast<std::size_t>(run_of[st]);
       prepared[st] = std::make_unique<core::PreparedTest>(
-          std::move(*analyses[st]), tests[st].outcome());
-      analyses[st].reset();
+          run_analysis[r], tests[st].outcome());
+      // The run's last adopter drops the run's handle (acq_rel: every
+      // other adopter's copy happens-before this reset).
+      if (run_unprepared[r].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        run_analysis[r].reset();
+      }
       skeletons_built.fetch_add(prepared[st]->skeletons().size(),
                                 std::memory_order_relaxed);
       tests_prepared.fetch_add(1, std::memory_order_relaxed);
@@ -677,6 +711,7 @@ BitMatrix VerdictEngine::run_matrix(
 
 StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
   produce += other.produce;
+  wait += other.wait;
   keys += other.keys;
   dedup += other.dedup;
   verdict += other.verdict;
@@ -686,8 +721,9 @@ StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
 
 std::string StreamStageTimes::to_string() const {
   std::ostringstream os;
-  os << "produce=" << produce << "s keys=" << keys << "s dedup=" << dedup
-     << "s verdict=" << verdict << "s seal=" << seal << "s";
+  os << "produce=" << produce << "s wait=" << wait << "s keys=" << keys
+     << "s dedup=" << dedup << "s verdict=" << verdict << "s seal=" << seal
+     << "s";
   return os.str();
 }
 
@@ -788,17 +824,21 @@ struct VerdictEngine::StreamRun {
     const bool more = input->next_chunk(chunk);
     cs.stages.produce =
         prefetcher ? prefetcher->last_produce_seconds() : timer.seconds();
-    if (chunk.empty()) total.stages.produce += cs.stages.produce;
+    cs.stages.wait = prefetcher ? prefetcher->last_wait_seconds() : 0.0;
+    // An empty final pull never reaches verdict(), which folds the rest.
+    if (chunk.empty()) total.stages += cs.stages;
     cs.index = total.chunks;
     cs.streamed = chunk.size();
     return more;
   }
 
   /// Keys (parallel): fingerprints fan out across the pool in
-  /// contiguous ranges, each worker reusing one KeyScratch.
-  /// litmus::canonical_fingerprint hashes the canonicalized event walk
-  /// directly — no Analysis, no key string, no per-test allocation —
-  /// and the 128-bit digest is claimed in the sharded set as it goes.
+  /// contiguous ranges, each worker reusing one KeyScratch.  The
+  /// canonical fingerprint hashes the canonicalized event walk directly
+  /// — no Analysis, no key string, no per-test allocation — building the
+  /// program's core::KeyFacts once per run of consecutive tests that
+  /// share one program object and hashing only each outcome's words;
+  /// the 128-bit digest is claimed in the sharded set as it goes.
   void keys(StreamChunkStats& cs) {
     util::Timer timer;
     const std::size_t n = chunk.size();
@@ -807,10 +847,21 @@ struct VerdictEngine::StreamRun {
     seen.begin_chunk();
     parallel_ranges(eng.pool(), n, [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
+      // Compared only against programs the chunk still holds, so an
+      // equal address means the same object.
+      const core::Program* loaded = nullptr;
       for (std::size_t i = begin; i < end; ++i) {
-        key_hashes[i] = structural
-                            ? litmus::structural_fingerprint(chunk[i])
-                            : litmus::canonical_fingerprint(chunk[i], scratch);
+        const litmus::LitmusTest& test = chunk[i];
+        if (structural) {
+          key_hashes[i] = litmus::structural_fingerprint(test);
+        } else {
+          if (&test.program() != loaded) {
+            litmus::load_key_facts(test.program(), scratch);
+            loaded = &test.program();
+          }
+          key_hashes[i] =
+              litmus::canonical_fingerprint_loaded(test.outcome(), scratch);
+        }
         dup_of_past[i] =
             seen.claim(key_hashes[i], static_cast<std::uint32_t>(i)) ? 1 : 0;
       }
@@ -905,7 +956,9 @@ struct VerdictEngine::StreamRun {
     }
 
     // Deliver: the novel tests move out of the chunk only after the
-    // batch (and every Analysis into them) is done.
+    // batch, which reads them through `chunk`, is done.  Moving a test
+    // moves only its program handle; every Analysis keeps its program
+    // alive (core::analyze_shared).
     novel.clear();
     for (const int t : novel_idx) {
       novel.push_back(std::move(chunk[static_cast<std::size_t>(t)]));

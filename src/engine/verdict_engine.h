@@ -5,8 +5,10 @@
 // for the whole repository: callers hand it a batch of (model, test)
 // cells and get back a packed verdict matrix, with the engine handling
 //
-//   * per-test Analysis construction, done once per test that actually
-//     reaches evaluation and shared across models — deduplicated and
+//   * per-program Analysis construction, done once per run of
+//     consecutive evaluated tests that share one program object (the
+//     stream's outcomes of a program, copies of a test) and shared
+//     across those tests and every model — deduplicated and
 //     cache-served tests never pay for one,
 //   * canonical-test deduplication: symmetric tests (thread-permuted,
 //     location-renamed) share verdicts through a persistent cache keyed
@@ -95,9 +97,10 @@ struct EngineStats {
   std::size_t store_misses = 0;    ///< store probes that found nothing
   std::size_t explicit_checks = 0; ///< checks decided by the explicit engine
   std::size_t sat_checks = 0;      ///< checks decided by the SAT engine
-  std::size_t unique_analyses = 0; ///< Analysis constructions this batch
-                                   ///  (tests reaching evaluation only:
-                                   ///  dedup/cache hits build none)
+  std::size_t unique_analyses = 0; ///< Analysis objects built this batch:
+                                   ///  one per run of evaluated tests
+                                   ///  sharing a program object
+                                   ///  (dedup/cache hits build none)
 
   // Prepared-path accounting (core::PreparedTest).
   std::size_t rf_enums_saved = 0;  ///< enumerate_read_from calls avoided
@@ -155,12 +158,16 @@ struct StreamOptions {
 /// Per-stage wall time of the streaming pipeline.  `produce` is time
 /// spent inside the source's next_chunk — with overlap_production it
 /// runs concurrently with the other stages, so it is overlap, not
-/// critical path.  `keys` is the parallel fingerprint/claim phase,
-/// `dedup` the serial chunk-order ownership resolution, `verdict` the
-/// batched evaluation plus delivery, `seal` the checkpoint seals and
-/// the completion commit of a persisted stream.
+/// critical path.  `wait` is the critical-path share of production:
+/// the time the consumer blocked for a chunk the producer thread had
+/// not finished (0 without overlap, where produce is all critical
+/// path).  `keys` is the parallel fingerprint/claim phase, `dedup` the
+/// serial chunk-order ownership resolution, `verdict` the batched
+/// evaluation plus delivery, `seal` the checkpoint seals and the
+/// completion commit of a persisted stream.
 struct StreamStageTimes {
   double produce = 0.0;
+  double wait = 0.0;
   double keys = 0.0;
   double dedup = 0.0;
   double verdict = 0.0;

@@ -1,6 +1,7 @@
 #include "enumeration/exhaustive.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -29,6 +30,17 @@ std::uint64_t options_digest(const ExhaustiveOptions& o,
                               (o.communicating_only ? 4ULL : 0ULL));
   util::append_u64(bytes, num_shapes);
   return util::hash128(bytes).lo;
+}
+
+/// "x<program>.<outcome>", formatted in place: the name fits the
+/// string's inline buffer, so it allocates nothing.
+std::string test_name(long long program, long long outcome) {
+  // A long long takes at most 20 characters, so both conversions fit.
+  char buf[48] = {'x'};
+  char* const dot = std::to_chars(buf + 1, buf + 24, program).ptr;
+  *dot = '.';
+  return std::string(buf,
+                     std::to_chars(dot + 1, buf + sizeof buf, outcome).ptr);
 }
 
 }  // namespace
@@ -67,10 +79,10 @@ bool ExhaustiveStream::start_next_program() {
     odometer_live_ = true;
 
     if (options_.track_program_classes) {
-      // A copy, not a fingerprint: hashing is the consumer's job
-      // (ProgramClassTally), so the producer thread never pays it.
+      // The shared handle, not a fingerprint: hashing is the consumer's
+      // job (ProgramClassTally), so the producer thread never pays it.
       util::MutexLock lock(pending_mu_);
-      pending_programs_.push_back(program_);
+      pending_programs_.push_back(program_->shared_program());
     }
     return true;
   }
@@ -80,20 +92,21 @@ bool ExhaustiveStream::start_next_program() {
 void ExhaustiveStream::build_program() {
   // ---- Materialize the (cur_a_, cur_b_) program and its read
   // odometer domains.  Deterministic in the pair alone, so a restored
-  // cursor re-derives the identical program. ----
+  // cursor re-derives the identical program.  The LitmusTest
+  // constructor validates it — the only validation its tests get. ----
   std::map<int, int> values;
   core::Reg next_reg = 0;
   std::vector<core::Thread> threads;
   threads.push_back(shapes::materialize(shapes_[cur_a_], values, next_reg));
   threads.push_back(shapes::materialize(shapes_[cur_b_], values, next_reg));
-  program_ = core::Program(std::move(threads));
+  program_.emplace("", core::Program(std::move(threads)), core::Outcome{});
 
   read_regs_.clear();
   read_domain_.clear();
   // Reads resolve through for_each_read: a dep-addressed read's domain
   // comes from its DepConst-resolved target location, not from the
   // instruction's (kNoLoc) direct-address field.
-  for (const auto& thread : program_.threads()) {
+  for (const auto& thread : program_->program().threads()) {
     shapes::for_each_read(thread, [&](core::Reg dst, int loc) {
       read_regs_.push_back(dst);
       const auto written = values.find(loc);
@@ -103,7 +116,8 @@ void ExhaustiveStream::build_program() {
   }
 }
 
-void ExhaustiveStream::take_new_programs(std::vector<core::Program>& out) {
+void ExhaustiveStream::take_new_programs(
+    std::vector<std::shared_ptr<const core::Program>>& out) {
   util::MutexLock lock(pending_mu_);
   if (out.empty()) {
     out.swap(pending_programs_);
@@ -219,19 +233,23 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
   if (exhausted_) return false;
   const std::size_t target =
       out.size() + static_cast<std::size_t>(options_.chunk_size);
+  out.reserve(target);
   while (out.size() < target) {
     if (!odometer_live_ && !start_next_program()) {
       exhausted_ = true;
       return false;
     }
 
-    core::Outcome outcome;
+    // One allocation per outcome (none for a read-free program); the
+    // program is shared, not copied.
+    std::vector<std::pair<core::Reg, int>> constraints;
+    constraints.reserve(read_regs_.size());
     for (std::size_t k = 0; k < read_regs_.size(); ++k) {
-      outcome.require(read_regs_[k], odometer_[k]);
+      constraints.emplace_back(read_regs_[k], odometer_[k]);
     }
-    out.emplace_back("x" + std::to_string(program_index_) + "." +
-                         std::to_string(outcome_index_),
-                     program_, std::move(outcome));
+    out.push_back(program_->with_outcome(
+        test_name(program_index_, outcome_index_),
+        core::Outcome(std::move(constraints))));
     ++emitted_.tests;
     ++outcome_index_;
 
@@ -263,10 +281,11 @@ ExhaustiveCounts ExhaustiveStream::count(const ExhaustiveOptions& options) {
   return counts;
 }
 
-void ProgramClassTally::absorb(std::vector<core::Program>& programs) {
+void ProgramClassTally::absorb(
+    std::vector<std::shared_ptr<const core::Program>>& programs) {
   for (const auto& program : programs) {
     classes_.insert(
-        litmus::canonical_fingerprint(program, core::Outcome{}, scratch_));
+        litmus::canonical_fingerprint(*program, core::Outcome{}, scratch_));
   }
   programs.clear();
 }
@@ -313,7 +332,7 @@ ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
   std::unordered_set<util::Key128, util::Key128Hash> test_classes;
   litmus::KeyScratch scratch;
   ProgramClassTally programs;
-  std::vector<core::Program> drained;
+  std::vector<std::shared_ptr<const core::Program>> drained;
   std::vector<litmus::LitmusTest> chunk;
   bool more = true;
   while (more) {
@@ -322,7 +341,7 @@ ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
     for (const auto& test : chunk) {
       test_classes.insert(litmus::canonical_fingerprint(test, scratch));
     }
-    // Drain per chunk so pending program copies never pile up.
+    // Drain per chunk so pending programs never pile up.
     stream.take_new_programs(drained);
     programs.absorb(drained);
   }

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -42,12 +44,13 @@ struct ExhaustiveOptions {
   /// Drop programs whose threads never interact (the reduced-baseline
   /// filter); the full naive space keeps them.
   bool communicating_only = false;
-  /// Queue a copy of every newly started program for consumer-side
-  /// class accounting (drain with ExhaustiveStream::take_new_programs,
-  /// hash with ProgramClassTally).  The producer thread only copies —
-  /// fingerprinting happens on whichever thread drains, so program
-  /// accounting never slows chunk production.  Pending programs
-  /// accumulate until drained: leave this off unless something drains.
+  /// Queue the shared handle of every newly started program for
+  /// consumer-side class accounting (drain with
+  /// ExhaustiveStream::take_new_programs, hash with ProgramClassTally).
+  /// The producer thread only bumps a reference count — fingerprinting
+  /// happens on whichever thread drains, so program accounting never
+  /// slows chunk production.  Pending programs accumulate until drained:
+  /// leave this off unless something drains.
   bool track_program_classes = false;
 };
 
@@ -64,6 +67,12 @@ struct ExhaustiveCounts {
 /// over its reads (each read drawing from {0} + {values written to its
 /// location}).  Test names are "x<program>.<outcome>" with 0-based
 /// stream-order indices.
+///
+/// The stream is program-major: each program is materialized and
+/// validated once, and all of its tests share that one immutable
+/// program object (litmus::LitmusTest::with_outcome), so downstream
+/// stages can build per-program state once per run of consecutive
+/// tests holding the same object.
 class ExhaustiveStream final : public engine::TestSource {
  public:
   explicit ExhaustiveStream(ExhaustiveOptions options);
@@ -99,7 +108,8 @@ class ExhaustiveStream final : public engine::TestSource {
   /// options.track_program_classes) by appending them to `out`.
   /// Thread-safe against the producing next_chunk, so a consumer-side
   /// accountant can drain per chunk while a prefetcher produces ahead.
-  void take_new_programs(std::vector<core::Program>& out);
+  void take_new_programs(
+      std::vector<std::shared_ptr<const core::Program>>& out);
 
   /// Counting-only walk of the same generator core: the totals a full
   /// drain of a fresh stream with these options would emit.
@@ -110,7 +120,7 @@ class ExhaustiveStream final : public engine::TestSource {
   /// rebuilds the per-program state; returns false when the shape pairs
   /// are exhausted.
   bool start_next_program();
-  /// Builds the current program's materialization and read domains.
+  /// Builds (and validates) the current program and its read domains.
   void build_program();
 
   ExhaustiveOptions options_;
@@ -126,18 +136,21 @@ class ExhaustiveStream final : public engine::TestSource {
   long long program_index_ = -1;  ///< 0-based index of the current program
   long long outcome_index_ = 0;   ///< 0-based odometer position within it
 
-  core::Program program_;                    // current program
+  // The current program, validated once, as an outcome-free test every
+  // emitted test is derived from (sharing its program object).
+  std::optional<litmus::LitmusTest> program_;
   std::vector<core::Reg> read_regs_;         // destination reg per read
   std::vector<int> read_domain_;             // 1 + writes to the read's loc
   std::vector<int> odometer_;                // current outcome assignment
   bool odometer_live_ = false;
 
   // Programs started but not yet drained (track_program_classes only).
-  // The producer appends a copy per program; take_new_programs empties
-  // it under the same mutex.  Bounded in practice by however far the
-  // prefetcher runs ahead of the draining consumer.
+  // The producer appends each program's shared handle; take_new_programs
+  // empties it under the same mutex.  Bounded in practice by however
+  // far the prefetcher runs ahead of the draining consumer.
   mutable util::Mutex pending_mu_;
-  std::vector<core::Program> pending_programs_ GUARDED_BY(pending_mu_);
+  std::vector<std::shared_ptr<const core::Program>> pending_programs_
+      GUARDED_BY(pending_mu_);
 };
 
 /// Consumer-side accumulator of canonical program classes: feed it the
@@ -149,7 +162,7 @@ class ExhaustiveStream final : public engine::TestSource {
 class ProgramClassTally {
  public:
   /// Fingerprints and forgets `programs` (cleared on return).
-  void absorb(std::vector<core::Program>& programs);
+  void absorb(std::vector<std::shared_ptr<const core::Program>>& programs);
 
   [[nodiscard]] long long count() const {
     return static_cast<long long>(classes_.size());

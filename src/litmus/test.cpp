@@ -6,6 +6,8 @@
 #include <numeric>
 #include <set>
 
+#include "util/check.h"
+
 namespace mcmc::litmus {
 
 namespace {
@@ -25,7 +27,7 @@ std::string LitmusTest::to_string() const {
   std::string out = "Test " + name_;
   if (!description_.empty()) out += " (" + description_ + ")";
   out += "\n";
-  out += program_.to_string();
+  out += program_->to_string();
   out += "Outcome: " + outcome_.to_string() + "\n";
   return out;
 }
@@ -344,15 +346,21 @@ util::Key128 fingerprint_permuted(const core::KeyFacts& facts,
 
 }  // namespace
 
-util::Key128 canonical_fingerprint(const core::Program& program,
-                                   const core::Outcome& outcome,
-                                   KeyScratch& scratch) {
-  if (!scratch.facts.build(program)) {
+void load_key_facts(const core::Program& program, KeyScratch& scratch) {
+  scratch.facts_program = &program;
+  scratch.facts_fast = scratch.facts.build(program);
+}
+
+util::Key128 canonical_fingerprint_loaded(const core::Outcome& outcome,
+                                          KeyScratch& scratch) {
+  if (!scratch.facts_fast) {
     // Outside the fast path (a thread longer than the 64-bit dependency
     // masks).  The bail-out condition is invariant under thread
     // permutation and renaming, so a canonical class lands entirely in
     // one hash domain or the other — never split across both.
-    const core::Analysis analysis(program);
+    MCMC_REQUIRE_MSG(scratch.facts_program != nullptr,
+                     "canonical_fingerprint_loaded before load_key_facts");
+    const core::Analysis analysis(*scratch.facts_program);
     return util::hash128(canonical_key(analysis, outcome, scratch));
   }
   const int num_threads = scratch.facts.num_threads();
@@ -374,6 +382,13 @@ util::Key128 canonical_fingerprint(const core::Program& program,
     }
   }
   return best;
+}
+
+util::Key128 canonical_fingerprint(const core::Program& program,
+                                   const core::Outcome& outcome,
+                                   KeyScratch& scratch) {
+  load_key_facts(program, scratch);
+  return canonical_fingerprint_loaded(outcome, scratch);
 }
 
 util::Key128 canonical_fingerprint(const LitmusTest& test,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,29 +20,56 @@
 namespace mcmc::litmus {
 
 /// A named litmus test.
+///
+/// The program is immutable and shared: copies of a test, and tests
+/// derived through with_outcome, hold the same validated program object
+/// (a reference-count bump, not a deep copy).  Every program reaching a
+/// test has passed Program::validate — the public constructor validates,
+/// and with_outcome only re-uses an already validated program.
 class LitmusTest {
  public:
+  /// Validates `program` (std::invalid_argument on violation).
   LitmusTest(std::string name, core::Program program, core::Outcome outcome,
              std::string description = "")
       : name_(std::move(name)),
         description_(std::move(description)),
-        program_(std::move(program)),
+        program_(std::make_shared<const core::Program>(std::move(program))),
         outcome_(std::move(outcome)) {
-    program_.validate();
+    program_->validate();
+  }
+
+  /// A sibling test over this test's program — the same object, neither
+  /// copied nor re-validated — named `name`, with `outcome` and no
+  /// description.  The exhaustive stream derives every outcome of a
+  /// program this way.
+  [[nodiscard]] LitmusTest with_outcome(std::string name,
+                                        core::Outcome outcome) const {
+    return LitmusTest(std::move(name), program_, std::move(outcome));
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& description() const { return description_; }
-  [[nodiscard]] const core::Program& program() const { return program_; }
+  [[nodiscard]] const core::Program& program() const { return *program_; }
   [[nodiscard]] const core::Outcome& outcome() const { return outcome_; }
+  /// The shared program handle (see the class comment).
+  [[nodiscard]] const std::shared_ptr<const core::Program>& shared_program()
+      const {
+    return program_;
+  }
 
   /// Renders the program table plus the outcome line.
   [[nodiscard]] std::string to_string() const;
 
  private:
+  LitmusTest(std::string name, std::shared_ptr<const core::Program> program,
+             core::Outcome outcome)
+      : name_(std::move(name)),
+        program_(std::move(program)),
+        outcome_(std::move(outcome)) {}
+
   std::string name_;
   std::string description_;
-  core::Program program_;
+  std::shared_ptr<const core::Program> program_;
   core::Outcome outcome_;
 };
 
@@ -70,7 +98,11 @@ struct KeyScratch {
   // Fingerprint path (canonical_fingerprint): resolved facts plus flat
   // first-appearance relabeling tables, reset per permutation by
   // generation counter so steady state performs no heap allocation.
+  // `facts` describes `facts_program` (set by load_key_facts) when
+  // `facts_fast`; otherwise that program is outside KeyFacts' fast path.
   core::KeyFacts facts;
+  const core::Program* facts_program = nullptr;
+  bool facts_fast = false;
   std::vector<std::uint64_t> loc_gen;  // raw location -> stamp
   std::vector<int> loc_id;             // raw location -> canonical id
   struct LocValue {
@@ -132,6 +164,17 @@ struct KeyScratch {
 /// Convenience overload over a test's program and outcome.
 [[nodiscard]] util::Key128 canonical_fingerprint(const LitmusTest& test,
                                                  KeyScratch& scratch);
+
+/// The per-program half of canonical_fingerprint: builds `program`'s
+/// core::KeyFacts into `scratch`, so that every outcome over it is then
+/// hashed by canonical_fingerprint_loaded without rebuilding them.
+/// `program` must stay alive and unchanged until the next load.
+void load_key_facts(const core::Program& program, KeyScratch& scratch);
+
+/// canonical_fingerprint(program, outcome, scratch) — bit for bit — for
+/// the program most recently passed to load_key_facts(program, scratch).
+[[nodiscard]] util::Key128 canonical_fingerprint_loaded(
+    const core::Outcome& outcome, KeyScratch& scratch);
 
 /// 128-bit digest of the structural identity (same equality classes as
 /// `structural_key`, up to hash collisions): raw instruction fields and

@@ -155,9 +155,9 @@ TEST(ExhaustiveStream, CursorIsRejectedAcrossDepBoundaryChanges) {
 }
 
 TEST(ProgramClassTally, ExportRestoreRoundTrip) {
-  std::vector<core::Program> programs;
+  std::vector<std::shared_ptr<const core::Program>> programs;
   for (const auto& test : enumeration::corollary1_suite(true)) {
-    programs.push_back(test.program());
+    programs.push_back(test.shared_program());
   }
   enumeration::ProgramClassTally tally;
   tally.absorb(programs);

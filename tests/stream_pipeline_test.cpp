@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -219,6 +220,51 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
   EXPECT_EQ(chunk.size(), 4u);
   chunk.clear();
   EXPECT_THROW(prefetcher.next_chunk(chunk), std::runtime_error);
+}
+
+namespace {
+/// Delivers one suite test per chunk, sleeping before each: a producer
+/// slower than its consumer.
+class SleepingSource final : public engine::TestSource {
+ public:
+  SleepingSource(std::vector<litmus::LitmusTest> tests,
+                 std::chrono::milliseconds nap)
+      : tests_(std::move(tests)), nap_(nap) {}
+  bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
+    std::this_thread::sleep_for(nap_);
+    if (next_ < tests_.size()) out.push_back(tests_[next_++]);
+    return next_ < tests_.size();
+  }
+
+ private:
+  std::vector<litmus::LitmusTest> tests_;
+  std::size_t next_ = 0;
+  std::chrono::milliseconds nap_;
+};
+}  // namespace
+
+TEST(StreamStages, WaitRecordsTheConsumerBlockedOnTheProducer) {
+  auto suite = enumeration::corollary1_suite(false);
+  suite.erase(suite.begin() + 6, suite.end());
+  const std::vector<core::MemoryModel> probe = {models::sc()};
+  constexpr auto kNap = std::chrono::milliseconds(40);
+  const double injected = 0.040 * static_cast<double>(suite.size());
+
+  engine::VerdictEngine eng;
+  SleepingSource overlapped(suite, kNap);
+  const auto with_overlap = eng.run_stream(probe, overlapped, nullptr);
+  ASSERT_TRUE(with_overlap.overlapped);
+  EXPECT_EQ(with_overlap.tests_streamed, suite.size());
+  EXPECT_GE(with_overlap.stages.wait, injected / 2);
+  EXPECT_NE(with_overlap.stages.to_string().find(" wait="),
+            std::string::npos);
+
+  engine::StreamOptions serial;
+  serial.overlap_production = false;
+  SleepingSource direct(suite, kNap);
+  const auto without = eng.run_stream(probe, direct, nullptr, serial);
+  EXPECT_EQ(without.stages.wait, 0.0);
+  EXPECT_GE(without.stages.produce, injected / 2);
 }
 
 // ---------------------------------------------------------------------------
