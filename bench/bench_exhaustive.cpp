@@ -10,7 +10,9 @@
 //
 // Also reports the symmetry reduction measured by the canonical-key
 // machinery (thread exchange x location renaming x value renaming):
-// streamed tests vs canonical classes actually evaluated.
+// streamed tests vs canonical classes actually evaluated, and programs
+// vs program classes, counted from the space after the stream (outside
+// its timed wall).
 //
 // Flags:
 //   --max-accesses N    accesses per thread (default 3 = the full space)
@@ -44,7 +46,9 @@
 //                       commit to FILE (crash-safe; see README
 //                       "Persistence guarantees")
 //   --resume            continue an interrupted run from the checkpoint
-//                       in --store (no-op when none is present)
+//                       in --store (no-op when none is present); like
+//                       --checkpoint-every and --kill-after-seals, it
+//                       is rejected without --store
 //   --checkpoint-every N  seal a checkpoint every N chunks (default 64)
 //   --require-store-hit-rate R  exit nonzero unless the store served at
 //                       least fraction R of all probed verdict cells
@@ -79,7 +83,6 @@ int main(int argc, char** argv) {
 
   enumeration::ExhaustiveOptions opts;
   opts.chunk_size = 4096;
-  opts.track_program_classes = true;
   engine::EngineOptions engine_options;
   explore::TheoremHarnessOptions harness;
   long progress_every = 64;
@@ -91,6 +94,8 @@ int main(int argc, char** argv) {
   long checkpoint_every = 64;
   double require_hit_rate = -1.0;
   long kill_after_seals = -1;
+  // The last flag given that only means something with --store.
+  const char* store_only_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -136,8 +141,10 @@ int main(int argc, char** argv) {
       store_path = argv[++i];
     } else if (arg == "--resume") {
       resume = true;
+      store_only_flag = "--resume";
     } else if (arg == "--checkpoint-every" && int_arg(1, 1 << 20, v)) {
       checkpoint_every = v;
+      store_only_flag = "--checkpoint-every";
     } else if (arg == "--require-store-hit-rate" && i + 1 < argc) {
       char* end = nullptr;
       require_hit_rate = std::strtod(argv[++i], &end);
@@ -148,6 +155,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--kill-after-seals" && int_arg(1, 1 << 20, v)) {
       kill_after_seals = v;
+      store_only_flag = "--kill-after-seals";
     } else {
       std::fprintf(stderr,
                    "usage: %s [--max-accesses N] [--locations N] [--no-fences]"
@@ -160,6 +168,12 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+  if (store_only_flag != nullptr && store_path.empty()) {
+    // Persistence is wired only with a store, so the flag would
+    // silently do nothing.
+    std::fprintf(stderr, "%s requires --store\n", store_only_flag);
+    return 2;
   }
   if (audit && resume) {
     // A resumed run's counters include chunks the audit never saw.
@@ -217,28 +231,12 @@ int main(int argc, char** argv) {
   engine::TestSource& source =
       audited ? static_cast<engine::TestSource&>(*audited) : stream;
   explore::TheoremHarnessReport report;
-  // Program-class accounting runs behind the FIFO: the producer thread
-  // only queues shared program handles, and this consumer-side tally
-  // hashes them per chunk.  The tally rides the harness checkpoint through
-  // the extra-sink hooks, so a killed-and-resumed run still reports
-  // the full class count (absorb is idempotent across the replayed
-  // boundary chunk).
-  enumeration::ProgramClassTally program_tally;
-  std::vector<std::shared_ptr<const core::Program>> drained_programs;
-  harness.save_extra_sink = [&](std::vector<std::uint64_t>& out) {
-    program_tally.export_state(out);
-  };
-  harness.restore_extra_sink = [&](const std::vector<std::uint64_t>& data) {
-    return program_tally.restore_state(data);
-  };
   util::Timer timer;
   explore::DistinguishMatrix by_naive;
   try {
     by_naive = explore::distinguishability_streamed(
         eng, models, source, harness, &report,
         [&](const engine::StreamChunkStats& cs) {
-          stream.take_new_programs(drained_programs);
-          program_tally.absorb(drained_programs);
           if ((cs.index + 1) % static_cast<std::size_t>(progress_every) != 0) {
             return;
           }
@@ -258,10 +256,6 @@ int main(int argc, char** argv) {
     return 3;
   }
   const double wall = timer.seconds();
-  // The last chunk's programs may still be queued (the progress
-  // callback has already fired for it by the time production ends).
-  stream.take_new_programs(drained_programs);
-  program_tally.absorb(drained_programs);
 
   std::printf("\nstream: %s\n", report.stream.to_string().c_str());
   std::printf("pipeline stages: %s%s\n",
@@ -298,7 +292,16 @@ int main(int argc, char** argv) {
   const double rss = bench::peak_rss_mb();
   if (rss >= 0) std::printf("peak RSS: %.1f MB\n", rss);
 
-  // ---- Symmetry reduction measured by the canonical-key machinery. ----
+  // ---- Symmetry reduction measured by the canonical-key machinery.
+  // Program classes depend only on the bounds, so they are counted from
+  // the space itself, after the stream: the same count on a fresh,
+  // resumed or warm run, and none of its time in the streamed wall. ----
+  util::Timer classes_timer;
+  const long long program_classes =
+      enumeration::canonical_program_classes(opts);
+  const double program_classes_seconds = classes_timer.seconds();
+  std::printf("program classes: %lld (counted in %.2f s)\n", program_classes,
+              program_classes_seconds);
   const long long canonical_tests =
       static_cast<long long>(report.stream.novel_tests);
   std::printf("\nsymmetry reduction (canonical keys): %lld tests -> %lld "
@@ -311,10 +314,10 @@ int main(int argc, char** argv) {
                   ? static_cast<double>(report.stream.tests_streamed) /
                         static_cast<double>(canonical_tests)
                   : 0.0,
-              stream.emitted().programs, program_tally.count(),
-              program_tally.count() > 0
+              stream.emitted().programs, program_classes,
+              program_classes > 0
                   ? static_cast<double>(stream.emitted().programs) /
-                        static_cast<double>(program_tally.count())
+                        static_cast<double>(program_classes)
                   : 0.0);
 
   // ---- The Theorem-1 comparison. ----
@@ -385,7 +388,6 @@ int main(int argc, char** argv) {
   if (opts.bounds.deps && !json_path.empty()) {
     enumeration::ExhaustiveOptions base_opts = opts;
     base_opts.bounds.deps = false;
-    base_opts.track_program_classes = false;
     enumeration::ExhaustiveStream base_stream(base_opts);
     engine::VerdictEngine base_eng(engine_options);
     const std::vector<core::MemoryModel> probes = {models[0], models[1]};
@@ -413,14 +415,8 @@ int main(int argc, char** argv) {
     // deriving them.
     serial_harness.verdict_store = nullptr;
     serial_harness.persistence = nullptr;
-    serial_harness.save_extra_sink = nullptr;
-    serial_harness.restore_extra_sink = nullptr;
     engine::VerdictEngine serial_eng(serial_options);
-    // The guard compares matrices and stream accounting; program-class
-    // accounting is not re-run, so don't queue (and leak) programs.
-    enumeration::ExhaustiveOptions serial_opts = opts;
-    serial_opts.track_program_classes = false;
-    enumeration::ExhaustiveStream serial_stream(serial_opts);
+    enumeration::ExhaustiveStream serial_stream(opts);
     util::Timer serial_timer;
     explore::TheoremHarnessReport serial_report;
     const auto by_serial = explore::distinguishability_streamed(
@@ -455,7 +451,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 5,\n");
+    std::fprintf(js, "  \"schema_version\": 6,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -477,7 +473,9 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"chunk_size\": %d,\n", opts.chunk_size);
     std::fprintf(js, "  \"threads\": %d,\n", eng.effective_threads());
     std::fprintf(js, "  \"programs\": %lld,\n", stream.emitted().programs);
-    std::fprintf(js, "  \"program_classes\": %lld,\n", program_tally.count());
+    std::fprintf(js, "  \"program_classes\": %lld,\n", program_classes);
+    std::fprintf(js, "  \"program_classes_seconds\": %.3f,\n",
+                 program_classes_seconds);
     std::fprintf(js, "  \"tests_streamed\": %zu,\n", s.tests_streamed);
     std::fprintf(js, "  \"novel_tests\": %zu,\n", s.novel_tests);
     std::fprintf(js, "  \"duplicate_tests\": %zu,\n", s.duplicate_tests);

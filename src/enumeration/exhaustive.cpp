@@ -1,13 +1,14 @@
 #include "enumeration/exhaustive.h"
 
-#include <algorithm>
 #include <charconv>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/hash128.h"
 
 namespace mcmc::enumeration {
 
@@ -41,6 +42,20 @@ std::string test_name(long long program, long long outcome) {
   *dot = '.';
   return std::string(buf,
                      std::to_chars(dot + 1, buf + sizeof buf, outcome).ptr);
+}
+
+/// Calls fn(a, b) for the shape pair of every program the stream
+/// emits, in the order start_next_program visits them: the walk that
+/// count and canonical_program_classes share.
+template <typename Fn>
+void for_each_shape_pair(const ExhaustiveOptions& options, Fn&& fn) {
+  const auto shapes = shapes::all_thread_shapes(options.bounds);
+  for (const auto& a : shapes) {
+    for (const auto& b : shapes) {
+      if (options.communicating_only && !shapes::communicates(a, b)) continue;
+      fn(a, b);
+    }
+  }
 }
 
 }  // namespace
@@ -77,13 +92,6 @@ bool ExhaustiveStream::start_next_program() {
     odometer_.assign(read_regs_.size(), 0);
     outcome_index_ = 0;
     odometer_live_ = true;
-
-    if (options_.track_program_classes) {
-      // The shared handle, not a fingerprint: hashing is the consumer's
-      // job (ProgramClassTally), so the producer thread never pays it.
-      util::MutexLock lock(pending_mu_);
-      pending_programs_.push_back(program_->shared_program());
-    }
     return true;
   }
   return false;
@@ -95,11 +103,10 @@ void ExhaustiveStream::build_program() {
   // cursor re-derives the identical program.  The LitmusTest
   // constructor validates it — the only validation its tests get. ----
   std::map<int, int> values;
-  core::Reg next_reg = 0;
-  std::vector<core::Thread> threads;
-  threads.push_back(shapes::materialize(shapes_[cur_a_], values, next_reg));
-  threads.push_back(shapes::materialize(shapes_[cur_b_], values, next_reg));
-  program_.emplace("", core::Program(std::move(threads)), core::Outcome{});
+  program_.emplace("",
+                   shapes::materialize_pair(shapes_[cur_a_], shapes_[cur_b_],
+                                            values),
+                   core::Outcome{});
 
   read_regs_.clear();
   read_domain_.clear();
@@ -116,27 +123,13 @@ void ExhaustiveStream::build_program() {
   }
 }
 
-void ExhaustiveStream::take_new_programs(
-    std::vector<std::shared_ptr<const core::Program>>& out) {
-  util::MutexLock lock(pending_mu_);
-  if (out.empty()) {
-    out.swap(pending_programs_);
-  } else {
-    for (auto& program : pending_programs_) {
-      out.push_back(std::move(program));
-    }
-    pending_programs_.clear();
-  }
-}
-
 namespace {
 // Version 2 added the options digest word (the dep-extended space made
 // in-range-but-wrong stale cursors a real hazard); version 3 dropped
-// the program-class set from the payload (class accounting moved to
-// ProgramClassTally, making every snapshot O(1) words — serializing
-// the growing set per chunk dominated the with-dep stream's producer
-// thread).  Older cursors are rejected, which degrades a resume to a
-// from-scratch run.
+// the program-class set from the payload (making every snapshot O(1)
+// words — serializing the growing set per chunk dominated the with-dep
+// stream's producer thread).  Older cursors are rejected, which
+// degrades a resume to a from-scratch run.
 constexpr std::uint64_t kCursorVersion = 3;
 }  // namespace
 
@@ -193,12 +186,6 @@ bool ExhaustiveStream::restore_cursor(
   emitted_.programs = static_cast<long long>(cursor[9]);
   emitted_.tests = static_cast<long long>(cursor[10]);
   odometer_live_ = live;
-  {
-    // A restore is a position reset: programs queued before it no
-    // longer correspond to the stream's past.
-    util::MutexLock lock(pending_mu_);
-    pending_programs_.clear();
-  }
 
   const auto reject = [this] {
     // A cursor inconsistent with this stream's shapes: reset to a fresh
@@ -267,72 +254,37 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
 }
 
 ExhaustiveCounts ExhaustiveStream::count(const ExhaustiveOptions& options) {
-  const auto shapes = shapes::all_thread_shapes(options.bounds);
   ExhaustiveCounts counts;
-  for (const auto& a : shapes) {
-    for (const auto& b : shapes) {
-      if (options.communicating_only && !shapes::communicates(a, b)) continue;
-      ++counts.programs;
-      counts.tests = shapes::checked_add(
-          counts.tests,
-          shapes::outcome_count(a, b, options.bounds.num_locations));
-    }
-  }
+  for_each_shape_pair(options, [&](const shapes::ThreadShape& a,
+                                   const shapes::ThreadShape& b) {
+    ++counts.programs;
+    counts.tests = shapes::checked_add(
+        counts.tests,
+        shapes::outcome_count(a, b, options.bounds.num_locations));
+  });
   return counts;
 }
 
-void ProgramClassTally::absorb(
-    std::vector<std::shared_ptr<const core::Program>>& programs) {
-  for (const auto& program : programs) {
-    classes_.insert(
-        litmus::canonical_fingerprint(*program, core::Outcome{}, scratch_));
-  }
-  programs.clear();
-}
-
-void ProgramClassTally::export_state(std::vector<std::uint64_t>& out) const {
-  std::vector<util::Key128> sorted(classes_.begin(), classes_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const util::Key128& a, const util::Key128& b) {
-              return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-            });
-  out.push_back(sorted.size());
-  for (const auto& key : sorted) {
-    out.push_back(key.hi);
-    out.push_back(key.lo);
-  }
-}
-
-bool ProgramClassTally::restore_state(const std::vector<std::uint64_t>& data) {
-  classes_.clear();
-  if (data.empty()) return false;
-  const std::uint64_t count = data[0];
-  // Bound before multiplying: count * 2 wraps for count >= 2^63.
-  if (count > (data.size() - 1) / 2 || data.size() - 1 != count * 2) {
-    return false;
-  }
-  std::size_t pos = 1;
-  for (std::uint64_t c = 0; c < count; ++c) {
-    util::Key128 key;
-    key.hi = data[pos++];
-    key.lo = data[pos++];
-    classes_.insert(key);
-  }
-  return true;
+long long canonical_program_classes(const ExhaustiveOptions& options) {
+  // 128-bit canonical fingerprints (engine::AuditedSource verifies
+  // fingerprint-equality == key-equality on the same space).
+  std::unordered_set<util::Key128, util::Key128Hash> classes;
+  litmus::KeyScratch scratch;
+  std::map<int, int> values;
+  for_each_shape_pair(options, [&](const shapes::ThreadShape& a,
+                                   const shapes::ThreadShape& b) {
+    classes.insert(litmus::canonical_fingerprint(
+        shapes::materialize_pair(a, b, values), core::Outcome{}, scratch));
+  });
+  return static_cast<long long>(classes.size());
 }
 
 ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
-  ExhaustiveOptions tracked = options;
-  tracked.track_program_classes = true;
-  ExhaustiveStream stream(tracked);
-
-  // Classes are counted as 128-bit canonical fingerprints
-  // (engine::AuditedSource verifies fingerprint-equality ==
-  // key-equality on the same space).
+  ExhaustiveStream stream(options);
+  // Test classes as 128-bit canonical fingerprints, like the program
+  // classes below.
   std::unordered_set<util::Key128, util::Key128Hash> test_classes;
   litmus::KeyScratch scratch;
-  ProgramClassTally programs;
-  std::vector<std::shared_ptr<const core::Program>> drained;
   std::vector<litmus::LitmusTest> chunk;
   bool more = true;
   while (more) {
@@ -341,15 +293,12 @@ ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
     for (const auto& test : chunk) {
       test_classes.insert(litmus::canonical_fingerprint(test, scratch));
     }
-    // Drain per chunk so pending programs never pile up.
-    stream.take_new_programs(drained);
-    programs.absorb(drained);
   }
 
   ReductionCounts counts;
   counts.programs = stream.emitted().programs;
   counts.tests = stream.emitted().tests;
-  counts.canonical_programs = programs.count();
+  counts.canonical_programs = canonical_program_classes(options);
   counts.canonical_tests = static_cast<long long>(test_classes.size());
   return counts;
 }

@@ -19,19 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/test_stream.h"
 #include "enumeration/naive.h"
 #include "enumeration/shapes.h"
 #include "litmus/test.h"
-#include "util/hash128.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace mcmc::enumeration {
 
@@ -44,14 +38,6 @@ struct ExhaustiveOptions {
   /// Drop programs whose threads never interact (the reduced-baseline
   /// filter); the full naive space keeps them.
   bool communicating_only = false;
-  /// Queue the shared handle of every newly started program for
-  /// consumer-side class accounting (drain with
-  /// ExhaustiveStream::take_new_programs, hash with ProgramClassTally).
-  /// The producer thread only bumps a reference count — fingerprinting
-  /// happens on whichever thread drains, so program accounting never
-  /// slows chunk production.  Pending programs accumulate until drained:
-  /// leave this off unless something drains.
-  bool track_program_classes = false;
 };
 
 /// What a stream (or the counting walk) has produced.
@@ -84,9 +70,10 @@ class ExhaustiveStream final : public engine::TestSource {
   /// Serializes the full generator position — shape-pair cursor,
   /// odometer, and emitted counters — so a fresh stream with equal
   /// options resumes bit-for-bit: same remaining tests, same chunk
-  /// boundaries, same "x<p>.<o>" names.  O(1) words: program-class
-  /// accounting lives outside the stream (ProgramClassTally), so a
-  /// per-chunk snapshot never serializes a growing set.
+  /// boundaries, same "x<p>.<o>" names.  O(1) words: the stream keeps
+  /// no per-program history (program classes are counted from the
+  /// space by canonical_program_classes), so a per-chunk snapshot never
+  /// serializes a growing set.
   [[nodiscard]] bool snapshot_cursor(
       std::vector<std::uint64_t>& out) const override;
 
@@ -103,13 +90,6 @@ class ExhaustiveStream final : public engine::TestSource {
   [[nodiscard]] bool done() const;
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
   [[nodiscard]] const ExhaustiveOptions& options() const { return options_; }
-
-  /// Drains the programs started since the last drain (requires
-  /// options.track_program_classes) by appending them to `out`.
-  /// Thread-safe against the producing next_chunk, so a consumer-side
-  /// accountant can drain per chunk while a prefetcher produces ahead.
-  void take_new_programs(
-      std::vector<std::shared_ptr<const core::Program>>& out);
 
   /// Counting-only walk of the same generator core: the totals a full
   /// drain of a fresh stream with these options would emit.
@@ -143,44 +123,15 @@ class ExhaustiveStream final : public engine::TestSource {
   std::vector<int> read_domain_;             // 1 + writes to the read's loc
   std::vector<int> odometer_;                // current outcome assignment
   bool odometer_live_ = false;
-
-  // Programs started but not yet drained (track_program_classes only).
-  // The producer appends each program's shared handle; take_new_programs
-  // empties it under the same mutex.  Bounded in practice by however
-  // far the prefetcher runs ahead of the draining consumer.
-  mutable util::Mutex pending_mu_;
-  std::vector<std::shared_ptr<const core::Program>> pending_programs_
-      GUARDED_BY(pending_mu_);
 };
 
-/// Consumer-side accumulator of canonical program classes: feed it the
-/// programs drained from ExhaustiveStream::take_new_programs.  Classes
-/// are 128-bit canonical fingerprints (16 bytes per class, computed
-/// without Analysis or key strings; see util/hash128.h for the
-/// collision margin).  Absorbing is idempotent — re-absorbing programs
-/// replayed across a checkpoint resume cannot inflate the count.
-class ProgramClassTally {
- public:
-  /// Fingerprints and forgets `programs` (cleared on return).
-  void absorb(std::vector<std::shared_ptr<const core::Program>>& programs);
-
-  [[nodiscard]] long long count() const {
-    return static_cast<long long>(classes_.size());
-  }
-
-  /// Appends [count, (hi, lo)...] in sorted key order, so equal
-  /// tallies export identical words (checkpoint payloads stay
-  /// deterministic in the tally's content).
-  void export_state(std::vector<std::uint64_t>& out) const;
-
-  /// Re-adopts an export_state image (replacing the current classes);
-  /// false — with the tally left empty — if the words are malformed.
-  [[nodiscard]] bool restore_state(const std::vector<std::uint64_t>& data);
-
- private:
-  std::unordered_set<util::Key128, util::Key128Hash> classes_;
-  litmus::KeyScratch scratch_;
-};
+/// Number of canonical program classes (distinct canonical fingerprints
+/// of each program under the empty outcome) among the programs a full
+/// drain of a fresh stream with these options would emit.  A pure
+/// function of the bounds and the filter: it walks the shape pairs
+/// directly, building each program as the stream does but no tests.
+[[nodiscard]] long long canonical_program_classes(
+    const ExhaustiveOptions& options);
 
 /// Symmetry reduction measured by the canonical-key machinery
 /// (litmus::canonical_key: thread exchange x location renaming x

@@ -71,10 +71,7 @@ std::vector<litmus::LitmusTest> sample_naive_tests(const NaiveOptions& options,
     const auto& a = shapes[rng.below(shapes.size())];
     const auto& b = shapes[rng.below(shapes.size())];
     std::map<int, int> values;
-    core::Reg next_reg = 0;
-    core::Program p;
-    p.add_thread(shapes::materialize(a, values, next_reg));
-    p.add_thread(shapes::materialize(b, values, next_reg));
+    core::Program p = shapes::materialize_pair(a, b, values);
     // Sample an outcome: each read gets the initial value or any value
     // written to its location.  Reads resolve through for_each_read so
     // a dep-addressed (register-indirect) read samples from its real

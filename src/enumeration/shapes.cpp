@@ -1,6 +1,7 @@
 #include "enumeration/shapes.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/instruction.h"
 
@@ -159,6 +160,17 @@ core::Thread materialize(const ThreadShape& shape, std::map<int, int>& values,
     }
   }
   return t;
+}
+
+core::Program materialize_pair(const ThreadShape& a, const ThreadShape& b,
+                               std::map<int, int>& values) {
+  values.clear();
+  core::Reg next_reg = 0;
+  std::vector<core::Thread> threads;
+  threads.reserve(2);
+  threads.push_back(materialize(a, values, next_reg));
+  threads.push_back(materialize(b, values, next_reg));
+  return core::Program(std::move(threads));
 }
 
 }  // namespace mcmc::enumeration::shapes

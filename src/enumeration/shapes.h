@@ -111,6 +111,15 @@ using ThreadShape = std::vector<Access>;
                                        std::map<int, int>& values,
                                        core::Reg& next_reg);
 
+/// The two-thread program (a, b): a's thread then b's, materialized
+/// over one shared value numbering and register counter.  `values` is
+/// reset and left holding each written location's write count.  The
+/// stream, the naive sampler and the program-class count all build
+/// programs through this, so their programs cannot drift apart.
+[[nodiscard]] core::Program materialize_pair(const ThreadShape& a,
+                                             const ThreadShape& b,
+                                             std::map<int, int>& values);
+
 /// Calls fn(dst_reg, loc) for every read of `thread`, in order, with
 /// the read's statically resolved target location: a register-indirect
 /// address is followed through the DepConst that defines it (the only

@@ -16,11 +16,11 @@ std::size_t words_for(int num_models) {
   return (static_cast<std::size_t>(num_models) + 63) / 64;
 }
 
-/// Version word of the harness checkpoint-sink payload.  Version 2
-/// appended the caller's extra-sink section (length-prefixed, empty
-/// when no hook is set); version-1 payloads are rejected, degrading a
-/// stale resume to a from-scratch run.
-constexpr std::uint64_t kSinkVersion = 2;
+/// Version word of the harness checkpoint-sink payload.  Version 3
+/// dropped the caller-owned extra section that version 2 appended;
+/// payloads of any other version are rejected, degrading a stale resume
+/// to a from-scratch run.
+constexpr std::uint64_t kSinkVersion = 3;
 
 }  // namespace
 
@@ -200,18 +200,16 @@ DistinguishMatrix distinguishability_streamed(
 
   // Checkpoint sink: the harness state a resumed run re-adopts is the
   // distinct-column fold (the matrix is a pure function of it) plus the
-  // prefilter counters, plus whatever extra words the caller's
-  // extra-sink hook contributes.  Layout: [version, n, candidate_tests,
-  // filtered_tests, sweep_seconds bits, count, columns..., extra_len,
-  // extra...].  The hooks are installed over the caller's persistence
-  // copy — sink state is the harness's, not the caller's, to carry.
+  // prefilter counters.  Layout: [version, n, candidate_tests,
+  // filtered_tests, sweep_seconds bits, count, columns...].  The hooks
+  // are installed over the caller's persistence copy — sink state is
+  // the harness's, not the caller's, to carry.
   store::StreamPersistence persist;
   const bool persisted =
       options.persistence != nullptr && options.verdict_store != nullptr;
   if (persisted) {
     persist = *options.persistence;
-    persist.save_sink = [&rep, &folder, &options,
-                         n](std::vector<std::uint64_t>& out) {
+    persist.save_sink = [&rep, &folder, n](std::vector<std::uint64_t>& out) {
       out.clear();
       out.push_back(kSinkVersion);
       out.push_back(static_cast<std::uint64_t>(n));
@@ -221,37 +219,19 @@ DistinguishMatrix distinguishability_streamed(
       std::memcpy(&seconds_bits, &rep.sweep_seconds, sizeof seconds_bits);
       out.push_back(seconds_bits);
       folder.export_state(out);
-      std::vector<std::uint64_t> extra;
-      if (options.save_extra_sink) options.save_extra_sink(extra);
-      out.push_back(extra.size());
-      out.insert(out.end(), extra.begin(), extra.end());
     };
     persist.restore_sink =
-        [&rep, &folder, &options, n](const std::vector<std::uint64_t>& data) {
+        [&rep, &folder, n](const std::vector<std::uint64_t>& data) {
           // Validate the full payload shape before mutating anything,
           // so a rejected sink leaves the harness in its fresh state.
           const std::size_t w = words_for(n);
-          if (data.size() < 7 || data[0] != kSinkVersion ||
+          if (data.size() < 6 || data[0] != kSinkVersion ||
               data[1] != static_cast<std::uint64_t>(n) || w == 0) {
             return false;
           }
           const std::uint64_t count = data[5];
-          if (count > (data.size() - 7) / w) return false;
-          const std::size_t extra_pos = 6 + static_cast<std::size_t>(count) * w;
-          if (extra_pos >= data.size()) return false;
-          const std::uint64_t extra_len = data[extra_pos];
-          if (data.size() - extra_pos - 1 != extra_len) return false;
-          // The caller's hook is the only remaining failable step; run
-          // it before the folder mutates so a rejection leaves the
-          // whole harness fresh.  Extra words without a hook (or the
-          // reverse, below via the hook's own validation) mean the
-          // checkpoint came from a differently-wired run: reject.
-          const std::vector<std::uint64_t> extra(
-              data.begin() + static_cast<std::ptrdiff_t>(extra_pos) + 1,
-              data.end());
-          if (options.restore_extra_sink) {
-            if (!options.restore_extra_sink(extra)) return false;
-          } else if (extra_len != 0) {
+          if (count > (data.size() - 6) / w ||
+              data.size() - 6 != static_cast<std::size_t>(count) * w) {
             return false;
           }
           std::size_t pos = 5;

@@ -127,15 +127,6 @@ struct TheoremHarnessOptions {
   /// counters — alongside the stream cursor, so a killed run resumes
   /// bit-for-bit without re-sweeping sealed chunks.
   const store::StreamPersistence* persistence = nullptr;
-  /// Caller-owned extension of the checkpoint sink: the harness
-  /// appends `save_extra_sink`'s words after its own payload and hands
-  /// them back through `restore_extra_sink` on resume (whose false
-  /// return rejects the checkpoint, degrading to a from-scratch run).
-  /// This is how side accounting that must survive a kill — e.g. the
-  /// bench's program-class tally — rides the harness checkpoint
-  /// without the harness knowing its shape.  Both or neither.
-  std::function<void(std::vector<std::uint64_t>&)> save_extra_sink;
-  std::function<bool(const std::vector<std::uint64_t>&)> restore_extra_sink;
 };
 
 /// Accounting of a streamed harness run.

@@ -7,6 +7,11 @@
 // exhaustive_full_test.cpp under the ctest label `slow`.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "engine/test_stream.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
@@ -15,6 +20,7 @@
 #include "explore/space.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
+#include "util/hash128.h"
 
 namespace mcmc {
 namespace {
@@ -154,39 +160,55 @@ TEST(ExhaustiveStream, CursorIsRejectedAcrossDepBoundaryChanges) {
   EXPECT_EQ(fresh.emitted().tests, 28470);
 }
 
-TEST(ProgramClassTally, ExportRestoreRoundTrip) {
-  std::vector<std::shared_ptr<const core::Program>> programs;
-  for (const auto& test : enumeration::corollary1_suite(true)) {
-    programs.push_back(test.shared_program());
+TEST(ExhaustiveStream, ProgramClassesCountedFromTheSpaceMatchTheStream) {
+  // canonical_program_classes walks the shape pairs without streaming;
+  // it must count exactly the distinct empty-outcome fingerprints of
+  // the programs a drained stream emits (each program is one shared
+  // object, so a new object marks the next program; holding the last
+  // one keeps its address from being reused by the next).
+  struct Case {
+    enumeration::ExhaustiveOptions options;
+    long long expected;  // pinned without the filter; -1 = not pinned
+  };
+  std::vector<Case> cases;
+  for (const bool deps : {false, true}) {
+    for (const bool communicating : {false, true}) {
+      Case c{deps ? dep_slice_options() : slice_options(), -1};
+      c.options.communicating_only = communicating;
+      if (!communicating) c.expected = deps ? 1170 : 558;
+      cases.push_back(c);
+    }
   }
-  enumeration::ProgramClassTally tally;
-  tally.absorb(programs);
-  ASSERT_GT(tally.count(), 1);
-  std::vector<std::uint64_t> image;
-  tally.export_state(image);
-
-  enumeration::ProgramClassTally restored;
-  ASSERT_TRUE(restored.restore_state(image));
-  EXPECT_EQ(restored.count(), tally.count());
-  std::vector<std::uint64_t> reexported;
-  restored.export_state(reexported);
-  EXPECT_EQ(reexported, image);
-}
-
-TEST(ProgramClassTally, RestoreRejectsOverflowingCount) {
-  // count * 2 wraps to 2 for count = 2^63 + 1, matching the two payload
-  // words: an unbounded check would accept and read past the vector.
-  enumeration::ProgramClassTally tally;
-  EXPECT_FALSE(tally.restore_state({(1ULL << 63) + 1, 7, 9}));
-  EXPECT_EQ(tally.count(), 0);
-}
-
-TEST(ProgramClassTally, RestoreRejectsOddLengthPayload) {
-  enumeration::ProgramClassTally tally;
-  EXPECT_FALSE(tally.restore_state({1, 7}));
-  EXPECT_FALSE(tally.restore_state({2, 7, 9, 11}));
-  EXPECT_FALSE(tally.restore_state({}));
-  EXPECT_EQ(tally.count(), 0);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.options.bounds.deps ? "deps" : "no deps") +
+                 (c.options.communicating_only ? ", communicating" : ""));
+    enumeration::ExhaustiveStream stream(c.options);
+    std::unordered_set<util::Key128, util::Key128Hash> classes;
+    litmus::KeyScratch scratch;
+    std::shared_ptr<const core::Program> last;
+    long long programs = 0;
+    std::vector<litmus::LitmusTest> chunk;
+    bool more = true;
+    while (more) {
+      chunk.clear();
+      more = stream.next_chunk(chunk);
+      for (const auto& test : chunk) {
+        if (test.shared_program() == last) continue;
+        last = test.shared_program();
+        ++programs;
+        classes.insert(litmus::canonical_fingerprint(
+            test.program(), core::Outcome{}, scratch));
+      }
+    }
+    EXPECT_EQ(programs, stream.emitted().programs);
+    const long long counted =
+        enumeration::canonical_program_classes(c.options);
+    EXPECT_EQ(counted, static_cast<long long>(classes.size()));
+    EXPECT_LT(counted, programs);
+    if (c.expected >= 0) {
+      EXPECT_EQ(counted, c.expected);
+    }
+  }
 }
 
 TEST(RunStream, ChunkAccountingAndCrossChunkDedup) {

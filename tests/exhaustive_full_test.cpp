@@ -68,6 +68,7 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   EXPECT_EQ(static_cast<long long>(report.stream.tests_streamed),
             stream.emitted().tests);
   EXPECT_EQ(stream.emitted().programs, 887364);
+  EXPECT_EQ(enumeration::canonical_program_classes(options), 74702);
   EXPECT_EQ(report.stream.novel_tests, 445565u);  // canonical test classes
   // The engine's novel tests are exactly the audited classes.
   EXPECT_EQ(report.stream.novel_tests, audited.classes());
@@ -111,6 +112,7 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   EXPECT_EQ(static_cast<long long>(report.stream.tests_streamed),
             stream.emitted().tests);
   EXPECT_EQ(stream.emitted().programs, 4235364);
+  EXPECT_EQ(enumeration::canonical_program_classes(options), 355482);
   EXPECT_EQ(report.stream.novel_tests, 2198389u);  // canonical test classes
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "engine/verdict_engine.h"
@@ -302,6 +303,35 @@ TEST_F(StoreRecovery, KillAfterEverySealResumesBitForBit) {
   }
   EXPECT_TRUE(after_segment);
   EXPECT_TRUE(after_compaction);
+}
+
+// Stale-format class: a checkpoint whose harness sink is version 2
+// (the layout that ended in a length-prefixed caller section).  The
+// file itself is healthy, so it loads; the harness must refuse the
+// sink and re-stream the whole slice rather than misread it.
+TEST_F(StoreRecovery, VersionTwoSinkIsRejectedAndTheSliceRestreamed) {
+  (void)kill_after(2);
+  {
+    auto opened = store::VerdictStore::open(
+        path_, explore::harness_store_meta(ninety_models()));
+    ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded);
+    std::optional<store::StreamCheckpoint> ck = opened.store->checkpoint();
+    ASSERT_TRUE(ck.has_value());
+    ASSERT_FALSE(ck->sink_state.empty());
+    EXPECT_EQ(ck->sink_state[0], 3u);
+    ck->sink_state[0] = 2;
+    ck->sink_state.push_back(0);  // an empty version-2 extra section
+    opened.store->set_checkpoint(*ck);
+    std::string error;
+    ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
+  }
+  const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
+  ASSERT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
+  expect_matches_reference(resumed);
+  EXPECT_EQ(resumed.tests_delivered,
+            reference().report.stream.tests_streamed);
+  expect_one_clean_file();
 }
 
 // Corruption class: a bit flip in a middle segment of a chain a kill
