@@ -272,6 +272,8 @@ int main(int argc, char** argv) {
                 "(sweep %.1fs [%s])\n",
                 report.candidate_tests, report.filtered_tests,
                 report.sweep_seconds, report.sweep.to_string().c_str());
+    std::printf("sweep: %zu cells decided by %zu searches\n",
+                report.sweep.cells, report.sweep.searches);
   }
   double store_hit_rate = 0.0;
   if (vstore != nullptr) {
@@ -451,7 +453,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 6,\n");
+    std::fprintf(js, "  \"schema_version\": 7,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -508,6 +510,8 @@ int main(int argc, char** argv) {
                  harness.filter_extremes ? "true" : "false");
     std::fprintf(js, "  \"candidate_tests\": %zu,\n", report.candidate_tests);
     std::fprintf(js, "  \"sweep_seconds\": %.3f,\n", report.sweep_seconds);
+    std::fprintf(js, "  \"sweep_cells\": %zu,\n", report.sweep.cells);
+    std::fprintf(js, "  \"sweep_searches\": %zu,\n", report.sweep.searches);
     if (vstore != nullptr) {
       std::fprintf(js,
                    "  \"store\": {\"path\": \"%s\", \"outcome\": \"%s\", "

@@ -7,8 +7,10 @@
 // The full 90-model x Corollary-1-suite sweep routes through the batched
 // engine::VerdictEngine and is checked bit-for-bit against the serial
 // seed path (per-cell core::is_allowed loop) it replaced, reporting the
-// speedup plus the engine's cache / backend / formula-evaluation
-// statistics.
+// speedup plus the engine's statistics: cells, checks and the searches
+// that decided them (one per distinct reorder mask of a test), cache
+// hits and the backend split.  With --backend sat every search goes
+// through the SAT engine's mask path.
 //
 // Flags:
 //   --threads N      engine threads (default: hardware concurrency)

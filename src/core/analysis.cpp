@@ -158,12 +158,6 @@ void Analysis::compute_indexes() {
     if (is_read(e)) reads_.push_back(e);
   }
 
-  for (EventId a = 0; a < n; ++a) {
-    for (EventId b = 0; b < n; ++b) {
-      if (a != b && po(a, b)) ++num_po_pairs_;
-    }
-  }
-
   if (!masks_valid()) return;
   po_mask_.assign(static_cast<std::size_t>(n), 0);
   same_addr_mask_.assign(static_cast<std::size_t>(n), 0);

@@ -92,9 +92,9 @@ class Analysis {
   // ---- Predicate bitmask rows (events packed into std::uint64_t) ----
   //
   // Available when the program has at most 64 events (the explicit
-  // engine's regime); Formula::eval_po_matrix compiles must-not-reorder
-  // functions over them in a single tree traversal instead of one
-  // tree-walk per event pair.
+  // engine's regime); core::FormulaSet compiles must-not-reorder
+  // functions over them a whole row at a time instead of one tree-walk
+  // per event pair.
 
   /// True iff the bitmask accessors below are available.
   [[nodiscard]] bool masks_valid() const { return num_events() <= 64; }
@@ -113,10 +113,6 @@ class Analysis {
   /// Bit y set iff ControlDep(x, y).
   [[nodiscard]] std::uint64_t ctrl_dep_mask(EventId x) const;
 
-  /// Number of ordered pairs (x, y) with po(x, y) — the per-rf-map
-  /// must-not-reorder evaluation count of the unprepared check path.
-  [[nodiscard]] int num_po_pairs() const { return num_po_pairs_; }
-
  private:
   void resolve_events();
   void compute_deps();
@@ -130,7 +126,6 @@ class Analysis {
 
   std::vector<std::vector<EventId>> writes_by_loc_;  // index: location
   std::vector<EventId> reads_;
-  int num_po_pairs_ = 0;
 
   // Bitmask rows; empty when !masks_valid().
   std::uint64_t reads_mask_ = 0;

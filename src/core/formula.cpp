@@ -1,5 +1,9 @@
 #include "core/formula.h"
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -114,117 +118,6 @@ bool Formula::eval(const Analysis& analysis, EventId x, EventId y) const {
   return Rec::go(*node_, analysis, x, y);
 }
 
-std::size_t Formula::eval_po_matrix(const Analysis& analysis,
-                                    std::array<std::uint64_t, 64>& rows) const {
-  MCMC_REQUIRE_MSG(analysis.masks_valid(),
-                   "eval_po_matrix needs a <= 64-event analysis");
-  // One frame per subformula: row x is the mask of events y for which
-  // the subformula holds on (x, y).  Frames are stack values (the
-  // matrix path must not heap-allocate).
-  struct Matrix {
-    std::array<std::uint64_t, 64> rows;
-  };
-  struct Rec {
-    static std::size_t atom(const Node& nd, const Analysis& an, Matrix& out) {
-      const int n = an.num_events();
-      const std::uint64_t full = n == 64 ? ~0ULL : (1ULL << n) - 1;
-      const auto fill = [&](auto&& row_of) {
-        for (EventId x = 0; x < n; ++x) {
-          out.rows[static_cast<std::size_t>(x)] = row_of(x);
-        }
-      };
-      std::size_t pair_evals = 0;
-      switch (nd.atom) {
-        case Atom::True:
-          fill([&](EventId) { return full; });
-          break;
-        case Atom::False:
-          fill([](EventId) { return 0ULL; });
-          break;
-        case Atom::ReadX:
-          fill([&](EventId x) { return an.is_read(x) ? full : 0ULL; });
-          break;
-        case Atom::ReadY:
-          fill([&](EventId) { return an.reads_mask(); });
-          break;
-        case Atom::WriteX:
-          fill([&](EventId x) { return an.is_write(x) ? full : 0ULL; });
-          break;
-        case Atom::WriteY:
-          fill([&](EventId) { return an.writes_mask(); });
-          break;
-        case Atom::FenceX:
-          fill([&](EventId x) { return an.is_fence(x) ? full : 0ULL; });
-          break;
-        case Atom::FenceY:
-          fill([&](EventId) { return an.fences_mask(); });
-          break;
-        case Atom::SameAddr:
-          fill([&](EventId x) { return an.same_addr_mask(x); });
-          break;
-        case Atom::DataDep:
-          fill([&](EventId x) { return an.data_dep_mask(x); });
-          break;
-        case Atom::ControlDep:
-          fill([&](EventId x) { return an.ctrl_dep_mask(x); });
-          break;
-        case Atom::Custom:
-          // Opaque predicate: per-pair calls, restricted to the po pairs
-          // the final matrix is masked to anyway.
-          for (EventId x = 0; x < n; ++x) {
-            std::uint64_t row = 0;
-            std::uint64_t todo = an.po_mask(x);
-            while (todo != 0) {
-              const int y = __builtin_ctzll(todo);
-              todo &= todo - 1;
-              ++pair_evals;
-              if (nd.custom_pred(an, x, y)) row |= 1ULL << y;
-            }
-            out.rows[static_cast<std::size_t>(x)] = row;
-          }
-          break;
-      }
-      return pair_evals;
-    }
-
-    static std::size_t go(const Node& nd, const Analysis& an, Matrix& out) {
-      const int n = an.num_events();
-      switch (nd.kind) {
-        case Node::Kind::Atom:
-          return atom(nd, an, out);
-        case Node::Kind::And:
-        case Node::Kind::Or: {
-          std::size_t pair_evals = go(*nd.children.front(), an, out);
-          for (std::size_t c = 1; c < nd.children.size(); ++c) {
-            Matrix child;
-            pair_evals += go(*nd.children[c], an, child);
-            for (EventId x = 0; x < n; ++x) {
-              const auto sx = static_cast<std::size_t>(x);
-              if (nd.kind == Node::Kind::And) {
-                out.rows[sx] &= child.rows[sx];
-              } else {
-                out.rows[sx] |= child.rows[sx];
-              }
-            }
-          }
-          return pair_evals;
-        }
-      }
-      MCMC_UNREACHABLE("bad node kind");
-    }
-  };
-
-  Matrix m;
-  const std::size_t pair_evals = Rec::go(*node_, analysis, m);
-  const int n = analysis.num_events();
-  for (EventId x = 0; x < n; ++x) {
-    rows[static_cast<std::size_t>(x)] =
-        m.rows[static_cast<std::size_t>(x)] & analysis.po_mask(x);
-  }
-  for (int x = n; x < 64; ++x) rows[static_cast<std::size_t>(x)] = 0;
-  return pair_evals;
-}
-
 bool Formula::is_false() const {
   return node_->kind == Node::Kind::Atom && node_->atom == Atom::False;
 }
@@ -305,6 +198,150 @@ std::string Formula::to_string() const {
     }
   };
   return Rec::go(*node_, Node::Kind::Atom);
+}
+
+FormulaSet::FormulaSet(std::vector<Formula> formulas)
+    : formulas_(std::move(formulas)) {
+  using Key = std::tuple<Op::Kind, Atom, std::uint32_t, std::uint32_t,
+                         const Formula::Node*>;
+  struct Builder {
+    std::vector<Op>& nodes;
+    std::map<Key, std::uint32_t> ids;
+
+    std::uint32_t intern(const Op& op) {
+      const auto [it, inserted] =
+          ids.emplace(std::make_tuple(op.kind, op.atom, op.lhs, op.rhs,
+                                      op.custom),
+                      static_cast<std::uint32_t>(nodes.size()));
+      if (inserted) nodes.push_back(op);
+      return it->second;
+    }
+
+    // An n-ary connective folds left into binary nodes; And and Or
+    // commute, so a node lists its operands in id order.
+    std::uint32_t go(const Formula::Node& n) {
+      Op op;
+      if (n.kind == Formula::Node::Kind::Atom) {
+        op.atom = n.atom;
+        if (n.atom == Atom::Custom) op.custom = &n;
+        return intern(op);
+      }
+      op.kind = n.kind == Formula::Node::Kind::And ? Op::Kind::And
+                                                   : Op::Kind::Or;
+      std::uint32_t acc = go(*n.children.front());
+      for (std::size_t c = 1; c < n.children.size(); ++c) {
+        const std::uint32_t next = go(*n.children[c]);
+        op.lhs = std::min(acc, next);
+        op.rhs = std::max(acc, next);
+        acc = intern(op);
+      }
+      return acc;
+    }
+  };
+  Builder builder{nodes_, {}};
+  roots_.reserve(formulas_.size());
+  for (const Formula& f : formulas_) roots_.push_back(builder.go(*f.node_));
+}
+
+void FormulaSet::compile(const Analysis& analysis,
+                         std::vector<ReorderMask>& masks,
+                         std::vector<std::uint64_t>& scratch) const {
+  MCMC_REQUIRE_MSG(analysis.masks_valid(),
+                   "FormulaSet::compile needs a <= 64-event analysis");
+  const int n = analysis.num_events();
+  const auto sn = static_cast<std::size_t>(n);
+  const std::uint64_t full = n == 64 ? ~0ULL : (1ULL << n) - 1;
+  std::array<std::uint64_t, 64> po{};
+  for (EventId x = 0; x < n; ++x) {
+    po[static_cast<std::size_t>(x)] = analysis.po_mask(x);
+  }
+  // Row x of node k is scratch[k * n + x]: the events y for which the
+  // node's subformula holds on (x, y).
+  scratch.resize(nodes_.size() * sn);
+  std::uint64_t* const rows = scratch.data();
+  for (std::size_t k = 0; k < nodes_.size(); ++k) {
+    const Op& op = nodes_[k];
+    std::uint64_t* const out = rows + k * sn;
+    const std::uint64_t* const lhs = rows + op.lhs * sn;
+    const std::uint64_t* const rhs = rows + op.rhs * sn;
+    const auto fill = [&](auto&& row_of) {
+      for (EventId x = 0; x < n; ++x) out[x] = row_of(x);
+    };
+    const auto if_x = [&](std::uint64_t set) {
+      fill([&](EventId x) { return ((set >> x) & 1) != 0 ? full : 0ULL; });
+    };
+    if (op.kind == Op::Kind::And) {
+      fill([&](EventId x) { return lhs[x] & rhs[x]; });
+      continue;
+    }
+    if (op.kind == Op::Kind::Or) {
+      fill([&](EventId x) { return lhs[x] | rhs[x]; });
+      continue;
+    }
+    switch (op.atom) {
+      case Atom::True:
+        fill([&](EventId) { return full; });
+        break;
+      case Atom::False:
+        fill([](EventId) { return 0ULL; });
+        break;
+      case Atom::ReadX:
+        if_x(analysis.reads_mask());
+        break;
+      case Atom::ReadY:
+        fill([&](EventId) { return analysis.reads_mask(); });
+        break;
+      case Atom::WriteX:
+        if_x(analysis.writes_mask());
+        break;
+      case Atom::WriteY:
+        fill([&](EventId) { return analysis.writes_mask(); });
+        break;
+      case Atom::FenceX:
+        if_x(analysis.fences_mask());
+        break;
+      case Atom::FenceY:
+        fill([&](EventId) { return analysis.fences_mask(); });
+        break;
+      case Atom::SameAddr:
+        fill([&](EventId x) { return analysis.same_addr_mask(x); });
+        break;
+      case Atom::DataDep:
+        fill([&](EventId x) { return analysis.data_dep_mask(x); });
+        break;
+      case Atom::ControlDep:
+        fill([&](EventId x) { return analysis.ctrl_dep_mask(x); });
+        break;
+      case Atom::Custom:
+        // Opaque predicate: one call per po pair, the only pairs a mask
+        // keeps.
+        fill([&](EventId x) {
+          std::uint64_t row = 0;
+          std::uint64_t todo = po[static_cast<std::size_t>(x)];
+          while (todo != 0) {
+            const int y = __builtin_ctzll(todo);
+            todo &= todo - 1;
+            if (op.custom->custom_pred(analysis, x, y)) row |= 1ULL << y;
+          }
+          return row;
+        });
+        break;
+    }
+  }
+
+  masks.resize(roots_.size());
+  for (std::size_t i = 0; i < roots_.size(); ++i) {
+    ReorderMask& mask = masks[i];
+    const std::uint64_t* const root = rows + roots_[i] * sn;
+    for (std::size_t x = 0; x < sn; ++x) mask.rows[x] = root[x] & po[x];
+    // Keep the rows past this analysis zero (a reused mask may hold a
+    // larger one's).
+    for (std::size_t x = sn; x < static_cast<std::size_t>(mask.num_events);
+         ++x) {
+      mask.rows[x] = 0;
+    }
+    mask.num_events = n;
+  }
 }
 
 Formula operator&&(const Formula& a, const Formula& b) {

@@ -10,6 +10,8 @@
 //
 // Formulas are immutable trees with value semantics; combine them with
 // `&&` and `||`.  Negation is intentionally absent (the class is positive).
+// FormulaSet compiles a list of them against an Analysis into per-event
+// bitmask rows (ReorderMask), the form the checkers consume.
 #pragma once
 
 #include <array>
@@ -61,16 +63,6 @@ class Formula {
   [[nodiscard]] bool eval(const Analysis& analysis, EventId x,
                           EventId y) const;
 
-  /// Evaluates F over every program-order pair in ONE tree traversal:
-  /// on return, bit y of `rows[x]` is set iff po(x, y) and F(x, y).
-  /// Built-in atoms combine the analysis' precomputed bitmask rows
-  /// word-wise; custom-predicate atoms fall back to per-pair calls.
-  /// Requires `analysis.masks_valid()` (at most 64 events); performs no
-  /// heap allocation for custom-free formulas.  Returns the number of
-  /// per-pair fallback evaluations performed (0 when custom-free).
-  std::size_t eval_po_matrix(const Analysis& analysis,
-                             std::array<std::uint64_t, 64>& rows) const;
-
   /// Renders the formula, e.g. "(Write(x) & Write(y)) | Fence(x) | Fence(y)".
   [[nodiscard]] std::string to_string() const;
 
@@ -88,9 +80,63 @@ class Formula {
   [[nodiscard]] const void* identity() const { return node_.get(); }
 
  private:
+  friend class FormulaSet;
   struct Node;
   explicit Formula(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
   std::shared_ptr<const Node> node_;
+};
+
+/// A compiled must-not-reorder function against one analysis: bit y of
+/// `rows[x]` is set iff po(x, y) and F(x, y), and rows from `num_events`
+/// on are zero.  Fixed-size, so deciding against one allocates nothing.
+struct ReorderMask {
+  int num_events = 0;
+  std::array<std::uint64_t, 64> rows{};
+};
+
+/// A list of formulas compiled together into reorder masks.  The trees
+/// are hash-consed on construction: structurally equal subformulas,
+/// within one formula or across the list, become one node, keyed by
+/// (connective, atom, operand nodes) — a custom atom by its node's
+/// identity, which the set keeps alive by holding its formulas.  So
+/// compile() evaluates each distinct subformula once per analysis, over
+/// whole bitmask rows, and writes every formula's mask in one pass.
+/// Immutable after construction and safe to share across threads.
+class FormulaSet {
+ public:
+  explicit FormulaSet(std::vector<Formula> formulas);
+
+  /// The compiled formulas, in the order given.
+  [[nodiscard]] const std::vector<Formula>& formulas() const {
+    return formulas_;
+  }
+  [[nodiscard]] std::size_t size() const { return roots_.size(); }
+  /// Distinct subformulas: the nodes compile() evaluates.
+  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
+
+  /// Sets `masks` to one mask per formula against `analysis`; `scratch`
+  /// holds the node rows.  Both buffers are the caller's: once they have
+  /// grown to this set and the largest analysis compiled, compile
+  /// performs no heap allocation.  Custom atoms call their predicate on
+  /// every program-order pair.  Requires `analysis.masks_valid()` (at
+  /// most 64 events).
+  void compile(const Analysis& analysis, std::vector<ReorderMask>& masks,
+               std::vector<std::uint64_t>& scratch) const;
+
+ private:
+  /// One node, evaluated after its operands (which have lower ids).
+  struct Op {
+    enum class Kind : std::uint8_t { Atom, And, Or };
+    Kind kind = Kind::Atom;
+    Atom atom = Atom::False;
+    std::uint32_t lhs = 0;
+    std::uint32_t rhs = 0;
+    const Formula::Node* custom = nullptr;  ///< owned by formulas_
+  };
+
+  std::vector<Formula> formulas_;
+  std::vector<Op> nodes_;
+  std::vector<std::uint32_t> roots_;  ///< node of each formula
 };
 
 [[nodiscard]] Formula operator&&(const Formula& a, const Formula& b);

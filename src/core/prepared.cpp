@@ -20,55 +20,47 @@ PreparedTest::PreparedTest(std::shared_ptr<const Analysis> analysis,
   }
 }
 
-void PreparedTest::compile_mask(const MemoryModel& model, ReorderMask& out,
-                                PreparedCheckStats* stats) const {
-  out.num_events = analysis_->num_events();
-  const std::size_t pair_evals =
-      model.formula().eval_po_matrix(*analysis_, out.rows);
-  if (stats != nullptr) stats->formula_evals += 1 + pair_evals;
-}
-
-bool PreparedTest::allowed(const MemoryModel& model, Engine engine,
-                           PreparedCheckStats* stats) const {
+bool PreparedTest::allowed(const MemoryModel& model, Engine engine) const {
   if (rf_maps_.empty()) return false;
   if (engine == Engine::Explicit || analysis_->masks_valid()) {
     MCMC_REQUIRE_MSG(analysis_->masks_valid(),
                      "explicit engine supports up to 64 events");
-    ReorderMask mask;
-    compile_mask(model, mask, stats);
-    if (engine == Engine::Explicit) return allowed_explicit(mask, stats);
-    // SAT on a small instance: materialize each problem from the mask +
-    // skeleton (the SAT encoding needs explicit edge lists anyway).
-    const int n = analysis_->num_events();
-    for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-      const HbSkeleton& skel = skeletons_[k];
-      if (stats != nullptr) {
-        ++stats->skeletons_used;
-        stats->equivalent_pair_evals +=
-            static_cast<std::size_t>(analysis_->num_po_pairs());
-      }
-      if (skel.infeasible) continue;
-      HbProblem p;
-      p.num_events = n;
-      for (EventId x = 0; x < n; ++x) {
-        std::uint64_t row = mask.rows[static_cast<std::size_t>(x)];
-        while (row != 0) {
-          const int y = __builtin_ctzll(row);
-          row &= row - 1;
-          p.forced.emplace_back(x, y);
-        }
-      }
-      p.forced.insert(p.forced.end(), skel.forced.begin(), skel.forced.end());
-      p.disjunctions = skel.disjunctions;
-      if (hb_satisfiable(p, Engine::Sat)) return true;
-    }
-    return false;
+    std::vector<ReorderMask> mask;
+    std::vector<std::uint64_t> scratch;
+    FormulaSet({model.formula()}).compile(*analysis_, mask, scratch);
+    return allowed(mask.front(), engine);
   }
-  return allowed_via_problems(model, engine, stats);
+  return allowed_via_problems(model, engine);
 }
 
-bool PreparedTest::allowed_explicit(const ReorderMask& mask,
-                                    PreparedCheckStats* stats) const {
+bool PreparedTest::allowed(const ReorderMask& mask, Engine engine) const {
+  MCMC_REQUIRE_MSG(mask.num_events == analysis_->num_events(),
+                   "mask compiled against another analysis");
+  if (rf_maps_.empty()) return false;
+  if (engine == Engine::Explicit) return allowed_explicit(mask);
+  // SAT: materialize each problem from the mask + skeleton (the SAT
+  // encoding needs explicit edge lists anyway).
+  const int n = analysis_->num_events();
+  for (const HbSkeleton& skel : skeletons_) {
+    if (skel.infeasible) continue;
+    HbProblem p;
+    p.num_events = n;
+    for (EventId x = 0; x < n; ++x) {
+      std::uint64_t row = mask.rows[static_cast<std::size_t>(x)];
+      while (row != 0) {
+        const int y = __builtin_ctzll(row);
+        row &= row - 1;
+        p.forced.emplace_back(x, y);
+      }
+    }
+    p.forced.insert(p.forced.end(), skel.forced.begin(), skel.forced.end());
+    p.disjunctions = skel.disjunctions;
+    if (hb_satisfiable(p, Engine::Sat)) return true;
+  }
+  return false;
+}
+
+bool PreparedTest::allowed_explicit(const ReorderMask& mask) const {
   const int n = analysis_->num_events();
   detail::ClosureSearch search(n);
   // Base closure over the model's program-order edges, built once and
@@ -86,15 +78,7 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask,
     }
   }
 
-  for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-    const HbSkeleton& skel = skeletons_[k];
-    if (stats != nullptr) {
-      ++stats->skeletons_used;
-      // The per-cell path would rebuild this rf map's HbProblem,
-      // re-evaluating F on every po pair.
-      stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_->num_po_pairs());
-    }
+  for (const HbSkeleton& skel : skeletons_) {
     if (skel.infeasible) continue;
     detail::Reach64 reach = base;
     bool ok = true;
@@ -113,8 +97,7 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask,
 }
 
 bool PreparedTest::allowed_via_problems(const MemoryModel& model,
-                                        Engine engine,
-                                        PreparedCheckStats* stats) const {
+                                        Engine engine) const {
   // Beyond 64 events there are no bitmask rows; evaluate F per pair once
   // (still hoisted out of the per-rf-map loop) and share the edge list.
   const int n = analysis_->num_events();
@@ -122,19 +105,12 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model,
   for (EventId x = 0; x < n; ++x) {
     for (EventId y = 0; y < n; ++y) {
       if (x == y || !analysis_->po(x, y)) continue;
-      if (stats != nullptr) ++stats->formula_evals;
       if (model.must_not_reorder(*analysis_, x, y)) {
         po_forced.emplace_back(x, y);
       }
     }
   }
-  for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-    const HbSkeleton& skel = skeletons_[k];
-    if (stats != nullptr) {
-      ++stats->skeletons_used;
-      stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_->num_po_pairs());
-    }
+  for (const HbSkeleton& skel : skeletons_) {
     if (skel.infeasible) continue;
     HbProblem p;
     p.num_events = n;

@@ -6,17 +6,21 @@
 // enumerating the read-from maps consistent with the outcome, and
 // instantiating the write-write / read-from / from-read constraints of
 // each rf map.  Only the program-order edges — F(x, y) over po pairs —
-// vary across models.  PreparedTest performs the shared work once:
+// vary across models, and only through the reorder mask F induces on
+// the program.  The work splits accordingly:
 //
-//   prepare            Analysis + rf enumeration + one HbSkeleton per
-//                      rf map (built once, shared by every model),
-//   compile            the model's F evaluated over ALL po pairs in a
-//                      single formula traversal into per-event 64-bit
-//                      row masks (ReorderMask) — not one tree-walk per
-//                      pair per rf map per cell,
-//   check              base po-closure from the mask, then per skeleton
-//                      a frame-local closure DFS with zero heap
-//                      allocations per node (closure_search.h).
+//   prepare            PreparedTest: rf enumeration + one HbSkeleton per
+//                      rf map over a (shared) Analysis, built once and
+//                      shared by every model,
+//   compile            FormulaSet (formula.h): every model's F over ALL
+//                      po pairs of the program at once, with shared
+//                      subformulas evaluated once, into per-event 64-bit
+//                      row masks (ReorderMask) — models whose masks are
+//                      equal get the same verdict on every outcome of
+//                      the program,
+//   check              allowed(mask): base po-closure from the mask, then
+//                      per skeleton a frame-local closure DFS with zero
+//                      heap allocations per node (closure_search.h).
 //
 // Verdicts are bit-for-bit identical to core::is_allowed: rf maps are
 // visited in enumeration order and the same axioms are instantiated.
@@ -25,9 +29,6 @@
 // classic per-cell constructors.
 #pragma once
 
-#include <array>
-#include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -39,35 +40,6 @@
 #include "core/readfrom.h"
 
 namespace mcmc::core {
-
-/// A compiled must-not-reorder function against one analysis: bit y of
-/// `rows[x]` is set iff po(x, y) and F(x, y).  Fixed-size so compiling
-/// into one performs no heap allocation.
-struct ReorderMask {
-  int num_events = 0;
-  std::array<std::uint64_t, 64> rows{};
-};
-
-/// Accounting of prepared checks, aggregated into engine::EngineStats.
-struct PreparedCheckStats {
-  /// Formula evaluations actually performed: one per compiled matrix
-  /// traversal plus one per per-pair fallback (custom predicates or
-  /// >64-event analyses).
-  std::size_t formula_evals = 0;
-  /// Per-pair F evaluations the unprepared per-cell path would have
-  /// performed for the same verdict (po pairs x rf maps it would try,
-  /// honoring its first-hit early exit).
-  std::size_t equivalent_pair_evals = 0;
-  /// Skeletons consulted instead of rebuilt.
-  std::size_t skeletons_used = 0;
-
-  PreparedCheckStats& operator+=(const PreparedCheckStats& other) {
-    formula_evals += other.formula_evals;
-    equivalent_pair_evals += other.equivalent_pair_evals;
-    skeletons_used += other.skeletons_used;
-    return *this;
-  }
-};
 
 /// One litmus test prepared for checking against many models: the
 /// model-independent skeleton of the admissibility question.  Immutable
@@ -98,25 +70,24 @@ class PreparedTest {
     return skeletons_;
   }
 
-  /// Compiles the model's F into row masks against this analysis via
-  /// one Formula::eval_po_matrix traversal.  Requires
-  /// `analysis().masks_valid()`.
-  void compile_mask(const MemoryModel& model, ReorderMask& out,
-                    PreparedCheckStats* stats = nullptr) const;
+  /// Decides whether the outcome is allowed under the model whose mask
+  /// against analysis() is `mask` (FormulaSet::compile) — the same
+  /// verdict as core::is_allowed for that model.  With Engine::Explicit
+  /// the check performs no heap allocation.
+  [[nodiscard]] bool allowed(const ReorderMask& mask, Engine engine) const;
 
   /// Decides whether the outcome is allowed under `model` — the same
-  /// verdict as core::is_allowed(analysis, model, outcome, engine).
-  /// With Engine::Explicit (<= 64 events) the check is allocation-free.
+  /// verdict as core::is_allowed(analysis, model, outcome, engine).  Up
+  /// to 64 events it compiles the model's mask (a FormulaSet of one);
+  /// beyond that no mask exists, and F is evaluated per po pair — the
+  /// only path for such analyses (the explicit engine rejects them).
   [[nodiscard]] bool allowed(const MemoryModel& model,
-                             Engine engine = Engine::Explicit,
-                             PreparedCheckStats* stats = nullptr) const;
+                             Engine engine = Engine::Explicit) const;
 
  private:
-  [[nodiscard]] bool allowed_explicit(const ReorderMask& mask,
-                                      PreparedCheckStats* stats) const;
+  [[nodiscard]] bool allowed_explicit(const ReorderMask& mask) const;
   [[nodiscard]] bool allowed_via_problems(const MemoryModel& model,
-                                          Engine engine,
-                                          PreparedCheckStats* stats) const;
+                                          Engine engine) const;
 
   std::shared_ptr<const Analysis> analysis_;
   Outcome outcome_;

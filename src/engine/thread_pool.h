@@ -6,8 +6,10 @@
 // deterministic scheduling).  Each `parallel_for` distributes the index
 // range round-robin across per-worker deques; a worker pops from the
 // back of its own deque and steals from the front of a victim's when it
-// runs dry.  Individual tasks are admissibility checks (microseconds to
-// milliseconds), so stealing one index at a time is plenty.
+// runs dry.  Individual tasks are a verdict batch's program runs (one
+// analysis, its masks, and the searches of its tests) or ranges of a
+// fingerprint pass, microseconds to milliseconds each, so stealing one
+// index at a time is plenty.
 //
 // Lock discipline (compile-time checked, see util/thread_annotations.h):
 // `mu_` guards the job hand-off state (job_, epoch_, stop_); each

@@ -1,7 +1,6 @@
 #include "engine/verdict_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -127,11 +126,61 @@ class StoreRows {
   std::vector<char> touched_;         ///< set() added a column
 };
 
+/// One program's models grouped by reorder mask, and each group's
+/// verdict on the test being decided: models with equal masks share one
+/// search per test.
+class MaskClasses {
+ public:
+  /// Compiles every model of `set` against `analysis` and groups them.
+  void compile(const core::FormulaSet& set, const core::Analysis& analysis) {
+    set.compile(analysis, masks_, scratch_);
+    const auto n = static_cast<std::size_t>(analysis.num_events());
+    class_of_.resize(masks_.size());
+    reps_.clear();
+    for (std::size_t m = 0; m < masks_.size(); ++m) {
+      const auto& rows = masks_[m].rows;
+      std::size_t c = 0;
+      while (c < reps_.size() &&
+             !std::equal(rows.begin(), rows.begin() + n,
+                         masks_[reps_[c]].rows.begin())) {
+        ++c;
+      }
+      if (c == reps_.size()) reps_.push_back(m);
+      class_of_[m] = c;
+    }
+  }
+
+  /// Forgets the previous test's verdicts.
+  void begin_test() { verdicts_.assign(reps_.size(), kUnknown); }
+
+  /// The verdict of `model` on `test`, searching only if no model of its
+  /// class has been decided on this test yet.
+  bool decide(int model, const core::PreparedTest& test, core::Engine engine,
+              std::size_t& searches) {
+    const std::size_t c = class_of_[static_cast<std::size_t>(model)];
+    if (verdicts_[c] == kUnknown) {
+      verdicts_[c] = test.allowed(masks_[reps_[c]], engine) ? 1 : 0;
+      ++searches;
+    }
+    return verdicts_[c] != 0;
+  }
+
+ private:
+  static constexpr signed char kUnknown = -1;
+
+  std::vector<core::ReorderMask> masks_;  ///< per model of the set
+  std::vector<std::uint64_t> scratch_;    ///< FormulaSet node rows
+  std::vector<std::size_t> class_of_;     ///< model -> class
+  std::vector<std::size_t> reps_;         ///< class -> its first model
+  std::vector<signed char> verdicts_;     ///< class -> verdict or kUnknown
+};
+
 }  // namespace
 
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
   cells += other.cells;
   checks_run += other.checks_run;
+  searches += other.searches;
   cache_hits += other.cache_hits;
   dedup_hits += other.dedup_hits;
   store_hits += other.store_hits;
@@ -139,10 +188,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   explicit_checks += other.explicit_checks;
   sat_checks += other.sat_checks;
   unique_analyses += other.unique_analyses;
-  rf_enums_saved += other.rf_enums_saved;
-  skeletons_reused += other.skeletons_reused;
-  formula_evals += other.formula_evals;
-  formula_evals_saved += other.formula_evals_saved;
   if (other.threads_used > threads_used) threads_used = other.threads_used;
   wall_seconds += other.wall_seconds;
   return *this;
@@ -151,17 +196,14 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
 std::string EngineStats::to_string() const {
   std::ostringstream os;
   os << "cells=" << cells << " checks=" << checks_run
-     << " cache_hits=" << cache_hits << " dedup_hits=" << dedup_hits;
+     << " searches=" << searches << " cache_hits=" << cache_hits
+     << " dedup_hits=" << dedup_hits;
   if (store_hits + store_misses > 0) {
     os << " store_hits=" << store_hits << "/" << (store_hits + store_misses);
   }
   os << " backends=explicit:" << explicit_checks << "/sat:" << sat_checks
-     << " analyses=" << unique_analyses
-     << " rf_enums_saved=" << rf_enums_saved
-     << " skeletons_reused=" << skeletons_reused
-     << " formula_evals=" << formula_evals << " (saved "
-     << formula_evals_saved << ")"
-     << " threads=" << threads_used << " wall=" << wall_seconds << "s";
+     << " analyses=" << unique_analyses << " threads=" << threads_used
+     << " wall=" << wall_seconds << "s";
   return os.str();
 }
 
@@ -292,7 +334,6 @@ std::vector<char> VerdictEngine::run_batch_impl(
   // Analysis and no key string is built here.  Analyses are deferred
   // until the cache and the within-batch dedup have spoken, so only
   // tests that actually reach evaluation pay for one. ----
-  std::vector<std::unique_ptr<core::PreparedTest>> prepared(tests.size());
   std::vector<util::Key128> canonical_fps(need_canonical ? tests.size() : 0);
   std::vector<util::Key128> structural_fps(need_structural ? tests.size() : 0);
   const int threads = effective_threads();
@@ -490,166 +531,121 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
   const std::size_t live_checks = grouped ? pending.size() : requests.size();
 
-  // ---- Analyses, now that the cache has spoken: built only for the
-  // tests some live job evaluates, and once per run of consecutive such
-  // tests that share one program object (the stream emits a program's
-  // outcomes back to back, and copies of a test share its program).
-  // With the fingerprints above coming from core::KeyFacts, a dedup- or
-  // cache-served test never constructs an Analysis at all.  Grouping
-  // only shares work: a test sharing nothing gets an Analysis of its
-  // own. ----
+  // ---- Evaluate, now that the cache has spoken: only tests some live
+  // cell needs are analyzed and prepared.  The live cells (pending jobs,
+  // or every request on the direct path) are bucketed by test;
+  // consecutive such tests that share one program object form a
+  // program run (the stream emits a program's outcomes back to back,
+  // and copies of a test share its program), and each run is one pool
+  // task: analyze the program, compile the batch's models into masks
+  // and group the equal ones, then prepare its tests one at a time and
+  // run one search per distinct mask a test's cells ask for.  A worker
+  // holds one Analysis and one prepared test at a time.  Grouping only
+  // shares work: a test sharing nothing is a run of its own. ----
+  const auto live_cell = [&](std::size_t k) {
+    if (!grouped) return requests[k];
+    const Job& job = jobs[pending[k]];
+    return VerdictRequest{job.model, job.test};
+  };
+  // Cells of test t: cell_of[cell_begin[t] .. cell_begin[t + 1]).
+  std::vector<std::size_t> cell_begin(tests.size() + 1, 0);
+  for (std::size_t k = 0; k < live_checks; ++k) {
+    ++cell_begin[static_cast<std::size_t>(live_cell(k).test) + 1];
+  }
   std::vector<int> eval_tests;
-  if (grouped) {
-    std::vector<char> evaluated(tests.size(), 0);
-    for (const auto j : pending) {
-      evaluated[static_cast<std::size_t>(jobs[j].test)] = 1;
-    }
-    for (int t = 0; t < num_tests; ++t) {
-      if (evaluated[static_cast<std::size_t>(t)]) eval_tests.push_back(t);
-    }
-  } else {
-    eval_tests = used_tests;
+  for (int t = 0; t < num_tests; ++t) {
+    const auto st = static_cast<std::size_t>(t);
+    if (cell_begin[st + 1] > 0) eval_tests.push_back(t);
+    cell_begin[st + 1] += cell_begin[st];
   }
-  // run_of[t]: the program run of evaluated test t; run_first[r]: the
-  // test whose program run r analyzes.
-  std::vector<int> run_of(eval_tests.empty() ? 0 : tests.size(), -1);
-  std::vector<int> run_first;
-  std::vector<std::uint32_t> run_size;
+  std::vector<std::size_t> cell_of(live_checks);
+  {
+    std::vector<std::size_t> next(cell_begin.begin(), cell_begin.end() - 1);
+    for (std::size_t k = 0; k < live_checks; ++k) {
+      cell_of[next[static_cast<std::size_t>(live_cell(k).test)]++] = k;
+    }
+  }
+  // Run r covers eval_tests[run_begin[r] .. run_begin[r + 1]).
+  std::vector<std::size_t> run_begin;
   const core::Program* run_program = nullptr;
-  for (const int t : eval_tests) {
-    const auto& test = tests[static_cast<std::size_t>(t)];
-    if (&test.program() != run_program) {
-      run_first.push_back(t);
-      run_size.push_back(0);
-      run_program = &test.program();
-    }
-    ++run_size.back();
-    run_of[static_cast<std::size_t>(t)] =
-        static_cast<int>(run_first.size()) - 1;
+  for (std::size_t i = 0; i < eval_tests.size(); ++i) {
+    const auto& program =
+        tests[static_cast<std::size_t>(eval_tests[i])].program();
+    if (&program != run_program) run_begin.push_back(i);
+    run_program = &program;
   }
-  // run_analysis[r] is dropped once every test of run r has adopted it
-  // (run_unprepared[r] reaches 0); the prepared tests then own it.
-  std::vector<std::shared_ptr<const core::Analysis>> run_analysis(
-      run_first.size());
-  std::vector<std::atomic<std::uint32_t>> run_unprepared(run_first.size());
-  for (std::size_t r = 0; r < run_size.size(); ++r) {
-    run_unprepared[r].store(run_size[r], std::memory_order_relaxed);
-  }
-  stats.unique_analyses = run_first.size();
-  if (!run_first.empty()) {
-    const auto analyze_run = [&](std::size_t r) {
-      run_analysis[r] = core::analyze_shared(
-          tests[static_cast<std::size_t>(run_first[r])].shared_program());
-    };
-    if (threads > 1 && run_first.size() > 1) {
-      pool().parallel_for(run_first.size(), analyze_run);
-    } else {
-      for (std::size_t r = 0; r < run_first.size(); ++r) analyze_run(r);
-    }
-  }
+  const std::size_t num_runs = run_begin.size();
+  run_begin.push_back(eval_tests.size());
+  stats.unique_analyses = num_runs;
 
-  // ---- Evaluate the deduplicated jobs across ONE pool pass.  A
-  // cache-miss test's expensive prepared state (rf enumeration +
-  // HbProblem skeletons over its program run's shared Analysis) is
-  // built by whichever worker touches the test first (std::call_once)
-  // and is immutable afterward, so worker threads share it without
-  // further synchronization and evaluation of other tests proceeds
-  // while it builds — no prepare/evaluate barrier.  On cache-heavy
-  // streams deduplicated tests never pay for preparation at all.  The
-  // job completing a test's last check frees its prepared state (every
-  // check of it happens-before the freeing decrement), and the last
-  // prepared test of a run frees the run's Analysis, so peak memory
-  // tracks the checks in flight, not the batch size — on dense
-  // streamed chunks that is the difference between tens of MB and a
-  // working set that never leaves the cache. ----
-  std::vector<std::once_flag> prepare_once(live_checks > 0 ? tests.size() : 0);
-  std::vector<std::atomic<std::uint32_t>> checks_left(prepare_once.size());
-  if (grouped) {
-    for (const auto j : pending) {
-      checks_left[static_cast<std::size_t>(jobs[j].test)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  } else {
-    for (const auto& r : requests) {
-      checks_left[static_cast<std::size_t>(r.test)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
+  // The batch's models, compiled once for all of its program runs.
+  std::vector<core::Formula> formulas;
+  if (num_runs > 0) {
+    for (const auto& model : models) formulas.push_back(model.formula());
   }
-  std::atomic<std::size_t> explicit_count{0};
-  std::atomic<std::size_t> sat_count{0};
-  std::atomic<std::size_t> formula_evals{0};
-  std::atomic<std::size_t> equivalent_evals{0};
-  std::atomic<std::size_t> skeletons_used{0};
-  std::atomic<std::size_t> skeletons_built{0};
-  std::atomic<std::size_t> tests_prepared{0};
-  const auto run_check = [&](int model_idx, int test_idx) -> bool {
-    const auto st = static_cast<std::size_t>(test_idx);
-    std::call_once(prepare_once[st], [&] {
-      const auto r = static_cast<std::size_t>(run_of[st]);
-      prepared[st] = std::make_unique<core::PreparedTest>(
-          run_analysis[r], tests[st].outcome());
-      // The run's last adopter drops the run's handle (acq_rel: every
-      // other adopter's copy happens-before this reset).
-      if (run_unprepared[r].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        run_analysis[r].reset();
+  const core::FormulaSet set(std::move(formulas));
+  // Each task writes only its own cells' verdicts and its own counters.
+  std::vector<char> live_result(live_checks, 0);
+  struct RunCounts {
+    std::size_t searches = 0;
+    std::size_t explicit_checks = 0;
+    std::size_t sat_checks = 0;
+  };
+  std::vector<RunCounts> run_counts(num_runs);
+  const auto run_task = [&](std::size_t r) {
+    const auto analysis = core::analyze_shared(
+        tests[static_cast<std::size_t>(eval_tests[run_begin[r]])]
+            .shared_program());
+    const core::Engine backend = resolve_backend(analysis->num_events());
+    // Beyond 64 events there are no masks: each cell evaluates its
+    // model per event pair.
+    const bool by_mask = analysis->masks_valid();
+    MaskClasses classes;
+    if (by_mask) classes.compile(set, *analysis);
+    RunCounts& counts = run_counts[r];
+    std::size_t& backend_checks = backend == core::Engine::Explicit
+                                      ? counts.explicit_checks
+                                      : counts.sat_checks;
+    for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) {
+      const auto t = static_cast<std::size_t>(eval_tests[i]);
+      const core::PreparedTest prepared(analysis, tests[t].outcome());
+      if (by_mask) classes.begin_test();
+      for (std::size_t c = cell_begin[t]; c < cell_begin[t + 1]; ++c) {
+        const std::size_t k = cell_of[c];
+        const int m = live_cell(k).model;
+        bool verdict = false;
+        if (by_mask) {
+          verdict = classes.decide(m, prepared, backend, counts.searches);
+        } else {
+          verdict = prepared.allowed(models[static_cast<std::size_t>(m)],
+                                     backend);
+          ++counts.searches;
+        }
+        live_result[k] = verdict ? 1 : 0;
       }
-      skeletons_built.fetch_add(prepared[st]->skeletons().size(),
-                                std::memory_order_relaxed);
-      tests_prepared.fetch_add(1, std::memory_order_relaxed);
-    });
-    const core::Engine backend =
-        resolve_backend(prepared[st]->analysis().num_events());
-    if (backend == core::Engine::Explicit) {
-      explicit_count.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      sat_count.fetch_add(1, std::memory_order_relaxed);
-    }
-    core::PreparedCheckStats cs;
-    const bool result = prepared[st]->allowed(
-        models[static_cast<std::size_t>(model_idx)], backend, &cs);
-    formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
-    equivalent_evals.fetch_add(cs.equivalent_pair_evals,
-                               std::memory_order_relaxed);
-    skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
-    // Last check of this test: release its prepared state (acq_rel —
-    // every earlier check's use happens-before this free).
-    if (checks_left[st].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      prepared[st].reset();
-    }
-    return result;
-  };
-  const auto evaluate = [&](std::size_t k) {
-    if (grouped) {
-      Job& job = jobs[pending[k]];
-      job.result = run_check(job.model, job.test);
-    } else {
-      results[k] = run_check(requests[k].model, requests[k].test) ? 1 : 0;
+      backend_checks += cell_begin[t + 1] - cell_begin[t];
     }
   };
-  if (threads > 1 && live_checks > 1) {
-    pool().parallel_for(live_checks, evaluate);
+  if (threads > 1 && num_runs > 1) {
+    pool().parallel_for(num_runs, run_task);
     stats.threads_used = threads;
   } else {
-    for (std::size_t k = 0; k < live_checks; ++k) evaluate(k);
+    for (std::size_t r = 0; r < num_runs; ++r) run_task(r);
     stats.threads_used = 1;
   }
   stats.checks_run = live_checks;
-  stats.explicit_checks = explicit_count.load();
-  stats.sat_checks = sat_count.load();
-
-  // Per-test work shared across the batch's checks: each check of a
-  // per-cell core::is_allowed loop would have re-enumerated rf maps and
-  // rebuilt every skeleton it visited.  (Counters were captured at
-  // prepare time — the prepared state itself is already freed test by
-  // test.)
-  stats.rf_enums_saved = live_checks - tests_prepared.load();
-  const std::size_t used = skeletons_used.load();
-  const std::size_t built = skeletons_built.load();
-  stats.skeletons_reused = used > built ? used - built : 0;
-  stats.formula_evals = formula_evals.load();
-  const std::size_t equivalent = equivalent_evals.load();
-  stats.formula_evals_saved =
-      equivalent > stats.formula_evals ? equivalent - stats.formula_evals : 0;
+  for (const RunCounts& counts : run_counts) {
+    stats.searches += counts.searches;
+    stats.explicit_checks += counts.explicit_checks;
+    stats.sat_checks += counts.sat_checks;
+  }
+  for (std::size_t k = 0; k < live_checks; ++k) {
+    if (grouped) {
+      jobs[pending[k]].result = live_result[k] != 0;
+    } else {
+      results[k] = live_result[k];
+    }
+  }
 
   // ---- Publish results and feed the persistent cache (grouped path
   // only: the direct path wrote results in place and persists nothing).
@@ -691,9 +687,6 @@ BitMatrix VerdictEngine::run_matrix(
   std::vector<VerdictRequest> requests;
   requests.reserve(static_cast<std::size_t>(num_models) *
                    static_cast<std::size_t>(num_tests));
-  // Test-major: a test's |models| checks sit adjacently in the batch,
-  // so its prepared state is built and freed back to back (verdicts are
-  // order-independent; only peak memory changes).
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
@@ -910,8 +903,6 @@ struct VerdictEngine::StreamRun {
       }
       store_rows.probe(*vstore);
     }
-    // Test-major order: a test's checks are adjacent, so its prepared
-    // state is freed almost as soon as it is built.
     for (std::size_t k = 0; k < novel_idx.size(); ++k) {
       for (int m = 0; m < num_models; ++m) {
         std::optional<bool> hit;

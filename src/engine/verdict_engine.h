@@ -16,17 +16,22 @@
 //     litmus::canonical_key is its audited string form) — falling back
 //     to structural fingerprints for models with custom predicates,
 //     whose semantics may observe raw thread/location identity,
-//   * the prepared-check fast path (core::PreparedTest): per-test rf
-//     enumeration and HbProblem skeletons built once and shared across
-//     every model and worker thread, with the model's must-not-reorder
-//     formula compiled into per-event bitmask rows per cell instead of
-//     re-walked per event pair per rf map,
-//   * backend selection per cell: the explicit-closure engine, the SAT
+//   * mask-class evaluation: the batch's models are compiled once as a
+//     core::FormulaSet, whose masks are written per program in one pass
+//     (shared subformulas evaluated once); models with equal masks on a
+//     program get equal verdicts on each of its outcomes, so every
+//     prepared test (core::PreparedTest: rf maps and HbProblem
+//     skeletons, built once per test) runs one search per distinct
+//     mask its requested models have, not one per cell,
+//   * backend selection per test: the explicit-closure engine, the SAT
 //     engine, or adaptive (explicit for small instances, SAT beyond the
-//     explicit engine's 64-event bitmask limit),
-//   * a work-stealing std::thread pool parallelizing across cells, and
-//   * per-batch statistics (checks run, cache hits, backend split,
-//     formula evaluations saved, wall time).
+//     explicit engine's 64-event bitmask limit, where there are no masks
+//     and each cell evaluates its model per event pair),
+//   * a work-stealing std::thread pool running one task per program run
+//     (analyze, compile masks, then prepare and decide its tests one at
+//     a time), and
+//   * per-batch statistics (cells, checks, searches, cache hits,
+//     backend split, wall time).
 //
 // explore::AdmissibilityMatrix, model fingerprinting, the examples, and
 // the bench sweeps all route through this engine.
@@ -90,7 +95,12 @@ struct VerdictRequest {
 /// Per-batch accounting (also accumulated across an engine's lifetime).
 struct EngineStats {
   std::size_t cells = 0;           ///< verdicts requested
-  std::size_t checks_run = 0;      ///< core::is_allowed invocations
+  std::size_t checks_run = 0;      ///< cells decided by evaluation (not
+                                   ///  by a cache, store or dedup hit)
+  std::size_t searches = 0;        ///< closure or SAT searches run for
+                                   ///  them: one per distinct mask among
+                                   ///  a test's checks (one per check
+                                   ///  beyond 64 events)
   std::size_t cache_hits = 0;      ///< served by the persistent cache
   std::size_t dedup_hits = 0;      ///< shared within the batch via keys
   std::size_t store_hits = 0;      ///< served by the attached verdict store
@@ -101,22 +111,6 @@ struct EngineStats {
                                    ///  one per run of evaluated tests
                                    ///  sharing a program object
                                    ///  (dedup/cache hits build none)
-
-  // Prepared-path accounting (core::PreparedTest).
-  std::size_t rf_enums_saved = 0;  ///< enumerate_read_from calls avoided
-                                   ///  vs one-per-check (checks minus
-                                   ///  distinct tests evaluated)
-  std::size_t skeletons_reused = 0;///< skeleton consultations beyond each
-                                   ///  prepared test's first build
-  std::size_t formula_evals = 0;   ///< formula evaluations run: compiled
-                                   ///  matrix traversals + per-pair
-                                   ///  fallbacks (custom predicates,
-                                   ///  >64-event analyses)
-  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations a
-                                   ///  per-cell core::is_allowed loop
-                                   ///  would have run, minus the
-                                   ///  evaluations above
-
   int threads_used = 1;
   double wall_seconds = 0.0;
 

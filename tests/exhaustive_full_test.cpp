@@ -76,6 +76,10 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 40817u);  // survive the extremes filter
   EXPECT_GT(report.stream.dedup_rate(), 0.9);
+  // The sweep decides candidates x 90 cells by one search per distinct
+  // (test, reorder mask) pair.
+  EXPECT_EQ(report.sweep.checks_run, 40817u * 90u);
+  EXPECT_EQ(report.sweep.searches, 365759u);
 }
 
 TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
@@ -118,6 +122,8 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 219517u);  // survive the extremes filter
   EXPECT_GT(report.stream.dedup_rate(), 0.9);
+  EXPECT_EQ(report.sweep.checks_run, 219517u * 90u);
+  EXPECT_EQ(report.sweep.searches, 2217344u);
 }
 
 }  // namespace

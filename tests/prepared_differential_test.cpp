@@ -3,13 +3,16 @@
 // through the engine's prepared routing) must be bit-for-bit identical
 // to the per-cell core::is_allowed loop it replaced — across the full
 // 90-model space x the Corollary-1 suite, both decision engines, custom
-// predicates, and the compiled reorder masks themselves.
+// predicates, and the reorder masks core::FormulaSet compiles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/checker.h"
+#include "core/formula.h"
 #include "core/prepared.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/suite.h"
@@ -53,43 +56,86 @@ TEST(PreparedDifferential, SatBackendAgreesOnTheCatalog) {
   }
 }
 
+/// Asserts that every row of `mask` is F evaluated per pair on the po
+/// pairs of `an`: bit y of row x iff x != y, po(x, y) and F(x, y); and
+/// that the rows past the analysis are zero.
+void expect_mask_matches_per_pair(const core::ReorderMask& mask,
+                                  const core::Analysis& an,
+                                  const core::MemoryModel& m,
+                                  const std::string& test_name) {
+  ASSERT_EQ(mask.num_events, an.num_events());
+  for (core::EventId x = 0; x < an.num_events(); ++x) {
+    for (core::EventId y = 0; y < an.num_events(); ++y) {
+      const bool in_mask =
+          (mask.rows[static_cast<std::size_t>(x)] & (1ULL << y)) != 0;
+      const bool expected =
+          x != y && an.po(x, y) && m.must_not_reorder(an, x, y);
+      ASSERT_EQ(in_mask, expected) << test_name << " under " << m.name()
+                                   << " pair (" << x << "," << y << ")";
+    }
+  }
+  for (std::size_t x = static_cast<std::size_t>(an.num_events()); x < 64;
+       ++x) {
+    ASSERT_EQ(mask.rows[x], 0u) << test_name << " under " << m.name();
+  }
+}
+
 TEST(PreparedDifferential, CustomPredicateModelsUsePerPairFallback) {
   for (int n = 1; n <= 3; ++n) {
     const auto model = models::special_fence_chain(n);
     ASSERT_TRUE(model.formula().has_custom());
+    const core::FormulaSet set({model.formula()});
     for (int k = 0; k <= 3; ++k) {
       const auto t = models::lb_with_fence_chain(k);
       const PreparedTest prep(t.program(), t.outcome());
-      core::PreparedCheckStats stats;
-      const bool fast = prep.allowed(model, Engine::Explicit, &stats);
+      const bool fast = prep.allowed(model, Engine::Explicit);
       EXPECT_EQ(fast, core::is_allowed(prep.analysis(), model, t.outcome(),
                                        Engine::Explicit))
           << "n=" << n << " k=" << k;
-      // Custom atoms cannot be mask-compiled; the fallback runs per-pair.
-      EXPECT_GT(stats.formula_evals, 1u);
+      // Custom atoms cannot be compiled a row at a time; the set calls
+      // the predicate on every po pair, which must give the per-pair
+      // mask.
+      std::vector<core::ReorderMask> masks;
+      std::vector<std::uint64_t> scratch;
+      set.compile(prep.analysis(), masks, scratch);
+      ASSERT_EQ(masks.size(), 1u);
+      expect_mask_matches_per_pair(masks[0], prep.analysis(), model,
+                                   t.name());
     }
   }
 }
 
-TEST(PreparedDifferential, CompiledMaskMatchesPerPairEvaluation) {
+TEST(PreparedDifferential, FormulaSetMasksMatchPerPairEvaluation) {
+  // One list: the 90-model space, the named zoo and two custom-predicate
+  // models, so subformulas are shared across very different formulas.
+  std::vector<core::MemoryModel> models;
+  for (const auto& c : explore::model_space(true)) {
+    models.push_back(c.to_model());
+  }
+  for (const auto& m : models::all_named_models()) models.push_back(m);
+  models.push_back(models::special_fence_chain(1));
+  models.push_back(models::special_fence_chain(3));
+  std::vector<core::Formula> formulas;
+  std::size_t unshared_nodes = 0;
+  for (const auto& m : models) {
+    formulas.push_back(m.formula());
+    unshared_nodes += core::FormulaSet({m.formula()}).num_nodes();
+  }
+  const core::FormulaSet set(formulas);
+  ASSERT_EQ(set.size(), models.size());
+  // Hash-consing shares the common subformulas.
+  EXPECT_LT(set.num_nodes() * 4, unshared_nodes);
+
+  // One pair of buffers across every analysis, as the engine's workers
+  // reuse theirs: a mask must not keep rows of a larger analysis.
+  std::vector<core::ReorderMask> masks;
+  std::vector<std::uint64_t> scratch;
   for (const auto& t : litmus::full_catalog()) {
-    const PreparedTest prep(t.program(), t.outcome());
-    const auto& an = prep.analysis();
-    for (const auto& m : models::all_named_models()) {
-      core::ReorderMask mask;
-      prep.compile_mask(m, mask);
-      ASSERT_EQ(mask.num_events, an.num_events());
-      for (core::EventId x = 0; x < an.num_events(); ++x) {
-        for (core::EventId y = 0; y < an.num_events(); ++y) {
-          const bool in_mask =
-              (mask.rows[static_cast<std::size_t>(x)] & (1ULL << y)) != 0;
-          const bool expected = x != y && an.po(x, y) &&
-                                m.must_not_reorder(an, x, y);
-          ASSERT_EQ(in_mask, expected)
-              << t.name() << " under " << m.name() << " pair (" << x << ","
-              << y << ")";
-        }
-      }
+    const core::Analysis an(t.program());
+    set.compile(an, masks, scratch);
+    ASSERT_EQ(masks.size(), models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      expect_mask_matches_per_pair(masks[i], an, models[i], t.name());
     }
   }
 }
@@ -121,14 +167,12 @@ TEST(PreparedDifferential, EngineMatrixIdenticalWithAndWithoutPreparedPath) {
   }
   EXPECT_TRUE(a == b);
 
-  // The prepared path actually engaged and did strictly less formula
-  // work than the per-cell loop it replaced — at least 3x fewer
-  // evaluations on this sweep (measured ~8.7x: one compiled-matrix
-  // traversal per check vs po-pairs x rf-maps tree walks).
+  // Every cell was evaluated, by fewer searches than cells: the models
+  // of a program collapse into a few mask classes.
   const auto& stats = prepared_engine.last_stats();
-  EXPECT_GT(stats.formula_evals, 0u);
-  EXPECT_GE(stats.formula_evals_saved, 3 * stats.formula_evals);
-  EXPECT_GT(stats.rf_enums_saved, 0u);
+  EXPECT_EQ(stats.checks_run, models.size() * suite.size());
+  EXPECT_GT(stats.searches, 0u);
+  EXPECT_LT(stats.searches, stats.checks_run);
 }
 
 TEST(PreparedDifferential, StaticallyImpossibleOutcomeIsDisallowed) {
