@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 7,\n");
+    std::fprintf(js, "  \"schema_version\": 8,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -487,10 +487,11 @@ int main(int argc, char** argv) {
                  wall > 0 ? static_cast<double>(s.tests_streamed) / wall : 0.0);
     std::fprintf(js,
                  "  \"stages_seconds\": {\"produce\": %.3f, \"wait\": %.3f, "
-                 "\"keys\": %.3f, \"dedup\": %.3f, \"verdict\": %.3f, "
-                 "\"seal\": %.3f},\n",
-                 s.stages.produce, s.stages.wait, s.stages.keys,
-                 s.stages.dedup, s.stages.verdict, s.stages.seal);
+                 "\"release\": %.3f, \"keys\": %.3f, \"dedup\": %.3f, "
+                 "\"verdict\": %.3f, \"seal\": %.3f},\n",
+                 s.stages.produce, s.stages.wait, s.stages.release,
+                 s.stages.keys, s.stages.dedup, s.stages.verdict,
+                 s.stages.seal);
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);
     if (norun_keys_ns > 0.0) {
       std::fprintf(js,

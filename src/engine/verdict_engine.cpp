@@ -42,7 +42,7 @@ bool parse_backend(const std::string& text, Backend& out) {
 namespace {
 
 /// Row-level store traffic of one batch, shared by the grouped batch
-/// path and the stream: every row is probed under one shared hold and
+/// path and run_rows: every row is probed under one shared hold and
 /// written back under one exclusive hold — one index lookup per row
 /// each way, and a row is written back only if this batch added a
 /// column to it, so rewriting store-served verdicts never dirties the
@@ -51,18 +51,15 @@ class StoreRows {
  public:
   explicit StoreRows(std::size_t words) : words_(words) {}
 
-  void clear() {
-    keys_.clear();
-    want_.clear();
-    valid_.clear();
-    bits_.clear();
-    touched_.clear();
-  }
-
-  /// Adds a row for `key`; returns its index.
-  std::size_t add(util::Key128 key) {
+  /// Adds a row for `key`, asking the probe for the columns set in
+  /// `want` (words_ words; null: none yet); returns its index.
+  std::size_t add(util::Key128 key, const std::uint64_t* want = nullptr) {
     keys_.push_back(key);
-    want_.resize(want_.size() + words_, 0);
+    if (want != nullptr) {
+      want_.insert(want_.end(), want, want + words_);
+    } else {
+      want_.resize(want_.size() + words_, 0);
+    }
     valid_.resize(valid_.size() + words_, 0);
     bits_.resize(bits_.size() + words_, 0);
     touched_.push_back(0);
@@ -125,6 +122,32 @@ class StoreRows {
   std::vector<std::uint64_t> bits_;   ///< rows x words_
   std::vector<char> touched_;         ///< set() added a column
 };
+
+/// Groups `keys` into rows in order of first occurrence: row_of[i] is
+/// the row of keys[i], first[r] the index of row r's first key.
+void group_rows(const std::vector<util::Key128>& keys, std::vector<int>& row_of,
+                std::vector<int>& first) {
+  constexpr int kFree = -1;
+  std::size_t size = 16;
+  while (size < 2 * keys.size()) size *= 2;
+  const std::size_t mask = size - 1;
+  std::vector<int> slots(size, kFree);  // row ids, open-addressed by key
+  row_of.resize(keys.size());
+  first.clear();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::size_t at = static_cast<std::size_t>(keys[i].hi) & mask;
+    while (slots[at] != kFree &&
+           keys[static_cast<std::size_t>(
+               first[static_cast<std::size_t>(slots[at])])] != keys[i]) {
+      at = (at + 1) & mask;
+    }
+    if (slots[at] == kFree) {
+      slots[at] = static_cast<int>(first.size());
+      first.push_back(static_cast<int>(i));
+    }
+    row_of[i] = slots[at];
+  }
+}
 
 /// One program's models grouped by reorder mask, and each group's
 /// verdict on the test being decided: models with equal masks share one
@@ -207,6 +230,23 @@ std::string EngineStats::to_string() const {
   return os.str();
 }
 
+RowModels::RowModels(const std::vector<core::MemoryModel>& models,
+                     store::VerdictStore* vstore)
+    : models_(models), vstore_(vstore) {
+  col_.assign(models.size(), -1);
+  custom_.resize(models.size());
+  if (vstore != nullptr) want_.assign(vstore->words_per_row(), 0);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    custom_[m] = models[m].formula().has_custom() ? 1 : 0;
+    if (vstore == nullptr || custom_[m] != 0) continue;
+    col_[m] = vstore->column_of(store::model_store_key(models[m]));
+    if (col_[m] >= 0) {
+      const auto col = static_cast<std::size_t>(col_[m]);
+      want_[col / 64] |= 1ULL << (col % 64);
+    }
+  }
+}
+
 VerdictEngine::VerdictEngine(EngineOptions options) : options_(options) {
   MCMC_REQUIRE(options_.num_threads >= 0);
 }
@@ -239,30 +279,38 @@ WorkStealingPool& VerdictEngine::pool() {
   return *pool_;
 }
 
+void VerdictEngine::record(const EngineStats& stats) {
+  last_stats_ = stats;
+  total_stats_ += stats;
+}
+
 std::vector<char> VerdictEngine::run_batch(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests) {
-  return run_batch_impl(models, tests, requests, /*fill_cache=*/true,
-                        /*use_cache=*/true);
+  EngineStats stats;
+  auto results = run_batch_impl(models, tests, requests, /*fill_cache=*/true,
+                                /*use_cache=*/true, stats);
+  record(stats);
+  return results;
 }
 
 std::vector<char> VerdictEngine::run_batch_impl(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests, bool fill_cache,
-    bool use_cache) {
+    bool use_cache, EngineStats& stats) {
   util::Timer timer;
   const bool cache_enabled = options_.cache_enabled && use_cache;
   // Batch-level store participation: probing is sound only for
-  // canonical test classes, and the stream fast path (use_cache off)
-  // consults the store itself at stream level, so it is excluded here
-  // the same way the cache is.
+  // canonical test classes, and run_rows (use_cache off) has consulted
+  // the store at row level already, so it is excluded here the same
+  // way the cache is.
   store::VerdictStore* const vstore = use_cache ? store_ : nullptr;
   // The grouping/fingerprint layer runs for either consumer: the
   // in-memory cache, the on-disk store, or both.
   const bool grouped = cache_enabled || vstore != nullptr;
-  EngineStats stats;
+  stats = EngineStats{};
   stats.cells = requests.size();
   std::vector<char> results(requests.size(), 0);
 
@@ -274,11 +322,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
     MCMC_REQUIRE_MSG(r.test >= 0 && r.test < num_tests,
                      "request test index out of range");
   }
-  if (requests.empty()) {
-    last_stats_ = stats;
-    total_stats_ += stats;
-    return results;
-  }
+  if (requests.empty()) return results;
 
   // ---- Which tests and models this batch touches. ----
   std::vector<char> test_used(tests.size(), 0);
@@ -395,10 +439,10 @@ std::vector<char> VerdictEngine::run_batch_impl(
 
   // ---- Group cells into jobs: one evaluation per distinct
   // (model class, test class) pair, with persistent-cache hits resolved
-  // immediately.  Cache-less batches (the streaming fast path: its
-  // canonical filter already proved every test unique) skip the whole
-  // grouping layer — requests map 1:1 onto checks with no Job, slot
-  // list, or group map allocated. ----
+  // immediately.  Cache-less batches (run_rows' direct batch: it has
+  // grouped its cells by row already) skip the whole grouping layer —
+  // requests map 1:1 onto checks with no Job, slot list, or group map
+  // allocated. ----
   struct Job {
     int model = 0;
     int test = 0;
@@ -674,14 +718,18 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
 
   stats.wall_seconds = timer.seconds();
-  last_stats_ = stats;
-  total_stats_ += stats;
   return results;
 }
 
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
+  return grouped_matrix(models, tests, /*fill_cache=*/true);
+}
+
+BitMatrix VerdictEngine::grouped_matrix(
+    const std::vector<core::MemoryModel>& models,
+    const std::vector<litmus::LitmusTest>& tests, bool fill_cache) {
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
   std::vector<VerdictRequest> requests;
@@ -690,7 +738,10 @@ BitMatrix VerdictEngine::run_matrix(
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  const auto verdicts = run_batch(models, tests, requests);
+  EngineStats stats;
+  const auto verdicts = run_batch_impl(models, tests, requests, fill_cache,
+                                       /*use_cache=*/true, stats);
+  record(stats);
 
   BitMatrix matrix(num_models, num_tests);
   std::size_t i = 0;
@@ -702,9 +753,133 @@ BitMatrix VerdictEngine::run_matrix(
   return matrix;
 }
 
+BitMatrix VerdictEngine::run_rows(const RowModels& rows,
+                                  const std::vector<litmus::LitmusTest>& tests,
+                                  const std::vector<util::Key128>& keys) {
+  util::Timer timer;
+  const auto& models = rows.models_;
+  const int num_models = static_cast<int>(models.size());
+  const int num_tests = static_cast<int>(tests.size());
+  MCMC_REQUIRE_MSG(keys.empty() || keys.size() == tests.size(),
+                   "run_rows needs one key per test");
+  BitMatrix verdicts(num_models, num_tests);
+  EngineStats stats;
+  stats.cells = models.size() * tests.size();
+  if (stats.cells == 0) {
+    record(stats);
+    return verdicts;
+  }
+
+  // ---- Rows: tests with equal keys share one. ----
+  std::vector<util::Key128> computed;
+  if (keys.empty()) {
+    computed.resize(tests.size());
+    parallel_ranges(pool(), tests.size(), [&](std::size_t begin,
+                                              std::size_t end) {
+      litmus::KeyScratch scratch;
+      for (std::size_t t = begin; t < end; ++t) {
+        computed[t] = litmus::canonical_fingerprint(tests[t], scratch);
+      }
+    });
+  }
+  const std::vector<util::Key128>& test_keys = keys.empty() ? computed : keys;
+  std::vector<int> row_of;  // test -> row
+  std::vector<int> first;   // row -> its first test
+  group_rows(test_keys, row_of, first);
+  std::vector<std::size_t> row_size(first.size(), 0);
+  for (const int row : row_of) ++row_size[static_cast<std::size_t>(row)];
+
+  // ---- One probe per row, under one shared hold. ----
+  store::VerdictStore* const vstore = rows.vstore_;
+  StoreRows store_rows(vstore != nullptr ? vstore->words_per_row() : 0);
+  if (vstore != nullptr) {
+    for (const int t : first) {
+      (void)store_rows.add(test_keys[static_cast<std::size_t>(t)],
+                           rows.want_.data());
+    }
+    store_rows.probe(*vstore);
+  }
+
+  // ---- The cells the store lacks, for one direct batch: a custom-free
+  // model is decided once per row, on the row's first test; a
+  // custom-predicate model once per test (its verdicts are neither
+  // shared nor stored).  A row's other tests share the verdict: as
+  // cache hits when the store served it, as dedup hits when it is
+  // evaluated, the way a grouped batch counts them. ----
+  std::vector<VerdictRequest> requests;
+  for (int t = 0; t < num_tests; ++t) {
+    const auto row =
+        static_cast<std::size_t>(row_of[static_cast<std::size_t>(t)]);
+    const bool row_first = first[row] == t;
+    for (int m = 0; m < num_models; ++m) {
+      const auto ms = static_cast<std::size_t>(m);
+      const bool custom = rows.custom_[ms] != 0;
+      if (!custom && !row_first) continue;
+      const std::size_t group = custom ? 1 : row_size[row];
+      const int col = rows.col_[ms];
+      if (vstore != nullptr && col >= 0) {
+        const std::optional<bool> hit = store_rows.get(row, col);
+        if (hit.has_value()) {
+          if (*hit) verdicts.set(m, t, true);
+          ++stats.store_hits;
+          stats.cache_hits += group - 1;
+          continue;
+        }
+        ++stats.store_misses;
+      }
+      stats.dedup_hits += group - 1;
+      requests.push_back({m, t});
+    }
+  }
+
+  EngineStats batch;
+  const auto flat = run_batch_impl(models, tests, requests,
+                                   /*fill_cache=*/false, /*use_cache=*/false,
+                                   batch);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto [m, t] = requests[i];
+    const bool verdict = flat[i] != 0;
+    if (verdict) verdicts.set(m, t, true);
+    const int col = rows.col_[static_cast<std::size_t>(m)];
+    if (vstore != nullptr && col >= 0) {
+      store_rows.set(
+          static_cast<std::size_t>(row_of[static_cast<std::size_t>(t)]), col,
+          verdict);
+    }
+  }
+  // Evaluated cells go back to the store, so the next run (or the next
+  // process) serves them from disk.
+  if (vstore != nullptr) store_rows.write_back(*vstore);
+
+  // ---- A row's later tests take its first test's custom-free
+  // verdicts. ----
+  for (int t = 0; t < num_tests; ++t) {
+    const int from = first[static_cast<std::size_t>(
+        row_of[static_cast<std::size_t>(t)])];
+    if (from == t) continue;
+    for (int m = 0; m < num_models; ++m) {
+      if (rows.custom_[static_cast<std::size_t>(m)] == 0 &&
+          verdicts.get(m, from)) {
+        verdicts.set(m, t, true);
+      }
+    }
+  }
+
+  stats.checks_run = batch.checks_run;
+  stats.searches = batch.searches;
+  stats.explicit_checks = batch.explicit_checks;
+  stats.sat_checks = batch.sat_checks;
+  stats.unique_analyses = batch.unique_analyses;
+  stats.threads_used = batch.threads_used;
+  stats.wall_seconds = timer.seconds();
+  record(stats);
+  return verdicts;
+}
+
 StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
   produce += other.produce;
   wait += other.wait;
+  release += other.release;
   keys += other.keys;
   dedup += other.dedup;
   verdict += other.verdict;
@@ -714,9 +889,9 @@ StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
 
 std::string StreamStageTimes::to_string() const {
   std::ostringstream os;
-  os << "produce=" << produce << "s wait=" << wait << "s keys=" << keys
-     << "s dedup=" << dedup << "s verdict=" << verdict << "s seal=" << seal
-     << "s";
+  os << "produce=" << produce << "s wait=" << wait << "s release=" << release
+     << "s keys=" << keys << "s dedup=" << dedup << "s verdict=" << verdict
+     << "s seal=" << seal << "s";
   return os.str();
 }
 
@@ -741,35 +916,46 @@ std::string StreamStats::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// Canonical keys are only sound for models built from the built-in
+/// predicates; one custom-predicate model (or a caller that re-uses the
+/// novel tests against custom models) forces structural keys for the
+/// whole stream filter.
+bool structural_keys(const std::vector<core::MemoryModel>& models,
+                     bool forced) {
+  for (const auto& model : models) {
+    forced = forced || model.formula().has_custom();
+  }
+  return forced;
+}
+
+/// The stream's verdict store: the novel tests take the row path
+/// against it only under canonical dedup keys (the store holds
+/// canonical fingerprints only) with a store column for every streamed
+/// model; null otherwise.
+store::VerdictStore* stream_store(const std::vector<core::MemoryModel>& models,
+                                  store::VerdictStore* vstore,
+                                  bool structural) {
+  if (vstore == nullptr || structural) return nullptr;
+  for (const auto& model : models) {
+    if (vstore->column_of(store::model_store_key(model)) < 0) return nullptr;
+  }
+  return vstore;
+}
+
+}  // namespace
+
 /// One run_stream call: the per-run state, hoisted per-chunk buffers,
-/// and the four stage steps the run loop drives chunk by chunk.
+/// and the stage steps the run loop drives chunk by chunk.
 struct VerdictEngine::StreamRun {
   StreamRun(VerdictEngine& engine, const std::vector<core::MemoryModel>& ms,
             TestSource& source, const StreamOptions& options)
       : eng(engine),
         models(ms),
-        structural(options.force_structural_keys),
-        vstore(options.verdict_store) {
-    // Canonical keys are only sound for models built from the built-in
-    // predicates; one custom-predicate model (or a caller that re-uses
-    // the novel tests against custom models) forces structural keys for
-    // the whole stream filter.
-    for (const auto& model : models) {
-      structural = structural || model.formula().has_custom();
-    }
-
-    // Stream-level verdict store: a novel test whose full verdict row
-    // is on disk skips evaluation; evaluated rows are written back.
-    // Requires canonical dedup keys (the store holds canonical
-    // fingerprints only) and a store column for every swept model.
-    stream_store = vstore != nullptr && !structural;
-    for (std::size_t m = 0; stream_store && m < models.size(); ++m) {
-      store_cols.push_back(
-          vstore->column_of(store::model_store_key(models[m])));
-      stream_store = store_cols.back() >= 0;
-    }
-    if (stream_store) store_rows = StoreRows(vstore->words_per_row());
-
+        structural(structural_keys(ms, options.force_structural_keys)),
+        vstore(options.verdict_store),
+        row_models(ms, stream_store(ms, options.verdict_store, structural)) {
     // Checkpoint/resume.  Restoring happens before the prefetcher
     // exists, directly on the raw source; both restore steps validate
     // before mutating, so a failed resume degrades to streaming from
@@ -810,9 +996,12 @@ struct VerdictEngine::StreamRun {
     input = total.overlapped ? &*prefetcher : &source;
   }
 
-  /// Pulls the next chunk into `chunk`; false once the source is done.
+  /// Frees the previous chunk (release), then pulls the next into
+  /// `chunk`; false once the source is done.
   bool produce(StreamChunkStats& cs) {
+    util::Timer release_timer;
     chunk.clear();
+    cs.stages.release = release_timer.seconds();
     util::Timer timer;
     const bool more = input->next_chunk(chunk);
     cs.stages.produce =
@@ -884,76 +1073,27 @@ struct VerdictEngine::StreamRun {
     cs.stages.dedup = timer.seconds();
   }
 
-  /// Verdict: one row-level store probe over the novel tests, one batch
-  /// for the cells the store missed (a test whose whole row is on disk
-  /// skips evaluation entirely), the write-back, then delivery.
+  /// Verdict: the novel tests move out of the chunk with their keys
+  /// (moving a test moves only its program handle; every Analysis keeps
+  /// its program alive, core::analyze_shared), are decided, and are
+  /// delivered.  Under canonical keys they take the row path: they are
+  /// canonically unique and their keys are store keys, so one row-level
+  /// store probe, one direct batch for the cells the store missed (a
+  /// test whose whole row is on disk skips evaluation entirely) and one
+  /// write-back.  A structural filter leaves canonical within-batch
+  /// sharing worthwhile, so its novel tests take the grouped batch.
   void verdict(StreamChunkStats& cs, const StreamChunkSink& on_chunk) {
     util::Timer timer;
-    const int num_models = static_cast<int>(models.size());
-    BitMatrix verdicts(num_models, static_cast<int>(novel_idx.size()));
-    requests.clear();
-    request_pos.clear();
-    std::size_t served = 0;
-    if (stream_store) {
-      store_rows.clear();
-      for (const int t : novel_idx) {
-        const std::size_t row =
-            store_rows.add(key_hashes[static_cast<std::size_t>(t)]);
-        for (const int col : store_cols) store_rows.want(row, col);
-      }
-      store_rows.probe(*vstore);
-    }
-    for (std::size_t k = 0; k < novel_idx.size(); ++k) {
-      for (int m = 0; m < num_models; ++m) {
-        std::optional<bool> hit;
-        if (stream_store) {
-          hit = store_rows.get(k, store_cols[static_cast<std::size_t>(m)]);
-        }
-        if (hit.has_value()) {
-          if (*hit) verdicts.set(m, static_cast<int>(k), true);
-          ++served;
-        } else {
-          requests.push_back({m, novel_idx[k]});
-          request_pos.push_back(k);
-        }
-      }
-    }
-
-    if (!requests.empty()) {
-      // Under canonical keys the novel tests are canonically unique: no
-      // within-batch group could ever merge, so the batch skips its cache
-      // layer (use_cache = structural) instead of re-deriving every
-      // fingerprint it would intern.  (A structural filter leaves
-      // canonical within-batch sharing worthwhile.)
-      const auto flat = eng.run_batch_impl(models, chunk, requests,
-                                           /*fill_cache=*/false, structural);
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        const int m = requests[i].model;
-        const std::size_t k = request_pos[i];
-        if (flat[i]) verdicts.set(m, static_cast<int>(k), true);
-        if (stream_store) {
-          store_rows.set(k, store_cols[static_cast<std::size_t>(m)],
-                          flat[i] != 0);
-        }
-      }
-      cs.engine = eng.last_stats_;
-      // Write the evaluated cells back so the next cold run (or the
-      // next process) serves them from disk.
-      if (stream_store) store_rows.write_back(*vstore);
-    }
-    if (stream_store) {
-      cs.engine.store_hits += served;
-      cs.engine.store_misses += requests.size();
-    }
-
-    // Deliver: the novel tests move out of the chunk only after the
-    // batch, which reads them through `chunk`, is done.  Moving a test
-    // moves only its program handle; every Analysis keeps its program
-    // alive (core::analyze_shared).
     novel.clear();
+    novel_keys.clear();
     for (const int t : novel_idx) {
       novel.push_back(std::move(chunk[static_cast<std::size_t>(t)]));
+      novel_keys.push_back(key_hashes[static_cast<std::size_t>(t)]);
     }
+    const BitMatrix verdicts =
+        structural ? eng.grouped_matrix(models, novel, /*fill_cache=*/false)
+                   : eng.run_rows(row_models, novel, novel_keys);
+    cs.engine = eng.last_stats_;
     cs.stages.verdict = timer.seconds();
 
     ++total.chunks;
@@ -962,7 +1102,7 @@ struct VerdictEngine::StreamRun {
     total.duplicate_tests += cs.duplicates;
     total.stages += cs.stages;
     total.engine += cs.engine;
-    if (on_chunk) on_chunk(novel, verdicts, cs);
+    if (on_chunk) on_chunk(novel, novel_keys, verdicts, cs);
   }
 
   /// Seal: every K chunks, commit the resumable state (cursor, the
@@ -1025,13 +1165,13 @@ struct VerdictEngine::StreamRun {
   VerdictEngine& eng;
   const std::vector<core::MemoryModel>& models;
   /// Structural dedup keys instead of canonical ones.
-  bool structural;
-  /// The caller's store (may be null); with `stream_store`, novel tests
-  /// probe it row by row, with `persist`, seals commit to it.
+  const bool structural;
+  /// The caller's store (may be null); with `persist`, seals commit to
+  /// it.
   store::VerdictStore* const vstore;
-  bool stream_store = false;
-  std::vector<int> store_cols;
-  StoreRows store_rows{0};
+  /// The streamed models bound to the store the row path probes (see
+  /// stream_store).
+  const RowModels row_models;
   const store::StreamPersistence* persist = nullptr;
   ShardedKeySet seen;
   StreamStats total;
@@ -1045,8 +1185,7 @@ struct VerdictEngine::StreamRun {
   std::vector<util::Key128> key_hashes;
   std::vector<char> dup_of_past;
   std::vector<int> novel_idx;
-  std::vector<VerdictRequest> requests;  // cells the store missed
-  std::vector<std::size_t> request_pos;  // novel position of each request
+  std::vector<util::Key128> novel_keys;
 
   // Keys claimed since the last seal, and the seal counters.
   std::vector<util::Key128> seal_keys;

@@ -29,7 +29,11 @@
 //     and each cell evaluates its model per event pair),
 //   * a work-stealing std::thread pool running one task per program run
 //     (analyze, compile masks, then prepare and decide its tests one at
-//     a time), and
+//     a time),
+//   * row-level verdict-store traffic (run_rows, which the stream and
+//     the Theorem harness's sweep take): one store probe per canonical
+//     class, one direct batch for the cells the store lacks, one
+//     write-back, and
 //   * per-batch statistics (cells, checks, searches, cache hits,
 //     backend split, wall time).
 //
@@ -136,8 +140,9 @@ struct StreamOptions {
   bool force_structural_keys = false;
   /// Persistent verdict store consulted per novel test (caller-owned,
   /// may be null).  When every streamed model has a store column and
-  /// the stream dedups by canonical fingerprints, only the cells the
-  /// store lacks are evaluated — a test whose full verdict row is
+  /// the stream dedups by canonical fingerprints, the novel tests take
+  /// the row-level store path (VerdictEngine::run_rows): only the cells
+  /// the store lacks are evaluated — a test whose full verdict row is
   /// present skips evaluation entirely — and evaluated cells are
   /// written back; this is what makes a warm rerun serve from disk.
   /// Ignored under structural keys (the store holds canonical
@@ -155,13 +160,16 @@ struct StreamOptions {
 /// critical path.  `wait` is the critical-path share of production:
 /// the time the consumer blocked for a chunk the producer thread had
 /// not finished (0 without overlap, where produce is all critical
-/// path).  `keys` is the parallel fingerprint/claim phase, `dedup` the
-/// serial chunk-order ownership resolution, `verdict` the batched
-/// evaluation plus delivery, `seal` the checkpoint seals and the
-/// completion commit of a persisted stream.
+/// path).  `release` is the consumer freeing the previous chunk's
+/// tests before it pulls the next.
+/// `keys` is the parallel fingerprint/claim phase, `dedup` the serial
+/// chunk-order ownership resolution, `verdict` the batched evaluation
+/// plus delivery, `seal` the checkpoint seals and the completion commit
+/// of a persisted stream.
 struct StreamStageTimes {
   double produce = 0.0;
   double wait = 0.0;
+  double release = 0.0;
   double keys = 0.0;
   double dedup = 0.0;
   double verdict = 0.0;
@@ -209,12 +217,34 @@ struct StreamStats {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Per-chunk delivery: the chunk's novel tests, their models x tests
-/// verdict matrix, and the chunk accounting.  Duplicate tests are not
-/// re-delivered (their verdicts equal an earlier chunk's).
+/// Per-chunk delivery: the chunk's novel tests, their dedup keys (the
+/// stream's keys stage computed them: canonical fingerprints, or
+/// structural ones when the stream dedups structurally), their models
+/// x tests verdict matrix, and the chunk accounting.  Duplicate tests
+/// are not re-delivered (their verdicts equal an earlier chunk's).
 using StreamChunkSink = std::function<void(
     const std::vector<litmus::LitmusTest>& novel_tests,
-    const BitMatrix& verdicts, const StreamChunkStats& stats)>;
+    const std::vector<util::Key128>& novel_keys, const BitMatrix& verdicts,
+    const StreamChunkStats& stats)>;
+
+/// A model list bound to a verdict store for VerdictEngine::run_rows:
+/// each model's store column is resolved once, not per call.  Holds
+/// references: `models` and `vstore` (caller-owned, may be null) must
+/// outlive it.
+class RowModels {
+ public:
+  RowModels(const std::vector<core::MemoryModel>& models,
+            store::VerdictStore* vstore);
+
+ private:
+  friend class VerdictEngine;
+
+  const std::vector<core::MemoryModel>& models_;
+  store::VerdictStore* vstore_;
+  std::vector<int> col_;             ///< store column per model, -1: none
+  std::vector<char> custom_;         ///< custom predicates: per test
+  std::vector<std::uint64_t> want_;  ///< the models' store columns
+};
 
 /// Batched, parallel, cached (model, test) verdict evaluation.
 class VerdictEngine {
@@ -242,6 +272,26 @@ class VerdictEngine {
   [[nodiscard]] bool allowed(const core::MemoryModel& model,
                              const litmus::LitmusTest& test);
 
+  /// The row-level store path: the verdict matrix of the models `rows`
+  /// binds x `tests`, with tests keyed by `keys` (parallel to `tests`;
+  /// empty = their canonical fingerprints, computed here).  Tests with
+  /// equal keys share one row: one probe per row of the store `rows`
+  /// binds (may be null) under one shared hold, one direct batch (no
+  /// cache, no grouping layer) for the cells the store lacks — each
+  /// custom-free model decided once per row, on its first test, a
+  /// custom-predicate model per test — and one write-back under one
+  /// exclusive hold of the rows this call added a column to.  With a
+  /// store, keys must be canonical fingerprints
+  /// (litmus::canonical_fingerprint); without one, structural
+  /// fingerprints are sound too.  Verdicts, and the cells, checks,
+  /// searches and store hits and misses of last_stats(), equal those of
+  /// run_matrix on an engine with that store attached and the cache
+  /// off, for distinct models and tests with distinct structural
+  /// fingerprints.
+  [[nodiscard]] BitMatrix run_rows(const RowModels& rows,
+                                   const std::vector<litmus::LitmusTest>& tests,
+                                   const std::vector<util::Key128>& keys);
+
   /// Streaming evaluation: pulls chunks from `source` until exhausted,
   /// evaluates the `models` x chunk product for each, and invokes
   /// `on_chunk` (may be null) after every chunk.  Tests whose canonical
@@ -265,11 +315,13 @@ class VerdictEngine {
                          const StreamOptions& stream_options = {});
 
   /// Attaches a persistent verdict store (caller-owned, may be null to
-  /// detach) consulted by every grouped batch: a (model, test-class)
-  /// pair missing the in-memory cache probes the store before
-  /// evaluating, and evaluated verdicts are written back.  Only models
-  /// with a store column (custom-free, see store::model_store_key)
-  /// participate — the store holds canonical fingerprints exclusively.
+  /// detach) consulted by every grouped batch (run_batch, run_matrix,
+  /// allowed): a (model, test-class) pair missing the in-memory cache
+  /// probes the store before evaluating, and evaluated verdicts are
+  /// written back.  Only models with a store column (custom-free, see
+  /// store::model_store_key) participate — the store holds canonical
+  /// fingerprints exclusively.  run_rows and a canonical-key stream use
+  /// the store they are given instead.
   void set_store(store::VerdictStore* store) { store_ = store; }
 
   /// Stats of the most recent batch.
@@ -286,17 +338,23 @@ class VerdictEngine {
  private:
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch with control over the cache layer.  `fill_cache`
-  /// gates the persistent-cache writes; `use_cache` false skips
-  /// fingerprint computation, interning, and lookups entirely — the
-  /// streaming path passes it for batches whose tests its canonical
-  /// seen-key filter already proved unique (no within-batch group could
-  /// ever merge, so re-deriving fingerprints would be pure overhead).
+  /// run_batch with control over the cache layer, reporting into
+  /// `stats` instead of recording them.  `fill_cache` gates the
+  /// persistent-cache writes; `use_cache` false skips the grouping
+  /// layer entirely — no fingerprints, interning, cache or store —
+  /// which is the direct batch run_rows sends the cells the store
+  /// lacks (it has already grouped them by row).
   [[nodiscard]] std::vector<char> run_batch_impl(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
       const std::vector<VerdictRequest>& requests, bool fill_cache,
-      bool use_cache);
+      bool use_cache, EngineStats& stats);
+  /// The grouped models x tests matrix (run_matrix's body).
+  [[nodiscard]] BitMatrix grouped_matrix(
+      const std::vector<core::MemoryModel>& models,
+      const std::vector<litmus::LitmusTest>& tests, bool fill_cache);
+  /// Makes `stats` the last batch's and adds it to the lifetime total.
+  void record(const EngineStats& stats);
   /// run_stream's per-run state and stage steps (verdict_engine.cpp).
   struct StreamRun;
 

@@ -252,6 +252,7 @@ DistinguishMatrix distinguishability_streamed(
     rep.stream = eng.run_stream(
         models, source,
         [&](const std::vector<litmus::LitmusTest>& novel,
+            const std::vector<util::Key128>& /*novel_keys*/,
             const engine::BitMatrix& verdicts,
             const engine::StreamChunkStats& cs) {
           if (!novel.empty()) folder.fold(verdicts);
@@ -281,29 +282,38 @@ DistinguishMatrix distinguishability_streamed(
   stream_options.verdict_store = options.verdict_store;
   if (persisted) stream_options.persistence = &persist;
 
-  // Candidates are canonically unique already (the stream deduped
-  // them), and the sweep's verdicts are folded immediately, so the
-  // sweep engine runs cache-less: nothing would ever hit, and a
-  // million-test stream must not pin |models| x |tests| entries.
-  engine::EngineOptions sweep_options = eng.options();
-  sweep_options.cache_enabled = false;
-  engine::VerdictEngine sweep(sweep_options);
-  // The sweep still groups by canonical fingerprint when a store is
-  // attached: its verdicts are what a warm rerun serves from disk.
-  sweep.set_store(options.verdict_store);
+  // The sweep takes the engine's row-level store path: one store row
+  // per candidate class, one direct batch for the cells the store
+  // lacks, one write-back.  Its verdicts are folded immediately, so
+  // nothing is cached in memory (a million-test stream must not pin
+  // |models| x |tests| entries); the store is what a warm rerun serves
+  // from.  A separate engine keeps the sweep's statistics apart.
+  engine::VerdictEngine sweep(eng.options());
+  const engine::RowModels sweep_rows(models, options.verdict_store);
+  // Under canonical stream keys the candidates are canonically unique
+  // and the stream's keys are their store rows.  Structural keys are
+  // sound rows only without a store; with one, the sweep keys the
+  // candidates by canonical fingerprint (run_rows computes them when
+  // handed no keys), and candidates sharing one share a row.
+  const bool stream_keys_are_rows = !stream_options.force_structural_keys ||
+                                    options.verdict_store == nullptr;
 
   std::vector<litmus::LitmusTest> candidates;
+  std::vector<util::Key128> candidate_keys;
   rep.stream = eng.run_stream(
       extremes, source,
       [&](const std::vector<litmus::LitmusTest>& novel,
+          const std::vector<util::Key128>& novel_keys,
           const engine::BitMatrix& verdicts,
           const engine::StreamChunkStats& cs) {
         candidates.clear();
+        candidate_keys.clear();
         for (std::size_t i = 0; i < novel.size(); ++i) {
           const bool weak_allows = verdicts.get(0, static_cast<int>(i));
           const bool strong_allows = verdicts.get(1, static_cast<int>(i));
           if (weak_allows && !strong_allows) {
             candidates.push_back(novel[i]);
+            if (stream_keys_are_rows) candidate_keys.push_back(novel_keys[i]);
           } else {
             ++rep.filtered_tests;
           }
@@ -311,7 +321,7 @@ DistinguishMatrix distinguishability_streamed(
         rep.candidate_tests += candidates.size();
         if (!candidates.empty()) {
           util::Timer sweep_timer;
-          folder.fold(sweep.run_matrix(models, candidates));
+          folder.fold(sweep.run_rows(sweep_rows, candidates, candidate_keys));
           rep.sweep_seconds += sweep_timer.seconds();
         }
         if (progress) progress(cs);

@@ -42,6 +42,9 @@ constexpr std::uint32_t kCheckpointKeep = 0;
 constexpr std::uint32_t kCheckpointAbsent = 1;
 constexpr std::uint32_t kCheckpointSet = 2;
 
+/// Slots of the smallest index (a power of two).
+constexpr std::size_t kMinIndexSlots = 64;
+
 Fs& resolve(Fs* fs) { return fs != nullptr ? *fs : RealFs::instance(); }
 
 std::string segment_path(const std::string& path, std::uint32_t index) {
@@ -265,7 +268,8 @@ std::string to_string(OpenOutcome outcome) {
   MCMC_UNREACHABLE("bad OpenOutcome");
 }
 
-VerdictStore::VerdictStore(StoreMeta meta) : meta_(std::move(meta)) {
+VerdictStore::VerdictStore(StoreMeta meta)
+    : meta_(std::move(meta)), slots_(kMinIndexSlots) {
   words_ = (static_cast<std::size_t>(meta_.num_models()) + 63) / 64;
   for (int i = 0; i < meta_.num_models(); ++i) {
     const std::string& key = meta_.model_keys[static_cast<std::size_t>(i)];
@@ -279,30 +283,61 @@ int VerdictStore::column_of(const std::string& model_key) const {
   return it == column_.end() ? -1 : it->second;
 }
 
-std::uint32_t VerdictStore::row_of(util::Key128 test) {
-  auto [it, inserted] = index_.try_emplace(
-      test, static_cast<std::uint32_t>(index_.size()));
-  if (inserted) {
-    valid_.resize(valid_.size() + words_, 0);
-    bits_.resize(bits_.size() + words_, 0);
-    row_dirty_.push_back(0);
+std::size_t VerdictStore::locate(util::Key128 test) const {
+  const std::size_t mask = slots_.size() - 1;
+  const std::uint32_t tag = tag_of(test);
+  // The load bound leaves a free slot, so the walk ends.
+  for (std::size_t i = static_cast<std::size_t>(test.hi) & mask;;
+       i = (i + 1) & mask) {
+    const IndexSlot& slot = slots_[i];
+    if (slot.row == kNoRow || (slot.tag == tag && keys_[slot.row] == test)) {
+      return i;
+    }
   }
-  return it->second;
 }
 
-void VerdictStore::mark_dirty(util::Key128 test, std::uint32_t row) {
+std::uint32_t VerdictStore::find(util::Key128 test) const {
+  return slots_[locate(test)].row;
+}
+
+void VerdictStore::reserve_index(std::size_t rows) {
+  std::size_t size = slots_.size();
+  while (rows * 10 >= size * 7) size *= 2;
+  if (size == slots_.size()) return;
+  slots_.assign(size, IndexSlot{});
+  for (std::size_t row = 0; row < keys_.size(); ++row) {
+    slots_[locate(keys_[row])] = {static_cast<std::uint32_t>(row),
+                                  tag_of(keys_[row])};
+  }
+}
+
+std::uint32_t VerdictStore::row_of(util::Key128 test) {
+  const std::size_t at = locate(test);
+  if (slots_[at].row != kNoRow) return slots_[at].row;
+  MCMC_CHECK_MSG(keys_.size() < kNoRow, "verdict store row count overflow");
+  const auto row = static_cast<std::uint32_t>(keys_.size());
+  keys_.push_back(test);
+  valid_.resize(valid_.size() + words_, 0);
+  bits_.resize(bits_.size() + words_, 0);
+  row_dirty_.push_back(0);
+  slots_[at] = {row, tag_of(test)};
+  reserve_index(keys_.size());
+  return row;
+}
+
+void VerdictStore::mark_dirty(std::uint32_t row) {
   rows_since_base_ = true;
   if (row_dirty_[row] != 0) return;
   row_dirty_[row] = 1;
-  dirty_.emplace_back(test, row);
+  dirty_.push_back(row);
 }
 
 std::optional<bool> VerdictStore::probe_bit_locked(util::Key128 test,
                                                    int col) const {
   MCMC_CHECK_MSG(col >= 0 && col < num_models(), "store column out of range");
-  auto it = index_.find(test);
-  if (it != index_.end()) {
-    const std::size_t base = static_cast<std::size_t>(it->second) * words_;
+  const std::uint32_t row = find(test);
+  if (row != kNoRow) {
+    const std::size_t base = static_cast<std::size_t>(row) * words_;
     const std::size_t word = static_cast<std::size_t>(col) / 64;
     const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(col) % 64);
     if ((valid_[base + word] & mask) != 0) {
@@ -318,9 +353,9 @@ bool VerdictStore::probe_row_locked(util::Key128 test,
                                     const std::vector<int>& cols,
                                     std::vector<std::uint64_t>& out) const {
   out.assign((cols.size() + 63) / 64, 0);
-  auto it = index_.find(test);
-  if (it != index_.end()) {
-    const std::size_t base = static_cast<std::size_t>(it->second) * words_;
+  const std::uint32_t row = find(test);
+  if (row != kNoRow) {
+    const std::size_t base = static_cast<std::size_t>(row) * words_;
     bool all = true;
     for (std::size_t i = 0; i < cols.size(); ++i) {
       const int col = cols[i];
@@ -347,10 +382,9 @@ void VerdictStore::probe_words_locked(util::Key128 test,
                                       const std::uint64_t* want,
                                       std::uint64_t* valid,
                                       std::uint64_t* bits) const {
-  const auto it = index_.find(test);
-  const bool found = it != index_.end();
-  const std::size_t base =
-      found ? static_cast<std::size_t>(it->second) * words_ : 0;
+  const std::uint32_t row = find(test);
+  const bool found = row != kNoRow;
+  const std::size_t base = found ? static_cast<std::size_t>(row) * words_ : 0;
   int hit = 0;
   int miss = 0;
   for (std::size_t w = 0; w < words_; ++w) {
@@ -382,7 +416,7 @@ void VerdictStore::write_row_locked(util::Key128 test,
       changed = true;
     }
   }
-  if (changed) mark_dirty(test, row);
+  if (changed) mark_dirty(row);
 }
 
 void VerdictStore::set_bit_locked(util::Key128 test, int col, bool verdict) {
@@ -395,7 +429,7 @@ void VerdictStore::set_bit_locked(util::Key128 test, int col, bool verdict) {
   if ((valid_[at] & mask) != 0 && value == bits_[at]) return;  // no change
   valid_[at] |= mask;
   bits_[at] = value;
-  mark_dirty(test, row);
+  mark_dirty(row);
 }
 
 void VerdictStore::set_checkpoint(StreamCheckpoint ck) {
@@ -434,25 +468,22 @@ void VerdictStore::clear_checkpoint() {
 std::string VerdictStore::capture_base(std::uint64_t generation) {
   const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
   std::string out;
-  out.reserve(kHeaderSize + 8 + rows_size(index_.size(), words_) +
+  out.reserve(kHeaderSize + 8 + rows_size(keys_.size(), words_) +
               checkpoint_size(ck) + kTrailerSize);
   append_header(out, kBaseMagic, meta_, 0);
   util::append_u64(out, generation);
-  util::append_u64(out, index_.size());
+  util::append_u64(out, keys_.size());
   util::append_u32(out, static_cast<std::uint32_t>(words_));
   util::append_u32(out, 0);
-  // Rows in index order so equal stores serialize identically
-  // regardless of hash-map iteration order (the recovery tests compare
-  // files bit for bit).
-  std::vector<const util::Key128*> keys(index_.size());
-  for (const auto& entry : index_) keys[entry.second] = &entry.first;
-  for (std::size_t row = 0; row < keys.size(); ++row) {
-    append_row(out, *keys[row], &valid_[row * words_], &bits_[row * words_],
+  // Rows in row order, so equal stores serialize identically (the
+  // recovery tests compare files bit for bit).
+  for (std::size_t row = 0; row < keys_.size(); ++row) {
+    append_row(out, keys_[row], &valid_[row * words_], &bits_[row * words_],
                words_);
   }
   append_checkpoint(out, ck, 0);
 
-  for (const auto& entry : dirty_) row_dirty_[entry.second] = 0;
+  for (const std::uint32_t row : dirty_) row_dirty_[row] = 0;
   dirty_.clear();
   rows_since_base_ = false;
   checkpoint_dirty_ = false;
@@ -467,9 +498,9 @@ std::string VerdictStore::capture_segment() {
   util::append_u64(out, dirty_.size());
   util::append_u32(out, static_cast<std::uint32_t>(words_));
   util::append_u32(out, 0);
-  for (const auto& [key, row] : dirty_) {
+  for (const std::uint32_t row : dirty_) {
     const std::size_t base = static_cast<std::size_t>(row) * words_;
-    append_row(out, key, &valid_[base], &bits_[base], words_);
+    append_row(out, keys_[row], &valid_[base], &bits_[base], words_);
     row_dirty_[row] = 0;
   }
   dirty_.clear();
@@ -701,7 +732,8 @@ OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,
       return corrupt("verdict rows geometry");
     }
     const auto n = static_cast<std::size_t>(entry_count);
-    store.index_.reserve(n);
+    store.keys_.reserve(n);
+    store.reserve_index(n);
     store.valid_.reserve(n * W);
     store.bits_.reserve(n * W);
     store.row_dirty_.reserve(n);
@@ -711,12 +743,13 @@ OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,
       for (std::size_t w = 0; w < W; ++w) store.valid_[base + w] = p.read_u64();
       for (std::size_t w = 0; w < W; ++w) store.bits_[base + w] = p.read_u64();
     }
-    if (store.index_.size() != n) p.fail();  // duplicate keys
+    if (store.keys_.size() != n) p.fail();  // duplicate keys
     CheckpointRecord rec;
     read_checkpoint(p, rec);
     if (!p.ok() || p.remaining() != 0 || rec.op == kCheckpointKeep ||
         rec.kept != 0 || !apply_checkpoint(std::move(rec), store.checkpoint_)) {
-      store.index_.clear();
+      store.keys_.clear();
+      store.slots_.assign(kMinIndexSlots, IndexSlot{});
       store.valid_.clear();
       store.bits_.clear();
       store.row_dirty_.clear();

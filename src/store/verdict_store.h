@@ -251,7 +251,7 @@ class VerdictStore {
   [[nodiscard]] int num_models() const { return meta_.num_models(); }
   [[nodiscard]] std::size_t size() const EXCLUDES(mu_) {
     util::SharedLock lock(mu_);
-    return index_.size();
+    return keys_.size();
   }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
 
@@ -387,8 +387,30 @@ class VerdictStore {
 
   enum class CommitMode { kDelta, kFold, kBase };
 
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+  /// One slot of the index: a row and the low 32 bits of its key's
+  /// `lo`, so a probe compares a full key only on a tag match.
+  struct IndexSlot {
+    std::uint32_t row = kNoRow;  ///< kNoRow: the slot is free
+    std::uint32_t tag = 0;
+  };
+
+  [[nodiscard]] static std::uint32_t tag_of(util::Key128 test) {
+    return static_cast<std::uint32_t>(test.lo);
+  }
+  /// The slot holding `test`'s row, or the free slot where it belongs
+  /// (linear probing from the home slot `test.hi`).
+  [[nodiscard]] std::size_t locate(util::Key128 test) const
+      REQUIRES_SHARED(mu_);
+  /// `test`'s row, or kNoRow.
+  [[nodiscard]] std::uint32_t find(util::Key128 test) const
+      REQUIRES_SHARED(mu_);
+  /// Grows the index to hold `rows` rows under its load bound, rehashing
+  /// from `keys_` (a no-op when it already does).
+  void reserve_index(std::size_t rows) REQUIRES(mu_);
+  /// `test`'s row, appended (with empty columns) if absent.
   [[nodiscard]] std::uint32_t row_of(util::Key128 test) REQUIRES(mu_);
-  void mark_dirty(util::Key128 test, std::uint32_t row) REQUIRES(mu_);
+  void mark_dirty(std::uint32_t row) REQUIRES(mu_);
   /// Serializes the whole store as a base of generation `generation`
   /// and clears the change tracking (the base carries everything).
   [[nodiscard]] std::string capture_base(std::uint64_t generation)
@@ -413,8 +435,12 @@ class VerdictStore {
   /// Serializes save() and commit() against each other, so the chain
   /// advances one file at a time.  Taken before mu_, never inside it.
   util::Mutex commit_mu_;
-  std::unordered_map<util::Key128, std::uint32_t, util::Key128Hash> index_
-      GUARDED_BY(mu_);
+  /// The index: every row's key once, in row order (which is also the
+  /// order a base lists them in), and an open-addressed power-of-two
+  /// table of {row, tag} slots over them, kept under 70% load.  No heap
+  /// node per row: 16 bytes of key plus 11-23 bytes of table per row.
+  std::vector<util::Key128> keys_ GUARDED_BY(mu_);
+  std::vector<IndexSlot> slots_ GUARDED_BY(mu_);
   std::vector<std::uint64_t> valid_ GUARDED_BY(mu_);  ///< size() x words_
   std::vector<std::uint64_t> bits_ GUARDED_BY(mu_);   ///< size() x words_
   std::unordered_map<std::string, int> column_;  // immutable post-ctor
@@ -422,7 +448,7 @@ class VerdictStore {
 
   // ---- Change tracking since the last commit (what a segment holds).
   /// Rows added or changed, in the order they were first dirtied.
-  std::vector<std::pair<util::Key128, std::uint32_t>> dirty_ GUARDED_BY(mu_);
+  std::vector<std::uint32_t> dirty_ GUARDED_BY(mu_);
   std::vector<std::uint8_t> row_dirty_ GUARDED_BY(mu_);  ///< per row
   /// Some row changed since the chain's base was written or loaded.
   bool rows_since_base_ GUARDED_BY(mu_) = false;

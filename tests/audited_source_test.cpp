@@ -97,7 +97,8 @@ TEST(AuditedSource, AuditFailureSurfacesFromRunStream) {
     const std::string error = logic_error_of([&] {
       (void)eng.run_stream(
           {models::sc()}, audited,
-          [&](const std::vector<litmus::LitmusTest>&, const engine::BitMatrix&,
+          [&](const std::vector<litmus::LitmusTest>&,
+              const std::vector<util::Key128>&, const engine::BitMatrix&,
               const engine::StreamChunkStats&) { ++delivered_chunks; },
           stream_options);
     });

@@ -225,7 +225,7 @@ TEST(RunStream, ChunkAccountingAndCrossChunkDedup) {
   const auto stats = eng.run_stream(
       models, stream,
       [&](const std::vector<litmus::LitmusTest>& novel,
-          const engine::BitMatrix& verdicts,
+          const std::vector<util::Key128>&, const engine::BitMatrix& verdicts,
           const engine::StreamChunkStats& cs) {
         EXPECT_EQ(cs.streamed, cs.novel + cs.duplicates);
         EXPECT_EQ(novel.size(), cs.novel);
@@ -262,7 +262,8 @@ TEST(RunStream, StreamedVerdictsMatchMaterializedBatch) {
   (void)eng_stream.run_stream(
       models, source,
       [&](const std::vector<litmus::LitmusTest>& novel,
-          const engine::BitMatrix& verdicts, const engine::StreamChunkStats&) {
+          const std::vector<util::Key128>&, const engine::BitMatrix& verdicts,
+          const engine::StreamChunkStats&) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           std::vector<bool> column;
           for (int m = 0; m < verdicts.rows(); ++m) {

@@ -1,0 +1,298 @@
+// Differential coverage of the row-level store path the Theorem harness
+// sweeps its candidates through (VerdictEngine::run_rows): on both
+// 2-access slices, at 1 and 4 threads, a checkpointed harness run must
+// reproduce the store-less run's matrix, leave a store file byte for
+// byte equal to a reference run's, and report the reference's sweep
+// statistics and store traffic.  The reference streams the same
+// extremes and sweeps the same candidates with run_matrix on an engine
+// with the store attached: the grouped path litmusd keeps.  A warm
+// rerun then serves the whole sweep from the store.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "engine/verdict_engine.h"
+#include "enumeration/exhaustive.h"
+#include "explore/distinguish.h"
+#include "explore/space.h"
+#include "models/special_fence.h"
+#include "store/fs.h"
+#include "store/verdict_store.h"
+
+namespace mcmc {
+namespace {
+
+/// Chunks sealed per checkpoint: every chunk, so the segment chain
+/// grows and folds many times over a slice.
+constexpr int kSealEvery = 1;
+
+enumeration::ExhaustiveOptions slice_options(bool deps) {
+  enumeration::ExhaustiveOptions options;
+  options.bounds.max_accesses_per_thread = 2;
+  options.bounds.deps = deps;
+  options.chunk_size = 256;
+  return options;
+}
+
+std::vector<core::MemoryModel> ninety_models() {
+  std::vector<core::MemoryModel> out;
+  for (const auto& c : explore::model_space(true)) out.push_back(c.to_model());
+  return out;
+}
+
+std::string slurp(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(store::RealFs::instance().read_file(path, bytes)) << path;
+  return bytes;
+}
+
+struct SliceRun {
+  explore::DistinguishMatrix matrix;
+  engine::EngineStats sweep;
+  std::size_t candidates = 0;
+  std::uint64_t store_hits = 0;
+  std::uint64_t store_misses = 0;
+  std::string bytes;  ///< the store file the run left
+};
+
+engine::EngineOptions with_threads(int threads) {
+  engine::EngineOptions options;
+  options.num_threads = threads;
+  return options;
+}
+
+/// The harness, checkpointed into a fresh store at `path` (or, with an
+/// empty path, store-less).
+SliceRun harness_run(const std::vector<core::MemoryModel>& models, bool deps,
+                int threads, const std::string& path) {
+  SliceRun run;
+  std::unique_ptr<store::VerdictStore> vstore;
+  store::StreamPersistence persistence;
+  explore::TheoremHarnessOptions options;
+  if (!path.empty()) {
+    vstore = store::VerdictStore::open(path,
+                                       explore::harness_store_meta(models))
+                 .store;
+    persistence.path = path;
+    persistence.checkpoint_every_chunks = kSealEvery;
+    options.verdict_store = vstore.get();
+    options.persistence = &persistence;
+  }
+  engine::VerdictEngine eng(with_threads(threads));
+  enumeration::ExhaustiveStream stream(slice_options(deps));
+  explore::TheoremHarnessReport report;
+  run.matrix = explore::distinguishability_streamed(eng, models, stream,
+                                                    options, &report);
+  run.sweep = report.sweep;
+  run.candidates = report.candidate_tests;
+  if (vstore != nullptr) {
+    run.store_hits = vstore->hits();
+    run.store_misses = vstore->misses();
+    run.bytes = slurp(path);
+  }
+  return run;
+}
+
+/// The harness as it was before the row path: the same extremes
+/// stream, with each chunk's candidates swept by run_matrix on a
+/// cache-less engine with the store attached.  Its seals carry the
+/// harness's sink layout (distinguish.cpp: version, model count,
+/// candidate and filtered counts, sweep seconds, then the distinct
+/// verdict columns), so both runs commit equal-sized segments and fold
+/// at the same seals.
+SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
+                  int threads, const std::string& path) {
+  SliceRun run;
+  const auto n = static_cast<int>(models.size());
+  const std::size_t words = (models.size() + 63) / 64;
+  auto vstore =
+      store::VerdictStore::open(path, explore::harness_store_meta(models))
+          .store;
+  engine::VerdictEngine eng(with_threads(threads));
+  engine::EngineOptions sweep_options = with_threads(threads);
+  sweep_options.cache_enabled = false;
+  engine::VerdictEngine sweep(sweep_options);
+  sweep.set_store(vstore.get());
+
+  run.matrix = explore::DistinguishMatrix(n);
+  std::set<std::vector<std::uint64_t>> columns;
+  std::size_t filtered = 0;
+  store::StreamPersistence persistence;
+  persistence.path = path;
+  persistence.checkpoint_every_chunks = kSealEvery;
+  persistence.save_sink = [&](std::vector<std::uint64_t>& out) {
+    out = {3, models.size(), run.candidates, filtered, 0, columns.size()};
+    for (const auto& column : columns) {
+      out.insert(out.end(), column.begin(), column.end());
+    }
+  };
+  engine::StreamOptions stream_options;
+  for (const auto& model : models) {
+    stream_options.force_structural_keys =
+        stream_options.force_structural_keys || model.formula().has_custom();
+  }
+  stream_options.verdict_store = vstore.get();
+  stream_options.persistence = &persistence;
+
+  enumeration::ExhaustiveStream stream(slice_options(deps));
+  std::vector<litmus::LitmusTest> candidates;
+  (void)eng.run_stream(
+      explore::extreme_models(), stream,
+      [&](const std::vector<litmus::LitmusTest>& novel,
+          const std::vector<util::Key128>&, const engine::BitMatrix& verdicts,
+          const engine::StreamChunkStats&) {
+        candidates.clear();
+        for (std::size_t i = 0; i < novel.size(); ++i) {
+          const auto t = static_cast<int>(i);
+          if (verdicts.get(0, t) && !verdicts.get(1, t)) {
+            candidates.push_back(novel[i]);
+          } else {
+            ++filtered;
+          }
+        }
+        run.candidates += candidates.size();
+        if (candidates.empty()) return;
+        const engine::BitMatrix swept = sweep.run_matrix(models, candidates);
+        for (int t = 0; t < swept.cols(); ++t) {
+          std::vector<std::uint64_t> column(words, 0);
+          for (int m = 0; m < n; ++m) {
+            if (swept.get(m, t)) {
+              column[static_cast<std::size_t>(m) / 64] |=
+                  1ULL << (static_cast<std::size_t>(m) % 64);
+            }
+          }
+          if (columns.insert(column).second) run.matrix.fold_column(column);
+        }
+      },
+      stream_options);
+  run.sweep = sweep.total_stats();
+  run.store_hits = vstore->hits();
+  run.store_misses = vstore->misses();
+  run.bytes = slurp(path);
+  return run;
+}
+
+/// A base file without its generation word and trailer: the header
+/// (56 bytes), then everything after the generation up to the trailer.
+std::string without_generation(const std::string& bytes) {
+  if (bytes.size() < 56 + 8 + 16) return bytes;
+  return bytes.substr(0, 56) + bytes.substr(64, bytes.size() - 64 - 16);
+}
+
+void expect_same_sweep(const engine::EngineStats& got,
+                       const engine::EngineStats& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.cells, want.cells) << label;
+  EXPECT_EQ(got.checks_run, want.checks_run) << label;
+  EXPECT_EQ(got.searches, want.searches) << label;
+  EXPECT_EQ(got.store_hits, want.store_hits) << label;
+  EXPECT_EQ(got.store_misses, want.store_misses) << label;
+  EXPECT_EQ(got.cache_hits, want.cache_hits) << label;
+  EXPECT_EQ(got.dedup_hits, want.dedup_hits) << label;
+  EXPECT_EQ(got.explicit_checks, want.explicit_checks) << label;
+  EXPECT_EQ(got.sat_checks, want.sat_checks) << label;
+  EXPECT_EQ(got.unique_analyses, want.unique_analyses) << label;
+}
+
+class StoreRows : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "store_rows_" + info->name() + ".mcvs";
+    scrub();
+  }
+  void TearDown() override { scrub(); }
+
+  void scrub() const {
+    for (const std::string& base : {path_, path_ + ".ref"}) {
+      for (int i = 0; i <= 64; ++i) {
+        const std::string file =
+            i == 0 ? base : base + "." + std::to_string(i);
+        std::remove(file.c_str());
+        std::remove((file + ".tmp").c_str());
+        std::remove((file + ".corrupt").c_str());
+      }
+    }
+  }
+
+  /// The whole differential on one slice at one thread count; `custom`:
+  /// the last model has custom predicates (and so no store column).
+  void check(const std::vector<core::MemoryModel>& models, bool deps,
+             int threads, bool custom = false) {
+    const std::string label = std::string(deps ? "dep" : "no-dep") +
+                              " slice, " + std::to_string(threads) +
+                              " threads";
+    scrub();
+    const SliceRun bare = harness_run(models, deps, threads, "");
+    const SliceRun rows = harness_run(models, deps, threads, path_);
+    const SliceRun ref = reference_run(models, deps, threads, path_ + ".ref");
+
+    EXPECT_TRUE(rows.matrix == bare.matrix) << label;
+    EXPECT_TRUE(ref.matrix == bare.matrix) << label;
+    EXPECT_GT(bare.matrix.distinguished_pairs(), 0) << label;
+    ASSERT_GT(rows.candidates, 0u) << label;
+    EXPECT_EQ(rows.candidates, ref.candidates) << label;
+
+    ASSERT_FALSE(rows.bytes.empty()) << label;
+    EXPECT_TRUE(rows.bytes == ref.bytes) << label << ": store files differ";
+    expect_same_sweep(rows.sweep, ref.sweep, label);
+    EXPECT_EQ(rows.sweep.cells, models.size() * rows.candidates) << label;
+    EXPECT_EQ(rows.store_hits, ref.store_hits) << label;
+    EXPECT_EQ(rows.store_misses, ref.store_misses) << label;
+
+    // Warm: the finished store serves every sweep cell it has a column
+    // for (all of them, unless a model is custom), and leaves the file
+    // as it was.
+    const SliceRun warm = harness_run(models, deps, threads, path_);
+    EXPECT_TRUE(warm.matrix == bare.matrix) << label;
+    EXPECT_EQ(warm.sweep.cells, rows.sweep.cells) << label;
+    EXPECT_EQ(warm.sweep.store_misses, 0u) << label;
+    if (custom) {
+      EXPECT_EQ(warm.sweep.checks_run, rows.candidates) << label;
+      // Its store holds only the sweep's rows, so the warm run's seals
+      // soon outgrow the base and fold it: a later generation of the
+      // same rows.
+      EXPECT_TRUE(without_generation(warm.bytes) ==
+                  without_generation(rows.bytes))
+          << label << ": a warm run changed a row";
+    } else {
+      EXPECT_EQ(warm.sweep.checks_run, 0u) << label;
+      EXPECT_EQ(warm.sweep.searches, 0u) << label;
+      EXPECT_EQ(warm.sweep.store_hits, warm.sweep.cells) << label;
+      EXPECT_TRUE(warm.bytes == rows.bytes) << label << ": a warm run wrote";
+    }
+  }
+
+  std::string path_;
+};
+
+TEST_F(StoreRows, NoDepSliceMatchesTheGroupedPath) {
+  const auto models = ninety_models();
+  for (const int threads : {1, 4}) check(models, /*deps=*/false, threads);
+}
+
+TEST_F(StoreRows, DepSliceMatchesTheGroupedPath) {
+  const auto models = ninety_models();
+  for (const int threads : {1, 4}) check(models, /*deps=*/true, threads);
+}
+
+TEST_F(StoreRows, StructuralKeysStoreTheGroupedPathsRows) {
+  // A custom-predicate model forces structural stream keys: the sweep
+  // keys its candidates by canonical fingerprint itself, candidates of
+  // one canonical class share a store row, and the custom model's
+  // cells are decided per test and never stored.
+  auto models = ninety_models();
+  models.push_back(models::special_fence_chain(1));
+  ASSERT_TRUE(models.back().formula().has_custom());
+  for (const int threads : {1, 4}) {
+    check(models, /*deps=*/false, threads, /*custom=*/true);
+  }
+}
+
+}  // namespace
+}  // namespace mcmc

@@ -10,9 +10,11 @@
 // store at worst.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -341,6 +343,157 @@ TEST(VerdictStore, MissingFileOpensFresh) {
   auto opened = VerdictStore::open(path, small_meta());
   EXPECT_EQ(opened.outcome, OpenOutcome::Fresh);
   EXPECT_EQ(opened.store->size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The flat row index
+// ---------------------------------------------------------------------------
+
+/// 64 columns: a row's 64 verdict bits tell whose row a probe found.
+StoreMeta wide_meta() {
+  StoreMeta meta;
+  for (int i = 0; i < 64; ++i) {
+    meta.model_keys.push_back("F:m" + std::to_string(i));
+  }
+  return meta;
+}
+
+/// Row i's verdict word.
+std::uint64_t row_pattern(std::size_t i) { return util::mix64(i * 31 + 7); }
+
+/// `n` keys that crowd the index: the all-zero key, clusters of 48
+/// keys sharing `hi` (one home slot), and neighbours sharing `hi`, the
+/// low half of `lo` (the index's tag), its high half, or `hi` and the
+/// low half.  Each shares at most one of these with its neighbour, so
+/// the keys are distinct unless two random halves collide.
+std::vector<util::Key128> crowded_keys(std::size_t n) {
+  constexpr std::uint64_t kLow = 0xffffffffULL;
+  std::vector<util::Key128> keys = {util::Key128{}};
+  for (std::uint64_t i = 1; keys.size() < n; ++i) {
+    util::Key128 key{util::mix64(i), util::mix64(i ^ 0x5bd1e995ULL)};
+    const util::Key128 prev = keys.back();
+    if (i % 4096 != 0 && i % 4096 < 48) key.hi = keys[i - i % 4096].hi;
+    if (i % 17 == 0) {
+      key.hi = prev.hi;
+      key.lo = (key.lo & ~kLow) | (prev.lo & kLow);
+    } else if (i % 13 == 0) {
+      key.lo = (key.lo & kLow) | (prev.lo & ~kLow);
+    } else if (i % 11 == 0) {
+      key.lo = (key.lo & ~kLow) | (prev.lo & kLow);
+    } else if (i % 7 == 0) {
+      key.hi = prev.hi;
+    }
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+/// Probes every key of `keys`: the first `present` must find their own
+/// rows (every column valid, row_pattern bits), the rest must miss.
+void expect_rows(const VerdictStore& store,
+                 const std::vector<util::Key128>& keys, std::size_t present,
+                 const std::string& label) {
+  const std::uint64_t all = ~0ULL;
+  std::size_t wrong = 0;
+  util::SharedLock lock(store.mu());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::uint64_t valid = 0;
+    std::uint64_t bits = 0;
+    store.probe_words_locked(keys[i], &all, &valid, &bits);
+    const bool ok = i < present ? valid == all && bits == row_pattern(i)
+                                : valid == 0 && bits == 0;
+    if (!ok) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u) << label;
+}
+
+TEST(VerdictStoreIndex, EveryKeyFindsItsRowAcrossEveryRehash) {
+  constexpr std::size_t kKeys = 200000;
+  const std::vector<util::Key128> keys = crowded_keys(kKeys + 512);
+  ASSERT_EQ(std::set<util::Key128>(keys.begin(), keys.end()).size(),
+            keys.size());
+  VerdictStore store(wide_meta());
+  const std::uint64_t all = ~0ULL;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    {
+      util::ExclusiveLock lock(store.mu());
+      const std::uint64_t bits = row_pattern(i);
+      store.write_row_locked(keys[i], &all, &bits);
+    }
+    // The index doubles at 70% load from 64 slots; a full check at every
+    // power of two falls between each rehash and the next.
+    const std::size_t n = i + 1;
+    if ((n & (n - 1)) == 0) {
+      ASSERT_EQ(store.size(), n);
+      const auto upto =
+          static_cast<std::ptrdiff_t>(std::min(keys.size(), 2 * n));
+      expect_rows(store, {keys.begin(), keys.begin() + upto}, n,
+                  "after " + std::to_string(n) + " rows");
+    }
+  }
+  EXPECT_EQ(store.size(), kKeys);
+  expect_rows(store, keys, kKeys, "all rows");
+
+  // A reopened store sizes its index once and finds the same rows.
+  const std::string path = temp_path("index_crowded");
+  scrub(path);
+  ASSERT_TRUE(store.save(path));
+  auto opened = VerdictStore::open(path, wide_meta());
+  ASSERT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  EXPECT_EQ(opened.store->size(), kKeys);
+  expect_rows(*opened.store, keys, kKeys, "reopened");
+  scrub(path);
+}
+
+TEST(VerdictStoreIndex, RowsAddedOutOfHashOrderRoundTripByteForByte) {
+  // Insert in descending `hi` order (the reverse of home-slot order);
+  // a base lists rows in insertion order, and reopening and saving it
+  // again writes the same rows, byte for byte.
+  std::vector<util::Key128> keys = crowded_keys(3000);
+  std::sort(keys.begin(), keys.end(),
+            [](const util::Key128& a, const util::Key128& b) { return b < a; });
+  VerdictStore store(wide_meta());
+  const std::uint64_t all = ~0ULL;
+  {
+    util::ExclusiveLock lock(store.mu());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::uint64_t bits = row_pattern(i);
+      store.write_row_locked(keys[i], &all, &bits);
+    }
+  }
+  const std::string p1 = temp_path("index_order1");
+  const std::string p2 = temp_path("index_order2");
+  scrub(p1);
+  scrub(p2);
+  ASSERT_TRUE(store.save(p1));
+  auto opened = VerdictStore::open(p1, wide_meta());
+  ASSERT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
+  expect_rows(*opened.store, keys, keys.size(), "reopened");
+  ASSERT_TRUE(opened.store->save(p2));
+
+  // header(56) generation(8) count(8) words(4) 0(4), then rows of
+  // key(16) valid(8) bits(8), in insertion order.
+  const std::string first = slurp(p1);
+  const std::string second = slurp(p2);
+  constexpr std::size_t kRows = 80;
+  constexpr std::size_t kRowBytes = 32;
+  ASSERT_EQ(first.size(), second.size());
+  ASSERT_GT(first.size(), kRows + keys.size() * kRowBytes);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::string key;
+    util::append_key128(key, keys[i]);
+    ASSERT_EQ(first.substr(kRows + i * kRowBytes, 16), key) << i;
+  }
+  // Only the generation (the second save is the next one) and so the
+  // trailer differ.
+  EXPECT_EQ(first.substr(0, 56), second.substr(0, 56));
+  EXPECT_EQ(first.substr(64, first.size() - 64 - 16),
+            second.substr(64, second.size() - 64 - 16));
+  util::ByteReader g1(first.data() + 56, 8);
+  util::ByteReader g2(second.data() + 56, 8);
+  EXPECT_EQ(g2.read_u64(), g1.read_u64() + 1);
+  scrub(p1);
+  scrub(p2);
 }
 
 // ---------------------------------------------------------------------------
@@ -798,6 +951,23 @@ TEST_F(StoreCorruption, BitFlipAnywhereDetected) {
     spit(path_, damaged);
     expect_quarantined("flip at " + std::to_string(offset));
   }
+}
+
+TEST_F(StoreCorruption, RepeatedRowKeyDetected) {
+  // A base whose row list names one key twice, under a valid checksum:
+  // open() must not adopt either row.  Rows start after the header (56)
+  // and generation, count, words and reserved words (24); each is
+  // key(16) valid(8) bits(8) with three columns.
+  constexpr std::size_t kRows = 80;
+  constexpr std::size_t kRowBytes = 32;
+  std::string key0;
+  util::append_key128(key0, key_of(0));
+  ASSERT_EQ(bytes_.substr(kRows, 16), key0);
+  std::string damaged = bytes_.substr(0, bytes_.size() - 16);
+  damaged.replace(kRows + kRowBytes, 16, key0);
+  util::append_key128(damaged, util::hash128(damaged));
+  spit(path_, damaged);
+  expect_quarantined("row 1 repeats row 0's key");
 }
 
 TEST_F(StoreCorruption, BadMagicDetected) {

@@ -267,6 +267,35 @@ TEST(StreamStages, WaitRecordsTheConsumerBlockedOnTheProducer) {
   EXPECT_GE(without.stages.produce, injected / 2);
 }
 
+TEST(StreamStages, ReleaseRecordsTheConsumerFreeingEachChunk) {
+  // Freeing a chunk's tests before the next pull is charged to
+  // `release`, with and without the producer thread, and it is folded
+  // into the run totals the stage line prints.
+  enumeration::ExhaustiveOptions slice;
+  slice.bounds.max_accesses_per_thread = 2;
+  slice.chunk_size = 256;
+  engine::VerdictEngine eng;
+  for (const bool overlap : {true, false}) {
+    engine::StreamOptions options;
+    options.overlap_production = overlap;
+    enumeration::ExhaustiveStream stream(slice);
+    double chunk_release = 0.0;
+    const auto stats = eng.run_stream(
+        {models::sc()}, stream,
+        [&](const std::vector<litmus::LitmusTest>&,
+            const std::vector<util::Key128>&, const engine::BitMatrix&,
+            const engine::StreamChunkStats& cs) {
+          chunk_release += cs.stages.release;
+        },
+        options);
+    ASSERT_GT(stats.chunks, 1u) << overlap;
+    EXPECT_GT(stats.stages.release, 0.0) << overlap;
+    // The final, empty pull frees the last chunk; no sink sees it.
+    EXPECT_GE(stats.stages.release, chunk_release) << overlap;
+    EXPECT_NE(stats.stages.to_string().find(" release="), std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exception propagation: pool -> run_batch -> run_stream
 // ---------------------------------------------------------------------------
@@ -386,7 +415,7 @@ StreamCapture run_slice_stream(int threads, bool overlap) {
   const auto stats = eng.run_stream(
       models, audited,
       [&](const std::vector<litmus::LitmusTest>& novel,
-          const engine::BitMatrix& verdicts,
+          const std::vector<util::Key128>&, const engine::BitMatrix& verdicts,
           const engine::StreamChunkStats& cs) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           capture.novel_names.push_back(novel[i].name());

@@ -57,7 +57,8 @@ Folded run_once(const std::vector<litmus::LitmusTest>& corpus, int threads,
   const auto stats = eng.run_stream(
       models, source,
       [&](const std::vector<litmus::LitmusTest>& novel,
-          const engine::BitMatrix& verdicts, const engine::StreamChunkStats&) {
+          const std::vector<util::Key128>&, const engine::BitMatrix& verdicts,
+          const engine::StreamChunkStats&) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           folded.names.push_back(novel[i].name());
           for (int m = 0; m < verdicts.rows(); ++m) {
@@ -106,7 +107,8 @@ TEST(StreamStress, ExhaustiveSliceTinyChunksUnderContention) {
     const auto stats = eng.run_stream(
         {models::sc(), models::rmo()}, stream,
         [&](const std::vector<litmus::LitmusTest>& novel,
-            const engine::BitMatrix&, const engine::StreamChunkStats&) {
+            const std::vector<util::Key128>&, const engine::BitMatrix&,
+            const engine::StreamChunkStats&) {
           for (const auto& t : novel) names.push_back(t.name());
         });
     return std::make_pair(std::move(names), stats.novel_tests);
