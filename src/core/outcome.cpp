@@ -1,20 +1,26 @@
 #include "core/outcome.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace mcmc::core {
 
-Outcome::Outcome(std::vector<std::pair<Reg, int>> constraints)
-    : constraints_(std::move(constraints)) {
-  // require()'s checks, in the same order, over the adopted vector (no
-  // second allocation).
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    const Reg reg = constraints_[i].first;
+Outcome::Outcome(std::vector<Constraint> constraints) {
+  // require()'s checks, in the same order.
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    const Reg reg = constraints[i].first;
     MCMC_REQUIRE(reg >= 0);
     for (std::size_t j = 0; j < i; ++j) {
-      MCMC_REQUIRE_MSG(constraints_[j].first != reg,
+      MCMC_REQUIRE_MSG(constraints[j].first != reg,
                        "register constrained more than once");
     }
+  }
+  if (constraints.size() > kInlineCapacity) {
+    spill_ = std::move(constraints);  // adopted, no second allocation
+  } else {
+    std::copy(constraints.begin(), constraints.end(), inline_.begin());
+    inline_size_ = constraints.size();
   }
 }
 
@@ -22,11 +28,19 @@ void Outcome::require(Reg reg, int value) {
   MCMC_REQUIRE(reg >= 0);
   MCMC_REQUIRE_MSG(!required(reg).has_value(),
                    "register constrained more than once");
-  constraints_.emplace_back(reg, value);
+  if (spill_.empty()) {
+    if (inline_size_ < kInlineCapacity) {
+      inline_[inline_size_++] = {reg, value};
+      return;
+    }
+    spill_.assign(inline_.begin(), inline_.end());
+    inline_size_ = 0;
+  }
+  spill_.emplace_back(reg, value);
 }
 
 std::optional<int> Outcome::required(Reg reg) const {
-  for (const auto& [r, v] : constraints_) {
+  for (const auto& [r, v] : constraints()) {
     if (r == reg) return v;
   }
   return std::nullopt;
@@ -34,12 +48,17 @@ std::optional<int> Outcome::required(Reg reg) const {
 
 std::string Outcome::to_string() const {
   std::string out;
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    if (i) out += "; ";
-    out += reg_name(constraints_[i].first) + " = " +
-           std::to_string(constraints_[i].second);
+  for (const auto& [reg, value] : constraints()) {
+    if (!out.empty()) out += "; ";
+    out += reg_name(reg) + " = " + std::to_string(value);
   }
   return out;
+}
+
+bool operator==(const Outcome& a, const Outcome& b) {
+  const Outcome::Constraints x = a.constraints();
+  const Outcome::Constraints y = b.constraints();
+  return std::equal(x.begin(), x.end(), y.begin(), y.end());
 }
 
 }  // namespace mcmc::core

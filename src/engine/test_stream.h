@@ -79,6 +79,12 @@ void for_each_test(TestSource& source, Fn&& fn) {
 /// changes streamed results.  A producer-side exception is rethrown
 /// from next_chunk after the chunks produced before it have been
 /// delivered.
+///
+/// A consumer that hands each spent chunk back (recycle) has its tests
+/// destroyed on the producer thread, which built them, and that
+/// thread refills the same vector storage: freeing a test on another
+/// thread than the one that allocated it is what costs (glibc's
+/// foreign-arena frees slow both threads).
 class ChunkPrefetcher final : public TestSource {
  public:
   /// `depth` bounds the queue (chunks materialized ahead of the
@@ -108,6 +114,19 @@ class ChunkPrefetcher final : public TestSource {
 
   ChunkPrefetcher(const ChunkPrefetcher&) = delete;
   ChunkPrefetcher& operator=(const ChunkPrefetcher&) = delete;
+
+  /// Takes back a delivered chunk and leaves `chunk` empty.  The
+  /// producer destroys its tests and refills its storage before it
+  /// produces its next chunk.  A consumer that holds one chunk at a
+  /// time and hands each back keeps at most depth + 2 chunk buffers in
+  /// circulation.  Chunks handed back after the producer finished are
+  /// freed with the prefetcher.
+  void recycle(std::vector<litmus::LitmusTest>& chunk) {
+    std::vector<litmus::LitmusTest> spent = std::move(chunk);
+    chunk.clear();  // a moved-from vector is only "valid"
+    util::MutexLock lock(mu_);
+    spent_.push_back(std::move(spent));
+  }
 
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
     Item item;
@@ -176,8 +195,16 @@ class ChunkPrefetcher final : public TestSource {
   void produce() {
     for (;;) {
       Item item;
+      {
+        util::MutexLock lock(mu_);
+        if (!spent_.empty()) {
+          item.tests = std::move(spent_.back());
+          spent_.pop_back();
+        }
+      }
       util::Timer timer;
       try {
+        item.tests.clear();  // a handed-back chunk's tests die here
         item.more = source_.next_chunk(item.tests);
         if (capture_cursors_) {
           item.cursor_valid = source_.snapshot_cursor(item.cursor);
@@ -215,6 +242,8 @@ class ChunkPrefetcher final : public TestSource {
   bool done_ GUARDED_BY(mu_) = false;  // source exhausted (or errored)
   bool stop_ GUARDED_BY(mu_) = false;  // destructor: abandon production
   std::exception_ptr error_ GUARDED_BY(mu_);
+  // Chunks handed back by recycle, not yet refilled.
+  std::vector<std::vector<litmus::LitmusTest>> spent_ GUARDED_BY(mu_);
   // Below: consumer-thread-only state (written in next_chunk, read by
   // the consumer's snapshot/stat accessors) — no guard needed.
   double last_produce_seconds_ = 0.0;

@@ -996,11 +996,22 @@ struct VerdictEngine::StreamRun {
     input = total.overlapped ? &*prefetcher : &source;
   }
 
-  /// Frees the previous chunk (release), then pulls the next into
-  /// `chunk`; false once the source is done.
+  /// Releases the previous chunk, then pulls the next into `chunk`;
+  /// false once the source is done.  Release moves the delivered novel
+  /// tests back into their slots and, under overlap, hands the chunk
+  /// back to the producer thread, which destroys the tests it built;
+  /// without overlap it frees them here.
   bool produce(StreamChunkStats& cs) {
     util::Timer release_timer;
-    chunk.clear();
+    for (std::size_t k = 0; k < novel.size(); ++k) {
+      chunk[static_cast<std::size_t>(novel_idx[k])] = std::move(novel[k]);
+    }
+    novel.clear();
+    if (prefetcher) {
+      prefetcher->recycle(chunk);
+    } else {
+      chunk.clear();
+    }
     cs.stages.release = release_timer.seconds();
     util::Timer timer;
     const bool more = input->next_chunk(chunk);
@@ -1074,17 +1085,16 @@ struct VerdictEngine::StreamRun {
   }
 
   /// Verdict: the novel tests move out of the chunk with their keys
-  /// (moving a test moves only its program handle; every Analysis keeps
-  /// its program alive, core::analyze_shared), are decided, and are
-  /// delivered.  Under canonical keys they take the row path: they are
-  /// canonically unique and their keys are store keys, so one row-level
-  /// store probe, one direct batch for the cells the store missed (a
-  /// test whose whole row is on disk skips evaluation entirely) and one
-  /// write-back.  A structural filter leaves canonical within-batch
-  /// sharing worthwhile, so its novel tests take the grouped batch.
+  /// (produce moves them back; every Analysis keeps its program alive,
+  /// core::analyze_shared), are decided, and are delivered.  Under
+  /// canonical keys they take the row path: they are canonically unique
+  /// and their keys are store keys, so one row-level store probe, one
+  /// direct batch for the cells the store missed (a test whose whole row
+  /// is on disk skips evaluation entirely) and one write-back.  A
+  /// structural filter leaves canonical within-batch sharing worthwhile,
+  /// so its novel tests take the grouped batch.
   void verdict(StreamChunkStats& cs, const StreamChunkSink& on_chunk) {
     util::Timer timer;
-    novel.clear();
     novel_keys.clear();
     for (const int t : novel_idx) {
       novel.push_back(std::move(chunk[static_cast<std::size_t>(t)]));

@@ -160,8 +160,11 @@ struct StreamOptions {
 /// critical path.  `wait` is the critical-path share of production:
 /// the time the consumer blocked for a chunk the producer thread had
 /// not finished (0 without overlap, where produce is all critical
-/// path).  `release` is the consumer freeing the previous chunk's
-/// tests before it pulls the next.
+/// path).  `release` is the consumer's share of tearing down the
+/// previous chunk before it pulls the next: under overlap the hand-back
+/// to the producer thread (ChunkPrefetcher::recycle), whose destruction
+/// of the handed-back tests counts in its `produce`; without overlap the
+/// whole teardown.
 /// `keys` is the parallel fingerprint/claim phase, `dedup` the serial
 /// chunk-order ownership resolution, `verdict` the batched evaluation
 /// plus delivery, `seal` the checkpoint seals and the completion commit

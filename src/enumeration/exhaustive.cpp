@@ -64,6 +64,13 @@ ExhaustiveStream::ExhaustiveStream(ExhaustiveOptions options)
     : options_(options), shapes_(shapes::all_thread_shapes(options.bounds)) {
   MCMC_REQUIRE(options_.chunk_size > 0);
   cursor_digest_ = options_digest(options_, shapes_.size());
+  // Every read is one of the two threads' accesses: sized up front, the
+  // per-program buffers never grow while the stream runs.
+  const auto max_reads =
+      static_cast<std::size_t>(2 * options_.bounds.max_accesses_per_thread);
+  read_regs_.reserve(max_reads);
+  read_domain_.reserve(max_reads);
+  odometer_.reserve(max_reads);
 }
 
 bool ExhaustiveStream::done() const { return exhausted_; }
@@ -227,16 +234,15 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
       return false;
     }
 
-    // One allocation per outcome (none for a read-free program); the
-    // program is shared, not copied.
-    std::vector<std::pair<core::Reg, int>> constraints;
-    constraints.reserve(read_regs_.size());
+    // The outcome's constraints live inline, the name fits the string's
+    // inline buffer and the program is shared, so emitting a test
+    // allocates nothing.
+    core::Outcome outcome;
     for (std::size_t k = 0; k < read_regs_.size(); ++k) {
-      constraints.emplace_back(read_regs_[k], odometer_[k]);
+      outcome.require(read_regs_[k], odometer_[k]);
     }
     out.push_back(program_->with_outcome(
-        test_name(program_index_, outcome_index_),
-        core::Outcome(std::move(constraints))));
+        test_name(program_index_, outcome_index_), std::move(outcome)));
     ++emitted_.tests;
     ++outcome_index_;
 

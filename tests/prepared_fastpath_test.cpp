@@ -4,21 +4,29 @@
 // into reused buffers (core::FormulaSet), base po-closure, and the
 // disjunction DFS — performs exactly zero of them, as does the classic
 // explicit engine's non-witness decision on a prebuilt HbProblem.
-// (These overrides are binary-wide, which is why this suite lives in
-// its own test executable.)
+// The same counting pins the stream's per-test cost: building, copying
+// and moving an outcome that fits inline, deriving a test from a
+// program, and emitting a streamed test into a recycled chunk allocate
+// nothing.  (These overrides are binary-wide, which is why these suites
+// live in their own test executable.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/checker.h"
 #include "core/formula.h"
 #include "core/hb.h"
+#include "core/outcome.h"
 #include "core/prepared.h"
+#include "enumeration/exhaustive.h"
+#include "enumeration/shapes.h"
 #include "explore/space.h"
 #include "litmus/catalog.h"
 #include "models/zoo.h"
@@ -173,6 +181,99 @@ TEST(PreparedAllocation, ClassicExplicitDecisionIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   (void)verdict;
+}
+
+// ---------------------------------------------------------------------------
+// Streamed tests
+// ---------------------------------------------------------------------------
+
+/// An outcome at the inline capacity, built with require().
+core::Outcome full_inline_outcome() {
+  core::Outcome outcome;
+  for (std::size_t r = 0; r < core::Outcome::kInlineCapacity; ++r) {
+    outcome.require(static_cast<core::Reg>(r + 1), static_cast<int>(r % 3));
+  }
+  return outcome;
+}
+
+TEST(StreamAllocation, InlineOutcomeBuildCopyAndMoveAllocateNothing) {
+  std::size_t size = 0;
+  bool equal = false;
+  const std::size_t allocs = allocations_during([&] {
+    core::Outcome built = full_inline_outcome();
+    const core::Outcome copy = built;
+    const core::Outcome moved = std::move(built);
+    core::Outcome assigned;
+    assigned = copy;
+    size = moved.constraints().size();
+    equal = moved == copy && assigned == copy;
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(size, core::Outcome::kInlineCapacity);
+  EXPECT_TRUE(equal);
+}
+
+TEST(StreamAllocation, WithOutcomeAllocatesNothing) {
+  // A stream-style name fits the string's inline buffer, the outcome
+  // is copied inline and the program is shared: deriving, copying and
+  // dropping the test touch no heap.
+  const litmus::LitmusTest base = litmus::iriw();
+  const core::Outcome outcome = base.outcome();
+  bool shared = false;
+  const std::size_t allocs = allocations_during([&] {
+    const litmus::LitmusTest derived =
+        base.with_outcome("x887363.4095", outcome);
+    const litmus::LitmusTest copy = derived;
+    shared = &copy.program() == &base.program() && copy.outcome() == outcome;
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(shared);
+}
+
+/// Allocations of building every program of `options`' space once, the
+/// way ExhaustiveStream builds it: materialized, then validated by the
+/// LitmusTest constructor.
+std::size_t program_build_allocations(
+    const enumeration::ExhaustiveOptions& options) {
+  const auto shapes = enumeration::shapes::all_thread_shapes(options.bounds);
+  return allocations_during([&] {
+    for (const auto& a : shapes) {
+      for (const auto& b : shapes) {
+        std::map<int, int> values;
+        const litmus::LitmusTest program(
+            "", enumeration::shapes::materialize_pair(a, b, values),
+            core::Outcome{});
+      }
+    }
+  });
+}
+
+TEST(StreamAllocation, RecycledChunkDrainAllocatesOnlyItsPrograms) {
+  // Emitting a test allocates nothing, so a drain into one recycled
+  // chunk costs exactly its program builds (an outcome held in a
+  // std::vector would add one allocation per test that has a read).
+  for (const bool deps : {false, true}) {
+    enumeration::ExhaustiveOptions options;
+    options.bounds.max_accesses_per_thread = 2;
+    options.bounds.deps = deps;
+    enumeration::ExhaustiveStream stream(options);
+    std::vector<litmus::LitmusTest> chunk;
+    chunk.reserve(static_cast<std::size_t>(options.chunk_size));
+    std::size_t tests_with_reads = 0;
+    const std::size_t drain = allocations_during([&] {
+      bool more = true;
+      while (more) {
+        chunk.clear();  // the tests die; the storage is refilled
+        more = stream.next_chunk(chunk);
+        for (const auto& test : chunk) {
+          if (!test.outcome().empty()) ++tests_with_reads;
+        }
+      }
+    });
+    ASSERT_GT(tests_with_reads, 0u);
+    EXPECT_EQ(drain, program_build_allocations(options))
+        << "deps=" << deps << ", tests with reads: " << tests_with_reads;
+  }
 }
 
 }  // namespace

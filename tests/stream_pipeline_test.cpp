@@ -140,6 +140,26 @@ TEST(ShardedKeySet, ParallelClaimsResolveDeterministically) {
 // engine::ChunkPrefetcher
 // ---------------------------------------------------------------------------
 
+/// Wraps a source and counts the pulls that arrive with storage to
+/// refill: a handed-back chunk whose tests are already destroyed.
+class RefillProbe final : public engine::TestSource {
+ public:
+  explicit RefillProbe(engine::TestSource& source) : source_(source) {}
+  bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
+    EXPECT_TRUE(out.empty());  // the caller clears what it hands over
+    if (out.capacity() > 0) refills_.fetch_add(1);
+    calls_.fetch_add(1);
+    return source_.next_chunk(out);
+  }
+  [[nodiscard]] int refills() const { return refills_.load(); }
+  [[nodiscard]] int calls() const { return calls_.load(); }
+
+ private:
+  engine::TestSource& source_;
+  std::atomic<int> refills_{0};
+  std::atomic<int> calls_{0};
+};
+
 TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   const auto suite = enumeration::corollary1_suite(true);
 
@@ -177,6 +197,28 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   std::vector<litmus::LitmusTest> chunk;
   EXPECT_FALSE(prefetcher.next_chunk(chunk));
   EXPECT_TRUE(chunk.empty());
+
+  // A consumer that hands every chunk back sees the same chunks, and
+  // the producer refills the handed-back storage: a new buffer is made
+  // only while none waits, so at most depth + 2 of them exist.
+  engine::VectorSource recycled(suite, 13);
+  RefillProbe probe(recycled);
+  std::vector<std::vector<std::string>> recycled_chunks;
+  {
+    engine::ChunkPrefetcher recycler(probe, 2);
+    bool more = true;
+    while (more) {
+      more = recycler.next_chunk(chunk);
+      std::vector<std::string> names;
+      for (const auto& t : chunk) names.push_back(t.name());
+      recycled_chunks.push_back(std::move(names));
+      recycler.recycle(chunk);
+      EXPECT_TRUE(chunk.empty());
+    }
+  }
+  EXPECT_EQ(recycled_chunks, direct_chunks);
+  EXPECT_EQ(probe.calls(), static_cast<int>(direct_chunks.size()));
+  EXPECT_GE(probe.refills(), probe.calls() - 4);
 }
 
 TEST(ChunkPrefetcher, EarlyDestructionDoesNotHang) {
@@ -188,6 +230,36 @@ TEST(ChunkPrefetcher, EarlyDestructionDoesNotHang) {
     (void)prefetcher.next_chunk(chunk);  // consume one, abandon the rest
   }
   SUCCEED();
+}
+
+TEST(ChunkPrefetcher, DestructionWithHandedBackChunksNeitherHangsNorLeaks) {
+  // Handed-back chunks the producer has not refilled, mid-stream or
+  // after it finished, are freed with the prefetcher: every program
+  // handle the streamed tests took is released again.
+  const auto suite = enumeration::corollary1_suite(true);
+  std::vector<long> baseline;
+  for (const auto& t : suite) {
+    baseline.push_back(t.shared_program().use_count());
+  }
+  for (const bool exhausted : {false, true}) {
+    {
+      // Two chunks when exhausted: nothing refills the last hand-back.
+      engine::VectorSource wrapped(suite, exhausted ? suite.size() / 2 + 1 : 1);
+      engine::ChunkPrefetcher prefetcher(wrapped, 1);
+      std::vector<litmus::LitmusTest> chunk;
+      bool more = true;
+      for (int i = 0; i < 3 && more; ++i) {
+        more = prefetcher.next_chunk(chunk);
+        EXPECT_FALSE(chunk.empty());
+        prefetcher.recycle(chunk);
+      }
+      EXPECT_EQ(more, !exhausted);
+    }
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      EXPECT_EQ(suite[i].shared_program().use_count(), baseline[i])
+          << suite[i].name() << " exhausted=" << exhausted;
+    }
+  }
 }
 
 namespace {
@@ -220,6 +292,50 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
   EXPECT_EQ(chunk.size(), 4u);
   chunk.clear();
   EXPECT_THROW(prefetcher.next_chunk(chunk), std::runtime_error);
+}
+
+namespace {
+/// Delivers one test per chunk into fresh storage and throws on the
+/// first pull that refills a handed-back chunk.
+class ThrowOnRefillSource final : public engine::TestSource {
+ public:
+  explicit ThrowOnRefillSource(litmus::LitmusTest test)
+      : test_(std::move(test)) {}
+  bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
+    if (out.capacity() > 0) throw std::runtime_error("refill failed");
+    out.push_back(test_);
+    delivered_.fetch_add(1);
+    return true;
+  }
+  [[nodiscard]] int delivered() const { return delivered_.load(); }
+
+ private:
+  litmus::LitmusTest test_;
+  std::atomic<int> delivered_{0};
+};
+}  // namespace
+
+TEST(ChunkPrefetcher, ExceptionAfterHandBackSurfacesAfterEarlierChunks) {
+  ThrowOnRefillSource source(enumeration::corollary1_suite(false).front());
+  engine::ChunkPrefetcher prefetcher(source, 1);
+  std::vector<litmus::LitmusTest> chunk;
+  int received = 0;
+  bool threw = false;
+  // At most depth + 2 fresh buffers exist, so a refill, and with it
+  // the error, comes within a few pulls.
+  for (int pull = 0; pull < 16 && !threw; ++pull) {
+    try {
+      EXPECT_TRUE(prefetcher.next_chunk(chunk));
+      EXPECT_EQ(chunk.size(), 1u);
+      ++received;
+      prefetcher.recycle(chunk);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }
+  ASSERT_TRUE(threw);
+  EXPECT_GE(received, 1);
+  EXPECT_EQ(received, source.delivered());  // every good chunk first
 }
 
 namespace {
@@ -267,10 +383,13 @@ TEST(StreamStages, WaitRecordsTheConsumerBlockedOnTheProducer) {
   EXPECT_GE(without.stages.produce, injected / 2);
 }
 
-TEST(StreamStages, ReleaseRecordsTheConsumerFreeingEachChunk) {
-  // Freeing a chunk's tests before the next pull is charged to
-  // `release`, with and without the producer thread, and it is folded
-  // into the run totals the stage line prints.
+TEST(StreamStages, ReleaseRecordsTheConsumersShareOfChunkTeardown) {
+  // The consumer's share of tearing down each chunk before the next
+  // pull is charged to `release`, with and without the producer
+  // thread, and folded into the run totals the stage line prints.
+  // Under overlap that share is the hand-back: the producer destroys
+  // the tests and refills the storage.  Without overlap the consumer
+  // clears the chunk and the source refills the same vector.
   enumeration::ExhaustiveOptions slice;
   slice.bounds.max_accesses_per_thread = 2;
   slice.chunk_size = 256;
@@ -279,9 +398,10 @@ TEST(StreamStages, ReleaseRecordsTheConsumerFreeingEachChunk) {
     engine::StreamOptions options;
     options.overlap_production = overlap;
     enumeration::ExhaustiveStream stream(slice);
+    RefillProbe probe(stream);
     double chunk_release = 0.0;
     const auto stats = eng.run_stream(
-        {models::sc()}, stream,
+        {models::sc()}, probe,
         [&](const std::vector<litmus::LitmusTest>&,
             const std::vector<util::Key128>&, const engine::BitMatrix&,
             const engine::StreamChunkStats& cs) {
@@ -290,9 +410,12 @@ TEST(StreamStages, ReleaseRecordsTheConsumerFreeingEachChunk) {
         options);
     ASSERT_GT(stats.chunks, 1u) << overlap;
     EXPECT_GT(stats.stages.release, 0.0) << overlap;
-    // The final, empty pull frees the last chunk; no sink sees it.
+    // The final, empty pull releases the last chunk; no sink sees it.
     EXPECT_GE(stats.stages.release, chunk_release) << overlap;
     EXPECT_NE(stats.stages.to_string().find(" release="), std::string::npos);
+    // Only the first pulls get fresh storage: under overlap at most
+    // depth + 2 = 3 chunk buffers circulate, without it one.
+    EXPECT_GE(probe.refills(), probe.calls() - (overlap ? 3 : 1)) << overlap;
   }
 }
 
