@@ -31,8 +31,10 @@
 //   --no-filter         disable the monotone-extremes prefilter
 //   --no-overlap        disable producer-thread chunk prefetching
 //   --audit             collision-audit the hash-based dedup (more RAM,
-//                       and a serial producer); exits nonzero unless
-//                       the audited classes equal the novel tests.
+//                       and a serial producer) and check every repeat
+//                       mark of the stream; exits nonzero unless the
+//                       audited classes equal the novel tests and the
+//                       verified marks equal the skipped repeats.
 //                       Not combinable with --resume
 //   --verify-serial     re-run single-threaded, require a bit-for-bit
 //                       identical distinguishability matrix
@@ -376,6 +378,17 @@ int main(int argc, char** argv) {
                 audited->classes(), report.stream.novel_tests,
                 equal ? "equal" : "MISMATCH");
     ok = ok && equal;
+    // Every mark the audit verified is a test the keys stage skipped.
+    const bool marks_equal =
+        audited->marks_verified() == report.stream.repeat_tests;
+    if (marks_equal) {
+      std::printf("repeat marks verified: %zu\n", audited->marks_verified());
+    } else {
+      std::printf("repeat marks verified: %zu, but the stream skipped %zu: "
+                  "MISMATCH\n",
+                  audited->marks_verified(), report.stream.repeat_tests);
+    }
+    ok = ok && marks_equal;
   }
 
   // ---- Dep keys-cost baseline: with deps on, measure the keys stage
@@ -453,7 +466,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 8,\n");
+    std::fprintf(js, "  \"schema_version\": 9,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -481,6 +494,7 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"tests_streamed\": %zu,\n", s.tests_streamed);
     std::fprintf(js, "  \"novel_tests\": %zu,\n", s.novel_tests);
     std::fprintf(js, "  \"duplicate_tests\": %zu,\n", s.duplicate_tests);
+    std::fprintf(js, "  \"repeat_tests\": %zu,\n", s.repeat_tests);
     std::fprintf(js, "  \"dedup_rate\": %.6f,\n", s.dedup_rate());
     std::fprintf(js, "  \"wall_seconds\": %.3f,\n", wall);
     std::fprintf(js, "  \"tests_per_second\": %.0f,\n",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -74,26 +75,50 @@ int Program::num_registers() const {
 }
 
 void Program::validate() const {
-  std::map<Reg, std::pair<int, int>> def_site;  // reg -> (thread, index)
+  // Definition sites in one flat table, sorted by register and then by
+  // program order: no node per register, and nothing sized by a
+  // register's index.  Registers are unique once redefinitions are
+  // rejected, so a use finds its one definition by binary search.
+  struct Def {
+    Reg reg;
+    int thread;
+    int index;
+    bool operator<(const Def& o) const {
+      return std::tie(reg, thread, index) < std::tie(o.reg, o.thread, o.index);
+    }
+  };
+  std::vector<Def> defs;
+  defs.reserve(static_cast<std::size_t>(size()));
   for (int t = 0; t < num_threads(); ++t) {
     const auto& th = threads_[static_cast<std::size_t>(t)];
     for (int i = 0; i < static_cast<int>(th.size()); ++i) {
-      const auto& instr = th[static_cast<std::size_t>(i)];
-      if (instr.dst >= 0) {
-        if (!def_site.emplace(instr.dst, std::make_pair(t, i)).second) {
-          throw std::invalid_argument("register " + reg_name(instr.dst) +
-                                      " defined more than once");
-        }
-      }
+      const Reg dst = th[static_cast<std::size_t>(i)].dst;
+      if (dst >= 0) defs.push_back({dst, t, i});
     }
   }
+  std::sort(defs.begin(), defs.end());
+  // Report the redefinition a walk in program order would meet first.
+  const auto order = [](const Def& d) { return std::tie(d.thread, d.index); };
+  const Def* redefined = nullptr;
+  for (std::size_t k = 1; k < defs.size(); ++k) {
+    const Def& def = defs[k];
+    if (def.reg != defs[k - 1].reg) continue;
+    if (redefined == nullptr || order(def) < order(*redefined)) {
+      redefined = &def;
+    }
+  }
+  if (redefined != nullptr) {
+    throw std::invalid_argument("register " + reg_name(redefined->reg) +
+                                " defined more than once");
+  }
   auto check_use = [&](Reg r, int t, int i, bool must_be_static) {
-    const auto it = def_site.find(r);
-    if (it == def_site.end()) {
+    const auto it = std::lower_bound(defs.begin(), defs.end(), Def{r, -1, -1});
+    if (it == defs.end() || it->reg != r) {
       throw std::invalid_argument("register " + reg_name(r) +
                                   " used but never defined");
     }
-    const auto [dt, di] = it->second;
+    const int dt = it->thread;
+    const int di = it->index;
     if (dt != t || di >= i) {
       throw std::invalid_argument("register " + reg_name(r) +
                                   " used before its definition");

@@ -28,7 +28,18 @@ bool AuditedSource::next_chunk(std::vector<litmus::LitmusTest>& out) {
       keys_of_[i] = litmus::canonical_key(analysis, test.outcome(), scratch);
     }
   });
-  for (std::size_t i = 0; i < n; ++i) observe(fingerprints_of_[i], keys_of_[i]);
+  const std::vector<char>* marks = source_.repeat_marks();
+  MCMC_CHECK_MSG(marks == nullptr || marks->size() == n,
+                 "repeat marks do not match the chunk's tests");
+  for (std::size_t i = 0; i < n; ++i) {
+    if (marks != nullptr && (*marks)[i] != 0) {
+      MCMC_CHECK_MSG(fingerprints_.count(fingerprints_of_[i]) != 0,
+                     "repeat mark on a test whose class did not occur "
+                     "earlier in the stream");
+      ++marks_verified_;
+    }
+    observe(fingerprints_of_[i], keys_of_[i]);
+  }
   return more;
 }
 

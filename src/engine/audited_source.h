@@ -8,7 +8,11 @@
 // passes on (fanned out per chunk across its own pool, one thread per
 // core), and checks both directions in stream order — one fingerprint
 // with two keys is a collision, one key with two fingerprints is a
-// split.  Either throws std::logic_error.
+// split.  Either throws std::logic_error.  It also checks every repeat
+// mark the source sets (TestSource::repeat_marks), and forwards them: a
+// marked test whose fingerprint was not observed earlier in stream
+// order, counting the earlier tests of its own chunk, throws
+// std::logic_error too.
 //
 // Wrapped by VerdictEngine::run_stream, the audit runs inside the
 // ChunkPrefetcher on the producer thread, so a violation is rethrown
@@ -48,6 +52,9 @@ class AuditedSource final : public TestSource {
       const std::vector<std::uint64_t>& cursor) override {
     return source_.restore_cursor(cursor);
   }
+  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
+    return source_.repeat_marks();
+  }
 
   /// Records that a test with `key` has `fingerprint`; throws on a
   /// collision or a split.
@@ -56,12 +63,17 @@ class AuditedSource final : public TestSource {
   /// Distinct classes observed so far.
   [[nodiscard]] std::size_t classes() const { return keys_.size(); }
 
+  /// Repeat marks checked so far: each one's class had been observed.
+  [[nodiscard]] std::size_t marks_verified() const { return marks_verified_; }
+
  private:
   TestSource& source_;
   WorkStealingPool pool_;
   // Per-chunk buffers, aligned with the chunk's tests.
   std::vector<util::Key128> fingerprints_of_;
   std::vector<std::string> keys_of_;
+
+  std::size_t marks_verified_ = 0;
 
   std::unordered_map<std::string, util::Key128> keys_;
   /// Points at the key strings of `keys_` (node-stable).

@@ -53,6 +53,22 @@ class TestSource {
     (void)cursor;
     return false;
   }
+
+  /// Repeat marks of the tests the most recent next_chunk call
+  /// appended, one entry per test in order, or null when the source
+  /// marks nothing (the default).  A nonzero mark promises that the
+  /// test's canonical class (litmus::canonical_fingerprint) already
+  /// occurred among the tests this source object delivered before it:
+  /// in an earlier chunk, or earlier in the same one.  A consumer that
+  /// dedups canonically and has seen every test the source delivered
+  /// may settle a marked test as a duplicate without fingerprinting
+  /// it.  The marks describe one source object's output, which is why
+  /// they ride beside the chunk and not on the tests.  A wrapper that
+  /// forwards no marks costs its consumer speed only.  Valid until the
+  /// next next_chunk call.
+  [[nodiscard]] virtual const std::vector<char>* repeat_marks() const {
+    return nullptr;
+  }
 };
 
 /// Drains `source` to exhaustion, invoking `fn(test)` for every
@@ -76,9 +92,10 @@ void for_each_test(TestSource& source, Fn&& fn) {
 /// the streaming pipeline runs concurrently with the key/dedup/verdict
 /// stages.  Chunk boundaries and order are exactly the wrapped
 /// source's (one producer, FIFO hand-off), so prefetching never
-/// changes streamed results.  A producer-side exception is rethrown
-/// from next_chunk after the chunks produced before it have been
-/// delivered.
+/// changes streamed results.  Each queued chunk carries the wrapped
+/// source's repeat marks for it, as it carries its cursor.  A
+/// producer-side exception is rethrown from next_chunk after the
+/// chunks produced before it have been delivered.
 ///
 /// A consumer that hands each spent chunk back (recycle) has its tests
 /// destroyed on the producer thread, which built them, and that
@@ -151,6 +168,8 @@ class ChunkPrefetcher final : public TestSource {
     last_produce_seconds_ = item.produce_seconds;
     last_cursor_ = std::move(item.cursor);
     last_cursor_valid_ = item.cursor_valid;
+    last_marks_ = std::move(item.marks);
+    last_marks_valid_ = item.marks_valid;
     return item.more;
   }
 
@@ -172,6 +191,12 @@ class ChunkPrefetcher final : public TestSource {
     return false;
   }
 
+  /// The wrapped source's repeat marks of the most recently delivered
+  /// chunk, captured by the producer with it.
+  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
+    return last_marks_valid_ ? &last_marks_ : nullptr;
+  }
+
   /// Time the producer spent inside the wrapped source's next_chunk for
   /// the most recently delivered chunk (runs concurrently with the
   /// consumer, so it is overlap, not critical-path wall time).
@@ -190,6 +215,8 @@ class ChunkPrefetcher final : public TestSource {
     double produce_seconds = 0.0;
     std::vector<std::uint64_t> cursor;  // source position after this chunk
     bool cursor_valid = false;
+    std::vector<char> marks;  // the source's repeat marks of `tests`
+    bool marks_valid = false;
   };
 
   void produce() {
@@ -208,6 +235,10 @@ class ChunkPrefetcher final : public TestSource {
         item.more = source_.next_chunk(item.tests);
         if (capture_cursors_) {
           item.cursor_valid = source_.snapshot_cursor(item.cursor);
+        }
+        if (const std::vector<char>* marks = source_.repeat_marks()) {
+          item.marks = *marks;
+          item.marks_valid = true;
         }
       } catch (...) {
         util::MutexLock lock(mu_);
@@ -250,6 +281,8 @@ class ChunkPrefetcher final : public TestSource {
   double last_wait_seconds_ = 0.0;
   std::vector<std::uint64_t> last_cursor_;
   bool last_cursor_valid_ = false;
+  std::vector<char> last_marks_;
+  bool last_marks_valid_ = false;
 };
 
 /// Adapter presenting an in-memory corpus as a chunked stream (tests

@@ -906,6 +906,7 @@ std::string StreamStats::to_string() const {
   std::ostringstream os;
   os << "chunks=" << chunks << " streamed=" << tests_streamed
      << " novel=" << novel_tests << " duplicates=" << duplicate_tests
+     << " repeats=" << repeat_tests
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
      << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
      << (overlapped ? " (produce overlapped)" : "") << "]";
@@ -1032,11 +1033,24 @@ struct VerdictEngine::StreamRun {
   /// program's core::KeyFacts once per run of consecutive tests that
   /// share one program object and hashing only each outcome's words;
   /// the 128-bit digest is claimed in the sharded set as it goes.
+  /// Under canonical keys a test the source marks as a repeat is a
+  /// settled duplicate: its class was claimed when it first occurred,
+  /// earlier in this stream, so it is neither fingerprinted nor
+  /// claimed.
   void keys(StreamChunkStats& cs) {
     util::Timer timer;
     const std::size_t n = chunk.size();
     key_hashes.resize(n);
     dup_of_past.assign(n, 0);
+    const std::vector<char>* marks =
+        structural ? nullptr : input->repeat_marks();
+    if (marks != nullptr) {
+      MCMC_CHECK_MSG(marks->size() == n,
+                     "repeat marks do not match the chunk's tests");
+      cs.repeats = static_cast<std::size_t>(
+          std::count_if(marks->begin(), marks->end(),
+                        [](char mark) { return mark != 0; }));
+    }
     seen.begin_chunk();
     parallel_ranges(eng.pool(), n, [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
@@ -1044,6 +1058,10 @@ struct VerdictEngine::StreamRun {
       // equal address means the same object.
       const core::Program* loaded = nullptr;
       for (std::size_t i = begin; i < end; ++i) {
+        if (marks != nullptr && (*marks)[i] != 0) {
+          dup_of_past[i] = 1;
+          continue;
+        }
         const litmus::LitmusTest& test = chunk[i];
         if (structural) {
           key_hashes[i] = litmus::structural_fingerprint(test);
@@ -1110,6 +1128,7 @@ struct VerdictEngine::StreamRun {
     total.tests_streamed += cs.streamed;
     total.novel_tests += cs.novel;
     total.duplicate_tests += cs.duplicates;
+    total.repeat_tests += cs.repeats;
     total.stages += cs.stages;
     total.engine += cs.engine;
     if (on_chunk) on_chunk(novel, novel_keys, verdicts, cs);

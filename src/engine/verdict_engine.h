@@ -188,6 +188,8 @@ struct StreamChunkStats {
   std::size_t streamed = 0;   ///< tests pulled from the source
   std::size_t novel = 0;      ///< first-of-their-class tests evaluated
   std::size_t duplicates = 0; ///< cross-chunk dedup hits
+  std::size_t repeats = 0;    ///< duplicates settled by the source's
+                              ///  repeat marks, without keys
   StreamStageTimes stages;    ///< this chunk's per-stage wall breakdown
   EngineStats engine;         ///< engine stats of this chunk's batch
 };
@@ -198,6 +200,9 @@ struct StreamStats {
   std::size_t tests_streamed = 0;
   std::size_t novel_tests = 0;
   std::size_t duplicate_tests = 0;  ///< cross-chunk dedup hits
+  /// Duplicates settled by the source's repeat marks: their keys were
+  /// never computed (TestSource::repeat_marks).
+  std::size_t repeat_tests = 0;
   StreamStageTimes stages;          ///< accumulated per-stage breakdown
   bool overlapped = false;          ///< producer thread was engaged
   EngineStats engine;               ///< accumulated over chunk batches
@@ -211,7 +216,8 @@ struct StreamStats {
   /// Keys-stage cost per streamed test in nanoseconds — the
   /// fingerprint path's scaling number.  bench_exhaustive reports it
   /// per space so the dep-extended run is directly comparable against
-  /// the no-dep baseline.
+  /// the no-dep baseline.  Marked repeats count as streamed tests
+  /// whose keys cost nothing.
   [[nodiscard]] double keys_ns_per_test() const {
     return tests_streamed == 0
                ? 0.0
@@ -304,6 +310,12 @@ class VerdictEngine {
   /// string ever materialized; engine::AuditedSource cross-checks them
   /// against the string keys), so the peak resident set stays
   /// O(chunk size + unique classes) no matter how long the stream runs.
+  /// Under canonical keys a test the source marks as a repeat
+  /// (TestSource::repeat_marks) is settled as a duplicate without
+  /// being fingerprinted, so `source` must be fresh or just restored:
+  /// run_stream has to see every test it delivers.  Structural keys
+  /// ignore the marks (a canonical repeat need not be a structural
+  /// one).
   ///
   /// The run is a parallel pipeline: chunk production overlaps with
   /// consumption (overlap_production), fingerprinting fans out across

@@ -1,8 +1,9 @@
 #include "enumeration/exhaustive.h"
 
+#include <algorithm>
 #include <charconv>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -44,6 +45,30 @@ std::string test_name(long long program, long long outcome) {
                      std::to_chars(dot + 1, buf + sizeof buf, outcome).ptr);
 }
 
+/// images[s * P + p]: the index of shape s with its locations renamed
+/// by the p-th of the P location permutations.  The shape table is
+/// closed under renaming, so every image is in it.
+std::vector<std::uint32_t> location_images(
+    const std::vector<shapes::ThreadShape>& all,
+    const std::vector<std::vector<int>>& perms) {
+  std::unordered_map<std::string, std::uint32_t> index;
+  for (std::size_t s = 0; s < all.size(); ++s) {
+    index.emplace(shapes::encode(all[s], perms.front()),
+                  static_cast<std::uint32_t>(s));
+  }
+  std::vector<std::uint32_t> images;
+  images.reserve(all.size() * perms.size());
+  for (const auto& shape : all) {
+    for (const auto& perm : perms) {
+      const auto image = index.find(shapes::encode(shape, perm));
+      MCMC_CHECK_MSG(image != index.end(),
+                     "shape table is not closed under location renaming");
+      images.push_back(image->second);
+    }
+  }
+  return images;
+}
+
 /// Calls fn(a, b) for the shape pair of every program the stream
 /// emits, in the order start_next_program visits them: the walk that
 /// count and canonical_program_classes share.
@@ -64,13 +89,20 @@ ExhaustiveStream::ExhaustiveStream(ExhaustiveOptions options)
     : options_(options), shapes_(shapes::all_thread_shapes(options.bounds)) {
   MCMC_REQUIRE(options_.chunk_size > 0);
   cursor_digest_ = options_digest(options_, shapes_.size());
+  const auto perms =
+      shapes::location_permutations(options_.bounds.num_locations);
+  num_perms_ = perms.size();
+  location_images_ = location_images(shapes_, perms);
   // Every read is one of the two threads' accesses: sized up front, the
-  // per-program buffers never grow while the stream runs.
+  // per-program buffers never grow while the stream runs, and neither
+  // do the write counts or a chunk's marks.
   const auto max_reads =
       static_cast<std::size_t>(2 * options_.bounds.max_accesses_per_thread);
   read_regs_.reserve(max_reads);
   read_domain_.reserve(max_reads);
   odometer_.reserve(max_reads);
+  writes_.reserve(static_cast<std::size_t>(options_.bounds.num_locations));
+  marks_.reserve(static_cast<std::size_t>(options_.chunk_size));
 }
 
 bool ExhaustiveStream::done() const { return exhausted_; }
@@ -95,6 +127,7 @@ bool ExhaustiveStream::start_next_program() {
 
     cur_a_ = a;
     cur_b_ = b;
+    repeat_ = repeats_an_emitted_program();
     build_program();
     odometer_.assign(read_regs_.size(), 0);
     outcome_index_ = 0;
@@ -104,15 +137,29 @@ bool ExhaustiveStream::start_next_program() {
   return false;
 }
 
+bool ExhaustiveStream::repeats_an_emitted_program() const {
+  // An image of (a, b) is (a', b') or, with the threads exchanged,
+  // (b', a'), for a' and b' the shapes under one location renaming;
+  // the stream visits pair (i, j) at position i * n + j.
+  const std::size_t n = shapes_.size();
+  const std::uint32_t* a = &location_images_[cur_a_ * num_perms_];
+  const std::uint32_t* b = &location_images_[cur_b_ * num_perms_];
+  const std::size_t here = cur_a_ * n + cur_b_;
+  std::size_t least = here;
+  for (std::size_t p = 0; p < num_perms_; ++p) {
+    least = std::min({least, a[p] * n + b[p], b[p] * n + a[p]});
+  }
+  return least < here && least >= marks_from_;
+}
+
 void ExhaustiveStream::build_program() {
   // ---- Materialize the (cur_a_, cur_b_) program and its read
   // odometer domains.  Deterministic in the pair alone, so a restored
   // cursor re-derives the identical program.  The LitmusTest
   // constructor validates it — the only validation its tests get. ----
-  std::map<int, int> values;
   program_.emplace("",
                    shapes::materialize_pair(shapes_[cur_a_], shapes_[cur_b_],
-                                            values),
+                                            writes_),
                    core::Outcome{});
 
   read_regs_.clear();
@@ -123,9 +170,7 @@ void ExhaustiveStream::build_program() {
   for (const auto& thread : program_->program().threads()) {
     shapes::for_each_read(thread, [&](core::Reg dst, int loc) {
       read_regs_.push_back(dst);
-      const auto written = values.find(loc);
-      read_domain_.push_back(1 +
-                             (written == values.end() ? 0 : written->second));
+      read_domain_.push_back(1 + shapes::writes_to(writes_, loc));
     });
   }
 }
@@ -194,6 +239,11 @@ bool ExhaustiveStream::restore_cursor(
   emitted_.tests = static_cast<long long>(cursor[10]);
   odometer_live_ = live;
 
+  // The programs before the pair cursor were emitted by another
+  // object, and so was the head of a live one: marks start after them.
+  marks_from_ = i_ * n + j_;
+  repeat_ = false;
+
   const auto reject = [this] {
     // A cursor inconsistent with this stream's shapes: reset to a fresh
     // stream so the caller's from-scratch fallback is sound.
@@ -204,6 +254,7 @@ bool ExhaustiveStream::restore_cursor(
     emitted_ = ExhaustiveCounts{};
     odometer_live_ = false;
     odometer_.clear();
+    marks_from_ = 0;
     return false;
   };
 
@@ -224,6 +275,7 @@ bool ExhaustiveStream::restore_cursor(
 }
 
 bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
+  marks_.clear();
   if (exhausted_) return false;
   const std::size_t target =
       out.size() + static_cast<std::size_t>(options_.chunk_size);
@@ -243,6 +295,7 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
     }
     out.push_back(program_->with_outcome(
         test_name(program_index_, outcome_index_), std::move(outcome)));
+    marks_.push_back(repeat_ ? 1 : 0);
     ++emitted_.tests;
     ++outcome_index_;
 
@@ -276,7 +329,7 @@ long long canonical_program_classes(const ExhaustiveOptions& options) {
   // fingerprint-equality == key-equality on the same space).
   std::unordered_set<util::Key128, util::Key128Hash> classes;
   litmus::KeyScratch scratch;
-  std::map<int, int> values;
+  shapes::WriteCounts values;
   for_each_shape_pair(options, [&](const shapes::ThreadShape& a,
                                    const shapes::ThreadShape& b) {
     classes.insert(litmus::canonical_fingerprint(

@@ -59,6 +59,17 @@ struct ExhaustiveCounts {
 /// program object (litmus::LitmusTest::with_outcome), so downstream
 /// stages can build per-program state once per run of consecutive
 /// tests holding the same object.
+///
+/// The space is closed under thread exchange and location renaming,
+/// and canonical fingerprints are invariant under both, so a program's
+/// test classes all occur among the tests of any image of it.  The
+/// stream therefore marks (repeat_marks) every test of a program whose
+/// orbit's least shape pair, in this stream's (i, j) order, came
+/// earlier and was emitted whole by this stream object; only a
+/// program that is least in its orbit goes unmarked, so on a fresh
+/// stream the unmarked programs are one per program class.  A stream
+/// restored from a cursor marks only against the programs it started
+/// itself.
 class ExhaustiveStream final : public engine::TestSource {
  public:
   explicit ExhaustiveStream(ExhaustiveOptions options);
@@ -87,6 +98,13 @@ class ExhaustiveStream final : public engine::TestSource {
   [[nodiscard]] bool restore_cursor(
       const std::vector<std::uint64_t>& cursor) override;
 
+  /// One mark per test of the last chunk: nonzero for the tests of a
+  /// program whose orbit's least shape pair this object emitted
+  /// earlier (see the class comment).
+  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
+    return &marks_;
+  }
+
   [[nodiscard]] bool done() const;
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
   [[nodiscard]] const ExhaustiveOptions& options() const { return options_; }
@@ -102,9 +120,17 @@ class ExhaustiveStream final : public engine::TestSource {
   bool start_next_program();
   /// Builds (and validates) the current program and its read domains.
   void build_program();
+  /// True iff the least image of the current shape pair under thread
+  /// exchange and location renaming precedes it and lies at or after
+  /// marks_from_.
+  [[nodiscard]] bool repeats_an_emitted_program() const;
 
   ExhaustiveOptions options_;
   std::vector<shapes::ThreadShape> shapes_;
+  /// location_images_[s * num_perms_ + p]: the index of shape s with its
+  /// locations renamed by the p-th location permutation.
+  std::vector<std::uint32_t> location_images_;
+  std::size_t num_perms_ = 0;
   std::uint64_t cursor_digest_ = 0;  ///< pins cursors to these options
   ExhaustiveCounts emitted_;
 
@@ -115,6 +141,11 @@ class ExhaustiveStream final : public engine::TestSource {
   bool exhausted_ = false;
   long long program_index_ = -1;  ///< 0-based index of the current program
   long long outcome_index_ = 0;   ///< 0-based odometer position within it
+  /// Stream position (i * shapes + j) of the first program this object
+  /// started itself: it emitted every program from there on whole.
+  std::size_t marks_from_ = 0;
+  bool repeat_ = false;      ///< the current program's tests are marked
+  std::vector<char> marks_;  ///< the last chunk's marks
 
   // The current program, validated once, as an outcome-free test every
   // emitted test is derived from (sharing its program object).
@@ -122,6 +153,7 @@ class ExhaustiveStream final : public engine::TestSource {
   std::vector<core::Reg> read_regs_;         // destination reg per read
   std::vector<int> read_domain_;             // 1 + writes to the read's loc
   std::vector<int> odometer_;                // current outcome assignment
+  shapes::WriteCounts writes_;               // per location, reused
   bool odometer_live_ = false;
 };
 

@@ -1,6 +1,5 @@
 #include "enumeration/naive.h"
 
-#include <map>
 #include <string>
 #include <unordered_set>
 
@@ -70,7 +69,7 @@ std::vector<litmus::LitmusTest> sample_naive_tests(const NaiveOptions& options,
   for (int n = 0; n < count; ++n) {
     const auto& a = shapes[rng.below(shapes.size())];
     const auto& b = shapes[rng.below(shapes.size())];
-    std::map<int, int> values;
+    shapes::WriteCounts values;
     core::Program p = shapes::materialize_pair(a, b, values);
     // Sample an outcome: each read gets the initial value or any value
     // written to its location.  Reads resolve through for_each_read so
@@ -79,8 +78,7 @@ std::vector<litmus::LitmusTest> sample_naive_tests(const NaiveOptions& options,
     core::Outcome outcome;
     for (const auto& th : p.threads()) {
       shapes::for_each_read(th, [&](core::Reg dst, int loc) {
-        const auto written = values.find(loc);
-        const int num_written = written == values.end() ? 0 : written->second;
+        const int num_written = shapes::writes_to(values, loc);
         outcome.require(dst,
                         static_cast<int>(rng.below(
                             static_cast<std::uint64_t>(num_written) + 1)));

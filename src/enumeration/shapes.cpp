@@ -119,10 +119,13 @@ std::vector<std::vector<int>> location_permutations(int n) {
   return out;
 }
 
-core::Thread materialize(const ThreadShape& shape, std::map<int, int>& values,
+core::Thread materialize(const ThreadShape& shape, WriteCounts& values,
                          core::Reg& next_reg) {
   MCMC_REQUIRE_MSG(well_formed(shape), "materialize: ill-formed shape");
   core::Thread t;
+  // An access takes at most two instructions: a separator (fence,
+  // branch or DepConst) and the access itself.
+  t.reserve(2 * shape.size());
   core::Reg prev_read = core::kNoReg;  // register of the preceding read slot
   for (const auto& a : shape) {
     switch (a.sep) {
@@ -147,7 +150,9 @@ core::Thread materialize(const ThreadShape& shape, std::map<int, int>& values,
       }
       prev_read = next_reg++;
     } else {
-      const int v = ++values[a.loc];
+      const auto at = static_cast<std::size_t>(a.loc);
+      if (at >= values.size()) values.resize(at + 1, 0);
+      const int v = ++values[at];
       if (a.sep == Sep::DataDep) {
         // TestBuilder::dep_write: t = r - r + v ; Write loc <- t
         const core::Reg tmp = next_reg++;
@@ -163,7 +168,7 @@ core::Thread materialize(const ThreadShape& shape, std::map<int, int>& values,
 }
 
 core::Program materialize_pair(const ThreadShape& a, const ThreadShape& b,
-                               std::map<int, int>& values) {
+                               WriteCounts& values) {
   values.clear();
   core::Reg next_reg = 0;
   std::vector<core::Thread> threads;

@@ -19,8 +19,8 @@
 // tests land in the same canonical classes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -101,6 +101,16 @@ using ThreadShape = std::vector<Access>;
 /// All permutations of {0, ..., n-1} in lexicographic order.
 [[nodiscard]] std::vector<std::vector<int>> location_permutations(int n);
 
+/// Writes per location, indexed by location: a flat table that grows
+/// to the highest written location, so a reused one stops allocating.
+using WriteCounts = std::vector<int>;
+
+/// The writes `counts` records for `loc` (0 past its end).
+[[nodiscard]] inline int writes_to(const WriteCounts& counts, int loc) {
+  const auto at = static_cast<std::size_t>(loc);
+  return at < counts.size() ? counts[at] : 0;
+}
+
 /// Materializes a shape: writes store 1, 2, ... per location (continuing
 /// `values`, which is shared across the program's threads), reads load
 /// into fresh registers from `next_reg`.  Dep separators materialize the
@@ -108,7 +118,7 @@ using ThreadShape = std::vector<Access>;
 /// read address or a write value, CtrlDep emits a branch on the
 /// preceding read's register.
 [[nodiscard]] core::Thread materialize(const ThreadShape& shape,
-                                       std::map<int, int>& values,
+                                       WriteCounts& values,
                                        core::Reg& next_reg);
 
 /// The two-thread program (a, b): a's thread then b's, materialized
@@ -118,7 +128,7 @@ using ThreadShape = std::vector<Access>;
 /// programs through this, so their programs cannot drift apart.
 [[nodiscard]] core::Program materialize_pair(const ThreadShape& a,
                                              const ThreadShape& b,
-                                             std::map<int, int>& values);
+                                             WriteCounts& values);
 
 /// Calls fn(dst_reg, loc) for every read of `thread`, in order, with
 /// the read's statically resolved target location: a register-indirect

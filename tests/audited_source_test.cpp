@@ -1,7 +1,8 @@
 // The stream fingerprint audit (engine::AuditedSource): the two-way
 // fingerprint/key check fails on a fake collision and on a fake split,
-// a failing audit surfaces from run_stream through the producer thread,
-// and a passing one forwards cursors and counts the stream's classes.
+// a repeat mark on a novel test fails too, a failing audit surfaces
+// from run_stream through the producer thread, and a passing one
+// forwards cursors and counts the stream's classes.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -105,6 +106,62 @@ TEST(AuditedSource, AuditFailureSurfacesFromRunStream) {
     EXPECT_NE(error.find("128-bit fingerprint collision"), std::string::npos)
         << "threads=" << threads << ": " << error;
     EXPECT_GT(delivered_chunks, 0u) << "threads=" << threads;
+  }
+}
+
+/// A suite stream that marks its first test, a novel one, as a repeat.
+class FirstTestMarkedSource final : public engine::TestSource {
+ public:
+  explicit FirstTestMarkedSource(std::size_t chunk_size)
+      : inner_(enumeration::corollary1_suite(false), chunk_size) {}
+
+  bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
+    const std::size_t first = out.size();
+    const bool more = inner_.next_chunk(out);
+    marks_.assign(out.size() - first, 0);
+    if (delivered_ == 0 && !marks_.empty()) marks_[0] = 1;
+    delivered_ += marks_.size();
+    return more;
+  }
+  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
+    return &marks_;
+  }
+
+ private:
+  engine::VectorSource inner_;
+  std::vector<char> marks_;
+  std::size_t delivered_ = 0;
+};
+
+TEST(AuditedSource, RejectsARepeatMarkOnANovelTest) {
+  const std::string expected = "repeat mark on a test whose class did not";
+  {
+    FirstTestMarkedSource source(8);
+    engine::AuditedSource audited(source);
+    const std::string error = logic_error_of([&] {
+      engine::for_each_test(audited, [](const litmus::LitmusTest&) {});
+    });
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+  }
+  // Through run_stream the audit runs on the producer thread, and
+  // run_stream rethrows its failure before any chunk is delivered.
+  for (const int threads : {1, 4}) {
+    FirstTestMarkedSource source(8);
+    engine::AuditedSource audited(source);
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::VerdictEngine eng(options);
+    std::size_t delivered_chunks = 0;
+    const std::string error = logic_error_of([&] {
+      (void)eng.run_stream(
+          {models::sc()}, audited,
+          [&](const std::vector<litmus::LitmusTest>&,
+              const std::vector<util::Key128>&, const engine::BitMatrix&,
+              const engine::StreamChunkStats&) { ++delivered_chunks; });
+    });
+    EXPECT_NE(error.find(expected), std::string::npos)
+        << "threads=" << threads << ": " << error;
+    EXPECT_EQ(delivered_chunks, 0u) << "threads=" << threads;
   }
 }
 

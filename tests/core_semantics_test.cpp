@@ -4,6 +4,9 @@
 // hardware models.  Every verdict is checked with both engines.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/analysis.h"
 #include "core/checker.h"
 #include "core/formula.h"
@@ -121,6 +124,36 @@ TEST(ProgramValidation, RejectsDynamicAddressRegister) {
   // Address register defined by a Read: not statically resolvable.
   p.add_thread({core::make_read(0, 1), core::make_read_indirect(1, 2)});
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+/// The message Program::validate throws ("" if it accepts).
+std::string validation_error(const Program& p) {
+  try {
+    p.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ProgramValidation, ReportsViolationsInProgramOrder) {
+  // r1 is redefined later in program order than r2 is, though r1 sorts
+  // first; a redefinition is reported before an earlier bad use.
+  Program redefinitions;
+  redefinitions.add_thread({core::make_read(0, 2), core::make_read(1, 1),
+                            core::make_read(2, 2)});
+  redefinitions.add_thread({core::make_read(0, 1)});
+  EXPECT_EQ(validation_error(redefinitions),
+            "register r2 defined more than once");
+  Program use_then_redefinition;
+  use_then_redefinition.add_thread({core::make_branch(5), core::make_read(0, 0),
+                                    core::make_read(1, 0)});
+  EXPECT_EQ(validation_error(use_then_redefinition),
+            "register r0 defined more than once");
+  Program uses;
+  uses.add_thread({core::make_branch(5), core::make_read_indirect(3, 4),
+                   core::make_dep_const(3, 4, 0)});
+  EXPECT_EQ(validation_error(uses), "register r5 used but never defined");
 }
 
 TEST(ProgramValidation, AcceptsCatalog) {

@@ -26,6 +26,7 @@
 #include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
+#include "repeat_mark_tally.h"
 
 namespace mcmc {
 namespace {
@@ -44,11 +45,13 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   enumeration::ExhaustiveOptions options;  // the full default bounds
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
+  RepeatMarkTally tally(stream);
   // Collision-audit the hash-based dedup over the whole 5.16M-test
   // space: every class's full canonical key is retained and checked
   // against its 128-bit hash, so the equivalence below also proves the
-  // hash dedup changes nothing (a collision throws mid-stream).
-  engine::AuditedSource audited(stream);
+  // hash dedup changes nothing (a collision throws mid-stream).  The
+  // audit also checks every repeat mark the keys stage trusts.
+  engine::AuditedSource audited(tally);
   explore::TheoremHarnessReport report;
   const auto by_naive = explore::distinguishability_streamed(
       eng, models, audited, explore::TheoremHarnessOptions{}, &report);
@@ -72,6 +75,14 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   EXPECT_EQ(report.stream.novel_tests, 445565u);  // canonical test classes
   // The engine's novel tests are exactly the audited classes.
   EXPECT_EQ(report.stream.novel_tests, audited.classes());
+  // Every test of a program outside its orbit's least shape pair is
+  // marked, checked by the audit and never keyed; the unmarked programs
+  // are one per program class.
+  EXPECT_EQ(tally.marked_tests(), 4713317u);
+  EXPECT_EQ(audited.marks_verified(), 4713317u);
+  EXPECT_EQ(report.stream.repeat_tests, 4713317u);
+  EXPECT_EQ(tally.unmarked_programs(), 74702u);
+  EXPECT_EQ(tally.mixed_programs(), 0u);
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 40817u);  // survive the extremes filter
@@ -95,6 +106,7 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   options.bounds.deps = true;              // ...plus dependency slots
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
+  RepeatMarkTally tally(stream);
   explore::TheoremHarnessReport report;
   explore::TheoremHarnessOptions harness;
   // No collision audit here: the fingerprint/string-key cross-check
@@ -103,7 +115,7 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   // space retaining every class's key string costs ~800 MB of RSS and
   // ~5x keys-stage time for no additional dep-specific coverage.
   const auto by_naive = explore::distinguishability_streamed(
-      eng, models, stream, harness, &report);
+      eng, models, tally, harness, &report);
 
   // ---- The headline with-dep equivalence, bit for bit. ----
   EXPECT_TRUE(by_naive == by_suite_dep)
@@ -118,6 +130,10 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   EXPECT_EQ(stream.emitted().programs, 4235364);
   EXPECT_EQ(enumeration::canonical_program_classes(options), 355482);
   EXPECT_EQ(report.stream.novel_tests, 2198389u);  // canonical test classes
+  EXPECT_EQ(tally.marked_tests(), 23234315u);
+  EXPECT_EQ(report.stream.repeat_tests, 23234315u);
+  EXPECT_EQ(tally.unmarked_programs(), 355482u);
+  EXPECT_EQ(tally.mixed_programs(), 0u);
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 219517u);  // survive the extremes filter

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <new>
 #include <utility>
 #include <vector>
@@ -231,15 +230,16 @@ TEST(StreamAllocation, WithOutcomeAllocatesNothing) {
 }
 
 /// Allocations of building every program of `options`' space once, the
-/// way ExhaustiveStream builds it: materialized, then validated by the
-/// LitmusTest constructor.
+/// way ExhaustiveStream builds it: materialized into write counts sized
+/// up front, then validated by the LitmusTest constructor.
 std::size_t program_build_allocations(
     const enumeration::ExhaustiveOptions& options) {
   const auto shapes = enumeration::shapes::all_thread_shapes(options.bounds);
+  enumeration::shapes::WriteCounts values;
+  values.reserve(static_cast<std::size_t>(options.bounds.num_locations));
   return allocations_during([&] {
     for (const auto& a : shapes) {
       for (const auto& b : shapes) {
-        std::map<int, int> values;
         const litmus::LitmusTest program(
             "", enumeration::shapes::materialize_pair(a, b, values),
             core::Outcome{});

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -61,7 +60,7 @@ TEST(ShapeWellFormed, EncodeAndMaterializeRejectIllFormedShapes) {
   const ThreadShape bad = shape_of({{true, 0, Sep::Fence}});
   const std::vector<int> id_perm = {0, 1, 2};
   EXPECT_THROW((void)encode(bad, id_perm), std::invalid_argument);
-  std::map<int, int> values;
+  WriteCounts values;
   core::Reg next_reg = 0;
   EXPECT_THROW((void)materialize(bad, values, next_reg),
                std::invalid_argument);
@@ -148,7 +147,7 @@ TEST(ShapeArithmetic, CheckedMulAndAddFailLoudlyOnOverflow) {
 // ---------------------------------------------------------------------------
 
 TEST(ShapeMaterialize, DataDepReadUsesDepConstPlusIndirectRead) {
-  std::map<int, int> values;
+  WriteCounts values;
   core::Reg next_reg = 0;
   const auto t = materialize(shape_of({{true, 2}, {true, 0, Sep::DataDep}}),
                              values, next_reg);
@@ -168,7 +167,7 @@ TEST(ShapeMaterialize, DataDepReadUsesDepConstPlusIndirectRead) {
 }
 
 TEST(ShapeMaterialize, DataDepWriteUsesDepConstPlusRegisterValuedWrite) {
-  std::map<int, int> values;
+  WriteCounts values;
   core::Reg next_reg = 0;
   const auto t = materialize(shape_of({{true, 0}, {false, 1, Sep::DataDep}}),
                              values, next_reg);
@@ -186,7 +185,7 @@ TEST(ShapeMaterialize, DataDepWriteUsesDepConstPlusRegisterValuedWrite) {
 }
 
 TEST(ShapeMaterialize, CtrlDepInsertsABranchOnThePrecedingRead) {
-  std::map<int, int> values;
+  WriteCounts values;
   core::Reg next_reg = 0;
   const auto t = materialize(shape_of({{true, 1}, {false, 0, Sep::CtrlDep}}),
                              values, next_reg);
@@ -200,7 +199,7 @@ TEST(ShapeMaterialize, CtrlDepInsertsABranchOnThePrecedingRead) {
 }
 
 TEST(ShapeMaterialize, ForEachReadResolvesDepIndirectAddresses) {
-  std::map<int, int> values;
+  WriteCounts values;
   core::Reg next_reg = 0;
   const auto t = materialize(
       shape_of({{true, 2}, {true, 0, Sep::DataDep}, {true, 1, Sep::CtrlDep}}),

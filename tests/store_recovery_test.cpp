@@ -42,9 +42,9 @@ const std::vector<core::MemoryModel>& ninety_models() {
   return models;
 }
 
-/// Forwards to an ExhaustiveStream while counting the tests actually
-/// delivered to the engine — the direct observable for "a resumed run
-/// does not re-stream sealed chunks".
+/// Forwards to an ExhaustiveStream, repeat marks included, while
+/// counting the tests actually delivered to the engine — the direct
+/// observable for "a resumed run does not re-stream sealed chunks".
 class CountingSource final : public engine::TestSource {
  public:
   explicit CountingSource(enumeration::ExhaustiveOptions options)
@@ -63,6 +63,9 @@ class CountingSource final : public engine::TestSource {
   [[nodiscard]] bool restore_cursor(
       const std::vector<std::uint64_t>& cursor) override {
     return inner_.restore_cursor(cursor);
+  }
+  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
+    return inner_.repeat_marks();
   }
 
   [[nodiscard]] std::size_t delivered() const { return delivered_; }
