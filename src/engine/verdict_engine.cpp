@@ -41,34 +41,23 @@ bool parse_backend(const std::string& text, Backend& out) {
 
 namespace {
 
-/// Row-level store traffic of one batch, shared by the grouped batch
-/// path and run_rows: every row is probed under one shared hold and
-/// written back under one exclusive hold — one index lookup per row
-/// each way, and a row is written back only if this batch added a
-/// column to it, so rewriting store-served verdicts never dirties the
-/// store.
+/// run_rows' store traffic: every row is probed under one shared hold
+/// and written back under one exclusive hold — one index lookup per row
+/// each way, and a row is written back only if the call added a column
+/// to it, so store-served verdicts never dirty the store.
 class StoreRows {
  public:
   explicit StoreRows(std::size_t words) : words_(words) {}
 
   /// Adds a row for `key`, asking the probe for the columns set in
-  /// `want` (words_ words; null: none yet); returns its index.
-  std::size_t add(util::Key128 key, const std::uint64_t* want = nullptr) {
+  /// `want` (words_ words).
+  void add(util::Key128 key, const std::uint64_t* want) {
     keys_.push_back(key);
-    if (want != nullptr) {
-      want_.insert(want_.end(), want, want + words_);
-    } else {
-      want_.resize(want_.size() + words_, 0);
-    }
+    want_.insert(want_.end(), want, want + words_);
     valid_.resize(valid_.size() + words_, 0);
     bits_.resize(bits_.size() + words_, 0);
     touched_.push_back(0);
-    return keys_.size() - 1;
   }
-
-  /// Asks the probe for column `col` of `row`: it then counts as one
-  /// store hit or miss.
-  void want(std::size_t row, int col) { want_[at(row, col)] |= bit(col); }
 
   void probe(const store::VerdictStore& vstore) {
     util::SharedLock lock(vstore.mu());
@@ -288,32 +277,6 @@ std::vector<char> VerdictEngine::run_batch(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests) {
-  EngineStats stats;
-  auto results = run_batch_impl(models, tests, requests, /*fill_cache=*/true,
-                                /*use_cache=*/true, stats);
-  record(stats);
-  return results;
-}
-
-std::vector<char> VerdictEngine::run_batch_impl(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests, bool fill_cache,
-    bool use_cache, EngineStats& stats) {
-  util::Timer timer;
-  const bool cache_enabled = options_.cache_enabled && use_cache;
-  // Batch-level store participation: probing is sound only for
-  // canonical test classes, and run_rows (use_cache off) has consulted
-  // the store at row level already, so it is excluded here the same
-  // way the cache is.
-  store::VerdictStore* const vstore = use_cache ? store_ : nullptr;
-  // The grouping/fingerprint layer runs for either consumer: the
-  // in-memory cache, the on-disk store, or both.
-  const bool grouped = cache_enabled || vstore != nullptr;
-  stats = EngineStats{};
-  stats.cells = requests.size();
-  std::vector<char> results(requests.size(), 0);
-
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
   for (const auto& r : requests) {
@@ -322,7 +285,22 @@ std::vector<char> VerdictEngine::run_batch_impl(
     MCMC_REQUIRE_MSG(r.test >= 0 && r.test < num_tests,
                      "request test index out of range");
   }
-  if (requests.empty()) return results;
+  util::Timer timer;
+  EngineStats stats;
+  stats.cells = requests.size();
+  auto results = grouped_batch(models, tests, requests, stats);
+  stats.wall_seconds = timer.seconds();
+  record(stats);
+  return results;
+}
+
+std::vector<char> VerdictEngine::grouped_batch(
+    const std::vector<core::MemoryModel>& models,
+    const std::vector<litmus::LitmusTest>& tests,
+    const std::vector<VerdictRequest>& requests, EngineStats& stats) {
+  if (!options_.cache_enabled) return evaluate(models, tests, requests, stats);
+  const int num_models = static_cast<int>(models.size());
+  const int num_tests = static_cast<int>(tests.size());
 
   // ---- Which tests and models this batch touches. ----
   std::vector<char> test_used(tests.size(), 0);
@@ -343,8 +321,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
     bool custom = false;
   };
   std::vector<ModelKey> model_keys(models.size());
-  bool any_canonical = false;
-  bool any_structural = false;
+  bool need_canonical = false;
+  bool need_structural = false;
   for (int m = 0; m < num_models; ++m) {
     if (!model_used[static_cast<std::size_t>(m)]) continue;
     auto& mk = model_keys[static_cast<std::size_t>(m)];
@@ -354,33 +332,27 @@ std::vector<char> VerdictEngine::run_batch_impl(
       std::ostringstream os;
       os << "P:" << formula.identity();
       mk.key = os.str();
-      if (cache_enabled) {
-        // Pin the node so its address (= the cache key) cannot be
-        // recycled by a different custom formula while this engine's
-        // cached verdicts reference it.
-        util::MutexLock lock(cache_mu_);
-        if (pinned_ids_.insert(formula.identity()).second) {
-          pinned_custom_formulas_.push_back(formula);
-        }
+      // Pin the node so its address (= the cache key) cannot be
+      // recycled by a different custom formula while this engine's
+      // cached verdicts reference it.
+      util::MutexLock lock(cache_mu_);
+      if (pinned_ids_.insert(formula.identity()).second) {
+        pinned_custom_formulas_.push_back(formula);
       }
     } else {
       mk.key = "F:" + formula.to_string();
     }
-    any_structural = any_structural || mk.custom;
-    any_canonical = any_canonical || !mk.custom;
+    need_structural = need_structural || mk.custom;
+    need_canonical = need_canonical || !mk.custom;
   }
 
-  const bool need_canonical = grouped && any_canonical;
-  const bool need_structural = grouped && any_structural;
-
   // ---- Test fingerprints.  128-bit canonical/structural fingerprints
-  // (litmus::canonical_fingerprint) are all the cache layer needs: no
+  // (litmus::canonical_fingerprint) are all the cache needs: no
   // Analysis and no key string is built here.  Analyses are deferred
   // until the cache and the within-batch dedup have spoken, so only
   // tests that actually reach evaluation pay for one. ----
   std::vector<util::Key128> canonical_fps(need_canonical ? tests.size() : 0);
   std::vector<util::Key128> structural_fps(need_structural ? tests.size() : 0);
-  const int threads = effective_threads();
   if (need_canonical || need_structural) {
     const auto fingerprint_range = [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
@@ -408,7 +380,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
   std::vector<int> structural_class(tests.size(), -1);
   std::vector<const std::string*> model_class_key;
   std::vector<util::Key128> test_class_key;
-  if (grouped) {
+  {
     std::unordered_map<std::string, int> model_interner;
     std::unordered_map<util::Key128, int, util::Key128Hash> test_interner;
     const auto intern_test = [&](const util::Key128& key) {
@@ -439,10 +411,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
 
   // ---- Group cells into jobs: one evaluation per distinct
   // (model class, test class) pair, with persistent-cache hits resolved
-  // immediately.  Cache-less batches (run_rows' direct batch: it has
-  // grouped its cells by row already) skip the whole grouping layer —
-  // requests map 1:1 onto checks with no Job, slot list, or group map
-  // allocated. ----
+  // immediately.  A job's later cells are cache hits when the job was
+  // served, within-batch dedup hits when it is evaluated. ----
   struct Job {
     int model = 0;
     int test = 0;
@@ -450,20 +420,10 @@ std::vector<char> VerdictEngine::run_batch_impl(
     int test_cls = -1;
     bool from_cache = false;
     bool result = false;
-    std::vector<std::size_t> slots;
   };
-  // Store columns per model class, resolved once (|-1| = no column:
-  // custom-predicate keys, or models outside the store's zoo).
-  std::vector<int> store_cols;
-  if (vstore != nullptr) {
-    store_cols.resize(model_class_key.size());
-    for (std::size_t c = 0; c < model_class_key.size(); ++c) {
-      store_cols[c] = vstore->column_of(*model_class_key[c]);
-    }
-  }
-
-  std::vector<Job> jobs;  // from_cache groups stay here too
-  if (grouped) {
+  std::vector<Job> jobs;
+  std::vector<std::size_t> job_of(requests.size());  // cell -> its job
+  {
     util::MutexLock lock(cache_mu_);
     // Per model class, its persistent-cache bucket (looked up once).
     std::vector<const std::unordered_map<util::Key128, bool, util::Key128Hash>*>
@@ -484,8 +444,9 @@ std::vector<char> VerdictEngine::run_batch_impl(
           static_cast<std::uint64_t>(model_cls) * num_test_classes +
           static_cast<std::uint64_t>(test_cls);
       const auto [it, inserted] = group_of.emplace(pair_id, jobs.size());
+      job_of[i] = it->second;
       if (!inserted) {
-        jobs[it->second].slots.push_back(i);
+        ++(jobs[it->second].from_cache ? stats.cache_hits : stats.dedup_hits);
         continue;
       }
       Job job;
@@ -493,108 +454,74 @@ std::vector<char> VerdictEngine::run_batch_impl(
       job.test = r.test;
       job.model_cls = model_cls;
       job.test_cls = test_cls;
-      job.slots.push_back(i);
       // One persistent-cache probe per new group.
-      if (cache_enabled) {
-        if (!bucket_ready[static_cast<std::size_t>(model_cls)]) {
-          const auto bucket = cache_.find(
-              *model_class_key[static_cast<std::size_t>(model_cls)]);
-          buckets[static_cast<std::size_t>(model_cls)] =
-              bucket == cache_.end() ? nullptr : &bucket->second;
-          bucket_ready[static_cast<std::size_t>(model_cls)] = 1;
-        }
-        const auto* bucket = buckets[static_cast<std::size_t>(model_cls)];
-        if (bucket != nullptr) {
-          const auto hit =
-              bucket->find(test_class_key[static_cast<std::size_t>(test_cls)]);
-          if (hit != bucket->end()) {
-            job.from_cache = true;
-            job.result = hit->second;
-            ++stats.cache_hits;
-          }
+      if (!bucket_ready[static_cast<std::size_t>(model_cls)]) {
+        const auto bucket =
+            cache_.find(*model_class_key[static_cast<std::size_t>(model_cls)]);
+        buckets[static_cast<std::size_t>(model_cls)] =
+            bucket == cache_.end() ? nullptr : &bucket->second;
+        bucket_ready[static_cast<std::size_t>(model_cls)] = 1;
+      }
+      const auto* bucket = buckets[static_cast<std::size_t>(model_cls)];
+      if (bucket != nullptr) {
+        const auto hit =
+            bucket->find(test_class_key[static_cast<std::size_t>(test_cls)]);
+        if (hit != bucket->end()) {
+          job.from_cache = true;
+          job.result = hit->second;
+          ++stats.cache_hits;
         }
       }
-      jobs.push_back(std::move(job));
+      jobs.push_back(job);
     }
   }
 
-  // ---- Cache misses probe the on-disk store: one row per test class,
-  // all under one shared hold (canonical test classes only —
-  // custom-model groups have no column).  Every job with a column is
-  // also written back below. ----
-  StoreRows store_rows(vstore != nullptr ? vstore->words_per_row() : 0);
-  constexpr std::size_t kNoRow = ~std::size_t{0};
-  std::vector<std::size_t> store_row_of;  // test class -> row of store_rows
-  const auto store_col = [&](const Job& job) {
-    return model_keys[static_cast<std::size_t>(job.model)].custom
-               ? -1
-               : store_cols[static_cast<std::size_t>(job.model_cls)];
-  };
-  const auto store_row = [&](const Job& job) {
-    return store_row_of[static_cast<std::size_t>(job.test_cls)];
-  };
-  if (vstore != nullptr) {
-    store_row_of.assign(test_class_key.size(), kNoRow);
-    for (const Job& job : jobs) {
-      const int col = store_col(job);
-      if (col < 0) continue;
-      const auto cls = static_cast<std::size_t>(job.test_cls);
-      if (store_row_of[cls] == kNoRow) {
-        store_row_of[cls] = store_rows.add(test_class_key[cls]);
-      }
-      if (!job.from_cache) store_rows.want(store_row_of[cls], col);
-    }
-    store_rows.probe(*vstore);
-    for (Job& job : jobs) {
-      const int col = store_col(job);
-      if (col < 0 || job.from_cache) continue;
-      const std::optional<bool> hit = store_rows.get(store_row(job), col);
-      if (hit.has_value()) {
-        job.from_cache = true;
-        job.result = *hit;
-        ++stats.store_hits;
-      } else {
-        ++stats.store_misses;
-      }
-    }
-  }
-
-  // Compact the evaluation list: indices of jobs needing a real check
-  // (cache path only; the direct path evaluates requests in place).
-  // A group's extra cells are cache hits when the group was served,
-  // within-batch dedup hits when it is evaluated.
+  // ---- The jobs the cache missed: one direct batch, and its verdicts
+  // feed the persistent cache. ----
   std::vector<std::size_t> pending;
+  std::vector<VerdictRequest> live;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::size_t extra = jobs[j].slots.size() - 1;
-    if (jobs[j].from_cache) {
-      stats.cache_hits += extra;
-    } else {
-      stats.dedup_hits += extra;
-      pending.push_back(j);
+    if (jobs[j].from_cache) continue;
+    pending.push_back(j);
+    live.push_back({jobs[j].model, jobs[j].test});
+  }
+  const auto verdicts = evaluate(models, tests, live, stats);
+  {
+    util::MutexLock lock(cache_mu_);
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      Job& job = jobs[pending[k]];
+      job.result = verdicts[k] != 0;
+      cache_[*model_class_key[static_cast<std::size_t>(job.model_cls)]]
+          .emplace(test_class_key[static_cast<std::size_t>(job.test_cls)],
+                   job.result);
     }
   }
-  const std::size_t live_checks = grouped ? pending.size() : requests.size();
+  std::vector<char> results(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    results[i] = jobs[job_of[i]].result ? 1 : 0;
+  }
+  return results;
+}
 
-  // ---- Evaluate, now that the cache has spoken: only tests some live
-  // cell needs are analyzed and prepared.  The live cells (pending jobs,
-  // or every request on the direct path) are bucketed by test;
-  // consecutive such tests that share one program object form a
-  // program run (the stream emits a program's outcomes back to back,
-  // and copies of a test share its program), and each run is one pool
-  // task: analyze the program, compile the batch's models into masks
-  // and group the equal ones, then prepare its tests one at a time and
-  // run one search per distinct mask a test's cells ask for.  A worker
-  // holds one Analysis and one prepared test at a time.  Grouping only
-  // shares work: a test sharing nothing is a run of its own. ----
-  const auto live_cell = [&](std::size_t k) {
-    if (!grouped) return requests[k];
-    const Job& job = jobs[pending[k]];
-    return VerdictRequest{job.model, job.test};
-  };
+std::vector<char> VerdictEngine::evaluate(
+    const std::vector<core::MemoryModel>& models,
+    const std::vector<litmus::LitmusTest>& tests,
+    const std::vector<VerdictRequest>& requests, EngineStats& stats) {
+  // ---- Only tests some request needs are analyzed and prepared.  The
+  // requests are bucketed by test; consecutive such tests that share one
+  // program object form a program run (the stream emits a program's
+  // outcomes back to back, and copies of a test share its program), and
+  // each run is one pool task: analyze the program, compile the batch's
+  // models into masks and group the equal ones, then prepare its tests
+  // one at a time and run one search per distinct mask a test's cells
+  // ask for.  A worker holds one Analysis and one prepared test at a
+  // time.  Grouping only shares work: a test sharing nothing is a run of
+  // its own. ----
+  const int num_tests = static_cast<int>(tests.size());
   // Cells of test t: cell_of[cell_begin[t] .. cell_begin[t + 1]).
   std::vector<std::size_t> cell_begin(tests.size() + 1, 0);
-  for (std::size_t k = 0; k < live_checks; ++k) {
-    ++cell_begin[static_cast<std::size_t>(live_cell(k).test) + 1];
+  for (const auto& r : requests) {
+    ++cell_begin[static_cast<std::size_t>(r.test) + 1];
   }
   std::vector<int> eval_tests;
   for (int t = 0; t < num_tests; ++t) {
@@ -602,11 +529,11 @@ std::vector<char> VerdictEngine::run_batch_impl(
     if (cell_begin[st + 1] > 0) eval_tests.push_back(t);
     cell_begin[st + 1] += cell_begin[st];
   }
-  std::vector<std::size_t> cell_of(live_checks);
+  std::vector<std::size_t> cell_of(requests.size());
   {
     std::vector<std::size_t> next(cell_begin.begin(), cell_begin.end() - 1);
-    for (std::size_t k = 0; k < live_checks; ++k) {
-      cell_of[next[static_cast<std::size_t>(live_cell(k).test)]++] = k;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      cell_of[next[static_cast<std::size_t>(requests[k].test)]++] = k;
     }
   }
   // Run r covers eval_tests[run_begin[r] .. run_begin[r + 1]).
@@ -620,7 +547,6 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
   const std::size_t num_runs = run_begin.size();
   run_begin.push_back(eval_tests.size());
-  stats.unique_analyses = num_runs;
 
   // The batch's models, compiled once for all of its program runs.
   std::vector<core::Formula> formulas;
@@ -629,7 +555,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
   const core::FormulaSet set(std::move(formulas));
   // Each task writes only its own cells' verdicts and its own counters.
-  std::vector<char> live_result(live_checks, 0);
+  std::vector<char> results(requests.size(), 0);
   struct RunCounts {
     std::size_t searches = 0;
     std::size_t explicit_checks = 0;
@@ -656,7 +582,7 @@ std::vector<char> VerdictEngine::run_batch_impl(
       if (by_mask) classes.begin_test();
       for (std::size_t c = cell_begin[t]; c < cell_begin[t + 1]; ++c) {
         const std::size_t k = cell_of[c];
-        const int m = live_cell(k).model;
+        const int m = requests[k].model;
         bool verdict = false;
         if (by_mask) {
           verdict = classes.decide(m, prepared, backend, counts.searches);
@@ -665,11 +591,12 @@ std::vector<char> VerdictEngine::run_batch_impl(
                                      backend);
           ++counts.searches;
         }
-        live_result[k] = verdict ? 1 : 0;
+        results[k] = verdict ? 1 : 0;
       }
       backend_checks += cell_begin[t + 1] - cell_begin[t];
     }
   };
+  const int threads = effective_threads();
   if (threads > 1 && num_runs > 1) {
     pool().parallel_for(num_runs, run_task);
     stats.threads_used = threads;
@@ -677,59 +604,20 @@ std::vector<char> VerdictEngine::run_batch_impl(
     for (std::size_t r = 0; r < num_runs; ++r) run_task(r);
     stats.threads_used = 1;
   }
-  stats.checks_run = live_checks;
+  stats.checks_run += requests.size();
+  stats.unique_analyses += num_runs;
   for (const RunCounts& counts : run_counts) {
     stats.searches += counts.searches;
     stats.explicit_checks += counts.explicit_checks;
     stats.sat_checks += counts.sat_checks;
   }
-  for (std::size_t k = 0; k < live_checks; ++k) {
-    if (grouped) {
-      jobs[pending[k]].result = live_result[k] != 0;
-    } else {
-      results[k] = live_result[k];
-    }
-  }
-
-  // ---- Publish results and feed the persistent cache (grouped path
-  // only: the direct path wrote results in place and persists nothing).
-  if (cache_enabled && fill_cache) {
-    util::MutexLock lock(cache_mu_);
-    for (const auto j : pending) {
-      const auto& job = jobs[j];
-      cache_[*model_class_key[static_cast<std::size_t>(job.model_cls)]]
-          .emplace(test_class_key[static_cast<std::size_t>(job.test_cls)],
-                   job.result);
-    }
-  }
-  // Feed the on-disk store: every grouped verdict with a column, cached
-  // or evaluated (a store-served bit is already there and is skipped;
-  // writing cache-served ones keeps a part-warm store converging on
-  // complete).  One exclusive acquisition covers the whole batch.
-  if (vstore != nullptr) {
-    for (const Job& job : jobs) {
-      const int col = store_col(job);
-      if (col >= 0) store_rows.set(store_row(job), col, job.result);
-    }
-    store_rows.write_back(*vstore);
-  }
-  for (const auto& job : jobs) {
-    for (const auto slot : job.slots) results[slot] = job.result ? 1 : 0;
-  }
-
-  stats.wall_seconds = timer.seconds();
   return results;
 }
 
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
-  return grouped_matrix(models, tests, /*fill_cache=*/true);
-}
-
-BitMatrix VerdictEngine::grouped_matrix(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests, bool fill_cache) {
+  if (store_ != nullptr) return run_rows(RowModels(models, store_), tests, {});
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
   std::vector<VerdictRequest> requests;
@@ -738,10 +626,7 @@ BitMatrix VerdictEngine::grouped_matrix(
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  EngineStats stats;
-  const auto verdicts = run_batch_impl(models, tests, requests, fill_cache,
-                                       /*use_cache=*/true, stats);
-  record(stats);
+  const auto verdicts = run_batch(models, tests, requests);
 
   BitMatrix matrix(num_models, num_tests);
   std::size_t i = 0;
@@ -794,8 +679,8 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
   StoreRows store_rows(vstore != nullptr ? vstore->words_per_row() : 0);
   if (vstore != nullptr) {
     for (const int t : first) {
-      (void)store_rows.add(test_keys[static_cast<std::size_t>(t)],
-                           rows.want_.data());
+      store_rows.add(test_keys[static_cast<std::size_t>(t)],
+                     rows.want_.data());
     }
     store_rows.probe(*vstore);
   }
@@ -832,10 +717,7 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
     }
   }
 
-  EngineStats batch;
-  const auto flat = run_batch_impl(models, tests, requests,
-                                   /*fill_cache=*/false, /*use_cache=*/false,
-                                   batch);
+  const auto flat = evaluate(models, tests, requests, stats);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto [m, t] = requests[i];
     const bool verdict = flat[i] != 0;
@@ -865,12 +747,6 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
     }
   }
 
-  stats.checks_run = batch.checks_run;
-  stats.searches = batch.searches;
-  stats.explicit_checks = batch.explicit_checks;
-  stats.sat_checks = batch.sat_checks;
-  stats.unique_analyses = batch.unique_analyses;
-  stats.threads_used = batch.threads_used;
   stats.wall_seconds = timer.seconds();
   record(stats);
   return verdicts;
@@ -931,10 +807,9 @@ bool structural_keys(const std::vector<core::MemoryModel>& models,
   return forced;
 }
 
-/// The stream's verdict store: the novel tests take the row path
-/// against it only under canonical dedup keys (the store holds
-/// canonical fingerprints only) with a store column for every streamed
-/// model; null otherwise.
+/// The store the stream's row path probes: the caller's, only under
+/// canonical dedup keys (the novel tests' keys are then store keys)
+/// with a store column for every streamed model; null otherwise.
 store::VerdictStore* stream_store(const std::vector<core::MemoryModel>& models,
                                   store::VerdictStore* vstore,
                                   bool structural) {
@@ -953,7 +828,6 @@ struct VerdictEngine::StreamRun {
   StreamRun(VerdictEngine& engine, const std::vector<core::MemoryModel>& ms,
             TestSource& source, const StreamOptions& options)
       : eng(engine),
-        models(ms),
         structural(structural_keys(ms, options.force_structural_keys)),
         vstore(options.verdict_store),
         row_models(ms, stream_store(ms, options.verdict_store, structural)) {
@@ -1104,13 +978,14 @@ struct VerdictEngine::StreamRun {
 
   /// Verdict: the novel tests move out of the chunk with their keys
   /// (produce moves them back; every Analysis keeps its program alive,
-  /// core::analyze_shared), are decided, and are delivered.  Under
-  /// canonical keys they take the row path: they are canonically unique
-  /// and their keys are store keys, so one row-level store probe, one
-  /// direct batch for the cells the store missed (a test whose whole row
-  /// is on disk skips evaluation entirely) and one write-back.  A
-  /// structural filter leaves canonical within-batch sharing worthwhile,
-  /// so its novel tests take the grouped batch.
+  /// core::analyze_shared), are decided on the row path and are
+  /// delivered.  Under canonical keys the novel tests are canonically
+  /// unique and their keys are store keys: one row-level store probe,
+  /// one direct batch for the cells the store missed (a test whose whole
+  /// row is on disk skips evaluation entirely) and one write-back.
+  /// Structural keys are no store keys, so run_rows keys the novel tests
+  /// canonically itself: structurally distinct tests of one canonical
+  /// class still share their custom-free verdicts.
   void verdict(StreamChunkStats& cs, const StreamChunkSink& on_chunk) {
     util::Timer timer;
     novel_keys.clear();
@@ -1119,7 +994,7 @@ struct VerdictEngine::StreamRun {
       novel_keys.push_back(key_hashes[static_cast<std::size_t>(t)]);
     }
     const BitMatrix verdicts =
-        structural ? eng.grouped_matrix(models, novel, /*fill_cache=*/false)
+        structural ? eng.run_rows(row_models, novel, {})
                    : eng.run_rows(row_models, novel, novel_keys);
     cs.engine = eng.last_stats_;
     cs.stages.verdict = timer.seconds();
@@ -1192,7 +1067,6 @@ struct VerdictEngine::StreamRun {
   }
 
   VerdictEngine& eng;
-  const std::vector<core::MemoryModel>& models;
   /// Structural dedup keys instead of canonical ones.
   const bool structural;
   /// The caller's store (may be null); with `persist`, seals commit to
@@ -1240,11 +1114,6 @@ StreamStats VerdictEngine::run_stream(
   run.complete();
   run.total.wall_seconds = timer.seconds();
   return run.total;
-}
-
-bool VerdictEngine::allowed(const core::MemoryModel& model,
-                            const litmus::LitmusTest& test) {
-  return run_batch({model}, {test}, {VerdictRequest{0, 0}})[0] != 0;
 }
 
 }  // namespace mcmc::engine

@@ -30,10 +30,11 @@
 //   * a work-stealing std::thread pool running one task per program run
 //     (analyze, compile masks, then prepare and decide its tests one at
 //     a time),
-//   * row-level verdict-store traffic (run_rows, which the stream and
-//     the Theorem harness's sweep take): one store probe per canonical
-//     class, one direct batch for the cells the store lacks, one
-//     write-back, and
+//   * row-level verdict-store traffic (run_rows, the only path that
+//     reads or writes a store: the stream, the Theorem harness's sweep,
+//     litmusd and run_matrix on a store-attached engine take it): one
+//     store probe per canonical class, one direct batch for the cells
+//     the store lacks, one write-back, and
 //   * per-batch statistics (cells, checks, searches, cache hits,
 //     backend split, wall time).
 //
@@ -85,8 +86,9 @@ struct EngineOptions {
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Master switch for the verdict cache (both within-batch dedup and
-  /// the persistent cross-batch map).
+  /// Master switch for the grouped batch's verdict cache (both
+  /// within-batch dedup and the persistent cross-batch map); run_rows
+  /// never uses it.
   bool cache_enabled = true;
 };
 
@@ -107,7 +109,7 @@ struct EngineStats {
                                    ///  beyond 64 events)
   std::size_t cache_hits = 0;      ///< served by the persistent cache
   std::size_t dedup_hits = 0;      ///< shared within the batch via keys
-  std::size_t store_hits = 0;      ///< served by the attached verdict store
+  std::size_t store_hits = 0;      ///< served by the verdict store
   std::size_t store_misses = 0;    ///< store probes that found nothing
   std::size_t explicit_checks = 0; ///< checks decided by the explicit engine
   std::size_t sat_checks = 0;      ///< checks decided by the SAT engine
@@ -139,14 +141,15 @@ struct StreamOptions {
   /// canonical sharing is unsound for them.
   bool force_structural_keys = false;
   /// Persistent verdict store consulted per novel test (caller-owned,
-  /// may be null).  When every streamed model has a store column and
-  /// the stream dedups by canonical fingerprints, the novel tests take
-  /// the row-level store path (VerdictEngine::run_rows): only the cells
-  /// the store lacks are evaluated — a test whose full verdict row is
-  /// present skips evaluation entirely — and evaluated cells are
-  /// written back; this is what makes a warm rerun serve from disk.
-  /// Ignored under structural keys (the store holds canonical
-  /// fingerprints only).
+  /// may be null).  The novel tests always take the row path
+  /// (VerdictEngine::run_rows); when every streamed model has a store
+  /// column and the stream dedups by canonical fingerprints, that path
+  /// probes this store with the stream's keys: only the cells the store
+  /// lacks are evaluated — a test whose full verdict row is present
+  /// skips evaluation entirely — and evaluated cells are written back;
+  /// this is what makes a warm rerun serve from disk.  Ignored under
+  /// structural keys.  The engine's own store (set_store) is never
+  /// consulted by a stream.
   store::VerdictStore* verdict_store = nullptr;
   /// Chunk-granular checkpoint/resume of the stream into
   /// `verdict_store` (null = no checkpointing; requires
@@ -265,38 +268,37 @@ class VerdictEngine {
   VerdictEngine& operator=(const VerdictEngine&) = delete;
 
   /// Evaluates the full `models` x `tests` cross product; bit (m, t) of
-  /// the result is the verdict of model `m` on test `t`.
+  /// the result is the verdict of model `m` on test `t`.  On an engine
+  /// with a store attached (set_store) this is
+  /// run_rows(RowModels(models, store), tests, {}); otherwise it is
+  /// run_batch over every cell.
   [[nodiscard]] BitMatrix run_matrix(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests);
 
   /// Evaluates an arbitrary batch of cells; `result[i]` is the verdict
   /// for `requests[i]`.  Request indices must lie within the vectors.
+  /// The grouped batch: with the cache on, cells of one (model,
+  /// canonical class) pair — structural class for a custom-predicate
+  /// model — are decided once and kept in the in-memory cache.  No store
+  /// is consulted.
   [[nodiscard]] std::vector<char> run_batch(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
       const std::vector<VerdictRequest>& requests);
 
-  /// Single-cell convenience; still goes through the cache.
-  [[nodiscard]] bool allowed(const core::MemoryModel& model,
-                             const litmus::LitmusTest& test);
-
-  /// The row-level store path: the verdict matrix of the models `rows`
-  /// binds x `tests`, with tests keyed by `keys` (parallel to `tests`;
-  /// empty = their canonical fingerprints, computed here).  Tests with
-  /// equal keys share one row: one probe per row of the store `rows`
-  /// binds (may be null) under one shared hold, one direct batch (no
-  /// cache, no grouping layer) for the cells the store lacks — each
-  /// custom-free model decided once per row, on its first test, a
-  /// custom-predicate model per test — and one write-back under one
-  /// exclusive hold of the rows this call added a column to.  With a
-  /// store, keys must be canonical fingerprints
-  /// (litmus::canonical_fingerprint); without one, structural
-  /// fingerprints are sound too.  Verdicts, and the cells, checks,
-  /// searches and store hits and misses of last_stats(), equal those of
-  /// run_matrix on an engine with that store attached and the cache
-  /// off, for distinct models and tests with distinct structural
-  /// fingerprints.
+  /// The row-level store path, and the only one: the verdict matrix of
+  /// the models `rows` binds x `tests`, with tests keyed by `keys`: their
+  /// canonical fingerprints (litmus::canonical_fingerprint), parallel to
+  /// `tests`, or empty to have them computed here.  Tests with equal
+  /// keys share one row: one probe per row of the store `rows` binds
+  /// (may be null) under one shared hold, one direct batch (no cache, no
+  /// grouping) for the cells the store lacks — each custom-free model
+  /// decided once per row, on its first test, a custom-predicate model
+  /// per test — and one write-back under one exclusive hold of the rows
+  /// this call added a column to.  A row's later tests count as cache
+  /// hits when the store served the row's cell, as dedup hits when it
+  /// was evaluated.
   [[nodiscard]] BitMatrix run_rows(const RowModels& rows,
                                    const std::vector<litmus::LitmusTest>& tests,
                                    const std::vector<util::Key128>& keys);
@@ -330,13 +332,13 @@ class VerdictEngine {
                          const StreamOptions& stream_options = {});
 
   /// Attaches a persistent verdict store (caller-owned, may be null to
-  /// detach) consulted by every grouped batch (run_batch, run_matrix,
-  /// allowed): a (model, test-class) pair missing the in-memory cache
-  /// probes the store before evaluating, and evaluated verdicts are
-  /// written back.  Only models with a store column (custom-free, see
-  /// store::model_store_key) participate — the store holds canonical
-  /// fingerprints exclusively.  run_rows and a canonical-key stream use
-  /// the store they are given instead.
+  /// detach) that run_matrix then takes the row path against: one probe
+  /// per canonical class, the missing cells evaluated, and evaluated
+  /// verdicts written back.  Only models with a store column
+  /// (custom-free, see store::model_store_key) are stored — the store
+  /// holds canonical fingerprints exclusively.  run_batch, run_rows and
+  /// run_stream never read it: run_rows and a canonical-key stream use
+  /// the store they are given.
   void set_store(store::VerdictStore* store) { store_ = store; }
 
   /// Stats of the most recent batch.
@@ -353,21 +355,24 @@ class VerdictEngine {
  private:
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch with control over the cache layer, reporting into
-  /// `stats` instead of recording them.  `fill_cache` gates the
-  /// persistent-cache writes; `use_cache` false skips the grouping
-  /// layer entirely — no fingerprints, interning, cache or store —
-  /// which is the direct batch run_rows sends the cells the store
-  /// lacks (it has already grouped them by row).
-  [[nodiscard]] std::vector<char> run_batch_impl(
+  /// run_batch's body: fingerprints, interning, one job per distinct
+  /// (model class, test class) pair and the in-memory cache, then
+  /// evaluate on the jobs the cache missed; with the cache off, evaluate
+  /// on every request.  Adds everything but cells and wall time to
+  /// `stats`.
+  [[nodiscard]] std::vector<char> grouped_batch(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, bool fill_cache,
-      bool use_cache, EngineStats& stats);
-  /// The grouped models x tests matrix (run_matrix's body).
-  [[nodiscard]] BitMatrix grouped_matrix(
+      const std::vector<VerdictRequest>& requests, EngineStats& stats);
+  /// The direct batch: every request is one check (no cache, no store,
+  /// no grouping); program runs share an Analysis, and each test runs
+  /// one search per distinct mask its requests ask for.  Adds the
+  /// checks, searches, backend split and analyses to `stats` and sets
+  /// its threads_used.
+  [[nodiscard]] std::vector<char> evaluate(
       const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests, bool fill_cache);
+      const std::vector<litmus::LitmusTest>& tests,
+      const std::vector<VerdictRequest>& requests, EngineStats& stats);
   /// Makes `stats` the last batch's and adds it to the lifetime total.
   void record(const EngineStats& stats);
   /// run_stream's per-run state and stage steps (verdict_engine.cpp).

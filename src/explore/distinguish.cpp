@@ -291,12 +291,11 @@ DistinguishMatrix distinguishability_streamed(
   engine::VerdictEngine sweep(eng.options());
   const engine::RowModels sweep_rows(models, options.verdict_store);
   // Under canonical stream keys the candidates are canonically unique
-  // and the stream's keys are their store rows.  Structural keys are
-  // sound rows only without a store; with one, the sweep keys the
-  // candidates by canonical fingerprint (run_rows computes them when
-  // handed no keys), and candidates sharing one share a row.
-  const bool stream_keys_are_rows = !stream_options.force_structural_keys ||
-                                    options.verdict_store == nullptr;
+  // and the stream's keys are their store rows.  Under structural keys
+  // the sweep keys the candidates by canonical fingerprint (run_rows
+  // computes them when handed no keys), and candidates sharing one
+  // share a row.
+  const bool stream_keys_are_rows = !stream_options.force_structural_keys;
 
   std::vector<litmus::LitmusTest> candidates;
   std::vector<util::Key128> candidate_keys;

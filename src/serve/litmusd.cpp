@@ -36,9 +36,6 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.socket_path = "/tmp/litmusd.sock";
-  // A serving daemon keeps its memory bounded by the store, not by an
-  // ever-growing in-process cache; the store is the cache.
-  options.engine.cache_enabled = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

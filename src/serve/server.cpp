@@ -109,7 +109,7 @@ bool Server::start(std::string* error) {
   }
 
   engine_ = std::make_unique<engine::VerdictEngine>(options_.engine);
-  engine_->set_store(store_.get());
+  rows_ = std::make_unique<engine::RowModels>(models_, store_.get());
 
   if (!options_.socket_path.empty()) {
     sockaddr_un addr{};
@@ -391,6 +391,7 @@ Response Server::handle_check(Connection& conn, const Request& request) {
     } else {
       miss_at.push_back(i);
       item.tests.push_back(tests[i]);
+      item.keys.push_back(key);
     }
   }
   check_store_hits_.fetch_add(hits, std::memory_order_relaxed);
@@ -505,9 +506,12 @@ void Server::batcher_loop() {
     }
 
     std::vector<litmus::LitmusTest> tests;
+    std::vector<util::Key128> keys;
     tests.reserve(batch_tests);
+    keys.reserve(batch_tests);
     for (const auto& item : batch) {
       tests.insert(tests.end(), item.tests.begin(), item.tests.end());
+      keys.insert(keys.end(), item.keys.begin(), item.keys.end());
     }
     batches_coalesced_.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t prev = max_coalesced_.load(std::memory_order_relaxed);
@@ -517,11 +521,13 @@ void Server::batcher_loop() {
     }
 
     try {
-      // One run over the coalesced tests; the engine probes the store
-      // for anything another batch computed meanwhile and writes the
-      // rows it computed back (store-served cells dirty nothing), which
-      // is what warms the store under live traffic.
-      const engine::BitMatrix verdicts = engine_->run_matrix(models_, tests);
+      // One row-path run over the coalesced tests, keyed by the
+      // fingerprints the readers computed: it probes the store for
+      // anything another batch computed meanwhile and writes the rows
+      // it computed back (store-served cells dirty nothing), which is
+      // what warms the store under live traffic.
+      const engine::BitMatrix verdicts =
+          engine_->run_rows(*rows_, tests, keys);
       std::size_t offset = 0;
       for (auto& item : batch) {
         std::vector<VerdictRowWire> rows(item.tests.size());

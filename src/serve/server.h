@@ -8,12 +8,14 @@
 //   * probe (by canonical fingerprint) — answered straight from the
 //     store under its shared-read contract, engine untouched; a miss
 //     is kUnknown, never computed (a fingerprint is not a test).
-//   * check (litmus source) — store hit answered without the engine;
-//     novel tests go through a bounded admission queue to a single
-//     batcher thread, which coalesces concurrently queued tests from
-//     ALL connections into one run_matrix call.  The engine writes
-//     computed rows back to the store, so the store warms under live
-//     traffic and the second ask is a store hit.
+//   * check (litmus source) — the reader thread fingerprints each test
+//     once (canonically) and answers store hits without the engine;
+//     novel tests and their fingerprints go through a bounded admission
+//     queue to a single batcher thread, which coalesces concurrently
+//     queued tests from ALL connections into one VerdictEngine::run_rows
+//     call over those fingerprints.  run_rows writes computed rows back
+//     to the store, so the store warms under live traffic and the second
+//     ask is a store hit.
 //
 // Threading: one accept thread (poll over the listeners and a self-
 // pipe), one reader thread per connection (decodes requests, serves
@@ -64,7 +66,7 @@ struct ServerOptions {
   /// Admission bound: total tests queued for the engine across all
   /// connections; requests that would exceed it get kOverloaded.
   std::size_t max_queue_tests = 4096;
-  /// Most tests one coalesced run_matrix call takes off the queue.
+  /// Most tests one coalesced run_rows call takes off the queue.
   std::size_t max_batch_tests = 1024;
   /// Commit the store (one delta segment) once this many rows were
   /// added or changed since the last commit (0 = only on shutdown).
@@ -104,10 +106,12 @@ class Server {
  private:
   struct Connection;
 
-  /// One admission-queue entry: novel tests from one request, answered
-  /// through the promise once the batcher has run them.
+  /// One admission-queue entry: novel tests from one request with their
+  /// canonical fingerprints (parallel), answered through the promise
+  /// once the batcher has run them.
   struct WorkItem {
     std::vector<litmus::LitmusTest> tests;
+    std::vector<util::Key128> keys;
     std::promise<std::vector<VerdictRowWire>> promise;
   };
 
@@ -141,6 +145,8 @@ class Server {
   std::vector<int> store_cols_;  ///< store column per served model
   std::unique_ptr<store::VerdictStore> store_;
   std::unique_ptr<engine::VerdictEngine> engine_;
+  /// The served models bound to store_ for the batcher's run_rows.
+  std::unique_ptr<engine::RowModels> rows_;
 
   int unix_fd_ = -1;
   int tcp_fd_ = -1;

@@ -4,7 +4,9 @@
 // with the real signal.  Covered: cold check computes while the warm
 // repeat is served from the store without the engine (asserted via the
 // served-from-store stats), concurrent clients get bit-for-bit
-// identical verdicts, SIGTERM drains to a clean exit, a store
+// identical verdicts, clients checking distinct corpora at once each
+// get an in-process engine's verdicts, stored under their own tests'
+// fingerprints, SIGTERM drains to a clean exit, a store
 // persisted by one daemon lifetime answers the next, a corrupted store
 // file degrades to recomputation with identical verdicts (the PR-7
 // quarantine path, end to end), garbage bytes on the socket never
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
@@ -290,6 +293,74 @@ TEST_F(ServeE2E, ConcurrentClientsGetIdenticalVerdicts) {
   for (std::size_t t = 0; t < warm.size(); ++t) {
     EXPECT_EQ(warm[t].source, VerdictSource::kStore);
     EXPECT_EQ(warm[t].bits, results[0][t].bits);
+  }
+  terminate_cleanly();
+}
+
+TEST_F(ServeE2E, CoalescedDistinctCorporaKeepTheirKeys) {
+  // Each client sends a corpus of its own, so a batch that coalesces
+  // several requests must keep every test's fingerprint beside the test
+  // across the requests it joins: a misaligned key would answer one
+  // client with another's row, or store a row under the wrong class.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 24;
+  const std::vector<litmus::LitmusTest> all =
+      slice_tests(kClients * kPerClient);
+  std::vector<std::string> corpora;
+  for (int i = 0; i < kClients; ++i) {
+    const auto begin =
+        all.begin() + static_cast<std::ptrdiff_t>(i) * kPerClient;
+    corpora.push_back(litmus::write_corpus(
+        std::vector<litmus::LitmusTest>(begin, begin + kPerClient)));
+  }
+  spawn();
+
+  std::vector<std::vector<VerdictRowWire>> results(kClients);
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      Client client;
+      if (!client.connect_unix(socket_path_, &errors[i])) return;
+      (void)client.batch_check(corpora[static_cast<std::size_t>(i)],
+                               results[static_cast<std::size_t>(i)],
+                               &errors[i]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::vector<core::MemoryModel> models;
+  for (const auto& choices : explore::model_space(true)) {
+    models.push_back(choices.to_model());
+  }
+  engine::VerdictEngine eng;
+  Client client = connect();
+  std::string error;
+  litmus::KeyScratch scratch;
+  for (int i = 0; i < kClients; ++i) {
+    const auto& rows = results[static_cast<std::size_t>(i)];
+    const auto tests =
+        litmus::parse_corpus(corpora[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(rows.size(), tests.size()) << errors[static_cast<std::size_t>(i)];
+    const engine::BitMatrix want = eng.run_matrix(models, tests);
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      std::vector<std::uint64_t> bits((models.size() + 63) / 64, 0);
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        if (want.get(static_cast<int>(m), static_cast<int>(t))) {
+          bits[m / 64] |= 1ULL << (m % 64);
+        }
+      }
+      EXPECT_EQ(rows[t].bits, bits) << "client " << i << ", test " << t;
+      // The row landed under the test's own class.
+      VerdictRowWire probed;
+      ASSERT_TRUE(client.probe(
+          litmus::canonical_fingerprint(tests[t], scratch), probed, &error))
+          << error;
+      EXPECT_EQ(probed.source, VerdictSource::kStore)
+          << "client " << i << ", test " << t;
+      EXPECT_EQ(probed.bits, bits) << "client " << i << ", test " << t;
+    }
   }
   terminate_cleanly();
 }

@@ -1,28 +1,35 @@
-// Differential coverage of the row-level store path the Theorem harness
-// sweeps its candidates through (VerdictEngine::run_rows): on both
-// 2-access slices, at 1 and 4 threads, a checkpointed harness run must
-// reproduce the store-less run's matrix, leave a store file byte for
-// byte equal to a reference run's, and report the reference's sweep
-// statistics and store traffic.  The reference streams the same
-// extremes and sweeps the same candidates with run_matrix on an engine
-// with the store attached: the grouped path litmusd keeps.  A warm
-// rerun then serves the whole sweep from the store.
+// Differential coverage of the row-level store path (VerdictEngine::
+// run_rows), the only path that reads or writes a verdict store.  The
+// Theorem harness sweeps its candidates through it: on both 2-access
+// slices, at 1 and 4 threads, a checkpointed harness run must
+// reproduce the store-less run's matrix and evaluation counts, and
+// leave a store file byte for byte equal to a reference run's.  The
+// reference streams the same extremes, sweeps the same candidates with
+// a store-less run_matrix, and writes every verdict with a store column
+// into the store cell by cell.  A warm rerun then serves the whole
+// sweep from the store.  run_matrix on a store-attached engine takes
+// the same row path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
+#include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
 #include "models/special_fence.h"
 #include "store/fs.h"
 #include "store/verdict_store.h"
+#include "util/hash128.h"
+#include "util/mutex.h"
 
 namespace mcmc {
 namespace {
@@ -55,6 +62,7 @@ struct SliceRun {
   explore::DistinguishMatrix matrix;
   engine::EngineStats sweep;
   std::size_t candidates = 0;
+  /// The store's own cell counters over the whole run.
   std::uint64_t store_hits = 0;
   std::uint64_t store_misses = 0;
   std::string bytes;  ///< the store file the run left
@@ -98,13 +106,17 @@ SliceRun harness_run(const std::vector<core::MemoryModel>& models, bool deps,
   return run;
 }
 
-/// The harness as it was before the row path: the same extremes
-/// stream, with each chunk's candidates swept by run_matrix on a
-/// cache-less engine with the store attached.  Its seals carry the
-/// harness's sink layout (distinguish.cpp: version, model count,
-/// candidate and filtered counts, sweep seconds, then the distinct
-/// verdict columns), so both runs commit equal-sized segments and fold
-/// at the same seals.
+/// A reference run that shares no store code with run_rows: the same
+/// extremes stream, with each chunk's candidates swept by a store-less
+/// run_matrix and every verdict with a store column written with
+/// set_bit_locked, in candidate order, under one exclusive hold per
+/// chunk (an unchanged bit dirties nothing, as with run_rows).  Its
+/// `sweep` holds the store traffic the row path must report: one probe
+/// per canonical class per chunk, which misses the first time the
+/// class is swept and hits later.  Its seals carry the harness's sink
+/// layout (distinguish.cpp: version, model count, candidate and
+/// filtered counts, sweep seconds, then the distinct verdict columns),
+/// so both runs commit equal-sized segments and fold at the same seals.
 SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
                   int threads, const std::string& path) {
   SliceRun run;
@@ -114,10 +126,18 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
       store::VerdictStore::open(path, explore::harness_store_meta(models))
           .store;
   engine::VerdictEngine eng(with_threads(threads));
-  engine::EngineOptions sweep_options = with_threads(threads);
-  sweep_options.cache_enabled = false;
-  engine::VerdictEngine sweep(sweep_options);
-  sweep.set_store(vstore.get());
+  engine::VerdictEngine sweep(with_threads(threads));
+  // Store columns of the swept models (-1: custom predicates, none).
+  std::vector<int> cols;
+  std::size_t column_models = 0;
+  for (const auto& model : models) {
+    cols.push_back(model.formula().has_custom()
+                       ? -1
+                       : vstore->column_of(store::model_store_key(model)));
+    if (cols.back() >= 0) ++column_models;
+  }
+  std::unordered_set<util::Key128, util::Key128Hash> swept_classes;
+  std::size_t row_probes = 0;
 
   run.matrix = explore::DistinguishMatrix(n);
   std::set<std::vector<std::uint64_t>> columns;
@@ -158,6 +178,29 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
         run.candidates += candidates.size();
         if (candidates.empty()) return;
         const engine::BitMatrix swept = sweep.run_matrix(models, candidates);
+        litmus::KeyScratch scratch;
+        std::vector<util::Key128> keys;
+        std::unordered_set<util::Key128, util::Key128Hash> chunk_rows;
+        for (const auto& candidate : candidates) {
+          keys.push_back(litmus::canonical_fingerprint(candidate, scratch));
+          if (chunk_rows.insert(keys.back()).second) {
+            ++row_probes;
+            swept_classes.insert(keys.back());
+          }
+        }
+        {
+          store::VerdictStore& out = *vstore;
+          util::ExclusiveLock lock(out.mu());
+          for (int t = 0; t < swept.cols(); ++t) {
+            for (int m = 0; m < n; ++m) {
+              const int col = cols[static_cast<std::size_t>(m)];
+              if (col >= 0) {
+                out.set_bit_locked(keys[static_cast<std::size_t>(t)], col,
+                                   swept.get(m, t));
+              }
+            }
+          }
+        }
         for (int t = 0; t < swept.cols(); ++t) {
           std::vector<std::uint64_t> column(words, 0);
           for (int m = 0; m < n; ++m) {
@@ -170,7 +213,9 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
         }
       },
       stream_options);
-  run.sweep = sweep.total_stats();
+  run.sweep.cells = models.size() * run.candidates;
+  run.sweep.store_misses = column_models * swept_classes.size();
+  run.sweep.store_hits = column_models * (row_probes - swept_classes.size());
   run.store_hits = vstore->hits();
   run.store_misses = vstore->misses();
   run.bytes = slurp(path);
@@ -184,18 +229,15 @@ std::string without_generation(const std::string& bytes) {
   return bytes.substr(0, 56) + bytes.substr(64, bytes.size() - 64 - 16);
 }
 
-void expect_same_sweep(const engine::EngineStats& got,
-                       const engine::EngineStats& want,
-                       const std::string& label) {
+/// The sweep's evaluation counts equal the store-less harness's: with
+/// canonical stream keys every candidate is a class of its own, so a
+/// cold store serves none of its cells.
+void expect_same_evaluation(const engine::EngineStats& got,
+                            const engine::EngineStats& want,
+                            const std::string& label) {
   EXPECT_EQ(got.cells, want.cells) << label;
   EXPECT_EQ(got.checks_run, want.checks_run) << label;
   EXPECT_EQ(got.searches, want.searches) << label;
-  EXPECT_EQ(got.store_hits, want.store_hits) << label;
-  EXPECT_EQ(got.store_misses, want.store_misses) << label;
-  EXPECT_EQ(got.cache_hits, want.cache_hits) << label;
-  EXPECT_EQ(got.dedup_hits, want.dedup_hits) << label;
-  EXPECT_EQ(got.explicit_checks, want.explicit_checks) << label;
-  EXPECT_EQ(got.sat_checks, want.sat_checks) << label;
   EXPECT_EQ(got.unique_analyses, want.unique_analyses) << label;
 }
 
@@ -240,10 +282,20 @@ class StoreRows : public ::testing::Test {
 
     ASSERT_FALSE(rows.bytes.empty()) << label;
     EXPECT_TRUE(rows.bytes == ref.bytes) << label << ": store files differ";
-    expect_same_sweep(rows.sweep, ref.sweep, label);
-    EXPECT_EQ(rows.sweep.cells, models.size() * rows.candidates) << label;
-    EXPECT_EQ(rows.store_hits, ref.store_hits) << label;
-    EXPECT_EQ(rows.store_misses, ref.store_misses) << label;
+    EXPECT_EQ(rows.sweep.cells, ref.sweep.cells) << label;
+    EXPECT_EQ(rows.sweep.store_hits, ref.sweep.store_hits) << label;
+    EXPECT_EQ(rows.sweep.store_misses, ref.sweep.store_misses) << label;
+    // The store's own counters: the stream's probes, which the reference
+    // shares, plus the sweep's.
+    EXPECT_EQ(rows.store_hits, ref.store_hits + rows.sweep.store_hits)
+        << label;
+    EXPECT_EQ(rows.store_misses, ref.store_misses + rows.sweep.store_misses)
+        << label;
+    if (!custom) {
+      expect_same_evaluation(rows.sweep, bare.sweep, label);
+      EXPECT_EQ(rows.sweep.store_hits, 0u) << label;
+      EXPECT_EQ(rows.sweep.store_misses, rows.sweep.cells) << label;
+    }
 
     // Warm: the finished store serves every sweep cell it has a column
     // for (all of them, unless a model is custom), and leaves the file
@@ -271,17 +323,17 @@ class StoreRows : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(StoreRows, NoDepSliceMatchesTheGroupedPath) {
+TEST_F(StoreRows, NoDepSliceMatchesTheCellwiseReference) {
   const auto models = ninety_models();
   for (const int threads : {1, 4}) check(models, /*deps=*/false, threads);
 }
 
-TEST_F(StoreRows, DepSliceMatchesTheGroupedPath) {
+TEST_F(StoreRows, DepSliceMatchesTheCellwiseReference) {
   const auto models = ninety_models();
   for (const int threads : {1, 4}) check(models, /*deps=*/true, threads);
 }
 
-TEST_F(StoreRows, StructuralKeysStoreTheGroupedPathsRows) {
+TEST_F(StoreRows, StructuralKeysStoreTheCellwiseReferencesRows) {
   // A custom-predicate model forces structural stream keys: the sweep
   // keys its candidates by canonical fingerprint itself, candidates of
   // one canonical class share a store row, and the custom model's
@@ -291,6 +343,78 @@ TEST_F(StoreRows, StructuralKeysStoreTheGroupedPathsRows) {
   ASSERT_TRUE(models.back().formula().has_custom());
   for (const int threads : {1, 4}) {
     check(models, /*deps=*/false, threads, /*custom=*/true);
+  }
+}
+
+TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
+  // run_matrix on a store-attached engine is run_rows over the store:
+  // the with-dep Corollary-1 suite, with a custom-predicate model that
+  // has no store column, at 1 and 4 threads with the cache on.
+  auto models = ninety_models();
+  models.push_back(models::special_fence_chain(1));
+  const auto tests = enumeration::corollary1_suite(true);
+  ASSERT_EQ(tests.size(), 124u);
+  const auto num_models = static_cast<int>(models.size());
+  const auto num_tests = static_cast<int>(tests.size());
+  litmus::KeyScratch scratch;
+  std::vector<util::Key128> keys;
+  for (const auto& test : tests) {
+    keys.push_back(litmus::canonical_fingerprint(test, scratch));
+  }
+  const std::unordered_set<util::Key128, util::Key128Hash> classes(
+      keys.begin(), keys.end());
+  std::vector<engine::VerdictRequest> requests;
+  for (int t = 0; t < num_tests; ++t) {
+    for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
+  }
+
+  for (const int threads : {1, 4}) {
+    const std::string label = std::to_string(threads) + " threads";
+    engine::VerdictEngine bare(with_threads(threads));
+    const engine::BitMatrix want = bare.run_matrix(models, tests);
+
+    store::VerdictStore vstore(explore::harness_store_meta(ninety_models()));
+    engine::VerdictEngine eng(with_threads(threads));
+    eng.set_store(&vstore);
+    EXPECT_TRUE(eng.run_matrix(models, tests) == want) << label;
+    EXPECT_EQ(eng.last_stats().store_hits, 0u) << label;
+
+    // One row per canonical class, its columns equal to the matrix.
+    EXPECT_EQ(vstore.size(), classes.size()) << label;
+    for (int t = 0; t < num_tests; ++t) {
+      for (int m = 0; m + 1 < num_models; ++m) {
+        const int col = vstore.column_of(
+            store::model_store_key(models[static_cast<std::size_t>(m)]));
+        ASSERT_GE(col, 0) << label;
+        EXPECT_EQ(vstore.probe_bit(keys[static_cast<std::size_t>(t)], col),
+                  std::optional<bool>(want.get(m, t)))
+            << label << ": model " << m << ", test " << t;
+      }
+    }
+
+    // A fresh engine on the warm store evaluates only the custom
+    // model's cells, one per test.
+    engine::VerdictEngine warm(with_threads(threads));
+    warm.set_store(&vstore);
+    EXPECT_TRUE(warm.run_matrix(models, tests) == want) << label;
+    EXPECT_EQ(warm.last_stats().store_misses, 0u) << label;
+    EXPECT_EQ(warm.last_stats().checks_run, tests.size()) << label;
+
+    // run_batch never consults the attached store.
+    const std::uint64_t hits = vstore.hits();
+    const std::uint64_t misses = vstore.misses();
+    const std::size_t dirty = vstore.dirty_rows();
+    const auto verdicts = eng.run_batch(models, tests, requests);
+    EXPECT_EQ(vstore.hits(), hits) << label;
+    EXPECT_EQ(vstore.misses(), misses) << label;
+    EXPECT_EQ(vstore.dirty_rows(), dirty) << label;
+    EXPECT_EQ(eng.last_stats().store_hits + eng.last_stats().store_misses, 0u)
+        << label;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(verdicts[i] != 0, want.get(requests[i].model,
+                                           requests[i].test))
+          << label;
+    }
   }
 }
 
