@@ -64,8 +64,7 @@ int main() {
   util::Table table({"test set", "#tests", "equiv. classes (true: 82)",
                      "distinguished pairs (true: 3997)", "time (ms)"});
 
-  // One engine across every test set: the Figure-3 tests alias suite
-  // members canonically, so later matrices reuse cached verdicts.
+  // One engine across every test set.
   engine::VerdictEngine eng;
   auto add = [&](const std::string& label,
                  const std::vector<litmus::LitmusTest>& tests) {

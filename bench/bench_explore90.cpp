@@ -8,14 +8,13 @@
 // engine::VerdictEngine and is checked bit-for-bit against the serial
 // seed path (per-cell core::is_allowed loop) it replaced, reporting the
 // speedup plus the engine's statistics: cells, checks and the searches
-// that decided them (one per distinct reorder mask of a test), cache
+// that decided them (one per distinct reorder mask of a test), dedup
 // hits and the backend split.  With --backend sat every search goes
 // through the SAT engine's mask path.
 //
 // Flags:
 //   --threads N      engine threads (default: hardware concurrency)
 //   --backend B      explicit | sat | adaptive  (default: adaptive)
-//   --no-cache       disable the verdict cache entirely
 //   --skip-baseline  skip the serial reference sweep (and its check)
 #include <cstdio>
 #include <cstdlib>
@@ -81,14 +80,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown backend '%s'\n", argv[i]);
         return 2;
       }
-    } else if (arg == "--no-cache") {
-      options.cache_enabled = false;
     } else if (arg == "--skip-baseline") {
       skip_baseline = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--backend explicit|sat|adaptive]"
-                   " [--no-cache] [--skip-baseline]\n",
+                   " [--skip-baseline]\n",
                    argv[0]);
       return 2;
     }

@@ -25,9 +25,7 @@ int main() {
   const auto nine = litmus::figure3_tests();
   for (const auto& t : nine) std::printf("%s\n", t.to_string().c_str());
 
-  // One engine for the whole harness: the nine tests are canonical
-  // members of the Corollary-1 suite, so the second matrix is largely
-  // served from the verdict cache.
+  // One engine for the whole harness.
   engine::VerdictEngine eng;
 
   // (a) named-model verdicts, one batched matrix.

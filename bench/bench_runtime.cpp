@@ -6,9 +6,8 @@
 // comparison on the full suite, the full 90-model exploration, and the
 // SAT-vs-explicit engine ablation.  The sweeps route through the batched
 // engine::VerdictEngine; the `_SerialBaseline` variants keep the seed's
-// hand-rolled per-cell loop for comparison.  Engine sweeps run cold
-// (fresh engine per iteration) and warm (persistent engine, so repeat
-// iterations are pure cache hits).
+// hand-rolled per-cell loop for comparison.  Engine sweeps build a
+// fresh engine per iteration.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -174,7 +173,7 @@ int count_equivalent(const explore::AdmissibilityMatrix& matrix) {
   return equivalent;
 }
 
-/// Engine sweep, cold: a fresh engine (empty cache) per iteration; the
+/// Engine sweep, cold: a fresh engine per iteration; the
 /// range argument is the thread count (0 = hardware concurrency).
 void BM_Full90ModelExploration_EngineCold(benchmark::State& state) {
   for (auto _ : state) {
@@ -191,19 +190,6 @@ BENCHMARK(BM_Full90ModelExploration_EngineCold)
     ->Arg(1)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
-
-/// Engine sweep, warm: one persistent engine, so every iteration after
-/// the first is served from the verdict cache.
-void BM_Full90ModelExploration_EngineWarm(benchmark::State& state) {
-  engine::VerdictEngine eng;
-  for (auto _ : state) {
-    const explore::AdmissibilityMatrix matrix(eng, space_models(), suite());
-    if (count_equivalent(matrix) != 8) {
-      state.SkipWithError("expected 8 equivalent pairs");
-    }
-  }
-}
-BENCHMARK(BM_Full90ModelExploration_EngineWarm)->Unit(benchmark::kMillisecond);
 
 /// Engine ablation across the whole suite x named models, batched.
 void BM_SuiteSweep(benchmark::State& state) {

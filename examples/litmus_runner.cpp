@@ -54,7 +54,7 @@ void print_one(const mcmc::litmus::LitmusTest& test,
     const bool allowed = verdicts.get(static_cast<int>(m), test_index);
     std::string witness;
     if (allowed) {
-      // The engine answered the (cheap, cached) decision question; the
+      // The engine answered the (cheap, batched) decision question; the
       // witness linearization is only materialized for allowed cells.
       const auto result = core::check(an, models[m], test.outcome());
       for (const auto e : result.order) {

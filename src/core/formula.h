@@ -73,12 +73,6 @@ class Formula {
   /// semantics the library cannot inspect).
   [[nodiscard]] bool has_custom() const;
 
-  /// Stable identity of the underlying immutable tree: copies share it,
-  /// independently built formulas do not.  Caches key formulas with
-  /// custom predicates by identity, since structural equality cannot be
-  /// decided for opaque predicate functions.
-  [[nodiscard]] const void* identity() const { return node_.get(); }
-
  private:
   friend class FormulaSet;
   struct Node;

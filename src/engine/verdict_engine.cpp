@@ -10,6 +10,7 @@
 #include "store/verdict_store.h"
 #include "util/check.h"
 #include "util/hash128.h"
+#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace mcmc::engine {
@@ -193,7 +194,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   cells += other.cells;
   checks_run += other.checks_run;
   searches += other.searches;
-  cache_hits += other.cache_hits;
   dedup_hits += other.dedup_hits;
   store_hits += other.store_hits;
   store_misses += other.store_misses;
@@ -208,8 +208,7 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
 std::string EngineStats::to_string() const {
   std::ostringstream os;
   os << "cells=" << cells << " checks=" << checks_run
-     << " searches=" << searches << " cache_hits=" << cache_hits
-     << " dedup_hits=" << dedup_hits;
+     << " searches=" << searches << " dedup_hits=" << dedup_hits;
   if (store_hits + store_misses > 0) {
     os << " store_hits=" << store_hits << "/" << (store_hits + store_misses);
   }
@@ -271,236 +270,6 @@ WorkStealingPool& VerdictEngine::pool() {
 void VerdictEngine::record(const EngineStats& stats) {
   last_stats_ = stats;
   total_stats_ += stats;
-}
-
-std::vector<char> VerdictEngine::run_batch(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests) {
-  const int num_models = static_cast<int>(models.size());
-  const int num_tests = static_cast<int>(tests.size());
-  for (const auto& r : requests) {
-    MCMC_REQUIRE_MSG(r.model >= 0 && r.model < num_models,
-                     "request model index out of range");
-    MCMC_REQUIRE_MSG(r.test >= 0 && r.test < num_tests,
-                     "request test index out of range");
-  }
-  util::Timer timer;
-  EngineStats stats;
-  stats.cells = requests.size();
-  auto results = grouped_batch(models, tests, requests, stats);
-  stats.wall_seconds = timer.seconds();
-  record(stats);
-  return results;
-}
-
-std::vector<char> VerdictEngine::grouped_batch(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests, EngineStats& stats) {
-  if (!options_.cache_enabled) return evaluate(models, tests, requests, stats);
-  const int num_models = static_cast<int>(models.size());
-  const int num_tests = static_cast<int>(tests.size());
-
-  // ---- Which tests and models this batch touches. ----
-  std::vector<char> test_used(tests.size(), 0);
-  std::vector<char> model_used(models.size(), 0);
-  for (const auto& r : requests) {
-    test_used[static_cast<std::size_t>(r.test)] = 1;
-    model_used[static_cast<std::size_t>(r.model)] = 1;
-  }
-  std::vector<int> used_tests;
-  for (int t = 0; t < num_tests; ++t) {
-    if (test_used[static_cast<std::size_t>(t)]) used_tests.push_back(t);
-  }
-
-  // ---- Model cache keys.  Structurally identical custom-free formulas
-  // share; formulas with custom predicates are keyed by tree identity. ----
-  struct ModelKey {
-    std::string key;
-    bool custom = false;
-  };
-  std::vector<ModelKey> model_keys(models.size());
-  bool need_canonical = false;
-  bool need_structural = false;
-  for (int m = 0; m < num_models; ++m) {
-    if (!model_used[static_cast<std::size_t>(m)]) continue;
-    auto& mk = model_keys[static_cast<std::size_t>(m)];
-    const auto& formula = models[static_cast<std::size_t>(m)].formula();
-    mk.custom = formula.has_custom();
-    if (mk.custom) {
-      std::ostringstream os;
-      os << "P:" << formula.identity();
-      mk.key = os.str();
-      // Pin the node so its address (= the cache key) cannot be
-      // recycled by a different custom formula while this engine's
-      // cached verdicts reference it.
-      util::MutexLock lock(cache_mu_);
-      if (pinned_ids_.insert(formula.identity()).second) {
-        pinned_custom_formulas_.push_back(formula);
-      }
-    } else {
-      mk.key = "F:" + formula.to_string();
-    }
-    need_structural = need_structural || mk.custom;
-    need_canonical = need_canonical || !mk.custom;
-  }
-
-  // ---- Test fingerprints.  128-bit canonical/structural fingerprints
-  // (litmus::canonical_fingerprint) are all the cache needs: no
-  // Analysis and no key string is built here.  Analyses are deferred
-  // until the cache and the within-batch dedup have spoken, so only
-  // tests that actually reach evaluation pay for one. ----
-  std::vector<util::Key128> canonical_fps(need_canonical ? tests.size() : 0);
-  std::vector<util::Key128> structural_fps(need_structural ? tests.size() : 0);
-  if (need_canonical || need_structural) {
-    const auto fingerprint_range = [&](std::size_t begin, std::size_t end) {
-      litmus::KeyScratch scratch;
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto t = static_cast<std::size_t>(used_tests[k]);
-        if (need_canonical) {
-          canonical_fps[t] = litmus::canonical_fingerprint(tests[t], scratch);
-        }
-        if (need_structural) {
-          structural_fps[t] = litmus::structural_fingerprint(tests[t]);
-        }
-      }
-    };
-    parallel_ranges(pool(), used_tests.size(), fingerprint_range);
-  }
-
-  // ---- Intern fingerprints into dense class ids so the per-cell
-  // grouping cost is two array reads and one integer hash. ----
-  //
-  // test_class[t]: class id of test t under each key flavor; tests whose
-  // fingerprints collide share a class.  model_class[m]: ditto for model
-  // keys (strings — there are few models, many tests).
-  std::vector<int> model_class(models.size(), -1);
-  std::vector<int> canonical_class(tests.size(), -1);
-  std::vector<int> structural_class(tests.size(), -1);
-  std::vector<const std::string*> model_class_key;
-  std::vector<util::Key128> test_class_key;
-  {
-    std::unordered_map<std::string, int> model_interner;
-    std::unordered_map<util::Key128, int, util::Key128Hash> test_interner;
-    const auto intern_test = [&](const util::Key128& key) {
-      const auto [it, inserted] =
-          test_interner.emplace(key, static_cast<int>(test_class_key.size()));
-      if (inserted) test_class_key.push_back(key);
-      return it->second;
-    };
-    for (const int t : used_tests) {
-      if (need_canonical) {
-        canonical_class[static_cast<std::size_t>(t)] =
-            intern_test(canonical_fps[static_cast<std::size_t>(t)]);
-      }
-      if (need_structural) {
-        structural_class[static_cast<std::size_t>(t)] =
-            intern_test(structural_fps[static_cast<std::size_t>(t)]);
-      }
-    }
-    for (int m = 0; m < num_models; ++m) {
-      if (!model_used[static_cast<std::size_t>(m)]) continue;
-      const auto& mk = model_keys[static_cast<std::size_t>(m)];
-      const auto [it, inserted] = model_interner.emplace(
-          mk.key, static_cast<int>(model_class_key.size()));
-      if (inserted) model_class_key.push_back(&mk.key);
-      model_class[static_cast<std::size_t>(m)] = it->second;
-    }
-  }
-
-  // ---- Group cells into jobs: one evaluation per distinct
-  // (model class, test class) pair, with persistent-cache hits resolved
-  // immediately.  A job's later cells are cache hits when the job was
-  // served, within-batch dedup hits when it is evaluated. ----
-  struct Job {
-    int model = 0;
-    int test = 0;
-    int model_cls = -1;
-    int test_cls = -1;
-    bool from_cache = false;
-    bool result = false;
-  };
-  std::vector<Job> jobs;
-  std::vector<std::size_t> job_of(requests.size());  // cell -> its job
-  {
-    util::MutexLock lock(cache_mu_);
-    // Per model class, its persistent-cache bucket (looked up once).
-    std::vector<const std::unordered_map<util::Key128, bool, util::Key128Hash>*>
-        buckets(model_class_key.size(), nullptr);
-    std::vector<char> bucket_ready(model_class_key.size(), 0);
-    std::unordered_map<std::uint64_t, std::size_t> group_of;
-    group_of.reserve(requests.size());
-    const auto num_test_classes =
-        static_cast<std::uint64_t>(test_class_key.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto& r = requests[i];
-      const auto& mk = model_keys[static_cast<std::size_t>(r.model)];
-      const int test_cls =
-          mk.custom ? structural_class[static_cast<std::size_t>(r.test)]
-                    : canonical_class[static_cast<std::size_t>(r.test)];
-      const int model_cls = model_class[static_cast<std::size_t>(r.model)];
-      const std::uint64_t pair_id =
-          static_cast<std::uint64_t>(model_cls) * num_test_classes +
-          static_cast<std::uint64_t>(test_cls);
-      const auto [it, inserted] = group_of.emplace(pair_id, jobs.size());
-      job_of[i] = it->second;
-      if (!inserted) {
-        ++(jobs[it->second].from_cache ? stats.cache_hits : stats.dedup_hits);
-        continue;
-      }
-      Job job;
-      job.model = r.model;
-      job.test = r.test;
-      job.model_cls = model_cls;
-      job.test_cls = test_cls;
-      // One persistent-cache probe per new group.
-      if (!bucket_ready[static_cast<std::size_t>(model_cls)]) {
-        const auto bucket =
-            cache_.find(*model_class_key[static_cast<std::size_t>(model_cls)]);
-        buckets[static_cast<std::size_t>(model_cls)] =
-            bucket == cache_.end() ? nullptr : &bucket->second;
-        bucket_ready[static_cast<std::size_t>(model_cls)] = 1;
-      }
-      const auto* bucket = buckets[static_cast<std::size_t>(model_cls)];
-      if (bucket != nullptr) {
-        const auto hit =
-            bucket->find(test_class_key[static_cast<std::size_t>(test_cls)]);
-        if (hit != bucket->end()) {
-          job.from_cache = true;
-          job.result = hit->second;
-          ++stats.cache_hits;
-        }
-      }
-      jobs.push_back(job);
-    }
-  }
-
-  // ---- The jobs the cache missed: one direct batch, and its verdicts
-  // feed the persistent cache. ----
-  std::vector<std::size_t> pending;
-  std::vector<VerdictRequest> live;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].from_cache) continue;
-    pending.push_back(j);
-    live.push_back({jobs[j].model, jobs[j].test});
-  }
-  const auto verdicts = evaluate(models, tests, live, stats);
-  {
-    util::MutexLock lock(cache_mu_);
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      Job& job = jobs[pending[k]];
-      job.result = verdicts[k] != 0;
-      cache_[*model_class_key[static_cast<std::size_t>(job.model_cls)]]
-          .emplace(test_class_key[static_cast<std::size_t>(job.test_cls)],
-                   job.result);
-    }
-  }
-  std::vector<char> results(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results[i] = jobs[job_of[i]].result ? 1 : 0;
-  }
-  return results;
 }
 
 std::vector<char> VerdictEngine::evaluate(
@@ -617,25 +386,28 @@ std::vector<char> VerdictEngine::evaluate(
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
-  if (store_ != nullptr) return run_rows(RowModels(models, store_), tests, {});
+  if (options_.cache_enabled || store_ != nullptr) {
+    return run_rows(RowModels(models, store_), tests, {});
+  }
+  // The reference setting: every cell is a request of the direct batch.
+  util::Timer timer;
+  EngineStats stats;
+  stats.cells = models.size() * tests.size();
+  std::vector<VerdictRequest> requests;
+  requests.reserve(stats.cells);
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
-  std::vector<VerdictRequest> requests;
-  requests.reserve(static_cast<std::size_t>(num_models) *
-                   static_cast<std::size_t>(num_tests));
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  const auto verdicts = run_batch(models, tests, requests);
-
-  BitMatrix matrix(num_models, num_tests);
-  std::size_t i = 0;
-  for (int t = 0; t < num_tests; ++t) {
-    for (int m = 0; m < num_models; ++m, ++i) {
-      if (verdicts[i]) matrix.set(m, t, true);
-    }
+  const auto flat = evaluate(models, tests, requests, stats);
+  BitMatrix verdicts(num_models, num_tests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (flat[i] != 0) verdicts.set(requests[i].model, requests[i].test, true);
   }
-  return matrix;
+  stats.wall_seconds = timer.seconds();
+  record(stats);
+  return verdicts;
 }
 
 BitMatrix VerdictEngine::run_rows(const RowModels& rows,
@@ -688,9 +460,8 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
   // ---- The cells the store lacks, for one direct batch: a custom-free
   // model is decided once per row, on the row's first test; a
   // custom-predicate model once per test (its verdicts are neither
-  // shared nor stored).  A row's other tests share the verdict: as
-  // cache hits when the store served it, as dedup hits when it is
-  // evaluated, the way a grouped batch counts them. ----
+  // shared nor stored).  A row's other tests share the verdict as dedup
+  // hits, whether the store served it or it is evaluated. ----
   std::vector<VerdictRequest> requests;
   for (int t = 0; t < num_tests; ++t) {
     const auto row =
@@ -699,20 +470,20 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
     for (int m = 0; m < num_models; ++m) {
       const auto ms = static_cast<std::size_t>(m);
       const bool custom = rows.custom_[ms] != 0;
-      if (!custom && !row_first) continue;
-      const std::size_t group = custom ? 1 : row_size[row];
+      if (!custom) {
+        if (!row_first) continue;
+        stats.dedup_hits += row_size[row] - 1;
+      }
       const int col = rows.col_[ms];
       if (vstore != nullptr && col >= 0) {
         const std::optional<bool> hit = store_rows.get(row, col);
         if (hit.has_value()) {
           if (*hit) verdicts.set(m, t, true);
           ++stats.store_hits;
-          stats.cache_hits += group - 1;
           continue;
         }
         ++stats.store_misses;
       }
-      stats.dedup_hits += group - 1;
       requests.push_back({m, t});
     }
   }

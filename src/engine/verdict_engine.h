@@ -2,20 +2,20 @@
 //
 // Every result in the paper reduces to "is this outcome allowed under
 // this model?" asked thousands of times.  VerdictEngine owns that loop
-// for the whole repository: callers hand it a batch of (model, test)
-// cells and get back a packed verdict matrix, with the engine handling
+// for the whole repository: callers hand it models and tests and get
+// back a packed verdict matrix, with the engine handling
 //
 //   * per-program Analysis construction, done once per run of
 //     consecutive evaluated tests that share one program object (the
 //     stream's outcomes of a program, copies of a test) and shared
 //     across those tests and every model — deduplicated and
-//     cache-served tests never pay for one,
-//   * canonical-test deduplication: symmetric tests (thread-permuted,
-//     location-renamed) share verdicts through a persistent cache keyed
-//     by litmus::canonical_fingerprint (128-bit, allocation-free;
-//     litmus::canonical_key is its audited string form) — falling back
-//     to structural fingerprints for models with custom predicates,
-//     whose semantics may observe raw thread/location identity,
+//     store-served tests never pay for one,
+//   * canonical-test deduplication within a call: symmetric tests
+//     (thread-permuted, location-renamed) share one row of verdicts,
+//     keyed by litmus::canonical_fingerprint (128-bit, allocation-free;
+//     litmus::canonical_key is its audited string form) — models with
+//     custom predicates, whose semantics may observe raw
+//     thread/location identity, are decided per test instead,
 //   * mask-class evaluation: the batch's models are compiled once as a
 //     core::FormulaSet, whose masks are written per program in one pass
 //     (shared subformulas evaluated once); models with equal masks on a
@@ -30,16 +30,17 @@
 //   * a work-stealing std::thread pool running one task per program run
 //     (analyze, compile masks, then prepare and decide its tests one at
 //     a time),
-//   * row-level verdict-store traffic (run_rows, the only path that
-//     reads or writes a store: the stream, the Theorem harness's sweep,
-//     litmusd and run_matrix on a store-attached engine take it): one
-//     store probe per canonical class, one direct batch for the cells
-//     the store lacks, one write-back, and
-//   * per-batch statistics (cells, checks, searches, cache hits,
-//     backend split, wall time).
+//   * row-level verdict-store traffic (run_rows, the one batch path:
+//     run_matrix, the stream, the Theorem harness's sweep and litmusd
+//     take it): one store probe per canonical class, one direct batch
+//     for the cells the store lacks, one write-back, and
+//   * per-batch statistics (cells, checks, searches, dedup and store
+//     hits, backend split, wall time).
 //
-// explore::AdmissibilityMatrix, model fingerprinting, the examples, and
-// the bench sweeps all route through this engine.
+// No verdict outlives a call: the verdict store (store::VerdictStore)
+// is what keeps them.  explore::AdmissibilityMatrix, model
+// fingerprinting, the examples, and the bench sweeps all route through
+// this engine.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +48,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/checker.h"
@@ -59,8 +58,6 @@
 #include "engine/thread_pool.h"
 #include "litmus/test.h"
 #include "util/hash128.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace mcmc::store {
 class VerdictStore;
@@ -86,29 +83,26 @@ struct EngineOptions {
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Master switch for the grouped batch's verdict cache (both
-  /// within-batch dedup and the persistent cross-batch map); run_rows
-  /// never uses it.
+  /// false: a run_matrix without an attached store decides every cell
+  /// through the direct batch, with nothing shared between cells — the
+  /// reference setting of the differential tests and of perfbench's
+  /// serve oracle, which share no row code with the path they check.
+  /// The name is kept from the in-memory verdict cache it once
+  /// switched, because those callers set it.  run_rows, run_stream and
+  /// a store-attached run_matrix ignore it.
   bool cache_enabled = true;
-};
-
-/// One cell of a batch: indices into the caller's model and test vectors.
-struct VerdictRequest {
-  int model = 0;
-  int test = 0;
 };
 
 /// Per-batch accounting (also accumulated across an engine's lifetime).
 struct EngineStats {
   std::size_t cells = 0;           ///< verdicts requested
   std::size_t checks_run = 0;      ///< cells decided by evaluation (not
-                                   ///  by a cache, store or dedup hit)
+                                   ///  by a store or dedup hit)
   std::size_t searches = 0;        ///< closure or SAT searches run for
                                    ///  them: one per distinct mask among
                                    ///  a test's checks (one per check
                                    ///  beyond 64 events)
-  std::size_t cache_hits = 0;      ///< served by the persistent cache
-  std::size_t dedup_hits = 0;      ///< shared within the batch via keys
+  std::size_t dedup_hits = 0;      ///< shared within the call via keys
   std::size_t store_hits = 0;      ///< served by the verdict store
   std::size_t store_misses = 0;    ///< store probes that found nothing
   std::size_t explicit_checks = 0; ///< checks decided by the explicit engine
@@ -116,7 +110,7 @@ struct EngineStats {
   std::size_t unique_analyses = 0; ///< Analysis objects built this batch:
                                    ///  one per run of evaluated tests
                                    ///  sharing a program object
-                                   ///  (dedup/cache hits build none)
+                                   ///  (dedup/store hits build none)
   int threads_used = 1;
   double wall_seconds = 0.0;
 
@@ -258,7 +252,7 @@ class RowModels {
   std::vector<std::uint64_t> want_;  ///< the models' store columns
 };
 
-/// Batched, parallel, cached (model, test) verdict evaluation.
+/// Batched, parallel (model, test) verdict evaluation.
 class VerdictEngine {
  public:
   explicit VerdictEngine(EngineOptions options = {});
@@ -268,37 +262,26 @@ class VerdictEngine {
   VerdictEngine& operator=(const VerdictEngine&) = delete;
 
   /// Evaluates the full `models` x `tests` cross product; bit (m, t) of
-  /// the result is the verdict of model `m` on test `t`.  On an engine
-  /// with a store attached (set_store) this is
-  /// run_rows(RowModels(models, store), tests, {}); otherwise it is
-  /// run_batch over every cell.
+  /// the result is the verdict of model `m` on test `t`.  This is
+  /// run_rows(RowModels(models, store), tests, {}) with the attached
+  /// store (set_store), or none; with cache_enabled off and no store,
+  /// every cell is decided by the direct batch instead.
   [[nodiscard]] BitMatrix run_matrix(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests);
 
-  /// Evaluates an arbitrary batch of cells; `result[i]` is the verdict
-  /// for `requests[i]`.  Request indices must lie within the vectors.
-  /// The grouped batch: with the cache on, cells of one (model,
-  /// canonical class) pair — structural class for a custom-predicate
-  /// model — are decided once and kept in the in-memory cache.  No store
-  /// is consulted.
-  [[nodiscard]] std::vector<char> run_batch(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests);
-
-  /// The row-level store path, and the only one: the verdict matrix of
-  /// the models `rows` binds x `tests`, with tests keyed by `keys`: their
-  /// canonical fingerprints (litmus::canonical_fingerprint), parallel to
-  /// `tests`, or empty to have them computed here.  Tests with equal
-  /// keys share one row: one probe per row of the store `rows` binds
-  /// (may be null) under one shared hold, one direct batch (no cache, no
-  /// grouping) for the cells the store lacks — each custom-free model
-  /// decided once per row, on its first test, a custom-predicate model
-  /// per test — and one write-back under one exclusive hold of the rows
-  /// this call added a column to.  A row's later tests count as cache
-  /// hits when the store served the row's cell, as dedup hits when it
-  /// was evaluated.
+  /// The engine's batch path: the verdict matrix of the models `rows`
+  /// binds x `tests`, with tests keyed by `keys`: their canonical
+  /// fingerprints (litmus::canonical_fingerprint), parallel to `tests`,
+  /// or empty to have them computed here.  Tests with equal keys share
+  /// one row: one probe per row of the store `rows` binds (may be null)
+  /// under one shared hold, one direct batch for the cells the store
+  /// lacks — each custom-free model decided once per row, on its first
+  /// test, a custom-predicate model per test — and one write-back under
+  /// one exclusive hold of the rows this call added a column to.  A
+  /// row's later tests count as dedup hits, whether the store served the
+  /// row's cell or it was evaluated.  Throws std::invalid_argument
+  /// unless `keys` is empty or as long as `tests`.
   [[nodiscard]] BitMatrix run_rows(const RowModels& rows,
                                    const std::vector<litmus::LitmusTest>& tests,
                                    const std::vector<util::Key128>& keys);
@@ -336,9 +319,8 @@ class VerdictEngine {
   /// per canonical class, the missing cells evaluated, and evaluated
   /// verdicts written back.  Only models with a store column
   /// (custom-free, see store::model_store_key) are stored — the store
-  /// holds canonical fingerprints exclusively.  run_batch, run_rows and
-  /// run_stream never read it: run_rows and a canonical-key stream use
-  /// the store they are given.
+  /// holds canonical fingerprints exclusively.  run_rows and run_stream
+  /// never read it: they use the store they are given.
   void set_store(store::VerdictStore* store) { store_ = store; }
 
   /// Stats of the most recent batch.
@@ -353,22 +335,19 @@ class VerdictEngine {
   [[nodiscard]] int effective_threads() const;
 
  private:
+  /// One cell of a direct batch: indices into the caller's model and
+  /// test vectors.
+  struct VerdictRequest {
+    int model = 0;
+    int test = 0;
+  };
+
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch's body: fingerprints, interning, one job per distinct
-  /// (model class, test class) pair and the in-memory cache, then
-  /// evaluate on the jobs the cache missed; with the cache off, evaluate
-  /// on every request.  Adds everything but cells and wall time to
-  /// `stats`.
-  [[nodiscard]] std::vector<char> grouped_batch(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, EngineStats& stats);
-  /// The direct batch: every request is one check (no cache, no store,
-  /// no grouping); program runs share an Analysis, and each test runs
-  /// one search per distinct mask its requests ask for.  Adds the
-  /// checks, searches, backend split and analyses to `stats` and sets
-  /// its threads_used.
+  /// The direct batch: every request is one check (no store, no rows);
+  /// program runs share an Analysis, and each test runs one search per
+  /// distinct mask its requests ask for.  Adds the checks, searches,
+  /// backend split and analyses to `stats` and sets its threads_used.
   [[nodiscard]] std::vector<char> evaluate(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
@@ -381,20 +360,6 @@ class VerdictEngine {
   EngineOptions options_;
   std::unique_ptr<WorkStealingPool> pool_;  // created on first use
   store::VerdictStore* store_ = nullptr;    // caller-owned, optional
-
-  mutable util::Mutex cache_mu_;
-  /// model key -> (test fingerprint -> verdict).  Two-level so a batch
-  /// resolves each model key string once; the inner map is keyed by the
-  /// 128-bit canonical/structural fingerprint, so no per-test key
-  /// string is ever materialized or retained.
-  std::unordered_map<std::string,
-                     std::unordered_map<util::Key128, bool, util::Key128Hash>>
-      cache_ GUARDED_BY(cache_mu_);
-  /// Custom-predicate formulas are cache-keyed by their node address;
-  /// retaining a copy pins the node so the address cannot be recycled
-  /// by a different formula while its verdicts are cached.
-  std::vector<core::Formula> pinned_custom_formulas_ GUARDED_BY(cache_mu_);
-  std::unordered_set<const void*> pinned_ids_ GUARDED_BY(cache_mu_);
 
   EngineStats last_stats_;
   EngineStats total_stats_;

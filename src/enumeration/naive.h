@@ -17,7 +17,7 @@
 //
 // The counting here shares its generator core (shapes.h) with the
 // streaming materializer (exhaustive.h), which additionally measures the
-// stronger canonical-key reduction used by the VerdictEngine's cache.
+// stronger canonical-key reduction the VerdictEngine shares verdicts by.
 #pragma once
 
 #include <cstdint>

@@ -67,13 +67,13 @@ std::vector<char> useful_flags(
   std::vector<litmus::LitmusTest> tests;
   tests.reserve(all.size());
   for (const auto& [c, t] : all) tests.push_back(t);
-  std::vector<engine::VerdictRequest> requests;
-  requests.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    requests.push_back({0, static_cast<int>(i)});
-  }
   engine::VerdictEngine eng;
-  return eng.run_batch(weakest, tests, requests);
+  const engine::BitMatrix allowed = eng.run_matrix(weakest, tests);
+  std::vector<char> useful(tests.size());
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    useful[i] = allowed.get(0, static_cast<int>(i)) ? 1 : 0;
+  }
+  return useful;
 }
 
 }  // namespace

@@ -12,8 +12,8 @@ Fingerprint fingerprint_model(const core::MemoryModel& model) {
 
   // All nine probes in one batch: the later digit derivations branch on
   // earlier verdicts, but every branch only ever consults L1..L9, so
-  // evaluating the full row up front keeps the pipeline batched (and the
-  // canonical cache collapses probes that alias under symmetry).
+  // evaluating the full row up front keeps the pipeline batched (and
+  // probes that alias under symmetry share one canonical row).
   const auto probes = litmus::figure3_tests();
   const auto verdicts = eng.run_matrix({model}, probes);
   const auto allowed = [&](int probe_index) {

@@ -7,8 +7,9 @@
 // finishes in seconds).
 //
 // The matrix is a thin wrapper over engine::VerdictEngine: construction
-// is one batched, parallel, cached engine run, rows are packed 64-bit
-// words, and `compare` / `distinguishing_tests` are word-wise sweeps.
+// is one batched, parallel engine run (run_matrix), rows are packed
+// 64-bit words, and `compare` / `distinguishing_tests` are word-wise
+// sweeps.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ class AdmissibilityMatrix {
                       const std::vector<litmus::LitmusTest>& tests,
                       core::Engine engine = core::Engine::Explicit);
 
-  /// Runs every (model, test) check through `eng`, sharing its verdict
-  /// cache, thread pool, and backend policy.
+  /// Runs every (model, test) check through `eng`, sharing its thread
+  /// pool, backend policy and attached store.
   AdmissibilityMatrix(engine::VerdictEngine& eng,
                       const std::vector<core::MemoryModel>& models,
                       const std::vector<litmus::LitmusTest>& tests);

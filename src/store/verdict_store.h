@@ -1,12 +1,13 @@
 // Crash-safe persistent verdict store.
 //
-// The engine's canonical-key verdict cache dies with the process, so
-// every run re-derives all ~445k canonical-class verdicts and an
-// interrupted full-space stream restarts from zero.  This subsystem is
-// the cache that outlives the process: a versioned, checksummed file
-// mapping 128-bit canonical test fingerprints (util::Key128) to packed
-// per-model verdict words, plus an optional stream checkpoint so an
-// exhaustive run can resume from its last sealed chunk.
+// The engine keeps no verdict beyond the call that decided it, so
+// without a store every run re-derives all ~445k canonical-class
+// verdicts and an interrupted full-space stream restarts from zero.
+// This subsystem keeps them across calls and processes: a versioned,
+// checksummed file mapping 128-bit canonical test fingerprints
+// (util::Key128) to packed per-model verdict words, plus an optional
+// stream checkpoint so an exhaustive run can resume from its last
+// sealed chunk.
 //
 // On disk a store is a *base* snapshot at `path` plus a chain of
 // *delta segments* beside it (`path.1`, `path.2`, ...).  save() writes
@@ -38,15 +39,15 @@
 //     generator/canonicalization schema version they were keyed under
 //     (kSpaceSchemaVersion).  Open with a different zoo or schema and
 //     the file self-invalidates (ignored, rebuilt on next save) — a
-//     stale cache can never serve a verdict for the wrong model, and a
-//     cache written under an older fingerprint/space schema can never
+//     stale store can never serve a verdict for the wrong model, and a
+//     store written under an older fingerprint/space schema can never
 //     mix its rows into a newer run.
 //   * Graceful degradation: a corrupt base is quarantined (renamed to
 //     `path + ".corrupt"`) and open() returns an empty store; a corrupt
 //     segment is quarantined the same way and the chain ends before it.
 //     Callers recompute and repopulate.  Recovery never throws, never
 //     crashes, and never yields a wrong verdict — the worst case is
-//     doing the work the cache would have saved.
+//     doing the work the store would have saved.
 //
 // All filesystem access goes through store::Fs, so every recovery path
 // above is exercised by fault injection (store/fs.h) in the dedicated
@@ -113,11 +114,12 @@ inline constexpr std::uint32_t kStoreFormatVersion = 2;
 ///       pinned stream cursors); pre-dep stores wrote 0.
 inline constexpr std::uint32_t kSpaceSchemaVersion = 2;
 
-/// The engine-compatible cache key of a model: the same string the
-/// VerdictEngine keys its persistent cache by, so store columns and
-/// engine model classes match by string equality.  Empty for formulas
-/// with custom predicates — their semantics may observe raw identity,
-/// so their verdicts are never persisted.
+/// The key of a model's store column: "F:" and its formula's text, so
+/// models with structurally equal formulas share a column.  This is the
+/// only definition of the format; StoreMeta, the engine's row path and
+/// litmusd all take their keys from here.  Empty for formulas with
+/// custom predicates — their semantics may observe raw identity, so
+/// their verdicts are never persisted.
 [[nodiscard]] std::string model_store_key(const core::MemoryModel& model);
 
 /// Identity of a store: the ordered model list its verdict columns are
@@ -269,7 +271,7 @@ class VerdictStore {
     return bytes_committed_.load(std::memory_order_relaxed);
   }
 
-  /// Column of the model with this engine cache key; -1 if absent
+  /// Column of the model with this key (model_store_key); -1 if absent
   /// (unknown model, or the empty custom-predicate key).
   [[nodiscard]] int column_of(const std::string& model_key) const;
 

@@ -1,7 +1,7 @@
 // VerdictEngine batch semantics: batched verdicts must equal per-call
-// core::is_allowed, symmetric duplicate tests must share verdicts through
-// the canonical-key cache, and results must not depend on the thread
-// count.
+// core::is_allowed, symmetric duplicate tests must share one check
+// within a call (and no verdict may outlive it), and results must not
+// depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -13,8 +13,10 @@
 #include "explore/matrix.h"
 #include "explore/space.h"
 #include "litmus/catalog.h"
+#include "litmus/test.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
+#include "util/hash128.h"
 
 namespace mcmc {
 namespace {
@@ -74,11 +76,11 @@ TEST(VerdictEngineBatch, SymmetricDuplicatesHitTheCache) {
   EXPECT_EQ(eng.last_stats().checks_run, 1u);
   EXPECT_GT(eng.last_stats().dedup_hits, 0u);
 
-  // A later batch is served entirely from the persistent cache.
+  // No verdict outlives a call: a later batch decides again.
   const auto again = eng.run_matrix(models, tests);
   EXPECT_EQ(again, matrix);
-  EXPECT_EQ(eng.last_stats().checks_run, 0u);
-  EXPECT_EQ(eng.last_stats().cache_hits, 2u);
+  EXPECT_EQ(eng.last_stats().checks_run, 1u);
+  EXPECT_EQ(eng.last_stats().dedup_hits, 1u);
 }
 
 TEST(VerdictEngineBatch, CustomPredicateModelsSkipCanonicalSharing) {
@@ -124,7 +126,7 @@ TEST(VerdictEngineBatch, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(eng1.last_stats().threads_used, 1);
   EXPECT_EQ(eng1.last_stats().checks_run, engN.last_stats().checks_run);
 
-  // And with the cache off (every cell its own job).
+  // And with the cache off (every cell its own check).
   engine::EngineOptions raw_serial = serial;
   raw_serial.cache_enabled = false;
   engine::EngineOptions raw_wide = wide;
@@ -158,13 +160,27 @@ TEST(VerdictEngineBatch, SatAndExplicitBackendsAgree) {
   EXPECT_EQ(explicit_eng.last_stats().sat_checks, 0u);
 }
 
-TEST(VerdictEngineBatch, RequestIndicesAreValidated) {
+TEST(VerdictEngineBatch, RunRowsRejectsMisalignedKeys) {
   const std::vector<core::MemoryModel> models = {models::sc()};
-  const std::vector<litmus::LitmusTest> tests = {litmus::store_buffering()};
+  const std::vector<litmus::LitmusTest> tests = {litmus::store_buffering(),
+                                                 litmus::message_passing()};
+  const engine::RowModels rows(models, nullptr);
+  litmus::KeyScratch scratch;
+  std::vector<util::Key128> keys;
+  for (const auto& test : tests) {
+    keys.push_back(litmus::canonical_fingerprint(test, scratch));
+  }
   engine::VerdictEngine eng;
-  EXPECT_THROW((void)eng.run_batch(models, tests, {{0, 1}}),
+  const engine::BitMatrix want = eng.run_rows(rows, tests, {});
+  EXPECT_TRUE(eng.run_rows(rows, tests, keys) == want);
+
+  // One key too few or too many is refused.
+  const std::vector<util::Key128> short_keys(keys.begin(), keys.end() - 1);
+  std::vector<util::Key128> long_keys = keys;
+  long_keys.push_back(keys.front());
+  EXPECT_THROW((void)eng.run_rows(rows, tests, short_keys),
                std::invalid_argument);
-  EXPECT_THROW((void)eng.run_batch(models, tests, {{-1, 0}}),
+  EXPECT_THROW((void)eng.run_rows(rows, tests, long_keys),
                std::invalid_argument);
 }
 

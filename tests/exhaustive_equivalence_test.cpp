@@ -253,7 +253,11 @@ TEST(RunStream, StreamedVerdictsMatchMaterializedBatch) {
   const auto suite = enumeration::corollary1_suite(true);
   const auto models = ninety_models();
 
-  engine::VerdictEngine eng_batch;
+  // The batch decides every cell on its own (the cache off), sharing no
+  // row code with the stream's run_rows.
+  engine::EngineOptions cellwise;
+  cellwise.cache_enabled = false;
+  engine::VerdictEngine eng_batch(cellwise);
   const auto batch = eng_batch.run_matrix(models, suite);
 
   engine::VectorSource source(suite, 17);

@@ -334,7 +334,11 @@ TEST_F(ServeE2E, CoalescedDistinctCorporaKeepTheirKeys) {
   for (const auto& choices : explore::model_space(true)) {
     models.push_back(choices.to_model());
   }
-  engine::VerdictEngine eng;
+  // The oracle decides every cell on its own (the cache off), so it
+  // shares no row code with the daemon's run_rows.
+  engine::EngineOptions oracle_options;
+  oracle_options.cache_enabled = false;
+  engine::VerdictEngine eng(oracle_options);
   Client client = connect();
   std::string error;
   litmus::KeyScratch scratch;

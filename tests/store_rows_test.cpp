@@ -5,10 +5,11 @@
 // reproduce the store-less run's matrix and evaluation counts, and
 // leave a store file byte for byte equal to a reference run's.  The
 // reference streams the same extremes, sweeps the same candidates with
-// a store-less run_matrix, and writes every verdict with a store column
-// into the store cell by cell.  A warm rerun then serves the whole
-// sweep from the store.  run_matrix on a store-attached engine takes
-// the same row path.
+// a store-less run_matrix that decides every cell on its own (the cache
+// off), and writes every verdict with a store column into the store
+// cell by cell.  A warm rerun then serves the whole sweep from the
+// store.  run_matrix on a store-attached engine takes the same row
+// path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,6 +75,15 @@ engine::EngineOptions with_threads(int threads) {
   return options;
 }
 
+/// The reference engines: with the cache off, a store-less run_matrix
+/// decides every cell through the direct batch and shares no row code
+/// with run_rows.
+engine::EngineOptions cellwise(int threads) {
+  engine::EngineOptions options = with_threads(threads);
+  options.cache_enabled = false;
+  return options;
+}
+
 /// The harness, checkpointed into a fresh store at `path` (or, with an
 /// empty path, store-less).
 SliceRun harness_run(const std::vector<core::MemoryModel>& models, bool deps,
@@ -106,13 +116,13 @@ SliceRun harness_run(const std::vector<core::MemoryModel>& models, bool deps,
   return run;
 }
 
-/// A reference run that shares no store code with run_rows: the same
-/// extremes stream, with each chunk's candidates swept by a store-less
-/// run_matrix and every verdict with a store column written with
-/// set_bit_locked, in candidate order, under one exclusive hold per
-/// chunk (an unchanged bit dirties nothing, as with run_rows).  Its
-/// `sweep` holds the store traffic the row path must report: one probe
-/// per canonical class per chunk, which misses the first time the
+/// A reference run that shares no row or store code with run_rows: the
+/// same extremes stream, with each chunk's candidates swept cell by cell
+/// by a store-less run_matrix and every verdict with a store column
+/// written with set_bit_locked, in candidate order, under one exclusive
+/// hold per chunk (an unchanged bit dirties nothing, as with run_rows).
+/// Its `sweep` holds the store traffic the row path must report: one
+/// probe per canonical class per chunk, which misses the first time the
 /// class is swept and hits later.  Its seals carry the harness's sink
 /// layout (distinguish.cpp: version, model count, candidate and
 /// filtered counts, sweep seconds, then the distinct verdict columns),
@@ -126,7 +136,7 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
       store::VerdictStore::open(path, explore::harness_store_meta(models))
           .store;
   engine::VerdictEngine eng(with_threads(threads));
-  engine::VerdictEngine sweep(with_threads(threads));
+  engine::VerdictEngine sweep(cellwise(threads));
   // Store columns of the swept models (-1: custom predicates, none).
   std::vector<int> cols;
   std::size_t column_models = 0;
@@ -349,7 +359,8 @@ TEST_F(StoreRows, StructuralKeysStoreTheCellwiseReferencesRows) {
 TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
   // run_matrix on a store-attached engine is run_rows over the store:
   // the with-dep Corollary-1 suite, with a custom-predicate model that
-  // has no store column, at 1 and 4 threads with the cache on.
+  // has no store column, at 1 and 4 threads, against a cell-by-cell
+  // reference.
   auto models = ninety_models();
   models.push_back(models::special_fence_chain(1));
   const auto tests = enumeration::corollary1_suite(true);
@@ -363,14 +374,10 @@ TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
   }
   const std::unordered_set<util::Key128, util::Key128Hash> classes(
       keys.begin(), keys.end());
-  std::vector<engine::VerdictRequest> requests;
-  for (int t = 0; t < num_tests; ++t) {
-    for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
-  }
 
   for (const int threads : {1, 4}) {
     const std::string label = std::to_string(threads) + " threads";
-    engine::VerdictEngine bare(with_threads(threads));
+    engine::VerdictEngine bare(cellwise(threads));
     const engine::BitMatrix want = bare.run_matrix(models, tests);
 
     store::VerdictStore vstore(explore::harness_store_meta(ninety_models()));
@@ -399,22 +406,6 @@ TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
     EXPECT_TRUE(warm.run_matrix(models, tests) == want) << label;
     EXPECT_EQ(warm.last_stats().store_misses, 0u) << label;
     EXPECT_EQ(warm.last_stats().checks_run, tests.size()) << label;
-
-    // run_batch never consults the attached store.
-    const std::uint64_t hits = vstore.hits();
-    const std::uint64_t misses = vstore.misses();
-    const std::size_t dirty = vstore.dirty_rows();
-    const auto verdicts = eng.run_batch(models, tests, requests);
-    EXPECT_EQ(vstore.hits(), hits) << label;
-    EXPECT_EQ(vstore.misses(), misses) << label;
-    EXPECT_EQ(vstore.dirty_rows(), dirty) << label;
-    EXPECT_EQ(eng.last_stats().store_hits + eng.last_stats().store_misses, 0u)
-        << label;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      EXPECT_EQ(verdicts[i] != 0, want.get(requests[i].model,
-                                           requests[i].test))
-          << label;
-    }
   }
 }
 
