@@ -27,7 +27,6 @@
 //                       reports the keys-stage cost ratio
 //   --chunk N           tests per chunk (default 4096)
 //   --threads N         engine threads (default: hardware concurrency)
-//   --backend B         explicit | sat | adaptive (default: adaptive)
 //   --no-filter         disable the monotone-extremes prefilter
 //   --no-overlap        disable producer-thread chunk prefetching
 //   --audit             collision-audit the hash-based dedup (more RAM,
@@ -122,11 +121,6 @@ int main(int argc, char** argv) {
       opts.chunk_size = static_cast<int>(v);
     } else if (arg == "--threads" && int_arg(0, 4096, v)) {
       engine_options.num_threads = static_cast<int>(v);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      if (!engine::parse_backend(argv[++i], engine_options.backend)) {
-        std::fprintf(stderr, "unknown backend '%s'\n", argv[i]);
-        return 2;
-      }
     } else if (arg == "--no-filter") {
       harness.filter_extremes = false;
     } else if (arg == "--no-overlap") {
@@ -162,7 +156,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--max-accesses N] [--locations N] [--no-fences]"
                    " [--with-deps]"
-                   " [--chunk N] [--threads N] [--backend B]"
+                   " [--chunk N] [--threads N]"
                    " [--no-filter] [--no-overlap] [--audit] [--verify-serial]"
                    " [--progress N] [--json FILE] [--store FILE] [--resume]"
                    " [--checkpoint-every N] [--require-store-hit-rate R]"

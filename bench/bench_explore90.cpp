@@ -9,12 +9,11 @@
 // seed path (per-cell core::is_allowed loop) it replaced, reporting the
 // speedup plus the engine's statistics: cells, checks and the searches
 // that decided them (one per distinct reorder mask of a test), dedup
-// hits and the backend split.  With --backend sat every search goes
-// through the SAT engine's mask path.
+// hits and the explicit/SAT split (every suite test fits the 64-event
+// mask path, so the SAT count reads 0).
 //
 // Flags:
 //   --threads N      engine threads (default: hardware concurrency)
-//   --backend B      explicit | sat | adaptive  (default: adaptive)
 //   --skip-baseline  skip the serial reference sweep (and its check)
 #include <cstdio>
 #include <cstdlib>
@@ -75,17 +74,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.num_threads = static_cast<int>(threads);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      if (!engine::parse_backend(argv[++i], options.backend)) {
-        std::fprintf(stderr, "unknown backend '%s'\n", argv[i]);
-        return 2;
-      }
     } else if (arg == "--skip-baseline") {
       skip_baseline = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--threads N] [--backend explicit|sat|adaptive]"
-                   " [--skip-baseline]\n",
+                   "usage: %s [--threads N] [--skip-baseline]\n",
                    argv[0]);
       return 2;
     }
@@ -121,9 +114,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("engine sweep: %.3fs (baseline skipped)\n", matrix_time);
   }
-  std::printf("engine [backend=%s]: %s\n\n",
-              engine::to_string(options.backend).c_str(),
-              matrix.build_stats().to_string().c_str());
+  std::printf("engine: %s\n\n", matrix.build_stats().to_string().c_str());
 
   int equivalent = 0;
   int ordered = 0;

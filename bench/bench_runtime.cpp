@@ -4,7 +4,8 @@
 // seconds, and a pairwise comparison of all 90 models completed in 20
 // minutes."  We measure: one admissibility check, one pairwise model
 // comparison on the full suite, the full 90-model exploration, and the
-// SAT-vs-explicit engine ablation.  The sweeps route through the batched
+// SAT-vs-explicit ablation on the core checker (BM_SingleCheck_Explicit
+// vs BM_SingleCheck_Sat).  The sweeps route through the batched
 // engine::VerdictEngine; the `_SerialBaseline` variants keep the seed's
 // hand-rolled per-cell loop for comparison.  Engine sweeps build a
 // fresh engine per iteration.
@@ -86,7 +87,7 @@ void BM_SingleCheck_Prepared(benchmark::State& state) {
   std::vector<std::uint64_t> scratch;
   core::FormulaSet({model.formula()}).compile(prep.analysis(), masks, scratch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prep.allowed(masks[0], core::Engine::Explicit));
+    benchmark::DoNotOptimize(prep.allowed(masks[0]));
   }
 }
 BENCHMARK(BM_SingleCheck_Prepared);
@@ -191,22 +192,16 @@ BENCHMARK(BM_Full90ModelExploration_EngineCold)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-/// Engine ablation across the whole suite x named models, batched.
+/// The whole suite x named models, batched through a fresh engine.
 void BM_SuiteSweep(benchmark::State& state) {
-  const auto backend = static_cast<engine::Backend>(state.range(0));
   const auto named = models::all_named_models();
   for (auto _ : state) {
-    engine::EngineOptions options;
-    options.backend = backend;
-    engine::VerdictEngine eng(options);
+    engine::VerdictEngine eng;
     const auto bits = eng.run_matrix(named, suite());
     benchmark::DoNotOptimize(bits.rows());
   }
 }
-BENCHMARK(BM_SuiteSweep)
-    ->Arg(static_cast<int>(engine::Backend::Sat))
-    ->Arg(static_cast<int>(engine::Backend::Explicit))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteSweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -14,8 +14,11 @@
 //                     disjunctions with an incrementally maintained
 //                     transitive closure (bitmask rows).
 //
-// The engines are differential-tested against each other; Explicit is the
-// default because the instances are tiny.
+// Both engines are the oracles the tests check the production path
+// against: engine::VerdictEngine decides every cell through
+// core::PreparedTest (prepared.h), which runs the explicit search up to
+// 64 events and SAT beyond.  The engines are differential-tested against
+// each other; Explicit is the default because the instances are tiny.
 #pragma once
 
 #include <vector>

@@ -1,5 +1,6 @@
 #include "core/prepared.h"
 
+#include "core/checker.h"
 #include "core/closure_search.h"
 #include "util/check.h"
 
@@ -20,47 +21,19 @@ PreparedTest::PreparedTest(std::shared_ptr<const Analysis> analysis,
   }
 }
 
-bool PreparedTest::allowed(const MemoryModel& model, Engine engine) const {
+bool PreparedTest::allowed(const MemoryModel& model) const {
   if (rf_maps_.empty()) return false;
-  if (engine == Engine::Explicit || analysis_->masks_valid()) {
-    MCMC_REQUIRE_MSG(analysis_->masks_valid(),
-                     "explicit engine supports up to 64 events");
-    std::vector<ReorderMask> mask;
-    std::vector<std::uint64_t> scratch;
-    FormulaSet({model.formula()}).compile(*analysis_, mask, scratch);
-    return allowed(mask.front(), engine);
-  }
-  return allowed_via_problems(model, engine);
+  if (!analysis_->masks_valid()) return allowed_via_problems(model);
+  std::vector<ReorderMask> mask;
+  std::vector<std::uint64_t> scratch;
+  FormulaSet({model.formula()}).compile(*analysis_, mask, scratch);
+  return allowed(mask.front());
 }
 
-bool PreparedTest::allowed(const ReorderMask& mask, Engine engine) const {
+bool PreparedTest::allowed(const ReorderMask& mask) const {
   MCMC_REQUIRE_MSG(mask.num_events == analysis_->num_events(),
                    "mask compiled against another analysis");
   if (rf_maps_.empty()) return false;
-  if (engine == Engine::Explicit) return allowed_explicit(mask);
-  // SAT: materialize each problem from the mask + skeleton (the SAT
-  // encoding needs explicit edge lists anyway).
-  const int n = analysis_->num_events();
-  for (const HbSkeleton& skel : skeletons_) {
-    if (skel.infeasible) continue;
-    HbProblem p;
-    p.num_events = n;
-    for (EventId x = 0; x < n; ++x) {
-      std::uint64_t row = mask.rows[static_cast<std::size_t>(x)];
-      while (row != 0) {
-        const int y = __builtin_ctzll(row);
-        row &= row - 1;
-        p.forced.emplace_back(x, y);
-      }
-    }
-    p.forced.insert(p.forced.end(), skel.forced.begin(), skel.forced.end());
-    p.disjunctions = skel.disjunctions;
-    if (hb_satisfiable(p, Engine::Sat)) return true;
-  }
-  return false;
-}
-
-bool PreparedTest::allowed_explicit(const ReorderMask& mask) const {
   const int n = analysis_->num_events();
   detail::ClosureSearch search(n);
   // Base closure over the model's program-order edges, built once and
@@ -96,10 +69,10 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask) const {
   return false;
 }
 
-bool PreparedTest::allowed_via_problems(const MemoryModel& model,
-                                        Engine engine) const {
-  // Beyond 64 events there are no bitmask rows; evaluate F per pair once
-  // (still hoisted out of the per-rf-map loop) and share the edge list.
+bool PreparedTest::allowed_via_problems(const MemoryModel& model) const {
+  // Beyond 64 events there are no bitmask rows (and the explicit engine's
+  // closure rows hold no more); evaluate F per pair once (still hoisted
+  // out of the per-rf-map loop), share the edge list, and solve by SAT.
   const int n = analysis_->num_events();
   std::vector<Edge> po_forced;
   for (EventId x = 0; x < n; ++x) {
@@ -117,7 +90,7 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model,
     p.forced = po_forced;
     p.forced.insert(p.forced.end(), skel.forced.begin(), skel.forced.end());
     p.disjunctions = skel.disjunctions;
-    if (hb_satisfiable(p, engine)) return true;
+    if (hb_satisfiable(p, Engine::Sat)) return true;
   }
   return false;
 }

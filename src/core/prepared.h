@@ -22,6 +22,10 @@
 //                      per skeleton a frame-local closure DFS with zero
 //                      heap allocations per node (closure_search.h).
 //
+// The test's size picks the decision procedure: masks and the explicit
+// search up to the 64 events a mask row holds (Analysis::masks_valid),
+// and beyond that F evaluated per po pair and the SAT engine.
+//
 // Verdicts are bit-for-bit identical to core::is_allowed: rf maps are
 // visited in enumeration order and the same axioms are instantiated.
 // engine::VerdictEngine routes every batch through this path; the
@@ -33,7 +37,6 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/checker.h"
 #include "core/hb.h"
 #include "core/model.h"
 #include "core/outcome.h"
@@ -72,22 +75,19 @@ class PreparedTest {
 
   /// Decides whether the outcome is allowed under the model whose mask
   /// against analysis() is `mask` (FormulaSet::compile) — the same
-  /// verdict as core::is_allowed for that model.  With Engine::Explicit
-  /// the check performs no heap allocation.
-  [[nodiscard]] bool allowed(const ReorderMask& mask, Engine engine) const;
+  /// verdict as core::is_allowed for that model — by the explicit
+  /// closure search, with no heap allocation.
+  [[nodiscard]] bool allowed(const ReorderMask& mask) const;
 
   /// Decides whether the outcome is allowed under `model` — the same
-  /// verdict as core::is_allowed(analysis, model, outcome, engine).  Up
-  /// to 64 events it compiles the model's mask (a FormulaSet of one);
-  /// beyond that no mask exists, and F is evaluated per po pair — the
-  /// only path for such analyses (the explicit engine rejects them).
-  [[nodiscard]] bool allowed(const MemoryModel& model,
-                             Engine engine = Engine::Explicit) const;
+  /// verdict as core::is_allowed.  Up to 64 events it compiles the
+  /// model's mask (a FormulaSet of one) and searches explicitly; beyond
+  /// that no mask exists, so F is evaluated per po pair and each rf
+  /// map's problem goes to the SAT engine.
+  [[nodiscard]] bool allowed(const MemoryModel& model) const;
 
  private:
-  [[nodiscard]] bool allowed_explicit(const ReorderMask& mask) const;
-  [[nodiscard]] bool allowed_via_problems(const MemoryModel& model,
-                                          Engine engine) const;
+  [[nodiscard]] bool allowed_via_problems(const MemoryModel& model) const;
 
   std::shared_ptr<const Analysis> analysis_;
   Outcome outcome_;

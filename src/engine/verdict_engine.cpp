@@ -15,31 +15,6 @@
 
 namespace mcmc::engine {
 
-std::string to_string(Backend backend) {
-  switch (backend) {
-    case Backend::Explicit:
-      return "explicit";
-    case Backend::Sat:
-      return "sat";
-    case Backend::Adaptive:
-      return "adaptive";
-  }
-  MCMC_UNREACHABLE("bad backend");
-}
-
-bool parse_backend(const std::string& text, Backend& out) {
-  if (text == "explicit") {
-    out = Backend::Explicit;
-  } else if (text == "sat") {
-    out = Backend::Sat;
-  } else if (text == "adaptive") {
-    out = Backend::Adaptive;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// run_rows' store traffic: every row is probed under one shared hold
@@ -168,11 +143,11 @@ class MaskClasses {
 
   /// The verdict of `model` on `test`, searching only if no model of its
   /// class has been decided on this test yet.
-  bool decide(int model, const core::PreparedTest& test, core::Engine engine,
+  bool decide(int model, const core::PreparedTest& test,
               std::size_t& searches) {
     const std::size_t c = class_of_[static_cast<std::size_t>(model)];
     if (verdicts_[c] == kUnknown) {
-      verdicts_[c] = test.allowed(masks_[reps_[c]], engine) ? 1 : 0;
+      verdicts_[c] = test.allowed(masks_[reps_[c]]) ? 1 : 0;
       ++searches;
     }
     return verdicts_[c] != 0;
@@ -245,19 +220,6 @@ int VerdictEngine::effective_threads() const {
   if (options_.num_threads > 0) return options_.num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-core::Engine VerdictEngine::resolve_backend(int num_events) const {
-  switch (options_.backend) {
-    case Backend::Explicit:
-      return core::Engine::Explicit;
-    case Backend::Sat:
-      return core::Engine::Sat;
-    case Backend::Adaptive:
-      // The explicit engine's transitive-closure bitmasks hold 64 events.
-      return num_events <= 64 ? core::Engine::Explicit : core::Engine::Sat;
-  }
-  MCMC_UNREACHABLE("bad backend");
 }
 
 WorkStealingPool& VerdictEngine::pool() {
@@ -335,16 +297,15 @@ std::vector<char> VerdictEngine::evaluate(
     const auto analysis = core::analyze_shared(
         tests[static_cast<std::size_t>(eval_tests[run_begin[r]])]
             .shared_program());
-    const core::Engine backend = resolve_backend(analysis->num_events());
-    // Beyond 64 events there are no masks: each cell evaluates its
-    // model per event pair.
+    // Up to 64 events the explicit search decides each mask class;
+    // beyond that there are no masks, and each cell evaluates its model
+    // per event pair and runs the SAT engine.
     const bool by_mask = analysis->masks_valid();
     MaskClasses classes;
     if (by_mask) classes.compile(set, *analysis);
     RunCounts& counts = run_counts[r];
-    std::size_t& backend_checks = backend == core::Engine::Explicit
-                                      ? counts.explicit_checks
-                                      : counts.sat_checks;
+    std::size_t& path_checks =
+        by_mask ? counts.explicit_checks : counts.sat_checks;
     for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) {
       const auto t = static_cast<std::size_t>(eval_tests[i]);
       const core::PreparedTest prepared(analysis, tests[t].outcome());
@@ -354,15 +315,14 @@ std::vector<char> VerdictEngine::evaluate(
         const int m = requests[k].model;
         bool verdict = false;
         if (by_mask) {
-          verdict = classes.decide(m, prepared, backend, counts.searches);
+          verdict = classes.decide(m, prepared, counts.searches);
         } else {
-          verdict = prepared.allowed(models[static_cast<std::size_t>(m)],
-                                     backend);
+          verdict = prepared.allowed(models[static_cast<std::size_t>(m)]);
           ++counts.searches;
         }
         results[k] = verdict ? 1 : 0;
       }
-      backend_checks += cell_begin[t + 1] - cell_begin[t];
+      path_checks += cell_begin[t + 1] - cell_begin[t];
     }
   };
   const int threads = effective_threads();

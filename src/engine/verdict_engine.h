@@ -23,10 +23,10 @@
 //     prepared test (core::PreparedTest: rf maps and HbProblem
 //     skeletons, built once per test) runs one search per distinct
 //     mask its requested models have, not one per cell,
-//   * backend selection per test: the explicit-closure engine, the SAT
-//     engine, or adaptive (explicit for small instances, SAT beyond the
-//     explicit engine's 64-event bitmask limit, where there are no masks
-//     and each cell evaluates its model per event pair),
+//   * the decision procedure picked by test size: up to the 64 events
+//     the bitmask rows hold, precompiled masks and the explicit closure
+//     search; beyond that there are no masks, and each cell evaluates
+//     its model per event pair and runs the SAT engine,
 //   * a work-stealing std::thread pool running one task per program run
 //     (analyze, compile masks, then prepare and decide its tests one at
 //     a time),
@@ -35,7 +35,7 @@
 //     take it): one store probe per canonical class, one direct batch
 //     for the cells the store lacks, one write-back, and
 //   * per-batch statistics (cells, checks, searches, dedup and store
-//     hits, backend split, wall time).
+//     hits, explicit/SAT split, wall time).
 //
 // No verdict outlives a call: the verdict store (store::VerdictStore)
 // is what keeps them.  explore::AdmissibilityMatrix, model
@@ -50,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checker.h"
 #include "core/model.h"
 #include "core/prepared.h"
 #include "engine/bit_matrix.h"
@@ -66,20 +65,7 @@ struct StreamPersistence;
 
 namespace mcmc::engine {
 
-/// Which admissibility decision procedure evaluates a cell.
-enum class Backend {
-  Explicit,  ///< core::Engine::Explicit for every cell (<= 64 events)
-  Sat,       ///< core::Engine::Sat for every cell
-  Adaptive,  ///< Explicit up to the explicit engine's 64 events, Sat above
-};
-
-[[nodiscard]] std::string to_string(Backend backend);
-
-/// Parses "explicit" / "sat" / "adaptive" (as used by the bench flags).
-[[nodiscard]] bool parse_backend(const std::string& text, Backend& out);
-
 struct EngineOptions {
-  Backend backend = Backend::Adaptive;
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
@@ -105,8 +91,10 @@ struct EngineStats {
   std::size_t dedup_hits = 0;      ///< shared within the call via keys
   std::size_t store_hits = 0;      ///< served by the verdict store
   std::size_t store_misses = 0;    ///< store probes that found nothing
-  std::size_t explicit_checks = 0; ///< checks decided by the explicit engine
-  std::size_t sat_checks = 0;      ///< checks decided by the SAT engine
+  std::size_t explicit_checks = 0; ///< checks decided on the mask path
+                                   ///  (explicit search, <= 64 events)
+  std::size_t sat_checks = 0;      ///< checks decided per event pair by
+                                   ///  the SAT engine (> 64 events)
   std::size_t unique_analyses = 0; ///< Analysis objects built this batch:
                                    ///  one per run of evaluated tests
                                    ///  sharing a program object
@@ -342,12 +330,12 @@ class VerdictEngine {
     int test = 0;
   };
 
-  [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
   /// The direct batch: every request is one check (no store, no rows);
   /// program runs share an Analysis, and each test runs one search per
   /// distinct mask its requests ask for.  Adds the checks, searches,
-  /// backend split and analyses to `stats` and sets its threads_used.
+  /// explicit/SAT split and analyses to `stats` and sets its
+  /// threads_used.
   [[nodiscard]] std::vector<char> evaluate(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,

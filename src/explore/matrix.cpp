@@ -18,21 +18,10 @@ std::string to_string(Relation r) {
   MCMC_UNREACHABLE("bad relation");
 }
 
-namespace {
-
-engine::Backend to_backend(core::Engine engine) {
-  return engine == core::Engine::Sat ? engine::Backend::Sat
-                                     : engine::Backend::Explicit;
-}
-
-}  // namespace
-
 AdmissibilityMatrix::AdmissibilityMatrix(
     const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests, core::Engine engine) {
-  engine::EngineOptions options;
-  options.backend = to_backend(engine);
-  engine::VerdictEngine eng(options);
+    const std::vector<litmus::LitmusTest>& tests) {
+  engine::VerdictEngine eng;
   bits_ = eng.run_matrix(models, tests);
   stats_ = eng.last_stats();
 }

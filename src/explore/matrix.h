@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checker.h"
 #include "core/model.h"
 #include "engine/verdict_engine.h"
 #include "litmus/test.h"
@@ -36,15 +35,13 @@ enum class Relation {
 /// Precomputed verdicts for a set of models over a test suite.
 class AdmissibilityMatrix {
  public:
-  /// Runs every (model, test) check through a private VerdictEngine;
-  /// `engine` picks the decision procedure (kept for source
-  /// compatibility with pre-engine callers).
+  /// Runs every (model, test) check through a private VerdictEngine
+  /// with default options.
   AdmissibilityMatrix(const std::vector<core::MemoryModel>& models,
-                      const std::vector<litmus::LitmusTest>& tests,
-                      core::Engine engine = core::Engine::Explicit);
+                      const std::vector<litmus::LitmusTest>& tests);
 
   /// Runs every (model, test) check through `eng`, sharing its thread
-  /// pool, backend policy and attached store.
+  /// pool, options and attached store.
   AdmissibilityMatrix(engine::VerdictEngine& eng,
                       const std::vector<core::MemoryModel>& models,
                       const std::vector<litmus::LitmusTest>& tests);

@@ -65,6 +65,11 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 /// Largest accepted payload.  Generous for batch corpora, small
 /// enough that a hostile length word cannot balloon server memory.
 inline constexpr std::uint32_t kMaxFramePayload = 4u << 20;
+/// Most events (instructions) a checked test may have: the 64 a reorder
+/// mask row holds.  A larger test would go to the SAT engine, whose
+/// encoding grows with the cube of the event count, on the one batcher
+/// thread every client waits on; the server refuses it instead.
+inline constexpr int kMaxCheckEvents = 64;
 
 enum class MsgType : std::uint32_t {
   kProbe = 1,

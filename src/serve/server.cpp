@@ -377,6 +377,13 @@ Response Server::handle_check(Connection& conn, const Request& request) {
   } catch (const std::invalid_argument& e) {
     return error_response(request.id, ErrorCode::kBadRequest, e.what());
   }
+  for (const auto& test : tests) {
+    if (test.program().size() > kMaxCheckEvents) {
+      return error_response(request.id, ErrorCode::kBadRequest,
+                            "test '" + test.name() + "' has more than " +
+                                std::to_string(kMaxCheckEvents) + " events");
+    }
+  }
 
   checks_.fetch_add(tests.size(), std::memory_order_relaxed);
   std::vector<VerdictRowWire> rows(tests.size());

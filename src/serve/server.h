@@ -8,7 +8,8 @@
 //   * probe (by canonical fingerprint) — answered straight from the
 //     store under its shared-read contract, engine untouched; a miss
 //     is kUnknown, never computed (a fingerprint is not a test).
-//   * check (litmus source) — the reader thread fingerprints each test
+//   * check (litmus source) — a test over kMaxCheckEvents events is
+//     refused (kBadRequest); the reader thread fingerprints each test
 //     once (canonically) and answers store hits without the engine;
 //     novel tests and their fingerprints go through a bounded admission
 //     queue to a single batcher thread, which coalesces concurrently

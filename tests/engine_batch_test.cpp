@@ -1,13 +1,15 @@
 // VerdictEngine batch semantics: batched verdicts must equal per-call
 // core::is_allowed, symmetric duplicate tests must share one check
-// within a call (and no verdict may outlive it), and results must not
-// depend on the thread count.
+// within a call (and no verdict may outlive it), results must not
+// depend on the thread count, and tests beyond 64 events must take the
+// per-pair SAT path with the SAT oracle's verdicts.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "core/analysis.h"
 #include "core/checker.h"
+#include "core/prepared.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/naive.h"
 #include "explore/matrix.h"
@@ -138,26 +140,77 @@ TEST(VerdictEngineBatch, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(rawN.last_stats().checks_run, models.size() * tests.size());
 }
 
-TEST(VerdictEngineBatch, SatAndExplicitBackendsAgree) {
-  enumeration::NaiveOptions options;
-  options.num_locations = 2;
-  options.max_accesses_per_thread = 2;
-  const auto tests = enumeration::sample_naive_tests(options, 10, 99);
-  const auto models = mixed_models();
+/// `test` with `count` fences in front of every thread.  A fence with
+/// nothing before it orders nothing, so the padded test has the
+/// unpadded test's verdict under every model.
+litmus::LitmusTest pad_with_fences(const litmus::LitmusTest& test, int count) {
+  std::vector<core::Thread> threads = test.program().threads();
+  for (auto& thread : threads) {
+    thread.insert(thread.begin(), static_cast<std::size_t>(count),
+                  core::make_fence());
+  }
+  return litmus::LitmusTest(test.name() + "+fences",
+                            core::Program(std::move(threads)), test.outcome());
+}
 
-  engine::EngineOptions sat;
-  sat.backend = engine::Backend::Sat;
-  engine::EngineOptions explicit_opts;
-  explicit_opts.backend = engine::Backend::Explicit;
+TEST(VerdictEngineBatch, TestsBeyondSixtyFourEventsTakeTheSatPath) {
+  // SB, MP and LB padded to 66 events exceed the 64 a mask row holds,
+  // so the engine evaluates their cells per event pair and runs SAT;
+  // their unpadded twins take the mask path in the same batch.
+  const std::vector<litmus::LitmusTest> small = {litmus::store_buffering(),
+                                                 litmus::message_passing(),
+                                                 litmus::load_buffering()};
+  std::vector<litmus::LitmusTest> tests = small;
+  for (const auto& test : small) tests.push_back(pad_with_fences(test, 31));
+  for (std::size_t t = small.size(); t < tests.size(); ++t) {
+    ASSERT_EQ(tests[t].program().size(), 66) << tests[t].name();
+  }
+  // Verdicts on SB / MP / LB: TSO allows SB, PSO SB and MP, RMO all.
+  // Each padded cell is one SAT call of about 0.1 s, so a few models.
+  const std::vector<core::MemoryModel> models = {models::tso(), models::pso(),
+                                                 models::rmo()};
+  const int num_models = static_cast<int>(models.size());
+  const int num_tests = static_cast<int>(tests.size());
+  const int num_small = static_cast<int>(small.size());
+  engine::BitMatrix oracle(num_models, num_tests);
+  for (int t = 0; t < num_tests; ++t) {
+    const auto& test = tests[static_cast<std::size_t>(t)];
+    const core::Analysis an(test.program());
+    for (int m = 0; m < num_models; ++m) {
+      const auto& model = models[static_cast<std::size_t>(m)];
+      const bool sat =
+          core::is_allowed(an, model, test.outcome(), core::Engine::Sat);
+      oracle.set(m, t, sat);
+    }
+  }
 
-  engine::VerdictEngine sat_eng(sat);
-  engine::VerdictEngine explicit_eng(explicit_opts);
-  EXPECT_EQ(sat_eng.run_matrix(models, tests),
-            explicit_eng.run_matrix(models, tests));
-  EXPECT_GT(sat_eng.last_stats().sat_checks, 0u);
-  EXPECT_EQ(sat_eng.last_stats().explicit_checks, 0u);
-  EXPECT_GT(explicit_eng.last_stats().explicit_checks, 0u);
-  EXPECT_EQ(explicit_eng.last_stats().sat_checks, 0u);
+  for (const int threads : {1, 4}) {
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::VerdictEngine eng(options);
+    const auto bits = eng.run_matrix(models, tests);
+    EXPECT_EQ(bits, oracle) << "threads=" << threads;
+    for (int t = 0; t < num_small; ++t) {
+      for (int m = 0; m < num_models; ++m) {
+        EXPECT_EQ(bits.get(m, num_small + t), bits.get(m, t))
+            << small[static_cast<std::size_t>(t)].name() << " under "
+            << models[static_cast<std::size_t>(m)].name();
+      }
+    }
+    const std::size_t half = models.size() * small.size();
+    EXPECT_EQ(eng.last_stats().explicit_checks, half);
+    EXPECT_EQ(eng.last_stats().sat_checks, half);
+  }
+
+  // PreparedTest::allowed(model) takes the same per-pair SAT path.
+  const auto& padded_sb = tests[small.size()];
+  const core::PreparedTest prep(padded_sb.program(), padded_sb.outcome());
+  ASSERT_FALSE(prep.analysis().masks_valid());
+  for (int m = 0; m < num_models; ++m) {
+    EXPECT_EQ(prep.allowed(models[static_cast<std::size_t>(m)]),
+              oracle.get(m, num_small))
+        << models[static_cast<std::size_t>(m)].name();
+  }
 }
 
 TEST(VerdictEngineBatch, RunRowsRejectsMisalignedKeys) {

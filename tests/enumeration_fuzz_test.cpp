@@ -1,8 +1,8 @@
 // Randomized differential fuzzing of the check pipelines over generated
-// tests: the prepared-explicit engine, the SAT backend, and the
-// unbatched core::is_allowed reference must agree bit for bit on a
-// seeded sample of the naive space, for a cross-section of the model
-// zoo.
+// tests: the engine's prepared path and the unbatched core::is_allowed
+// reference under both of its engines (explicit search and SAT) must
+// agree bit for bit on a seeded sample of the naive space, for a
+// cross-section of the model zoo.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -36,39 +36,37 @@ std::vector<core::MemoryModel> model_sample() {
   return models;
 }
 
-/// Every cell of `bits` against the unbatched reference.
+/// Every cell of `bits` against the unbatched reference under `engine`.
 void expect_matches_reference(const engine::BitMatrix& bits,
                               const std::vector<core::MemoryModel>& models,
-                              const std::vector<litmus::LitmusTest>& tests) {
+                              const std::vector<litmus::LitmusTest>& tests,
+                              core::Engine engine) {
   for (std::size_t t = 0; t < tests.size(); ++t) {
     const core::Analysis an(tests[t].program());
     for (std::size_t m = 0; m < models.size(); ++m) {
       EXPECT_EQ(bits.get(static_cast<int>(m), static_cast<int>(t)),
-                core::is_allowed(an, models[m], tests[t].outcome()))
-          << models[m].name() << " on " << tests[t].name();
+                core::is_allowed(an, models[m], tests[t].outcome(), engine))
+          << models[m].name() << " on " << tests[t].name()
+          << (engine == core::Engine::Sat ? " (SAT)" : " (explicit)");
     }
   }
+}
+
+/// The engine's matrix against the reference under both of its engines.
+void expect_pipelines_agree(const std::vector<core::MemoryModel>& models,
+                            const std::vector<litmus::LitmusTest>& tests) {
+  engine::VerdictEngine eng;
+  const auto bits = eng.run_matrix(models, tests);
+  EXPECT_GT(eng.last_stats().explicit_checks, 0u);
+  expect_matches_reference(bits, models, tests, core::Engine::Explicit);
+  expect_matches_reference(bits, models, tests, core::Engine::Sat);
 }
 
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnSampledTests) {
   // ~500 seeded naive-space tests through three independent pipelines.
   enumeration::NaiveOptions bounds;
   const auto tests = enumeration::sample_naive_tests(bounds, 500, 0xF00DF00D);
-  const auto models = model_sample();
-
-  engine::EngineOptions prepared_explicit;
-  prepared_explicit.backend = engine::Backend::Explicit;
-  engine::EngineOptions sat;
-  sat.backend = engine::Backend::Sat;
-
-  engine::VerdictEngine eng_explicit(prepared_explicit);
-  engine::VerdictEngine eng_sat(sat);
-
-  const auto bits_explicit = eng_explicit.run_matrix(models, tests);
-  EXPECT_EQ(bits_explicit, eng_sat.run_matrix(models, tests));
-  EXPECT_GT(eng_sat.last_stats().sat_checks, 0u);
-  EXPECT_GT(eng_explicit.last_stats().explicit_checks, 0u);
-  expect_matches_reference(bits_explicit, models, tests);
+  expect_pipelines_agree(model_sample(), tests);
 }
 
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
@@ -92,18 +90,7 @@ TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
     }
   }
   EXPECT_TRUE(saw_dep);
-
-  engine::EngineOptions prepared_explicit;
-  prepared_explicit.backend = engine::Backend::Explicit;
-  engine::EngineOptions sat;
-  sat.backend = engine::Backend::Sat;
-
-  engine::VerdictEngine eng_explicit(prepared_explicit);
-  engine::VerdictEngine eng_sat(sat);
-
-  const auto bits_explicit = eng_explicit.run_matrix(models, tests);
-  EXPECT_EQ(bits_explicit, eng_sat.run_matrix(models, tests));
-  expect_matches_reference(bits_explicit, models, tests);
+  expect_pipelines_agree(models, tests);
 }
 
 TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/checker.h"
 #include "enumeration/suite.h"
 #include "explore/cover.h"
 #include "explore/lattice.h"

@@ -5,9 +5,8 @@
 // verdict must equal core::is_allowed per cell — with the tests in
 // order, shuffled with duplicate copies, or followed by symmetric twins
 // that (sharing their original's row) ask only for the custom-predicate
-// models, which is the sparse request pattern; at any thread count,
-// with the cache on and off, on both backends — while running fewer
-// searches than cells.
+// models, which is the sparse request pattern; at any thread count and
+// with the cache on and off — while running fewer searches than cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,8 +132,7 @@ std::vector<MatrixInput> matrix_inputs(std::size_t num_models,
 /// combination and compares each verdict with the oracle, computed
 /// here over `tests` and their twins.
 void expect_matches_oracle(const std::vector<core::MemoryModel>& models,
-                           const std::vector<litmus::LitmusTest>& tests,
-                           engine::Backend backend) {
+                           const std::vector<litmus::LitmusTest>& tests) {
   std::vector<litmus::LitmusTest> all = tests;
   for (const auto& test : tests) all.push_back(twin(test));
   const auto oracle = per_cell_oracle(models, all);
@@ -152,14 +150,12 @@ void expect_matches_oracle(const std::vector<core::MemoryModel>& models,
     for (const bool cache : {false, true}) {
       for (const int threads : {1, 4}) {
         engine::EngineOptions options;
-        options.backend = backend;
         options.cache_enabled = cache;
         options.num_threads = threads;
         engine::VerdictEngine eng(options);
         const std::string where = input.name + " cache=" +
                                   std::to_string(cache) + " threads=" +
-                                  std::to_string(threads) + " backend=" +
-                                  engine::to_string(backend);
+                                  std::to_string(threads);
         const auto verdicts = eng.run_matrix(in_models, in_tests);
         for (std::size_t k = 0; k < in_tests.size(); ++k) {
           for (std::size_t i = 0; i < in_models.size(); ++i) {
@@ -195,13 +191,7 @@ TEST(MaskClassEngine, MatchesPerCellOracleOnSuiteAndSlices) {
     for (auto& t : slice_novel_tests(deps)) tests.push_back(std::move(t));
   }
   ASSERT_GT(tests.size(), suite_size + 1253);
-  expect_matches_oracle(models, tests, engine::Backend::Explicit);
-}
-
-TEST(MaskClassEngine, SatBackendMatchesPerCellOracleOnSuite) {
-  const auto models = mixed_models();
-  const auto suite = enumeration::corollary1_suite(true);
-  expect_matches_oracle(models, suite, engine::Backend::Sat);
+  expect_matches_oracle(models, tests);
 }
 
 }  // namespace

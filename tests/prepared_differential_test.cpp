@@ -2,8 +2,9 @@
 // semantics: every verdict produced through core::PreparedTest (and
 // through the engine's prepared routing) must be bit-for-bit identical
 // to the per-cell core::is_allowed loop it replaced — across the full
-// 90-model space x the Corollary-1 suite, both decision engines, custom
-// predicates, and the reorder masks core::FormulaSet compiles.
+// 90-model space x the Corollary-1 suite, both of the oracle's decision
+// engines, custom predicates, and the reorder masks core::FormulaSet
+// compiles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,10 +38,9 @@ TEST(PreparedDifferential, NinetyModelsTimesCorollary1SuiteBitForBit) {
   for (const auto& t : suite) {
     const PreparedTest prep(t.program(), t.outcome());
     for (const auto& m : models) {
-      ASSERT_EQ(prep.allowed(m, Engine::Explicit),
-                core::is_allowed(prep.analysis(), m, t.outcome(),
-                                 Engine::Explicit))
-          << t.name() << " under " << m.name();
+      const bool oracle =
+          core::is_allowed(prep.analysis(), m, t.outcome(), Engine::Explicit);
+      ASSERT_EQ(prep.allowed(m), oracle) << t.name() << " under " << m.name();
     }
   }
 }
@@ -49,9 +49,9 @@ TEST(PreparedDifferential, SatBackendAgreesOnTheCatalog) {
   for (const auto& t : litmus::full_catalog()) {
     const PreparedTest prep(t.program(), t.outcome());
     for (const auto& m : models::all_named_models()) {
-      ASSERT_EQ(prep.allowed(m, Engine::Sat),
-                core::is_allowed(prep.analysis(), m, t.outcome(), Engine::Sat))
-          << t.name() << " under " << m.name();
+      const bool oracle =
+          core::is_allowed(prep.analysis(), m, t.outcome(), Engine::Sat);
+      ASSERT_EQ(prep.allowed(m), oracle) << t.name() << " under " << m.name();
     }
   }
 }
@@ -88,7 +88,7 @@ TEST(PreparedDifferential, CustomPredicateModelsUsePerPairFallback) {
     for (int k = 0; k <= 3; ++k) {
       const auto t = models::lb_with_fence_chain(k);
       const PreparedTest prep(t.program(), t.outcome());
-      const bool fast = prep.allowed(model, Engine::Explicit);
+      const bool fast = prep.allowed(model);
       EXPECT_EQ(fast, core::is_allowed(prep.analysis(), model, t.outcome(),
                                        Engine::Explicit))
           << "n=" << n << " k=" << k;
@@ -148,7 +148,6 @@ TEST(PreparedDifferential, EngineMatrixIdenticalWithAndWithoutPreparedPath) {
   }
 
   engine::EngineOptions prepared_options;
-  prepared_options.backend = engine::Backend::Explicit;
   prepared_options.num_threads = 2;
   engine::VerdictEngine prepared_engine(prepared_options);
   const auto a = prepared_engine.run_matrix(models, suite);
@@ -183,8 +182,7 @@ TEST(PreparedDifferential, StaticallyImpossibleOutcomeIsDisallowed) {
   impossible.require(1, 42);
   const PreparedTest prep(t.program(), impossible);
   EXPECT_TRUE(prep.rf_maps().empty());
-  EXPECT_FALSE(prep.allowed(models::sc(), Engine::Explicit));
-  EXPECT_FALSE(prep.allowed(models::sc(), Engine::Sat));
+  EXPECT_FALSE(prep.allowed(models::sc()));
 }
 
 }  // namespace

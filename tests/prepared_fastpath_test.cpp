@@ -111,7 +111,7 @@ TEST(PreparedAllocation, PreparedExplicitCheckIsAllocationFree) {
     const std::size_t allocs = allocations_during([&] {
       set.compile(prep.analysis(), masks, scratch);
       for (std::size_t i = 0; i < models.size(); ++i) {
-        verdicts[i] = prep.allowed(masks[i], core::Engine::Explicit) ? 1 : 0;
+        verdicts[i] = prep.allowed(masks[i]) ? 1 : 0;
       }
     });
     EXPECT_EQ(allocs, 0u) << t.name();
@@ -134,10 +134,10 @@ TEST(PreparedAllocation, MaskCheckIsAllocationFree) {
   core::FormulaSet({model.formula()}).compile(prep.analysis(), masks, scratch);
   bool verdict = false;
   const std::size_t allocs = allocations_during([&] {
-    verdict = prep.allowed(masks[0], core::Engine::Explicit);
+    verdict = prep.allowed(masks[0]);
   });
   EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(verdict, prep.allowed(model, core::Engine::Explicit));
+  EXPECT_EQ(verdict, prep.allowed(model));
 }
 
 TEST(PreparedAllocation, FormulaSetCompileIsAllocationFree) {

@@ -10,7 +10,8 @@
 // persisted by one daemon lifetime answers the next, a corrupted store
 // file degrades to recomputation with identical verdicts (the PR-7
 // quarantine path, end to end), garbage bytes on the socket never
-// take the server down, and verdicts filled into a row that already
+// take the server down, a test over the event bound is refused before
+// it reaches the engine, and verdicts filled into a row that already
 // existed are committed periodically, surviving a SIGKILL.
 #include <gtest/gtest.h>
 
@@ -486,6 +487,43 @@ TEST_F(ServeE2E, GarbageBytesDoNotKillTheServer) {
     std::vector<std::uint64_t> stats;
     ASSERT_TRUE(client.stats(stats, &error)) << error;
   }
+
+  terminate_cleanly();
+}
+
+TEST_F(ServeE2E, OversizedTestIsRefusedWithoutTheEngine) {
+  spawn();
+  // SB with 31 fences in front of each thread: 66 events, past the 64
+  // the daemon accepts.
+  std::string padded_sb = "name: SB+fences\n";
+  for (const char* accesses : {"  Write X <- 1\n  Read Y -> r0\n",
+                               "  Write Y <- 1\n  Read X -> r1\n"}) {
+    padded_sb += "thread:\n";
+    for (int i = 0; i < 31; ++i) padded_sb += "  Fence\n";
+    padded_sb += accesses;
+  }
+  padded_sb += "outcome: r0=0 r1=0\n";
+  ASSERT_EQ(litmus::parse_test(padded_sb).program().size(), 66);
+
+  Client client = connect();
+  std::string error;
+  std::vector<std::uint64_t> before;
+  ASSERT_TRUE(client.stats(before, &error)) << error;
+  VerdictRowWire row;
+  EXPECT_FALSE(client.check(padded_sb, row, &error));
+  const std::string bad_request =
+      "server error " +
+      std::to_string(static_cast<std::uint32_t>(ErrorCode::kBadRequest));
+  EXPECT_NE(error.find(bad_request), std::string::npos) << error;
+  EXPECT_NE(error.find("more than 64 events"), std::string::npos) << error;
+  std::vector<std::uint64_t> after;
+  ASSERT_TRUE(client.stats(after, &error)) << error;
+  EXPECT_EQ(after[kStatCheckComputed], before[kStatCheckComputed]);
+  EXPECT_EQ(after[kStatChecks], before[kStatChecks]);
+
+  // The same connection keeps serving.
+  ASSERT_TRUE(client.check(kSbTest, row, &error)) << error;
+  EXPECT_EQ(row.source, VerdictSource::kComputed);
 
   terminate_cleanly();
 }
