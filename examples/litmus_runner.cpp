@@ -49,6 +49,9 @@ void print_one(const mcmc::litmus::LitmusTest& test,
   using namespace mcmc;
   std::printf("%s\n", test.to_string().c_str());
   const core::Analysis an(test.program());
+  // The explicit search takes up to 64 events (PreparedTest's rule).
+  const core::Engine engine =
+      an.masks_valid() ? core::Engine::Explicit : core::Engine::Sat;
   util::Table table({"model", "verdict", "witness (first event ... last)"});
   for (std::size_t m = 0; m < models.size(); ++m) {
     const bool allowed = verdicts.get(static_cast<int>(m), test_index);
@@ -56,7 +59,7 @@ void print_one(const mcmc::litmus::LitmusTest& test,
     if (allowed) {
       // The engine answered the (cheap, batched) decision question; the
       // witness linearization is only materialized for allowed cells.
-      const auto result = core::check(an, models[m], test.outcome());
+      const auto result = core::check(an, models[m], test.outcome(), engine);
       for (const auto e : result.order) {
         if (!an.is_memory_access(e) && !an.is_fence(e)) continue;
         if (!witness.empty()) witness += "; ";

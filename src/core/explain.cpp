@@ -75,10 +75,12 @@ ForbiddenExplanation explain_forbidden(const Analysis& an,
                                        const MemoryModel& model,
                                        const Outcome& outcome) {
   ForbiddenExplanation result;
+  // The explicit search takes up to 64 events (PreparedTest's rule).
+  const Engine engine = an.masks_valid() ? Engine::Explicit : Engine::Sat;
   for (const RfMap& rf : enumerate_read_from(an, outcome)) {
     HbTrace trace;
     const HbProblem p = build_hb_problem_traced(an, model, rf, trace);
-    if (hb_satisfiable(p, Engine::Explicit)) {
+    if (hb_satisfiable(p, engine)) {
       result.actually_allowed = true;
       result.candidates.clear();
       return result;

@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "core/analysis.h"
-#include "engine/sharded_key_set.h"
+#include "engine/key_set.h"
 #include "store/verdict_store.h"
 #include "util/check.h"
 #include "util/hash128.h"
@@ -636,19 +636,14 @@ struct VerdictEngine::StreamRun {
   /// canonical fingerprint hashes the canonicalized event walk directly
   /// — no Analysis, no key string, no per-test allocation — building the
   /// program's core::KeyFacts once per run of consecutive tests that
-  /// share one program object and hashing only each outcome's words;
-  /// the 128-bit digest is claimed in the sharded set as it goes.
-  /// Under canonical keys a test the source marks as a repeat is a
-  /// settled duplicate: its class was claimed when it first occurred,
-  /// earlier in this stream, so it is neither fingerprinted nor
-  /// claimed.
+  /// share one program object and hashing only each outcome's words.
+  /// Under canonical keys a test the source marks as a repeat is not
+  /// fingerprinted: resolve settles it as a duplicate.
   void keys(StreamChunkStats& cs) {
     util::Timer timer;
     const std::size_t n = chunk.size();
     key_hashes.resize(n);
-    dup_of_past.assign(n, 0);
-    const std::vector<char>* marks =
-        structural ? nullptr : input->repeat_marks();
+    marks = structural ? nullptr : input->repeat_marks();
     if (marks != nullptr) {
       MCMC_CHECK_MSG(marks->size() == n,
                      "repeat marks do not match the chunk's tests");
@@ -656,17 +651,13 @@ struct VerdictEngine::StreamRun {
           std::count_if(marks->begin(), marks->end(),
                         [](char mark) { return mark != 0; }));
     }
-    seen.begin_chunk();
     parallel_ranges(eng.pool(), n, [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
       // Compared only against programs the chunk still holds, so an
       // equal address means the same object.
       const core::Program* loaded = nullptr;
       for (std::size_t i = begin; i < end; ++i) {
-        if (marks != nullptr && (*marks)[i] != 0) {
-          dup_of_past[i] = 1;
-          continue;
-        }
+        if (marks != nullptr && (*marks)[i] != 0) continue;
         const litmus::LitmusTest& test = chunk[i];
         if (structural) {
           key_hashes[i] = litmus::structural_fingerprint(test);
@@ -678,29 +669,28 @@ struct VerdictEngine::StreamRun {
           key_hashes[i] =
               litmus::canonical_fingerprint_loaded(test.outcome(), scratch);
         }
-        dup_of_past[i] =
-            seen.claim(key_hashes[i], static_cast<std::uint32_t>(i)) ? 1 : 0;
       }
     });
     cs.stages.keys = timer.seconds();
   }
 
-  /// Resolve (serial, chunk order): a test is novel iff its key is new
-  /// to the stream and it holds the chunk's minimum index for that key
-  /// — exactly what serial insertion in chunk order would decide,
-  /// making results independent of thread count.
+  /// Resolve (serial, chunk order; the `dedup` stage): a marked test is
+  /// a repeat, its class seen at its first occurrence earlier in this
+  /// stream; any other test is novel iff its key is new to the stream.
+  /// The first occurrence of a class is thus its novel test under any
+  /// thread count.
   void resolve(StreamChunkStats& cs) {
     util::Timer timer;
     novel_idx.clear();
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      if (dup_of_past[i] != 0 ||
-          seen.owner(key_hashes[i]) != static_cast<std::uint32_t>(i)) {
+      if ((marks != nullptr && (*marks)[i] != 0) ||
+          !seen.insert(key_hashes[i])) {
         ++cs.duplicates;
         continue;
       }
       novel_idx.push_back(static_cast<int>(i));
       if (persist != nullptr) {
-        seal_keys.push_back(ShardedKeySet::normalized(key_hashes[i]));
+        seal_keys.push_back(KeySet::normalized(key_hashes[i]));
       }
     }
     cs.novel = novel_idx.size();
@@ -807,7 +797,7 @@ struct VerdictEngine::StreamRun {
   /// stream_store).
   const RowModels row_models;
   const store::StreamPersistence* persist = nullptr;
-  ShardedKeySet seen;
+  KeySet seen;
   StreamStats total;
   std::optional<ChunkPrefetcher> prefetcher;
   /// The prefetcher, or the raw source.
@@ -817,7 +807,8 @@ struct VerdictEngine::StreamRun {
   std::vector<litmus::LitmusTest> chunk;
   std::vector<litmus::LitmusTest> novel;
   std::vector<util::Key128> key_hashes;
-  std::vector<char> dup_of_past;
+  /// The chunk's repeat marks (null: none, or structural keys).
+  const std::vector<char>* marks = nullptr;
   std::vector<int> novel_idx;
   std::vector<util::Key128> novel_keys;
 

@@ -150,10 +150,10 @@ struct StreamOptions {
 /// to the producer thread (ChunkPrefetcher::recycle), whose destruction
 /// of the handed-back tests counts in its `produce`; without overlap the
 /// whole teardown.
-/// `keys` is the parallel fingerprint/claim phase, `dedup` the serial
-/// chunk-order ownership resolution, `verdict` the batched evaluation
-/// plus delivery, `seal` the checkpoint seals and the completion commit
-/// of a persisted stream.
+/// `keys` is the parallel fingerprint phase, `dedup` the serial
+/// chunk-order claims of the keys in the stream's dedup set, `verdict`
+/// the batched evaluation plus delivery, `seal` the checkpoint seals and
+/// the completion commit of a persisted stream.
 struct StreamStageTimes {
   double produce = 0.0;
   double wait = 0.0;
@@ -291,13 +291,14 @@ class VerdictEngine {
   /// one).
   ///
   /// The run is a parallel pipeline: chunk production overlaps with
-  /// consumption (overlap_production), fingerprinting fans out across
-  /// the work-stealing pool with per-worker scratch tables, and claims
-  /// go to a mutex-striped shard set.  Streamed results are bit-for-bit
-  /// deterministic under any thread count: chunk boundaries come from
-  /// the single producer, within-chunk duplicate resolution picks the
-  /// minimum index regardless of claim order, and novel tests, verdict
-  /// bits, and chunk stats are folded in chunk order.
+  /// consumption (overlap_production), and fingerprinting fans out
+  /// across the work-stealing pool with per-worker scratch tables.
+  /// Streamed results are bit-for-bit deterministic under any thread
+  /// count: chunk boundaries come from the single producer, the
+  /// consumer inserts the keys into the dedup set serially in chunk
+  /// order (engine::KeySet), so a class's first occurrence is its novel
+  /// test, and novel tests, verdict bits, and chunk stats are folded in
+  /// chunk order.
   StreamStats run_stream(const std::vector<core::MemoryModel>& models,
                          TestSource& source, const StreamChunkSink& on_chunk,
                          const StreamOptions& stream_options = {});

@@ -14,7 +14,7 @@
 // through engine::VerdictEngine::run_stream — the parallel pipeline
 // that overlaps chunk production with consumption, fans canonical-key
 // computation across the engine's thread pool, and dedups by 128-bit
-// key hash in a sharded set (the report's stream.stages carries the
+// key hash in chunk order (the report's stream.stages carries the
 // produce/keys/dedup/verdict wall breakdown) — each novel test's
 // 90-bit verdict column is folded into the pair matrix in chunk order
 // (bit-for-bit deterministic under any thread count), and only

@@ -14,6 +14,7 @@
 #include "enumeration/naive.h"
 #include "explore/matrix.h"
 #include "explore/space.h"
+#include "fence_padding.h"
 #include "litmus/catalog.h"
 #include "litmus/test.h"
 #include "models/special_fence.h"
@@ -138,19 +139,6 @@ TEST(VerdictEngineBatch, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(raw1.run_matrix(models, tests), bits1);
   EXPECT_EQ(rawN.run_matrix(models, tests), bits1);
   EXPECT_EQ(rawN.last_stats().checks_run, models.size() * tests.size());
-}
-
-/// `test` with `count` fences in front of every thread.  A fence with
-/// nothing before it orders nothing, so the padded test has the
-/// unpadded test's verdict under every model.
-litmus::LitmusTest pad_with_fences(const litmus::LitmusTest& test, int count) {
-  std::vector<core::Thread> threads = test.program().threads();
-  for (auto& thread : threads) {
-    thread.insert(thread.begin(), static_cast<std::size_t>(count),
-                  core::make_fence());
-  }
-  return litmus::LitmusTest(test.name() + "+fences",
-                            core::Program(std::move(threads)), test.outcome());
 }
 
 TEST(VerdictEngineBatch, TestsBeyondSixtyFourEventsTakeTheSatPath) {

@@ -3,6 +3,7 @@
 
 #include "core/analysis.h"
 #include "core/explain.h"
+#include "fence_padding.h"
 #include "litmus/catalog.h"
 #include "models/zoo.h"
 
@@ -99,6 +100,30 @@ TEST(Explain, DisjunctionDrivenFailureIsSummarized) {
   for (const auto& item : explanation.candidates) {
     EXPECT_FALSE(item.summary.empty());
   }
+}
+
+TEST(Explain, TestsBeyondSixtyFourEventsAreExplainedBySat) {
+  // SB padded to 66 events is past the explicit search's 64; its
+  // explanation must match unpadded SB's.
+  const auto small = litmus::store_buffering();
+  const auto padded = pad_with_fences(small, 31);
+  const Analysis small_an(small.program());
+  const Analysis an(padded.program());
+  ASSERT_EQ(an.num_events(), small_an.num_events() + 62);
+  ASSERT_FALSE(an.masks_valid());
+
+  const auto expected =
+      explain_forbidden(small_an, models::sc(), small.outcome());
+  const auto explanation =
+      explain_forbidden(an, models::sc(), padded.outcome());
+  ASSERT_FALSE(explanation.actually_allowed);
+  ASSERT_EQ(explanation.candidates.size(), expected.candidates.size());
+  for (std::size_t i = 0; i < expected.candidates.size(); ++i) {
+    EXPECT_EQ(explanation.candidates[i].summary,
+              expected.candidates[i].summary);
+  }
+  const auto under_tso = explain_forbidden(an, models::tso(), padded.outcome());
+  EXPECT_TRUE(under_tso.actually_allowed);
 }
 
 TEST(Explain, EveryForbiddenCatalogVerdictHasAnExplanation) {

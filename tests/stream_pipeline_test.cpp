@@ -1,9 +1,10 @@
 // The parallel streaming pipeline: determinism under any thread count,
-// hash-based sharded dedup (with collision audit), producer-overlap
+// hash-based chunk-order dedup (with collision audit), producer-overlap
 // chunk hand-off, and exception propagation from pool tasks through
 // run_matrix / run_stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "engine/audited_source.h"
-#include "engine/sharded_key_set.h"
+#include "engine/key_set.h"
 #include "engine/test_stream.h"
 #include "engine/thread_pool.h"
 #include "engine/verdict_engine.h"
@@ -70,70 +71,57 @@ TEST(Hash128, ScratchOverloadMatchesAllocatingOverload) {
 }
 
 // ---------------------------------------------------------------------------
-// engine::ShardedKeySet
+// engine::KeySet
 // ---------------------------------------------------------------------------
 
-TEST(ShardedKeySet, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(engine::ShardedKeySet(1).num_shards(), 1);
-  EXPECT_EQ(engine::ShardedKeySet(3).num_shards(), 4);
-  EXPECT_EQ(engine::ShardedKeySet(64).num_shards(), 64);
-  EXPECT_EQ(engine::ShardedKeySet(0).num_shards(),
-            engine::ShardedKeySet::kDefaultShards);
-}
-
-TEST(ShardedKeySet, MinIndexOwnsWithinChunkAndEarlierChunksSeal) {
-  engine::ShardedKeySet set(4);
+TEST(KeySet, KeyIsNewOnceThenADuplicate) {
+  engine::KeySet set;
   const util::Key128 k1 = util::hash128(std::string("k1"));
   const util::Key128 k2 = util::hash128(std::string("k2"));
-
-  set.begin_chunk();
-  EXPECT_FALSE(set.claim(k1, 7));  // claims arrive out of order
-  EXPECT_FALSE(set.claim(k1, 3));
-  EXPECT_FALSE(set.claim(k1, 5));
-  EXPECT_FALSE(set.claim(k2, 1));
-  EXPECT_EQ(set.owner(k1), 3u);  // the minimum index wins
-  EXPECT_EQ(set.owner(k2), 1u);
-
-  set.begin_chunk();
-  EXPECT_TRUE(set.claim(k1, 0));  // sealed by the previous chunk
-  EXPECT_TRUE(set.claim(k2, 2));  // ditto
-  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.insert(k1));
+  EXPECT_FALSE(set.insert(k1));
+  EXPECT_TRUE(set.insert(k2));
+  EXPECT_FALSE(set.insert(k2));
+  EXPECT_FALSE(set.insert(k1));
 }
 
-TEST(ShardedKeySet, SealedKeysReportDuplicateOfPast) {
-  engine::ShardedKeySet set(8);
-  const util::Key128 k = util::hash128(std::string("key"));
-  set.begin_chunk();
-  EXPECT_FALSE(set.claim(k, 0));
-  EXPECT_EQ(set.owner(k), 0u);
-  set.begin_chunk();
-  EXPECT_TRUE(set.claim(k, 4));
-  EXPECT_TRUE(set.claim(k, 9));
+TEST(KeySet, AllZeroKeyRoundTripsThroughNormalizedAndSeed) {
+  // The all-zero key is the empty-slot sentinel: it is stored remapped,
+  // and a checkpoint records it remapped.
+  const util::Key128 zero{};
+  const util::Key128 stored = engine::KeySet::normalized(zero);
+  EXPECT_NE(stored, zero);
+  EXPECT_EQ(engine::KeySet::normalized(stored), stored);
+  engine::KeySet set;
+  EXPECT_TRUE(set.insert(zero));
+  EXPECT_FALSE(set.insert(zero));
+  engine::KeySet resumed;
+  resumed.seed({stored});
+  EXPECT_FALSE(resumed.insert(zero));
 }
 
-TEST(ShardedKeySet, ParallelClaimsResolveDeterministically) {
-  // Claims race from several threads; the resolved owner must be the
-  // minimum claiming index, run after run.
-  for (int round = 0; round < 20; ++round) {
-    engine::ShardedKeySet set(16);
-    set.begin_chunk();
-    const util::Key128 shared = util::hash128(std::string("shared"));
-    std::vector<std::thread> threads;
-    std::atomic<int> sealed{0};
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::uint32_t i = 0; i < 64; ++i) {
-          if (set.claim(shared, i * 4 + static_cast<std::uint32_t>(t))) {
-            sealed.fetch_add(1);
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(sealed.load(), 0);
-    EXPECT_EQ(set.owner(shared), 0u);
-    EXPECT_EQ(set.size(), 1u);
+TEST(KeySet, HundredThousandKeysReinsertAsDuplicates) {
+  // About 1,560 keys land in each of the 64 tables, so every table
+  // grows from 64 slots six times.
+  std::vector<util::Key128> keys;
+  for (int i = 0; i < 100000; ++i) {
+    keys.push_back(util::hash128(std::to_string(i)));
   }
+  engine::KeySet set;
+  std::size_t new_keys = 0;
+  for (const util::Key128 key : keys) new_keys += set.insert(key) ? 1 : 0;
+  EXPECT_EQ(new_keys, keys.size());
+  std::size_t duplicates = 0;
+  for (const util::Key128 key : keys) duplicates += set.insert(key) ? 0 : 1;
+  EXPECT_EQ(duplicates, keys.size());
+}
+
+TEST(KeySet, SeededKeyInsertsAsADuplicate) {
+  const util::Key128 key = util::hash128(std::string("key"));
+  engine::KeySet set;
+  set.seed({engine::KeySet::normalized(key)});
+  EXPECT_FALSE(set.insert(key));
+  EXPECT_TRUE(set.insert(util::hash128(std::string("other"))));
 }
 
 // ---------------------------------------------------------------------------
@@ -572,6 +560,62 @@ TEST(StreamDeterminism, TwoAccessSliceBitForBitAcrossThreadCounts) {
     EXPECT_EQ(parallel.chunk_streamed, serial.chunk_streamed) << threads;
     EXPECT_EQ(parallel.chunk_novel, serial.chunk_novel) << threads;
     EXPECT_EQ(parallel.chunk_duplicates, serial.chunk_duplicates) << threads;
+  }
+}
+
+TEST(StreamDeterminism, NovelTestsAreFirstOccurrencesInStreamOrder) {
+  // The suite interleaved with thread-swapped twins (same class, another
+  // test) and exact copies of tests five back: in chunks of 7, classes
+  // recur within a chunk and across chunks.  No repeat marks, so every
+  // test goes through the dedup set.
+  std::vector<litmus::LitmusTest> corpus;
+  const auto suite = enumeration::corollary1_suite(true);
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const auto& test = suite[i];
+    const std::string name = "t" + std::to_string(i);
+    corpus.push_back(test.with_outcome(name, test.outcome()));
+    std::vector<core::Thread> threads = test.program().threads();
+    std::reverse(threads.begin(), threads.end());
+    corpus.emplace_back(name + "~swap", core::Program(std::move(threads)),
+                        test.outcome());
+    if (i >= 5) {
+      const auto& back = suite[i - 5];
+      const std::string copy = "t" + std::to_string(i - 5) + "~copy";
+      corpus.push_back(back.with_outcome(copy, back.outcome()));
+    }
+  }
+  // The reference: a first-occurrence filter over canonical key strings.
+  std::vector<std::string> expected;
+  std::set<std::string> classes;
+  for (const auto& test : corpus) {
+    if (classes.insert(litmus::canonical_key(test)).second) {
+      expected.push_back(test.name());
+    }
+  }
+  ASSERT_LT(expected.size(), corpus.size());
+
+  for (const int threads : {1, 4}) {
+    for (const bool overlap : {false, true}) {
+      engine::EngineOptions options;
+      options.num_threads = threads;
+      engine::VerdictEngine eng(options);
+      engine::StreamOptions stream_options;
+      stream_options.overlap_production = overlap;
+      engine::VectorSource source(corpus, 7);
+      std::vector<std::string> novel_names;
+      const auto stats = eng.run_stream(
+          {models::sc()}, source,
+          [&](const std::vector<litmus::LitmusTest>& novel,
+              const std::vector<util::Key128>&, const engine::BitMatrix&,
+              const engine::StreamChunkStats&) {
+            for (const auto& test : novel) novel_names.push_back(test.name());
+          },
+          stream_options);
+      EXPECT_EQ(novel_names, expected)
+          << "threads=" << threads << " overlap=" << overlap;
+      EXPECT_EQ(stats.duplicate_tests, corpus.size() - expected.size());
+      EXPECT_EQ(stats.repeat_tests, 0u);
+    }
   }
 }
 

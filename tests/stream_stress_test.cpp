@@ -1,9 +1,9 @@
 // Contention stress for the streaming pipeline, sized to stay tier-1
 // fast but to maximize cross-thread traffic: tiny chunks (so the
-// producer hand-off, the sharded claim phase, and the merged
+// producer hand-off, the parallel fingerprint phase, and the merged
 // prepare+evaluate pass all cycle hundreds of times), duplicate-heavy
-// corpora (so cross-chunk sealing and within-chunk min-index races both
-// fire constantly), and more threads than this machine likely has
+// corpora (so duplicates of earlier chunks and of the same chunk both
+// occur constantly), and more threads than this machine likely has
 // cores.  CI runs this under ThreadSanitizer (the `tsan` job); the
 // assertions here pin determinism, the TSan run pins data-race freedom.
 #include <gtest/gtest.h>
