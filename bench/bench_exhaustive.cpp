@@ -28,7 +28,6 @@
 //   --chunk N           tests per chunk (default 4096)
 //   --threads N         engine threads (default: hardware concurrency)
 //   --no-filter         disable the monotone-extremes prefilter
-//   --no-overlap        disable producer-thread chunk prefetching
 //   --audit             collision-audit the hash-based dedup (more RAM,
 //                       and a serial producer) and check every repeat
 //                       mark of the stream; exits nonzero unless the
@@ -123,8 +122,6 @@ int main(int argc, char** argv) {
       engine_options.num_threads = static_cast<int>(v);
     } else if (arg == "--no-filter") {
       harness.filter_extremes = false;
-    } else if (arg == "--no-overlap") {
-      harness.stream.overlap_production = false;
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--verify-serial") {
@@ -157,7 +154,7 @@ int main(int argc, char** argv) {
                    "usage: %s [--max-accesses N] [--locations N] [--no-fences]"
                    " [--with-deps]"
                    " [--chunk N] [--threads N]"
-                   " [--no-filter] [--no-overlap] [--audit] [--verify-serial]"
+                   " [--no-filter] [--audit] [--verify-serial]"
                    " [--progress N] [--json FILE] [--store FILE] [--resume]"
                    " [--checkpoint-every N] [--require-store-hit-rate R]"
                    " [--kill-after-seals N]\n",
@@ -254,10 +251,8 @@ int main(int argc, char** argv) {
   const double wall = timer.seconds();
 
   std::printf("\nstream: %s\n", report.stream.to_string().c_str());
-  std::printf("pipeline stages: %s%s\n",
-              report.stream.stages.to_string().c_str(),
-              report.stream.overlapped ? " (produce overlapped with consume)"
-                                       : "");
+  std::printf("pipeline stages: %s\n",
+              report.stream.stages.to_string().c_str());
   std::printf("throughput: %.0f streamed tests/sec (%.1fs wall, %d threads)\n",
               wall > 0
                   ? static_cast<double>(report.stream.tests_streamed) / wall
@@ -401,7 +396,7 @@ int main(int argc, char** argv) {
     engine::VerdictEngine base_eng(engine_options);
     const std::vector<core::MemoryModel> probes = {models[0], models[1]};
     const auto base_stats =
-        base_eng.run_stream(probes, base_stream, nullptr, harness.stream);
+        base_eng.run_stream(probes, base_stream, nullptr);
     norun_keys_ns = base_stats.keys_ns_per_test();
     nodep_baseline_tests = base_stats.tests_streamed;
     nodep_keys_seconds = base_stats.stages.keys;
@@ -412,13 +407,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- The serial-vs-parallel determinism guard: the same stream run
-  // on one thread, no producer overlap, must induce the identical
-  // matrix bit for bit. ----
+  // on one thread must induce the identical matrix bit for bit. ----
   if (verify_serial) {
     engine::EngineOptions serial_options = engine_options;
     serial_options.num_threads = 1;
     explore::TheoremHarnessOptions serial_harness = harness;
-    serial_harness.stream.overlap_production = false;
     // The guard proves the parallel pipeline deterministic by full
     // recomputation — a store would let it serve answers instead of
     // deriving them.
@@ -434,7 +427,7 @@ int main(int argc, char** argv) {
         by_serial == by_naive &&
         serial_report.stream.tests_streamed == report.stream.tests_streamed &&
         serial_report.stream.novel_tests == report.stream.novel_tests;
-    std::printf("\nserial re-run (1 thread, no overlap): %.1fs, "
+    std::printf("\nserial re-run (1 thread): %.1fs, "
                 "matrix + stream accounting vs parallel run: %s\n",
                 serial_timer.seconds(),
                 identical ? "IDENTICAL (bit for bit)" : "MISMATCH");
@@ -460,7 +453,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 9,\n");
+    std::fprintf(js, "  \"schema_version\": 10,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -511,8 +504,6 @@ int main(int argc, char** argv) {
       std::fprintf(js, "  \"keys_cost_within_2x\": %s,\n",
                    run_keys_ns <= 2.0 * norun_keys_ns ? "true" : "false");
     }
-    std::fprintf(js, "  \"produce_overlapped\": %s,\n",
-                 s.overlapped ? "true" : "false");
     std::fprintf(js, "  \"dedup_audit\": %s,\n",
                  audit ? "true" : "false");
     std::fprintf(js, "  \"extremes_prefilter\": %s,\n",

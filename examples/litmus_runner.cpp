@@ -73,7 +73,10 @@ void print_one(const mcmc::litmus::LitmusTest& test,
   std::printf("%s\n", table.to_string().c_str());
 
   if (!explain) return;
-  for (const auto& model : models) {
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    // Only the cells the matrix marks forbidden need explaining.
+    if (verdicts.get(static_cast<int>(m), test_index)) continue;
+    const auto& model = models[m];
     const auto explanation =
         core::explain_forbidden(an, model, test.outcome());
     if (explanation.actually_allowed) continue;

@@ -3,15 +3,16 @@
 // Corpora that are too large to materialize (the naive bounded
 // enumeration is ~5 million tests) are consumed in fixed-size chunks:
 // the producer implements TestSource, and VerdictEngine::run_stream
-// pulls chunk after chunk, deduplicates across chunks by canonical key,
-// and hands each chunk's verdicts to a sink while keeping peak memory
-// at O(chunk size + unique keys), never O(corpus).
+// pulls chunk after chunk through a ChunkPrefetcher (one producer
+// thread, one chunk ahead), deduplicates across chunks by canonical
+// key, and hands each chunk's verdicts to a sink while keeping peak
+// memory at O(chunk size + unique keys), never O(corpus).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,15 +88,16 @@ void for_each_test(TestSource& source, Fn&& fn) {
 }
 
 /// Overlaps chunk production with consumption: a dedicated producer
-/// thread pulls chunks from the wrapped source into a bounded queue
-/// while the consumer processes earlier ones — the produce stage of
-/// the streaming pipeline runs concurrently with the key/dedup/verdict
-/// stages.  Chunk boundaries and order are exactly the wrapped
-/// source's (one producer, FIFO hand-off), so prefetching never
-/// changes streamed results.  Each queued chunk carries the wrapped
-/// source's repeat marks for it, as it carries its cursor.  A
-/// producer-side exception is rethrown from next_chunk after the
-/// chunks produced before it have been delivered.
+/// thread materializes the wrapped source's next chunk into a one-chunk
+/// slot while the consumer processes the current one.  One chunk of
+/// lookahead hides production whenever produce is cheaper than consume,
+/// and every chunk held ahead is resident memory.  Chunk boundaries and
+/// order are exactly the wrapped source's, so prefetching never changes
+/// streamed results.  Each prefetched chunk carries the wrapped
+/// source's repeat marks and cursor for it.  A producer-side exception
+/// is rethrown from next_chunk after the chunks produced before it have
+/// been delivered.  Restore the wrapped source before constructing the
+/// prefetcher: its producer thread starts pulling at once.
 ///
 /// A consumer that hands each spent chunk back (recycle) has its tests
 /// destroyed on the producer thread, which built them, and that
@@ -104,19 +106,12 @@ void for_each_test(TestSource& source, Fn&& fn) {
 /// foreign-arena frees slow both threads).
 class ChunkPrefetcher final : public TestSource {
  public:
-  /// `depth` bounds the queue (chunks materialized ahead of the
-  /// consumer); values below 1 are clamped to 1.  One chunk of
-  /// lookahead already hides production fully when produce is cheaper
-  /// than consume, and every queued chunk is resident memory, so the
-  /// default stays minimal.  `capture_cursors` snapshots the wrapped
-  /// source's position after every chunk so snapshot_cursor works;
-  /// callers that never checkpoint (no persistence attached) pass
-  /// false and skip that per-chunk producer-thread work entirely.
-  explicit ChunkPrefetcher(TestSource& source, std::size_t depth = 1,
-                           bool capture_cursors = true)
-      : source_(source),
-        depth_(depth < 1 ? 1 : depth),
-        capture_cursors_(capture_cursors) {
+  /// `capture_cursors` snapshots the wrapped source's position after
+  /// every chunk so snapshot_cursor works; callers that never
+  /// checkpoint (no persistence attached) pass false and skip that
+  /// per-chunk producer-thread work entirely.
+  ChunkPrefetcher(TestSource& source, bool capture_cursors)
+      : source_(source), capture_cursors_(capture_cursors) {
     producer_ = std::thread([this] { produce(); });
   }
 
@@ -135,9 +130,10 @@ class ChunkPrefetcher final : public TestSource {
   /// Takes back a delivered chunk and leaves `chunk` empty.  The
   /// producer destroys its tests and refills its storage before it
   /// produces its next chunk.  A consumer that holds one chunk at a
-  /// time and hands each back keeps at most depth + 2 chunk buffers in
-  /// circulation.  Chunks handed back after the producer finished are
-  /// freed with the prefetcher.
+  /// time and hands each back keeps at most 3 chunk buffers in
+  /// circulation: the consumer's, the prefetched one and the one being
+  /// filled.  Chunks handed back after the producer finished are freed
+  /// with the prefetcher.
   void recycle(std::vector<litmus::LitmusTest>& chunk) {
     std::vector<litmus::LitmusTest> spent = std::move(chunk);
     chunk.clear();  // a moved-from vector is only "valid"
@@ -150,14 +146,14 @@ class ChunkPrefetcher final : public TestSource {
     {
       util::Timer wait_timer;
       util::MutexLock lock(mu_);
-      while (queue_.empty() && !done_) chunk_ready_.wait(mu_);
+      while (!slot_ && !done_) chunk_ready_.wait(mu_);
       last_wait_seconds_ = wait_timer.seconds();
-      if (queue_.empty()) {
+      if (!slot_) {
         if (error_) std::rethrow_exception(error_);
         return false;
       }
-      item = std::move(queue_.front());
-      queue_.pop_front();
+      item = std::move(*slot_);
+      slot_.reset();
     }
     slot_free_.notify_one();
     if (out.empty()) {
@@ -181,14 +177,6 @@ class ChunkPrefetcher final : public TestSource {
     if (!last_cursor_valid_) return false;
     out = last_cursor_;
     return true;
-  }
-
-  /// Restore through the wrapped source before constructing the
-  /// prefetcher (its producer thread starts pulling immediately).
-  [[nodiscard]] bool restore_cursor(
-      const std::vector<std::uint64_t>& cursor) override {
-    (void)cursor;
-    return false;
   }
 
   /// The wrapped source's repeat marks of the most recently delivered
@@ -251,9 +239,9 @@ class ChunkPrefetcher final : public TestSource {
       const bool more = item.more;
       {
         util::MutexLock lock(mu_);
-        while (queue_.size() >= depth_ && !stop_) slot_free_.wait(mu_);
+        while (slot_ && !stop_) slot_free_.wait(mu_);
         if (stop_) return;
-        queue_.push_back(std::move(item));
+        slot_ = std::move(item);
         if (!more) done_ = true;
       }
       chunk_ready_.notify_one();
@@ -262,14 +250,13 @@ class ChunkPrefetcher final : public TestSource {
   }
 
   TestSource& source_;
-  std::size_t depth_;
   bool capture_cursors_;
   std::thread producer_;
 
   util::Mutex mu_;
   util::CondVar chunk_ready_;  // consumer waits for a chunk
-  util::CondVar slot_free_;    // producer waits for queue room
-  std::deque<Item> queue_ GUARDED_BY(mu_);
+  util::CondVar slot_free_;    // producer waits for the slot to empty
+  std::optional<Item> slot_ GUARDED_BY(mu_);  // the prefetched chunk
   bool done_ GUARDED_BY(mu_) = false;  // source exhausted (or errored)
   bool stop_ GUARDED_BY(mu_) = false;  // destructor: abandon production
   std::exception_ptr error_ GUARDED_BY(mu_);

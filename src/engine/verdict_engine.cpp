@@ -516,7 +516,7 @@ std::string StreamStats::to_string() const {
      << " repeats=" << repeat_tests
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
      << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
-     << (overlapped ? " (produce overlapped)" : "") << "]";
+     << "]";
   if (commits > 0) {
     os << " commits=" << commits << " (" << bytes_committed << " bytes)";
   }
@@ -594,36 +594,27 @@ struct VerdictEngine::StreamRun {
     if (persist != nullptr && !resumed) vstore->clear_checkpoint();
 
     // The prefetcher runs on its own thread, not a pool worker, so
-    // overlap engages even for a 1-thread engine.  Cursor capture
-    // exists only for checkpoint seals; without persistence the
-    // producer thread skips the per-chunk snapshot.
-    total.overlapped = options.overlap_production;
-    if (total.overlapped) prefetcher.emplace(source, 1, persist != nullptr);
-    input = total.overlapped ? &*prefetcher : &source;
+    // production overlaps consumption even for a 1-thread engine.
+    // Cursor capture exists only for checkpoint seals; without
+    // persistence the producer thread skips the per-chunk snapshot.
+    prefetcher.emplace(source, persist != nullptr);
   }
 
   /// Releases the previous chunk, then pulls the next into `chunk`;
   /// false once the source is done.  Release moves the delivered novel
-  /// tests back into their slots and, under overlap, hands the chunk
-  /// back to the producer thread, which destroys the tests it built;
-  /// without overlap it frees them here.
+  /// tests back into their slots and hands the chunk back to the
+  /// producer thread, which destroys the tests it built.
   bool produce(StreamChunkStats& cs) {
     util::Timer release_timer;
     for (std::size_t k = 0; k < novel.size(); ++k) {
       chunk[static_cast<std::size_t>(novel_idx[k])] = std::move(novel[k]);
     }
     novel.clear();
-    if (prefetcher) {
-      prefetcher->recycle(chunk);
-    } else {
-      chunk.clear();
-    }
+    prefetcher->recycle(chunk);
     cs.stages.release = release_timer.seconds();
-    util::Timer timer;
-    const bool more = input->next_chunk(chunk);
-    cs.stages.produce =
-        prefetcher ? prefetcher->last_produce_seconds() : timer.seconds();
-    cs.stages.wait = prefetcher ? prefetcher->last_wait_seconds() : 0.0;
+    const bool more = prefetcher->next_chunk(chunk);
+    cs.stages.produce = prefetcher->last_produce_seconds();
+    cs.stages.wait = prefetcher->last_wait_seconds();
     // An empty final pull never reaches verdict(), which folds the rest.
     if (chunk.empty()) total.stages += cs.stages;
     cs.index = total.chunks;
@@ -643,7 +634,7 @@ struct VerdictEngine::StreamRun {
     util::Timer timer;
     const std::size_t n = chunk.size();
     key_hashes.resize(n);
-    marks = structural ? nullptr : input->repeat_marks();
+    marks = structural ? nullptr : prefetcher->repeat_marks();
     if (marks != nullptr) {
       MCMC_CHECK_MSG(marks->size() == n,
                      "repeat marks do not match the chunk's tests");
@@ -743,7 +734,7 @@ struct VerdictEngine::StreamRun {
     }
     util::Timer timer;
     store::StreamCheckpoint ck;
-    if (input->snapshot_cursor(ck.source_cursor)) {
+    if (prefetcher->snapshot_cursor(ck.source_cursor)) {
       ck.chunks = total.chunks;
       ck.tests_streamed = total.tests_streamed;
       ck.novel_tests = total.novel_tests;
@@ -799,9 +790,9 @@ struct VerdictEngine::StreamRun {
   const store::StreamPersistence* persist = nullptr;
   KeySet seen;
   StreamStats total;
+  /// Every chunk is pulled through it; emplaced once the source is
+  /// restored.
   std::optional<ChunkPrefetcher> prefetcher;
-  /// The prefetcher, or the raw source.
-  TestSource* input = nullptr;
 
   // Per-chunk buffers, reused across chunks.
   std::vector<litmus::LitmusTest> chunk;

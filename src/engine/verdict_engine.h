@@ -30,6 +30,8 @@
 //   * a work-stealing std::thread pool running one task per program run
 //     (analyze, compile masks, then prepare and decide its tests one at
 //     a time),
+//   * streamed corpora (run_stream), prefetched one chunk ahead by one
+//     producer thread,
 //   * row-level verdict-store traffic (run_rows, the one batch path:
 //     run_matrix, the stream, the Theorem harness's sweep and litmusd
 //     take it): one store probe per canonical class, one direct batch
@@ -109,12 +111,6 @@ struct EngineStats {
 
 /// Options for a streaming run (see VerdictEngine::run_stream).
 struct StreamOptions {
-  /// Overlap chunk production with consumption: a producer thread
-  /// (engine::ChunkPrefetcher, dedicated — not a pool worker, so this
-  /// engages even for a 1-thread engine) materializes the next chunks
-  /// while the pool processes the current one.  Never changes results
-  /// (chunk order and boundaries are preserved).
-  bool overlap_production = true;
   /// Force structural dedup keys even when every streamed model is
   /// custom-free.  Callers that reuse the delivered verdicts beyond the
   /// streamed models (e.g. the extremes-prefiltered Theorem harness,
@@ -140,16 +136,14 @@ struct StreamOptions {
 };
 
 /// Per-stage wall time of the streaming pipeline.  `produce` is time
-/// spent inside the source's next_chunk — with overlap_production it
-/// runs concurrently with the other stages, so it is overlap, not
-/// critical path.  `wait` is the critical-path share of production:
-/// the time the consumer blocked for a chunk the producer thread had
-/// not finished (0 without overlap, where produce is all critical
-/// path).  `release` is the consumer's share of tearing down the
-/// previous chunk before it pulls the next: under overlap the hand-back
-/// to the producer thread (ChunkPrefetcher::recycle), whose destruction
-/// of the handed-back tests counts in its `produce`; without overlap the
-/// whole teardown.
+/// the producer thread spent inside the source's next_chunk — it runs
+/// concurrently with the other stages, so it is overlap, not critical
+/// path.  `wait` is the critical-path share of production: the time
+/// the consumer blocked for a chunk the producer thread had not
+/// finished.  `release` is the consumer's share of tearing down the
+/// previous chunk before it pulls the next: the hand-back to the
+/// producer thread (ChunkPrefetcher::recycle), whose destruction of the
+/// handed-back tests counts in its `produce`.
 /// `keys` is the parallel fingerprint phase, `dedup` the serial
 /// chunk-order claims of the keys in the stream's dedup set, `verdict`
 /// the batched evaluation plus delivery, `seal` the checkpoint seals and
@@ -189,7 +183,6 @@ struct StreamStats {
   /// never computed (TestSource::repeat_marks).
   std::size_t repeat_tests = 0;
   StreamStageTimes stages;          ///< accumulated per-stage breakdown
-  bool overlapped = false;          ///< producer thread was engaged
   EngineStats engine;               ///< accumulated over chunk batches
   std::size_t commits = 0;          ///< store commits: seals + completion
   /// Bytes those commits wrote.
@@ -290,9 +283,11 @@ class VerdictEngine {
   /// ignore the marks (a canonical repeat need not be a structural
   /// one).
   ///
-  /// The run is a parallel pipeline: chunk production overlaps with
-  /// consumption (overlap_production), and fingerprinting fans out
-  /// across the work-stealing pool with per-worker scratch tables.
+  /// The run is a parallel pipeline: a producer thread (not a pool
+  /// worker) prefetches the next chunk while the consumer processes the
+  /// current one, and fingerprinting fans out across the work-stealing
+  /// pool with per-worker scratch tables.  `on_chunk` runs between the
+  /// stages, with the pool idle, so it may run batches on this engine.
   /// Streamed results are bit-for-bit deterministic under any thread
   /// count: chunk boundaries come from the single producer, the
   /// consumer inserts the keys into the dedup set serially in chunk
@@ -316,8 +311,6 @@ class VerdictEngine {
   [[nodiscard]] const EngineStats& last_stats() const { return last_stats_; }
   /// Stats accumulated over the engine's lifetime.
   [[nodiscard]] const EngineStats& total_stats() const { return total_stats_; }
-
-  [[nodiscard]] const EngineOptions& options() const { return options_; }
 
   /// Threads a batch will actually use (resolves the 0 = hardware
   /// default).

@@ -107,7 +107,6 @@ class ExhaustiveStream final : public engine::TestSource {
 
   [[nodiscard]] bool done() const;
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
-  [[nodiscard]] const ExhaustiveOptions& options() const { return options_; }
 
   /// Counting-only walk of the same generator core: the totals a full
   /// drain of a fresh stream with these options would emit.

@@ -245,10 +245,18 @@ DistinguishMatrix distinguishability_streamed(
         };
   }
 
+  // Structural dedup keys if any of `models` carries custom predicates:
+  // the prefiltered stream sees only the (custom-free) extremes, but
+  // its survivors are swept with `models`.
+  engine::StreamOptions stream_options;
+  for (const auto& model : models) {
+    stream_options.force_structural_keys =
+        stream_options.force_structural_keys || model.formula().has_custom();
+  }
+  stream_options.verdict_store = options.verdict_store;
+  if (persisted) stream_options.persistence = &persist;
+
   if (!options.filter_extremes) {
-    engine::StreamOptions stream_options = options.stream;
-    stream_options.verdict_store = options.verdict_store;
-    if (persisted) stream_options.persistence = &persist;
     rep.stream = eng.run_stream(
         models, source,
         [&](const std::vector<litmus::LitmusTest>& novel,
@@ -270,25 +278,14 @@ DistinguishMatrix distinguishability_streamed(
   // and cannot distinguish a pair.
   const std::vector<core::MemoryModel> extremes = extreme_models();
 
-  // The stream only sees the (custom-free) extremes, but its survivors
-  // are swept with the caller's models: if any of those carries custom
-  // predicates, canonical dedup of the stream would be unsound for the
-  // sweep, so force structural keys.
-  engine::StreamOptions stream_options = options.stream;
-  for (const auto& model : models) {
-    stream_options.force_structural_keys =
-        stream_options.force_structural_keys || model.formula().has_custom();
-  }
-  stream_options.verdict_store = options.verdict_store;
-  if (persisted) stream_options.persistence = &persist;
-
-  // The sweep takes the engine's row-level store path: one store row
-  // per candidate class, one direct batch for the cells the store
-  // lacks, one write-back.  Its verdicts are folded immediately, so
-  // nothing is cached in memory (a million-test stream must not pin
-  // |models| x |tests| entries); the store is what a warm rerun serves
-  // from.  A separate engine keeps the sweep's statistics apart.
-  engine::VerdictEngine sweep(eng.options());
+  // The sweep runs in the sink on the caller's engine, whose pool is
+  // idle between the stream's stages; the stream has already copied the
+  // chunk's stats, so the two stay apart.  It takes the engine's
+  // row-level store path: one store row per candidate class, one direct
+  // batch for the cells the store lacks, one write-back.  Its verdicts
+  // are folded immediately, so nothing is cached in memory (a
+  // million-test stream must not pin |models| x |tests| entries); the
+  // store is what a warm rerun serves from.
   const engine::RowModels sweep_rows(models, options.verdict_store);
   // Under canonical stream keys the candidates are canonically unique
   // and the stream's keys are their store rows.  Under structural keys
@@ -320,13 +317,13 @@ DistinguishMatrix distinguishability_streamed(
         rep.candidate_tests += candidates.size();
         if (!candidates.empty()) {
           util::Timer sweep_timer;
-          folder.fold(sweep.run_rows(sweep_rows, candidates, candidate_keys));
+          folder.fold(eng.run_rows(sweep_rows, candidates, candidate_keys));
+          rep.sweep += eng.last_stats();
           rep.sweep_seconds += sweep_timer.seconds();
         }
         if (progress) progress(cs);
       },
       stream_options);
-  rep.sweep = sweep.total_stats();
   return matrix;
 }
 

@@ -12,7 +12,7 @@
 //
 // Streamed construction never materializes the corpus: chunks flow
 // through engine::VerdictEngine::run_stream — the parallel pipeline
-// that overlaps chunk production with consumption, fans canonical-key
+// whose producer thread prefetches one chunk ahead, fans canonical-key
 // computation across the engine's thread pool, and dedups by 128-bit
 // key hash in chunk order (the report's stream.stages carries the
 // produce/keys/dedup/verdict wall breakdown) — each novel test's
@@ -24,7 +24,8 @@
 // strongest (F = true) models of the class first and runs the full
 // model sweep only on tests that are allowed by the former and
 // forbidden by the latter — every other test receives the same verdict
-// from every model in between and cannot distinguish anything.
+// from every model in between and cannot distinguish anything.  The
+// sweep runs between the stream's chunks, on the caller's engine.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +104,8 @@ class DistinguishMatrix {
 [[nodiscard]] store::StoreMeta harness_store_meta(
     const std::vector<core::MemoryModel>& models);
 
-/// Options of the streamed Theorem-1 harness.
+/// Options of the streamed Theorem-1 harness; its stream's options are
+/// built from these and from its models' custom predicates.
 struct TheoremHarnessOptions {
   /// Monotone-class extremes prefilter (see the header comment).  The
   /// paper's class is monotone: a pointwise-stronger must-not-reorder
@@ -112,9 +114,6 @@ struct TheoremHarnessOptions {
   /// every F, custom predicates included.  Disable for a direct full
   /// sweep (the differential tests do).
   bool filter_extremes = true;
-  /// Stream behavior (producer overlap, forced structural keys); the
-  /// harness fills in the store fields from the two below.
-  engine::StreamOptions stream;
   /// Persistent verdict store shared by the prefilter stream and the
   /// candidate sweep (caller-owned, may be null).  Open it with
   /// harness_store_meta(models) so both phases find their columns.
@@ -142,9 +141,10 @@ struct TheoremHarnessReport {
 /// Per-chunk progress callback (chunk stats come from the stream run).
 using ChunkProgress = std::function<void(const engine::StreamChunkStats&)>;
 
-/// Streamed distinguishability of `models` over `source`.  Peak memory
-/// is O(chunk + unique canonical keys + distinct verdict columns)
-/// regardless of corpus size.
+/// Streamed distinguishability of `models` over `source`; `eng` runs
+/// the stream and the sweep, so its total_stats() grow by both.  Peak
+/// memory is O(chunk + unique canonical keys + distinct verdict
+/// columns) regardless of corpus size.
 [[nodiscard]] DistinguishMatrix distinguishability_streamed(
     engine::VerdictEngine& eng, const std::vector<core::MemoryModel>& models,
     engine::TestSource& source, const TheoremHarnessOptions& options = {},

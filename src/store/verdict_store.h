@@ -338,20 +338,15 @@ class VerdictStore {
     set_bit_locked(test, col, verdict);
   }
 
-  /// Cell-level accounting since construction (or reset_counters):
-  /// the store hit rate bench_exhaustive reports is
-  /// hits / (hits + misses).  Counted with relaxed atomics, so
-  /// concurrent probes race only on who counts first, never on the
-  /// totals.
+  /// Cell-level accounting since construction: the store hit rate
+  /// bench_exhaustive reports is hits / (hits + misses).  Counted with
+  /// relaxed atomics, so concurrent probes race only on who counts
+  /// first, never on the totals.
   [[nodiscard]] std::uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
-  }
-  void reset_counters() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
   }
 
   // ---- Stream checkpoint (persisted alongside the entries).  The

@@ -92,16 +92,13 @@ TEST(AuditedSource, AuditFailureSurfacesFromRunStream) {
     engine::EngineOptions options;
     options.num_threads = threads;
     engine::VerdictEngine eng(options);
-    engine::StreamOptions stream_options;
-    stream_options.overlap_production = true;
     std::size_t delivered_chunks = 0;
     const std::string error = logic_error_of([&] {
       (void)eng.run_stream(
           {models::sc()}, audited,
           [&](const std::vector<litmus::LitmusTest>&,
               const std::vector<util::Key128>&, const engine::BitMatrix&,
-              const engine::StreamChunkStats&) { ++delivered_chunks; },
-          stream_options);
+              const engine::StreamChunkStats&) { ++delivered_chunks; });
     });
     EXPECT_NE(error.find("128-bit fingerprint collision"), std::string::npos)
         << "threads=" << threads << ": " << error;

@@ -73,13 +73,12 @@ struct StreamedRun {
   engine::StreamStats stats;
 };
 
-StreamedRun stream_run(engine::TestSource& source, int threads, bool overlap,
+StreamedRun stream_run(engine::TestSource& source, int threads,
                        bool structural = false) {
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
   engine::VerdictEngine eng(engine_options);
   engine::StreamOptions stream_options;
-  stream_options.overlap_production = overlap;
   stream_options.force_structural_keys = structural;
   const std::vector<core::MemoryModel> models = {
       explore::ModelChoices{4, 4, 4, 4}.to_model(),
@@ -157,7 +156,7 @@ TEST(RepeatMarks, PrefetcherCarriesEachChunksMarks) {
     std::vector<std::vector<char>> prefetched;
     {
       enumeration::ExhaustiveStream stream(slice(deps));
-      engine::ChunkPrefetcher prefetcher(stream, 2, /*capture_cursors=*/false);
+      engine::ChunkPrefetcher prefetcher(stream, /*capture_cursors=*/false);
       std::vector<litmus::LitmusTest> chunk;
       bool more = true;
       while (more) {
@@ -171,28 +170,25 @@ TEST(RepeatMarks, PrefetcherCarriesEachChunksMarks) {
   }
 }
 
-TEST(RepeatMarks, MarkedRunEqualsMarkLessRunAcrossThreadsAndOverlap) {
+TEST(RepeatMarks, MarkedRunEqualsMarkLessRunAcrossThreads) {
   for (const bool deps : {false, true}) {
     for (const int threads : {1, 4}) {
-      for (const bool overlap : {false, true}) {
-        const std::string label = "deps=" + std::to_string(deps) +
-                                  " threads=" + std::to_string(threads) +
-                                  " overlap=" + std::to_string(overlap);
-        enumeration::ExhaustiveStream marked_stream(slice(deps));
-        // The audit checks every mark on the way.
-        engine::AuditedSource audited(marked_stream);
-        const StreamedRun marked = stream_run(audited, threads, overlap);
+      const std::string label = "deps=" + std::to_string(deps) +
+                                " threads=" + std::to_string(threads);
+      enumeration::ExhaustiveStream marked_stream(slice(deps));
+      // The audit checks every mark on the way.
+      engine::AuditedSource audited(marked_stream);
+      const StreamedRun marked = stream_run(audited, threads);
 
-        enumeration::ExhaustiveStream plain_stream(slice(deps));
-        MarkLessSource mark_less(plain_stream);
-        const StreamedRun plain = stream_run(mark_less, threads, overlap);
+      enumeration::ExhaustiveStream plain_stream(slice(deps));
+      MarkLessSource mark_less(plain_stream);
+      const StreamedRun plain = stream_run(mark_less, threads);
 
-        expect_same_run(marked, plain, label);
-        EXPECT_EQ(marked.stats.repeat_tests, pinned(deps).marked) << label;
-        EXPECT_EQ(audited.marks_verified(), pinned(deps).marked) << label;
-        EXPECT_EQ(plain.stats.repeat_tests, 0u) << label;
-        EXPECT_EQ(marked.stats.tests_streamed, pinned(deps).tests) << label;
-      }
+      expect_same_run(marked, plain, label);
+      EXPECT_EQ(marked.stats.repeat_tests, pinned(deps).marked) << label;
+      EXPECT_EQ(audited.marks_verified(), pinned(deps).marked) << label;
+      EXPECT_EQ(plain.stats.repeat_tests, 0u) << label;
+      EXPECT_EQ(marked.stats.tests_streamed, pinned(deps).tests) << label;
     }
   }
 }
@@ -231,8 +227,8 @@ TEST(RepeatMarks, RestoredStreamMarksOnlyWhatItEmitted) {
     enumeration::ExhaustiveStream plain_stream(slice(deps));
     ASSERT_TRUE(plain_stream.restore_cursor(cursor));
     MarkLessSource mark_less(plain_stream);
-    const StreamedRun marked = stream_run(marked_stream, 4, /*overlap=*/true);
-    const StreamedRun plain = stream_run(mark_less, 4, /*overlap=*/true);
+    const StreamedRun marked = stream_run(marked_stream, 4);
+    const StreamedRun plain = stream_run(mark_less, 4);
     expect_same_run(marked, plain, label);
     EXPECT_EQ(marked.stats.tests_streamed, pinned(deps).tests - skipped)
         << label;
@@ -246,11 +242,10 @@ TEST(RepeatMarks, StructuralKeysIgnoreMarks) {
   for (const bool deps : {false, true}) {
     enumeration::ExhaustiveStream marked_stream(slice(deps));
     const StreamedRun marked =
-        stream_run(marked_stream, 4, /*overlap=*/true, /*structural=*/true);
+        stream_run(marked_stream, 4, /*structural=*/true);
     enumeration::ExhaustiveStream plain_stream(slice(deps));
     MarkLessSource mark_less(plain_stream);
-    const StreamedRun plain =
-        stream_run(mark_less, 4, /*overlap=*/true, /*structural=*/true);
+    const StreamedRun plain = stream_run(mark_less, 4, /*structural=*/true);
     const std::string label = "deps=" + std::to_string(deps);
     expect_same_run(marked, plain, label);
     EXPECT_EQ(marked.stats.repeat_tests, 0u) << label;

@@ -1,6 +1,7 @@
 // The parallel streaming pipeline: determinism under any thread count,
-// hash-based chunk-order dedup (with collision audit), producer-overlap
-// chunk hand-off, and exception propagation from pool tasks through
+// hash-based chunk-order dedup (with collision audit), the producer
+// thread's chunk hand-off, the Theorem harness's sweep on the caller's
+// engine, and exception propagation from pool tasks through
 // run_matrix / run_stream.
 #include <gtest/gtest.h>
 
@@ -166,7 +167,7 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   }
 
   engine::VectorSource wrapped(suite, 13);
-  engine::ChunkPrefetcher prefetcher(wrapped, 2);
+  engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
   std::vector<std::vector<std::string>> prefetched_chunks;
   {
     std::vector<litmus::LitmusTest> chunk;
@@ -188,12 +189,12 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
 
   // A consumer that hands every chunk back sees the same chunks, and
   // the producer refills the handed-back storage: a new buffer is made
-  // only while none waits, so at most depth + 2 of them exist.
+  // only while none waits, so at most 3 of them exist.
   engine::VectorSource recycled(suite, 13);
   RefillProbe probe(recycled);
   std::vector<std::vector<std::string>> recycled_chunks;
   {
-    engine::ChunkPrefetcher recycler(probe, 2);
+    engine::ChunkPrefetcher recycler(probe, /*capture_cursors=*/true);
     bool more = true;
     while (more) {
       more = recycler.next_chunk(chunk);
@@ -206,14 +207,14 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   }
   EXPECT_EQ(recycled_chunks, direct_chunks);
   EXPECT_EQ(probe.calls(), static_cast<int>(direct_chunks.size()));
-  EXPECT_GE(probe.refills(), probe.calls() - 4);
+  EXPECT_GE(probe.refills(), probe.calls() - 3);
 }
 
 TEST(ChunkPrefetcher, EarlyDestructionDoesNotHang) {
   const auto suite = enumeration::corollary1_suite(true);
-  engine::VectorSource wrapped(suite, 1);  // many small chunks, depth 1
+  engine::VectorSource wrapped(suite, 1);  // many small chunks
   {
-    engine::ChunkPrefetcher prefetcher(wrapped, 1);
+    engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
     std::vector<litmus::LitmusTest> chunk;
     (void)prefetcher.next_chunk(chunk);  // consume one, abandon the rest
   }
@@ -233,7 +234,7 @@ TEST(ChunkPrefetcher, DestructionWithHandedBackChunksNeitherHangsNorLeaks) {
     {
       // Two chunks when exhausted: nothing refills the last hand-back.
       engine::VectorSource wrapped(suite, exhausted ? suite.size() / 2 + 1 : 1);
-      engine::ChunkPrefetcher prefetcher(wrapped, 1);
+      engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
       std::vector<litmus::LitmusTest> chunk;
       bool more = true;
       for (int i = 0; i < 3 && more; ++i) {
@@ -274,7 +275,7 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
   auto suite = enumeration::corollary1_suite(false);
   suite.erase(suite.begin() + 4, suite.end());
   ThrowingSource source(suite);
-  engine::ChunkPrefetcher prefetcher(source, 2);
+  engine::ChunkPrefetcher prefetcher(source, /*capture_cursors=*/true);
   std::vector<litmus::LitmusTest> chunk;
   EXPECT_TRUE(prefetcher.next_chunk(chunk));  // the good chunk arrives
   EXPECT_EQ(chunk.size(), 4u);
@@ -305,12 +306,12 @@ class ThrowOnRefillSource final : public engine::TestSource {
 
 TEST(ChunkPrefetcher, ExceptionAfterHandBackSurfacesAfterEarlierChunks) {
   ThrowOnRefillSource source(enumeration::corollary1_suite(false).front());
-  engine::ChunkPrefetcher prefetcher(source, 1);
+  engine::ChunkPrefetcher prefetcher(source, /*capture_cursors=*/true);
   std::vector<litmus::LitmusTest> chunk;
   int received = 0;
   bool threw = false;
-  // At most depth + 2 fresh buffers exist, so a refill, and with it
-  // the error, comes within a few pulls.
+  // At most 3 fresh buffers exist, so a refill, and with it the error,
+  // comes within a few pulls.
   for (int pull = 0; pull < 16 && !threw; ++pull) {
     try {
       EXPECT_TRUE(prefetcher.next_chunk(chunk));
@@ -355,56 +356,42 @@ TEST(StreamStages, WaitRecordsTheConsumerBlockedOnTheProducer) {
   const double injected = 0.040 * static_cast<double>(suite.size());
 
   engine::VerdictEngine eng;
-  SleepingSource overlapped(suite, kNap);
-  const auto with_overlap = eng.run_stream(probe, overlapped, nullptr);
-  ASSERT_TRUE(with_overlap.overlapped);
-  EXPECT_EQ(with_overlap.tests_streamed, suite.size());
-  EXPECT_GE(with_overlap.stages.wait, injected / 2);
-  EXPECT_NE(with_overlap.stages.to_string().find(" wait="),
-            std::string::npos);
-
-  engine::StreamOptions serial;
-  serial.overlap_production = false;
-  SleepingSource direct(suite, kNap);
-  const auto without = eng.run_stream(probe, direct, nullptr, serial);
-  EXPECT_EQ(without.stages.wait, 0.0);
-  EXPECT_GE(without.stages.produce, injected / 2);
+  SleepingSource source(suite, kNap);
+  const auto stats = eng.run_stream(probe, source, nullptr);
+  EXPECT_EQ(stats.tests_streamed, suite.size());
+  EXPECT_GE(stats.stages.wait, injected / 2);
+  // The naps are the producer thread's time inside next_chunk.
+  EXPECT_GE(stats.stages.produce, injected / 2);
+  EXPECT_NE(stats.stages.to_string().find(" wait="), std::string::npos);
 }
 
 TEST(StreamStages, ReleaseRecordsTheConsumersShareOfChunkTeardown) {
   // The consumer's share of tearing down each chunk before the next
-  // pull is charged to `release`, with and without the producer
-  // thread, and folded into the run totals the stage line prints.
-  // Under overlap that share is the hand-back: the producer destroys
-  // the tests and refills the storage.  Without overlap the consumer
-  // clears the chunk and the source refills the same vector.
+  // pull is charged to `release` and folded into the run totals the
+  // stage line prints.  That share is the hand-back: the producer
+  // thread destroys the tests and refills the storage.
   enumeration::ExhaustiveOptions slice;
   slice.bounds.max_accesses_per_thread = 2;
   slice.chunk_size = 256;
   engine::VerdictEngine eng;
-  for (const bool overlap : {true, false}) {
-    engine::StreamOptions options;
-    options.overlap_production = overlap;
-    enumeration::ExhaustiveStream stream(slice);
-    RefillProbe probe(stream);
-    double chunk_release = 0.0;
-    const auto stats = eng.run_stream(
-        {models::sc()}, probe,
-        [&](const std::vector<litmus::LitmusTest>&,
-            const std::vector<util::Key128>&, const engine::BitMatrix&,
-            const engine::StreamChunkStats& cs) {
-          chunk_release += cs.stages.release;
-        },
-        options);
-    ASSERT_GT(stats.chunks, 1u) << overlap;
-    EXPECT_GT(stats.stages.release, 0.0) << overlap;
-    // The final, empty pull releases the last chunk; no sink sees it.
-    EXPECT_GE(stats.stages.release, chunk_release) << overlap;
-    EXPECT_NE(stats.stages.to_string().find(" release="), std::string::npos);
-    // Only the first pulls get fresh storage: under overlap at most
-    // depth + 2 = 3 chunk buffers circulate, without it one.
-    EXPECT_GE(probe.refills(), probe.calls() - (overlap ? 3 : 1)) << overlap;
-  }
+  enumeration::ExhaustiveStream stream(slice);
+  RefillProbe probe(stream);
+  double chunk_release = 0.0;
+  const auto stats = eng.run_stream(
+      {models::sc()}, probe,
+      [&](const std::vector<litmus::LitmusTest>&,
+          const std::vector<util::Key128>&, const engine::BitMatrix&,
+          const engine::StreamChunkStats& cs) {
+        chunk_release += cs.stages.release;
+      });
+  ASSERT_GT(stats.chunks, 1u);
+  EXPECT_GT(stats.stages.release, 0.0);
+  // The final, empty pull releases the last chunk; no sink sees it.
+  EXPECT_GE(stats.stages.release, chunk_release);
+  EXPECT_NE(stats.stages.to_string().find(" release="), std::string::npos);
+  // Only the first pulls get fresh storage: at most 3 chunk buffers
+  // circulate.
+  EXPECT_GE(probe.refills(), probe.calls() - 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +489,7 @@ struct StreamCapture {
 };
 
 /// Streams the 2-access slice through the fingerprint audit.
-StreamCapture run_slice_stream(int threads, bool overlap) {
+StreamCapture run_slice_stream(int threads) {
   enumeration::ExhaustiveOptions options;
   options.bounds.max_accesses_per_thread = 2;
   options.chunk_size = 512;
@@ -512,9 +499,6 @@ StreamCapture run_slice_stream(int threads, bool overlap) {
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
   engine::VerdictEngine eng(engine_options);
-
-  engine::StreamOptions stream_options;
-  stream_options.overlap_production = overlap;
 
   const std::vector<core::MemoryModel> models = {
       explore::ModelChoices{4, 4, 4, 4}.to_model(),
@@ -536,8 +520,7 @@ StreamCapture run_slice_stream(int threads, bool overlap) {
         capture.chunk_streamed.push_back(cs.streamed);
         capture.chunk_novel.push_back(cs.novel);
         capture.chunk_duplicates.push_back(cs.duplicates);
-      },
-      stream_options);
+      });
   // The audit saw every streamed test; the engine's novel tests must be
   // exactly its classes.
   EXPECT_EQ(stats.novel_tests, audited.classes());
@@ -545,16 +528,15 @@ StreamCapture run_slice_stream(int threads, bool overlap) {
 }
 
 TEST(StreamDeterminism, TwoAccessSliceBitForBitAcrossThreadCounts) {
-  // The serial reference: 1 thread, no producer overlap (the collision
-  // audit must hold on the whole slice).
-  const StreamCapture serial = run_slice_stream(1, /*overlap=*/false);
+  // The serial reference: 1 thread (the collision audit, which runs on
+  // the producer thread, must hold on the whole slice).
+  const StreamCapture serial = run_slice_stream(1);
   ASSERT_FALSE(serial.novel_names.empty());
 
-  // Parallel runs with different thread counts, overlap on (the audit
-  // then runs on the producer thread): every delivered name, verdict
-  // bit, and chunk stat identical.
+  // Parallel runs with different thread counts: every delivered name,
+  // verdict bit, and chunk stat identical.
   for (const int threads : {2, 4}) {
-    const StreamCapture parallel = run_slice_stream(threads, /*overlap=*/true);
+    const StreamCapture parallel = run_slice_stream(threads);
     EXPECT_EQ(parallel.novel_names, serial.novel_names) << threads;
     EXPECT_EQ(parallel.verdict_bits, serial.verdict_bits) << threads;
     EXPECT_EQ(parallel.chunk_streamed, serial.chunk_streamed) << threads;
@@ -595,27 +577,21 @@ TEST(StreamDeterminism, NovelTestsAreFirstOccurrencesInStreamOrder) {
   ASSERT_LT(expected.size(), corpus.size());
 
   for (const int threads : {1, 4}) {
-    for (const bool overlap : {false, true}) {
-      engine::EngineOptions options;
-      options.num_threads = threads;
-      engine::VerdictEngine eng(options);
-      engine::StreamOptions stream_options;
-      stream_options.overlap_production = overlap;
-      engine::VectorSource source(corpus, 7);
-      std::vector<std::string> novel_names;
-      const auto stats = eng.run_stream(
-          {models::sc()}, source,
-          [&](const std::vector<litmus::LitmusTest>& novel,
-              const std::vector<util::Key128>&, const engine::BitMatrix&,
-              const engine::StreamChunkStats&) {
-            for (const auto& test : novel) novel_names.push_back(test.name());
-          },
-          stream_options);
-      EXPECT_EQ(novel_names, expected)
-          << "threads=" << threads << " overlap=" << overlap;
-      EXPECT_EQ(stats.duplicate_tests, corpus.size() - expected.size());
-      EXPECT_EQ(stats.repeat_tests, 0u);
-    }
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::VerdictEngine eng(options);
+    engine::VectorSource source(corpus, 7);
+    std::vector<std::string> novel_names;
+    const auto stats = eng.run_stream(
+        {models::sc()}, source,
+        [&](const std::vector<litmus::LitmusTest>& novel,
+            const std::vector<util::Key128>&, const engine::BitMatrix&,
+            const engine::StreamChunkStats&) {
+          for (const auto& test : novel) novel_names.push_back(test.name());
+        });
+    EXPECT_EQ(novel_names, expected) << "threads=" << threads;
+    EXPECT_EQ(stats.duplicate_tests, corpus.size() - expected.size());
+    EXPECT_EQ(stats.repeat_tests, 0u);
   }
 }
 
@@ -649,6 +625,37 @@ TEST(StreamDeterminism, HarnessMatrixIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(serial_matrix == parallel_matrix);
   EXPECT_EQ(serial_novel, parallel_novel);
   EXPECT_GT(serial_matrix.distinguished_pairs(), 0);
+}
+
+TEST(StreamDeterminism, HarnessSweepRunsOnTheCallersEngine) {
+  // The candidate sweep runs in the stream's sink on the caller's
+  // engine: every batch that engine ran is the stream's or the
+  // sweep's, and the report keeps the two apart.
+  enumeration::ExhaustiveOptions slice;
+  slice.bounds.max_accesses_per_thread = 2;
+  slice.chunk_size = 512;
+
+  std::vector<core::MemoryModel> models;
+  for (const auto& c : explore::model_space(true)) {
+    models.push_back(c.to_model());
+  }
+
+  for (const int threads : {1, 4}) {
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::VerdictEngine eng(options);
+    enumeration::ExhaustiveStream stream(slice);
+    explore::TheoremHarnessReport report;
+    (void)explore::distinguishability_streamed(
+        eng, models, stream, explore::TheoremHarnessOptions{}, &report);
+    const engine::EngineStats& total = eng.total_stats();
+    EXPECT_GT(report.sweep.checks_run, 0u) << "threads=" << threads;
+    EXPECT_EQ(total.checks_run,
+              report.stream.engine.checks_run + report.sweep.checks_run)
+        << "threads=" << threads;
+    EXPECT_EQ(total.cells, report.stream.engine.cells + report.sweep.cells)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
