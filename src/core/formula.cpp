@@ -118,10 +118,6 @@ bool Formula::eval(const Analysis& analysis, EventId x, EventId y) const {
   return Rec::go(*node_, analysis, x, y);
 }
 
-bool Formula::is_false() const {
-  return node_->kind == Node::Kind::Atom && node_->atom == Atom::False;
-}
-
 bool Formula::has_custom() const {
   struct Rec {
     static bool go(const Node& n) {

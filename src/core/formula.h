@@ -66,9 +66,6 @@ class Formula {
   /// Renders the formula, e.g. "(Write(x) & Write(y)) | Fence(x) | Fence(y)".
   [[nodiscard]] std::string to_string() const;
 
-  /// True if this formula is the constant `false`.
-  [[nodiscard]] bool is_false() const;
-
   /// True if any atom is a user-registered custom predicate (whose
   /// semantics the library cannot inspect).
   [[nodiscard]] bool has_custom() const;

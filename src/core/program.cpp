@@ -64,16 +64,6 @@ int Program::num_locations() const {
   return hi + 1;
 }
 
-int Program::num_registers() const {
-  int hi = -1;
-  for (const auto& t : threads_) {
-    for (const auto& i : t) {
-      hi = std::max({hi, i.dst, i.src, i.addr_reg});
-    }
-  }
-  return hi + 1;
-}
-
 void Program::validate() const {
   // Definition sites in one flat table, sorted by register and then by
   // program order: no node per register, and nothing sized by a

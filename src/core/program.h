@@ -38,9 +38,6 @@ class Program {
   /// Largest location index used, plus one.
   [[nodiscard]] int num_locations() const;
 
-  /// Largest register index used, plus one.
-  [[nodiscard]] int num_registers() const;
-
   /// Validates the static-resolvability rules; throws std::invalid_argument
   /// with a diagnostic if violated:
   ///   * each register is defined exactly once, before any use, and used

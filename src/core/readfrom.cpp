@@ -92,13 +92,6 @@ std::vector<RfMap> enumerate_read_from(const Analysis& an,
   return result;
 }
 
-int read_value(const Analysis& an, const RfMap& rf, EventId e) {
-  MCMC_REQUIRE(an.is_read(e));
-  const EventId w = rf[static_cast<std::size_t>(e)];
-  if (w == kReadsInitial) return 0;
-  return an.event(w).value;
-}
-
 std::vector<Outcome> outcome_space(const Analysis& an) {
   struct ReadValues {
     Reg reg;

@@ -33,10 +33,6 @@ using RfMap = std::vector<EventId>;
 [[nodiscard]] std::vector<RfMap> enumerate_read_from(const Analysis& analysis,
                                                      const Outcome& outcome);
 
-/// The value observed by read `e` under `rf` (0 for the initial value).
-[[nodiscard]] int read_value(const Analysis& analysis, const RfMap& rf,
-                             EventId e);
-
 /// The full syntactic outcome space of a program: every assignment of
 /// each read's register to the initial value or any value written to the
 /// read's location.  This over-approximates the observable outcomes of

@@ -68,7 +68,7 @@ class AuditedSource final : public TestSource {
 
  private:
   TestSource& source_;
-  WorkStealingPool pool_;
+  ThreadPool pool_;
   // Per-chunk buffers, aligned with the chunk's tests.
   std::vector<util::Key128> fingerprints_of_;
   std::vector<std::string> keys_of_;

@@ -106,12 +106,7 @@ void for_each_test(TestSource& source, Fn&& fn) {
 /// foreign-arena frees slow both threads).
 class ChunkPrefetcher final : public TestSource {
  public:
-  /// `capture_cursors` snapshots the wrapped source's position after
-  /// every chunk so snapshot_cursor works; callers that never
-  /// checkpoint (no persistence attached) pass false and skip that
-  /// per-chunk producer-thread work entirely.
-  ChunkPrefetcher(TestSource& source, bool capture_cursors)
-      : source_(source), capture_cursors_(capture_cursors) {
+  explicit ChunkPrefetcher(TestSource& source) : source_(source) {
     producer_ = std::thread([this] { produce(); });
   }
 
@@ -221,9 +216,7 @@ class ChunkPrefetcher final : public TestSource {
       try {
         item.tests.clear();  // a handed-back chunk's tests die here
         item.more = source_.next_chunk(item.tests);
-        if (capture_cursors_) {
-          item.cursor_valid = source_.snapshot_cursor(item.cursor);
-        }
+        item.cursor_valid = source_.snapshot_cursor(item.cursor);
         if (const std::vector<char>* marks = source_.repeat_marks()) {
           item.marks = *marks;
           item.marks_valid = true;
@@ -250,7 +243,6 @@ class ChunkPrefetcher final : public TestSource {
   }
 
   TestSource& source_;
-  bool capture_cursors_;
   std::thread producer_;
 
   util::Mutex mu_;

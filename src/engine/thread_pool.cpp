@@ -2,7 +2,7 @@
 
 namespace mcmc::engine {
 
-WorkStealingPool::WorkStealingPool(int total_threads)
+ThreadPool::ThreadPool(int total_threads)
     : total_threads_(total_threads < 1 ? 1 : total_threads) {
   workers_.reserve(static_cast<std::size_t>(total_threads_ - 1));
   for (int i = 1; i < total_threads_; ++i) {
@@ -10,7 +10,7 @@ WorkStealingPool::WorkStealingPool(int total_threads)
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   {
     util::MutexLock lock(mu_);
     stop_ = true;
@@ -19,56 +19,31 @@ WorkStealingPool::~WorkStealingPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool WorkStealingPool::Job::try_pop(std::size_t slot, std::size_t& out) {
-  SlotQueue& sq = slots[slot];
-  util::MutexLock lock(sq.mu);
-  if (sq.pending.empty()) return false;
-  out = sq.pending.back();
-  sq.pending.pop_back();
-  return true;
-}
-
-bool WorkStealingPool::Job::try_steal(std::size_t slot, std::size_t& out) {
-  for (std::size_t k = 1; k < num_slots; ++k) {
-    SlotQueue& victim = slots[(slot + k) % num_slots];
-    util::MutexLock lock(victim.mu);
-    if (victim.pending.empty()) continue;
-    out = victim.pending.front();
-    victim.pending.pop_front();
-    return true;
-  }
-  return false;
-}
-
-void WorkStealingPool::Job::run_one(std::size_t index) {
-  // After the first failure the batch is poisoned: remaining indices
-  // are drained (so `remaining` still reaches zero and the submitter
-  // wakes) but their tasks never run — parallel_for rethrows the first
-  // exception, so their results could never be observed anyway.
-  if (!failed.load(std::memory_order_acquire)) {
-    try {
-      (*fn)(index);
-    } catch (...) {
-      {
-        util::MutexLock lock(err_mu);
-        if (!err) err = std::current_exception();
+void ThreadPool::Job::work() {
+  for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+    // After the first failure the batch is poisoned: remaining indices
+    // are still claimed and counted (so `remaining` reaches zero and the
+    // submitter wakes) but their tasks never run — parallel_for rethrows
+    // the first exception, so their results could never be observed.
+    if (!failed.load(std::memory_order_acquire)) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        {
+          util::MutexLock lock(err_mu);
+          if (!err) err = std::current_exception();
+        }
+        failed.store(true, std::memory_order_release);
       }
-      failed.store(true, std::memory_order_release);
     }
+    remaining.fetch_sub(1, std::memory_order_acq_rel);
   }
-  remaining.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void WorkStealingPool::Job::work(std::size_t slot) {
-  std::size_t index = 0;
-  while (try_pop(slot, index) || try_steal(slot, index)) run_one(index);
-}
-
-void WorkStealingPool::worker_loop() {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     std::shared_ptr<Job> job;
-    std::size_t slot = 0;
     {
       util::MutexLock lock(mu_);
       // job_ may already be null again if the batch drained before this
@@ -79,14 +54,8 @@ void WorkStealingPool::worker_loop() {
       if (stop_) return;
       seen_epoch = epoch_;
       job = job_;
-      // Spawned workers occupy slots 1..N-1; the submitting thread is 0.
-      // (workers_ is immutable after construction, so reading it here
-      // needs no guard.)
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (workers_[i].get_id() == std::this_thread::get_id()) slot = i + 1;
-      }
     }
-    job->work(slot);
+    job->work();
     // Taking mu_ before notifying orders this worker's final
     // remaining-decrement after any waiter's predicate check, so the
     // wakeup cannot be lost.
@@ -95,23 +64,14 @@ void WorkStealingPool::worker_loop() {
   }
 }
 
-void WorkStealingPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   util::MutexLock submit_lock(submit_mu_);
 
   auto job = std::make_shared<Job>();
   job->fn = &fn;
-  const auto slots = static_cast<std::size_t>(total_threads_);
-  job->slots = std::make_unique<SlotQueue[]>(slots);
-  job->num_slots = slots;
-  for (std::size_t s = 0; s < slots; ++s) {
-    // Same round-robin distribution as pushing i to queue i % slots in
-    // index order, filled a slot at a time so each stripe locks once.
-    SlotQueue& sq = job->slots[s];
-    util::MutexLock lock(sq.mu);
-    for (std::size_t i = s; i < n; i += slots) sq.pending.push_back(i);
-  }
+  job->n = n;
   job->remaining.store(n, std::memory_order_relaxed);
 
   {
@@ -121,7 +81,7 @@ void WorkStealingPool::parallel_for(
   }
   work_cv_.notify_all();
 
-  job->work(0);  // the submitting thread participates as slot 0
+  job->work();  // the submitting thread participates
 
   {
     util::MutexLock lock(mu_);

@@ -1,27 +1,25 @@
-// Work-stealing thread pool for batch verdict evaluation.
+// Shared-counter thread pool for batch verdict evaluation.
 //
 // The pool owns `total_threads - 1` worker threads; the thread calling
 // `parallel_for` participates as the remaining worker, so a pool built
 // with one thread runs everything inline (no spawned threads, fully
-// deterministic scheduling).  Each `parallel_for` distributes the index
-// range round-robin across per-worker deques; a worker pops from the
-// back of its own deque and steals from the front of a victim's when it
-// runs dry.  Individual tasks are a verdict batch's program runs (one
-// analysis, its masks, and the searches of its tests) or ranges of a
-// fingerprint pass, microseconds to milliseconds each, so stealing one
-// index at a time is plenty.
+// deterministic scheduling).  Each `parallel_for` publishes one Job, and
+// every participant claims the next unclaimed index from the Job's
+// shared counter until none is left.  Every batch knows its whole index
+// range up front and holds at most a few thousand tasks — a verdict
+// batch's program runs (one analysis, its masks, and the searches of
+// its tests) or ranges of a fingerprint pass, microseconds to
+// milliseconds each — so claiming one index at a time balances the load.
 //
 // Lock discipline (compile-time checked, see util/thread_annotations.h):
-// `mu_` guards the job hand-off state (job_, epoch_, stop_); each
-// per-slot deque has its own mutex; a Job's first captured exception is
-// guarded by err_mu.  `remaining` and `failed` are atomics outside any
-// lock.
+// `mu_` guards the job hand-off state (job_, epoch_, stop_); a Job's
+// first captured exception is guarded by err_mu.  `next`, `remaining`
+// and `failed` are atomics outside any lock.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -33,15 +31,15 @@
 
 namespace mcmc::engine {
 
-class WorkStealingPool {
+class ThreadPool {
  public:
   /// `total_threads` counts the caller of `parallel_for`; values below 1
   /// are clamped to 1 (inline execution, no worker threads).
-  explicit WorkStealingPool(int total_threads);
-  ~WorkStealingPool();
+  explicit ThreadPool(int total_threads);
+  ~ThreadPool();
 
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Total worker count, including the calling thread.
   [[nodiscard]] int num_threads() const { return total_threads_; }
@@ -51,36 +49,26 @@ class WorkStealingPool {
   /// threads is unspecified.  The first exception thrown by any task is
   /// rethrown here after the batch drains; once a task has thrown, the
   /// batch fails as a unit — indices not yet started are abandoned
-  /// (popped and counted, never run), so a poisoned batch finishes
+  /// (claimed and counted, never run), so a poisoned batch finishes
   /// promptly instead of grinding through work whose result will be
   /// discarded.  The pool itself stays fully usable for subsequent
   /// batches.  Not reentrant: one `parallel_for` at a time per pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// One worker slot's deque of pending indices, with its stripe lock.
-  struct SlotQueue {
-    util::Mutex mu;
-    std::deque<std::size_t> pending GUARDED_BY(mu);
-  };
-
   /// One batch of work shared between the participating threads.
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
-    std::unique_ptr<SlotQueue[]> slots;  // one per worker slot
-    std::size_t num_slots = 0;
+    std::size_t n = 0;
+    // The next unclaimed index, and the count of indices not yet done.
+    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> remaining{0};
     std::atomic<bool> failed{false};  // set with the first captured error
     util::Mutex err_mu;
     std::exception_ptr err GUARDED_BY(err_mu);
 
-    /// Runs tasks as worker `slot` until no queued work remains anywhere.
-    void work(std::size_t slot);
-
-   private:
-    [[nodiscard]] bool try_pop(std::size_t slot, std::size_t& out);
-    [[nodiscard]] bool try_steal(std::size_t slot, std::size_t& out);
-    void run_one(std::size_t index);
+    /// Claims and runs indices until every index has been claimed.
+    void work();
   };
 
   void worker_loop();
@@ -101,7 +89,7 @@ class WorkStealingPool {
 /// pool.num_threads() x 4 contiguous tasks (inline for one thread or
 /// one item).
 template <typename Fn>
-void parallel_ranges(WorkStealingPool& pool, std::size_t n, const Fn& fn) {
+void parallel_ranges(ThreadPool& pool, std::size_t n, const Fn& fn) {
   const auto threads = static_cast<std::size_t>(pool.num_threads());
   const std::size_t tasks = threads > 1 && n > 1 ? std::min(n, threads * 4) : 1;
   const auto range = [&](std::size_t r) {

@@ -222,9 +222,9 @@ int VerdictEngine::effective_threads() const {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-WorkStealingPool& VerdictEngine::pool() {
+ThreadPool& VerdictEngine::pool() {
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<WorkStealingPool>(effective_threads());
+    pool_ = std::make_unique<ThreadPool>(effective_threads());
   }
   return *pool_;
 }
@@ -285,7 +285,9 @@ std::vector<char> VerdictEngine::evaluate(
     for (const auto& model : models) formulas.push_back(model.formula());
   }
   const core::FormulaSet set(std::move(formulas));
-  // Each task writes only its own cells' verdicts and its own counters.
+  // Each task writes only its own cells' verdicts, and its counters once
+  // at its end: neighbouring runs execute at the same moment, so
+  // per-search increments into adjacent entries would share cache lines.
   std::vector<char> results(requests.size(), 0);
   struct RunCounts {
     std::size_t searches = 0;
@@ -303,7 +305,7 @@ std::vector<char> VerdictEngine::evaluate(
     const bool by_mask = analysis->masks_valid();
     MaskClasses classes;
     if (by_mask) classes.compile(set, *analysis);
-    RunCounts& counts = run_counts[r];
+    RunCounts counts;
     std::size_t& path_checks =
         by_mask ? counts.explicit_checks : counts.sat_checks;
     for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) {
@@ -324,6 +326,7 @@ std::vector<char> VerdictEngine::evaluate(
       }
       path_checks += cell_begin[t + 1] - cell_begin[t];
     }
+    run_counts[r] = counts;
   };
   const int threads = effective_threads();
   if (threads > 1 && num_runs > 1) {
@@ -595,9 +598,7 @@ struct VerdictEngine::StreamRun {
 
     // The prefetcher runs on its own thread, not a pool worker, so
     // production overlaps consumption even for a 1-thread engine.
-    // Cursor capture exists only for checkpoint seals; without
-    // persistence the producer thread skips the per-chunk snapshot.
-    prefetcher.emplace(source, persist != nullptr);
+    prefetcher.emplace(source);
   }
 
   /// Releases the previous chunk, then pulls the next into `chunk`;

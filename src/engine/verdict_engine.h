@@ -27,9 +27,9 @@
 //     the bitmask rows hold, precompiled masks and the explicit closure
 //     search; beyond that there are no masks, and each cell evaluates
 //     its model per event pair and runs the SAT engine,
-//   * a work-stealing std::thread pool running one task per program run
-//     (analyze, compile masks, then prepare and decide its tests one at
-//     a time),
+//   * a std::thread pool whose threads claim tasks from one shared
+//     counter, one task per program run (analyze, compile masks, then
+//     prepare and decide its tests one at a time),
 //   * streamed corpora (run_stream), prefetched one chunk ahead by one
 //     producer thread,
 //   * row-level verdict-store traffic (run_rows, the one batch path:
@@ -285,9 +285,10 @@ class VerdictEngine {
   ///
   /// The run is a parallel pipeline: a producer thread (not a pool
   /// worker) prefetches the next chunk while the consumer processes the
-  /// current one, and fingerprinting fans out across the work-stealing
-  /// pool with per-worker scratch tables.  `on_chunk` runs between the
-  /// stages, with the pool idle, so it may run batches on this engine.
+  /// current one, and fingerprinting fans out across the pool's threads
+  /// in contiguous ranges, each with its own scratch tables.  `on_chunk`
+  /// runs between the stages, with the pool idle, so it may run batches
+  /// on this engine.
   /// Streamed results are bit-for-bit deterministic under any thread
   /// count: chunk boundaries come from the single producer, the
   /// consumer inserts the keys into the dedup set serially in chunk
@@ -324,7 +325,7 @@ class VerdictEngine {
     int test = 0;
   };
 
-  WorkStealingPool& pool();
+  ThreadPool& pool();
   /// The direct batch: every request is one check (no store, no rows);
   /// program runs share an Analysis, and each test runs one search per
   /// distinct mask its requests ask for.  Adds the checks, searches,
@@ -340,7 +341,7 @@ class VerdictEngine {
   struct StreamRun;
 
   EngineOptions options_;
-  std::unique_ptr<WorkStealingPool> pool_;  // created on first use
+  std::unique_ptr<ThreadPool> pool_;  // created on first use
   store::VerdictStore* store_ = nullptr;    // caller-owned, optional
 
   EngineStats last_stats_;

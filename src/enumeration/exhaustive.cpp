@@ -338,28 +338,4 @@ long long canonical_program_classes(const ExhaustiveOptions& options) {
   return static_cast<long long>(classes.size());
 }
 
-ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
-  ExhaustiveStream stream(options);
-  // Test classes as 128-bit canonical fingerprints, like the program
-  // classes below.
-  std::unordered_set<util::Key128, util::Key128Hash> test_classes;
-  litmus::KeyScratch scratch;
-  std::vector<litmus::LitmusTest> chunk;
-  bool more = true;
-  while (more) {
-    chunk.clear();
-    more = stream.next_chunk(chunk);
-    for (const auto& test : chunk) {
-      test_classes.insert(litmus::canonical_fingerprint(test, scratch));
-    }
-  }
-
-  ReductionCounts counts;
-  counts.programs = stream.emitted().programs;
-  counts.tests = stream.emitted().tests;
-  counts.canonical_programs = canonical_program_classes(options);
-  counts.canonical_tests = static_cast<long long>(test_classes.size());
-  return counts;
-}
-
 }  // namespace mcmc::enumeration

@@ -164,33 +164,4 @@ class ExhaustiveStream final : public engine::TestSource {
 [[nodiscard]] long long canonical_program_classes(
     const ExhaustiveOptions& options);
 
-/// Symmetry reduction measured by the canonical-key machinery
-/// (litmus::canonical_key: thread exchange x location renaming x
-/// per-location value renaming): walks the space defined by `options`
-/// without retaining it and counts canonical classes.  This subsumes
-/// the shape-level reduction of count_naive — canonical test classes
-/// additionally merge outcome assignments that are images of each other
-/// under a program automorphism.
-struct ReductionCounts {
-  long long programs = 0;           ///< programs walked (after filters)
-  long long tests = 0;              ///< tests walked
-  long long canonical_programs = 0; ///< unique program classes
-  long long canonical_tests = 0;    ///< unique (program, outcome) classes
-
-  [[nodiscard]] double program_ratio() const {
-    return canonical_programs == 0
-               ? 0.0
-               : static_cast<double>(programs) /
-                     static_cast<double>(canonical_programs);
-  }
-  [[nodiscard]] double test_ratio() const {
-    return canonical_tests == 0 ? 0.0
-                                : static_cast<double>(tests) /
-                                      static_cast<double>(canonical_tests);
-  }
-};
-
-[[nodiscard]] ReductionCounts measure_reduction(
-    const ExhaustiveOptions& options);
-
 }  // namespace mcmc::enumeration

@@ -27,8 +27,8 @@ NaiveCounts count_naive(const NaiveOptions& options) {
   // exchange.  This deliberately stops short of the engine's canonical
   // keys — reduced_tests counts every outcome assignment of each
   // canonical program, without merging outcomes that are images of each
-  // other under a program automorphism (measure_reduction in
-  // exhaustive.h reports that stronger reduction).
+  // other under a program automorphism (canonical test keys,
+  // litmus::canonical_key, make that stronger reduction).
   const auto shapes = shapes::all_thread_shapes(options);
   const auto perms = shapes::location_permutations(options.num_locations);
   std::unordered_set<std::string> canonical;

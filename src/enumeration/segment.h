@@ -34,12 +34,6 @@ struct Segment {
   bool same_addr = false;
   Interior interior = Interior::None;
 
-  [[nodiscard]] bool starts_with_read() const {
-    return type == SegType::RR || type == SegType::RW;
-  }
-  [[nodiscard]] bool ends_with_write() const {
-    return type == SegType::RW || type == SegType::WW;
-  }
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -42,11 +42,6 @@ long long DistinguishMatrix::distinguished_pairs() const {
   return count;
 }
 
-long long DistinguishMatrix::total_pairs() const {
-  const long long n = num_models();
-  return n * (n - 1) / 2;
-}
-
 void DistinguishMatrix::fold_column(const std::vector<std::uint64_t>& column) {
   const int n = num_models();
   MCMC_REQUIRE(column.size() == words_for(n));

@@ -56,8 +56,6 @@ class DistinguishMatrix {
 
   /// Distinguished pairs over a < b.
   [[nodiscard]] long long distinguished_pairs() const;
-  /// All pairs over a < b (n choose 2).
-  [[nodiscard]] long long total_pairs() const;
 
   /// Folds one verdict column (bit m = model m's verdict on one test):
   /// every pair the column splits becomes distinguished.

@@ -57,7 +57,6 @@ class Solver {
   /// Convenience overloads for short clauses.
   bool add_unit(Lit a) { return add_clause({a}); }
   bool add_binary(Lit a, Lit b) { return add_clause({a, b}); }
-  bool add_ternary(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
 
   /// Decides satisfiability of the clauses added so far, under optional
   /// assumptions.  May be called repeatedly; clauses persist between calls.

@@ -1,7 +1,7 @@
-// The full empirical Theorem-1 / Corollary-1 equivalence runs, labeled
-// `slow` in ctest (tier-1 runs the bounded slices in
-// exhaustive_equivalence_test.cpp instead; CI runs these nightly and on
-// workflow_dispatch):
+// The full empirical Theorem-1 / Corollary-1 equivalence runs, part of
+// tier-1 like every other test (exhaustive_equivalence_test.cpp checks
+// bounded slices; the sanitizer jobs exclude these two, and the nightly
+// job runs them alone):
 //
 //   1. stream all 5,160,270 naive-space tests through the VerdictEngine
 //      in chunks, build the 90x90 model-pair distinguishability matrix,

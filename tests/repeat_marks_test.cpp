@@ -156,7 +156,7 @@ TEST(RepeatMarks, PrefetcherCarriesEachChunksMarks) {
     std::vector<std::vector<char>> prefetched;
     {
       enumeration::ExhaustiveStream stream(slice(deps));
-      engine::ChunkPrefetcher prefetcher(stream, /*capture_cursors=*/false);
+      engine::ChunkPrefetcher prefetcher(stream);
       std::vector<litmus::LitmusTest> chunk;
       bool more = true;
       while (more) {

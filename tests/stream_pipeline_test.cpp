@@ -167,7 +167,7 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   }
 
   engine::VectorSource wrapped(suite, 13);
-  engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
+  engine::ChunkPrefetcher prefetcher(wrapped);
   std::vector<std::vector<std::string>> prefetched_chunks;
   {
     std::vector<litmus::LitmusTest> chunk;
@@ -194,7 +194,7 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   RefillProbe probe(recycled);
   std::vector<std::vector<std::string>> recycled_chunks;
   {
-    engine::ChunkPrefetcher recycler(probe, /*capture_cursors=*/true);
+    engine::ChunkPrefetcher recycler(probe);
     bool more = true;
     while (more) {
       more = recycler.next_chunk(chunk);
@@ -214,7 +214,7 @@ TEST(ChunkPrefetcher, EarlyDestructionDoesNotHang) {
   const auto suite = enumeration::corollary1_suite(true);
   engine::VectorSource wrapped(suite, 1);  // many small chunks
   {
-    engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
+    engine::ChunkPrefetcher prefetcher(wrapped);
     std::vector<litmus::LitmusTest> chunk;
     (void)prefetcher.next_chunk(chunk);  // consume one, abandon the rest
   }
@@ -234,7 +234,7 @@ TEST(ChunkPrefetcher, DestructionWithHandedBackChunksNeitherHangsNorLeaks) {
     {
       // Two chunks when exhausted: nothing refills the last hand-back.
       engine::VectorSource wrapped(suite, exhausted ? suite.size() / 2 + 1 : 1);
-      engine::ChunkPrefetcher prefetcher(wrapped, /*capture_cursors=*/true);
+      engine::ChunkPrefetcher prefetcher(wrapped);
       std::vector<litmus::LitmusTest> chunk;
       bool more = true;
       for (int i = 0; i < 3 && more; ++i) {
@@ -275,7 +275,7 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
   auto suite = enumeration::corollary1_suite(false);
   suite.erase(suite.begin() + 4, suite.end());
   ThrowingSource source(suite);
-  engine::ChunkPrefetcher prefetcher(source, /*capture_cursors=*/true);
+  engine::ChunkPrefetcher prefetcher(source);
   std::vector<litmus::LitmusTest> chunk;
   EXPECT_TRUE(prefetcher.next_chunk(chunk));  // the good chunk arrives
   EXPECT_EQ(chunk.size(), 4u);
@@ -306,7 +306,7 @@ class ThrowOnRefillSource final : public engine::TestSource {
 
 TEST(ChunkPrefetcher, ExceptionAfterHandBackSurfacesAfterEarlierChunks) {
   ThrowOnRefillSource source(enumeration::corollary1_suite(false).front());
-  engine::ChunkPrefetcher prefetcher(source, /*capture_cursors=*/true);
+  engine::ChunkPrefetcher prefetcher(source);
   std::vector<litmus::LitmusTest> chunk;
   int received = 0;
   bool threw = false;
@@ -395,11 +395,32 @@ TEST(StreamStages, ReleaseRecordsTheConsumersShareOfChunkTeardown) {
 }
 
 // ---------------------------------------------------------------------------
+// engine::ThreadPool
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
+  for (const int threads : {1, 2, 4, 8}) {
+    engine::ThreadPool pool(threads);
+    for (const std::size_t n : {0, 1, 2, 7, 64, 1000}) {
+      for (int batch = 0; batch < 20; ++batch) {
+        std::vector<std::atomic<int>> runs(n);
+        pool.parallel_for(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(runs[i].load(), 1)
+              << "threads=" << threads << " n=" << n << " batch=" << batch
+              << " index=" << i;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Exception propagation: pool -> run_matrix -> run_stream
 // ---------------------------------------------------------------------------
 
 TEST(PoolExceptions, FirstTaskExceptionRethrownAndPoolReusable) {
-  engine::WorkStealingPool pool(4);
+  engine::ThreadPool pool(4);
   EXPECT_THROW(
       pool.parallel_for(256,
                         [](std::size_t i) {
@@ -414,15 +435,15 @@ TEST(PoolExceptions, FirstTaskExceptionRethrownAndPoolReusable) {
 }
 
 TEST(PoolExceptions, FailFastSkipsWorkAfterFailure) {
-  // A single-slot pool pops its own deque LIFO, so index 99 executes
-  // first; throwing there must abandon the remaining 99 tasks (popped
-  // and counted, never run) instead of grinding through them.
-  engine::WorkStealingPool pool(1);
+  // A 1-thread pool claims indices in order on the caller, so index 0
+  // executes first; throwing there must abandon the remaining 99 tasks
+  // (claimed and counted, never run) instead of grinding through them.
+  engine::ThreadPool pool(1);
   std::atomic<std::size_t> ran{0};
   EXPECT_THROW(pool.parallel_for(100,
                                  [&](std::size_t i) {
                                    ran.fetch_add(1);
-                                   if (i == 99) throw std::runtime_error("x");
+                                   if (i == 0) throw std::runtime_error("x");
                                  }),
                std::runtime_error);
   EXPECT_EQ(ran.load(), 1u);
