@@ -11,8 +11,8 @@
 // Also reports the symmetry reduction measured by the canonical-key
 // machinery (thread exchange x location renaming x value renaming):
 // streamed tests vs canonical classes actually evaluated, and programs
-// vs program classes, counted from the space after the stream (outside
-// its timed wall).
+// vs program classes, counted from the space's symmetry orbits
+// (ExhaustiveStream::count_orbits: the programs a fresh stream builds).
 //
 // Flags:
 //   --max-accesses N    accesses per thread (default 3 = the full space)
@@ -29,11 +29,12 @@
 //   --threads N         engine threads (default: hardware concurrency)
 //   --no-filter         disable the monotone-extremes prefilter
 //   --audit             collision-audit the hash-based dedup (more RAM,
-//                       and a serial producer) and check every repeat
-//                       mark of the stream; exits nonzero unless the
-//                       audited classes equal the novel tests and the
-//                       verified marks equal the skipped repeats.
-//                       Not combinable with --resume
+//                       and a producer that builds a full-build twin of
+//                       the stream and audits it on --threads threads),
+//                       checking every repeat the stream elides; exits
+//                       nonzero unless the audited classes equal the
+//                       novel tests and the verified elisions equal the
+//                       stream's repeats.  Not combinable with --resume
 //   --verify-serial     re-run single-threaded, require a bit-for-bit
 //                       identical distinguishability matrix
 //   --progress N        print chunk stats every N chunks (default 64)
@@ -219,8 +220,13 @@ int main(int argc, char** argv) {
 
   // ---- The streamed naive-space matrix. ----
   enumeration::ExhaustiveStream stream(opts);
+  // The audit's full-build twin: never opted in, it builds every test.
+  std::optional<enumeration::ExhaustiveStream> twin;
   std::optional<engine::AuditedSource> audited;
-  if (audit) audited.emplace(stream);
+  if (audit) {
+    twin.emplace(opts);
+    audited.emplace(stream, eng.effective_threads(), &*twin);
+  }
   engine::TestSource& source =
       audited ? static_cast<engine::TestSource&>(*audited) : stream;
   explore::TheoremHarnessReport report;
@@ -286,15 +292,12 @@ int main(int argc, char** argv) {
   if (rss >= 0) std::printf("peak RSS: %.1f MB\n", rss);
 
   // ---- Symmetry reduction measured by the canonical-key machinery.
-  // Program classes depend only on the bounds, so they are counted from
-  // the space itself, after the stream: the same count on a fresh,
-  // resumed or warm run, and none of its time in the streamed wall. ----
-  util::Timer classes_timer;
+  // Program classes depend only on the bounds: one per orbit of shape
+  // pairs, counted from the space itself, so a fresh, resumed or warm
+  // run prints the same count. ----
   const long long program_classes =
-      enumeration::canonical_program_classes(opts);
-  const double program_classes_seconds = classes_timer.seconds();
-  std::printf("program classes: %lld (counted in %.2f s)\n", program_classes,
-              program_classes_seconds);
+      enumeration::ExhaustiveStream::count_orbits(opts);
+  std::printf("program classes: %lld\n", program_classes);
   const long long canonical_tests =
       static_cast<long long>(report.stream.novel_tests);
   std::printf("\nsymmetry reduction (canonical keys): %lld tests -> %lld "
@@ -367,17 +370,17 @@ int main(int argc, char** argv) {
                 audited->classes(), report.stream.novel_tests,
                 equal ? "equal" : "MISMATCH");
     ok = ok && equal;
-    // Every mark the audit verified is a test the keys stage skipped.
-    const bool marks_equal =
-        audited->marks_verified() == report.stream.repeat_tests;
-    if (marks_equal) {
-      std::printf("repeat marks verified: %zu\n", audited->marks_verified());
+    // Every elision the audit verified is a repeat the stream counted.
+    const bool elided_equal =
+        audited->elided_verified() == report.stream.repeat_tests;
+    if (elided_equal) {
+      std::printf("elided repeats verified: %zu\n", audited->elided_verified());
     } else {
-      std::printf("repeat marks verified: %zu, but the stream skipped %zu: "
+      std::printf("elided repeats verified: %zu, but the stream counted %zu: "
                   "MISMATCH\n",
-                  audited->marks_verified(), report.stream.repeat_tests);
+                  audited->elided_verified(), report.stream.repeat_tests);
     }
-    ok = ok && marks_equal;
+    ok = ok && elided_equal;
   }
 
   // ---- Dep keys-cost baseline: with deps on, measure the keys stage
@@ -453,7 +456,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 10,\n");
+    std::fprintf(js, "  \"schema_version\": 11,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -476,8 +479,6 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"threads\": %d,\n", eng.effective_threads());
     std::fprintf(js, "  \"programs\": %lld,\n", stream.emitted().programs);
     std::fprintf(js, "  \"program_classes\": %lld,\n", program_classes);
-    std::fprintf(js, "  \"program_classes_seconds\": %.3f,\n",
-                 program_classes_seconds);
     std::fprintf(js, "  \"tests_streamed\": %zu,\n", s.tests_streamed);
     std::fprintf(js, "  \"novel_tests\": %zu,\n", s.novel_tests);
     std::fprintf(js, "  \"duplicate_tests\": %zu,\n", s.duplicate_tests);
@@ -489,10 +490,12 @@ int main(int argc, char** argv) {
     std::fprintf(js,
                  "  \"stages_seconds\": {\"produce\": %.3f, \"wait\": %.3f, "
                  "\"release\": %.3f, \"keys\": %.3f, \"dedup\": %.3f, "
-                 "\"verdict\": %.3f, \"seal\": %.3f},\n",
+                 "\"verdict\": %.3f, \"sink\": %.3f, \"seal\": %.3f},\n",
                  s.stages.produce, s.stages.wait, s.stages.release,
-                 s.stages.keys, s.stages.dedup, s.stages.verdict,
+                 s.stages.keys, s.stages.dedup, s.stages.verdict, s.stages.sink,
                  s.stages.seal);
+    std::fprintf(js, "  \"unattributed_seconds\": %.3f,\n",
+                 s.unattributed_seconds());
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);
     if (norun_keys_ns > 0.0) {
       std::fprintf(js,

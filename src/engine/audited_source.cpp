@@ -1,26 +1,27 @@
 #include "engine/audited_source.h"
 
-#include <thread>
-
 #include "core/analysis.h"
 #include "util/check.h"
 
 namespace mcmc::engine {
 
-AuditedSource::AuditedSource(TestSource& source)
-    : source_(source),
-      pool_(static_cast<int>(std::thread::hardware_concurrency())) {}
+AuditedSource::AuditedSource(TestSource& source, int threads, TestSource* twin)
+    : source_(source), twin_(twin), pool_(threads) {}
 
-bool AuditedSource::next_chunk(std::vector<litmus::LitmusTest>& out) {
-  const std::size_t first = out.size();
-  const bool more = source_.next_chunk(out);
-  const std::size_t n = out.size() - first;
+bool AuditedSource::restore_cursor(const std::vector<std::uint64_t>& cursor) {
+  return source_.restore_cursor(cursor) &&
+         (twin_ == nullptr || twin_->restore_cursor(cursor));
+}
+
+void AuditedSource::fingerprint(const std::vector<litmus::LitmusTest>& tests,
+                                std::size_t first) {
+  const std::size_t n = tests.size() - first;
   fingerprints_of_.resize(n);
   keys_of_.resize(n);
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
     litmus::KeyScratch scratch;
     for (std::size_t i = begin; i < end; ++i) {
-      const litmus::LitmusTest& test = out[first + i];
+      const litmus::LitmusTest& test = tests[first + i];
       // The fingerprint first: its fallback path may reuse
       // scratch.best, which canonical_key's result aliases.
       fingerprints_of_[i] = litmus::canonical_fingerprint(test, scratch);
@@ -28,17 +29,55 @@ bool AuditedSource::next_chunk(std::vector<litmus::LitmusTest>& out) {
       keys_of_[i] = litmus::canonical_key(analysis, test.outcome(), scratch);
     }
   });
-  const std::vector<char>* marks = source_.repeat_marks();
-  MCMC_CHECK_MSG(marks == nullptr || marks->size() == n,
-                 "repeat marks do not match the chunk's tests");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (marks != nullptr && (*marks)[i] != 0) {
+}
+
+bool AuditedSource::next_chunk(std::vector<litmus::LitmusTest>& out) {
+  const std::size_t first = out.size();
+  const bool more = source_.next_chunk(out);
+  if (twin_ == nullptr) {
+    fingerprint(out, first);
+    for (std::size_t i = 0; i < fingerprints_of_.size(); ++i) {
+      observe(fingerprints_of_[i], keys_of_[i]);
+    }
+    return more;
+  }
+
+  // The twin's chunk is the whole of the audited one: its tests in
+  // order, the elided ones left out.
+  twin_chunk_.clear();
+  const bool twin_more = twin_->next_chunk(twin_chunk_);
+  const std::size_t built = out.size() - first;
+  const std::size_t spanned = built + source_.elided();
+  MCMC_CHECK_MSG(twin_more == more && spanned == twin_chunk_.size(),
+                 "the chunk does not span its full-build twin's");
+  fingerprint(twin_chunk_, 0);
+  litmus::KeyScratch scratch;
+  std::size_t delivered = 0;
+  for (std::size_t i = 0; i < twin_chunk_.size(); ++i) {
+    if (delivered < built &&
+        out[first + delivered].name() == twin_chunk_[i].name()) {
+      const util::Key128 built_fingerprint =
+          litmus::canonical_fingerprint(out[first + delivered], scratch);
+      MCMC_CHECK_MSG(built_fingerprint == fingerprints_of_[i],
+                     "a delivered test differs from its full-build twin");
+      ++delivered;
+    } else {
       MCMC_CHECK_MSG(fingerprints_.count(fingerprints_of_[i]) != 0,
-                     "repeat mark on a test whose class did not occur "
-                     "earlier in the stream");
-      ++marks_verified_;
+                     "an elided test whose class did not occur earlier in "
+                     "the stream");
+      ++elided_verified_;
     }
     observe(fingerprints_of_[i], keys_of_[i]);
+  }
+  MCMC_CHECK_MSG(delivered == built,
+                 "the audited chunk delivered a test its full-build twin "
+                 "does not hold there");
+  std::vector<std::uint64_t> cursor;
+  std::vector<std::uint64_t> twin_cursor;
+  if (source_.snapshot_cursor(cursor)) {
+    MCMC_CHECK_MSG(twin_->snapshot_cursor(twin_cursor) && twin_cursor == cursor,
+                   "the audited stream's cursor differs from its full-build "
+                   "twin's");
   }
   return more;
 }

@@ -2,17 +2,25 @@
 //
 // The streaming dedup keys tests by 128-bit canonical fingerprints
 // (litmus::canonical_fingerprint) and never builds the legacy
-// canonical_key string.  AuditedSource proves, over whatever a stream
-// delivers, that fingerprint equality coincides with string-key
-// equality: it wraps the raw source, computes both for every test it
-// passes on (fanned out per chunk across its own pool, one thread per
-// core), and checks both directions in stream order — one fingerprint
+// canonical_key string.  AuditedSource proves, over a whole stream,
+// that fingerprint equality coincides with string-key equality: it
+// wraps the raw source, computes both for every test of the stream
+// (fanned out per chunk across its own pool of the caller's thread
+// count), and checks both directions in stream order — one fingerprint
 // with two keys is a collision, one key with two fingerprints is a
-// split.  Either throws std::logic_error.  It also checks every repeat
-// mark the source sets (TestSource::repeat_marks), and forwards them: a
-// marked test whose fingerprint was not observed earlier in stream
-// order, counting the earlier tests of its own chunk, throws
-// std::logic_error too.
+// split.  Either throws std::logic_error.
+//
+// A source that elides repeats (TestSource::elide_repeats) leaves tests
+// out of its chunks, so the audit can check them only against a
+// full-build twin: a second source delivering the same stream that is
+// never opted in (for an ExhaustiveStream, a fresh one with equal
+// options).  Only an audit with a twin forwards the opt-in.  Per chunk
+// it then pulls the twin's chunk too, audits every twin test, and
+// requires the delivered tests to be twin tests in order (equal names
+// and fingerprints), the tests built plus the positions elided to span
+// the twin's chunk, every twin test left out to have a class observed
+// earlier in stream order, and equal cursors after the chunk.  Any
+// violation throws std::logic_error.
 //
 // Wrapped by VerdictEngine::run_stream, the audit runs inside the
 // ChunkPrefetcher on the producer thread, so a violation is rethrown
@@ -40,7 +48,10 @@ namespace mcmc::engine {
 
 class AuditedSource final : public TestSource {
  public:
-  explicit AuditedSource(TestSource& source);
+  /// Audits `source` on `threads` threads, the producer's included
+  /// (ThreadPool's count); `twin` (may be null) is the full-build twin
+  /// that lets the audit forward the opt-in to elide repeats.
+  AuditedSource(TestSource& source, int threads, TestSource* twin = nullptr);
 
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override;
 
@@ -48,13 +59,13 @@ class AuditedSource final : public TestSource {
       std::vector<std::uint64_t>& out) const override {
     return source_.snapshot_cursor(out);
   }
+  /// Restores the source and the twin alike.
   [[nodiscard]] bool restore_cursor(
-      const std::vector<std::uint64_t>& cursor) override {
-    return source_.restore_cursor(cursor);
+      const std::vector<std::uint64_t>& cursor) override;
+  bool elide_repeats() override {
+    return twin_ != nullptr && source_.elide_repeats();
   }
-  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
-    return source_.repeat_marks();
-  }
+  [[nodiscard]] std::size_t elided() const override { return source_.elided(); }
 
   /// Records that a test with `key` has `fingerprint`; throws on a
   /// collision or a split.
@@ -63,17 +74,24 @@ class AuditedSource final : public TestSource {
   /// Distinct classes observed so far.
   [[nodiscard]] std::size_t classes() const { return keys_.size(); }
 
-  /// Repeat marks checked so far: each one's class had been observed.
-  [[nodiscard]] std::size_t marks_verified() const { return marks_verified_; }
+  /// Elided tests checked so far: each one's class had been observed.
+  [[nodiscard]] std::size_t elided_verified() const { return elided_verified_; }
 
  private:
+  /// Fills fingerprints_of_ and keys_of_ for the tests from `first` on.
+  void fingerprint(const std::vector<litmus::LitmusTest>& tests,
+                   std::size_t first);
+
   TestSource& source_;
+  TestSource* twin_;
   ThreadPool pool_;
-  // Per-chunk buffers, aligned with the chunk's tests.
+  // Per-chunk buffers: the twin's chunk, and the audited tests'
+  // fingerprints and keys.
+  std::vector<litmus::LitmusTest> twin_chunk_;
   std::vector<util::Key128> fingerprints_of_;
   std::vector<std::string> keys_of_;
 
-  std::size_t marks_verified_ = 0;
+  std::size_t elided_verified_ = 0;
 
   std::unordered_map<std::string, util::Key128> keys_;
   /// Points at the key strings of `keys_` (node-stable).

@@ -55,21 +55,26 @@ class TestSource {
     return false;
   }
 
-  /// Repeat marks of the tests the most recent next_chunk call
-  /// appended, one entry per test in order, or null when the source
-  /// marks nothing (the default).  A nonzero mark promises that the
-  /// test's canonical class (litmus::canonical_fingerprint) already
-  /// occurred among the tests this source object delivered before it:
-  /// in an earlier chunk, or earlier in the same one.  A consumer that
-  /// dedups canonically and has seen every test the source delivered
-  /// may settle a marked test as a duplicate without fingerprinting
-  /// it.  The marks describe one source object's output, which is why
-  /// they ride beside the chunk and not on the tests.  A wrapper that
-  /// forwards no marks costs its consumer speed only.  Valid until the
-  /// next next_chunk call.
-  [[nodiscard]] virtual const std::vector<char>* repeat_marks() const {
-    return nullptr;
-  }
+  /// Opts the consumer in to eliding repeats: from the next next_chunk
+  /// on, the source may leave out tests whose canonical class
+  /// (litmus::canonical_fingerprint) already occurred among the tests
+  /// this source object delivered before them, and count each
+  /// left-out stream position in elided() instead.  A chunk still spans
+  /// the same positions, so names, chunk boundaries and cursors do not
+  /// change.  Only a consumer that dedups by canonical fingerprints and
+  /// sees every test the source delivers from its first pull on may opt
+  /// in, settling each elided position as a duplicate.  Returns true
+  /// iff the source will elide; the default delivers every test and
+  /// returns false, and so does a wrapper that does not forward the
+  /// call.
+  virtual bool elide_repeats() { return false; }
+
+  /// Stream positions the most recent next_chunk call elided (0 unless
+  /// the consumer opted in, elide_repeats): the chunk spans the tests it
+  /// appended plus these, in stream order, and may elide all of its
+  /// positions and append no test.  Valid until the next next_chunk
+  /// call.
+  [[nodiscard]] virtual std::size_t elided() const { return 0; }
 };
 
 /// Drains `source` to exhaustion, invoking `fn(test)` for every
@@ -94,7 +99,9 @@ void for_each_test(TestSource& source, Fn&& fn) {
 /// and every chunk held ahead is resident memory.  Chunk boundaries and
 /// order are exactly the wrapped source's, so prefetching never changes
 /// streamed results.  Each prefetched chunk carries the wrapped
-/// source's repeat marks and cursor for it.  A producer-side exception
+/// source's elided count and cursor for it; opt the wrapped source in
+/// to eliding (elide_repeats) before constructing the prefetcher, which
+/// does not forward the call.  A producer-side exception
 /// is rethrown from next_chunk after the chunks produced before it have
 /// been delivered.  Restore the wrapped source before constructing the
 /// prefetcher: its producer thread starts pulling at once.
@@ -159,8 +166,7 @@ class ChunkPrefetcher final : public TestSource {
     last_produce_seconds_ = item.produce_seconds;
     last_cursor_ = std::move(item.cursor);
     last_cursor_valid_ = item.cursor_valid;
-    last_marks_ = std::move(item.marks);
-    last_marks_valid_ = item.marks_valid;
+    last_elided_ = item.elided;
     return item.more;
   }
 
@@ -174,11 +180,9 @@ class ChunkPrefetcher final : public TestSource {
     return true;
   }
 
-  /// The wrapped source's repeat marks of the most recently delivered
+  /// The wrapped source's elided count of the most recently delivered
   /// chunk, captured by the producer with it.
-  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
-    return last_marks_valid_ ? &last_marks_ : nullptr;
-  }
+  [[nodiscard]] std::size_t elided() const override { return last_elided_; }
 
   /// Time the producer spent inside the wrapped source's next_chunk for
   /// the most recently delivered chunk (runs concurrently with the
@@ -198,8 +202,7 @@ class ChunkPrefetcher final : public TestSource {
     double produce_seconds = 0.0;
     std::vector<std::uint64_t> cursor;  // source position after this chunk
     bool cursor_valid = false;
-    std::vector<char> marks;  // the source's repeat marks of `tests`
-    bool marks_valid = false;
+    std::size_t elided = 0;  // the source's elided positions
   };
 
   void produce() {
@@ -217,10 +220,7 @@ class ChunkPrefetcher final : public TestSource {
         item.tests.clear();  // a handed-back chunk's tests die here
         item.more = source_.next_chunk(item.tests);
         item.cursor_valid = source_.snapshot_cursor(item.cursor);
-        if (const std::vector<char>* marks = source_.repeat_marks()) {
-          item.marks = *marks;
-          item.marks_valid = true;
-        }
+        item.elided = source_.elided();
       } catch (...) {
         util::MutexLock lock(mu_);
         error_ = std::current_exception();
@@ -260,8 +260,7 @@ class ChunkPrefetcher final : public TestSource {
   double last_wait_seconds_ = 0.0;
   std::vector<std::uint64_t> last_cursor_;
   bool last_cursor_valid_ = false;
-  std::vector<char> last_marks_;
-  bool last_marks_valid_ = false;
+  std::size_t last_elided_ = 0;
 };
 
 /// Adapter presenting an in-memory corpus as a chunked stream (tests

@@ -493,6 +493,7 @@ StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
   keys += other.keys;
   dedup += other.dedup;
   verdict += other.verdict;
+  sink += other.sink;
   seal += other.seal;
   return *this;
 }
@@ -501,7 +502,7 @@ std::string StreamStageTimes::to_string() const {
   std::ostringstream os;
   os << "produce=" << produce << "s wait=" << wait << "s release=" << release
      << "s keys=" << keys << "s dedup=" << dedup << "s verdict=" << verdict
-     << "s seal=" << seal << "s";
+     << "s sink=" << sink << "s seal=" << seal << "s";
   return os.str();
 }
 
@@ -512,14 +513,20 @@ double StreamStats::dedup_rate() const {
                    static_cast<double>(tests_streamed);
 }
 
+double StreamStats::unattributed_seconds() const {
+  return wall_seconds - stages.wait - stages.release - stages.keys -
+         stages.dedup - stages.verdict - stages.sink - stages.seal;
+}
+
 std::string StreamStats::to_string() const {
   std::ostringstream os;
   os << "chunks=" << chunks << " streamed=" << tests_streamed
      << " novel=" << novel_tests << " duplicates=" << duplicate_tests
      << " repeats=" << repeat_tests
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
-     << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
-     << "]";
+     << "%) wall=" << wall_seconds
+     << "s unattributed=" << unattributed_seconds()
+     << "s stages[" << stages.to_string() << "]";
   if (commits > 0) {
     os << " commits=" << commits << " (" << bytes_committed << " bytes)";
   }
@@ -596,6 +603,10 @@ struct VerdictEngine::StreamRun {
     // does not resume) and recomputes from scratch.
     if (persist != nullptr && !resumed) vstore->clear_checkpoint();
 
+    // Canonical keys settle a repeat without its test, so the restored
+    // source may elide repeats; structural keys need every test.  The
+    // opt-in precedes the first pull, which the prefetcher starts.
+    elide = !structural && source.elide_repeats();
     // The prefetcher runs on its own thread, not a pool worker, so
     // production overlaps consumption even for a 1-thread engine.
     prefetcher.emplace(source);
@@ -604,7 +615,8 @@ struct VerdictEngine::StreamRun {
   /// Releases the previous chunk, then pulls the next into `chunk`;
   /// false once the source is done.  Release moves the delivered novel
   /// tests back into their slots and hands the chunk back to the
-  /// producer thread, which destroys the tests it built.
+  /// producer thread, which destroys the tests it built.  The positions
+  /// the source elided count as streamed duplicates and as repeats.
   bool produce(StreamChunkStats& cs) {
     util::Timer release_timer;
     for (std::size_t k = 0; k < novel.size(); ++k) {
@@ -616,10 +628,14 @@ struct VerdictEngine::StreamRun {
     const bool more = prefetcher->next_chunk(chunk);
     cs.stages.produce = prefetcher->last_produce_seconds();
     cs.stages.wait = prefetcher->last_wait_seconds();
-    // An empty final pull never reaches verdict(), which folds the rest.
-    if (chunk.empty()) total.stages += cs.stages;
     cs.index = total.chunks;
-    cs.streamed = chunk.size();
+    cs.repeats = prefetcher->elided();
+    MCMC_CHECK_MSG(elide || cs.repeats == 0,
+                   "the source elided tests without the stream's opt-in");
+    cs.duplicates = cs.repeats;
+    cs.streamed = chunk.size() + cs.repeats;
+    // An empty final pull never reaches verdict(), which folds the rest.
+    if (cs.streamed == 0) total.stages += cs.stages;
     return more;
   }
 
@@ -629,27 +645,16 @@ struct VerdictEngine::StreamRun {
   /// — no Analysis, no key string, no per-test allocation — building the
   /// program's core::KeyFacts once per run of consecutive tests that
   /// share one program object and hashing only each outcome's words.
-  /// Under canonical keys a test the source marks as a repeat is not
-  /// fingerprinted: resolve settles it as a duplicate.
   void keys(StreamChunkStats& cs) {
     util::Timer timer;
     const std::size_t n = chunk.size();
     key_hashes.resize(n);
-    marks = structural ? nullptr : prefetcher->repeat_marks();
-    if (marks != nullptr) {
-      MCMC_CHECK_MSG(marks->size() == n,
-                     "repeat marks do not match the chunk's tests");
-      cs.repeats = static_cast<std::size_t>(
-          std::count_if(marks->begin(), marks->end(),
-                        [](char mark) { return mark != 0; }));
-    }
     parallel_ranges(eng.pool(), n, [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
       // Compared only against programs the chunk still holds, so an
       // equal address means the same object.
       const core::Program* loaded = nullptr;
       for (std::size_t i = begin; i < end; ++i) {
-        if (marks != nullptr && (*marks)[i] != 0) continue;
         const litmus::LitmusTest& test = chunk[i];
         if (structural) {
           key_hashes[i] = litmus::structural_fingerprint(test);
@@ -666,17 +671,15 @@ struct VerdictEngine::StreamRun {
     cs.stages.keys = timer.seconds();
   }
 
-  /// Resolve (serial, chunk order; the `dedup` stage): a marked test is
-  /// a repeat, its class seen at its first occurrence earlier in this
-  /// stream; any other test is novel iff its key is new to the stream.
-  /// The first occurrence of a class is thus its novel test under any
-  /// thread count.
+  /// Resolve (serial, chunk order; the `dedup` stage): a test is novel
+  /// iff its key is new to the stream.  The first occurrence of a class
+  /// is thus its novel test under any thread count; an elided repeat's
+  /// class occurred before it, and produce counted it already.
   void resolve(StreamChunkStats& cs) {
     util::Timer timer;
     novel_idx.clear();
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      if ((marks != nullptr && (*marks)[i] != 0) ||
-          !seen.insert(key_hashes[i])) {
+      if (!seen.insert(key_hashes[i])) {
         ++cs.duplicates;
         continue;
       }
@@ -698,7 +701,8 @@ struct VerdictEngine::StreamRun {
   /// row is on disk skips evaluation entirely) and one write-back.
   /// Structural keys are no store keys, so run_rows keys the novel tests
   /// canonically itself: structurally distinct tests of one canonical
-  /// class still share their custom-free verdicts.
+  /// class still share their custom-free verdicts.  The chunk sink runs
+  /// last, timed as the `sink` stage.
   void verdict(StreamChunkStats& cs, const StreamChunkSink& on_chunk) {
     util::Timer timer;
     novel_keys.clear();
@@ -719,7 +723,11 @@ struct VerdictEngine::StreamRun {
     total.repeat_tests += cs.repeats;
     total.stages += cs.stages;
     total.engine += cs.engine;
-    if (on_chunk) on_chunk(novel, novel_keys, verdicts, cs);
+    if (on_chunk) {
+      util::Timer sink_timer;
+      on_chunk(novel, novel_keys, verdicts, cs);
+      total.stages.sink += sink_timer.seconds();
+    }
   }
 
   /// Seal: every K chunks, commit the resumable state (cursor, the
@@ -789,6 +797,8 @@ struct VerdictEngine::StreamRun {
   /// stream_store).
   const RowModels row_models;
   const store::StreamPersistence* persist = nullptr;
+  /// The source accepted the opt-in to elide repeats.
+  bool elide = false;
   KeySet seen;
   StreamStats total;
   /// Every chunk is pulled through it; emplaced once the source is
@@ -799,8 +809,6 @@ struct VerdictEngine::StreamRun {
   std::vector<litmus::LitmusTest> chunk;
   std::vector<litmus::LitmusTest> novel;
   std::vector<util::Key128> key_hashes;
-  /// The chunk's repeat marks (null: none, or structural keys).
-  const std::vector<char>* marks = nullptr;
   std::vector<int> novel_idx;
   std::vector<util::Key128> novel_keys;
 
@@ -819,7 +827,7 @@ StreamStats VerdictEngine::run_stream(
   while (more) {
     StreamChunkStats cs;
     more = run.produce(cs);
-    if (run.chunk.empty()) continue;
+    if (cs.streamed == 0) continue;
     run.keys(cs);
     run.resolve(cs);
     run.verdict(cs, on_chunk);

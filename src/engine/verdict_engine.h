@@ -146,8 +146,11 @@ struct StreamOptions {
 /// handed-back tests counts in its `produce`.
 /// `keys` is the parallel fingerprint phase, `dedup` the serial
 /// chunk-order claims of the keys in the stream's dedup set, `verdict`
-/// the batched evaluation plus delivery, `seal` the checkpoint seals and
-/// the completion commit of a persisted stream.
+/// the batched evaluation, `sink` the chunk sink (the caller's
+/// on_chunk: the Theorem harness's sweep runs there), `seal` the
+/// checkpoint seals and the completion commit of a persisted stream.
+/// A chunk's own stats carry no `sink` time: the sink receives them
+/// before it runs.
 struct StreamStageTimes {
   double produce = 0.0;
   double wait = 0.0;
@@ -155,6 +158,7 @@ struct StreamStageTimes {
   double keys = 0.0;
   double dedup = 0.0;
   double verdict = 0.0;
+  double sink = 0.0;
   double seal = 0.0;
 
   StreamStageTimes& operator+=(const StreamStageTimes& other);
@@ -164,11 +168,13 @@ struct StreamStageTimes {
 /// Accounting for one streamed chunk.
 struct StreamChunkStats {
   std::size_t index = 0;      ///< 0-based chunk number
-  std::size_t streamed = 0;   ///< tests pulled from the source
+  std::size_t streamed = 0;   ///< stream positions the chunk spans:
+                              ///  tests pulled plus elided ones
   std::size_t novel = 0;      ///< first-of-their-class tests evaluated
   std::size_t duplicates = 0; ///< cross-chunk dedup hits
-  std::size_t repeats = 0;    ///< duplicates settled by the source's
-                              ///  repeat marks, without keys
+  std::size_t repeats = 0;    ///< duplicates the source elided
+                              ///  (TestSource::elided): never built
+                              ///  or keyed
   StreamStageTimes stages;    ///< this chunk's per-stage wall breakdown
   EngineStats engine;         ///< engine stats of this chunk's batch
 };
@@ -179,8 +185,8 @@ struct StreamStats {
   std::size_t tests_streamed = 0;
   std::size_t novel_tests = 0;
   std::size_t duplicate_tests = 0;  ///< cross-chunk dedup hits
-  /// Duplicates settled by the source's repeat marks: their keys were
-  /// never computed (TestSource::repeat_marks).
+  /// Duplicates the source elided: never built, so never keyed
+  /// (TestSource::elided).
   std::size_t repeat_tests = 0;
   StreamStageTimes stages;          ///< accumulated per-stage breakdown
   EngineStats engine;               ///< accumulated over chunk batches
@@ -191,10 +197,14 @@ struct StreamStats {
 
   /// Fraction of streamed tests served by the cross-chunk dedup.
   [[nodiscard]] double dedup_rate() const;
+  /// The wall time no consumer-side stage holds: the wall minus wait,
+  /// release, keys, dedup, verdict, sink and seal.  Produce overlaps
+  /// those stages on its own thread, so it is not subtracted.
+  [[nodiscard]] double unattributed_seconds() const;
   /// Keys-stage cost per streamed test in nanoseconds — the
   /// fingerprint path's scaling number.  bench_exhaustive reports it
   /// per space so the dep-extended run is directly comparable against
-  /// the no-dep baseline.  Marked repeats count as streamed tests
+  /// the no-dep baseline.  Elided repeats count as streamed tests
   /// whose keys cost nothing.
   [[nodiscard]] double keys_ns_per_test() const {
     return tests_streamed == 0
@@ -276,12 +286,12 @@ class VerdictEngine {
   /// string ever materialized; engine::AuditedSource cross-checks them
   /// against the string keys), so the peak resident set stays
   /// O(chunk size + unique classes) no matter how long the stream runs.
-  /// Under canonical keys a test the source marks as a repeat
-  /// (TestSource::repeat_marks) is settled as a duplicate without
-  /// being fingerprinted, so `source` must be fresh or just restored:
-  /// run_stream has to see every test it delivers.  Structural keys
-  /// ignore the marks (a canonical repeat need not be a structural
-  /// one).
+  /// Under canonical keys run_stream opts `source` in to eliding
+  /// repeats (TestSource::elide_repeats) once it is restored, before
+  /// the first pull, and settles every elided position as a duplicate;
+  /// so `source` must be fresh or just restored: run_stream has to see
+  /// every test it delivers.  Structural keys never opt in (a canonical
+  /// repeat need not be a structural one).
   ///
   /// The run is a parallel pipeline: a producer thread (not a pool
   /// worker) prefetches the next chunk while the consumer processes the

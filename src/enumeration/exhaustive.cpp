@@ -4,7 +4,6 @@
 #include <charconv>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/bytes.h"
@@ -70,8 +69,7 @@ std::vector<std::uint32_t> location_images(
 }
 
 /// Calls fn(a, b) for the shape pair of every program the stream
-/// emits, in the order start_next_program visits them: the walk that
-/// count and canonical_program_classes share.
+/// emits, in the order start_next_program visits them.
 template <typename Fn>
 void for_each_shape_pair(const ExhaustiveOptions& options, Fn&& fn) {
   const auto shapes = shapes::all_thread_shapes(options.bounds);
@@ -95,14 +93,13 @@ ExhaustiveStream::ExhaustiveStream(ExhaustiveOptions options)
   location_images_ = location_images(shapes_, perms);
   // Every read is one of the two threads' accesses: sized up front, the
   // per-program buffers never grow while the stream runs, and neither
-  // do the write counts or a chunk's marks.
+  // do the write counts.
   const auto max_reads =
       static_cast<std::size_t>(2 * options_.bounds.max_accesses_per_thread);
   read_regs_.reserve(max_reads);
   read_domain_.reserve(max_reads);
   odometer_.reserve(max_reads);
   writes_.reserve(static_cast<std::size_t>(options_.bounds.num_locations));
-  marks_.reserve(static_cast<std::size_t>(options_.chunk_size));
 }
 
 bool ExhaustiveStream::done() const { return exhausted_; }
@@ -127,9 +124,14 @@ bool ExhaustiveStream::start_next_program() {
 
     cur_a_ = a;
     cur_b_ = b;
-    repeat_ = repeats_an_emitted_program();
-    build_program();
-    odometer_.assign(read_regs_.size(), 0);
+    repeat_ = elide_ && repeats_an_emitted_program();
+    if (repeat_) {
+      const int locations = options_.bounds.num_locations;
+      outcomes_ = shapes::outcome_count(shapes_[a], shapes_[b], locations);
+    } else {
+      build_program();
+      odometer_.assign(read_regs_.size(), 0);
+    }
     outcome_index_ = 0;
     odometer_live_ = true;
     return true;
@@ -137,19 +139,23 @@ bool ExhaustiveStream::start_next_program() {
   return false;
 }
 
-bool ExhaustiveStream::repeats_an_emitted_program() const {
+std::size_t ExhaustiveStream::least_image(std::size_t a, std::size_t b) const {
   // An image of (a, b) is (a', b') or, with the threads exchanged,
   // (b', a'), for a' and b' the shapes under one location renaming;
   // the stream visits pair (i, j) at position i * n + j.
   const std::size_t n = shapes_.size();
-  const std::uint32_t* a = &location_images_[cur_a_ * num_perms_];
-  const std::uint32_t* b = &location_images_[cur_b_ * num_perms_];
-  const std::size_t here = cur_a_ * n + cur_b_;
-  std::size_t least = here;
+  const std::uint32_t* as = &location_images_[a * num_perms_];
+  const std::uint32_t* bs = &location_images_[b * num_perms_];
+  std::size_t least = a * n + b;
   for (std::size_t p = 0; p < num_perms_; ++p) {
-    least = std::min({least, a[p] * n + b[p], b[p] * n + a[p]});
+    least = std::min({least, as[p] * n + bs[p], bs[p] * n + as[p]});
   }
-  return least < here && least >= marks_from_;
+  return least;
+}
+
+bool ExhaustiveStream::repeats_an_emitted_program() const {
+  const std::size_t least = least_image(cur_a_, cur_b_);
+  return least < cur_a_ * shapes_.size() + cur_b_ && least >= elide_from_;
 }
 
 void ExhaustiveStream::build_program() {
@@ -240,8 +246,9 @@ bool ExhaustiveStream::restore_cursor(
   odometer_live_ = live;
 
   // The programs before the pair cursor were emitted by another
-  // object, and so was the head of a live one: marks start after them.
-  marks_from_ = i_ * n + j_;
+  // object, and so was the head of a live one: elision starts after
+  // them, and the live program is built.
+  elide_from_ = i_ * n + j_;
   repeat_ = false;
 
   const auto reject = [this] {
@@ -254,7 +261,7 @@ bool ExhaustiveStream::restore_cursor(
     emitted_ = ExhaustiveCounts{};
     odometer_live_ = false;
     odometer_.clear();
-    marks_from_ = 0;
+    elide_from_ = 0;
     return false;
   };
 
@@ -275,15 +282,26 @@ bool ExhaustiveStream::restore_cursor(
 }
 
 bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
-  marks_.clear();
+  elided_ = 0;
   if (exhausted_) return false;
-  const std::size_t target =
-      out.size() + static_cast<std::size_t>(options_.chunk_size);
-  out.reserve(target);
-  while (out.size() < target) {
+  const auto chunk = static_cast<long long>(options_.chunk_size);
+  out.reserve(out.size() + static_cast<std::size_t>(chunk));
+  for (long long filled = 0; filled < chunk;) {
     if (!odometer_live_ && !start_next_program()) {
       exhausted_ = true;
       return false;
+    }
+    if (repeat_) {
+      // An elided program's positions are counted, up to the chunk's
+      // end, as building its tests would count them.
+      const long long left = outcomes_ - outcome_index_;
+      const long long skip = std::min(chunk - filled, left);
+      outcome_index_ += skip;
+      emitted_.tests += skip;
+      elided_ += static_cast<std::size_t>(skip);
+      filled += skip;
+      odometer_live_ = outcome_index_ < outcomes_;
+      continue;
     }
 
     // The outcome's constraints live inline, the name fits the string's
@@ -295,7 +313,7 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
     }
     out.push_back(program_->with_outcome(
         test_name(program_index_, outcome_index_), std::move(outcome)));
-    marks_.push_back(repeat_ ? 1 : 0);
+    ++filled;
     ++emitted_.tests;
     ++outcome_index_;
 
@@ -308,6 +326,18 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
       odometer_[k] = 0;
     }
     if (k == odometer_.size()) odometer_live_ = false;
+  }
+  if (repeat_ && odometer_live_) {
+    // The chunk ends inside an elided program: leave the odometer where
+    // building its tests would have, digit 0 the fastest, so the cursor
+    // is a full build's.  At most once per chunk.
+    build_program();
+    long long rest = outcome_index_;
+    odometer_.resize(read_domain_.size());
+    for (std::size_t k = 0; k < odometer_.size(); ++k) {
+      odometer_[k] = static_cast<int>(rest % read_domain_[k]);
+      rest /= read_domain_[k];
+    }
   }
   return true;
 }
@@ -324,18 +354,23 @@ ExhaustiveCounts ExhaustiveStream::count(const ExhaustiveOptions& options) {
   return counts;
 }
 
-long long canonical_program_classes(const ExhaustiveOptions& options) {
-  // 128-bit canonical fingerprints (engine::AuditedSource verifies
-  // fingerprint-equality == key-equality on the same space).
-  std::unordered_set<util::Key128, util::Key128Hash> classes;
-  litmus::KeyScratch scratch;
-  shapes::WriteCounts values;
-  for_each_shape_pair(options, [&](const shapes::ThreadShape& a,
-                                   const shapes::ThreadShape& b) {
-    classes.insert(litmus::canonical_fingerprint(
-        shapes::materialize_pair(a, b, values), core::Outcome{}, scratch));
-  });
-  return static_cast<long long>(classes.size());
+long long ExhaustiveStream::count_orbits(const ExhaustiveOptions& options) {
+  // The filter keeps whole orbits (renaming locations or exchanging the
+  // threads keeps two threads communicating), so a kept pair is least
+  // among the kept pairs of its orbit iff it is least in it.
+  const ExhaustiveStream stream(options);
+  const std::size_t n = stream.shapes_.size();
+  long long orbits = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (options.communicating_only &&
+          !shapes::communicates(stream.shapes_[a], stream.shapes_[b])) {
+        continue;
+      }
+      if (stream.least_image(a, b) == a * n + b) ++orbits;
+    }
+  }
+  return orbits;
 }
 
 }  // namespace mcmc::enumeration

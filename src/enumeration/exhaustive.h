@@ -62,14 +62,16 @@ struct ExhaustiveCounts {
 ///
 /// The space is closed under thread exchange and location renaming,
 /// and canonical fingerprints are invariant under both, so a program's
-/// test classes all occur among the tests of any image of it.  The
-/// stream therefore marks (repeat_marks) every test of a program whose
-/// orbit's least shape pair, in this stream's (i, j) order, came
-/// earlier and was emitted whole by this stream object; only a
-/// program that is least in its orbit goes unmarked, so on a fresh
-/// stream the unmarked programs are one per program class.  A stream
-/// restored from a cursor marks only against the programs it started
-/// itself.
+/// test classes all occur among the tests of any image of it.  A stream
+/// whose consumer opted in (elide_repeats) therefore builds no test of
+/// a program whose orbit's least shape pair, in this stream's (i, j)
+/// order, came earlier and was emitted whole by this stream object: it
+/// counts that program's stream positions as elided instead, advancing
+/// names, counters and cursor exactly as building them would.  Only a
+/// program that is least in its orbit is built, so a fresh opted-in
+/// stream builds count_orbits programs.  A stream restored from a
+/// cursor elides only against the programs it started itself; the live
+/// program a cursor lands in is built.
 class ExhaustiveStream final : public engine::TestSource {
  public:
   explicit ExhaustiveStream(ExhaustiveOptions options);
@@ -81,10 +83,9 @@ class ExhaustiveStream final : public engine::TestSource {
   /// Serializes the full generator position — shape-pair cursor,
   /// odometer, and emitted counters — so a fresh stream with equal
   /// options resumes bit-for-bit: same remaining tests, same chunk
-  /// boundaries, same "x<p>.<o>" names.  O(1) words: the stream keeps
-  /// no per-program history (program classes are counted from the
-  /// space by canonical_program_classes), so a per-chunk snapshot never
-  /// serializes a growing set.
+  /// boundaries, same "x<p>.<o>" names, whether or not either stream
+  /// elides.  O(1) words: the stream keeps no per-program history, so
+  /// a per-chunk snapshot never serializes a growing set.
   [[nodiscard]] bool snapshot_cursor(
       std::vector<std::uint64_t>& out) const override;
 
@@ -98,12 +99,13 @@ class ExhaustiveStream final : public engine::TestSource {
   [[nodiscard]] bool restore_cursor(
       const std::vector<std::uint64_t>& cursor) override;
 
-  /// One mark per test of the last chunk: nonzero for the tests of a
-  /// program whose orbit's least shape pair this object emitted
-  /// earlier (see the class comment).
-  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
-    return &marks_;
+  /// Opts in to eliding the programs whose orbit this object already
+  /// emitted (see the class comment); always accepted.
+  bool elide_repeats() override {
+    elide_ = true;
+    return true;
   }
+  [[nodiscard]] std::size_t elided() const override { return elided_; }
 
   [[nodiscard]] bool done() const;
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
@@ -112,6 +114,15 @@ class ExhaustiveStream final : public engine::TestSource {
   /// drain of a fresh stream with these options would emit.
   [[nodiscard]] static ExhaustiveCounts count(const ExhaustiveOptions& options);
 
+  /// The programs a full drain of a fresh opted-in stream with these
+  /// options builds: the shape pairs least in their orbit under thread
+  /// exchange and location renaming, counted from the image table the
+  /// stream elides by, building nothing.  A pure function of the bounds
+  /// and the filter; on the bounded spaces it equals the number of
+  /// canonical program classes (pinned by the tests against a walk that
+  /// fingerprints every program).
+  [[nodiscard]] static long long count_orbits(const ExhaustiveOptions& options);
+
  private:
   /// Advances (i_, j_) to the next program passing the filters and
   /// rebuilds the per-program state; returns false when the shape pairs
@@ -119,9 +130,11 @@ class ExhaustiveStream final : public engine::TestSource {
   bool start_next_program();
   /// Builds (and validates) the current program and its read domains.
   void build_program();
-  /// True iff the least image of the current shape pair under thread
-  /// exchange and location renaming precedes it and lies at or after
-  /// marks_from_.
+  /// Stream position (a * shapes + b) of the least image of shape pair
+  /// (a, b) under thread exchange and location renaming.
+  [[nodiscard]] std::size_t least_image(std::size_t a, std::size_t b) const;
+  /// True iff the least image of the current shape pair precedes it and
+  /// lies at or after elide_from_.
   [[nodiscard]] bool repeats_an_emitted_program() const;
 
   ExhaustiveOptions options_;
@@ -142,9 +155,11 @@ class ExhaustiveStream final : public engine::TestSource {
   long long outcome_index_ = 0;   ///< 0-based odometer position within it
   /// Stream position (i * shapes + j) of the first program this object
   /// started itself: it emitted every program from there on whole.
-  std::size_t marks_from_ = 0;
-  bool repeat_ = false;      ///< the current program's tests are marked
-  std::vector<char> marks_;  ///< the last chunk's marks
+  std::size_t elide_from_ = 0;
+  bool elide_ = false;   ///< the consumer opted in (elide_repeats)
+  bool repeat_ = false;  ///< the current program is elided, not built
+  long long outcomes_ = 0;    ///< the elided program's outcome count
+  std::size_t elided_ = 0;    ///< positions the last chunk elided
 
   // The current program, validated once, as an outcome-free test every
   // emitted test is derived from (sharing its program object).
@@ -155,13 +170,5 @@ class ExhaustiveStream final : public engine::TestSource {
   shapes::WriteCounts writes_;               // per location, reused
   bool odometer_live_ = false;
 };
-
-/// Number of canonical program classes (distinct canonical fingerprints
-/// of each program under the empty outcome) among the programs a full
-/// drain of a fresh stream with these options would emit.  A pure
-/// function of the bounds and the filter: it walks the shape pairs
-/// directly, building each program as the stream does but no tests.
-[[nodiscard]] long long canonical_program_classes(
-    const ExhaustiveOptions& options);
 
 }  // namespace mcmc::enumeration

@@ -1,8 +1,10 @@
 // The stream fingerprint audit (engine::AuditedSource): the two-way
 // fingerprint/key check fails on a fake collision and on a fake split,
-// a repeat mark on a novel test fails too, a failing audit surfaces
-// from run_stream through the producer thread, and a passing one
-// forwards cursors and counts the stream's classes.
+// an elided novel test and a chunk that does not span its full-build
+// twin's fail too, a failing audit surfaces from run_stream through the
+// producer thread, a passing one forwards cursors and counts the
+// stream's classes, and only an audit with a twin forwards the opt-in
+// to elide repeats.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,6 +15,7 @@
 #include "engine/audited_source.h"
 #include "engine/test_stream.h"
 #include "engine/verdict_engine.h"
+#include "enumeration/exhaustive.h"
 #include "enumeration/suite.h"
 #include "models/zoo.h"
 
@@ -33,7 +36,7 @@ std::string logic_error_of(Fn&& fn) {
 
 TEST(AuditedSource, ObserveRejectsFingerprintCollision) {
   engine::VectorSource empty({}, 1);
-  engine::AuditedSource audit(empty);
+  engine::AuditedSource audit(empty, 1);
   audit.observe({1, 2}, "key-a");
   audit.observe({1, 2}, "key-a");  // the same class again is fine
   const std::string error =
@@ -44,7 +47,7 @@ TEST(AuditedSource, ObserveRejectsFingerprintCollision) {
 
 TEST(AuditedSource, ObserveRejectsKeySplit) {
   engine::VectorSource empty({}, 1);
-  engine::AuditedSource audit(empty);
+  engine::AuditedSource audit(empty, 1);
   audit.observe({1, 2}, "key-a");
   const std::string error =
       logic_error_of([&] { audit.observe({3, 4}, "key-a"); });
@@ -64,7 +67,7 @@ TEST(AuditedSource, ForwardsCursorAndCountsClasses) {
   corpus.insert(corpus.end(), suite.begin(), suite.end());
 
   engine::VectorSource source(corpus, 10);
-  engine::AuditedSource audited(source);
+  engine::AuditedSource audited(source, 4);
   ASSERT_TRUE(audited.restore_cursor({n / 2}));
   std::size_t streamed = 0;
   engine::for_each_test(audited,
@@ -86,7 +89,7 @@ TEST(AuditedSource, AuditFailureSurfacesFromRunStream) {
       litmus::canonical_fingerprint(suite.back(), scratch);
   for (const int threads : {1, 4}) {
     engine::VectorSource source(suite, 8);
-    engine::AuditedSource audited(source);
+    engine::AuditedSource audited(source, threads);
     audited.observe(last, "not the key of " + suite.back().name());
 
     engine::EngineOptions options;
@@ -106,35 +109,52 @@ TEST(AuditedSource, AuditFailureSurfacesFromRunStream) {
   }
 }
 
-/// A suite stream that marks its first test, a novel one, as a repeat.
-class FirstTestMarkedSource final : public engine::TestSource {
+/// A suite stream that, once opted in, marks its first test, a novel
+/// one, as a repeat by eliding it; with `uncounted` it drops that test
+/// without counting it as elided.
+class FirstTestElidedSource final : public engine::TestSource {
  public:
-  explicit FirstTestMarkedSource(std::size_t chunk_size)
-      : inner_(enumeration::corollary1_suite(false), chunk_size) {}
+  explicit FirstTestElidedSource(std::size_t chunk, bool uncounted = false)
+      : inner_(enumeration::corollary1_suite(false), chunk),
+        uncounted_(uncounted) {}
 
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
     const std::size_t first = out.size();
     const bool more = inner_.next_chunk(out);
-    marks_.assign(out.size() - first, 0);
-    if (delivered_ == 0 && !marks_.empty()) marks_[0] = 1;
-    delivered_ += marks_.size();
+    elided_ = 0;
+    if (elide_ && delivered_ == 0 && out.size() > first) {
+      out.erase(out.begin() + static_cast<std::ptrdiff_t>(first));
+      elided_ = uncounted_ ? 0 : 1;
+      delivered_ = 1;
+    }
     return more;
   }
-  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
-    return &marks_;
+  bool elide_repeats() override {
+    elide_ = true;
+    return true;
   }
+  [[nodiscard]] std::size_t elided() const override { return elided_; }
 
  private:
   engine::VectorSource inner_;
-  std::vector<char> marks_;
+  const bool uncounted_;
+  bool elide_ = false;
+  std::size_t elided_ = 0;
   std::size_t delivered_ = 0;
 };
 
+/// The audit's full-build twin of FirstTestElidedSource.
+engine::VectorSource suite_twin(std::size_t chunk_size) {
+  return engine::VectorSource(enumeration::corollary1_suite(false), chunk_size);
+}
+
 TEST(AuditedSource, RejectsARepeatMarkOnANovelTest) {
-  const std::string expected = "repeat mark on a test whose class did not";
+  const std::string expected = "an elided test whose class did not occur";
   {
-    FirstTestMarkedSource source(8);
-    engine::AuditedSource audited(source);
+    FirstTestElidedSource source(8);
+    engine::VectorSource twin = suite_twin(8);
+    engine::AuditedSource audited(source, 4, &twin);
+    ASSERT_TRUE(audited.elide_repeats());
     const std::string error = logic_error_of([&] {
       engine::for_each_test(audited, [](const litmus::LitmusTest&) {});
     });
@@ -143,8 +163,9 @@ TEST(AuditedSource, RejectsARepeatMarkOnANovelTest) {
   // Through run_stream the audit runs on the producer thread, and
   // run_stream rethrows its failure before any chunk is delivered.
   for (const int threads : {1, 4}) {
-    FirstTestMarkedSource source(8);
-    engine::AuditedSource audited(source);
+    FirstTestElidedSource source(8);
+    engine::VectorSource twin = suite_twin(8);
+    engine::AuditedSource audited(source, threads, &twin);
     engine::EngineOptions options;
     options.num_threads = threads;
     engine::VerdictEngine eng(options);
@@ -159,6 +180,45 @@ TEST(AuditedSource, RejectsARepeatMarkOnANovelTest) {
     EXPECT_NE(error.find(expected), std::string::npos)
         << "threads=" << threads << ": " << error;
     EXPECT_EQ(delivered_chunks, 0u) << "threads=" << threads;
+  }
+}
+
+TEST(AuditedSource, RejectsAChunkThatDoesNotSpanItsTwin) {
+  FirstTestElidedSource source(8, /*uncounted=*/true);
+  engine::VectorSource twin = suite_twin(8);
+  engine::AuditedSource audited(source, 1, &twin);
+  ASSERT_TRUE(audited.elide_repeats());
+  const std::string error = logic_error_of([&] {
+    engine::for_each_test(audited, [](const litmus::LitmusTest&) {});
+  });
+  EXPECT_NE(error.find("does not span its full-build twin's"),
+            std::string::npos)
+      << error;
+}
+
+TEST(AuditedSource, ForwardsTheOptInOnlyWithATwin) {
+  // Without a twin the audit cannot check an elision, so the stream it
+  // wraps keeps building every test.
+  enumeration::ExhaustiveOptions options;
+  options.bounds.max_accesses_per_thread = 2;
+  {
+    enumeration::ExhaustiveStream stream(options);
+    engine::AuditedSource audited(stream, 1);
+    EXPECT_FALSE(audited.elide_repeats());
+    std::size_t built = 0;
+    engine::for_each_test(audited, [&](const litmus::LitmusTest&) { ++built; });
+    EXPECT_EQ(static_cast<long long>(built), stream.emitted().tests);
+  }
+  {
+    enumeration::ExhaustiveStream stream(options);
+    enumeration::ExhaustiveStream twin(options);
+    engine::AuditedSource audited(stream, 1, &twin);
+    EXPECT_TRUE(audited.elide_repeats());
+    std::size_t built = 0;
+    engine::for_each_test(audited, [&](const litmus::LitmusTest&) { ++built; });
+    EXPECT_EQ(static_cast<long long>(built + audited.elided_verified()),
+              stream.emitted().tests);
+    EXPECT_GT(audited.elided_verified(), 0u);
   }
 }
 

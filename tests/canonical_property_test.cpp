@@ -23,6 +23,7 @@
 #include "enumeration/suite.h"
 #include "litmus/catalog.h"
 #include "litmus/test.h"
+#include "program_classes.h"
 #include "util/hash128.h"
 #include "util/rng.h"
 
@@ -403,12 +404,11 @@ TEST(CanonicalProperty, StructuralFingerprintMatchesStructuralKeyClasses) {
 
 /// Canonical test classes of the space `options` defines, counted by
 /// their legacy string keys (litmus::canonical_key) while
-/// engine::AuditedSource checks every fingerprint and repeat mark
-/// against them.
+/// engine::AuditedSource checks every fingerprint against them.
 long long canonical_test_classes(
     const enumeration::ExhaustiveOptions& options) {
   enumeration::ExhaustiveStream stream(options);
-  engine::AuditedSource audited(stream);
+  engine::AuditedSource audited(stream, 4);
   engine::for_each_test(audited, [](const LitmusTest&) {});
   return static_cast<long long>(audited.classes());
 }
@@ -429,8 +429,7 @@ TEST(CanonicalProperty, ReducedProgramClassesMatchNaiveCountsExactly) {
     enumeration::ExhaustiveOptions options = base;
     options.communicating_only = true;
     const auto naive = enumeration::count_naive(options.bounds);
-    EXPECT_EQ(enumeration::canonical_program_classes(options),
-              naive.reduced_programs)
+    EXPECT_EQ(canonical_program_classes(options), naive.reduced_programs)
         << "bounds: " << options.bounds.max_accesses_per_thread << " accesses, "
         << options.bounds.num_locations << " locations, fences="
         << options.bounds.fences;
@@ -453,7 +452,8 @@ TEST(CanonicalProperty, TinySpaceClassCountsAreExact) {
   enumeration::ExhaustiveOptions tiny;
   tiny.bounds = {2, 1, false};
   tiny.communicating_only = true;
-  EXPECT_EQ(enumeration::canonical_program_classes(tiny), 18);
+  EXPECT_EQ(canonical_program_classes(tiny), 18);
+  EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(tiny), 18);
   EXPECT_EQ(canonical_test_classes(tiny), 80);
   const auto naive = enumeration::count_naive(tiny.bounds);
   EXPECT_EQ(naive.reduced_programs, 18);

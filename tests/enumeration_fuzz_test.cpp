@@ -139,7 +139,7 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClasses) {
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
-  engine::AuditedSource audited(source);
+  engine::AuditedSource audited(source, 4);
   engine::VerdictEngine eng;
   const auto stats = eng.run_stream(models, audited, nullptr);
 
@@ -167,7 +167,7 @@ TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClassesWithDeps) {
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
-  engine::AuditedSource audited(source);
+  engine::AuditedSource audited(source, 4);
   engine::VerdictEngine eng;
   const auto stats = eng.run_stream(models, audited, nullptr);
 

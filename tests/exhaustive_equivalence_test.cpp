@@ -20,6 +20,7 @@
 #include "explore/space.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
+#include "program_classes.h"
 #include "util/hash128.h"
 
 namespace mcmc {
@@ -165,7 +166,9 @@ TEST(ExhaustiveStream, ProgramClassesCountedFromTheSpaceMatchTheStream) {
   // it must count exactly the distinct empty-outcome fingerprints of
   // the programs a drained stream emits (each program is one shared
   // object, so a new object marks the next program; holding the last
-  // one keeps its address from being reused by the next).
+  // one keeps its address from being reused by the next).  The orbits
+  // of shape pairs, the programs an opted-in stream builds, are as
+  // many.
   struct Case {
     enumeration::ExhaustiveOptions options;
     long long expected;  // pinned without the filter; -1 = not pinned
@@ -201,9 +204,9 @@ TEST(ExhaustiveStream, ProgramClassesCountedFromTheSpaceMatchTheStream) {
       }
     }
     EXPECT_EQ(programs, stream.emitted().programs);
-    const long long counted =
-        enumeration::canonical_program_classes(c.options);
+    const long long counted = canonical_program_classes(c.options);
     EXPECT_EQ(counted, static_cast<long long>(classes.size()));
+    EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(c.options), counted);
     EXPECT_LT(counted, programs);
     if (c.expected >= 0) {
       EXPECT_EQ(counted, c.expected);

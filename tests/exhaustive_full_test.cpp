@@ -20,13 +20,14 @@
 // 3,997 - 3,843 = 154 pairs.
 #include <gtest/gtest.h>
 
+#include "elision_tally.h"
 #include "engine/audited_source.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
-#include "repeat_mark_tally.h"
+#include "program_classes.h"
 
 namespace mcmc {
 namespace {
@@ -45,13 +46,15 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   enumeration::ExhaustiveOptions options;  // the full default bounds
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
-  RepeatMarkTally tally(stream);
+  ElisionTally tally(stream);
   // Collision-audit the hash-based dedup over the whole 5.16M-test
   // space: every class's full canonical key is retained and checked
   // against its 128-bit hash, so the equivalence below also proves the
   // hash dedup changes nothing (a collision throws mid-stream).  The
-  // audit also checks every repeat mark the keys stage trusts.
-  engine::AuditedSource audited(tally);
+  // audit also checks every repeat the stream elides, against a
+  // full-build twin of the stream that builds every test.
+  enumeration::ExhaustiveStream twin(options);
+  engine::AuditedSource audited(tally, eng.effective_threads(), &twin);
   explore::TheoremHarnessReport report;
   const auto by_naive = explore::distinguishability_streamed(
       eng, models, audited, explore::TheoremHarnessOptions{}, &report);
@@ -70,19 +73,21 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   EXPECT_EQ(report.stream.tests_streamed, 5160270u);
   EXPECT_EQ(static_cast<long long>(report.stream.tests_streamed),
             stream.emitted().tests);
+  EXPECT_EQ(report.stream.chunks, (5160270u + 8191u) / 8192u);
   EXPECT_EQ(stream.emitted().programs, 887364);
-  EXPECT_EQ(enumeration::canonical_program_classes(options), 74702);
+  EXPECT_EQ(canonical_program_classes(options), 74702);
+  EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(options), 74702);
   EXPECT_EQ(report.stream.novel_tests, 445565u);  // canonical test classes
   // The engine's novel tests are exactly the audited classes.
   EXPECT_EQ(report.stream.novel_tests, audited.classes());
   // Every test of a program outside its orbit's least shape pair is
-  // marked, checked by the audit and never keyed; the unmarked programs
+  // elided, checked by the audit and never built; the built programs
   // are one per program class.
-  EXPECT_EQ(tally.marked_tests(), 4713317u);
-  EXPECT_EQ(audited.marks_verified(), 4713317u);
+  EXPECT_EQ(tally.elided_tests(), 4713317u);
+  EXPECT_EQ(audited.elided_verified(), 4713317u);
   EXPECT_EQ(report.stream.repeat_tests, 4713317u);
-  EXPECT_EQ(tally.unmarked_programs(), 74702u);
-  EXPECT_EQ(tally.mixed_programs(), 0u);
+  EXPECT_EQ(tally.built_tests() + tally.elided_tests(), 5160270u);
+  EXPECT_EQ(tally.built_programs(), 74702u);
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 40817u);  // survive the extremes filter
@@ -91,6 +96,12 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   // (test, reorder mask) pair.
   EXPECT_EQ(report.sweep.checks_run, 40817u * 90u);
   EXPECT_EQ(report.sweep.searches, 365759u);
+  // The stages, the sweep's sink among them, account for the wall: at
+  // most 5% is left unattributed.
+  EXPECT_GT(report.stream.stages.sink, 0.0);
+  EXPECT_LE(report.stream.unattributed_seconds(),
+            0.05 * report.stream.wall_seconds)
+      << report.stream.to_string();
 }
 
 TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
@@ -106,7 +117,7 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   options.bounds.deps = true;              // ...plus dependency slots
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
-  RepeatMarkTally tally(stream);
+  ElisionTally tally(stream);
   explore::TheoremHarnessReport report;
   explore::TheoremHarnessOptions harness;
   // No collision audit here: the fingerprint/string-key cross-check
@@ -127,13 +138,15 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   EXPECT_EQ(report.stream.tests_streamed, 25435926u);
   EXPECT_EQ(static_cast<long long>(report.stream.tests_streamed),
             stream.emitted().tests);
+  EXPECT_EQ(report.stream.chunks, (25435926u + 8191u) / 8192u);
   EXPECT_EQ(stream.emitted().programs, 4235364);
-  EXPECT_EQ(enumeration::canonical_program_classes(options), 355482);
+  EXPECT_EQ(canonical_program_classes(options), 355482);
+  EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(options), 355482);
   EXPECT_EQ(report.stream.novel_tests, 2198389u);  // canonical test classes
-  EXPECT_EQ(tally.marked_tests(), 23234315u);
+  EXPECT_EQ(tally.elided_tests(), 23234315u);
   EXPECT_EQ(report.stream.repeat_tests, 23234315u);
-  EXPECT_EQ(tally.unmarked_programs(), 355482u);
-  EXPECT_EQ(tally.mixed_programs(), 0u);
+  EXPECT_EQ(tally.built_tests() + tally.elided_tests(), 25435926u);
+  EXPECT_EQ(tally.built_programs(), 355482u);
   EXPECT_EQ(report.candidate_tests + report.filtered_tests,
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 219517u);  // survive the extremes filter

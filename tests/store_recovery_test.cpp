@@ -42,9 +42,10 @@ const std::vector<core::MemoryModel>& ninety_models() {
   return models;
 }
 
-/// Forwards to an ExhaustiveStream, repeat marks included, while
-/// counting the tests actually delivered to the engine — the direct
-/// observable for "a resumed run does not re-stream sealed chunks".
+/// Forwards to an ExhaustiveStream, the opt-in to elide repeats
+/// included, while counting the stream positions actually pulled by the
+/// engine (tests built plus positions elided) — the direct observable
+/// for "a resumed run does not re-stream sealed chunks".
 class CountingSource final : public engine::TestSource {
  public:
   explicit CountingSource(enumeration::ExhaustiveOptions options)
@@ -53,7 +54,7 @@ class CountingSource final : public engine::TestSource {
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
     const std::size_t before = out.size();
     const bool more = inner_.next_chunk(out);
-    delivered_ += out.size() - before;
+    delivered_ += out.size() - before + inner_.elided();
     return more;
   }
   [[nodiscard]] bool snapshot_cursor(
@@ -64,9 +65,8 @@ class CountingSource final : public engine::TestSource {
       const std::vector<std::uint64_t>& cursor) override {
     return inner_.restore_cursor(cursor);
   }
-  [[nodiscard]] const std::vector<char>* repeat_marks() const override {
-    return inner_.repeat_marks();
-  }
+  bool elide_repeats() override { return inner_.elide_repeats(); }
+  [[nodiscard]] std::size_t elided() const override { return inner_.elided(); }
 
   [[nodiscard]] std::size_t delivered() const { return delivered_; }
 

@@ -509,13 +509,15 @@ struct StreamCapture {
   std::vector<std::size_t> chunk_duplicates;
 };
 
-/// Streams the 2-access slice through the fingerprint audit.
+/// Streams the 2-access slice through the fingerprint audit, which
+/// checks every repeat the stream elides against a full-build twin.
 StreamCapture run_slice_stream(int threads) {
   enumeration::ExhaustiveOptions options;
   options.bounds.max_accesses_per_thread = 2;
   options.chunk_size = 512;
   enumeration::ExhaustiveStream stream(options);
-  engine::AuditedSource audited(stream);
+  enumeration::ExhaustiveStream twin(options);
+  engine::AuditedSource audited(stream, threads, &twin);
 
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
@@ -569,8 +571,8 @@ TEST(StreamDeterminism, TwoAccessSliceBitForBitAcrossThreadCounts) {
 TEST(StreamDeterminism, NovelTestsAreFirstOccurrencesInStreamOrder) {
   // The suite interleaved with thread-swapped twins (same class, another
   // test) and exact copies of tests five back: in chunks of 7, classes
-  // recur within a chunk and across chunks.  No repeat marks, so every
-  // test goes through the dedup set.
+  // recur within a chunk and across chunks.  A VectorSource elides
+  // nothing, so every test goes through the dedup set.
   std::vector<litmus::LitmusTest> corpus;
   const auto suite = enumeration::corollary1_suite(true);
   for (std::size_t i = 0; i < suite.size(); ++i) {
