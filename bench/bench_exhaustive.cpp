@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
   // pairs, counted from the space itself, so a fresh, resumed or warm
   // run prints the same count. ----
   const long long program_classes =
-      enumeration::ExhaustiveStream::count_orbits(opts);
+      enumeration::ExhaustiveStream::count_orbits(opts).programs;
   std::printf("program classes: %lld\n", program_classes);
   const long long canonical_tests =
       static_cast<long long>(report.stream.novel_tests);

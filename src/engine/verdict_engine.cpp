@@ -573,9 +573,11 @@ struct VerdictEngine::StreamRun {
         vstore(options.verdict_store),
         row_models(ms, stream_store(ms, options.verdict_store, structural)) {
     // Checkpoint/resume.  Restoring happens before the prefetcher
-    // exists, directly on the raw source; both restore steps validate
-    // before mutating, so a failed resume degrades to streaming from
-    // scratch rather than diverging.
+    // exists, directly on the raw source.  Each restore step validates
+    // before mutating, and the cursor goes first: if the sink then
+    // refuses its state, the source is rewound to the start it
+    // snapshotted, so a failed resume streams from scratch with neither
+    // step applied rather than diverging.
     if (vstore != nullptr && options.persistence != nullptr &&
         !options.persistence->path.empty()) {
       persist = options.persistence;
@@ -586,15 +588,21 @@ struct VerdictEngine::StreamRun {
       // store's lock), so the restore steps below work on a stable
       // value.
       const std::optional<store::StreamCheckpoint> ck = vstore->checkpoint();
-      if (ck.has_value() &&
-          (!persist->restore_sink || persist->restore_sink(ck->sink_state)) &&
+      std::vector<std::uint64_t> start;
+      if (ck.has_value() && source.snapshot_cursor(start) &&
           source.restore_cursor(ck->source_cursor)) {
-        seen.seed(ck->seen_keys);
-        total.chunks = static_cast<std::size_t>(ck->chunks);
-        total.tests_streamed = static_cast<std::size_t>(ck->tests_streamed);
-        total.novel_tests = static_cast<std::size_t>(ck->novel_tests);
-        total.duplicate_tests = static_cast<std::size_t>(ck->duplicate_tests);
-        resumed = true;
+        if (!persist->restore_sink || persist->restore_sink(ck->sink_state)) {
+          seen.seed(ck->seen_keys);
+          total.chunks = static_cast<std::size_t>(ck->chunks);
+          total.tests_streamed = static_cast<std::size_t>(ck->tests_streamed);
+          total.novel_tests = static_cast<std::size_t>(ck->novel_tests);
+          total.duplicate_tests =
+              static_cast<std::size_t>(ck->duplicate_tests);
+          resumed = true;
+        } else {
+          const bool rewound = source.restore_cursor(start);
+          MCMC_CHECK_MSG(rewound, "a source refused its own start cursor");
+        }
       }
     }
     // Seals extend the store's checkpoint with the keys claimed since

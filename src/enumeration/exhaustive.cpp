@@ -126,8 +126,7 @@ bool ExhaustiveStream::start_next_program() {
     cur_b_ = b;
     repeat_ = elide_ && repeats_an_emitted_program();
     if (repeat_) {
-      const int locations = options_.bounds.num_locations;
-      outcomes_ = shapes::outcome_count(shapes_[a], shapes_[b], locations);
+      outcomes_ = shapes::outcome_count(shapes_[a], shapes_[b], writes_);
     } else {
       build_program();
       odometer_.assign(read_regs_.size(), 0);
@@ -186,9 +185,11 @@ namespace {
 // in-range-but-wrong stale cursors a real hazard); version 3 dropped
 // the program-class set from the payload (making every snapshot O(1)
 // words — serializing the growing set per chunk dominated the with-dep
-// stream's producer thread).  Older cursors are rejected, which
-// degrades a resume to a from-scratch run.
-constexpr std::uint64_t kCursorVersion = 3;
+// stream's producer thread); version 4 dropped the odometer's digits,
+// which are the outcome index in mixed radix.  Older cursors are
+// rejected, which degrades a resume to a from-scratch run.
+constexpr std::uint64_t kCursorVersion = 4;
+constexpr std::size_t kCursorWords = 11;
 }  // namespace
 
 bool ExhaustiveStream::snapshot_cursor(std::vector<std::uint64_t>& out) const {
@@ -204,23 +205,16 @@ bool ExhaustiveStream::snapshot_cursor(std::vector<std::uint64_t>& out) const {
   out.push_back(static_cast<std::uint64_t>(outcome_index_));
   out.push_back(static_cast<std::uint64_t>(emitted_.programs));
   out.push_back(static_cast<std::uint64_t>(emitted_.tests));
-  // The odometer only means anything while live (a finished program
-  // leaves it sized but dead); restore_cursor rejects a dead odometer
-  // with entries, so emit none.
-  out.push_back(odometer_live_ ? odometer_.size() : 0);
-  if (odometer_live_) {
-    for (const int v : odometer_) out.push_back(static_cast<std::uint64_t>(v));
-  }
   return true;
 }
 
 bool ExhaustiveStream::restore_cursor(
     const std::vector<std::uint64_t>& cursor) {
   const std::size_t n = shapes_.size();
-  // Validate the fixed-width prefix before touching any state.  The
+  // Validate the fixed-width words before touching any state.  The
   // digest word pins the cursor to this stream's exact space (bounds,
   // dep dimension, filter, shape-table size).
-  if (cursor.size() < 12 || cursor[0] != kCursorVersion ||
+  if (cursor.size() != kCursorWords || cursor[0] != kCursorVersion ||
       cursor[1] != cursor_digest_) {
     return false;
   }
@@ -228,11 +222,6 @@ bool ExhaustiveStream::restore_cursor(
   const bool live = (cursor[2] & 2ULL) != 0;
   if (cursor[3] > n || cursor[4] >= (n == 0 ? 1 : n)) return false;
   if (live && (cursor[5] >= n || cursor[6] >= n)) return false;
-  const std::uint64_t odo_len = cursor[11];
-  if (odo_len > cursor.size() ||
-      cursor.size() != 12 + static_cast<std::size_t>(odo_len)) {
-    return false;
-  }
 
   i_ = static_cast<std::size_t>(cursor[3]);
   j_ = static_cast<std::size_t>(cursor[4]);
@@ -266,16 +255,19 @@ bool ExhaustiveStream::restore_cursor(
   };
 
   if (live) {
+    // The odometer is the outcome index in mixed radix, digit 0 the
+    // fastest; a remainder past the last digit means the index is at or
+    // past the program's outcome count.
     build_program();
-    if (odo_len != read_regs_.size()) return reject();
-    odometer_.resize(read_regs_.size());
+    std::uint64_t rest = cursor[8];
+    odometer_.resize(read_domain_.size());
     for (std::size_t k = 0; k < odometer_.size(); ++k) {
-      const std::uint64_t v = cursor[12 + k];
-      if (v >= static_cast<std::uint64_t>(read_domain_[k])) return reject();
-      odometer_[k] = static_cast<int>(v);
+      const auto domain = static_cast<std::uint64_t>(read_domain_[k]);
+      odometer_[k] = static_cast<int>(rest % domain);
+      rest /= domain;
     }
+    if (rest != 0) return reject();
   } else {
-    if (odo_len != 0) return reject();
     odometer_.clear();
   }
   return true;
@@ -327,50 +319,43 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
     }
     if (k == odometer_.size()) odometer_live_ = false;
   }
-  if (repeat_ && odometer_live_) {
-    // The chunk ends inside an elided program: leave the odometer where
-    // building its tests would have, digit 0 the fastest, so the cursor
-    // is a full build's.  At most once per chunk.
-    build_program();
-    long long rest = outcome_index_;
-    odometer_.resize(read_domain_.size());
-    for (std::size_t k = 0; k < odometer_.size(); ++k) {
-      odometer_[k] = static_cast<int>(rest % read_domain_[k]);
-      rest /= read_domain_[k];
-    }
-  }
   return true;
 }
 
 ExhaustiveCounts ExhaustiveStream::count(const ExhaustiveOptions& options) {
   ExhaustiveCounts counts;
+  shapes::WriteCounts writes;
   for_each_shape_pair(options, [&](const shapes::ThreadShape& a,
                                    const shapes::ThreadShape& b) {
     ++counts.programs;
-    counts.tests = shapes::checked_add(
-        counts.tests,
-        shapes::outcome_count(a, b, options.bounds.num_locations));
+    counts.tests =
+        shapes::checked_add(counts.tests, shapes::outcome_count(a, b, writes));
   });
   return counts;
 }
 
-long long ExhaustiveStream::count_orbits(const ExhaustiveOptions& options) {
+ExhaustiveCounts ExhaustiveStream::count_orbits(
+    const ExhaustiveOptions& options) {
   // The filter keeps whole orbits (renaming locations or exchanging the
   // threads keeps two threads communicating), so a kept pair is least
   // among the kept pairs of its orbit iff it is least in it.
   const ExhaustiveStream stream(options);
-  const std::size_t n = stream.shapes_.size();
-  long long orbits = 0;
+  const auto& all = stream.shapes_;
+  const std::size_t n = all.size();
+  ExhaustiveCounts counts;
+  shapes::WriteCounts writes;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      if (options.communicating_only &&
-          !shapes::communicates(stream.shapes_[a], stream.shapes_[b])) {
+      if (options.communicating_only && !shapes::communicates(all[a], all[b])) {
         continue;
       }
-      if (stream.least_image(a, b) == a * n + b) ++orbits;
+      if (stream.least_image(a, b) != a * n + b) continue;
+      ++counts.programs;
+      counts.tests = shapes::checked_add(
+          counts.tests, shapes::outcome_count(all[a], all[b], writes));
     }
   }
-  return orbits;
+  return counts;
 }
 
 }  // namespace mcmc::enumeration

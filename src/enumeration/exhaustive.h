@@ -81,7 +81,7 @@ class ExhaustiveStream final : public engine::TestSource {
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override;
 
   /// Serializes the full generator position — shape-pair cursor,
-  /// odometer, and emitted counters — so a fresh stream with equal
+  /// outcome index, and emitted counters — so a fresh stream with equal
   /// options resumes bit-for-bit: same remaining tests, same chunk
   /// boundaries, same "x<p>.<o>" names, whether or not either stream
   /// elides.  O(1) words: the stream keeps no per-program history, so
@@ -94,8 +94,10 @@ class ExhaustiveStream final : public engine::TestSource {
   /// size), so a cursor from any differently-bounded stream is rejected
   /// outright — even when its raw indices would be in range here — and
   /// every field is additionally validated against this stream's shape
-  /// table.  Rejection resets to a fresh stream, so a stale cursor can
-  /// only cause a from-scratch run, never a diverged one.
+  /// table: the live program is built and the outcome index decoded
+  /// into its odometer, an index at or past its outcome count being
+  /// rejected.  Rejection resets to a fresh stream, so a stale cursor
+  /// can only cause a from-scratch run, never a diverged one.
   [[nodiscard]] bool restore_cursor(
       const std::vector<std::uint64_t>& cursor) override;
 
@@ -114,14 +116,16 @@ class ExhaustiveStream final : public engine::TestSource {
   /// drain of a fresh stream with these options would emit.
   [[nodiscard]] static ExhaustiveCounts count(const ExhaustiveOptions& options);
 
-  /// The programs a full drain of a fresh opted-in stream with these
-  /// options builds: the shape pairs least in their orbit under thread
-  /// exchange and location renaming, counted from the image table the
-  /// stream elides by, building nothing.  A pure function of the bounds
-  /// and the filter; on the bounded spaces it equals the number of
-  /// canonical program classes (pinned by the tests against a walk that
-  /// fingerprints every program).
-  [[nodiscard]] static long long count_orbits(const ExhaustiveOptions& options);
+  /// What a full drain of a fresh opted-in stream with these options
+  /// builds: the shape pairs least in their orbit under thread exchange
+  /// and location renaming, and their outcome tests, counted from the
+  /// image table the stream elides by, building nothing.  A pure
+  /// function of the bounds and the filter; on the bounded spaces its
+  /// programs equal the canonical program classes (pinned by the tests
+  /// against a walk that fingerprints every program).  With
+  /// communicating_only it is count_naive's reduced baseline.
+  [[nodiscard]] static ExhaustiveCounts count_orbits(
+      const ExhaustiveOptions& options);
 
  private:
   /// Advances (i_, j_) to the next program passing the filters and
@@ -152,7 +156,7 @@ class ExhaustiveStream final : public engine::TestSource {
   std::size_t cur_b_ = 0;
   bool exhausted_ = false;
   long long program_index_ = -1;  ///< 0-based index of the current program
-  long long outcome_index_ = 0;   ///< 0-based odometer position within it
+  long long outcome_index_ = 0;   ///< 0-based outcome index within it
   /// Stream position (i * shapes + j) of the first program this object
   /// started itself: it emitted every program from there on whole.
   std::size_t elide_from_ = 0;
@@ -166,7 +170,7 @@ class ExhaustiveStream final : public engine::TestSource {
   std::optional<litmus::LitmusTest> program_;
   std::vector<core::Reg> read_regs_;         // destination reg per read
   std::vector<int> read_domain_;             // 1 + writes to the read's loc
-  std::vector<int> odometer_;                // current outcome assignment
+  std::vector<int> odometer_;                // outcome_index_ in mixed radix
   shapes::WriteCounts writes_;               // per location, reused
   bool odometer_live_ = false;
 };

@@ -1,62 +1,29 @@
 #include "enumeration/naive.h"
 
 #include <string>
-#include <unordered_set>
 
 #include "enumeration/exhaustive.h"
 #include "enumeration/shapes.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace mcmc::enumeration {
 
 NaiveCounts count_naive(const NaiveOptions& options) {
-  NaiveCounts counts;
-
-  // Full-space totals come from the streaming enumerator's counting
-  // walk, so they agree with what ExhaustiveStream materializes by
-  // construction.
-  ExhaustiveOptions full;
-  full.bounds = options;
-  const ExhaustiveCounts space = ExhaustiveStream::count(full);
-  counts.programs = space.programs;
-  counts.tests = space.tests;
-
-  // Shape-level reduction (the CAV'10-style baseline): canonicalize
-  // communicating programs under location permutation and thread
-  // exchange.  This deliberately stops short of the engine's canonical
-  // keys — reduced_tests counts every outcome assignment of each
-  // canonical program, without merging outcomes that are images of each
-  // other under a program automorphism (canonical test keys,
+  // Both totals come from the streaming enumerator, so they agree with
+  // what ExhaustiveStream materializes by construction: the full space
+  // from its counting walk, the reduced one (the CAV'10-style baseline)
+  // from the orbit table it elides by, over the communicating pairs.
+  // The reduction deliberately stops short of the engine's canonical
+  // keys: reduced_tests counts every outcome assignment of each
+  // orbit-least program, without merging outcomes that are images of
+  // each other under a program automorphism (canonical test keys,
   // litmus::canonical_key, make that stronger reduction).
-  const auto shapes = shapes::all_thread_shapes(options);
-  const auto perms = shapes::location_permutations(options.num_locations);
-  std::unordered_set<std::string> canonical;
-
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    for (std::size_t j = 0; j < shapes.size(); ++j) {
-      if (!shapes::communicates(shapes[i], shapes[j])) continue;
-      // Canonical form: smallest encoding over location permutations and
-      // thread exchange.
-      std::string best;
-      for (const auto& perm : perms) {
-        for (const bool swap : {false, true}) {
-          const auto& first = swap ? shapes[j] : shapes[i];
-          const auto& second = swap ? shapes[i] : shapes[j];
-          std::string key = shapes::encode(first, perm) + "|" +
-                            shapes::encode(second, perm);
-          if (best.empty() || key < best) best = std::move(key);
-        }
-      }
-      if (canonical.insert(best).second) {
-        ++counts.reduced_programs;
-        counts.reduced_tests = shapes::checked_add(
-            counts.reduced_tests,
-            shapes::outcome_count(shapes[i], shapes[j], options.num_locations));
-      }
-    }
-  }
-  return counts;
+  ExhaustiveOptions space;
+  space.bounds = options;
+  const ExhaustiveCounts full = ExhaustiveStream::count(space);
+  space.communicating_only = true;
+  const ExhaustiveCounts reduced = ExhaustiveStream::count_orbits(space);
+  return {full.programs, full.tests, reduced.programs, reduced.tests};
 }
 
 std::vector<litmus::LitmusTest> sample_naive_tests(const NaiveOptions& options,

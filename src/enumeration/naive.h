@@ -15,9 +15,12 @@
 // permutation and thread exchange and keeps only programs where the
 // threads communicate.
 //
-// The counting here shares its generator core (shapes.h) with the
-// streaming materializer (exhaustive.h), which additionally measures the
-// stronger canonical-key reduction the VerdictEngine shares verdicts by.
+// The counting here takes both totals from the streaming materializer
+// (exhaustive.h): the full space from its counting walk, the reduced one
+// from the symmetry-orbit table the stream elides repeated programs by
+// (ExhaustiveStream::count_orbits over the communicating pairs).  The
+// engine's canonical keys make the stronger test-level reduction it
+// shares verdicts by.
 #pragma once
 
 #include <cstdint>

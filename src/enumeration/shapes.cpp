@@ -74,19 +74,21 @@ std::string encode(const ThreadShape& t, const std::vector<int>& loc_perm) {
 }
 
 long long outcome_count(const ThreadShape& a, const ThreadShape& b,
-                        int num_locations) {
-  std::vector<int> writes(static_cast<std::size_t>(num_locations), 0);
+                        WriteCounts& writes) {
+  writes.clear();
   for (const auto* t : {&a, &b}) {
     for (const auto& acc : *t) {
-      if (!acc.is_read) ++writes[static_cast<std::size_t>(acc.loc)];
+      if (acc.is_read) continue;
+      const auto at = static_cast<std::size_t>(acc.loc);
+      if (at >= writes.size()) writes.resize(at + 1, 0);
+      ++writes[at];
     }
   }
   long long count = 1;
   for (const auto* t : {&a, &b}) {
     for (const auto& acc : *t) {
       if (acc.is_read) {
-        count = checked_mul(count,
-                            1 + writes[static_cast<std::size_t>(acc.loc)]);
+        count = checked_mul(count, 1 + writes_to(writes, acc.loc));
       }
     }
   }

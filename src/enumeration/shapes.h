@@ -86,14 +86,6 @@ using ThreadShape = std::vector<Access>;
   return out;
 }
 
-/// Number of outcome assignments of the two-thread program (a, b): each
-/// read observes one of {initial} + {every write to its location}.  A
-/// dep-addressed read still targets its slot's location (the DepConst
-/// constant is the location), so the domain is unchanged by separators.
-[[nodiscard]] long long outcome_count(const ThreadShape& a,
-                                      const ThreadShape& b,
-                                      int num_locations);
-
 /// True if some location is written by one thread and accessed by the
 /// other (without this, the threads cannot observe each other at all).
 [[nodiscard]] bool communicates(const ThreadShape& a, const ThreadShape& b);
@@ -110,6 +102,17 @@ using WriteCounts = std::vector<int>;
   const auto at = static_cast<std::size_t>(loc);
   return at < counts.size() ? counts[at] : 0;
 }
+
+/// Number of outcome assignments of the two-thread program (a, b): each
+/// read observes one of {initial} + {every write to its location}.  A
+/// dep-addressed read still targets its slot's location (the DepConst
+/// constant is the location), so the domain is unchanged by separators.
+/// `writes` is reset and left holding each written location's write
+/// count, as materialize_pair leaves it, so a reused table allocates
+/// nothing.
+[[nodiscard]] long long outcome_count(const ThreadShape& a,
+                                      const ThreadShape& b,
+                                      WriteCounts& writes);
 
 /// Materializes a shape: writes store 1, 2, ... per location (continuing
 /// `values`, which is shared across the program's threads), reads load

@@ -102,10 +102,13 @@ bool Server::start(std::string* error) {
     auto opened = store::VerdictStore::open(options_.store_path, meta);
     store_ = std::move(opened.store);
   }
+  store_want_.assign(store_->words_per_row(), 0);
   for (const auto& model : models_) {
     const int col = store_->column_of(store::model_store_key(model));
     if (col < 0) return fail("served model has no store column");
     store_cols_.push_back(col);
+    store_want_[static_cast<std::size_t>(col) / 64] |=
+        1ULL << (static_cast<std::size_t>(col) % 64);
   }
 
   engine_ = std::make_unique<engine::VerdictEngine>(options_.engine);
@@ -326,19 +329,44 @@ Response Server::handle_request(Connection& conn, const Request& request) {
   }
 }
 
-bool Server::store_row(const util::Key128& key, VerdictRowWire& row) {
-  row.num_models = static_cast<std::uint32_t>(models_.size());
-  std::vector<std::uint64_t> bits;
-  if (!store_->probe_row(key, store_cols_, bits)) {
-    row.source = VerdictSource::kUnknown;
-    row.valid.assign(row_words(models_.size()), 0);
-    row.bits.assign(row_words(models_.size()), 0);
-    return false;
+std::uint64_t Server::store_rows(const std::vector<util::Key128>& keys,
+                                 std::vector<VerdictRowWire>& rows) const {
+  const store::VerdictStore& vstore = *store_;
+  const std::size_t words = vstore.words_per_row();
+  std::vector<std::uint64_t> valid(keys.size() * words);
+  std::vector<std::uint64_t> bits(keys.size() * words);
+  {
+    util::SharedLock lock(vstore.mu());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      vstore.probe_words_locked(keys[i], store_want_.data(), &valid[i * words],
+                                &bits[i * words]);
+    }
   }
-  row.source = VerdictSource::kStore;
-  row.valid = full_valid(models_.size());
-  row.bits = std::move(bits);
-  return true;
+  const std::vector<std::uint64_t> none(row_words(models_.size()), 0);
+  const std::vector<std::uint64_t> all = full_valid(models_.size());
+  std::uint64_t served = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t* row_valid = &valid[i * words];
+    const std::uint64_t* row_bits = &bits[i * words];
+    bool stored = true;
+    for (std::size_t w = 0; w < words; ++w) {
+      stored = stored && (row_valid[w] & store_want_[w]) == store_want_[w];
+    }
+    VerdictRowWire& row = rows[i];
+    row.source = stored ? VerdictSource::kStore : VerdictSource::kUnknown;
+    row.num_models = static_cast<std::uint32_t>(models_.size());
+    row.valid = stored ? all : none;
+    row.bits = none;
+    if (!stored) continue;
+    ++served;
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      const auto col = static_cast<std::size_t>(store_cols_[m]);
+      if ((row_bits[col / 64] >> (col % 64) & 1) != 0) {
+        row.bits[m / 64] |= 1ULL << (m % 64);
+      }
+    }
+  }
+  return served;
 }
 
 Response Server::handle_probe(Connection& conn, const Request& request) {
@@ -347,11 +375,8 @@ Response Server::handle_probe(Connection& conn, const Request& request) {
       request.type == MsgType::kProbe ? single : request.keys;
   Response response;
   response.id = request.id;
-  std::uint64_t hits = 0;
   std::vector<VerdictRowWire> rows(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (store_row(keys[i], rows[i])) ++hits;
-  }
+  const std::uint64_t hits = store_rows(keys, rows);
   probes_.fetch_add(keys.size(), std::memory_order_relaxed);
   probe_store_hits_.fetch_add(hits, std::memory_order_relaxed);
   probe_unknown_.fetch_add(keys.size() - hits, std::memory_order_relaxed);
@@ -386,20 +411,21 @@ Response Server::handle_check(Connection& conn, const Request& request) {
   }
 
   checks_.fetch_add(tests.size(), std::memory_order_relaxed);
-  std::vector<VerdictRowWire> rows(tests.size());
+  std::vector<util::Key128> keys;
+  keys.reserve(tests.size());
   litmus::KeyScratch scratch;
+  for (const auto& test : tests) {
+    keys.push_back(litmus::canonical_fingerprint(test, scratch));
+  }
+  std::vector<VerdictRowWire> rows(tests.size());
+  const std::uint64_t hits = store_rows(keys, rows);
   WorkItem item;
   std::vector<std::size_t> miss_at;
-  std::uint64_t hits = 0;
   for (std::size_t i = 0; i < tests.size(); ++i) {
-    const util::Key128 key = litmus::canonical_fingerprint(tests[i], scratch);
-    if (store_row(key, rows[i])) {
-      ++hits;
-    } else {
-      miss_at.push_back(i);
-      item.tests.push_back(tests[i]);
-      item.keys.push_back(key);
-    }
+    if (rows[i].source == VerdictSource::kStore) continue;
+    miss_at.push_back(i);
+    item.tests.push_back(std::move(tests[i]));
+    item.keys.push_back(keys[i]);
   }
   check_store_hits_.fetch_add(hits, std::memory_order_relaxed);
   conn.store_rows.fetch_add(hits, std::memory_order_relaxed);

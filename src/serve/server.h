@@ -6,8 +6,10 @@
 // flag), and answers the serve/protocol.h request types:
 //
 //   * probe (by canonical fingerprint) — answered straight from the
-//     store under its shared-read contract, engine untouched; a miss
-//     is kUnknown, never computed (a fingerprint is not a test).
+//     store under its shared-read contract, engine untouched; a row
+//     that lacks any served column (the Theorem-1 harness stores only
+//     the two extremes for most classes) or no row at all is kUnknown,
+//     never computed (a fingerprint is not a test).
 //   * check (litmus source) — a test over kMaxCheckEvents events is
 //     refused (kBadRequest); the reader thread fingerprints each test
 //     once (canonically) and answers store hits without the engine;
@@ -22,9 +24,10 @@
 // pipe), one reader thread per connection (decodes requests, serves
 // store hits inline, blocks on a future for queued work, writes its
 // own socket — single writer per fd), one batcher thread (the only
-// engine user and the only store appender).  Store probes from reader
-// threads and appends from the batcher ride the VerdictStore
-// reader-writer contract with no extra locking.
+// engine user and the only store appender).  A reader probes all of a
+// request's fingerprints under one shared hold of the store's lock
+// (VerdictStore::probe_words_locked); the batcher's run_rows writes
+// under the exclusive one.  No other locking guards the store.
 //
 // Shutdown: request_stop() (SIGTERM in litmusd) closes the listeners,
 // lets queued work finish (novel requests arriving after the flag get
@@ -130,8 +133,13 @@ class Server {
   [[nodiscard]] Response handle_stats(const Connection& conn,
                                       std::uint64_t id);
 
-  /// Store lookup of one fingerprint across the served model columns.
-  [[nodiscard]] bool store_row(const util::Key128& key, VerdictRowWire& row);
+  /// Answers `keys` from the store, probed under one shared hold: a
+  /// key whose row holds every served column is kStore with its bits in
+  /// served-model order, any other kUnknown with zero words.  Returns
+  /// the number served.
+  [[nodiscard]] std::uint64_t store_rows(
+      const std::vector<util::Key128>& keys,
+      std::vector<VerdictRowWire>& rows) const;
 
   /// Enqueues novel tests; false leaves `code` at the refusal reason.
   [[nodiscard]] bool enqueue(WorkItem&& item, ErrorCode& code);
@@ -144,6 +152,7 @@ class Server {
   std::vector<core::MemoryModel> models_;
   std::vector<std::string> model_names_;
   std::vector<int> store_cols_;  ///< store column per served model
+  std::vector<std::uint64_t> store_want_;  ///< store_cols_ as a row mask
   std::unique_ptr<store::VerdictStore> store_;
   std::unique_ptr<engine::VerdictEngine> engine_;
   /// The served models bound to store_ for the batcher's run_rows.

@@ -1,5 +1,6 @@
 #include "store/verdict_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -332,52 +333,6 @@ void VerdictStore::mark_dirty(std::uint32_t row) {
   dirty_.push_back(row);
 }
 
-std::optional<bool> VerdictStore::probe_bit_locked(util::Key128 test,
-                                                   int col) const {
-  MCMC_CHECK_MSG(col >= 0 && col < num_models(), "store column out of range");
-  const std::uint32_t row = find(test);
-  if (row != kNoRow) {
-    const std::size_t base = static_cast<std::size_t>(row) * words_;
-    const std::size_t word = static_cast<std::size_t>(col) / 64;
-    const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(col) % 64);
-    if ((valid_[base + word] & mask) != 0) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return (bits_[base + word] & mask) != 0;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-bool VerdictStore::probe_row_locked(util::Key128 test,
-                                    const std::vector<int>& cols,
-                                    std::vector<std::uint64_t>& out) const {
-  out.assign((cols.size() + 63) / 64, 0);
-  const std::uint32_t row = find(test);
-  if (row != kNoRow) {
-    const std::size_t base = static_cast<std::size_t>(row) * words_;
-    bool all = true;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      const int col = cols[i];
-      MCMC_CHECK_MSG(col >= 0 && col < num_models(),
-                     "store column out of range");
-      const std::size_t word = static_cast<std::size_t>(col) / 64;
-      const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(col) % 64);
-      if ((valid_[base + word] & mask) == 0) {
-        all = false;
-        break;
-      }
-      if ((bits_[base + word] & mask) != 0) out[i / 64] |= 1ULL << (i % 64);
-    }
-    if (all) {
-      hits_.fetch_add(cols.size(), std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(cols.size(), std::memory_order_relaxed);
-  return false;
-}
-
 void VerdictStore::probe_words_locked(util::Key128 test,
                                       const std::uint64_t* want,
                                       std::uint64_t* valid,
@@ -397,16 +352,16 @@ void VerdictStore::probe_words_locked(util::Key128 test,
   if (miss != 0) misses_.fetch_add(miss, std::memory_order_relaxed);
 }
 
-void VerdictStore::write_row_locked(util::Key128 test,
-                                    const std::uint64_t* mask,
-                                    const std::uint64_t* bits) {
-  bool any = false;
-  for (std::size_t w = 0; w < words_; ++w) any = any || mask[w] != 0;
-  if (!any) return;
+void VerdictStore::write_words(util::Key128 test, std::size_t first,
+                               std::size_t count, const std::uint64_t* mask,
+                               const std::uint64_t* bits) {
+  if (std::all_of(mask, mask + count, [](std::uint64_t m) { return m == 0; })) {
+    return;
+  }
   const std::uint32_t row = row_of(test);
-  const std::size_t base = static_cast<std::size_t>(row) * words_;
+  const std::size_t base = static_cast<std::size_t>(row) * words_ + first;
   bool changed = false;
-  for (std::size_t w = 0; w < words_; ++w) {
+  for (std::size_t w = 0; w < count; ++w) {
     const std::uint64_t valid = valid_[base + w] | mask[w];
     const std::uint64_t value =
         (bits_[base + w] & ~mask[w]) | (bits[w] & mask[w]);
@@ -419,24 +374,17 @@ void VerdictStore::write_row_locked(util::Key128 test,
   if (changed) mark_dirty(row);
 }
 
-void VerdictStore::set_bit_locked(util::Key128 test, int col, bool verdict) {
-  MCMC_CHECK_MSG(col >= 0 && col < num_models(), "store column out of range");
-  const std::uint32_t row = row_of(test);
-  const std::size_t word = static_cast<std::size_t>(col) / 64;
-  const std::size_t at = static_cast<std::size_t>(row) * words_ + word;
-  const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(col) % 64);
-  const std::uint64_t value = verdict ? bits_[at] | mask : bits_[at] & ~mask;
-  if ((valid_[at] & mask) != 0 && value == bits_[at]) return;  // no change
-  valid_[at] |= mask;
-  bits_[at] = value;
-  mark_dirty(row);
+void VerdictStore::write_row_locked(util::Key128 test,
+                                    const std::uint64_t* mask,
+                                    const std::uint64_t* bits) {
+  write_words(test, 0, words_, mask, bits);
 }
 
-void VerdictStore::set_checkpoint(StreamCheckpoint ck) {
-  util::ExclusiveLock lock(mu_);
-  checkpoint_ = std::move(ck);
-  committed_keys_ = 0;
-  checkpoint_dirty_ = true;
+void VerdictStore::set_bit_locked(util::Key128 test, int col, bool verdict) {
+  MCMC_CHECK_MSG(col >= 0 && col < num_models(), "store column out of range");
+  const std::uint64_t mask = 1ULL << (static_cast<std::size_t>(col) % 64);
+  const std::uint64_t bits = verdict ? mask : 0;
+  write_words(test, static_cast<std::size_t>(col) / 64, 1, &mask, &bits);
 }
 
 void VerdictStore::extend_checkpoint(StreamCheckpoint next) {

@@ -55,14 +55,16 @@
 //
 // Thread-safety: shared read, serialized append/commit — and the
 // contract is compile-time checked.  The store's reader-writer lock is
-// exposed as mu(); the `_locked` methods carry REQUIRES_SHARED (probes)
-// or REQUIRES (appends) on it, so Clang Thread Safety Analysis rejects
-// a probe without at least a shared hold and an append without the
-// exclusive hold.  The convenience wrappers (probe_bit, probe_row,
-// set_bit, checkpoint accessors) are EXCLUDES(mu()): they take the
-// right lock themselves, one call at a time.  Batch writers (the
-// engine's write-back) hold one util::ExclusiveLock over mu() and call
-// write_row_locked per row — one acquisition per batch.
+// exposed as mu(); the data path is one probe, probe_words_locked,
+// which carries REQUIRES_SHARED on it, and one write, write_row_locked,
+// which carries REQUIRES (set_bit_locked is a one-column form of it),
+// so Clang Thread Safety Analysis rejects a probe without at least a
+// shared hold and a write without the exclusive hold.  There are no
+// lock-taking wrappers around them: every caller batches, holding one
+// util::SharedLock over mu() for all of its probes (the engine's row
+// path, litmusd's readers) or one util::ExclusiveLock for all of its
+// writes (the engine's write-back).  Only the checkpoint accessors and
+// the size counters take the lock themselves (EXCLUDES(mu())).
 //
 // Any number of threads may probe concurrently — litmusd's
 // per-connection readers do exactly that — while appends serialize
@@ -282,61 +284,28 @@ class VerdictStore {
     return mu_;
   }
 
-  // ---- The locking contract, in the types: probes require at least a
-  // shared hold of mu(), appends require the exclusive hold. ----
+  // ---- The locking contract, in the types: the probe requires at least
+  // a shared hold of mu(), the writes require the exclusive hold. ----
 
-  /// The verdict bit of (test, column), if present.  Counts one cell
-  /// hit or miss.
-  [[nodiscard]] std::optional<bool> probe_bit_locked(util::Key128 test,
-                                                     int col) const
-      REQUIRES_SHARED(mu_);
-
-  /// Full-row probe: true iff every column in `cols` is present, in
-  /// which case bit i of `out` (indexed like `cols`) is column
-  /// cols[i]'s verdict.  Counts |cols| hits on success, |cols| misses
-  /// otherwise.
-  [[nodiscard]] bool probe_row_locked(util::Key128 test,
-                                      const std::vector<int>& cols,
-                                      std::vector<std::uint64_t>& out) const
-      REQUIRES_SHARED(mu_);
-
-  /// Row-level probe with one index lookup: copies `test`'s validity
-  /// and verdict words (words_per_row() each, zeros when the row is
-  /// absent) into `valid` and `bits`, and counts one hit per column set
-  /// in `want` that is valid and one miss per column that is not.
+  /// The store's one probe, with one index lookup: copies `test`'s
+  /// validity and verdict words (words_per_row() each, zeros when the
+  /// row is absent) into `valid` and `bits`, and counts one hit per
+  /// column set in `want` that is valid and one miss per column that is
+  /// not.
   void probe_words_locked(util::Key128 test, const std::uint64_t* want,
                           std::uint64_t* valid, std::uint64_t* bits) const
       REQUIRES_SHARED(mu_);
 
-  /// Row-level write-back with one index lookup: every column set in
+  /// The store's one write, with one index lookup: every column set in
   /// `mask` (words_per_row() words) becomes valid with its bit from
   /// `bits`; other columns keep their state.  The row is marked dirty —
   /// at most once until the next commit — only if a bit changed.
   void write_row_locked(util::Key128 test, const std::uint64_t* mask,
                         const std::uint64_t* bits) REQUIRES(mu_);
 
-  /// Appends (or overwrites) one verdict bit.
+  /// write_row_locked with the one column `col` in its mask, for a
+  /// writer that holds one verdict at a time.
   void set_bit_locked(util::Key128 test, int col, bool verdict) REQUIRES(mu_);
-
-  // ---- Lock-taking wrappers: one acquisition per call. ----
-
-  [[nodiscard]] std::optional<bool> probe_bit(util::Key128 test, int col) const
-      EXCLUDES(mu_) {
-    util::SharedLock lock(mu_);
-    return probe_bit_locked(test, col);
-  }
-
-  [[nodiscard]] bool probe_row(util::Key128 test, const std::vector<int>& cols,
-                               std::vector<std::uint64_t>& out) const
-      EXCLUDES(mu_) {
-    util::SharedLock lock(mu_);
-    return probe_row_locked(test, cols, out);
-  }
-
-  void set_bit(util::Key128 test, int col, bool verdict) EXCLUDES(mu_) {
-    util::ExclusiveLock lock(mu_);
-    set_bit_locked(test, col, verdict);
-  }
 
   /// Cell-level accounting since construction: the store hit rate
   /// bench_exhaustive reports is hits / (hits + misses).  Counted with
@@ -357,14 +326,12 @@ class VerdictStore {
     util::SharedLock lock(mu_);
     return checkpoint_;
   }
-  /// Replaces the checkpoint wholesale (the next segment then carries
-  /// its whole key list).
-  void set_checkpoint(StreamCheckpoint ck) EXCLUDES(mu_);
   /// Seals an incremental checkpoint: `next`'s counters, cursor and
   /// sink blob replace the current ones, and `next.seen_keys` — the
   /// dedup keys claimed since the previous seal, in claim order — are
   /// appended to the current key list (a fresh checkpoint starts
-  /// empty).  The next segment carries only the appended keys.
+  /// empty).  The next segment carries only the appended keys, or the
+  /// whole list after a clear_checkpoint.
   void extend_checkpoint(StreamCheckpoint next) EXCLUDES(mu_);
   void clear_checkpoint() EXCLUDES(mu_);
 
@@ -408,6 +375,13 @@ class VerdictStore {
   /// `test`'s row, appended (with empty columns) if absent.
   [[nodiscard]] std::uint32_t row_of(util::Key128 test) REQUIRES(mu_);
   void mark_dirty(std::uint32_t row) REQUIRES(mu_);
+  /// The row update behind both writes: words [first, first + count)
+  /// of `test`'s row take the columns set in `mask` (count words) with
+  /// their bits from `bits`, appending the row if it is absent; marks
+  /// the row dirty if a bit changed.
+  void write_words(util::Key128 test, std::size_t first, std::size_t count,
+                   const std::uint64_t* mask, const std::uint64_t* bits)
+      REQUIRES(mu_);
   /// Serializes the whole store as a base of generation `generation`
   /// and clears the change tracking (the base carries everything).
   [[nodiscard]] std::string capture_base(std::uint64_t generation)

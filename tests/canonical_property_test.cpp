@@ -453,7 +453,9 @@ TEST(CanonicalProperty, TinySpaceClassCountsAreExact) {
   tiny.bounds = {2, 1, false};
   tiny.communicating_only = true;
   EXPECT_EQ(canonical_program_classes(tiny), 18);
-  EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(tiny), 18);
+  const auto orbits = enumeration::ExhaustiveStream::count_orbits(tiny);
+  EXPECT_EQ(orbits.programs, 18);
+  EXPECT_EQ(orbits.tests, 86);
   EXPECT_EQ(canonical_test_classes(tiny), 80);
   const auto naive = enumeration::count_naive(tiny.bounds);
   EXPECT_EQ(naive.reduced_programs, 18);

@@ -15,6 +15,7 @@
 #include "engine/test_stream.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
+#include "enumeration/shapes.h"
 #include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
@@ -84,6 +85,10 @@ TEST(ExhaustiveStream, FullSpaceCountsMatchNaiveCounts) {
   EXPECT_EQ(counts.tests, naive.tests);
   EXPECT_EQ(counts.programs, 887364);
   EXPECT_EQ(counts.tests, 5160270);
+  // The CAV'10-style baseline of Section 3.4: orbit-least communicating
+  // programs and their outcome tests.
+  EXPECT_EQ(naive.reduced_programs, 64329);
+  EXPECT_EQ(naive.reduced_tests, 417544);
 }
 
 TEST(ExhaustiveStream, DepSliceMaterializationMatchesCountingWalk) {
@@ -123,12 +128,14 @@ TEST(ExhaustiveStream, DepFullSpaceCountsMatchNaiveCounts) {
   EXPECT_EQ(counts.tests, naive.tests);
   EXPECT_EQ(counts.programs, 4235364);
   EXPECT_EQ(counts.tests, 25435926);
+  EXPECT_EQ(naive.reduced_programs, 286857);
+  EXPECT_EQ(naive.reduced_tests, 2036323);
 }
 
 TEST(ExhaustiveStream, CursorIsRejectedAcrossDepBoundaryChanges) {
   // A checkpoint cursor saved against one enumeration space must never
   // be adopted by a stream over a different one: the same (i, j,
-  // odometer) coordinates name a different program there, so a resume
+  // outcome index) coordinates name a different program there, so a resume
   // would silently skip part of the space.  The cursor carries an
   // options digest; restore must fail cleanly in both directions and
   // leave the stream in a usable from-scratch state.
@@ -159,6 +166,53 @@ TEST(ExhaustiveStream, CursorIsRejectedAcrossDepBoundaryChanges) {
   chunk.clear();
   while (fresh.next_chunk(chunk)) chunk.clear();
   EXPECT_EQ(fresh.emitted().tests, 28470);
+}
+
+TEST(ExhaustiveStream, CursorOutcomeIndexMustLieInsideTheLiveProgram) {
+  // A cursor that lands inside a program carries the outcome index
+  // within it (word 8; words 5 and 6 are the program's shape pair, word
+  // 2 bit 1 says it has outcomes left), and the restore decodes the
+  // index into the program's odometer: the last outcome resumes on that
+  // outcome's test, one past it is rejected.
+  enumeration::ExhaustiveOptions options = dep_slice_options();
+  options.chunk_size = 1;
+  enumeration::ExhaustiveStream stream(options);
+  std::vector<litmus::LitmusTest> chunk;
+  std::vector<std::uint64_t> cursor;
+  do {
+    chunk.clear();
+    ASSERT_TRUE(stream.next_chunk(chunk));
+    ASSERT_TRUE(stream.snapshot_cursor(cursor));
+  } while ((cursor[2] & 2) == 0);
+  const auto all = enumeration::shapes::all_thread_shapes(options.bounds);
+  enumeration::shapes::WriteCounts writes;
+  const auto outcomes =
+      static_cast<std::uint64_t>(enumeration::shapes::outcome_count(
+          all[cursor[5]], all[cursor[6]], writes));
+  ASSERT_GT(outcomes, 1u);
+
+  std::vector<std::uint64_t> last = cursor;
+  last[8] = outcomes - 1;
+  enumeration::ExhaustiveStream resumed(options);
+  ASSERT_TRUE(resumed.restore_cursor(last));
+  std::vector<litmus::LitmusTest> resumed_chunk;
+  ASSERT_TRUE(resumed.next_chunk(resumed_chunk));
+  const std::string name = "x" + std::to_string(cursor[7]) + "." +
+                           std::to_string(outcomes - 1);
+  do {
+    chunk.clear();
+    ASSERT_TRUE(stream.next_chunk(chunk));
+  } while (chunk.front().name() != name);
+  EXPECT_EQ(resumed_chunk.front().to_string(), chunk.front().to_string());
+
+  std::vector<std::uint64_t> past = cursor;
+  past[8] = outcomes;
+  enumeration::ExhaustiveStream rejected(options);
+  EXPECT_FALSE(rejected.restore_cursor(past));
+  // Reset, not wedged: the next test is the space's first.
+  chunk.clear();
+  ASSERT_TRUE(rejected.next_chunk(chunk));
+  EXPECT_EQ(chunk.front().name(), "x0.0");
 }
 
 TEST(ExhaustiveStream, ProgramClassesCountedFromTheSpaceMatchTheStream) {
@@ -206,7 +260,8 @@ TEST(ExhaustiveStream, ProgramClassesCountedFromTheSpaceMatchTheStream) {
     EXPECT_EQ(programs, stream.emitted().programs);
     const long long counted = canonical_program_classes(c.options);
     EXPECT_EQ(counted, static_cast<long long>(classes.size()));
-    EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(c.options), counted);
+    EXPECT_EQ(enumeration::ExhaustiveStream::count_orbits(c.options).programs,
+              counted);
     EXPECT_LT(counted, programs);
     if (c.expected >= 0) {
       EXPECT_EQ(counted, c.expected);

@@ -11,8 +11,9 @@
 // file degrades to recomputation with identical verdicts (the PR-7
 // quarantine path, end to end), garbage bytes on the socket never
 // take the server down, a test over the event bound is refused before
-// it reaches the engine, and verdicts filled into a row that already
-// existed are committed periodically, surviving a SIGKILL.
+// it reaches the engine, verdicts filled into a row that already
+// existed are committed periodically, surviving a SIGKILL, and a batch
+// probe serves a row only when it holds every served column.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -37,6 +38,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "store/verdict_store.h"
+#include "store_cells.h"
 
 namespace mcmc::serve {
 namespace {
@@ -206,8 +208,8 @@ TEST_F(ServeE2E, InPlaceVerdictsAreCommittedAndSurviveSigkill) {
       litmus::canonical_fingerprint(litmus::parse_test(kSbTest), scratch);
   {
     store::VerdictStore warm(meta);
-    warm.set_bit(key, 0, true);   // F = false allows SB
-    warm.set_bit(key, 1, false);  // F = true forbids it
+    set_cell(warm, key, 0, true);   // F = false allows SB
+    set_cell(warm, key, 1, false);  // F = true forbids it
     ASSERT_TRUE(warm.save(store_path_));
   }
 
@@ -236,7 +238,7 @@ TEST_F(ServeE2E, InPlaceVerdictsAreCommittedAndSurviveSigkill) {
   ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded) << opened.detail;
   ASSERT_EQ(opened.store->size(), 1u);
   for (int col = 0; col < meta.num_models(); ++col) {
-    EXPECT_TRUE(opened.store->probe_bit(key, col).has_value()) << col;
+    EXPECT_TRUE(probe_cell(*opened.store, key, col).has_value()) << col;
   }
 }
 
@@ -253,6 +255,71 @@ TEST_F(ServeE2E, UnknownFingerprintProbeNeverComputes) {
   ASSERT_TRUE(client.stats(stats, &error)) << error;
   EXPECT_EQ(stats[kStatProbeUnknown], 1u);
   EXPECT_EQ(stats[kStatCheckComputed], 0u);
+  EXPECT_EQ(stats[kStatBatchesCoalesced], 0u);
+  terminate_cleanly();
+}
+
+TEST_F(ServeE2E, BatchProbeServesOnlyRowsHoldingEveryServedColumn) {
+  // One batch probe over three stored states: a row holding every
+  // served column, a row holding only the two extremes columns (what
+  // the Theorem-1 harness writes for most classes), and no row.  Only
+  // the first is served; the partial row is as unknown as the absent
+  // one, and neither leaks a column.
+  std::vector<core::MemoryModel> models;
+  for (const auto& choices : explore::model_space(true)) {
+    models.push_back(choices.to_model());
+  }
+  const auto sb = litmus::parse_test(kSbTest);
+  const auto partial = slice_tests(1).front();
+  litmus::KeyScratch scratch;
+  const util::Key128 full_key = litmus::canonical_fingerprint(sb, scratch);
+  const util::Key128 partial_key =
+      litmus::canonical_fingerprint(partial, scratch);
+  ASSERT_NE(full_key, partial_key);
+  engine::EngineOptions oracle_options;
+  oracle_options.cache_enabled = false;
+  engine::VerdictEngine oracle(oracle_options);
+  const engine::BitMatrix want = oracle.run_matrix(models, {sb});
+  std::vector<std::uint64_t> want_valid((models.size() + 63) / 64, 0);
+  std::vector<std::uint64_t> want_bits(want_valid.size(), 0);
+  {
+    store::VerdictStore warm(explore::harness_store_meta(models));
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const bool allowed = want.get(static_cast<int>(m), 0);
+      want_valid[m / 64] |= 1ULL << (m % 64);
+      if (allowed) want_bits[m / 64] |= 1ULL << (m % 64);
+      set_cell(warm, full_key,
+               warm.column_of(store::model_store_key(models[m])), allowed);
+    }
+    set_cell(warm, partial_key, 0, true);
+    set_cell(warm, partial_key, 1, false);
+    ASSERT_TRUE(warm.save(store_path_));
+  }
+
+  spawn();
+  Client client = connect();
+  std::string error;
+  Request request;
+  request.type = MsgType::kBatchProbe;
+  request.keys = {full_key, partial_key, {0x1234, 0x5678}};
+  Response response;
+  ASSERT_TRUE(client.call(request, response, &error)) << error;
+  ASSERT_EQ(response.type, MsgType::kVerdictRows);
+  ASSERT_EQ(response.rows.size(), 3u);
+  EXPECT_EQ(response.rows[0].source, VerdictSource::kStore);
+  EXPECT_EQ(response.rows[0].valid, want_valid);
+  EXPECT_EQ(response.rows[0].bits, want_bits);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(response.rows[i].source, VerdictSource::kUnknown) << i;
+    for (std::uint64_t word : response.rows[i].valid) EXPECT_EQ(word, 0u) << i;
+    for (std::uint64_t word : response.rows[i].bits) EXPECT_EQ(word, 0u) << i;
+  }
+
+  std::vector<std::uint64_t> stats;
+  ASSERT_TRUE(client.stats(stats, &error)) << error;
+  EXPECT_EQ(stats[kStatProbes], 3u);
+  EXPECT_EQ(stats[kStatProbeStoreHits], 1u);
+  EXPECT_EQ(stats[kStatProbeUnknown], 2u);
   EXPECT_EQ(stats[kStatBatchesCoalesced], 0u);
   terminate_cleanly();
 }

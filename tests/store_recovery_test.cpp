@@ -19,6 +19,7 @@
 #include "explore/space.h"
 #include "store/fs.h"
 #include "store/verdict_store.h"
+#include "store_cells.h"
 
 namespace mcmc {
 namespace {
@@ -214,6 +215,34 @@ class StoreRecovery : public ::testing::Test {
     expect_one_clean_file();
   }
 
+  /// Rewrites the checkpoint a kill left at path_ through `edit`,
+  /// saving the result as a new base.
+  template <typename Edit>
+  void rewrite_checkpoint(Edit&& edit) {
+    auto opened = store::VerdictStore::open(
+        path_, explore::harness_store_meta(ninety_models()));
+    ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded);
+    std::optional<store::StreamCheckpoint> ck = opened.store->checkpoint();
+    ASSERT_TRUE(ck.has_value());
+    edit(*ck);
+    opened.store->clear_checkpoint();
+    opened.store->extend_checkpoint(*ck);
+    std::string error;
+    ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
+  }
+
+  /// Resumes path_ and expects the checkpoint to be refused: the whole
+  /// slice re-streamed, the reference reached, one clean file left.
+  void expect_full_restream() {
+    const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
+    ASSERT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
+    expect_matches_reference(resumed);
+    EXPECT_EQ(resumed.tests_delivered,
+              reference().report.stream.tests_streamed);
+    expect_one_clean_file();
+  }
+
   /// A finished run leaves exactly the base, with no checkpoint.
   void expect_one_clean_file() {
     EXPECT_EQ(segment_files(), 0);
@@ -314,27 +343,26 @@ TEST_F(StoreRecovery, KillAfterEverySealResumesBitForBit) {
 // sink and re-stream the whole slice rather than misread it.
 TEST_F(StoreRecovery, VersionTwoSinkIsRejectedAndTheSliceRestreamed) {
   (void)kill_after(2);
-  {
-    auto opened = store::VerdictStore::open(
-        path_, explore::harness_store_meta(ninety_models()));
-    ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded);
-    std::optional<store::StreamCheckpoint> ck = opened.store->checkpoint();
-    ASSERT_TRUE(ck.has_value());
-    ASSERT_FALSE(ck->sink_state.empty());
-    EXPECT_EQ(ck->sink_state[0], 3u);
-    ck->sink_state[0] = 2;
-    ck->sink_state.push_back(0);  // an empty version-2 extra section
-    opened.store->set_checkpoint(*ck);
-    std::string error;
-    ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
-  }
-  const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
-  ASSERT_FALSE(resumed.interrupted);
-  EXPECT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
-  expect_matches_reference(resumed);
-  EXPECT_EQ(resumed.tests_delivered,
-            reference().report.stream.tests_streamed);
-  expect_one_clean_file();
+  rewrite_checkpoint([](store::StreamCheckpoint& ck) {
+    ASSERT_FALSE(ck.sink_state.empty());
+    EXPECT_EQ(ck.sink_state[0], 3u);
+    ck.sink_state[0] = 2;
+    ck.sink_state.push_back(0);  // an empty version-2 extra section
+  });
+  expect_full_restream();
+}
+
+// Stale-format class: a stream cursor of version 3, the layout that
+// carried the outcome odometer's digits.  The stream must refuse it
+// and the run re-stream the whole slice rather than misread it.
+TEST_F(StoreRecovery, VersionThreeCursorIsRejectedAndTheSliceRestreamed) {
+  (void)kill_after(2);
+  rewrite_checkpoint([](store::StreamCheckpoint& ck) {
+    ASSERT_FALSE(ck.source_cursor.empty());
+    EXPECT_EQ(ck.source_cursor[0], 4u);
+    ck.source_cursor[0] = 3;
+  });
+  expect_full_restream();
 }
 
 // Corruption class: a bit flip in a middle segment of a chain a kill
@@ -519,7 +547,7 @@ TEST_F(StoreRecovery, StaleZooFingerprintSelfInvalidates) {
     util::Key128 key;
     key.hi = 1;
     key.lo = 2;
-    opened.store->set_bit(key, 0, true);
+    set_cell(*opened.store, key, 0, true);
     std::string error;
     ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
   }

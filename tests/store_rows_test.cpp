@@ -29,6 +29,7 @@
 #include "models/special_fence.h"
 #include "store/fs.h"
 #include "store/verdict_store.h"
+#include "store_cells.h"
 #include "util/hash128.h"
 #include "util/mutex.h"
 
@@ -393,7 +394,7 @@ TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
         const int col = vstore.column_of(
             store::model_store_key(models[static_cast<std::size_t>(m)]));
         ASSERT_GE(col, 0) << label;
-        EXPECT_EQ(vstore.probe_bit(keys[static_cast<std::size_t>(t)], col),
+        EXPECT_EQ(probe_cell(vstore, keys[static_cast<std::size_t>(t)], col),
                   std::optional<bool>(want.get(m, t)))
             << label << ": model " << m << ", test " << t;
       }

@@ -23,6 +23,7 @@
 #include "core/model.h"
 #include "store/fs.h"
 #include "store/verdict_store.h"
+#include "store_cells.h"
 #include "util/bytes.h"
 #include "util/hash128.h"
 
@@ -107,16 +108,16 @@ TEST(VerdictStore, ProbeMatchesSetAndCountsHits) {
   EXPECT_EQ(store.column_of("F:unknown"), -1);
   EXPECT_EQ(store.column_of(""), -1);
 
-  EXPECT_FALSE(store.probe_bit(key_of(1), 0).has_value());
+  EXPECT_FALSE(probe_cell(store, key_of(1), 0).has_value());
   EXPECT_EQ(store.misses(), 1u);
-  store.set_bit(key_of(1), 0, true);
-  store.set_bit(key_of(1), 2, false);
-  ASSERT_TRUE(store.probe_bit(key_of(1), 0).has_value());
-  EXPECT_TRUE(*store.probe_bit(key_of(1), 0));
-  ASSERT_TRUE(store.probe_bit(key_of(1), 2).has_value());
-  EXPECT_FALSE(*store.probe_bit(key_of(1), 2));
-  EXPECT_FALSE(store.probe_bit(key_of(1), 1).has_value());  // column unset
-  EXPECT_FALSE(store.probe_bit(key_of(2), 0).has_value());  // row absent
+  set_cell(store, key_of(1), 0, true);
+  set_cell(store, key_of(1), 2, false);
+  ASSERT_TRUE(probe_cell(store, key_of(1), 0).has_value());
+  EXPECT_TRUE(*probe_cell(store, key_of(1), 0));
+  ASSERT_TRUE(probe_cell(store, key_of(1), 2).has_value());
+  EXPECT_FALSE(*probe_cell(store, key_of(1), 2));
+  EXPECT_FALSE(probe_cell(store, key_of(1), 1).has_value());  // column unset
+  EXPECT_FALSE(probe_cell(store, key_of(2), 0).has_value());  // row absent
 }
 
 TEST(VerdictStore, ConcurrentProbesWithSerializedAppender) {
@@ -134,8 +135,8 @@ TEST(VerdictStore, ConcurrentProbesWithSerializedAppender) {
   std::atomic<int> published{0};
   std::thread appender([&] {
     for (int i = 0; i < kKeys; ++i) {
-      store.set_bit(key_of(i), 0, i % 3 == 0);
-      store.set_bit(key_of(i), 2, i % 5 == 0);
+      set_cell(store, key_of(i), 0, i % 3 == 0);
+      set_cell(store, key_of(i), 2, i % 5 == 0);
       published.store(i + 1, std::memory_order_release);
       if (i % 128 == 0) {
         EXPECT_TRUE(store.save(path));
@@ -149,7 +150,7 @@ TEST(VerdictStore, ConcurrentProbesWithSerializedAppender) {
       for (int round = 0; round < 4; ++round) {
         const int upto = published.load(std::memory_order_acquire);
         for (int i = 0; i < upto; ++i) {
-          const auto bit = store.probe_bit(key_of(i), 0);
+          const auto bit = probe_cell(store, key_of(i), 0);
           if (!bit.has_value() || *bit != (i % 3 == 0)) wrong.store(true);
         }
         (void)store.size();
@@ -190,6 +191,10 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
   std::atomic<int> chunks_published{0};
   std::atomic<bool> wrong{false};
 
+  // Columns 0 and 1 of every row: the write-back's mask and the
+  // probes' want.
+  const std::uint64_t cols01 = 0b11;
+
   std::thread appender([&] {
     for (int c = 0; c < kChunks; ++c) {
       {
@@ -197,8 +202,9 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
         util::ExclusiveLock lock(store.mu());
         for (int j = 0; j < kChunkSize; ++j) {
           const int i = c * kChunkSize + j;
-          store.set_bit_locked(key_of(i), 0, i % 3 == 0);
-          store.set_bit_locked(key_of(i), 1, i % 7 == 0);
+          const std::uint64_t bits =
+              (i % 3 == 0 ? 1u : 0u) | (i % 7 == 0 ? 2u : 0u);
+          store.write_row_locked(key_of(i), &cols01, &bits);
         }
       }
       chunks_published.store(c + 1, std::memory_order_release);
@@ -208,20 +214,21 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
   std::vector<std::thread> probers;
   for (int r = 0; r < kProbers; ++r) {
     probers.emplace_back([&] {
-      const std::vector<int> cols = {0, 1};
-      std::vector<std::uint64_t> row;
+      std::uint64_t valid = 0;
+      std::uint64_t bits = 0;
       for (int round = 0; round < 8; ++round) {
         const int upto =
             chunks_published.load(std::memory_order_acquire) * kChunkSize;
         // One shared acquisition covers the whole probe batch.
         util::SharedLock lock(store.mu());
         for (int i = 0; i < upto; ++i) {
-          if (!store.probe_row_locked(key_of(i), cols, row)) {
+          store.probe_words_locked(key_of(i), &cols01, &valid, &bits);
+          if (valid != cols01) {
             wrong.store(true);
             continue;
           }
-          if ((row[0] & 1u) != (i % 3 == 0 ? 1u : 0u)) wrong.store(true);
-          if (((row[0] >> 1) & 1u) != (i % 7 == 0 ? 1u : 0u)) {
+          if ((bits & 1u) != (i % 3 == 0 ? 1u : 0u)) wrong.store(true);
+          if (((bits >> 1) & 1u) != (i % 7 == 0 ? 1u : 0u)) {
             wrong.store(true);
           }
         }
@@ -235,7 +242,8 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
       StreamCheckpoint ck;
       ck.chunks = static_cast<std::uint64_t>(done);
       ck.tests_streamed = static_cast<std::uint64_t>(done) * kChunkSize;
-      store.set_checkpoint(ck);
+      store.clear_checkpoint();
+      store.extend_checkpoint(ck);
       const auto back = store.checkpoint();
       if (!back.has_value() || back->tests_streamed != ck.tests_streamed ||
           back->chunks * kChunkSize != back->tests_streamed) {
@@ -264,18 +272,35 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
   scrub(path);
 }
 
-TEST(VerdictStore, ProbeRowIsAllOrNothing) {
+TEST(VerdictStore, ProbeWordsCopiesPartialRowsAndCountsWantedColumns) {
   VerdictStore store(small_meta());
-  store.set_bit(key_of(7), 0, true);
-  store.set_bit(key_of(7), 1, false);
-  std::vector<std::uint64_t> row;
-  const std::vector<int> cols01 = {0, 1};
-  const std::vector<int> cols012 = {0, 1, 2};
-  EXPECT_TRUE(store.probe_row(key_of(7), cols01, row));
-  EXPECT_EQ(row[0] & 1u, 1u);         // col 0 allowed
-  EXPECT_EQ((row[0] >> 1) & 1u, 0u);  // col 1 forbidden
-  EXPECT_FALSE(store.probe_row(key_of(7), cols012, row));  // col 2 missing
-  EXPECT_FALSE(store.probe_row(key_of(8), cols01, row));   // row missing
+  const std::uint64_t cols01 = 0b011;
+  const std::uint64_t allowed0 = 0b001;  // col 0 allowed, col 1 forbidden
+  {
+    util::ExclusiveLock lock(store.mu());
+    store.write_row_locked(key_of(7), &cols01, &allowed0);
+  }
+  util::SharedLock lock(store.mu());
+  std::uint64_t valid = 0;
+  std::uint64_t bits = 0;
+  const std::uint64_t cols012 = 0b111;
+  // The whole row comes back whatever is wanted, column 2 still unset;
+  // only the wanted columns count, as a hit if valid, else a miss.
+  store.probe_words_locked(key_of(7), &cols012, &valid, &bits);
+  EXPECT_EQ(valid, cols01);
+  EXPECT_EQ(bits, allowed0);
+  EXPECT_EQ(store.hits(), 2u);
+  EXPECT_EQ(store.misses(), 1u);
+  const std::uint64_t col2 = 0b100;
+  store.probe_words_locked(key_of(7), &col2, &valid, &bits);
+  EXPECT_EQ(valid, cols01);
+  EXPECT_EQ(store.hits(), 2u);
+  EXPECT_EQ(store.misses(), 2u);
+  // An absent row reads as zeros, every wanted column a miss.
+  store.probe_words_locked(key_of(8), &cols012, &valid, &bits);
+  EXPECT_EQ(valid, 0u);
+  EXPECT_EQ(bits, 0u);
+  EXPECT_EQ(store.misses(), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +312,7 @@ TEST(VerdictStore, SaveOpenRoundTripsEntriesAndCheckpoint) {
   scrub(path);
   VerdictStore store(small_meta());
   for (int i = 0; i < 100; ++i) {
-    store.set_bit(key_of(i), i % 3, i % 2 == 0);
+    set_cell(store, key_of(i), i % 3, i % 2 == 0);
   }
   StreamCheckpoint ck;
   ck.chunks = 5;
@@ -297,17 +322,18 @@ TEST(VerdictStore, SaveOpenRoundTripsEntriesAndCheckpoint) {
   ck.seen_keys = {key_of(1), key_of(2)};
   ck.source_cursor = {1, 2, 3};
   ck.sink_state = {9, 8};
-  store.set_checkpoint(ck);
+  store.extend_checkpoint(ck);
   ASSERT_TRUE(store.save(path));
 
   auto opened = VerdictStore::open(path, small_meta());
   EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
   EXPECT_EQ(opened.store->size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    auto bit = opened.store->probe_bit(key_of(i), i % 3);
+    auto bit = probe_cell(*opened.store, key_of(i), i % 3);
     ASSERT_TRUE(bit.has_value()) << i;
     EXPECT_EQ(*bit, i % 2 == 0) << i;
-    EXPECT_FALSE(opened.store->probe_bit(key_of(i), (i + 1) % 3).has_value());
+    EXPECT_FALSE(
+        probe_cell(*opened.store, key_of(i), (i + 1) % 3).has_value());
   }
   ASSERT_TRUE(opened.store->checkpoint().has_value());
   EXPECT_EQ(opened.store->checkpoint()->chunks, 5u);
@@ -327,8 +353,8 @@ TEST(VerdictStore, EqualStatesSerializeToIdenticalBytes) {
   VerdictStore a(small_meta());
   VerdictStore b(small_meta());
   for (int i = 0; i < 50; ++i) {
-    a.set_bit(key_of(i), i % 3, true);
-    b.set_bit(key_of(i), i % 3, true);
+    set_cell(a, key_of(i), i % 3, true);
+    set_cell(b, key_of(i), i % 3, true);
   }
   ASSERT_TRUE(a.save(p1));
   ASSERT_TRUE(b.save(p2));
@@ -500,13 +526,13 @@ TEST(VerdictStoreIndex, RowsAddedOutOfHashOrderRoundTripByteForByte) {
 // Delta segments
 // ---------------------------------------------------------------------------
 
-/// Every (key, column) bit of `store` over keys 0..n-1, as probe_bit
+/// Every (key, column) bit of `store` over keys 0..n-1, as probe_cell
 /// reports it: -1 absent, else the verdict.
 std::vector<int> cells(const VerdictStore& store, int n) {
   std::vector<int> out;
   for (int i = 0; i < n; ++i) {
     for (int col = 0; col < 3; ++col) {
-      const auto bit = store.probe_bit(key_of(i), col);
+      const auto bit = probe_cell(store, key_of(i), col);
       out.push_back(bit.has_value() ? (*bit ? 1 : 0) : -1);
     }
   }
@@ -520,7 +546,7 @@ class StoreSegments : public ::testing::Test {
     path_ = temp_path(std::string("segments_") + info->name());
     scrub(path_);
     store_ = std::make_unique<VerdictStore>(small_meta());
-    for (int i = 0; i < 200; ++i) store_->set_bit(key_of(i), i % 3, true);
+    for (int i = 0; i < 200; ++i) set_cell(*store_, key_of(i), i % 3, true);
     ASSERT_TRUE(store_->save(path_));
     ASSERT_EQ(store_->dirty_rows(), 0u);
     base_bytes_ = slurp(path_);
@@ -542,8 +568,8 @@ class StoreSegments : public ::testing::Test {
 };
 
 TEST_F(StoreSegments, CommitWritesOnlyTheChangedRows) {
-  store_->set_bit(key_of(3), 1, true);     // an existing row, new column
-  store_->set_bit(key_of(250), 0, false);  // a new row
+  set_cell(*store_, key_of(3), 1, true);     // an existing row, new column
+  set_cell(*store_, key_of(250), 0, false);  // a new row
   EXPECT_EQ(store_->dirty_rows(), 2u);
   const std::uint64_t before = store_->bytes_committed();
   ASSERT_TRUE(store_->commit(path_));
@@ -561,7 +587,7 @@ TEST_F(StoreSegments, UnchangedWritesDirtyNothingAndCommitNothing) {
   // Rewriting bits the store already holds (the batch path writes back
   // store-served verdicts) must not dirty a row.
   VerdictStore& store = *store_;
-  store.set_bit(key_of(0), 0, true);
+  set_cell(store, key_of(0), 0, true);
   const std::vector<std::uint64_t> mask = {0b111};
   const std::vector<std::uint64_t> bits = {0b001};
   {
@@ -570,7 +596,7 @@ TEST_F(StoreSegments, UnchangedWritesDirtyNothingAndCommitNothing) {
   }
   EXPECT_EQ(store.dirty_rows(), 1u);  // key 3 gained columns 1 and 2
   ASSERT_TRUE(store.commit(path_));
-  store.set_bit(key_of(3), 1, false);
+  set_cell(store, key_of(3), 1, false);
   {
     util::ExclusiveLock lock(store.mu());
     store.write_row_locked(key_of(3), mask.data(), bits.data());
@@ -652,7 +678,7 @@ TEST_F(StoreSegments, SegmentsFoldBeforeTheyOutgrowTheBase) {
   // bytes written stay a small multiple of the final file.
   const std::uint64_t before = store_->bytes_committed();
   for (int i = 200; i < 2000; ++i) {
-    store_->set_bit(key_of(i), i % 3, i % 2 == 0);
+    set_cell(*store_, key_of(i), i % 3, i % 2 == 0);
     if (i % 25 == 0) {
       ASSERT_TRUE(store_->commit(path_));
     }
@@ -673,9 +699,9 @@ TEST_F(StoreSegments, SaveOfIdenticalContentRetiresSegments) {
   {
     auto daemon = VerdictStore::open(path_, small_meta());
     ASSERT_EQ(daemon.outcome, OpenOutcome::Loaded);
-    daemon.store->set_bit(key_of(500), 0, true);
+    set_cell(*daemon.store, key_of(500), 0, true);
     ASSERT_TRUE(daemon.store->commit(path_));
-    daemon.store->set_bit(key_of(501), 0, true);
+    set_cell(*daemon.store, key_of(501), 0, true);
     ASSERT_TRUE(daemon.store->commit(path_));
     ASSERT_TRUE(exists(segment(path_, 2)));
   }
@@ -684,7 +710,7 @@ TEST_F(StoreSegments, SaveOfIdenticalContentRetiresSegments) {
   EXPECT_FALSE(exists(segment(path_, 2)));
   expect_reopens_to_store("after save");
   auto opened = VerdictStore::open(path_, small_meta());
-  EXPECT_FALSE(opened.store->probe_bit(key_of(500), 0).has_value());
+  EXPECT_FALSE(probe_cell(*opened.store, key_of(500), 0).has_value());
 }
 
 TEST_F(StoreSegments, StaleSegmentsAfterAnInterruptedCleanupAreNeverAdopted) {
@@ -692,14 +718,14 @@ TEST_F(StoreSegments, StaleSegmentsAfterAnInterruptedCleanupAreNeverAdopted) {
   // old segments beside the new base; they extend the old base, so
   // open() must stop before them.  FaultFs's failing remove is that
   // crash.
-  store_->set_bit(key_of(300), 0, true);
+  set_cell(*store_, key_of(300), 0, true);
   ASSERT_TRUE(store_->commit(path_));
-  store_->set_bit(key_of(301), 1, true);
+  set_cell(*store_, key_of(301), 1, true);
   ASSERT_TRUE(store_->commit(path_));
   FaultFs fs(RealFs::instance());
   fs.fail_remove_at = 0;
   fs.sticky = true;
-  store_->set_bit(key_of(300), 2, false);
+  set_cell(*store_, key_of(300), 2, false);
   ASSERT_TRUE(store_->commit(path_, &fs, /*fold=*/true));
   EXPECT_TRUE(exists(segment(path_, 1)));  // cleanup never happened
   EXPECT_TRUE(exists(segment(path_, 2)));
@@ -710,7 +736,7 @@ TEST_F(StoreSegments, StaleSegmentsAfterAnInterruptedCleanupAreNeverAdopted) {
 
   // The next segment commit replaces the stale chain instead of
   // extending it.
-  opened.store->set_bit(key_of(302), 0, true);
+  set_cell(*opened.store, key_of(302), 0, true);
   ASSERT_TRUE(opened.store->commit(path_));
   EXPECT_FALSE(exists(segment(path_, 2)));
   auto again = VerdictStore::open(path_, small_meta());
@@ -719,7 +745,7 @@ TEST_F(StoreSegments, StaleSegmentsAfterAnInterruptedCleanupAreNeverAdopted) {
 }
 
 TEST_F(StoreSegments, OrphanSegmentsOfADeletedBaseAreNeverAdopted) {
-  store_->set_bit(key_of(400), 0, true);
+  set_cell(*store_, key_of(400), 0, true);
   ASSERT_TRUE(store_->commit(path_));
   ASSERT_TRUE(exists(segment(path_, 1)));
   ASSERT_EQ(std::remove(path_.c_str()), 0);
@@ -732,7 +758,7 @@ TEST_F(StoreSegments, OrphanSegmentsOfADeletedBaseAreNeverAdopted) {
   // orphan extends — and a cleanup that never happens: the orphan must
   // still not attach to it.
   VerdictStore twin(small_meta());
-  for (int i = 0; i < 200; ++i) twin.set_bit(key_of(i), i % 3, true);
+  for (int i = 0; i < 200; ++i) set_cell(twin, key_of(i), i % 3, true);
   FaultFs fs(RealFs::instance());
   fs.fail_remove_at = 0;
   fs.sticky = true;
@@ -741,13 +767,13 @@ TEST_F(StoreSegments, OrphanSegmentsOfADeletedBaseAreNeverAdopted) {
   auto reopened = VerdictStore::open(path_, small_meta());
   EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
   EXPECT_EQ(reopened.store->size(), 200u);
-  EXPECT_FALSE(reopened.store->probe_bit(key_of(400), 0).has_value());
+  EXPECT_FALSE(probe_cell(*reopened.store, key_of(400), 0).has_value());
 }
 
 TEST_F(StoreSegments, CorruptSegmentIsQuarantinedAndTheChainEndsBeforeIt) {
   std::vector<std::vector<int>> states;
   for (int seg = 1; seg <= 3; ++seg) {
-    store_->set_bit(key_of(200 + seg), 0, true);
+    set_cell(*store_, key_of(200 + seg), 0, true);
     ASSERT_TRUE(store_->commit(path_));
     states.push_back(cells(*store_, 260));
   }
@@ -763,7 +789,7 @@ TEST_F(StoreSegments, CorruptSegmentIsQuarantinedAndTheChainEndsBeforeIt) {
 
   // Recommitting from there rebuilds the chain; the segment beyond the
   // quarantined one is retired rather than adopted.
-  opened.store->set_bit(key_of(210), 0, true);
+  set_cell(*opened.store, key_of(210), 0, true);
   ASSERT_TRUE(opened.store->commit(path_));
   EXPECT_FALSE(exists(segment(path_, 3)));
   auto again = VerdictStore::open(path_, small_meta());
@@ -795,7 +821,7 @@ void expect_failed_segment_commit(VerdictStore& store, const std::string& path,
                                   const std::string& label) {
   auto committed = VerdictStore::open(path, small_meta());
   const std::vector<int> before = cells(*committed.store, 260);
-  store.set_bit(key_of(new_key), 2, true);
+  set_cell(store, key_of(new_key), 2, true);
   std::string error;
   EXPECT_FALSE(store.commit(path, &fs, false, &error)) << label;
   EXPECT_FALSE(error.empty()) << label;
@@ -893,7 +919,7 @@ TEST(VerdictStore, CommitRacesProbesAndAppends) {
   EXPECT_EQ(reopened.store->checkpoint()->seen_keys,
             store.checkpoint()->seen_keys);
   for (int i = 0; i < kKeys; ++i) {
-    const auto bit = reopened.store->probe_bit(key_of(i), 1);
+    const auto bit = probe_cell(*reopened.store, key_of(i), 1);
     ASSERT_TRUE(bit.has_value()) << i;
     EXPECT_EQ(*bit, i % 5 == 0) << i;
   }
@@ -911,7 +937,7 @@ class StoreCorruption : public ::testing::Test {
     path_ = temp_path(std::string("corruption_") + info->name());
     scrub(path_);
     VerdictStore store(small_meta());
-    for (int i = 0; i < 40; ++i) store.set_bit(key_of(i), i % 3, true);
+    for (int i = 0; i < 40; ++i) set_cell(store, key_of(i), i % 3, true);
     ASSERT_TRUE(store.save(path_));
     bytes_ = slurp(path_);
     ASSERT_GT(bytes_.size(), 60u);
@@ -1006,7 +1032,7 @@ TEST_F(StoreCorruption, ZooMismatchSelfInvalidatesWithoutQuarantine) {
   EXPECT_FALSE(RealFs::instance().exists(path_ + ".corrupt"));
   // And the store self-heals on the next save: the stale file is
   // replaced by one the new zoo loads cleanly.
-  opened.store->set_bit(key_of(0), 3, true);
+  set_cell(*opened.store, key_of(0), 3, true);
   ASSERT_TRUE(opened.store->save(path_));
   auto reopened = VerdictStore::open(path_, other);
   EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
@@ -1037,7 +1063,7 @@ TEST_F(StoreCorruption, SchemaMismatchSelfInvalidatesWithoutQuarantine) {
     EXPECT_TRUE(RealFs::instance().exists(path_));
     EXPECT_FALSE(RealFs::instance().exists(path_ + ".corrupt"));
     // Self-heals: the next save writes the current schema.
-    opened.store->set_bit(key_of(0), 0, true);
+    set_cell(*opened.store, key_of(0), 0, true);
     ASSERT_TRUE(opened.store->save(path_));
     auto reopened = VerdictStore::open(path_, small_meta());
     EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
@@ -1053,7 +1079,7 @@ TEST_F(StoreCorruption, LeftoverTempFileIsInertAndOverwritten) {
   auto opened = VerdictStore::open(path_, small_meta());
   EXPECT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
   EXPECT_EQ(opened.store->size(), 40u);
-  opened.store->set_bit(key_of(100), 0, true);
+  set_cell(*opened.store, key_of(100), 0, true);
   ASSERT_TRUE(opened.store->save(path_));
   auto reopened = VerdictStore::open(path_, small_meta());
   EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded);
@@ -1075,7 +1101,7 @@ class StoreFaults : public ::testing::Test {
     scrub(path_);
     // Commit a known-good generation first.
     VerdictStore store(small_meta());
-    store.set_bit(key_of(0), 0, true);
+    set_cell(store, key_of(0), 0, true);
     ASSERT_TRUE(store.save(path_));
     good_bytes_ = slurp(path_);
   }
@@ -1087,7 +1113,7 @@ class StoreFaults : public ::testing::Test {
   void expect_failed_save_keeps_old_file(FaultFs& fs,
                                          const std::string& label) {
     VerdictStore next(small_meta());
-    for (int i = 0; i < 64; ++i) next.set_bit(key_of(i), i % 3, true);
+    for (int i = 0; i < 64; ++i) set_cell(next, key_of(i), i % 3, true);
     std::string error;
     EXPECT_FALSE(next.save(path_, &fs, &error)) << label;
     EXPECT_FALSE(error.empty()) << label;
@@ -1147,14 +1173,14 @@ TEST_F(StoreFaults, SaveRecoversOnceFaultsClear) {
   FaultFs fs(RealFs::instance());
   fs.fail_sync_at = 0;
   VerdictStore next(small_meta());
-  next.set_bit(key_of(5), 1, false);
+  set_cell(next, key_of(5), 1, false);
   EXPECT_FALSE(next.save(path_, &fs));
   // Same store, same FaultFs, fault spent: the retry must land.
   ASSERT_TRUE(next.save(path_, &fs));
   auto opened = VerdictStore::open(path_, small_meta());
   EXPECT_EQ(opened.outcome, OpenOutcome::Loaded);
-  ASSERT_TRUE(opened.store->probe_bit(key_of(5), 1).has_value());
-  EXPECT_FALSE(*opened.store->probe_bit(key_of(5), 1));
+  ASSERT_TRUE(probe_cell(*opened.store, key_of(5), 1).has_value());
+  EXPECT_FALSE(*probe_cell(*opened.store, key_of(5), 1));
 }
 
 }  // namespace
