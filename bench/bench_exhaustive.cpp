@@ -54,9 +54,12 @@
 //   --require-store-hit-rate R  exit nonzero unless the store served at
 //                       least fraction R of all probed verdict cells
 //                       (CI's warm-store regression gate)
-//   --kill-after-seals N  testing hook: abort the stream right after its
-//                       N-th checkpoint commit, leaving exactly the file
-//                       a SIGKILL would; rerun with --resume to continue
+//   --kill-after-seals N  testing hook: abort the stream once its N-th
+//                       checkpoint commit has landed (its background
+//                       write is joined at the next seal or at the
+//                       end), leaving exactly the file a SIGKILL right
+//                       after that commit would; rerun with --resume to
+//                       continue
 //
 // With non-default bounds the streamed space is a strict sub-space, so
 // containment (naive <= suite) is checked instead of equality.
@@ -280,13 +283,14 @@ int main(int argc, char** argv) {
                                static_cast<double>(probed)
                          : 0.0;
     std::printf("store: %zu entries, %llu/%llu probed cells served "
-                "(hit rate %.4f); %zu commits wrote %llu bytes in %.2fs\n",
+                "(hit rate %.4f); %zu commits wrote %llu bytes (seal %.2fs "
+                "on the stream, write %.2fs beside it)\n",
                 vstore->size(),
                 static_cast<unsigned long long>(vstore->hits()),
                 static_cast<unsigned long long>(probed), store_hit_rate,
                 report.stream.commits,
                 static_cast<unsigned long long>(report.stream.bytes_committed),
-                report.stream.stages.seal);
+                report.stream.stages.seal, report.stream.stages.write);
   }
   const double rss = bench::peak_rss_mb();
   if (rss >= 0) std::printf("peak RSS: %.1f MB\n", rss);
@@ -456,7 +460,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 11,\n");
+    std::fprintf(js, "  \"schema_version\": 12,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -490,10 +494,11 @@ int main(int argc, char** argv) {
     std::fprintf(js,
                  "  \"stages_seconds\": {\"produce\": %.3f, \"wait\": %.3f, "
                  "\"release\": %.3f, \"keys\": %.3f, \"dedup\": %.3f, "
-                 "\"verdict\": %.3f, \"sink\": %.3f, \"seal\": %.3f},\n",
+                 "\"verdict\": %.3f, \"sink\": %.3f, \"seal\": %.3f, "
+                 "\"write\": %.3f},\n",
                  s.stages.produce, s.stages.wait, s.stages.release,
                  s.stages.keys, s.stages.dedup, s.stages.verdict, s.stages.sink,
-                 s.stages.seal);
+                 s.stages.seal, s.stages.write);
     std::fprintf(js, "  \"unattributed_seconds\": %.3f,\n",
                  s.unattributed_seconds());
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);

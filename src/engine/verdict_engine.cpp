@@ -1,9 +1,11 @@
 #include "engine/verdict_engine.h"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/analysis.h"
 #include "engine/key_set.h"
@@ -495,6 +497,7 @@ StreamStageTimes& StreamStageTimes::operator+=(const StreamStageTimes& other) {
   verdict += other.verdict;
   sink += other.sink;
   seal += other.seal;
+  write += other.write;
   return *this;
 }
 
@@ -502,7 +505,7 @@ std::string StreamStageTimes::to_string() const {
   std::ostringstream os;
   os << "produce=" << produce << "s wait=" << wait << "s release=" << release
      << "s keys=" << keys << "s dedup=" << dedup << "s verdict=" << verdict
-     << "s sink=" << sink << "s seal=" << seal << "s";
+     << "s sink=" << sink << "s seal=" << seal << "s write=" << write << "s";
   return os.str();
 }
 
@@ -738,18 +741,23 @@ struct VerdictEngine::StreamRun {
     }
   }
 
-  /// Seal: every K chunks, commit the resumable state (cursor, the
+  /// Seal: every K chunks, capture the resumable state (cursor, the
   /// dedup keys claimed since the previous seal, counters, sink)
-  /// together with the rows changed since then as one delta segment.
-  /// A failed commit (full disk, failing fsync) is not fatal — the
-  /// previous commit stands, and sealing retries after the next chunk
-  /// with a base carrying everything.
+  /// together with the rows changed since then, and hand it to the
+  /// seal writer, which writes it as one delta segment (or a base) on
+  /// its own thread while the stream runs on.  The previous seal's
+  /// write is joined first, so one write is in flight at a time and
+  /// the consumer makes no Fs call while it runs.  A failed write (full
+  /// disk, failing fsync) is not fatal — the previous commit stands,
+  /// and the retry happens at the next seal, as a base carrying
+  /// everything.
   void seal() {
     if (persist == nullptr || persist->checkpoint_every_chunks <= 0 ||
         ++chunks_since_seal < persist->checkpoint_every_chunks) {
       return;
     }
     util::Timer timer;
+    join_writer();
     store::StreamCheckpoint ck;
     if (prefetcher->snapshot_cursor(ck.source_cursor)) {
       ck.chunks = total.chunks;
@@ -760,39 +768,69 @@ struct VerdictEngine::StreamRun {
       seal_keys.clear();
       if (persist->save_sink) persist->save_sink(ck.sink_state);
       vstore->extend_checkpoint(std::move(ck));
-      if (commit(/*fold=*/false)) {
-        chunks_since_seal = 0;
-        ++seals;
-        if (persist->kill_after_seals >= 0 &&
-            seals >= persist->kill_after_seals) {
-          // The seal is already committed: on-disk state is exactly a
-          // SIGKILL's right after the rename.
-          throw store::StreamInterrupted(
-              "stream killed by test hook after seal " +
-              std::to_string(seals));
-        }
-      }
+      chunks_since_seal = 0;
+      start_writer(vstore->capture_commit(persist->path, /*fold=*/false));
     }
     total.stages.seal += timer.seconds();
   }
 
-  /// Completion: the checkpoint has served its purpose; fold the chain
-  /// into one checkpoint-free file so the next run starts clean (a run
+  /// Completion: the checkpoint has served its purpose; once the last
+  /// seal's write is joined, fold the chain into one checkpoint-free
+  /// file, synchronously, so the run returns with it durable (a run
   /// that changed no row leaves the base untouched).
   void complete() {
     if (persist == nullptr) return;
     util::Timer timer;
+    join_writer();
     vstore->clear_checkpoint();
-    (void)commit(/*fold=*/true);
+    const std::uint64_t before = vstore->bytes_committed();
+    if (vstore->commit(persist->path, persist->fs, /*fold=*/true)) {
+      ++total.commits;
+      total.bytes_committed += vstore->bytes_committed() - before;
+    }
     total.stages.seal += timer.seconds();
   }
 
-  bool commit(bool fold) {
-    const std::uint64_t before = vstore->bytes_committed();
-    if (!vstore->commit(persist->path, persist->fs, fold)) return false;
+  /// Writes `capture` on the seal writer's thread.
+  void start_writer(store::VerdictStore::Capture capture) {
+    writer = std::thread([this, c = std::move(capture)]() mutable {
+      util::Timer timer;
+      const std::uint64_t before = vstore->bytes_committed();
+      try {
+        written = vstore->write_commit(std::move(c), persist->fs);
+      } catch (...) {
+        writer_error = std::current_exception();
+      }
+      written_bytes = vstore->bytes_committed() - before;
+      write_seconds = timer.seconds();
+    });
+  }
+
+  /// Joins the seal writer, if one runs, and accounts for its write: a
+  /// successful one is a commit and a seal, and the kill hook fires
+  /// once the seals reach its count.  An exception the write threw is
+  /// rethrown here.
+  void join_writer() {
+    if (!writer.joinable()) return;
+    writer.join();
+    total.stages.write += write_seconds;
+    if (writer_error) std::rethrow_exception(std::exchange(writer_error, {}));
+    if (!written) return;
     ++total.commits;
-    total.bytes_committed += vstore->bytes_committed() - before;
-    return true;
+    total.bytes_committed += written_bytes;
+    ++seals;
+    if (persist->kill_after_seals >= 0 && seals >= persist->kill_after_seals) {
+      // Nothing was captured since the seal's rename: on-disk state is
+      // exactly a SIGKILL's right after it.
+      throw store::StreamInterrupted("stream killed by test hook after seal " +
+                                     std::to_string(seals));
+    }
+  }
+
+  /// A run that unwinds (a throwing sink, the kill hook) lets the seal
+  /// writer finish before the store and its files are handed back.
+  ~StreamRun() {
+    if (writer.joinable()) writer.join();
   }
 
   VerdictEngine& eng;
@@ -824,6 +862,14 @@ struct VerdictEngine::StreamRun {
   std::vector<util::Key128> seal_keys;
   int seals = 0;
   int chunks_since_seal = 0;
+
+  // The seal writer and what its last write left for join_writer (read
+  // only after the join).
+  std::thread writer;
+  bool written = false;
+  std::uint64_t written_bytes = 0;
+  double write_seconds = 0.0;
+  std::exception_ptr writer_error;
 };
 
 StreamStats VerdictEngine::run_stream(

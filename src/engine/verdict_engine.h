@@ -147,8 +147,12 @@ struct StreamOptions {
 /// `keys` is the parallel fingerprint phase, `dedup` the serial
 /// chunk-order claims of the keys in the stream's dedup set, `verdict`
 /// the batched evaluation, `sink` the chunk sink (the caller's
-/// on_chunk: the Theorem harness's sweep runs there), `seal` the
-/// checkpoint seals and the completion commit of a persisted stream.
+/// on_chunk: the Theorem harness's sweep runs there), `seal` the time
+/// a persisted stream's consumer is held at its seals: each seal's
+/// capture and its wait for the previous seal's write, and the
+/// completion's wait and synchronous fold.  `write` is the seal
+/// writer's busy time (the background writes of the seals); like
+/// `produce` it runs on its own thread, off the critical path.
 /// A chunk's own stats carry no `sink` time: the sink receives them
 /// before it runs.
 struct StreamStageTimes {
@@ -160,6 +164,7 @@ struct StreamStageTimes {
   double verdict = 0.0;
   double sink = 0.0;
   double seal = 0.0;
+  double write = 0.0;
 
   StreamStageTimes& operator+=(const StreamStageTimes& other);
   [[nodiscard]] std::string to_string() const;
@@ -198,8 +203,9 @@ struct StreamStats {
   /// Fraction of streamed tests served by the cross-chunk dedup.
   [[nodiscard]] double dedup_rate() const;
   /// The wall time no consumer-side stage holds: the wall minus wait,
-  /// release, keys, dedup, verdict, sink and seal.  Produce overlaps
-  /// those stages on its own thread, so it is not subtracted.
+  /// release, keys, dedup, verdict, sink and seal.  Produce and write
+  /// overlap those stages on their own threads, so they are not
+  /// subtracted.
   [[nodiscard]] double unattributed_seconds() const;
   /// Keys-stage cost per streamed test in nanoseconds — the
   /// fingerprint path's scaling number.  bench_exhaustive reports it
@@ -298,7 +304,11 @@ class VerdictEngine {
   /// current one, and fingerprinting fans out across the pool's threads
   /// in contiguous ranges, each with its own scratch tables.  `on_chunk`
   /// runs between the stages, with the pool idle, so it may run batches
-  /// on this engine.
+  /// on this engine.  A persisted stream captures each seal on the
+  /// consumer and writes it on a seal writer thread while the next
+  /// chunks stream (store::StreamPersistence); the writer is joined at
+  /// the next seal, before the completion's fold, and before run_stream
+  /// returns or rethrows.
   /// Streamed results are bit-for-bit deterministic under any thread
   /// count: chunk boundaries come from the single producer, the
   /// consumer inserts the keys into the dedup set serially in chunk

@@ -52,23 +52,25 @@ std::string segment_path(const std::string& path, std::uint32_t index) {
   return path + "." + std::to_string(index);
 }
 
-void append_header(std::string& out, const char (&magic)[8],
-                   const StoreMeta& meta, std::uint32_t sequence) {
-  out.append(magic, sizeof magic);
-  util::append_u32(out, kStoreFormatVersion);
-  util::append_u32(out, static_cast<std::uint32_t>(meta.num_models()));
-  util::append_key128(out, meta.zoo_fingerprint());
-  util::append_u32(out, sequence);
-  util::append_u32(out, meta.schema);
-  const util::Key128 sum =
-      util::hash128(out.data() + out.size() - kHeaderBytes, kHeaderBytes);
-  util::append_key128(out, sum);
+void put_header(util::ByteWriter& w, const char (&magic)[8],
+                const StoreMeta& meta, std::uint32_t sequence) {
+  const char* const start = w.position();
+  w.bytes(magic, sizeof magic);
+  w.u32(kStoreFormatVersion);
+  w.u32(static_cast<std::uint32_t>(meta.num_models()));
+  w.key128(meta.zoo_fingerprint());
+  w.u32(sequence);
+  w.u32(meta.schema);
+  w.key128(util::hash128(start, kHeaderBytes));
 }
 
-/// Appends the whole-file checksum; returns it.
-util::Key128 append_trailer(std::string& out) {
-  const util::Key128 sum = util::hash128(out);
-  util::append_key128(out, sum);
+/// Fills in the trailer of `bytes`, a file with room for it at its
+/// end: the checksum of every byte before it, which it returns.
+util::Key128 put_trailer(std::string& bytes) {
+  const std::size_t body = bytes.size() - kTrailerSize;
+  const util::Key128 sum = util::hash128(bytes.data(), body);
+  util::ByteWriter w(&bytes[body]);
+  w.key128(sum);
   return sum;
 }
 
@@ -93,45 +95,53 @@ std::vector<std::uint64_t> read_words(util::ByteReader& r) {
   return words;
 }
 
-void append_words(std::string& out, const std::vector<std::uint64_t>& words) {
-  util::append_u64(out, words.size());
-  for (std::uint64_t w : words) util::append_u64(out, w);
+void put_words(util::ByteWriter& w, const std::vector<std::uint64_t>& words) {
+  w.u64(words.size());
+  for (std::uint64_t word : words) w.u64(word);
 }
 
 std::uint64_t rows_size(std::size_t rows, std::size_t words) {
   return 16 + rows * (16 + 16 * words);
 }
 
-void append_row(std::string& out, util::Key128 key, const std::uint64_t* valid,
-                const std::uint64_t* bits, std::size_t words) {
-  util::append_key128(out, key);
-  for (std::size_t w = 0; w < words; ++w) util::append_u64(out, valid[w]);
-  for (std::size_t w = 0; w < words; ++w) util::append_u64(out, bits[w]);
+void put_rows_header(util::ByteWriter& w, std::size_t rows,
+                     std::size_t words) {
+  w.u64(rows);
+  w.u32(static_cast<std::uint32_t>(words));
+  w.u32(0);
 }
 
-/// Size of a checkpoint record carrying all of `ck` (absent when null).
-std::uint64_t checkpoint_size(const StreamCheckpoint* ck) {
+void put_row(util::ByteWriter& w, util::Key128 key, const std::uint64_t* valid,
+             const std::uint64_t* bits, std::size_t words) {
+  w.key128(key);
+  for (std::size_t i = 0; i < words; ++i) w.u64(valid[i]);
+  for (std::size_t i = 0; i < words; ++i) w.u64(bits[i]);
+}
+
+/// Size of a checkpoint record carrying `ck` past its first `kept`
+/// keys (absent when null).
+std::uint64_t checkpoint_size(const StreamCheckpoint* ck, std::size_t kept) {
   if (ck == nullptr) return 8;
-  return 8 + 16 + 16 * ck->seen_keys.size() + 32 + 8 +
+  return 8 + 16 + 16 * (ck->seen_keys.size() - kept) + 32 + 8 +
          8 * ck->source_cursor.size() + 8 + 8 * ck->sink_state.size();
 }
 
-void append_checkpoint(std::string& out, const StreamCheckpoint* ck,
-                       std::size_t kept) {
-  util::append_u32(out, ck == nullptr ? kCheckpointAbsent : kCheckpointSet);
-  util::append_u32(out, 0);
+void put_checkpoint(util::ByteWriter& w, const StreamCheckpoint* ck,
+                    std::size_t kept) {
+  w.u32(ck == nullptr ? kCheckpointAbsent : kCheckpointSet);
+  w.u32(0);
   if (ck == nullptr) return;
-  util::append_u64(out, kept);
-  util::append_u64(out, ck->seen_keys.size() - kept);
+  w.u64(kept);
+  w.u64(ck->seen_keys.size() - kept);
   for (std::size_t i = kept; i < ck->seen_keys.size(); ++i) {
-    util::append_key128(out, ck->seen_keys[i]);
+    w.key128(ck->seen_keys[i]);
   }
-  util::append_u64(out, ck->chunks);
-  util::append_u64(out, ck->tests_streamed);
-  util::append_u64(out, ck->novel_tests);
-  util::append_u64(out, ck->duplicate_tests);
-  append_words(out, ck->source_cursor);
-  append_words(out, ck->sink_state);
+  w.u64(ck->chunks);
+  w.u64(ck->tests_streamed);
+  w.u64(ck->novel_tests);
+  w.u64(ck->duplicate_tests);
+  put_words(w, ck->source_cursor);
+  put_words(w, ck->sink_state);
 }
 
 /// A parsed checkpoint record; `ck.seen_keys` holds only the keys the
@@ -415,21 +425,21 @@ void VerdictStore::clear_checkpoint() {
 
 std::string VerdictStore::capture_base(std::uint64_t generation) {
   const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
-  std::string out;
-  out.reserve(kHeaderSize + 8 + rows_size(keys_.size(), words_) +
-              checkpoint_size(ck) + kTrailerSize);
-  append_header(out, kBaseMagic, meta_, 0);
-  util::append_u64(out, generation);
-  util::append_u64(out, keys_.size());
-  util::append_u32(out, static_cast<std::uint32_t>(words_));
-  util::append_u32(out, 0);
+  std::string out(kHeaderSize + 8 + rows_size(keys_.size(), words_) +
+                      checkpoint_size(ck, 0) + kTrailerSize,
+                  '\0');
+  util::ByteWriter w(out.data());
+  put_header(w, kBaseMagic, meta_, 0);
+  w.u64(generation);
+  put_rows_header(w, keys_.size(), words_);
   // Rows in row order, so equal stores serialize identically (the
   // recovery tests compare files bit for bit).
   for (std::size_t row = 0; row < keys_.size(); ++row) {
-    append_row(out, keys_[row], &valid_[row * words_], &bits_[row * words_],
-               words_);
+    put_row(w, keys_[row], &valid_[row * words_], &bits_[row * words_],
+            words_);
   }
-  append_checkpoint(out, ck, 0);
+  put_checkpoint(w, ck, 0);
+  MCMC_CHECK(w.position() == out.data() + out.size() - kTrailerSize);
 
   for (const std::uint32_t row : dirty_) row_dirty_[row] = 0;
   dirty_.clear();
@@ -439,28 +449,35 @@ std::string VerdictStore::capture_base(std::uint64_t generation) {
   return out;
 }
 
+std::uint64_t VerdictStore::segment_size() const {
+  const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
+  return kHeaderSize + 16 + rows_size(dirty_.size(), words_) +
+         (checkpoint_dirty_ ? checkpoint_size(ck, committed_keys_) : 8) +
+         kTrailerSize;
+}
+
 std::string VerdictStore::capture_segment() {
-  std::string out;
-  append_header(out, kSegmentMagic, meta_, chain_.segments + 1);
-  util::append_key128(out, chain_.head_sum);
-  util::append_u64(out, dirty_.size());
-  util::append_u32(out, static_cast<std::uint32_t>(words_));
-  util::append_u32(out, 0);
+  std::string out(segment_size(), '\0');
+  util::ByteWriter w(out.data());
+  put_header(w, kSegmentMagic, meta_, chain_.segments + 1);
+  w.key128(chain_.head_sum);
+  put_rows_header(w, dirty_.size(), words_);
   for (const std::uint32_t row : dirty_) {
     const std::size_t base = static_cast<std::size_t>(row) * words_;
-    append_row(out, keys_[row], &valid_[base], &bits_[base], words_);
+    put_row(w, keys_[row], &valid_[base], &bits_[base], words_);
     row_dirty_[row] = 0;
   }
   dirty_.clear();
   if (checkpoint_dirty_) {
     const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
-    append_checkpoint(out, ck, committed_keys_);
+    put_checkpoint(w, ck, committed_keys_);
     committed_keys_ = ck != nullptr ? ck->seen_keys.size() : 0;
     checkpoint_dirty_ = false;
   } else {
-    util::append_u32(out, kCheckpointKeep);
-    util::append_u32(out, 0);
+    w.u32(kCheckpointKeep);
+    w.u32(0);
   }
+  MCMC_CHECK(w.position() == out.data() + out.size() - kTrailerSize);
   return out;
 }
 
@@ -470,63 +487,77 @@ void VerdictStore::forget_chain() {
 }
 
 bool VerdictStore::save(const std::string& path, Fs* fs, std::string* error) {
-  return commit_impl(path, fs, CommitMode::kBase, error);
+  return write_commit(capture(path, CommitMode::kBase), fs, error);
 }
 
 bool VerdictStore::commit(const std::string& path, Fs* fs, bool fold,
                           std::string* error) {
-  const CommitMode mode = fold ? CommitMode::kFold : CommitMode::kDelta;
-  return commit_impl(path, fs, mode, error);
+  return write_commit(capture_commit(path, fold), fs, error);
 }
 
-bool VerdictStore::commit_impl(const std::string& path, Fs* fs,
-                               CommitMode mode, std::string* error) {
-  util::MutexLock commit_lock(commit_mu_);
-  Fs& f = resolve(fs);
+VerdictStore::Capture VerdictStore::capture_commit(const std::string& path,
+                                                   bool fold) {
+  return capture(path, fold ? CommitMode::kFold : CommitMode::kDelta);
+}
 
-  // ---- Capture under one exclusive hold: decide what to write,
-  // serialize it, and clear the change tracking it covers.  Appends
-  // after this point land in the next commit. ----
-  enum class Kind { kNothing, kRetire, kBase, kSegment };
-  Kind kind = Kind::kNothing;
-  std::string bytes;
-  Chain next;
+VerdictStore::Capture VerdictStore::capture(const std::string& path,
+                                            CommitMode mode) {
   {
-    util::ExclusiveLock lock(mu_);
-    next = chain_;
-    const bool chained = chain_.path == path;
-    const bool changed = !dirty_.empty() || checkpoint_dirty_;
-    if (mode == CommitMode::kBase || !chained) {
-      kind = Kind::kBase;
-    } else if (mode == CommitMode::kFold) {
-      if (!rows_since_base_ && !checkpoint_ && !chain_.base_checkpoint) {
-        // The base already holds exactly this state.
-        kind = Kind::kRetire;
-        checkpoint_dirty_ = false;
-        committed_keys_ = 0;
-      } else if (changed || chain_.segments > 0) {
-        kind = Kind::kBase;
-      }
-    } else if (changed) {
-      kind = Kind::kSegment;
-      bytes = capture_segment();
-      // Fold instead once the segments would outgrow the base (the
-      // base carries everything the segment did).
-      if (chain_.segment_bytes + bytes.size() + kTrailerSize >
-          chain_.base_bytes) {
-        kind = Kind::kBase;
-      }
-    }
-    if (kind == Kind::kBase) {
-      next.generation = chain_.generation + 1;
-      next.base_checkpoint = checkpoint_.has_value();
-      bytes = capture_base(next.generation);
-    }
+    util::MutexLock lock(commit_mu_);
+    while (writing_) write_done_.wait(commit_mu_);
+    writing_ = true;
   }
+  Capture c(*this);  // from here on, its end releases `writing_`
+  c.path_ = path;
 
-  // ---- Write outside the hold. ----
-  if (kind == Kind::kNothing) return true;
-  if (kind == Kind::kRetire) {
+  // ---- Under one exclusive hold: decide what to write, serialize it,
+  // and clear the change tracking it covers. ----
+  util::ExclusiveLock lock(mu_);
+  c.next_ = chain_;
+  const bool chained = chain_.path == path;
+  const bool changed = !dirty_.empty() || checkpoint_dirty_;
+  if (mode == CommitMode::kBase || !chained) {
+    c.kind_ = WriteKind::kBase;
+  } else if (mode == CommitMode::kFold) {
+    if (!rows_since_base_ && !checkpoint_ && !chain_.base_checkpoint) {
+      // The base already holds exactly this state.
+      c.kind_ = WriteKind::kRetire;
+      checkpoint_dirty_ = false;
+      committed_keys_ = 0;
+    } else if (changed || chain_.segments > 0) {
+      c.kind_ = WriteKind::kBase;
+    }
+  } else if (changed) {
+    // Fold instead once the segments would outgrow the base (the base
+    // carries everything the segment would).
+    c.kind_ = chain_.segment_bytes + segment_size() > chain_.base_bytes
+                  ? WriteKind::kBase
+                  : WriteKind::kSegment;
+  }
+  if (c.kind_ == WriteKind::kBase) {
+    c.next_.generation = chain_.generation + 1;
+    c.next_.base_checkpoint = checkpoint_.has_value();
+    c.bytes_ = capture_base(c.next_.generation);
+  } else if (c.kind_ == WriteKind::kSegment) {
+    c.bytes_ = capture_segment();
+  }
+  return c;
+}
+
+bool VerdictStore::write_commit(Capture capture, Fs* fs, std::string* error) {
+  MCMC_REQUIRE_MSG(capture.store_ == this,
+                   "a capture is written by the store that took it");
+  const bool ok = write_captured(capture, resolve(fs), error);
+  capture.written_ = true;
+  return ok;
+}
+
+bool VerdictStore::write_captured(Capture& c, Fs& f, std::string* error) {
+  const std::string& path = c.path_;
+  std::string& bytes = c.bytes_;
+  Chain& next = c.next_;
+  if (c.kind_ == WriteKind::kNothing) return true;
+  if (c.kind_ == WriteKind::kRetire) {
     if (!retire_segments(f, path, 1)) {
       if (error != nullptr) *error = "store commit: cannot retire " + path;
       forget_chain();
@@ -539,8 +570,8 @@ bool VerdictStore::commit_impl(const std::string& path, Fs* fs,
     return true;
   }
 
-  util::Key128 sum = append_trailer(bytes);
-  if (kind == Kind::kBase) {
+  util::Key128 sum = put_trailer(bytes);
+  if (c.kind_ == WriteKind::kBase) {
     // A segment left beside `path` by a crash or a deleted base must
     // never extend the new base: if one claims to, move to the next
     // generation (the bytes, and so the checksum, change).
@@ -548,11 +579,9 @@ bool VerdictStore::commit_impl(const std::string& path, Fs* fs,
     std::string stale;
     while (f.exists(first) && f.read_file(first, stale) &&
            extends(stale, sum)) {
-      std::string word;
-      util::append_u64(word, ++next.generation);
-      bytes.replace(kHeaderSize, 8, word);
-      bytes.resize(bytes.size() - kTrailerSize);
-      sum = append_trailer(bytes);
+      util::ByteWriter w(&bytes[kHeaderSize]);
+      w.u64(++next.generation);
+      sum = put_trailer(bytes);
     }
     if (!write_atomically(f, path, bytes, error)) {
       forget_chain();
@@ -589,6 +618,13 @@ bool VerdictStore::commit_impl(const std::string& path, Fs* fs,
   util::ExclusiveLock lock(mu_);
   chain_ = std::move(next);
   return true;
+}
+
+void VerdictStore::end_write(bool written) {
+  if (!written) forget_chain();
+  util::MutexLock lock(commit_mu_);
+  writing_ = false;
+  write_done_.notify_all();
 }
 
 OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,

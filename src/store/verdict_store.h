@@ -53,6 +53,24 @@
 // above is exercised by fault injection (store/fs.h) in the dedicated
 // store test suites.
 //
+// A commit runs in two phases.  capture_commit() decides what to write
+// (nothing, a segment retirement, a base or a segment), serializes it
+// into one buffer sized up front and clears the change tracking it
+// covers, all under one exclusive hold and with no filesystem call.
+// write_commit() does everything else: the trailer checksum, the
+// stale-generation check, create/write/fsync/close/rename, segment
+// retirement, and the chain update (or forgetting the chain on
+// failure).  save() and commit() call the two back to back; a
+// checkpointed stream captures each seal on its consumer and writes it
+// on a background writer (VerdictEngine::run_stream).  Commits stay
+// serialized for every caller: a capture waits while an earlier
+// capture's write is unfinished, and the buffer is freed when its write
+// ends, so at most one serialized file is in memory.  Every Fs call of
+// a commit happens in its write phase, on the thread that runs it, and
+// no other commit's Fs call runs meanwhile; an Fs therefore need not be
+// thread-safe as long as its owner makes no call of its own while a
+// write is in flight.
+//
 // Thread-safety: shared read, serialized append/commit — and the
 // contract is compile-time checked.  The store's reader-writer lock is
 // exposed as mu(); the data path is one probe, probe_words_locked,
@@ -68,11 +86,11 @@
 //
 // Any number of threads may probe concurrently — litmusd's
 // per-connection readers do exactly that — while appends serialize
-// through the exclusive lock.  save() and commit() serialize against
-// each other, capture (and clear) the changes to write under one short
-// exclusive hold, and write the file outside it, so probes and appends
-// continue during the I/O and every committed file is one consistent
-// snapshot.  Hit/miss counters are relaxed atomics outside the lock.
+// through the exclusive lock.  A commit's capture holds the exclusive
+// lock briefly and its write holds none (but for the final chain
+// update), so probes and appends continue during the I/O and every
+// committed file is one consistent snapshot.  Hit/miss counters are
+// relaxed atomics outside the lock.
 // open() constructs fresh state (populating it under the exclusive lock
 // it has sole access to); column_of reads post-construction immutable
 // state and needs no lock.
@@ -159,17 +177,24 @@ struct StreamCheckpoint {
 };
 
 /// Checkpoint/resume configuration for VerdictEngine::run_stream (see
-/// StreamOptions::persistence).  The engine seals every
-/// `checkpoint_every_chunks` chunks: it snapshots the source cursor,
-/// hands the store the dedup keys claimed since the previous seal,
-/// asks the sink for its state, and commits the change as one delta
-/// segment (VerdictStore::commit).  At completion it drops the
+/// StreamOptions::persistence).  At completion the engine drops the
 /// checkpoint and folds the chain, leaving one checkpoint-free file.
 /// With `resume`, a checkpoint present in the attached store restores
 /// all of that before the first chunk.
 struct StreamPersistence {
   std::string path;                   ///< store file (empty = disabled)
-  Fs* fs = nullptr;                   ///< null = the real filesystem
+  /// null = the real filesystem.  The stream's seal writer calls it
+  /// from its own thread, never while another call is in flight.
+  Fs* fs = nullptr;
+  /// The engine seals every this many chunks: it snapshots the source
+  /// cursor, hands the store the dedup keys claimed since the previous
+  /// seal, asks the sink for its state, and captures the change on its
+  /// consumer thread (VerdictStore::capture_commit).  A background
+  /// writer then writes it as one delta segment (or a base) while the
+  /// stream runs on; the seal is durable once that write's rename
+  /// lands, and the next seal (or the completion) waits for it first.
+  /// A failed write is retried at the next seal, as a base carrying
+  /// everything.
   int checkpoint_every_chunks = 64;
   bool resume = false;
   /// Serializes the sink's fold state into the checkpoint.
@@ -177,10 +202,11 @@ struct StreamPersistence {
   /// Restores sink state from a checkpoint; returning false aborts the
   /// resume (the run restarts from scratch instead of diverging).
   std::function<bool(const std::vector<std::uint64_t>&)> restore_sink;
-  /// Test hook: after this many successful seals, throw
-  /// StreamInterrupted — the files are then bit-for-bit what a SIGKILL
-  /// right after the seal's atomic rename leaves behind.  -1 never
-  /// fires.
+  /// Test hook: throw StreamInterrupted when the write of this many
+  /// successful seals has been joined (at the next seal or at the
+  /// completion), before anything further is captured — the files are
+  /// then bit-for-bit what a SIGKILL right after that seal's atomic
+  /// rename leaves behind.  -1 never fires.
   int kill_after_seals = -1;
 };
 
@@ -246,9 +272,32 @@ class VerdictStore {
   /// run that changed no row leaves the base byte-for-byte untouched).
   /// False on any filesystem failure; `path` then still opens to the
   /// state of the previous successful commit, and the next commit
-  /// writes a base carrying everything.
+  /// writes a base carrying everything.  This is
+  /// write_commit(capture_commit(path, fold), fs, error).
   [[nodiscard]] bool commit(const std::string& path, Fs* fs = nullptr,
                             bool fold = false, std::string* error = nullptr)
+      EXCLUDES(mu_);
+
+  /// A commit between its two phases: the file capture_commit
+  /// serialized and what write_commit is to do with it.  While one
+  /// exists no other commit of this store can capture.  Destroying one
+  /// that was never written forgets the chain: its changes have left
+  /// the change tracking, so the next commit writes a base.
+  class Capture;
+
+  /// commit()'s first phase, with no filesystem call: waits until no
+  /// earlier capture's write is unfinished, then decides what the
+  /// commit writes, serializes it and clears the change tracking it
+  /// covers, under one exclusive hold.  Appends after it land in the
+  /// next commit.
+  [[nodiscard]] Capture capture_commit(const std::string& path, bool fold)
+      EXCLUDES(mu_);
+  /// commit()'s second phase: writes what `capture` holds through `fs`
+  /// and advances the chain, or forgets it on failure.  Returns (and
+  /// reports) as commit() does, and frees the capture's buffer.  May
+  /// run on another thread than the capture.
+  [[nodiscard]] bool write_commit(Capture capture, Fs* fs = nullptr,
+                                  std::string* error = nullptr)
       EXCLUDES(mu_);
 
   [[nodiscard]] const StoreMeta& meta() const { return meta_; }
@@ -350,6 +399,10 @@ class VerdictStore {
   };
 
   enum class CommitMode { kDelta, kFold, kBase };
+  /// What a captured commit writes: nothing, only the retirement of the
+  /// segments (a fold whose base already holds the state), a base, or a
+  /// segment.
+  enum class WriteKind { kNothing, kRetire, kBase, kSegment };
 
   static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
   /// One slot of the index: a row and the low 32 bits of its key's
@@ -382,20 +435,29 @@ class VerdictStore {
   void write_words(util::Key128 test, std::size_t first, std::size_t count,
                    const std::uint64_t* mask, const std::uint64_t* bits)
       REQUIRES(mu_);
+  /// Bytes of segment number chain_.segments + 1 as capture_segment
+  /// would write it, trailer included.
+  [[nodiscard]] std::uint64_t segment_size() const REQUIRES_SHARED(mu_);
   /// Serializes the whole store as a base of generation `generation`
-  /// and clears the change tracking (the base carries everything).
+  /// (with room for its trailer) and clears the change tracking (the
+  /// base carries everything).
   [[nodiscard]] std::string capture_base(std::uint64_t generation)
       REQUIRES(mu_);
   /// Serializes the changes since the last commit as segment number
-  /// chain_.segments + 1 (without its trailer) and clears the change
-  /// tracking.
+  /// chain_.segments + 1 (with room for its trailer) and clears the
+  /// change tracking.
   [[nodiscard]] std::string capture_segment() REQUIRES(mu_);
   /// Forgets the committed chain after a failed commit, so the next
   /// commit writes a base carrying everything the failed one held.
   void forget_chain() EXCLUDES(mu_);
-  [[nodiscard]] bool commit_impl(const std::string& path, Fs* fs,
-                                 CommitMode mode, std::string* error)
+  [[nodiscard]] Capture capture(const std::string& path, CommitMode mode)
       EXCLUDES(mu_);
+  /// The write phase behind write_commit.
+  [[nodiscard]] bool write_captured(Capture& capture, Fs& fs,
+                                    std::string* error) EXCLUDES(mu_);
+  /// Ends the write of a capture, letting the next capture begin; one
+  /// never written first forgets the chain.
+  void end_write(bool written) EXCLUDES(mu_);
 
   StoreMeta meta_;
   std::size_t words_ = 0;  ///< words per row (and per validity mask)
@@ -403,9 +465,13 @@ class VerdictStore {
   /// size() hold it shared; appends, the checkpoint setters, and a
   /// commit's capture hold it exclusive.
   mutable util::SharedMutex mu_;
-  /// Serializes save() and commit() against each other, so the chain
-  /// advances one file at a time.  Taken before mu_, never inside it.
+  /// Serializes commits, so the chain advances one file at a time: a
+  /// capture waits on write_done_ while `writing_`, and a capture's
+  /// write (or its destruction unwritten) clears it.  Taken before mu_,
+  /// never inside it.
   util::Mutex commit_mu_;
+  bool writing_ GUARDED_BY(commit_mu_) = false;
+  util::CondVar write_done_;
   /// The index: every row's key once, in row order (which is also the
   /// order a base lists them in), and an open-addressed power-of-two
   /// table of {row, tag} slots over them, kept under 70% load.  No heap
@@ -432,6 +498,34 @@ class VerdictStore {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> bytes_committed_{0};
+};
+
+class VerdictStore::Capture {
+ public:
+  Capture(Capture&& other) noexcept
+      : store_(std::exchange(other.store_, nullptr)),
+        written_(other.written_),
+        kind_(other.kind_),
+        path_(std::move(other.path_)),
+        bytes_(std::move(other.bytes_)),
+        next_(std::move(other.next_)) {}
+  Capture(const Capture&) = delete;
+  Capture& operator=(const Capture&) = delete;
+  Capture& operator=(Capture&&) = delete;
+  ~Capture() {
+    if (store_ != nullptr) store_->end_write(written_);
+  }
+
+ private:
+  friend class VerdictStore;
+  explicit Capture(VerdictStore& store) : store_(&store) {}
+
+  VerdictStore* store_;  ///< null once moved from
+  bool written_ = false;
+  WriteKind kind_ = WriteKind::kNothing;
+  std::string path_;
+  std::string bytes_;  ///< the file; its trailer is filled in by the write
+  Chain next_;         ///< the chain once the write lands
 };
 
 }  // namespace mcmc::store

@@ -4,8 +4,10 @@
 // little-endian integers: explicit width, explicit byte order, no
 // padding, no in-memory struct images — so a file written on one
 // machine parses identically on any other, and a parser can
-// bounds-check every field before touching it.  ByteReader is the
-// load-side half: it never reads past the buffer, and instead of
+// bounds-check every field before touching it.  The append_* helpers
+// grow a string field by field; ByteWriter fills a buffer sized up
+// front with direct stores, for the store's large files.  ByteReader is
+// the load-side half: it never reads past the buffer, and instead of
 // throwing it latches a failure flag the caller checks once at the end
 // (corrupted input is an expected case for the store, not a logic
 // error).
@@ -37,6 +39,37 @@ inline void append_key128(std::string& out, const Key128& k) {
   append_u64(out, k.hi);
   append_u64(out, k.lo);
 }
+
+/// Sequential writer into a buffer its caller sized up front: each
+/// field is stored little-endian at the cursor (the byte loop compiles
+/// to one store), with no bounds check and no growth.  The caller
+/// computes the exact size first and checks position() at the end.
+class ByteWriter {
+ public:
+  explicit ByteWriter(char* data) : pos_(data) {}
+
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) pos_[i] = static_cast<char>(v >> (8 * i));
+    pos_ += 4;
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) pos_[i] = static_cast<char>(v >> (8 * i));
+    pos_ += 8;
+  }
+  void key128(const Key128& k) {
+    u64(k.hi);
+    u64(k.lo);
+  }
+  void bytes(const char* data, std::size_t n) {
+    std::memcpy(pos_, data, n);
+    pos_ += n;
+  }
+
+  [[nodiscard]] char* position() const { return pos_; }
+
+ private:
+  char* pos_;
+};
 
 /// Bounds-checked sequential reader over an immutable byte buffer.
 /// Every accessor returns a value (zero on failure) and any

@@ -9,14 +9,14 @@
 // bit (names, keys, verdicts, per-chunk counts, cursors after every
 // chunk and store bytes after every seal) at any thread count and at
 // chunk sizes whose chunks end inside elided programs or elide every
-// position; a restored stream elides only against the programs it
-// started itself; and structural keys never opt in.
+// position; the files both slices publish when sealed after every chunk
+// are pinned by a sha256; a restored stream elides only against the
+// programs it started itself; and structural keys never opt in.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,9 +28,12 @@
 #include "enumeration/exhaustive.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
+#include "mem_fs.h"
 #include "program_classes.h"
+#include "sha256.h"
 #include "store/fs.h"
 #include "store/verdict_store.h"
+#include "util/bytes.h"
 
 namespace mcmc {
 namespace {
@@ -53,66 +56,6 @@ SliceCounts pinned(bool deps) {
   return deps ? SliceCounts{28470, 25739, 1170}
               : SliceCounts{13086, 11813, 558};
 }
-
-/// A filesystem in memory that logs the bytes of every file a rename
-/// publishes: the store's commits, each sealed chunk's among them.
-class MemFs final : public store::Fs {
- public:
-  [[nodiscard]] bool read_file(const std::string& path,
-                               std::string& out) override {
-    const auto it = files_.find(path);
-    if (it == files_.end()) return false;
-    out = it->second;
-    return true;
-  }
-  [[nodiscard]] std::unique_ptr<store::FileWriter> create(
-      const std::string& path) override {
-    std::string& file = files_[path];
-    file.clear();
-    return std::make_unique<Writer>(file);
-  }
-  [[nodiscard]] bool rename(const std::string& from,
-                            const std::string& to) override {
-    const auto it = files_.find(from);
-    if (it == files_.end()) return false;
-    std::string bytes = std::move(it->second);
-    files_.erase(it);
-    published_.emplace_back(to, bytes);
-    files_[to] = std::move(bytes);
-    return true;
-  }
-  [[nodiscard]] bool remove(const std::string& path) override {
-    return files_.erase(path) > 0;
-  }
-  [[nodiscard]] bool exists(const std::string& path) override {
-    return files_.count(path) > 0;
-  }
-
-  using Published = std::vector<std::pair<std::string, std::string>>;
-
-  [[nodiscard]] const Published& published() const { return published_; }
-  [[nodiscard]] const std::map<std::string, std::string>& files() const {
-    return files_;
-  }
-
- private:
-  class Writer final : public store::FileWriter {
-   public:
-    explicit Writer(std::string& file) : file_(file) {}
-    [[nodiscard]] bool write(const char* data, std::size_t len) override {
-      file_.append(data, len);
-      return true;
-    }
-    [[nodiscard]] bool sync() override { return true; }
-    bool close() override { return true; }
-
-   private:
-    std::string& file_;
-  };
-
-  std::map<std::string, std::string> files_;
-  Published published_;
-};
 
 /// Everything a streamed run delivers, and its accounting.
 struct StreamedRun {
@@ -324,6 +267,41 @@ TEST(ElidedRepeats, ElidedRunEqualsFullBuildRun) {
         EXPECT_GT(elided.published.size(), chunks / 2) << label;
       }
     }
+  }
+}
+
+/// The sha256 of a published-file log: each file's path and bytes, in
+/// publish order, each preceded by its length as a little-endian u64.
+std::string published_digest(const MemFs::Published& published) {
+  Sha256 sha;
+  for (const auto& [path, bytes] : published) {
+    for (const std::string* field : {&path, &bytes}) {
+      std::string length;
+      util::append_u64(length, field->size());
+      sha.update(length).update(*field);
+    }
+  }
+  return sha.hex();
+}
+
+TEST(ElidedRepeats, PublishedFilesArePinned) {
+  // Every file the seals and the completion publish, sealed after every
+  // chunk.  No harness sink runs, so the bytes carry no timings; a seal
+  // captured at another moment than after its chunk's verdicts (or a
+  // changed byte of the format) changes the log.
+  EXPECT_EQ(Sha256().update("abc").hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  const char* const digests[] = {
+      "9b9401f4f6f5652c9e1ffc35f363ad8adaa30d5f425b983e281235550ff8e9e8",
+      "137f2bc96a36f3fed7de3159efd292ba6703f586a92594535738cbee7b17a315"};
+  for (const bool deps : {false, true}) {
+    enumeration::ExhaustiveStream stream(slice(deps));
+    RunSpec spec;
+    spec.sealed = true;
+    const StreamedRun run = stream_run(stream, spec);
+    EXPECT_EQ(run.published.size(), deps ? 56u : 26u) << "deps=" << deps;
+    EXPECT_EQ(published_digest(run.published), digests[deps ? 1 : 0])
+        << "deps=" << deps;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
@@ -74,6 +75,42 @@ class CountingSource final : public engine::TestSource {
  private:
   enumeration::ExhaustiveStream inner_;
   std::size_t delivered_ = 0;
+};
+
+/// Forwards to another Fs and logs the target of every rename that
+/// lands, so a test can tell which commits wrote a base.
+class RenameLog final : public store::Fs {
+ public:
+  explicit RenameLog(store::Fs& inner) : inner_(inner) {}
+
+  [[nodiscard]] bool read_file(const std::string& path,
+                               std::string& out) override {
+    return inner_.read_file(path, out);
+  }
+  [[nodiscard]] std::unique_ptr<store::FileWriter> create(
+      const std::string& path) override {
+    return inner_.create(path);
+  }
+  [[nodiscard]] bool rename(const std::string& from,
+                            const std::string& to) override {
+    if (!inner_.rename(from, to)) return false;
+    targets_.push_back(to);
+    return true;
+  }
+  [[nodiscard]] bool remove(const std::string& path) override {
+    return inner_.remove(path);
+  }
+  [[nodiscard]] bool exists(const std::string& path) override {
+    return inner_.exists(path);
+  }
+
+  [[nodiscard]] const std::vector<std::string>& targets() const {
+    return targets_;
+  }
+
+ private:
+  store::Fs& inner_;
+  std::vector<std::string> targets_;
 };
 
 struct SliceRun {
@@ -435,9 +472,12 @@ TEST_F(StoreRecovery, WarmRerunLeavesTheBaseBytesUnchanged) {
 // Fault class: a failing fsync or rename on a delta-segment commit (the
 // first commit of a run is its base, the second its first segment).
 // Non-sticky, so later commits land: no partial segment ever carries a
-// final name and the completed store reopens with every row.
+// final name, the failed segment is retried at the next seal as a base
+// carrying everything, and the completed store reopens with every row,
+// byte for byte the fault-free run's file.
 TEST_F(StoreRecovery, SegmentCommitFaultsLoseNoRow) {
   warm_store();
+  const std::string clean = read_bytes();
   std::size_t rows = 0;
   {
     auto opened = store::VerdictStore::open(
@@ -445,6 +485,7 @@ TEST_F(StoreRecovery, SegmentCommitFaultsLoseNoRow) {
     rows = opened.store->size();
   }
   for (const bool rename : {false, true}) {
+    SCOPED_TRACE(rename ? "rename" : "fsync");
     scrub();
     store::FaultFs faulty(store::RealFs::instance());
     if (rename) {
@@ -452,14 +493,22 @@ TEST_F(StoreRecovery, SegmentCommitFaultsLoseNoRow) {
     } else {
       faulty.fail_sync_at = 1;
     }
-    const SliceRun run = run_slice_with_store(path_, &faulty, false, -1);
+    RenameLog log(faulty);
+    const SliceRun run = run_slice_with_store(path_, &log, false, -1);
     ASSERT_FALSE(run.interrupted);
     expect_matches_reference(run);
+    // The first seal's base landed, its first segment did not, and the
+    // next commit to land is the base that retries it.
+    ASSERT_GE(log.targets().size(), 2u);
+    EXPECT_EQ(log.targets()[0], path_);
+    EXPECT_EQ(log.targets()[1], path_);
     EXPECT_FALSE(store::RealFs::instance().exists(segment(1) + ".tmp"));
+    EXPECT_FALSE(store::RealFs::instance().exists(path_ + ".tmp"));
     expect_one_clean_file();
     auto opened = store::VerdictStore::open(
         path_, explore::harness_store_meta(ninety_models()));
-    EXPECT_EQ(opened.store->size(), rows) << (rename ? "rename" : "fsync");
+    EXPECT_EQ(opened.store->size(), rows);
+    EXPECT_TRUE(read_bytes() == clean);
   }
 }
 
