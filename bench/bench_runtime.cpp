@@ -98,7 +98,7 @@ void BM_PreparedTestBuild(benchmark::State& state) {
   const auto& t = litmus::test_a();
   for (auto _ : state) {
     const core::PreparedTest prep(t.program(), t.outcome());
-    benchmark::DoNotOptimize(prep.skeletons().size());
+    benchmark::DoNotOptimize(prep.num_rf_maps());
   }
 }
 BENCHMARK(BM_PreparedTestBuild);

@@ -1,35 +1,80 @@
 #include "core/analysis.h"
 
-#include <map>
-
 #include "util/check.h"
 
 namespace mcmc::core {
 
-std::shared_ptr<const Analysis> analyze_shared(
-    std::shared_ptr<const Program> program) {
-  struct Pinned {
-    explicit Pinned(std::shared_ptr<const Program> p)
-        : program(std::move(p)), analysis(*program) {}
-    std::shared_ptr<const Program> program;
-    Analysis analysis;
-  };
-  auto pinned = std::make_shared<const Pinned>(std::move(program));
-  return std::shared_ptr<const Analysis>(pinned, &pinned->analysis);
+namespace {
+
+/// Position of the instruction before `end` in `th` that defines `r`, or
+/// -1.  Registers are defined once (Program::validate), so a backward scan
+/// of the thread finds the only definition a use can see; threads are
+/// short, and no per-register table is built.
+int definition(const Thread& th, int end, Reg r) {
+  for (int p = end - 1; p >= 0; --p) {
+    if (th[static_cast<std::size_t>(p)].dst == r) return p;
+  }
+  return -1;
 }
 
-Analysis::Analysis(const Program& program) : program_(&program) {
+/// Bit b of row a in rows of `words` words each.
+bool test_bit(const std::vector<std::uint64_t>& rows, std::size_t words,
+              EventId a, EventId b) {
+  const auto sb = static_cast<std::size_t>(b);
+  return ((rows[static_cast<std::size_t>(a) * words + sb / 64] >> (sb % 64)) &
+          1) != 0;
+}
+
+void set_bit(std::vector<std::uint64_t>& rows, std::size_t words, EventId a,
+             EventId b) {
+  const auto sb = static_cast<std::size_t>(b);
+  rows[static_cast<std::size_t>(a) * words + sb / 64] |= 1ULL << (sb % 64);
+}
+
+}  // namespace
+
+Analysis::Analysis(const Program& program) { reset(program); }
+
+void Analysis::reset(const Program& program) {
+  clear();
   program.validate();
+  program_ = &program;
   resolve_events();
   compute_deps();
   compute_indexes();
 }
 
+void Analysis::clear() {
+  program_ = nullptr;
+  events_.clear();
+  thread_base_.clear();
+  num_locations_ = 0;
+  words_ = 0;
+  dep_.clear();
+  cdep_.clear();
+  writes_.clear();
+  write_begin_.clear();
+  reads_.clear();
+  reads_mask_ = 0;
+  writes_mask_ = 0;
+  fences_mask_ = 0;
+  po_mask_.clear();
+  same_addr_mask_.clear();
+}
+
 void Analysis::resolve_events() {
+  // A DepConst-defined register's value, seen from position `at` of `th`.
+  const auto static_value = [](const Thread& th, int at, Reg r,
+                               const char* what) {
+    const int d = definition(th, at, r);
+    MCMC_CHECK_MSG(d >= 0 && th[static_cast<std::size_t>(d)].op ==
+                                 Op::DepConst,
+                   what);
+    return th[static_cast<std::size_t>(d)].value;
+  };
   for (int t = 0; t < program_->num_threads(); ++t) {
     thread_base_.push_back(static_cast<int>(events_.size()));
     const auto& th = program_->thread(t);
-    std::map<Reg, int> static_value;  // DepConst-defined registers
     for (int i = 0; i < static_cast<int>(th.size()); ++i) {
       const auto& instr = th[static_cast<std::size_t>(i)];
       Event e;
@@ -38,31 +83,24 @@ void Analysis::resolve_events() {
       e.op = instr.op;
       e.dst = instr.dst;
       e.instr = &instr;
-      if (instr.op == Op::DepConst) {
-        e.value = instr.value;
-        static_value[instr.dst] = instr.value;
-      }
+      if (instr.op == Op::DepConst) e.value = instr.value;
       if (instr.is_memory_access()) {
         if (instr.addr_reg >= 0) {
-          const auto it = static_value.find(instr.addr_reg);
-          MCMC_CHECK_MSG(it != static_value.end(),
-                         "address register not statically resolvable");
-          MCMC_CHECK_MSG(it->second >= 0,
+          e.loc = static_value(th, i, instr.addr_reg,
+                               "address register not statically resolvable");
+          MCMC_CHECK_MSG(e.loc >= 0,
                          "address register resolves to a negative location");
-          e.loc = it->second;
         } else {
           e.loc = instr.loc;
         }
+        if (e.loc + 1 > num_locations_) num_locations_ = e.loc + 1;
       }
       if (instr.op == Op::Write) {
-        if (instr.value_from_reg) {
-          const auto it = static_value.find(instr.src);
-          MCMC_CHECK_MSG(it != static_value.end(),
-                         "store value register not statically resolvable");
-          e.value = it->second;
-        } else {
-          e.value = instr.value;
-        }
+        e.value = instr.value_from_reg
+                      ? static_value(
+                            th, i, instr.src,
+                            "store value register not statically resolvable")
+                      : instr.value;
       }
       events_.push_back(e);
     }
@@ -71,50 +109,35 @@ void Analysis::resolve_events() {
 
 void Analysis::compute_deps() {
   const auto n = static_cast<std::size_t>(num_events());
-  dep_.assign(n, std::vector<bool>(n, false));
-  cdep_.assign(n, std::vector<bool>(n, false));
+  words_ = (n + 63) / 64;
+  dep_.assign(n * words_, 0);
+  cdep_.assign(n * words_, 0);
 
   for (int t = 0; t < program_->num_threads(); ++t) {
     const auto& th = program_->thread(t);
     const int base = thread_base_[static_cast<std::size_t>(t)];
     const int len = static_cast<int>(th.size());
 
-    // taint[i][j]: instruction j's inputs depend on instruction i's output
-    // (i < j, both positions within this thread).
-    std::vector<std::vector<bool>> taint(
-        static_cast<std::size_t>(len),
-        std::vector<bool>(static_cast<std::size_t>(len), false));
-
-    // reg_def[r] = position defining register r in this thread.
-    std::map<Reg, int> reg_def;
+    // DataDep is the transitive taint of register uses: instruction j's
+    // inputs depend on the instruction d defining a register j reads, and
+    // on everything d depends on.  Positions are visited in program
+    // order, so d's row is complete when j absorbs it.
     for (int j = 0; j < len; ++j) {
       const auto& instr = th[static_cast<std::size_t>(j)];
       auto absorb = [&](Reg r) {
         if (r < 0) return;
-        const auto it = reg_def.find(r);
-        if (it == reg_def.end()) return;  // defined in another thread: invalid
-        const int d = it->second;
-        taint[static_cast<std::size_t>(d)][static_cast<std::size_t>(j)] = true;
-        // Transitive through the defining instruction's own dependencies.
+        const int d = definition(th, j, r);
+        if (d < 0) return;  // defined in another thread: invalid
+        set_bit(dep_, words_, base + d, base + j);
         for (int i = 0; i < d; ++i) {
-          if (taint[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)]) {
-            taint[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-                true;
+          if (test_bit(dep_, words_, base + i, base + d)) {
+            set_bit(dep_, words_, base + i, base + j);
           }
         }
       };
       absorb(instr.addr_reg);
       if (instr.op == Op::DepConst || instr.op == Op::Branch) absorb(instr.src);
       if (instr.op == Op::Write && instr.value_from_reg) absorb(instr.src);
-      if (instr.dst >= 0) reg_def[instr.dst] = j;
-    }
-
-    for (int i = 0; i < len; ++i) {
-      for (int j = i + 1; j < len; ++j) {
-        dep_[static_cast<std::size_t>(base + i)]
-            [static_cast<std::size_t>(base + j)] =
-                taint[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      }
     }
 
     // Control dependencies: everything after a branch is control-dependent
@@ -123,12 +146,9 @@ void Analysis::compute_deps() {
     for (int b = 0; b < len; ++b) {
       if (th[static_cast<std::size_t>(b)].op != Op::Branch) continue;
       for (int i = 0; i < b; ++i) {
-        const bool feeds_branch =
-            taint[static_cast<std::size_t>(i)][static_cast<std::size_t>(b)];
-        if (!feeds_branch) continue;
+        if (!test_bit(dep_, words_, base + i, base + b)) continue;
         for (int j = b + 1; j < len; ++j) {
-          cdep_[static_cast<std::size_t>(base + i)]
-               [static_cast<std::size_t>(base + j)] = true;
+          set_bit(cdep_, words_, base + i, base + j);
         }
       }
     }
@@ -149,41 +169,66 @@ EventId Analysis::event_id(int thread, int index) const {
 
 void Analysis::compute_indexes() {
   const int n = num_events();
-  writes_by_loc_.assign(
-      static_cast<std::size_t>(program_->num_locations()), {});
-  for (EventId e = 0; e < n; ++e) {
-    if (is_write(e)) {
-      writes_by_loc_[static_cast<std::size_t>(event(e).loc)].push_back(e);
-    }
-    if (is_read(e)) reads_.push_back(e);
+  // Writes grouped by location, in event-id order (a counting sort):
+  // count each location's writes into the slot after it, sum the counts
+  // into starts, place each write at its location's cursor, and shift
+  // the advanced cursors back into starts.
+  const auto num_locs = static_cast<std::size_t>(num_locations_);
+  write_begin_.assign(num_locs + 1, 0);
+  for (const Event& e : events_) {
+    if (e.op == Op::Write) ++write_begin_[static_cast<std::size_t>(e.loc) + 1];
   }
+  for (std::size_t l = 0; l < num_locs; ++l) {
+    write_begin_[l + 1] += write_begin_[l];
+  }
+  writes_.resize(write_begin_[num_locs]);
+  for (EventId e = 0; e < n; ++e) {
+    const Event& ev = events_[static_cast<std::size_t>(e)];
+    if (ev.op == Op::Write) {
+      writes_[write_begin_[static_cast<std::size_t>(ev.loc)]++] = e;
+    }
+    if (ev.op == Op::Read) reads_.push_back(e);
+  }
+  for (std::size_t l = num_locs; l > 0; --l) {
+    write_begin_[l] = write_begin_[l - 1];
+  }
+  write_begin_[0] = 0;
 
   if (!masks_valid()) return;
+  // Bits [0, k) of a row.
+  const auto below = [](int k) { return k >= 64 ? ~0ULL : (1ULL << k) - 1; };
+  const auto is_access = [](const Event& e) {
+    return e.op == Op::Read || e.op == Op::Write;
+  };
   po_mask_.assign(static_cast<std::size_t>(n), 0);
   same_addr_mask_.assign(static_cast<std::size_t>(n), 0);
-  data_dep_mask_.assign(static_cast<std::size_t>(n), 0);
-  ctrl_dep_mask_.assign(static_cast<std::size_t>(n), 0);
   for (EventId a = 0; a < n; ++a) {
+    const auto sa = static_cast<std::size_t>(a);
+    const Event& ea = events_[sa];
     const std::uint64_t bit = 1ULL << a;
-    if (is_read(a)) reads_mask_ |= bit;
-    if (is_write(a)) writes_mask_ |= bit;
-    if (is_fence(a)) fences_mask_ |= bit;
+    if (ea.op == Op::Read) reads_mask_ |= bit;
+    if (ea.op == Op::Write) writes_mask_ |= bit;
+    if (ea.op == Op::Fence) fences_mask_ |= bit;
+    // Event ids are thread-major: a's program-order successors are the
+    // ids after it up to its thread's end.
+    const int thread_end =
+        a - ea.index + static_cast<int>(program_->thread(ea.thread).size());
+    po_mask_[sa] = below(thread_end) & ~below(a + 1);
+    if (!is_access(ea)) continue;
     for (EventId b = 0; b < n; ++b) {
-      if (b == a) continue;
-      const std::uint64_t bbit = 1ULL << b;
-      const auto sa = static_cast<std::size_t>(a);
-      if (po(a, b)) po_mask_[sa] |= bbit;
-      if (same_addr(a, b)) same_addr_mask_[sa] |= bbit;
-      if (data_dep(a, b)) data_dep_mask_[sa] |= bbit;
-      if (ctrl_dep(a, b)) ctrl_dep_mask_[sa] |= bbit;
+      const Event& eb = events_[static_cast<std::size_t>(b)];
+      if (b != a && is_access(eb) && eb.loc == ea.loc) {
+        same_addr_mask_[sa] |= 1ULL << b;
+      }
     }
   }
 }
 
-const std::vector<EventId>& Analysis::writes_to(Loc loc) const {
-  MCMC_REQUIRE(loc >= 0 &&
-               loc < static_cast<Loc>(writes_by_loc_.size()));
-  return writes_by_loc_[static_cast<std::size_t>(loc)];
+EventRange Analysis::writes_to(Loc loc) const {
+  MCMC_REQUIRE(loc >= 0 && loc < num_locations_);
+  const EventId* const writes = writes_.data();
+  return {writes + write_begin_[static_cast<std::size_t>(loc)],
+          writes + write_begin_[static_cast<std::size_t>(loc) + 1]};
 }
 
 std::uint64_t Analysis::po_mask(EventId x) const {
@@ -198,12 +243,12 @@ std::uint64_t Analysis::same_addr_mask(EventId x) const {
 
 std::uint64_t Analysis::data_dep_mask(EventId x) const {
   MCMC_REQUIRE(masks_valid() && x >= 0 && x < num_events());
-  return data_dep_mask_[static_cast<std::size_t>(x)];
+  return dep_[static_cast<std::size_t>(x)];
 }
 
 std::uint64_t Analysis::ctrl_dep_mask(EventId x) const {
   MCMC_REQUIRE(masks_valid() && x >= 0 && x < num_events());
-  return ctrl_dep_mask_[static_cast<std::size_t>(x)];
+  return cdep_[static_cast<std::size_t>(x)];
 }
 
 bool Analysis::po(EventId a, EventId b) const {
@@ -225,12 +270,12 @@ bool Analysis::same_addr(EventId a, EventId b) const {
 
 bool Analysis::data_dep(EventId a, EventId b) const {
   MCMC_REQUIRE(a >= 0 && a < num_events() && b >= 0 && b < num_events());
-  return dep_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
+  return test_bit(dep_, words_, a, b);
 }
 
 bool Analysis::ctrl_dep(EventId a, EventId b) const {
   MCMC_REQUIRE(a >= 0 && a < num_events() && b >= 0 && b < num_events());
-  return cdep_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
+  return test_bit(cdep_, words_, a, b);
 }
 
 }  // namespace mcmc::core

@@ -8,8 +8,8 @@
 // instruction execution with everything but read results resolved.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/program.h"
@@ -30,12 +30,43 @@ struct Event {
   const Instruction* instr = nullptr;  ///< the underlying instruction
 };
 
-/// Immutable analysis result over a validated program.
+/// A read-only view of consecutive event ids (Analysis::writes_to).
+class EventRange {
+ public:
+  EventRange(const EventId* begin, const EventId* end)
+      : begin_(begin), end_(end) {}
+  [[nodiscard]] const EventId* begin() const { return begin_; }
+  [[nodiscard]] const EventId* end() const { return end_; }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(end_ - begin_);
+  }
+  [[nodiscard]] EventId operator[](std::size_t i) const { return begin_[i]; }
+
+ private:
+  const EventId* begin_;
+  const EventId* end_;
+};
+
+/// Analysis result over a validated program.  Refillable: reset() analyzes
+/// another program into the same storage, which is how each engine worker
+/// reuses one Analysis across program runs.
 class Analysis {
  public:
+  /// An analysis of no program; reset() fills it.
+  Analysis() = default;
+
   /// Validates and analyzes `program` (kept by reference; the program must
-  /// outlive the analysis).
+  /// outlive the analysis, or the next reset() or clear()).
   explicit Analysis(const Program& program);
+
+  /// Validates and analyzes `program` in place of the current one.  The
+  /// storage is reused: once it has grown to the largest program seen,
+  /// only Program::validate's table is allocated.
+  void reset(const Program& program);
+
+  /// Drops every reference into the current program (the storage stays
+  /// for the next reset()); an analysis of no program has no events.
+  void clear();
 
   [[nodiscard]] const Program& program() const { return *program_; }
   [[nodiscard]] int num_events() const {
@@ -47,12 +78,16 @@ class Analysis {
   /// Event id of instruction `index` in `thread`.
   [[nodiscard]] EventId event_id(int thread, int index) const;
 
-  /// All write events to `loc`, in event-id order.  Precomputed; the
-  /// reference stays valid for the analysis' lifetime.
-  [[nodiscard]] const std::vector<EventId>& writes_to(Loc loc) const;
+  /// Largest accessed location, plus one (Program::num_locations).
+  [[nodiscard]] int num_locations() const { return num_locations_; }
+
+  /// All write events to `loc`, in event-id order.  Precomputed; the view
+  /// stays valid until the next reset() or clear().
+  [[nodiscard]] EventRange writes_to(Loc loc) const;
 
   /// All read events, in event-id order.  Precomputed; the reference
-  /// stays valid for the analysis' lifetime.
+  /// stays valid for the analysis' lifetime, its contents until the next
+  /// reset() or clear().
   [[nodiscard]] const std::vector<EventId>& reads() const { return reads_; }
 
   /// Program order: true iff `a` and `b` are in the same thread and `a`
@@ -118,13 +153,21 @@ class Analysis {
   void compute_deps();
   void compute_indexes();
 
-  const Program* program_;
+  const Program* program_ = nullptr;
   std::vector<Event> events_;
-  std::vector<int> thread_base_;        // first EventId of each thread
-  std::vector<std::vector<bool>> dep_;  // dep_[a][b]: data dependency
-  std::vector<std::vector<bool>> cdep_;  // cdep_[a][b]: control dependency
+  std::vector<int> thread_base_;  // first EventId of each thread
+  int num_locations_ = 0;
+  // Dependency bit rows, words_ words per event: bit b of row a is
+  // DataDep(a, b) in dep_ and ControlDep(a, b) in cdep_.  Up to 64
+  // events a row is one word, the data_dep_mask / ctrl_dep_mask row.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> dep_;
+  std::vector<std::uint64_t> cdep_;
 
-  std::vector<std::vector<EventId>> writes_by_loc_;  // index: location
+  // The writes to location l are writes_[write_begin_[l] ..
+  // write_begin_[l + 1]).
+  std::vector<EventId> writes_;
+  std::vector<std::size_t> write_begin_;
   std::vector<EventId> reads_;
 
   // Bitmask rows; empty when !masks_valid().
@@ -133,15 +176,6 @@ class Analysis {
   std::uint64_t fences_mask_ = 0;
   std::vector<std::uint64_t> po_mask_;
   std::vector<std::uint64_t> same_addr_mask_;
-  std::vector<std::uint64_t> data_dep_mask_;
-  std::vector<std::uint64_t> ctrl_dep_mask_;
 };
-
-/// Analyzes a shared program into a shared Analysis that keeps the
-/// program alive for as long as the analysis is referenced (one
-/// allocation holds both), so it may be handed to PreparedTests that
-/// outlive the program's other handles.
-[[nodiscard]] std::shared_ptr<const Analysis> analyze_shared(
-    std::shared_ptr<const Program> program);
 
 }  // namespace mcmc::core

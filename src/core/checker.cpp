@@ -74,7 +74,7 @@ bool explicit_engine(const HbProblem& p, std::vector<EventId>* order) {
   detail::ClosureSearch search(p.num_events);
   for (const auto& [x, y] : p.forbidden) search.forbid(x, y);
   detail::Reach64 reach;
-  reach.clear();
+  reach.clear(p.num_events);
   for (const auto& [x, y] : p.forced) {
     if (!search.add_edge(reach, x, y)) return false;
   }

@@ -2,12 +2,15 @@
 // disjunctions (internal to core; used by checker.cpp's explicit engine
 // and by the prepared fast path in prepared.cpp).
 //
-// State is a fixed std::array of 64 reachability bitmask rows, a plain
-// value type: DFS branches copy the whole state into the recursion
-// frame (512 bytes on the stack) instead of heap-allocating per node,
-// which is what makes the prepared explicit check zero-allocation.
+// State is a fixed std::array of 64 reachability bitmask rows, of which
+// a problem over n events uses the first n: DFS branches copy those n
+// rows into the recursion frame (8n bytes on the stack, not the whole
+// 512-byte array) instead of heap-allocating per node, which is what
+// makes the prepared explicit check zero-allocation.  Rows from n on are
+// never written or read.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -19,11 +22,17 @@
 namespace mcmc::core::detail {
 
 /// Strict reachability rows: bit y of `row[x]` means x reaches y through
-/// at least one edge.  Copyable by value (the DFS relies on it).
+/// at least one edge.  Only the first n rows of a problem over n events
+/// are meaningful: clear and copy touch those alone.
 struct Reach64 {
   std::array<std::uint64_t, 64> row;
 
-  void clear() { row.fill(0); }
+  /// Empties rows [0, n).
+  void clear(int n) { std::fill_n(row.begin(), n, 0); }
+  /// Copies rows [0, n) of `other`.
+  void copy(const Reach64& other, int n) {
+    std::copy_n(other.row.begin(), n, row.begin());
+  }
   [[nodiscard]] bool holds(EventId x, EventId y) const {
     return (row[static_cast<std::size_t>(x)] & (1ULL << y)) != 0;
   }
@@ -36,7 +45,7 @@ class ClosureSearch {
   explicit ClosureSearch(int num_events) : n_(num_events) {
     MCMC_REQUIRE_MSG(n_ >= 0 && n_ <= 64,
                      "explicit engine supports up to 64 events");
-    forb_.clear();
+    forb_.clear(n_);
   }
 
   /// Marks x => y as forbidden; add_edge fails on any closure that
@@ -65,8 +74,8 @@ class ClosureSearch {
   }
 
   /// Satisfies every disjunction in `disj[0..count)` on top of `reach`,
-  /// branching depth-first with frame-local state copies (zero heap
-  /// allocations per node).  On success the witness closure is kept
+  /// branching depth-first with frame-local copies of the n rows (zero
+  /// heap allocations per node).  On success the witness closure is kept
   /// (see `witness`).
   bool solve(Reach64& reach, const EdgeDisjunction* disj, std::size_t count) {
     std::size_t idx = 0;
@@ -77,12 +86,13 @@ class ClosureSearch {
       ++idx;
     }
     if (idx == count) {
-      witness_ = reach;
+      witness_.copy(reach, n_);
       return true;
     }
     const auto& d = disj[idx];
     for (const Edge& e : {d.first, d.second}) {
-      Reach64 copy = reach;  // frame-local; lives on the stack
+      Reach64 copy;  // frame-local; lives on the stack
+      copy.copy(reach, n_);
       if (add_edge(copy, e.first, e.second) && solve(copy, disj, count)) {
         return true;
       }
@@ -90,7 +100,8 @@ class ClosureSearch {
     return false;
   }
 
-  /// The closure accepted by the last successful `solve`.
+  /// The closure accepted by the last successful `solve` (its first
+  /// num_events() rows).
   [[nodiscard]] const Reach64& witness() const { return witness_; }
 
   [[nodiscard]] int num_events() const { return n_; }

@@ -48,7 +48,7 @@ namespace {
 /// skips the bookkeeping).  Returns true when the rf map is infeasible,
 /// leaving the partially built constraint set as-is.
 bool instantiate_axioms(const Analysis& an, const MemoryModel* model,
-                        const RfMap& rf, std::vector<Edge>& forced,
+                        const EventId* rf, std::vector<Edge>& forced,
                         std::vector<EdgeDisjunction>& disjunctions,
                         std::vector<EdgeOrigin>* origins) {
   const int num_events = an.num_events();
@@ -71,9 +71,9 @@ bool instantiate_axioms(const Analysis& an, const MemoryModel* model,
 
   // Write-write: per-address orientation; same-thread pairs are forced
   // into program order by the Ignore-local rule.
-  const int num_locs = an.program().num_locations();
+  const int num_locs = an.num_locations();
   for (Loc loc = 0; loc < num_locs; ++loc) {
-    const auto& writes = an.writes_to(loc);
+    const EventRange writes = an.writes_to(loc);
     for (std::size_t i = 0; i < writes.size(); ++i) {
       for (std::size_t j = i + 1; j < writes.size(); ++j) {
         const EventId a = writes[i];
@@ -124,8 +124,8 @@ HbProblem build_hb_problem(const Analysis& an, const MemoryModel& model,
                            const RfMap& rf) {
   HbProblem p;
   p.num_events = an.num_events();
-  p.infeasible = instantiate_axioms(an, &model, rf, p.forced, p.disjunctions,
-                                    nullptr);
+  p.infeasible = instantiate_axioms(an, &model, rf.data(), p.forced,
+                                    p.disjunctions, nullptr);
   return p;
 }
 
@@ -134,16 +134,21 @@ HbProblem build_hb_problem_traced(const Analysis& an, const MemoryModel& model,
   HbProblem p;
   p.num_events = an.num_events();
   trace.forced_origin.clear();
-  p.infeasible = instantiate_axioms(an, &model, rf, p.forced, p.disjunctions,
-                                    &trace.forced_origin);
+  p.infeasible = instantiate_axioms(an, &model, rf.data(), p.forced,
+                                    p.disjunctions, &trace.forced_origin);
   return p;
 }
 
 HbSkeleton build_hb_skeleton(const Analysis& an, const RfMap& rf) {
   HbSkeleton s;
-  s.infeasible =
-      instantiate_axioms(an, nullptr, rf, s.forced, s.disjunctions, nullptr);
+  s.infeasible = build_hb_skeleton(an, rf.data(), s.forced, s.disjunctions);
   return s;
+}
+
+bool build_hb_skeleton(const Analysis& an, const EventId* rf,
+                       std::vector<Edge>& forced,
+                       std::vector<EdgeDisjunction>& disjunctions) {
+  return instantiate_axioms(an, nullptr, rf, forced, disjunctions, nullptr);
 }
 
 }  // namespace mcmc::core

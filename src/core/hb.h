@@ -77,7 +77,8 @@ struct HbTrace {
 /// The model-independent slice of an rf map's HbProblem: every
 /// constraint except the program-order (F) edges, which are the only
 /// part that varies across models.  core::PreparedTest builds one per
-/// rf map and shares it across an entire model space.
+/// rf map (flat, through the appending build_hb_skeleton) and shares it
+/// across an entire model space.
 struct HbSkeleton {
   bool infeasible = false;                   ///< rf contradicts coherence
   std::vector<Edge> forced;                  ///< coherence / rf / fr edges
@@ -100,5 +101,12 @@ struct HbSkeleton {
 /// program order) for (analysis, rf).
 [[nodiscard]] HbSkeleton build_hb_skeleton(const Analysis& analysis,
                                            const RfMap& rf);
+
+/// The same skeleton for the rf map at `rf` (analysis.num_events()
+/// entries), its edges appended to `forced` and `disjunctions`; returns
+/// its `infeasible` flag.  Allocates only when the vectors grow.
+bool build_hb_skeleton(const Analysis& analysis, const EventId* rf,
+                       std::vector<Edge>& forced,
+                       std::vector<EdgeDisjunction>& disjunctions);
 
 }  // namespace mcmc::core

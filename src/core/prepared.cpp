@@ -1,5 +1,8 @@
 #include "core/prepared.h"
 
+#include <cstddef>
+#include <utility>
+
 #include "core/checker.h"
 #include "core/closure_search.h"
 #include "util/check.h"
@@ -7,22 +10,36 @@
 namespace mcmc::core {
 
 PreparedTest::PreparedTest(const Program& program, Outcome outcome)
-    : PreparedTest(std::make_shared<const Analysis>(program),
-                   std::move(outcome)) {}
+    : owned_(std::make_unique<const Analysis>(program)) {
+  prepare(*owned_, outcome);
+}
 
-PreparedTest::PreparedTest(std::shared_ptr<const Analysis> analysis,
-                           Outcome outcome)
-    : analysis_(std::move(analysis)), outcome_(std::move(outcome)) {
-  MCMC_REQUIRE(analysis_ != nullptr);
-  rf_maps_ = enumerate_read_from(*analysis_, outcome_);
-  skeletons_.reserve(rf_maps_.size());
-  for (const RfMap& rf : rf_maps_) {
-    skeletons_.push_back(build_hb_skeleton(*analysis_, rf));
+void PreparedTest::prepare(const Analysis& analysis, const Outcome& outcome) {
+  analysis_ = &analysis;
+  outcome_ = outcome;
+  rf_.clear();
+  forced_.clear();
+  disjunctions_.clear();
+  maps_.clear();
+  const std::size_t count = enumerate_read_from(analysis, outcome, rf_);
+  const auto n = static_cast<std::size_t>(analysis.num_events());
+  for (std::size_t m = 0; m < count; ++m) {
+    Skeleton skel;
+    skel.infeasible =
+        build_hb_skeleton(analysis, rf_.data() + m * n, forced_, disjunctions_);
+    skel.forced_end = forced_.size();
+    skel.disjunctions_end = disjunctions_.size();
+    maps_.push_back(skel);
   }
 }
 
+const EventId* PreparedTest::rf_map(std::size_t m) const {
+  MCMC_REQUIRE(m < maps_.size());
+  return rf_.data() + m * static_cast<std::size_t>(analysis_->num_events());
+}
+
 bool PreparedTest::allowed(const MemoryModel& model) const {
-  if (rf_maps_.empty()) return false;
+  if (maps_.empty()) return false;
   if (!analysis_->masks_valid()) return allowed_via_problems(model);
   std::vector<ReorderMask> mask;
   std::vector<std::uint64_t> scratch;
@@ -33,13 +50,13 @@ bool PreparedTest::allowed(const MemoryModel& model) const {
 bool PreparedTest::allowed(const ReorderMask& mask) const {
   MCMC_REQUIRE_MSG(mask.num_events == analysis_->num_events(),
                    "mask compiled against another analysis");
-  if (rf_maps_.empty()) return false;
+  if (maps_.empty()) return false;
   const int n = analysis_->num_events();
   detail::ClosureSearch search(n);
   // Base closure over the model's program-order edges, built once and
   // copied per rf map (the skeletons differ, the po overlay does not).
   detail::Reach64 base;
-  base.clear();
+  base.clear(n);
   for (EventId x = 0; x < n; ++x) {
     std::uint64_t row = mask.rows[static_cast<std::size_t>(x)];
     while (row != 0) {
@@ -51,18 +68,24 @@ bool PreparedTest::allowed(const ReorderMask& mask) const {
     }
   }
 
-  for (const HbSkeleton& skel : skeletons_) {
+  std::size_t forced = 0;
+  std::size_t disjunctions = 0;
+  for (const Skeleton& skel : maps_) {
+    const std::size_t forced_begin = std::exchange(forced, skel.forced_end);
+    const std::size_t disjunctions_begin =
+        std::exchange(disjunctions, skel.disjunctions_end);
     if (skel.infeasible) continue;
-    detail::Reach64 reach = base;
+    detail::Reach64 reach;
+    reach.copy(base, n);
     bool ok = true;
-    for (const auto& [x, y] : skel.forced) {
-      if (!search.add_edge(reach, x, y)) {
+    for (std::size_t i = forced_begin; i < skel.forced_end; ++i) {
+      if (!search.add_edge(reach, forced_[i].first, forced_[i].second)) {
         ok = false;
         break;
       }
     }
-    if (ok && search.solve(reach, skel.disjunctions.data(),
-                           skel.disjunctions.size())) {
+    if (ok && search.solve(reach, disjunctions_.data() + disjunctions_begin,
+                           skel.disjunctions_end - disjunctions_begin)) {
       return true;
     }
   }
@@ -83,13 +106,24 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model) const {
       }
     }
   }
-  for (const HbSkeleton& skel : skeletons_) {
+  std::size_t forced = 0;
+  std::size_t disjunctions = 0;
+  for (const Skeleton& skel : maps_) {
+    const auto forced_begin = static_cast<std::ptrdiff_t>(
+        std::exchange(forced, skel.forced_end));
+    const auto disjunctions_begin = static_cast<std::ptrdiff_t>(
+        std::exchange(disjunctions, skel.disjunctions_end));
     if (skel.infeasible) continue;
     HbProblem p;
     p.num_events = n;
     p.forced = po_forced;
-    p.forced.insert(p.forced.end(), skel.forced.begin(), skel.forced.end());
-    p.disjunctions = skel.disjunctions;
+    p.forced.insert(p.forced.end(), forced_.begin() + forced_begin,
+                    forced_.begin() +
+                        static_cast<std::ptrdiff_t>(skel.forced_end));
+    p.disjunctions.assign(
+        disjunctions_.begin() + disjunctions_begin,
+        disjunctions_.begin() +
+            static_cast<std::ptrdiff_t>(skel.disjunctions_end));
     if (hb_satisfiable(p, Engine::Sat)) return true;
   }
   return false;

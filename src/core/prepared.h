@@ -10,8 +10,10 @@
 // the program.  The work splits accordingly:
 //
 //   prepare            PreparedTest: rf enumeration + one HbSkeleton per
-//                      rf map over a (shared) Analysis, built once and
-//                      shared by every model,
+//                      rf map over an Analysis, built once and shared by
+//                      every model, into flat arrays (the maps, all
+//                      forced edges, all disjunctions, with per-map
+//                      offsets) that prepare() refills in place,
 //   compile            FormulaSet (formula.h): every model's F over ALL
 //                      po pairs of the program at once, with shared
 //                      subformulas evaluated once, into per-event 64-bit
@@ -28,11 +30,13 @@
 //
 // Verdicts are bit-for-bit identical to core::is_allowed: rf maps are
 // visited in enumeration order and the same axioms are instantiated.
-// engine::VerdictEngine routes every batch through this path; the
-// witness/explanation APIs (core::check, explain_forbidden) keep the
-// classic per-cell constructors.
+// engine::VerdictEngine routes every batch through this path, each of
+// its threads refilling one Analysis per program run and one
+// PreparedTest per test; the witness/explanation APIs (core::check,
+// explain_forbidden) keep the classic per-cell constructors.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -45,33 +49,36 @@
 namespace mcmc::core {
 
 /// One litmus test prepared for checking against many models: the
-/// model-independent skeleton of the admissibility question.  Immutable
-/// after construction and safe to share across threads.
+/// model-independent skeleton of the admissibility question.  Safe to
+/// share across threads while no one re-prepares it.
 ///
 /// The Analysis depends only on the program, the rf maps and skeletons
-/// on the outcome too: tests over one program share one Analysis.
+/// on the outcome too: tests over one program share one Analysis.  The
+/// engine's workers each keep one PreparedTest and re-prepare it for
+/// every test against their reused Analysis (prepare): once its arrays
+/// have grown to the largest test seen, preparing allocates nothing.
 class PreparedTest {
  public:
+  /// A prepared test of nothing; prepare() fills it.
+  PreparedTest() = default;
+
   /// Analyzes `program` (an Analysis of its own) and enumerates the
   /// outcome's rf maps and their skeletons.  The program must outlive
   /// the prepared test (as with Analysis).
   PreparedTest(const Program& program, Outcome outcome);
 
-  /// Adopts a shared analysis of the test's program instead of
-  /// analyzing it: the engine builds one Analysis per program and hands
-  /// it to the prepared test of every outcome over that program.  The
-  /// analyzed program must outlive the analysis (core::analyze_shared
-  /// guarantees that by keeping the program alive).
-  PreparedTest(std::shared_ptr<const Analysis> analysis, Outcome outcome);
+  /// Prepares `outcome` over `analysis` in place of the current test,
+  /// reusing this object's storage.  `analysis` must outlive every use
+  /// of the prepared test until the next prepare().
+  void prepare(const Analysis& analysis, const Outcome& outcome);
 
   [[nodiscard]] const Analysis& analysis() const { return *analysis_; }
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
-  /// Rf maps in enumeration order (empty when the outcome is statically
-  /// impossible), and their parallel skeletons.
-  [[nodiscard]] const std::vector<RfMap>& rf_maps() const { return rf_maps_; }
-  [[nodiscard]] const std::vector<HbSkeleton>& skeletons() const {
-    return skeletons_;
-  }
+  /// Rf maps in enumeration order (none when the outcome is statically
+  /// impossible); map `m` is analysis().num_events() entries laid out as
+  /// an RfMap.
+  [[nodiscard]] std::size_t num_rf_maps() const { return maps_.size(); }
+  [[nodiscard]] const EventId* rf_map(std::size_t m) const;
 
   /// Decides whether the outcome is allowed under the model whose mask
   /// against analysis() is `mask` (FormulaSet::compile) — the same
@@ -87,12 +94,23 @@ class PreparedTest {
   [[nodiscard]] bool allowed(const MemoryModel& model) const;
 
  private:
+  /// Where one rf map's skeleton ends in forced_ and disjunctions_ (it
+  /// starts where the previous map's ends).
+  struct Skeleton {
+    std::size_t forced_end = 0;
+    std::size_t disjunctions_end = 0;
+    bool infeasible = false;
+  };
+
   [[nodiscard]] bool allowed_via_problems(const MemoryModel& model) const;
 
-  std::shared_ptr<const Analysis> analysis_;
+  std::unique_ptr<const Analysis> owned_;  ///< the program constructor's
+  const Analysis* analysis_ = nullptr;
   Outcome outcome_;
-  std::vector<RfMap> rf_maps_;
-  std::vector<HbSkeleton> skeletons_;
+  std::vector<EventId> rf_;                    ///< the maps, back to back
+  std::vector<Edge> forced_;                   ///< every skeleton's, in order
+  std::vector<EdgeDisjunction> disjunctions_;  ///< every skeleton's
+  std::vector<Skeleton> maps_;                 ///< one per rf map
 };
 
 }  // namespace mcmc::core

@@ -1,30 +1,40 @@
 #include "core/readfrom.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "util/check.h"
 
 namespace mcmc::core {
 
 namespace {
 
-/// Candidate source writes for read `r`: same location, matching value if
-/// the outcome constrains the read, and not a later write of r's thread.
-std::vector<EventId> candidates_for(const Analysis& an, EventId r,
-                                    const Outcome& outcome) {
+/// No source: what next_source returns past read r's last candidate,
+/// and the cursor a read starts from.
+constexpr EventId kNoSource = kReadsInitial - 1;
+
+/// The candidate source of read `r` that follows `after` in enumeration
+/// order: the initial value first (if the outcome allows 0), then the
+/// writes to r's location in event-id order that write the value the
+/// outcome requires and are not later writes of r's thread.  kNoSource
+/// when none follows.
+EventId next_source(const Analysis& an, EventId r, const Outcome& outcome,
+                    EventId after) {
   const Event& read = an.event(r);
   const std::optional<int> need = outcome.required(read.instr->dst);
-  std::vector<EventId> out;
-  if (!need.has_value() || *need == 0) {
-    out.push_back(kReadsInitial);
+  if (after < kReadsInitial && (!need.has_value() || *need == 0)) {
+    return kReadsInitial;
   }
   for (const EventId w : an.writes_to(read.loc)) {
+    if (w <= after) continue;
     const Event& write = an.event(w);
     if (write.thread == read.thread && write.index > read.index) {
       continue;  // cannot read from a future write in the same thread
     }
     if (need.has_value() && write.value != *need) continue;
-    out.push_back(w);
+    return w;
   }
-  return out;
+  return kNoSource;
 }
 
 /// Checks outcome constraints on registers that are not read destinations:
@@ -53,41 +63,57 @@ bool static_constraints_ok(const Analysis& an, const Outcome& outcome) {
 
 }  // namespace
 
-std::vector<RfMap> enumerate_read_from(const Analysis& an,
-                                       const Outcome& outcome) {
-  std::vector<RfMap> result;
-  if (!static_constraints_ok(an, outcome)) return result;
-
+std::size_t enumerate_read_from(const Analysis& an, const Outcome& outcome,
+                                std::vector<EventId>& maps) {
+  if (!static_constraints_ok(an, outcome)) return 0;
+  const auto n = static_cast<std::size_t>(an.num_events());
   const std::vector<EventId>& reads = an.reads();
-  std::vector<std::vector<EventId>> candidates;
-  candidates.reserve(reads.size());
-  for (const EventId r : reads) {
-    candidates.push_back(candidates_for(an, r, outcome));
-    if (candidates.back().empty()) return result;  // outcome unreachable
-  }
-
-  RfMap rf(static_cast<std::size_t>(an.num_events()), kReadsInitial);
-  // Depth-first product of per-read candidates.
-  std::vector<std::size_t> cursor(reads.size(), 0);
+  // Depth-first product of per-read candidates, the last read varying
+  // fastest.  The map being built is the last n entries of `maps`, and a
+  // read's entry is its cursor: candidates come in increasing event id,
+  // so the next one is the first after the current entry.  Emitting a
+  // map leaves it in place and copies it on as the next working map.
+  std::size_t count = 0;
+  maps.resize(maps.size() + n, kReadsInitial);
   std::size_t level = 0;
+  EventId after = kNoSource;
   for (;;) {
+    const std::size_t work = maps.size() - n;
     if (level == reads.size()) {
-      result.push_back(rf);
+      ++count;
+      maps.resize(maps.size() + n);
+      std::copy_n(maps.begin() + static_cast<std::ptrdiff_t>(work), n,
+                  maps.begin() + static_cast<std::ptrdiff_t>(work + n));
       if (level == 0) break;  // no reads: single empty rf
       --level;
-      ++cursor[level];
+      after = maps[work + n + static_cast<std::size_t>(reads[level])];
       continue;
     }
-    if (cursor[level] >= candidates[level].size()) {
+    EventId& entry = maps[work + static_cast<std::size_t>(reads[level])];
+    entry = next_source(an, reads[level], outcome, after);
+    if (entry == kNoSource) {
       if (level == 0) break;
-      cursor[level] = 0;
       --level;
-      ++cursor[level];
+      after = maps[work + static_cast<std::size_t>(reads[level])];
       continue;
     }
-    rf[static_cast<std::size_t>(reads[level])] =
-        candidates[level][cursor[level]];
     ++level;
+    after = kNoSource;
+  }
+  maps.resize(maps.size() - n);  // the working map
+  return count;
+}
+
+std::vector<RfMap> enumerate_read_from(const Analysis& an,
+                                       const Outcome& outcome) {
+  std::vector<EventId> flat;
+  const std::size_t count = enumerate_read_from(an, outcome, flat);
+  const auto n = static_cast<std::ptrdiff_t>(an.num_events());
+  std::vector<RfMap> result;
+  result.reserve(count);
+  for (std::size_t m = 0; m < count; ++m) {
+    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(m) * n;
+    result.emplace_back(first, first + n);
   }
   return result;
 }

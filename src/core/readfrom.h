@@ -12,6 +12,7 @@
 // which keeps the enumeration tiny (typically 1–4 maps per test).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/analysis.h"
@@ -32,6 +33,13 @@ using RfMap = std::vector<EventId>;
 /// required value).
 [[nodiscard]] std::vector<RfMap> enumerate_read_from(const Analysis& analysis,
                                                      const Outcome& outcome);
+
+/// The same maps, in the same order, appended to `maps` flat: each map
+/// is analysis.num_events() entries laid out as an RfMap.  Returns how
+/// many were appended.  Allocates only when `maps` grows.
+std::size_t enumerate_read_from(const Analysis& analysis,
+                                const Outcome& outcome,
+                                std::vector<EventId>& maps);
 
 /// The full syntactic outcome space of a program: every assignment of
 /// each read's register to the initial value or any value written to the

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/analysis.h"
+#include "core/formula.h"
 #include "engine/key_set.h"
 #include "store/verdict_store.h"
 #include "util/check.h"
@@ -118,7 +119,7 @@ void group_rows(const std::vector<util::Key128>& keys, std::vector<int>& row_of,
 
 /// One program's models grouped by reorder mask, and each group's
 /// verdict on the test being decided: models with equal masks share one
-/// search per test.
+/// search per test.  Reused across programs: its buffers keep their size.
 class MaskClasses {
  public:
   /// Compiles every model of `set` against `analysis` and groups them.
@@ -165,6 +166,42 @@ class MaskClasses {
   std::vector<signed char> verdicts_;     ///< class -> verdict or kUnknown
 };
 
+/// One evaluation thread's verdict state, refilled for every program run
+/// (the Analysis and the mask classes) and every test (the prepared
+/// test): once its buffers have grown to the largest program and test
+/// seen, deciding a test allocates nothing.
+struct Workspace {
+  core::Analysis analysis;
+  core::PreparedTest prepared;
+  MaskClasses classes;
+  bool entered = false;
+};
+
+/// A workspace entered for one program run.  Leaving it, by an
+/// exception too, drops the run's program: a workspace holds no program
+/// pointer past its run, whose tests may then die.
+class WorkspaceRun {
+ public:
+  explicit WorkspaceRun(Workspace& ws) : ws_(ws) { ws_.entered = true; }
+  ~WorkspaceRun() {
+    ws_.analysis.clear();
+    ws_.entered = false;
+  }
+  WorkspaceRun(const WorkspaceRun&) = delete;
+  WorkspaceRun& operator=(const WorkspaceRun&) = delete;
+
+ private:
+  Workspace& ws_;
+};
+
+std::vector<core::Formula> formulas_of(
+    const std::vector<core::MemoryModel>& models) {
+  std::vector<core::Formula> formulas;
+  formulas.reserve(models.size());
+  for (const auto& model : models) formulas.push_back(model.formula());
+  return formulas;
+}
+
 }  // namespace
 
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
@@ -197,7 +234,7 @@ std::string EngineStats::to_string() const {
 
 RowModels::RowModels(const std::vector<core::MemoryModel>& models,
                      store::VerdictStore* vstore)
-    : models_(models), vstore_(vstore) {
+    : models_(models), vstore_(vstore), set_(formulas_of(models)) {
   col_.assign(models.size(), -1);
   custom_.resize(models.size());
   if (vstore != nullptr) want_.assign(vstore->words_per_row(), 0);
@@ -237,8 +274,7 @@ void VerdictEngine::record(const EngineStats& stats) {
 }
 
 std::vector<char> VerdictEngine::evaluate(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests,
+    const RowModels& rows, const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests, EngineStats& stats) {
   // ---- Only tests some request needs are analyzed and prepared.  The
   // requests are bucketed by test; consecutive such tests that share one
@@ -247,9 +283,10 @@ std::vector<char> VerdictEngine::evaluate(
   // each run is one pool task: analyze the program, compile the batch's
   // models into masks and group the equal ones, then prepare its tests
   // one at a time and run one search per distinct mask a test's cells
-  // ask for.  A worker holds one Analysis and one prepared test at a
-  // time.  Grouping only shares work: a test sharing nothing is a run of
-  // its own. ----
+  // ask for.  All of that is refilled in the running thread's workspace.
+  // Grouping only shares work: a test sharing nothing is a run of its
+  // own. ----
+  const auto& models = rows.models_;
   const int num_tests = static_cast<int>(tests.size());
   // Cells of test t: cell_of[cell_begin[t] .. cell_begin[t + 1]).
   std::vector<std::size_t> cell_begin(tests.size() + 1, 0);
@@ -281,12 +318,6 @@ std::vector<char> VerdictEngine::evaluate(
   const std::size_t num_runs = run_begin.size();
   run_begin.push_back(eval_tests.size());
 
-  // The batch's models, compiled once for all of its program runs.
-  std::vector<core::Formula> formulas;
-  if (num_runs > 0) {
-    for (const auto& model : models) formulas.push_back(model.formula());
-  }
-  const core::FormulaSet set(std::move(formulas));
   // Each task writes only its own cells' verdicts, and its counters once
   // at its end: neighbouring runs execute at the same moment, so
   // per-search increments into adjacent entries would share cache lines.
@@ -298,30 +329,36 @@ std::vector<char> VerdictEngine::evaluate(
   };
   std::vector<RunCounts> run_counts(num_runs);
   const auto run_task = [&](std::size_t r) {
-    const auto analysis = core::analyze_shared(
-        tests[static_cast<std::size_t>(eval_tests[run_begin[r]])]
-            .shared_program());
+    // The thread's own workspace.  A batch nested in this run on the
+    // same thread (a custom predicate may run one) takes a fresh one
+    // instead of entering it twice.
+    thread_local Workspace mine;
+    std::optional<Workspace> nested;
+    Workspace& ws = mine.entered ? nested.emplace() : mine;
+    const WorkspaceRun entered(ws);
+    ws.analysis.reset(
+        tests[static_cast<std::size_t>(eval_tests[run_begin[r]])].program());
     // Up to 64 events the explicit search decides each mask class;
     // beyond that there are no masks, and each cell evaluates its model
     // per event pair and runs the SAT engine.
-    const bool by_mask = analysis->masks_valid();
-    MaskClasses classes;
-    if (by_mask) classes.compile(set, *analysis);
+    const bool by_mask = ws.analysis.masks_valid();
+    if (by_mask) ws.classes.compile(rows.set_, ws.analysis);
     RunCounts counts;
     std::size_t& path_checks =
         by_mask ? counts.explicit_checks : counts.sat_checks;
     for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) {
       const auto t = static_cast<std::size_t>(eval_tests[i]);
-      const core::PreparedTest prepared(analysis, tests[t].outcome());
-      if (by_mask) classes.begin_test();
+      ws.prepared.prepare(ws.analysis, tests[t].outcome());
+      if (by_mask) ws.classes.begin_test();
       for (std::size_t c = cell_begin[t]; c < cell_begin[t + 1]; ++c) {
         const std::size_t k = cell_of[c];
         const int m = requests[k].model;
         bool verdict = false;
         if (by_mask) {
-          verdict = classes.decide(m, prepared, counts.searches);
+          verdict = ws.classes.decide(m, ws.prepared, counts.searches);
         } else {
-          verdict = prepared.allowed(models[static_cast<std::size_t>(m)]);
+          verdict =
+              ws.prepared.allowed(models[static_cast<std::size_t>(m)]);
           ++counts.searches;
         }
         results[k] = verdict ? 1 : 0;
@@ -365,7 +402,7 @@ BitMatrix VerdictEngine::run_matrix(
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  const auto flat = evaluate(models, tests, requests, stats);
+  const auto flat = evaluate(RowModels(models, nullptr), tests, requests, stats);
   BitMatrix verdicts(num_models, num_tests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (flat[i] != 0) verdicts.set(requests[i].model, requests[i].test, true);
@@ -453,7 +490,7 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
     }
   }
 
-  const auto flat = evaluate(models, tests, requests, stats);
+  const auto flat = evaluate(rows, tests, requests, stats);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto [m, t] = requests[i];
     const bool verdict = flat[i] != 0;
@@ -704,8 +741,7 @@ struct VerdictEngine::StreamRun {
   }
 
   /// Verdict: the novel tests move out of the chunk with their keys
-  /// (produce moves them back; every Analysis keeps its program alive,
-  /// core::analyze_shared), are decided on the row path and are
+  /// (produce moves them back), are decided on the row path and are
   /// delivered.  Under canonical keys the novel tests are canonically
   /// unique and their keys are store keys: one row-level store probe,
   /// one direct batch for the cells the store missed (a test whose whole

@@ -5,23 +5,28 @@
 // for the whole repository: callers hand it models and tests and get
 // back a packed verdict matrix, with the engine handling
 //
-//   * per-program Analysis construction, done once per run of
-//     consecutive evaluated tests that share one program object (the
-//     stream's outcomes of a program, copies of a test) and shared
-//     across those tests and every model — deduplicated and
-//     store-served tests never pay for one,
+//   * per-program analysis, done once per run of consecutive
+//     evaluated tests that share one program object (the stream's
+//     outcomes of a program, copies of a test) and shared across those
+//     tests and every model — deduplicated and store-served tests never
+//     pay for one,
+//   * one workspace per evaluation thread: a core::Analysis reset to
+//     each program run, a core::PreparedTest re-prepared for each test
+//     and the run's mask classes, all refilled in place, so once their
+//     buffers have grown a test costs no heap allocation; a workspace
+//     holds no program past its run,
 //   * canonical-test deduplication within a call: symmetric tests
 //     (thread-permuted, location-renamed) share one row of verdicts,
 //     keyed by litmus::canonical_fingerprint (128-bit, allocation-free;
 //     litmus::canonical_key is its audited string form) — models with
 //     custom predicates, whose semantics may observe raw
 //     thread/location identity, are decided per test instead,
-//   * mask-class evaluation: the batch's models are compiled once as a
-//     core::FormulaSet, whose masks are written per program in one pass
-//     (shared subformulas evaluated once); models with equal masks on a
-//     program get equal verdicts on each of its outcomes, so every
-//     prepared test (core::PreparedTest: rf maps and HbProblem
-//     skeletons, built once per test) runs one search per distinct
+//   * mask-class evaluation: the models are hash-consed once per
+//     RowModels as a core::FormulaSet, whose masks are written per
+//     program in one pass (shared subformulas evaluated once); models
+//     with equal masks on a program get equal verdicts on each of its
+//     outcomes, so every prepared test (rf maps and HbProblem
+//     skeletons, prepared once per test) runs one search per distinct
 //     mask its requested models have, not one per cell,
 //   * the decision procedure picked by test size: up to the 64 events
 //     the bitmask rows hold, precompiled masks and the explicit closure
@@ -52,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "core/formula.h"
 #include "core/model.h"
 #include "core/prepared.h"
 #include "engine/bit_matrix.h"
@@ -97,10 +103,10 @@ struct EngineStats {
                                    ///  (explicit search, <= 64 events)
   std::size_t sat_checks = 0;      ///< checks decided per event pair by
                                    ///  the SAT engine (> 64 events)
-  std::size_t unique_analyses = 0; ///< Analysis objects built this batch:
+  std::size_t unique_analyses = 0; ///< programs analyzed this batch:
                                    ///  one per run of evaluated tests
                                    ///  sharing a program object
-                                   ///  (dedup/store hits build none)
+                                   ///  (dedup/store hits need none)
   int threads_used = 1;
   double wall_seconds = 0.0;
 
@@ -231,7 +237,8 @@ using StreamChunkSink = std::function<void(
     const StreamChunkStats& stats)>;
 
 /// A model list bound to a verdict store for VerdictEngine::run_rows:
-/// each model's store column is resolved once, not per call.  Holds
+/// each model's store column is resolved, and the models' formulas are
+/// hash-consed into one core::FormulaSet, once, not per call.  Holds
 /// references: `models` and `vstore` (caller-owned, may be null) must
 /// outlive it.
 class RowModels {
@@ -244,6 +251,7 @@ class RowModels {
 
   const std::vector<core::MemoryModel>& models_;
   store::VerdictStore* vstore_;
+  core::FormulaSet set_;             ///< the models, hash-consed once
   std::vector<int> col_;             ///< store column per model, -1: none
   std::vector<char> custom_;         ///< custom predicates: per test
   std::vector<std::uint64_t> want_;  ///< the models' store columns
@@ -347,13 +355,13 @@ class VerdictEngine {
 
   ThreadPool& pool();
   /// The direct batch: every request is one check (no store, no rows);
-  /// program runs share an Analysis, and each test runs one search per
-  /// distinct mask its requests ask for.  Adds the checks, searches,
+  /// program runs share an Analysis, each test runs one search per
+  /// distinct mask its requests ask for, and all of it is refilled in
+  /// the running thread's workspace.  Adds the checks, searches,
   /// explicit/SAT split and analyses to `stats` and sets its
   /// threads_used.
   [[nodiscard]] std::vector<char> evaluate(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests,
+      const RowModels& rows, const std::vector<litmus::LitmusTest>& tests,
       const std::vector<VerdictRequest>& requests, EngineStats& stats);
   /// Makes `stats` the last batch's and adds it to the lifetime total.
   void record(const EngineStats& stats);

@@ -59,7 +59,9 @@ std::vector<std::pair<Case, litmus::LitmusTest>> generate_all(bool with_deps) {
 /// removes behaviors), so it can never contrast two models: drop it.
 /// This prunes degenerate same-address instantiations whose observer
 /// reads force a coherence cycle outright.  All candidates are checked
-/// in one batched engine run (one weakest-model row).
+/// in one batched engine run (one weakest-model row) on the calling
+/// thread: the batch is about a hundred small tests, and a pool sized by
+/// the hardware would outnumber the threads the caller asked for.
 std::vector<char> useful_flags(
     const std::vector<std::pair<Case, litmus::LitmusTest>>& all) {
   const std::vector<core::MemoryModel> weakest = {
@@ -67,7 +69,9 @@ std::vector<char> useful_flags(
   std::vector<litmus::LitmusTest> tests;
   tests.reserve(all.size());
   for (const auto& [c, t] : all) tests.push_back(t);
-  engine::VerdictEngine eng;
+  engine::EngineOptions options;
+  options.num_threads = 1;
+  engine::VerdictEngine eng(options);
   const engine::BitMatrix allowed = eng.run_matrix(weakest, tests);
   std::vector<char> useful(tests.size());
   for (std::size_t i = 0; i < tests.size(); ++i) {

@@ -3,10 +3,11 @@
 // through the engine's prepared routing) must be bit-for-bit identical
 // to the per-cell core::is_allowed loop it replaced — across the full
 // 90-model space x the Corollary-1 suite, both of the oracle's decision
-// engines, custom predicates, and the reorder masks core::FormulaSet
-// compiles.
+// engines, custom predicates, the reorder masks core::FormulaSet
+// compiles, and an Analysis and PreparedTest refilled in place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,9 +16,11 @@
 #include "core/checker.h"
 #include "core/formula.h"
 #include "core/prepared.h"
+#include "core/readfrom.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/suite.h"
 #include "explore/space.h"
+#include "fence_padding.h"
 #include "litmus/catalog.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
@@ -174,6 +177,88 @@ TEST(PreparedDifferential, EngineMatrixIdenticalWithAndWithoutPreparedPath) {
   EXPECT_LT(stats.searches, stats.checks_run);
 }
 
+/// Expects `reused` (refilled by reset) to hold exactly what `fresh`
+/// computed for the same program.
+void expect_same_analysis(const core::Analysis& reused,
+                          const core::Analysis& fresh,
+                          const std::string& test_name) {
+  const int n = fresh.num_events();
+  ASSERT_EQ(reused.num_events(), n) << test_name;
+  ASSERT_EQ(reused.num_locations(), fresh.num_locations()) << test_name;
+  for (core::EventId a = 0; a < n; ++a) {
+    for (core::EventId b = 0; b < n; ++b) {
+      ASSERT_EQ(reused.po(a, b), fresh.po(a, b)) << test_name;
+      ASSERT_EQ(reused.same_addr(a, b), fresh.same_addr(a, b)) << test_name;
+      ASSERT_EQ(reused.data_dep(a, b), fresh.data_dep(a, b)) << test_name;
+      ASSERT_EQ(reused.ctrl_dep(a, b), fresh.ctrl_dep(a, b)) << test_name;
+    }
+  }
+  for (core::Loc loc = 0; loc < fresh.num_locations(); ++loc) {
+    const core::EventRange got = reused.writes_to(loc);
+    const core::EventRange want = fresh.writes_to(loc);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << test_name << " location " << loc;
+  }
+  ASSERT_EQ(reused.reads(), fresh.reads()) << test_name;
+  ASSERT_EQ(reused.masks_valid(), fresh.masks_valid()) << test_name;
+  if (!fresh.masks_valid()) return;
+  ASSERT_EQ(reused.reads_mask(), fresh.reads_mask()) << test_name;
+  ASSERT_EQ(reused.writes_mask(), fresh.writes_mask()) << test_name;
+  ASSERT_EQ(reused.fences_mask(), fresh.fences_mask()) << test_name;
+  for (core::EventId x = 0; x < n; ++x) {
+    ASSERT_EQ(reused.po_mask(x), fresh.po_mask(x)) << test_name;
+    ASSERT_EQ(reused.same_addr_mask(x), fresh.same_addr_mask(x)) << test_name;
+    ASSERT_EQ(reused.data_dep_mask(x), fresh.data_dep_mask(x)) << test_name;
+    ASSERT_EQ(reused.ctrl_dep_mask(x), fresh.ctrl_dep_mask(x)) << test_name;
+  }
+}
+
+TEST(PreparedDifferential, ReusedWorkspaceMatchesFreshPreparation) {
+  // The engine's workers refill one Analysis per program run and one
+  // PreparedTest per test.  Here one of each is refilled over the
+  // with-dep Corollary-1 suite, the catalog and SB padded to 66 events
+  // (the SAT path), ordered so that consecutive tests alternately grow
+  // and shrink: nothing of a larger predecessor may survive a refill.
+  std::vector<litmus::LitmusTest> tests = enumeration::corollary1_suite(true);
+  for (const auto& t : litmus::full_catalog()) tests.push_back(t);
+  tests.push_back(pad_with_fences(litmus::store_buffering(), 31));
+  ASSERT_EQ(tests.back().program().size(), 66);
+  std::stable_sort(tests.begin(), tests.end(),
+                   [](const litmus::LitmusTest& a, const litmus::LitmusTest& b) {
+                     return a.program().size() < b.program().size();
+                   });
+  std::vector<const litmus::LitmusTest*> order;
+  for (std::size_t lo = 0, hi = tests.size(); lo < hi;) {
+    order.push_back(&tests[--hi]);
+    if (lo < hi) order.push_back(&tests[lo++]);
+  }
+
+  const auto named = models::all_named_models();
+  core::Analysis reused;
+  PreparedTest prepared;
+  for (const litmus::LitmusTest* t : order) {
+    reused.reset(t->program());
+    prepared.prepare(reused, t->outcome());
+    const core::Analysis fresh(t->program());
+    expect_same_analysis(reused, fresh, t->name());
+
+    const auto rfs = core::enumerate_read_from(fresh, t->outcome());
+    ASSERT_EQ(prepared.num_rf_maps(), rfs.size()) << t->name();
+    for (std::size_t m = 0; m < rfs.size(); ++m) {
+      ASSERT_TRUE(std::equal(rfs[m].begin(), rfs[m].end(),
+                             prepared.rf_map(m)))
+          << t->name() << " rf map " << m;
+    }
+    const Engine oracle_engine =
+        fresh.masks_valid() ? Engine::Explicit : Engine::Sat;
+    for (const auto& m : named) {
+      ASSERT_EQ(prepared.allowed(m),
+                core::is_allowed(fresh, m, t->outcome(), oracle_engine))
+          << t->name() << " under " << m.name();
+    }
+  }
+}
+
 TEST(PreparedDifferential, StaticallyImpossibleOutcomeIsDisallowed) {
   // An outcome no write can produce yields zero rf maps; the prepared
   // test must answer false, as the seed path does.
@@ -181,7 +266,7 @@ TEST(PreparedDifferential, StaticallyImpossibleOutcomeIsDisallowed) {
   core::Outcome impossible;
   impossible.require(1, 42);
   const PreparedTest prep(t.program(), impossible);
-  EXPECT_TRUE(prep.rf_maps().empty());
+  EXPECT_EQ(prep.num_rf_maps(), 0u);
   EXPECT_FALSE(prep.allowed(models::sc()));
 }
 

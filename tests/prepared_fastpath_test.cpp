@@ -3,11 +3,11 @@
 // that the prepared explicit admissibility check — mask compilation
 // into reused buffers (core::FormulaSet), base po-closure, and the
 // disjunction DFS — performs exactly zero of them, as does the classic
-// explicit engine's non-witness decision on a prebuilt HbProblem.
-// The same counting pins the stream's per-test cost: building, copying
-// and moving an outcome that fits inline, deriving a test from a
-// program, and emitting a streamed test into a recycled chunk allocate
-// nothing.  (These overrides are binary-wide, which is why these suites
+// explicit engine's non-witness decision on a prebuilt HbProblem, and
+// that a whole run_rows chunk makes at most one per evaluated test.  The
+// same counting pins the stream's per-test cost: building, copying and
+// moving an outcome that fits inline, deriving a test from a program,
+// and emitting a streamed test into a recycled chunk allocate nothing.  (These overrides are binary-wide, which is why these suites
 // live in their own test executable.)
 #include <gtest/gtest.h>
 
@@ -24,11 +24,14 @@
 #include "core/hb.h"
 #include "core/outcome.h"
 #include "core/prepared.h"
+#include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "enumeration/shapes.h"
+#include "explore/distinguish.h"
 #include "explore/space.h"
 #include "litmus/catalog.h"
 #include "models/zoo.h"
+#include "util/hash128.h"
 
 namespace {
 
@@ -180,6 +183,69 @@ TEST(PreparedAllocation, ClassicExplicitDecisionIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   (void)verdict;
+}
+
+TEST(PreparedAllocation, RunRowsChunkAllocatesAtMostOncePerEvaluatedTest) {
+  // Each engine thread refills one workspace (the program run's
+  // Analysis and mask classes, the current test's prepared skeletons)
+  // instead of building them afresh, and the models are hash-consed once
+  // per RowModels.  So after a warm-up chunk, run_rows over a chunk of
+  // novel tests, as the stream's verdict stage (the extremes) and the
+  // harness sweep (the 90-model space) make them, allocates its per-call
+  // tables and Program::validate's table per program run: at most one
+  // allocation per evaluated test in all.
+  struct Chunk {
+    std::vector<litmus::LitmusTest> tests;
+    std::vector<util::Key128> keys;
+  };
+  std::vector<Chunk> chunks;
+  {
+    enumeration::ExhaustiveOptions options;
+    options.bounds.max_accesses_per_thread = 2;
+    enumeration::ExhaustiveStream stream(options);
+    engine::VerdictEngine collector;
+    (void)collector.run_stream(
+        explore::extreme_models(), stream,
+        [&](const std::vector<litmus::LitmusTest>& novel,
+            const std::vector<util::Key128>& keys, const engine::BitMatrix&,
+            const engine::StreamChunkStats&) {
+          if (!novel.empty()) chunks.push_back({novel, keys});
+        });
+  }
+  ASSERT_GE(chunks.size(), 2u);
+  const Chunk& warm = chunks[0];
+  const Chunk& measured = chunks[1];
+
+  const std::vector<core::MemoryModel> extremes = explore::extreme_models();
+  std::vector<core::MemoryModel> ninety;
+  for (const auto& c : explore::model_space(true)) {
+    ninety.push_back(c.to_model());
+  }
+  const engine::RowModels extreme_rows(extremes, nullptr);
+  const engine::RowModels ninety_rows(ninety, nullptr);
+  engine::EngineOptions options;
+  options.num_threads = 1;
+  engine::VerdictEngine eng(options);
+  (void)eng.run_rows(extreme_rows, warm.tests, warm.keys);
+  (void)eng.run_rows(ninety_rows, warm.tests, warm.keys);
+  const std::pair<const engine::RowModels*, std::size_t> model_sets[] = {
+      {&extreme_rows, extremes.size()}, {&ninety_rows, ninety.size()}};
+  for (const auto& set : model_sets) {
+    const engine::RowModels& rows = *set.first;
+    const std::size_t models = set.second;
+    const std::size_t allocs = allocations_during([&] {
+      (void)eng.run_rows(rows, measured.tests, measured.keys);
+    });
+    // Every test of the chunk is canonically distinct, so each one is
+    // evaluated, against every model.
+    const engine::EngineStats& stats = eng.last_stats();
+    ASSERT_EQ(stats.checks_run, models * measured.tests.size());
+    const std::size_t evaluated = measured.tests.size();
+    EXPECT_LE(allocs, evaluated)
+        << models << " models: " << allocs << " allocations for "
+        << evaluated << " evaluated tests in " << stats.unique_analyses
+        << " program runs";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@
 //
 //   keys      litmus::load_key_facts + canonical_fingerprint_loaded,
 //             against canonical_fingerprint(test) per test;
-//   verdict   VerdictEngine's shared core::Analysis per program run,
-//             against core::is_allowed per (model, test) — including a
-//             batch whose program-sharing tests are interleaved, where
-//             no run spans two tests;
+//   verdict   VerdictEngine's one core::Analysis per program run, in
+//             the running thread's reused workspace, against
+//             core::is_allowed per (model, test) — including a batch
+//             whose program-sharing tests are interleaved, where no run
+//             spans two tests, and a batch after one whose programs are
+//             gone;
 //   produce   shared program objects, "x<p>.<o>" names and cursor
 //             restores in the middle of a program.
 #include <gtest/gtest.h>
@@ -23,7 +25,6 @@
 
 #include "core/analysis.h"
 #include "core/checker.h"
-#include "core/prepared.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "explore/space.h"
@@ -357,35 +358,62 @@ TEST(ProgramMajor, PublicConstructorStillValidatesAndSiblingsShare) {
   EXPECT_EQ(base.shared_program().use_count(), 3);
 }
 
-TEST(ProgramMajor, SharedAnalysisOutlivesEveryOtherProgramHandle) {
-  const auto models = ninety_models();
-  std::vector<std::unique_ptr<core::PreparedTest>> prepared;
-  std::vector<std::vector<char>> want;
-  {
-    // Every outcome of one streamed program, prepared over one shared
-    // Analysis; then the tests (and the stream) go away.
-    enumeration::ExhaustiveStream stream(slice_options(false));
-    std::vector<litmus::LitmusTest> chunk;
-    ASSERT_TRUE(stream.next_chunk(chunk));
-    std::size_t n = 1;
-    while (n < chunk.size() && &chunk[n].program() == &chunk[0].program()) ++n;
-    const auto analysis = core::analyze_shared(chunk[0].shared_program());
-    for (std::size_t i = 0; i < n; ++i) {
-      prepared.push_back(
-          std::make_unique<core::PreparedTest>(analysis, chunk[i].outcome()));
-      const core::Analysis own(chunk[i].program());
-      want.emplace_back();
-      for (const auto& model : models) {
-        want.back().push_back(
-            core::is_allowed(own, model, chunk[i].outcome()) ? 1 : 0);
-      }
+/// Up to `count` tests of the 2-access slice (with deps or not) whose
+/// programs have `min_events` to `max_events` events, in stream order.
+std::vector<litmus::LitmusTest> slice_tests(bool deps, int min_events,
+                                            int max_events,
+                                            std::size_t count) {
+  enumeration::ExhaustiveStream stream(slice_options(deps));
+  std::vector<litmus::LitmusTest> out;
+  engine::for_each_test(stream, [&](litmus::LitmusTest& test) {
+    const int events = test.program().size();
+    if (out.size() < count && events >= min_events && events <= max_events) {
+      out.push_back(std::move(test));
+    }
+  });
+  return out;
+}
+
+/// Expects `verdicts` to be core::is_allowed's, cell by cell.
+void expect_oracle_verdicts(const std::vector<core::MemoryModel>& models,
+                            const std::vector<litmus::LitmusTest>& tests,
+                            const engine::BitMatrix& verdicts, int threads) {
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const core::Analysis own(tests[t].program());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      ASSERT_EQ(verdicts.get(static_cast<int>(m), static_cast<int>(t)),
+                core::is_allowed(own, models[m], tests[t].outcome()))
+          << tests[t].name() << " under " << models[m].name() << " at "
+          << threads << " threads";
     }
   }
-  ASSERT_FALSE(prepared.empty());
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      EXPECT_EQ(prepared[i]->allowed(models[m]), want[i][m] != 0);
+}
+
+TEST(ProgramMajor, WorkspaceKeepsNoProgramPastItsRun) {
+  // Each evaluation thread refills one workspace (Analysis, prepared
+  // test, mask classes) per program run and drops the run's program at
+  // its end.  A chunk of larger with-dep programs is decided and then
+  // destroyed, programs and all, and a chunk of smaller programs follows
+  // on the same engine and threads: a workspace that kept an event, a
+  // row or a pointer of the first chunk would misjudge the second or,
+  // under ASan, read freed memory.
+  const auto models = ninety_models();
+  const engine::RowModels rows(models, nullptr);
+  for (const int threads : {1, 4}) {
+    engine::EngineOptions options;
+    options.num_threads = threads;
+    engine::VerdictEngine eng(options);
+    {
+      const auto large = slice_tests(true, 6, 6, 96);
+      ASSERT_EQ(large.size(), 96u);
+      expect_oracle_verdicts(models, large, eng.run_rows(rows, large, {}),
+                             threads);
     }
+    const auto small = slice_tests(false, 1, 3, 96);
+    ASSERT_EQ(small.size(), 96u);
+    expect_oracle_verdicts(models, small, eng.run_rows(rows, small, {}),
+                           threads);
+    EXPECT_GT(eng.total_stats().unique_analyses, 2u);
   }
 }
 
