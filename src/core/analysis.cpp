@@ -37,7 +37,7 @@ Analysis::Analysis(const Program& program) { reset(program); }
 
 void Analysis::reset(const Program& program) {
   clear();
-  program.validate();
+  if (!program.marked_valid()) program.validate();
   program_ = &program;
   resolve_events();
   compute_deps();

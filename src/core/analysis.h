@@ -59,9 +59,9 @@ class Analysis {
   /// outlive the analysis, or the next reset() or clear()).
   explicit Analysis(const Program& program);
 
-  /// Validates and analyzes `program` in place of the current one.  The
-  /// storage is reused: once it has grown to the largest program seen,
-  /// only Program::validate's table is allocated.
+  /// Validates (unless Program::marked_valid) and analyzes `program` in
+  /// place of the current one.  The storage is reused: once it has grown
+  /// to the largest program seen, a marked program costs no allocation.
   void reset(const Program& program);
 
   /// Drops every reference into the current program (the storage stays

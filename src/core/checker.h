@@ -28,7 +28,7 @@
 #include "core/model.h"
 #include "core/outcome.h"
 #include "core/readfrom.h"
-#include "sat/dimacs.h"
+#include "sat/types.h"
 
 namespace mcmc::core {
 

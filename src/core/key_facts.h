@@ -1,11 +1,12 @@
 // The slice of core::Analysis that canonical fingerprinting needs:
 // resolved events plus within-thread dependency bits — nothing else.
 //
-// The streaming pipeline computes one dedup key per streamed test
-// (millions per run), and a full Analysis is overkill for that: keys
-// never consult rf indexes, po-pair counts, or predicate bitmask rows,
-// and the Analysis constructor re-validates the program and heap-
-// allocates O(events^2) dependency matrices.  KeyFacts resolves the
+// The streaming pipeline computes one dedup key per built test (half a
+// million to two million per run; a certified stream settles each
+// inside its program run), and a full Analysis is overkill for that:
+// keys never consult rf indexes, po-pair counts, or predicate bitmask
+// rows, and an Analysis refills dependency bit rows sized by the
+// event count squared.  KeyFacts resolves the
 // same events and the same transitive data/control dependency relation
 // into flat per-thread 64-bit masks, reusing its buffers across builds
 // (generation-stamped register tables, no std::map), so the

@@ -19,12 +19,19 @@ const Thread& Program::thread(int t) const {
 
 Thread& Program::mutable_thread(int t) {
   MCMC_REQUIRE(t >= 0 && t < num_threads());
+  marked_valid_ = false;
   return threads_[static_cast<std::size_t>(t)];
 }
 
 int Program::add_thread(Thread thread) {
+  marked_valid_ = false;
   threads_.push_back(std::move(thread));
   return num_threads() - 1;
+}
+
+void Program::validate_and_mark() {
+  validate();
+  marked_valid_ = true;
 }
 
 int Program::size() const {

@@ -46,6 +46,14 @@ class Program {
   ///     definitions (statically known addresses and store values).
   void validate() const;
 
+  /// validate(), then marks the program valid, so that core::Analysis
+  /// does not validate it again.  A program is marked before it is
+  /// shared (litmus::LitmusTest's constructor): the mark is written only
+  /// through a non-const program, and add_thread and mutable_thread
+  /// clear it.
+  void validate_and_mark();
+  [[nodiscard]] bool marked_valid() const { return marked_valid_; }
+
   /// Renders the program as a side-by-side table of threads.
   [[nodiscard]] std::string to_string() const;
 
@@ -53,6 +61,7 @@ class Program {
 
  private:
   std::vector<Thread> threads_;
+  bool marked_valid_ = false;  ///< validate() passed since the last change
 };
 
 bool operator==(const Instruction& a, const Instruction& b);

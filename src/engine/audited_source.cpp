@@ -56,10 +56,19 @@ bool AuditedSource::next_chunk(std::vector<litmus::LitmusTest>& out) {
   for (std::size_t i = 0; i < twin_chunk_.size(); ++i) {
     if (delivered < built &&
         out[first + delivered].name() == twin_chunk_[i].name()) {
-      const util::Key128 built_fingerprint =
-          litmus::canonical_fingerprint(out[first + delivered], scratch);
-      MCMC_CHECK_MSG(built_fingerprint == fingerprints_of_[i],
-                     "a delivered test differs from its full-build twin");
+      const litmus::LitmusTest& test = out[first + delivered];
+      MCMC_CHECK_MSG(
+          litmus::canonical_fingerprint(test, scratch) == fingerprints_of_[i],
+          "a delivered test differs from its full-build twin");
+      if (test.shared_program() != run_program_) {
+        run_program_ = test.shared_program();
+        ++run_;
+      }
+      const auto [run, first_time] =
+          first_run_.emplace(fingerprints_of_[i], run_);
+      MCMC_CHECK_MSG(first_time || run->second == run_,
+                     "a class spans two program runs of a source that "
+                     "certifies its runs");
       ++delivered;
     } else {
       MCMC_CHECK_MSG(fingerprints_.count(fingerprints_of_[i]) != 0,

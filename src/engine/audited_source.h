@@ -19,8 +19,11 @@
 // requires the delivered tests to be twin tests in order (equal names
 // and fingerprints), the tests built plus the positions elided to span
 // the twin's chunk, every twin test left out to have a class observed
-// earlier in stream order, and equal cursors after the chunk.  Any
-// violation throws std::logic_error.
+// earlier in stream order, and equal cursors after the chunk.  It also
+// checks the certificate the opt-in carries: a delivered test whose
+// class occurred earlier must have first occurred in the test's own
+// program run (its maximal run of delivered tests sharing one program
+// object).  Any violation throws std::logic_error.
 //
 // Wrapped by VerdictEngine::run_stream, the audit runs inside the
 // ChunkPrefetcher on the producer thread, so a violation is rethrown
@@ -35,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +70,9 @@ class AuditedSource final : public TestSource {
     return twin_ != nullptr && source_.elide_repeats();
   }
   [[nodiscard]] std::size_t elided() const override { return source_.elided(); }
+  void restored_run_head(std::vector<litmus::LitmusTest>& out) const override {
+    source_.restored_run_head(out);
+  }
 
   /// Records that a test with `key` has `fingerprint`; throws on a
   /// collision or a split.
@@ -92,6 +99,11 @@ class AuditedSource final : public TestSource {
   std::vector<std::string> keys_of_;
 
   std::size_t elided_verified_ = 0;
+  /// The program run of the last delivered test (an opted-in audit),
+  /// numbered from 1, and the run each class first occurred in.
+  std::shared_ptr<const core::Program> run_program_;
+  std::size_t run_ = 0;
+  std::unordered_map<util::Key128, std::size_t, util::Key128Hash> first_run_;
 
   std::unordered_map<std::string, util::Key128> keys_;
   /// Points at the key strings of `keys_` (node-stable).

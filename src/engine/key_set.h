@@ -1,8 +1,11 @@
 // Cross-chunk dedup set for the streaming pipeline: the 128-bit keys of
 // every class a stream has seen, stored bare (16 bytes per class, no
-// heap nodes).  run_stream's consumer inserts keys serially in chunk
-// order, so a class's first occurrence is its novel test under any
-// thread count; the set itself is single-threaded.
+// heap nodes).  run_stream keeps one only for a source that does not
+// certify its program runs (TestSource::elide_repeats); a certified
+// stream dedups inside each program run instead.  The consumer inserts
+// keys serially in chunk order, so a class's first occurrence is its
+// novel test under any thread count; the set itself is
+// single-threaded.
 //
 // Storage is 64 open-addressed flat tables (linear probing,
 // power-of-two capacity, grown at 70% load) picked by `key.lo`: a grow
@@ -21,9 +24,11 @@ namespace mcmc::engine {
 
 class KeySet {
  public:
-  /// Inserts `key`; true iff it was not in the set yet.
+  /// Inserts `key`; true iff it was not in the set yet.  The all-zero
+  /// key is the empty-slot sentinel, so a real one (probability
+  /// 2^-128) is stored remapped.
   bool insert(util::Key128 key) {
-    key = normalized(key);
+    if (key == util::Key128{}) key.lo = 1;
     Table& table = tables_[key.lo % kTables];
     std::vector<util::Key128>& slots = table.slots;
     const std::size_t i = table.locate(key);
@@ -37,19 +42,6 @@ class KeySet {
       }
     }
     return true;
-  }
-
-  /// Inserts a checkpoint's recorded keys.
-  void seed(const std::vector<util::Key128>& keys) {
-    for (const util::Key128 key : keys) insert(key);
-  }
-
-  /// A key as the set stores it: the all-zero key is the empty-slot
-  /// sentinel, so a real one (probability 2^-128) is remapped.  Keys
-  /// recorded for seed() go through this.
-  [[nodiscard]] static util::Key128 normalized(util::Key128 key) {
-    if (key == util::Key128{}) key.lo = 1;
-    return key;
   }
 
  private:

@@ -4,9 +4,11 @@
 // enumeration is ~5 million tests) are consumed in fixed-size chunks:
 // the producer implements TestSource, and VerdictEngine::run_stream
 // pulls chunk after chunk through a ChunkPrefetcher (one producer
-// thread, one chunk ahead), deduplicates across chunks by canonical
-// key, and hands each chunk's verdicts to a sink while keeping peak
-// memory at O(chunk size + unique keys), never O(corpus).
+// thread, one chunk ahead), deduplicates by canonical key, and hands
+// each chunk's verdicts to a sink while keeping peak memory at
+// O(chunk size + one program run's keys) for a source that certifies
+// its program runs (elide_repeats), O(chunk size + unique keys)
+// otherwise, never O(corpus).
 #pragma once
 
 #include <cstddef>
@@ -55,19 +57,32 @@ class TestSource {
     return false;
   }
 
-  /// Opts the consumer in to eliding repeats: from the next next_chunk
-  /// on, the source may leave out tests whose canonical class
-  /// (litmus::canonical_fingerprint) already occurred among the tests
-  /// this source object delivered before them, and count each
-  /// left-out stream position in elided() instead.  A chunk still spans
-  /// the same positions, so names, chunk boundaries and cursors do not
-  /// change.  Only a consumer that dedups by canonical fingerprints and
-  /// sees every test the source delivers from its first pull on may opt
-  /// in, settling each elided position as a duplicate.  Returns true
-  /// iff the source will elide; the default delivers every test and
-  /// returns false, and so does a wrapper that does not forward the
-  /// call.
+  /// Opts the consumer in to eliding repeats: the source may leave out
+  /// tests whose canonical class (litmus::canonical_fingerprint)
+  /// occurred earlier in the stream, and count each left-out position
+  /// in elided() instead; chunks span the same positions, so names,
+  /// chunk boundaries and cursors do not change.  Accepting also
+  /// certifies that no canonical class spans two of the source's
+  /// program runs (maximal runs of consecutive tests sharing one
+  /// program object), every program before a restored cursor counting
+  /// as streamed: a test is novel iff its class is new to its run.
+  /// Only a consumer that dedups by canonical fingerprints and sees
+  /// every test from the first pull (or the restored cursor) on may opt
+  /// in, before that pull, settling each elided position as a
+  /// duplicate.  True iff the source elides and certifies; the default,
+  /// and a wrapper that does not forward the call, return false.  A
+  /// wrapper that forwards it forwards restored_run_head too.
   virtual bool elide_repeats() { return false; }
+
+  /// Appends the live program's tests that precede a restored cursor,
+  /// in order, sharing the program object the rest of that program's
+  /// tests hold: the consumer settles the run's remaining tests against
+  /// their classes.  Appends nothing at a program boundary, inside an
+  /// elided program, and by default.  Called after the restore and the
+  /// opt-in, before the first pull.
+  virtual void restored_run_head(std::vector<litmus::LitmusTest>& out) const {
+    (void)out;
+  }
 
   /// Stream positions the most recent next_chunk call elided (0 unless
   /// the consumer opted in, elide_repeats): the chunk spans the tests it

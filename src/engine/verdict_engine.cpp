@@ -612,18 +612,23 @@ struct VerdictEngine::StreamRun {
         structural(structural_keys(ms, options.force_structural_keys)),
         vstore(options.verdict_store),
         row_models(ms, stream_store(ms, options.verdict_store, structural)) {
-    // Checkpoint/resume.  Restoring happens before the prefetcher
-    // exists, directly on the raw source.  Each restore step validates
-    // before mutating, and the cursor goes first: if the sink then
-    // refuses its state, the source is rewound to the start it
-    // snapshotted, so a failed resume streams from scratch with neither
-    // step applied rather than diverging.
     if (vstore != nullptr && options.persistence != nullptr &&
         !options.persistence->path.empty()) {
       persist = options.persistence;
     }
+    // Canonical keys settle a repeat without its test, so the source may
+    // elide (and certify its program runs); structural keys need every
+    // test.  The opt-in precedes the restore and the first pull.
+    certified = !structural && source.elide_repeats();
+    if (!certified) seen.emplace();
+
+    // Checkpoint/resume, for a certified stream only: the classes before
+    // its cursor recur only in the live program's head.  Each restore
+    // step validates before mutating, and the cursor goes first: if the
+    // sink then refuses its state, the source is rewound to the start it
+    // snapshotted, so a failed resume streams from scratch instead.
     bool resumed = false;
-    if (persist != nullptr && persist->resume) {
+    if (certified && persist != nullptr && persist->resume) {
       // checkpoint() hands out a copy (the stored one lives under the
       // store's lock), so the restore steps below work on a stable
       // value.
@@ -632,12 +637,12 @@ struct VerdictEngine::StreamRun {
       if (ck.has_value() && source.snapshot_cursor(start) &&
           source.restore_cursor(ck->source_cursor)) {
         if (!persist->restore_sink || persist->restore_sink(ck->sink_state)) {
-          seen.seed(ck->seen_keys);
           total.chunks = static_cast<std::size_t>(ck->chunks);
           total.tests_streamed = static_cast<std::size_t>(ck->tests_streamed);
           total.novel_tests = static_cast<std::size_t>(ck->novel_tests);
           total.duplicate_tests =
               static_cast<std::size_t>(ck->duplicate_tests);
+          seed_run(source);
           resumed = true;
         } else {
           const bool rewound = source.restore_cursor(start);
@@ -645,19 +650,26 @@ struct VerdictEngine::StreamRun {
         }
       }
     }
-    // Seals extend the store's checkpoint with the keys claimed since
-    // the previous seal, so a stream that did not adopt the checkpoint
-    // drops it first (an unusable one, or any left by a run this one
-    // does not resume) and recomputes from scratch.
+    // A stream that did not adopt the checkpoint drops it first (an
+    // unusable one, or any left by a run this one does not resume) and
+    // recomputes from scratch.
     if (persist != nullptr && !resumed) vstore->clear_checkpoint();
 
-    // Canonical keys settle a repeat without its test, so the restored
-    // source may elide repeats; structural keys need every test.  The
-    // opt-in precedes the first pull, which the prefetcher starts.
-    elide = !structural && source.elide_repeats();
     // The prefetcher runs on its own thread, not a pool worker, so
     // production overlaps consumption even for a 1-thread engine.
     prefetcher.emplace(source);
+  }
+
+  /// Claims the classes of the restored live program run's head.
+  void seed_run(const TestSource& source) {
+    std::vector<litmus::LitmusTest> head;
+    source.restored_run_head(head);
+    litmus::KeyScratch scratch;
+    for (const litmus::LitmusTest& test : head) {
+      (void)claim_in_run(test.program(),
+                         litmus::canonical_fingerprint(test, scratch));
+    }
+    if (!head.empty()) run_program = head.back().shared_program();
   }
 
   /// Releases the previous chunk, then pulls the next into `chunk`;
@@ -678,7 +690,7 @@ struct VerdictEngine::StreamRun {
     cs.stages.wait = prefetcher->last_wait_seconds();
     cs.index = total.chunks;
     cs.repeats = prefetcher->elided();
-    MCMC_CHECK_MSG(elide || cs.repeats == 0,
+    MCMC_CHECK_MSG(certified || cs.repeats == 0,
                    "the source elided tests without the stream's opt-in");
     cs.duplicates = cs.repeats;
     cs.streamed = chunk.size() + cs.repeats;
@@ -720,24 +732,41 @@ struct VerdictEngine::StreamRun {
   }
 
   /// Resolve (serial, chunk order; the `dedup` stage): a test is novel
-  /// iff its key is new to the stream.  The first occurrence of a class
-  /// is thus its novel test under any thread count; an elided repeat's
-  /// class occurred before it, and produce counted it already.
+  /// iff its key is new to its program run, for a certified source (no
+  /// class spans two runs), or new to the stream's KeySet.  The first
+  /// occurrence of a class is thus its novel test under any thread
+  /// count; an elided repeat's class occurred before it, and produce
+  /// counted it already.
   void resolve(StreamChunkStats& cs) {
     util::Timer timer;
     novel_idx.clear();
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      if (!seen.insert(key_hashes[i])) {
+      if (certified ? claim_in_run(chunk[i].program(), key_hashes[i])
+                    : seen->insert(key_hashes[i])) {
+        novel_idx.push_back(static_cast<int>(i));
+      } else {
         ++cs.duplicates;
-        continue;
-      }
-      novel_idx.push_back(static_cast<int>(i));
-      if (persist != nullptr) {
-        seal_keys.push_back(KeySet::normalized(key_hashes[i]));
       }
     }
+    // The run goes on past the chunk's end holding its program, so no
+    // later program object can take its address while it lasts.
+    if (certified && !chunk.empty()) run_program = chunk.back().shared_program();
     cs.novel = novel_idx.size();
     cs.stages.dedup = timer.seconds();
+  }
+
+  /// True iff `key` is new to the program run of `program`, a program
+  /// the chunk or run_program holds, which it then claims.
+  bool claim_in_run(const core::Program& program, util::Key128 key) {
+    if (&program != run_address) {
+      run_address = &program;
+      run_keys.clear();
+    } else if (std::find(run_keys.begin(), run_keys.end(), key) !=
+               run_keys.end()) {
+      return false;
+    }
+    run_keys.push_back(key);
+    return true;
   }
 
   /// Verdict: the novel tests move out of the chunk with their keys
@@ -777,16 +806,15 @@ struct VerdictEngine::StreamRun {
     }
   }
 
-  /// Seal: every K chunks, capture the resumable state (cursor, the
-  /// dedup keys claimed since the previous seal, counters, sink)
-  /// together with the rows changed since then, and hand it to the
-  /// seal writer, which writes it as one delta segment (or a base) on
-  /// its own thread while the stream runs on.  The previous seal's
-  /// write is joined first, so one write is in flight at a time and
-  /// the consumer makes no Fs call while it runs.  A failed write (full
-  /// disk, failing fsync) is not fatal — the previous commit stands,
-  /// and the retry happens at the next seal, as a base carrying
-  /// everything.
+  /// Seal: every K chunks, capture the rows changed since the previous
+  /// seal with, for a certified stream, its resumable state (cursor,
+  /// counters, sink; other streams seal rows alone), and hand it to the
+  /// seal writer, which writes it as one delta segment (or a base)
+  /// while the stream runs on.  The previous seal's write is waited for
+  /// first, so one write is in flight at a time and the consumer makes
+  /// no Fs call while it runs.  A failed write (full disk, failing
+  /// fsync) is not fatal: the previous commit stands, and the next seal
+  /// retries as a base carrying everything.
   void seal() {
     if (persist == nullptr || persist->checkpoint_every_chunks <= 0 ||
         ++chunks_since_seal < persist->checkpoint_every_chunks) {
@@ -795,29 +823,28 @@ struct VerdictEngine::StreamRun {
     util::Timer timer;
     join_writer();
     store::StreamCheckpoint ck;
-    if (prefetcher->snapshot_cursor(ck.source_cursor)) {
+    if (certified && prefetcher->snapshot_cursor(ck.source_cursor)) {
       ck.chunks = total.chunks;
       ck.tests_streamed = total.tests_streamed;
       ck.novel_tests = total.novel_tests;
       ck.duplicate_tests = total.duplicate_tests;
-      ck.seen_keys = std::move(seal_keys);
-      seal_keys.clear();
       if (persist->save_sink) persist->save_sink(ck.sink_state);
-      vstore->extend_checkpoint(std::move(ck));
-      chunks_since_seal = 0;
-      start_writer(vstore->capture_commit(persist->path, /*fold=*/false));
+      vstore->set_checkpoint(std::move(ck));
     }
+    chunks_since_seal = 0;
+    start_write(vstore->capture_commit(persist->path, /*fold=*/false));
     total.stages.seal += timer.seconds();
   }
 
   /// Completion: the checkpoint has served its purpose; once the last
-  /// seal's write is joined, fold the chain into one checkpoint-free
-  /// file, synchronously, so the run returns with it durable (a run
-  /// that changed no row leaves the base untouched).
+  /// seal's write is joined and the writer stopped, fold the chain into
+  /// one checkpoint-free file, synchronously, so the run returns with
+  /// it durable (a run that changed no row leaves the base untouched).
   void complete() {
     if (persist == nullptr) return;
     util::Timer timer;
     join_writer();
+    stop_writer();
     vstore->clear_checkpoint();
     const std::uint64_t before = vstore->bytes_committed();
     if (vstore->commit(persist->path, persist->fs, /*fold=*/true)) {
@@ -827,33 +854,65 @@ struct VerdictEngine::StreamRun {
     total.stages.seal += timer.seconds();
   }
 
-  /// Writes `capture` on the seal writer's thread.
-  void start_writer(store::VerdictStore::Capture capture) {
-    writer = std::thread([this, c = std::move(capture)]() mutable {
-      util::Timer timer;
-      const std::uint64_t before = vstore->bytes_committed();
-      try {
-        written = vstore->write_commit(std::move(c), persist->fs);
-      } catch (...) {
-        writer_error = std::current_exception();
-      }
-      written_bytes = vstore->bytes_committed() - before;
-      write_seconds = timer.seconds();
-    });
+  /// Hands `capture` to the seal writer; the first seal starts it.
+  void start_write(store::VerdictStore::Capture capture) {
+    {
+      util::MutexLock lock(writer_mu);
+      pending.emplace(std::move(capture));
+      in_flight = true;
+    }
+    writer_cv.notify_all();
+    if (!writer.joinable()) writer = std::thread([this] { write_seals(); });
   }
 
-  /// Joins the seal writer, if one runs, and accounts for its write: a
+  /// The seal writer's thread: writes each capture handed over until
+  /// stopped with none pending.
+  void write_seals() {
+    for (;;) {
+      std::optional<store::VerdictStore::Capture> capture;
+      {
+        util::MutexLock lock(writer_mu);
+        while (!pending && !stop_writing) writer_cv.wait(writer_mu);
+        if (!pending) return;
+        capture.emplace(std::move(*pending));
+        pending.reset();
+      }
+      util::Timer timer;
+      const std::uint64_t before = vstore->bytes_committed();
+      Write write;
+      try {
+        write.ok = vstore->write_commit(std::move(*capture), persist->fs);
+      } catch (...) {
+        write.error = std::current_exception();
+      }
+      write.bytes = vstore->bytes_committed() - before;
+      write.seconds = timer.seconds();
+      {
+        util::MutexLock lock(writer_mu);
+        written.emplace(std::move(write));
+        in_flight = false;
+      }
+      writer_cv.notify_all();
+    }
+  }
+
+  /// Waits for the seal write in flight, if any, and accounts for it: a
   /// successful one is a commit and a seal, and the kill hook fires
   /// once the seals reach its count.  An exception the write threw is
   /// rethrown here.
   void join_writer() {
-    if (!writer.joinable()) return;
-    writer.join();
-    total.stages.write += write_seconds;
-    if (writer_error) std::rethrow_exception(std::exchange(writer_error, {}));
-    if (!written) return;
+    std::optional<Write> write;
+    {
+      util::MutexLock lock(writer_mu);
+      while (in_flight) writer_cv.wait(writer_mu);
+      write.swap(written);
+    }
+    if (!write) return;
+    total.stages.write += write->seconds;
+    if (write->error) std::rethrow_exception(write->error);
+    if (!write->ok) return;
     ++total.commits;
-    total.bytes_committed += written_bytes;
+    total.bytes_committed += write->bytes;
     ++seals;
     if (persist->kill_after_seals >= 0 && seals >= persist->kill_after_seals) {
       // Nothing was captured since the seal's rename: on-disk state is
@@ -863,11 +922,20 @@ struct VerdictEngine::StreamRun {
     }
   }
 
+  /// Ends the seal writer's thread once a pending write has landed.
+  void stop_writer() {
+    if (!writer.joinable()) return;
+    {
+      util::MutexLock lock(writer_mu);
+      stop_writing = true;
+    }
+    writer_cv.notify_all();
+    writer.join();
+  }
+
   /// A run that unwinds (a throwing sink, the kill hook) lets the seal
   /// writer finish before the store and its files are handed back.
-  ~StreamRun() {
-    if (writer.joinable()) writer.join();
-  }
+  ~StreamRun() { stop_writer(); }
 
   VerdictEngine& eng;
   /// Structural dedup keys instead of canonical ones.
@@ -879,9 +947,15 @@ struct VerdictEngine::StreamRun {
   /// stream_store).
   const RowModels row_models;
   const store::StreamPersistence* persist = nullptr;
-  /// The source accepted the opt-in to elide repeats.
-  bool elide = false;
-  KeySet seen;
+  /// The source accepted the opt-in, certifying its program runs.
+  bool certified = false;
+  /// A certified stream's live program run: its program's address, the
+  /// keys claimed in it, and its program, held past the chunk's end.
+  const core::Program* run_address = nullptr;
+  std::vector<util::Key128> run_keys;
+  std::shared_ptr<const core::Program> run_program;
+  /// Every key claimed, for a source that does not certify.
+  std::optional<KeySet> seen;
   StreamStats total;
   /// Every chunk is pulled through it; emplaced once the source is
   /// restored.
@@ -894,18 +968,26 @@ struct VerdictEngine::StreamRun {
   std::vector<int> novel_idx;
   std::vector<util::Key128> novel_keys;
 
-  // Keys claimed since the last seal, and the seal counters.
-  std::vector<util::Key128> seal_keys;
+  // The seal counters.
   int seals = 0;
   int chunks_since_seal = 0;
 
-  // The seal writer and what its last write left for join_writer (read
-  // only after the join).
+  /// What one seal write left for join_writer.
+  struct Write {
+    bool ok = false;
+    std::uint64_t bytes = 0;
+    double seconds = 0.0;
+    std::exception_ptr error;
+  };
+  // The seal writer: one thread per run, fed one capture at a time;
+  // `in_flight` from a hand-over until its write is reported.
   std::thread writer;
-  bool written = false;
-  std::uint64_t written_bytes = 0;
-  double write_seconds = 0.0;
-  std::exception_ptr writer_error;
+  util::Mutex writer_mu;
+  util::CondVar writer_cv;
+  std::optional<store::VerdictStore::Capture> pending GUARDED_BY(writer_mu);
+  bool in_flight GUARDED_BY(writer_mu) = false;
+  std::optional<Write> written GUARDED_BY(writer_mu);
+  bool stop_writing GUARDED_BY(writer_mu) = false;
 };
 
 StreamStats VerdictEngine::run_stream(

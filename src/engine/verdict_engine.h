@@ -151,7 +151,8 @@ struct StreamOptions {
 /// producer thread (ChunkPrefetcher::recycle), whose destruction of the
 /// handed-back tests counts in its `produce`.
 /// `keys` is the parallel fingerprint phase, `dedup` the serial
-/// chunk-order claims of the keys in the stream's dedup set, `verdict`
+/// chunk-order claims of the keys (in each program run's key list for a
+/// certifying source, in the stream's KeySet otherwise), `verdict`
 /// the batched evaluation, `sink` the chunk sink (the caller's
 /// on_chunk: the Theorem harness's sweep runs there), `seal` the time
 /// a persisted stream's consumer is held at its seals: each seal's
@@ -295,17 +296,21 @@ class VerdictEngine {
   /// evaluates the `models` x chunk product for each, and invokes
   /// `on_chunk` (may be null) after every chunk.  Tests whose canonical
   /// fingerprint appeared earlier in the stream are counted as
-  /// duplicates and skipped — the dedup set stores the 128-bit
-  /// fingerprints directly (16 bytes per class, no Analysis and no key
+  /// duplicates and skipped; keys are 128-bit fingerprints (no key
   /// string ever materialized; engine::AuditedSource cross-checks them
-  /// against the string keys), so the peak resident set stays
-  /// O(chunk size + unique classes) no matter how long the stream runs.
-  /// Under canonical keys run_stream opts `source` in to eliding
-  /// repeats (TestSource::elide_repeats) once it is restored, before
-  /// the first pull, and settles every elided position as a duplicate;
-  /// so `source` must be fresh or just restored: run_stream has to see
-  /// every test it delivers.  Structural keys never opt in (a canonical
-  /// repeat need not be a structural one).
+  /// against the string keys).  Under canonical keys run_stream opts
+  /// `source` in to eliding repeats (TestSource::elide_repeats) before
+  /// it restores the source and before the first pull, and settles
+  /// every elided position as a duplicate; so `source` must be fresh:
+  /// run_stream has to see every test it delivers.  A source that
+  /// accepts certifies that no class spans two of its program runs, so
+  /// a test is novel iff its key is new to its run: the stream holds one
+  /// run's keys, and its peak resident set stays O(chunk size) no matter
+  /// how long it runs.  Otherwise (structural keys, which never opt in —
+  /// a canonical repeat need not be a structural one — or a source that
+  /// refuses) an engine::KeySet holds every class's key, 16 bytes each:
+  /// O(chunk size + unique classes).  Only a certified stream writes or
+  /// resumes a checkpoint; the others seal rows alone.
   ///
   /// The run is a parallel pipeline: a producer thread (not a pool
   /// worker) prefetches the next chunk while the consumer processes the
@@ -313,16 +318,16 @@ class VerdictEngine {
   /// in contiguous ranges, each with its own scratch tables.  `on_chunk`
   /// runs between the stages, with the pool idle, so it may run batches
   /// on this engine.  A persisted stream captures each seal on the
-  /// consumer and writes it on a seal writer thread while the next
-  /// chunks stream (store::StreamPersistence); the writer is joined at
-  /// the next seal, before the completion's fold, and before run_stream
-  /// returns or rethrows.
+  /// consumer and writes it on the run's one seal writer thread while
+  /// the next chunks stream (store::StreamPersistence); each write is
+  /// waited for at the next seal and before the completion's fold, and
+  /// the writer thread is joined before run_stream returns or
+  /// rethrows.
   /// Streamed results are bit-for-bit deterministic under any thread
   /// count: chunk boundaries come from the single producer, the
-  /// consumer inserts the keys into the dedup set serially in chunk
-  /// order (engine::KeySet), so a class's first occurrence is its novel
-  /// test, and novel tests, verdict bits, and chunk stats are folded in
-  /// chunk order.
+  /// consumer claims the keys serially in chunk order, so a class's
+  /// first occurrence is its novel test, and novel tests, verdict bits,
+  /// and chunk stats are folded in chunk order.
   StreamStats run_stream(const std::vector<core::MemoryModel>& models,
                          TestSource& source, const StreamChunkSink& on_chunk,
                          const StreamOptions& stream_options = {});

@@ -102,8 +102,6 @@ ExhaustiveStream::ExhaustiveStream(ExhaustiveOptions options)
   writes_.reserve(static_cast<std::size_t>(options_.bounds.num_locations));
 }
 
-bool ExhaustiveStream::done() const { return exhausted_; }
-
 bool ExhaustiveStream::start_next_program() {
   const std::size_t n = shapes_.size();
   while (i_ < n) {
@@ -124,10 +122,7 @@ bool ExhaustiveStream::start_next_program() {
 
     cur_a_ = a;
     cur_b_ = b;
-    repeat_ = elide_ && repeats_an_emitted_program();
-    if (repeat_) {
-      outcomes_ = shapes::outcome_count(shapes_[a], shapes_[b], writes_);
-    } else {
+    if (!elide_if_repeat()) {
       build_program();
       odometer_.assign(read_regs_.size(), 0);
     }
@@ -136,6 +131,23 @@ bool ExhaustiveStream::start_next_program() {
     return true;
   }
   return false;
+}
+
+bool ExhaustiveStream::elide_if_repeat() {
+  repeat_ = elide_ &&
+            least_image(cur_a_, cur_b_) < cur_a_ * shapes_.size() + cur_b_;
+  if (repeat_) {
+    outcomes_ =
+        shapes::outcome_count(shapes_[cur_a_], shapes_[cur_b_], writes_);
+  }
+  return repeat_;
+}
+
+bool ExhaustiveStream::elide_repeats() {
+  elide_ = true;
+  // A cursor restored before the opt-in may lie inside a repeat.
+  if (odometer_live_ && !repeat_) (void)elide_if_repeat();
+  return true;
 }
 
 std::size_t ExhaustiveStream::least_image(std::size_t a, std::size_t b) const {
@@ -150,11 +162,6 @@ std::size_t ExhaustiveStream::least_image(std::size_t a, std::size_t b) const {
     least = std::min({least, as[p] * n + bs[p], bs[p] * n + as[p]});
   }
   return least;
-}
-
-bool ExhaustiveStream::repeats_an_emitted_program() const {
-  const std::size_t least = least_image(cur_a_, cur_b_);
-  return least < cur_a_ * shapes_.size() + cur_b_ && least >= elide_from_;
 }
 
 void ExhaustiveStream::build_program() {
@@ -233,11 +240,6 @@ bool ExhaustiveStream::restore_cursor(
   emitted_.programs = static_cast<long long>(cursor[9]);
   emitted_.tests = static_cast<long long>(cursor[10]);
   odometer_live_ = live;
-
-  // The programs before the pair cursor were emitted by another
-  // object, and so was the head of a live one: elision starts after
-  // them, and the live program is built.
-  elide_from_ = i_ * n + j_;
   repeat_ = false;
 
   const auto reject = [this] {
@@ -250,14 +252,15 @@ bool ExhaustiveStream::restore_cursor(
     emitted_ = ExhaustiveCounts{};
     odometer_live_ = false;
     odometer_.clear();
-    elide_from_ = 0;
     return false;
   };
 
   if (live) {
     // The odometer is the outcome index in mixed radix, digit 0 the
     // fastest; a remainder past the last digit means the index is at or
-    // past the program's outcome count.
+    // past the program's outcome count.  The programs before the cursor
+    // count as streamed, so an opted-in stream goes on eliding a live
+    // repeat.
     build_program();
     std::uint64_t rest = cursor[8];
     odometer_.resize(read_domain_.size());
@@ -267,10 +270,42 @@ bool ExhaustiveStream::restore_cursor(
       rest /= domain;
     }
     if (rest != 0) return reject();
+    (void)elide_if_repeat();
   } else {
     odometer_.clear();
   }
   return true;
+}
+
+void ExhaustiveStream::restored_run_head(
+    std::vector<litmus::LitmusTest>& out) const {
+  if (!odometer_live_ || repeat_) return;
+  std::vector<int> digits(read_regs_.size(), 0);
+  for (long long outcome = 0; outcome < outcome_index_; ++outcome) {
+    out.push_back(outcome_test(digits, outcome));
+    (void)advance(digits);
+  }
+}
+
+litmus::LitmusTest ExhaustiveStream::outcome_test(
+    const std::vector<int>& digits, long long outcome) const {
+  // The outcome's constraints live inline, the name fits the string's
+  // inline buffer and the program is shared, so a test allocates
+  // nothing.
+  core::Outcome constraints;
+  for (std::size_t k = 0; k < read_regs_.size(); ++k) {
+    constraints.require(read_regs_[k], digits[k]);
+  }
+  return program_->with_outcome(test_name(program_index_, outcome),
+                                std::move(constraints));
+}
+
+bool ExhaustiveStream::advance(std::vector<int>& digits) const {
+  for (std::size_t k = 0; k < digits.size(); ++k) {
+    if (++digits[k] < read_domain_[k]) return true;
+    digits[k] = 0;
+  }
+  return false;
 }
 
 bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
@@ -296,28 +331,13 @@ bool ExhaustiveStream::next_chunk(std::vector<litmus::LitmusTest>& out) {
       continue;
     }
 
-    // The outcome's constraints live inline, the name fits the string's
-    // inline buffer and the program is shared, so emitting a test
-    // allocates nothing.
-    core::Outcome outcome;
-    for (std::size_t k = 0; k < read_regs_.size(); ++k) {
-      outcome.require(read_regs_[k], odometer_[k]);
-    }
-    out.push_back(program_->with_outcome(
-        test_name(program_index_, outcome_index_), std::move(outcome)));
+    out.push_back(outcome_test(odometer_, outcome_index_));
     ++filled;
     ++emitted_.tests;
     ++outcome_index_;
-
-    // Advance the odometer; carrying past the last read ends the
-    // program (a read-free program emits exactly its one empty-outcome
-    // test).
-    std::size_t k = 0;
-    for (; k < odometer_.size(); ++k) {
-      if (++odometer_[k] < read_domain_[k]) break;
-      odometer_[k] = 0;
-    }
-    if (k == odometer_.size()) odometer_live_ = false;
+    // Carrying past the last read ends the program (a read-free program
+    // emits exactly its one empty-outcome test).
+    odometer_live_ = advance(odometer_);
   }
   return true;
 }

@@ -65,13 +65,18 @@ struct ExhaustiveCounts {
 /// test classes all occur among the tests of any image of it.  A stream
 /// whose consumer opted in (elide_repeats) therefore builds no test of
 /// a program whose orbit's least shape pair, in this stream's (i, j)
-/// order, came earlier and was emitted whole by this stream object: it
-/// counts that program's stream positions as elided instead, advancing
-/// names, counters and cursor exactly as building them would.  Only a
-/// program that is least in its orbit is built, so a fresh opted-in
-/// stream builds count_orbits programs.  A stream restored from a
-/// cursor elides only against the programs it started itself; the live
-/// program a cursor lands in is built.
+/// order, came earlier: it counts that program's stream positions as
+/// elided instead, advancing names, counters and cursor exactly as
+/// building them would.  Only a program that is least in its orbit is
+/// built, so an opted-in stream builds count_orbits programs.  Every
+/// program before a restored cursor counts as streamed: a restored
+/// stream elides as a fresh one does, a cursor inside an elided program
+/// stays elided, and restored_run_head rebuilds the head of a built one.
+/// The opt-in certifies that no class spans two program runs (two
+/// programs least in distinct orbits share no class);
+/// engine::AuditedSource checks it on the audited slices and the full
+/// no-dep space, and the with-dep space's pinned novel count would
+/// count such a class twice.
 class ExhaustiveStream final : public engine::TestSource {
  public:
   explicit ExhaustiveStream(ExhaustiveOptions options);
@@ -101,15 +106,15 @@ class ExhaustiveStream final : public engine::TestSource {
   [[nodiscard]] bool restore_cursor(
       const std::vector<std::uint64_t>& cursor) override;
 
-  /// Opts in to eliding the programs whose orbit this object already
-  /// emitted (see the class comment); always accepted.
-  bool elide_repeats() override {
-    elide_ = true;
-    return true;
-  }
+  /// Opts in to eliding the programs whose orbit came earlier, and
+  /// certifies the program runs (see the class comment); always
+  /// accepted.
+  bool elide_repeats() override;
   [[nodiscard]] std::size_t elided() const override { return elided_; }
+  /// The live built program's tests before a restored cursor.
+  void restored_run_head(std::vector<litmus::LitmusTest>& out) const override;
 
-  [[nodiscard]] bool done() const;
+  [[nodiscard]] bool done() const { return exhausted_; }
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
 
   /// Counting-only walk of the same generator core: the totals a full
@@ -134,12 +139,19 @@ class ExhaustiveStream final : public engine::TestSource {
   bool start_next_program();
   /// Builds (and validates) the current program and its read domains.
   void build_program();
+  /// Elides the live program, counting its outcomes, iff the consumer
+  /// opted in and the least image of its shape pair precedes it;
+  /// returns whether it does.
+  bool elide_if_repeat();
+  /// The current program's test named as outcome `outcome`, whose read
+  /// k takes value digits[k].
+  [[nodiscard]] litmus::LitmusTest outcome_test(const std::vector<int>& digits,
+                                                long long outcome) const;
+  /// Steps `digits` to the next outcome; false once it wraps.
+  [[nodiscard]] bool advance(std::vector<int>& digits) const;
   /// Stream position (a * shapes + b) of the least image of shape pair
   /// (a, b) under thread exchange and location renaming.
   [[nodiscard]] std::size_t least_image(std::size_t a, std::size_t b) const;
-  /// True iff the least image of the current shape pair precedes it and
-  /// lies at or after elide_from_.
-  [[nodiscard]] bool repeats_an_emitted_program() const;
 
   ExhaustiveOptions options_;
   std::vector<shapes::ThreadShape> shapes_;
@@ -157,9 +169,6 @@ class ExhaustiveStream final : public engine::TestSource {
   bool exhausted_ = false;
   long long program_index_ = -1;  ///< 0-based index of the current program
   long long outcome_index_ = 0;   ///< 0-based outcome index within it
-  /// Stream position (i * shapes + j) of the first program this object
-  /// started itself: it emitted every program from there on whole.
-  std::size_t elide_from_ = 0;
   bool elide_ = false;   ///< the consumer opted in (elide_repeats)
   bool repeat_ = false;  ///< the current program is elided, not built
   long long outcomes_ = 0;    ///< the elided program's outcome count

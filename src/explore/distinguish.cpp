@@ -1,6 +1,7 @@
 #include "explore/distinguish.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <set>
 
@@ -18,9 +19,18 @@ std::size_t words_for(int num_models) {
 
 /// Version word of the harness checkpoint-sink payload.  Version 3
 /// dropped the caller-owned extra section that version 2 appended;
-/// payloads of any other version are rejected, degrading a stale resume
-/// to a from-scratch run.
-constexpr std::uint64_t kSinkVersion = 3;
+/// version 4 added the sweep's counters, so a resumed run reports the
+/// whole sweep.  Payloads of any other version are rejected, degrading
+/// a stale resume to a from-scratch run.
+constexpr std::uint64_t kSinkVersion = 4;
+
+/// The sweep's counters, in the order the sink payload carries them.
+std::array<std::size_t*, 9> sweep_counters(engine::EngineStats& sweep) {
+  return {&sweep.cells,           &sweep.checks_run, &sweep.searches,
+          &sweep.dedup_hits,      &sweep.store_hits, &sweep.store_misses,
+          &sweep.explicit_checks, &sweep.sat_checks, &sweep.unique_analyses};
+}
+constexpr std::size_t kSinkHeader = 5 + 9;  // through the sweep counters
 
 }  // namespace
 
@@ -195,8 +205,9 @@ DistinguishMatrix distinguishability_streamed(
 
   // Checkpoint sink: the harness state a resumed run re-adopts is the
   // distinct-column fold (the matrix is a pure function of it) plus the
-  // prefilter counters.  Layout: [version, n, candidate_tests,
-  // filtered_tests, sweep_seconds bits, count, columns...].  The hooks
+  // prefilter and sweep counters.  Layout: [version, n, candidate_tests,
+  // filtered_tests, sweep_seconds bits, 9 sweep counters, count,
+  // columns...].  The hooks
   // are installed over the caller's persistence copy — sink state is
   // the harness's, not the caller's, to carry.
   store::StreamPersistence persist;
@@ -213,6 +224,9 @@ DistinguishMatrix distinguishability_streamed(
       std::uint64_t seconds_bits = 0;
       std::memcpy(&seconds_bits, &rep.sweep_seconds, sizeof seconds_bits);
       out.push_back(seconds_bits);
+      for (const std::size_t* counter : sweep_counters(rep.sweep)) {
+        out.push_back(*counter);
+      }
       folder.export_state(out);
     };
     persist.restore_sink =
@@ -220,22 +234,27 @@ DistinguishMatrix distinguishability_streamed(
           // Validate the full payload shape before mutating anything,
           // so a rejected sink leaves the harness in its fresh state.
           const std::size_t w = words_for(n);
-          if (data.size() < 6 || data[0] != kSinkVersion ||
+          if (data.size() < kSinkHeader + 1 || data[0] != kSinkVersion ||
               data[1] != static_cast<std::uint64_t>(n) || w == 0) {
             return false;
           }
-          const std::uint64_t count = data[5];
-          if (count > (data.size() - 6) / w ||
-              data.size() - 6 != static_cast<std::size_t>(count) * w) {
+          const std::uint64_t count = data[kSinkHeader];
+          if (count > (data.size() - kSinkHeader - 1) / w ||
+              data.size() - kSinkHeader - 1 !=
+                  static_cast<std::size_t>(count) * w) {
             return false;
           }
-          std::size_t pos = 5;
+          std::size_t pos = kSinkHeader;
           if (!folder.restore_state(data, pos)) return false;
           rep.candidate_tests = static_cast<std::size_t>(data[2]);
           rep.filtered_tests = static_cast<std::size_t>(data[3]);
           std::uint64_t seconds_bits = data[4];
           std::memcpy(&rep.sweep_seconds, &seconds_bits,
                       sizeof seconds_bits);
+          std::size_t word = 5;
+          for (std::size_t* counter : sweep_counters(rep.sweep)) {
+            *counter = static_cast<std::size_t>(data[word++]);
+          }
           return true;
         };
   }

@@ -24,8 +24,10 @@ namespace mcmc::litmus {
 /// The program is immutable and shared: copies of a test, and tests
 /// derived through with_outcome, hold the same validated program object
 /// (a reference-count bump, not a deep copy).  Every program reaching a
-/// test has passed Program::validate — the public constructor validates,
-/// and with_outcome only re-uses an already validated program.
+/// test has passed Program::validate — the public constructor validates
+/// and marks it (Program::validate_and_mark, so an Analysis of it does
+/// not validate it again), and with_outcome only re-uses an already
+/// validated program.
 class LitmusTest {
  public:
   /// Validates `program` (std::invalid_argument on violation).
@@ -33,9 +35,10 @@ class LitmusTest {
              std::string description = "")
       : name_(std::move(name)),
         description_(std::move(description)),
-        program_(std::make_shared<const core::Program>(std::move(program))),
         outcome_(std::move(outcome)) {
-    program_->validate();
+    auto validated = std::make_shared<core::Program>(std::move(program));
+    validated->validate_and_mark();
+    program_ = std::move(validated);
   }
 
   /// A sibling test over this test's program — the same object, neither

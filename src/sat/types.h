@@ -61,4 +61,11 @@ inline LBool operator-(LBool v) {
 
 using Clause = std::vector<Lit>;
 
+/// A CNF formula in portable form: `num_vars` variables (0-based) and a
+/// list of clauses.
+struct Cnf {
+  int num_vars = 0;
+  std::vector<Clause> clauses;
+};
+
 }  // namespace mcmc::sat

@@ -24,12 +24,12 @@ namespace {
 //   rows        count:u64 words:u32 0:u32, then per row
 //               key:key128 valid[words]:u64 bits[words]:u64
 //   checkpoint  op:u32 0:u32 — keep (segments only) | absent | set:
-//               kept:u64 count:u64 keys[count]:key128 chunks:u64
-//               tests_streamed:u64 novel:u64 duplicates:u64
+//               chunks:u64 tests_streamed:u64 novel:u64 duplicates:u64
 //               cursor:words sink:words (words = count:u64 + u64s)
-//               The checkpoint's key list is the previous one's first
-//               `kept` keys followed by `keys` (a base always has
-//               kept = 0).
+//               A record in the old layout (its own op, with a key
+//               section kept:u64 count:u64 keys[count]:key128 before
+//               chunks) is read past and dropped, so the stream it would
+//               have resumed is recomputed.
 //
 // The header prefix is laid out as in version 1, so a version-1 file
 // verifies its header and is classified VersionMismatch.
@@ -41,7 +41,8 @@ constexpr std::size_t kTrailerSize = 16;
 
 constexpr std::uint32_t kCheckpointKeep = 0;
 constexpr std::uint32_t kCheckpointAbsent = 1;
-constexpr std::uint32_t kCheckpointSet = 2;
+constexpr std::uint32_t kCheckpointKeyed = 2;  // the old layout's set
+constexpr std::uint32_t kCheckpointSet = 3;
 
 /// Slots of the smallest index (a power of two).
 constexpr std::size_t kMinIndexSlots = 64;
@@ -118,24 +119,17 @@ void put_row(util::ByteWriter& w, util::Key128 key, const std::uint64_t* valid,
   for (std::size_t i = 0; i < words; ++i) w.u64(bits[i]);
 }
 
-/// Size of a checkpoint record carrying `ck` past its first `kept`
-/// keys (absent when null).
-std::uint64_t checkpoint_size(const StreamCheckpoint* ck, std::size_t kept) {
+/// Size of a checkpoint record carrying `ck` (absent when null).
+std::uint64_t checkpoint_size(const StreamCheckpoint* ck) {
   if (ck == nullptr) return 8;
-  return 8 + 16 + 16 * (ck->seen_keys.size() - kept) + 32 + 8 +
-         8 * ck->source_cursor.size() + 8 + 8 * ck->sink_state.size();
+  return 8 + 32 + 8 + 8 * ck->source_cursor.size() + 8 +
+         8 * ck->sink_state.size();
 }
 
-void put_checkpoint(util::ByteWriter& w, const StreamCheckpoint* ck,
-                    std::size_t kept) {
+void put_checkpoint(util::ByteWriter& w, const StreamCheckpoint* ck) {
   w.u32(ck == nullptr ? kCheckpointAbsent : kCheckpointSet);
   w.u32(0);
   if (ck == nullptr) return;
-  w.u64(kept);
-  w.u64(ck->seen_keys.size() - kept);
-  for (std::size_t i = kept; i < ck->seen_keys.size(); ++i) {
-    w.key128(ck->seen_keys[i]);
-  }
   w.u64(ck->chunks);
   w.u64(ck->tests_streamed);
   w.u64(ck->novel_tests);
@@ -144,11 +138,8 @@ void put_checkpoint(util::ByteWriter& w, const StreamCheckpoint* ck,
   put_words(w, ck->sink_state);
 }
 
-/// A parsed checkpoint record; `ck.seen_keys` holds only the keys the
-/// record appends after the previous list's first `kept`.
 struct CheckpointRecord {
   std::uint32_t op = kCheckpointKeep;
-  std::uint64_t kept = 0;
   StreamCheckpoint ck;
 };
 
@@ -156,18 +147,15 @@ void read_checkpoint(util::ByteReader& r, CheckpointRecord& rec) {
   rec.op = r.read_u32();
   (void)r.read_u32();  // reserved
   if (rec.op == kCheckpointKeep || rec.op == kCheckpointAbsent) return;
-  if (rec.op != kCheckpointSet) {
+  if (rec.op == kCheckpointKeyed) {
+    (void)r.read_u64();  // kept
+    const std::uint64_t count = r.read_u64();  // read past the keys
+    if (count > r.remaining() / 16) r.fail();
+    (void)r.read_bytes(r.ok() ? static_cast<std::size_t>(count) * 16 : 0);
+  } else if (rec.op != kCheckpointSet) {
     r.fail();
     return;
   }
-  rec.kept = r.read_u64();
-  const std::uint64_t count = r.read_u64();
-  if (count > r.remaining() / 16) {
-    r.fail();
-    return;
-  }
-  rec.ck.seen_keys.resize(static_cast<std::size_t>(count));
-  for (auto& k : rec.ck.seen_keys) k = r.read_key128();
   rec.ck.chunks = r.read_u64();
   rec.ck.tests_streamed = r.read_u64();
   rec.ck.novel_tests = r.read_u64();
@@ -176,24 +164,15 @@ void read_checkpoint(util::ByteReader& r, CheckpointRecord& rec) {
   rec.ck.sink_state = read_words(r);
 }
 
-/// Applies a checkpoint record on top of `current`; false when the
-/// record keeps more keys than `current` has.
-bool apply_checkpoint(CheckpointRecord&& rec,
+/// Applies a checkpoint record on top of `current`: a set replaces it,
+/// a keep leaves it, and an absent or old-layout record drops it.
+void apply_checkpoint(CheckpointRecord&& rec,
                       std::optional<StreamCheckpoint>& current) {
-  if (rec.op == kCheckpointKeep) return true;
-  if (rec.op == kCheckpointAbsent) {
+  if (rec.op == kCheckpointSet) {
+    current = std::move(rec.ck);
+  } else if (rec.op != kCheckpointKeep) {
     current.reset();
-    return true;
   }
-  const std::size_t have = current ? current->seen_keys.size() : 0;
-  if (rec.kept > have) return false;
-  std::vector<util::Key128> keys;
-  if (current) keys = std::move(current->seen_keys);
-  keys.resize(static_cast<std::size_t>(rec.kept));
-  keys.insert(keys.end(), rec.ck.seen_keys.begin(), rec.ck.seen_keys.end());
-  rec.ck.seen_keys = std::move(keys);
-  current = std::move(rec.ck);
-  return true;
 }
 
 /// Whether `bytes` is a segment that claims to extend the file whose
@@ -397,21 +376,9 @@ void VerdictStore::set_bit_locked(util::Key128 test, int col, bool verdict) {
   write_words(test, static_cast<std::size_t>(col) / 64, 1, &mask, &bits);
 }
 
-void VerdictStore::extend_checkpoint(StreamCheckpoint next) {
+void VerdictStore::set_checkpoint(StreamCheckpoint next) {
   util::ExclusiveLock lock(mu_);
-  if (!checkpoint_) {
-    checkpoint_.emplace();
-    committed_keys_ = 0;
-  }
-  StreamCheckpoint& ck = *checkpoint_;
-  ck.seen_keys.insert(ck.seen_keys.end(), next.seen_keys.begin(),
-                      next.seen_keys.end());
-  ck.chunks = next.chunks;
-  ck.tests_streamed = next.tests_streamed;
-  ck.novel_tests = next.novel_tests;
-  ck.duplicate_tests = next.duplicate_tests;
-  ck.source_cursor = std::move(next.source_cursor);
-  ck.sink_state = std::move(next.sink_state);
+  checkpoint_ = std::move(next);
   checkpoint_dirty_ = true;
 }
 
@@ -419,14 +386,13 @@ void VerdictStore::clear_checkpoint() {
   util::ExclusiveLock lock(mu_);
   if (!checkpoint_) return;
   checkpoint_.reset();
-  committed_keys_ = 0;
   checkpoint_dirty_ = true;
 }
 
 std::string VerdictStore::capture_base(std::uint64_t generation) {
   const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
   std::string out(kHeaderSize + 8 + rows_size(keys_.size(), words_) +
-                      checkpoint_size(ck, 0) + kTrailerSize,
+                      checkpoint_size(ck) + kTrailerSize,
                   '\0');
   util::ByteWriter w(out.data());
   put_header(w, kBaseMagic, meta_, 0);
@@ -438,21 +404,20 @@ std::string VerdictStore::capture_base(std::uint64_t generation) {
     put_row(w, keys_[row], &valid_[row * words_], &bits_[row * words_],
             words_);
   }
-  put_checkpoint(w, ck, 0);
+  put_checkpoint(w, ck);
   MCMC_CHECK(w.position() == out.data() + out.size() - kTrailerSize);
 
   for (const std::uint32_t row : dirty_) row_dirty_[row] = 0;
   dirty_.clear();
   rows_since_base_ = false;
   checkpoint_dirty_ = false;
-  committed_keys_ = ck != nullptr ? ck->seen_keys.size() : 0;
   return out;
 }
 
 std::uint64_t VerdictStore::segment_size() const {
   const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
   return kHeaderSize + 16 + rows_size(dirty_.size(), words_) +
-         (checkpoint_dirty_ ? checkpoint_size(ck, committed_keys_) : 8) +
+         (checkpoint_dirty_ ? checkpoint_size(ck) : 8) +
          kTrailerSize;
 }
 
@@ -469,9 +434,7 @@ std::string VerdictStore::capture_segment() {
   }
   dirty_.clear();
   if (checkpoint_dirty_) {
-    const StreamCheckpoint* ck = checkpoint_ ? &*checkpoint_ : nullptr;
-    put_checkpoint(w, ck, committed_keys_);
-    committed_keys_ = ck != nullptr ? ck->seen_keys.size() : 0;
+    put_checkpoint(w, checkpoint_ ? &*checkpoint_ : nullptr);
     checkpoint_dirty_ = false;
   } else {
     w.u32(kCheckpointKeep);
@@ -523,7 +486,6 @@ VerdictStore::Capture VerdictStore::capture(const std::string& path,
       // The base already holds exactly this state.
       c.kind_ = WriteKind::kRetire;
       checkpoint_dirty_ = false;
-      committed_keys_ = 0;
     } else if (changed || chain_.segments > 0) {
       c.kind_ = WriteKind::kBase;
     }
@@ -730,23 +692,23 @@ OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,
     if (store.keys_.size() != n) p.fail();  // duplicate keys
     CheckpointRecord rec;
     read_checkpoint(p, rec);
-    if (!p.ok() || p.remaining() != 0 || rec.op == kCheckpointKeep ||
-        rec.kept != 0 || !apply_checkpoint(std::move(rec), store.checkpoint_)) {
+    if (!p.ok() || p.remaining() != 0 || rec.op == kCheckpointKeep) {
       store.keys_.clear();
       store.slots_.assign(kMinIndexSlots, IndexSlot{});
       store.valid_.clear();
       store.bits_.clear();
       store.row_dirty_.clear();
-      store.checkpoint_.reset();
       return corrupt("malformed base payload");
     }
+    const bool base_checkpoint = rec.op != kCheckpointAbsent;
+    apply_checkpoint(std::move(rec), store.checkpoint_);
     Chain& chain = store.chain_;
     chain.path = path;
     chain.base_sum = base_sum;
     chain.head_sum = base_sum;
     chain.base_bytes = bytes.size();
     chain.generation = generation;
-    chain.base_checkpoint = store.checkpoint_.has_value();
+    chain.base_checkpoint = base_checkpoint;
 
     // ---- Replay the longest chain of segments that each extend their
     // predecessor exactly.  A segment is staged whole and applied only
@@ -813,10 +775,7 @@ OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,
       }
       CheckpointRecord seg_rec;
       read_checkpoint(q, seg_rec);
-      const std::size_t have =
-          store.checkpoint_ ? store.checkpoint_->seen_keys.size() : 0;
-      if (!q.ok() || q.remaining() != 0 ||
-          (seg_rec.op == kCheckpointSet && seg_rec.kept > have)) {
+      if (!q.ok() || q.remaining() != 0) {
         quarantine("is malformed");
         break;
       }
@@ -829,13 +788,11 @@ OpenResult VerdictStore::open(const std::string& path, StoreMeta meta,
         }
       }
       store.rows_since_base_ = store.rows_since_base_ || !keys.empty();
-      (void)apply_checkpoint(std::move(seg_rec), store.checkpoint_);
+      apply_checkpoint(std::move(seg_rec), store.checkpoint_);
       chain.head_sum = seg_sum;
       chain.segments = index;
       chain.segment_bytes += seg.size();
     }
-    store.committed_keys_ =
-        store.checkpoint_ ? store.checkpoint_->seen_keys.size() : 0;
     segments = chain.segments;
   }
 

@@ -12,9 +12,9 @@
 // On disk a store is a *base* snapshot at `path` plus a chain of
 // *delta segments* beside it (`path.1`, `path.2`, ...).  save() writes
 // a base; commit() writes one segment holding only what changed since
-// this object's last open, save or commit at `path` (the dirty rows,
-// the checkpoint's newly claimed dedup keys, and its O(1) words), so a
-// seal costs O(delta), not O(store).  Durability model (see README
+// this object's last open, save or commit at `path` (the dirty rows and
+// the checkpoint's O(1) words), so a seal costs O(delta), not
+// O(store).  Durability model (see README
 // "Persistence guarantees"):
 //
 //   * Atomic commit: every file (base or segment) is written to
@@ -162,16 +162,16 @@ struct StoreMeta {
 };
 
 /// Resume state of an interrupted stream: everything run_stream needs
-/// to continue from the first unsealed chunk — cumulative counters,
-/// the cross-chunk dedup set (its keys in the order they were first
-/// claimed), the source's serialized cursor, and an opaque sink blob
-/// (the Theorem harness stores its fold state there).
+/// to continue from the first unsealed chunk — cumulative counters, the
+/// source's serialized cursor, and an opaque sink blob (the Theorem
+/// harness stores its fold state there).  No dedup keys: only a stream
+/// whose source certifies its program runs (TestSource::elide_repeats)
+/// writes one, and it needs none to resume.
 struct StreamCheckpoint {
   std::uint64_t chunks = 0;
   std::uint64_t tests_streamed = 0;
   std::uint64_t novel_tests = 0;
   std::uint64_t duplicate_tests = 0;
-  std::vector<util::Key128> seen_keys;
   std::vector<std::uint64_t> source_cursor;
   std::vector<std::uint64_t> sink_state;
 };
@@ -180,21 +180,21 @@ struct StreamCheckpoint {
 /// StreamOptions::persistence).  At completion the engine drops the
 /// checkpoint and folds the chain, leaving one checkpoint-free file.
 /// With `resume`, a checkpoint present in the attached store restores
-/// all of that before the first chunk.
+/// all of that before the first chunk.  A stream whose source does not
+/// certify its program runs seals its rows alone.
 struct StreamPersistence {
   std::string path;                   ///< store file (empty = disabled)
   /// null = the real filesystem.  The stream's seal writer calls it
   /// from its own thread, never while another call is in flight.
   Fs* fs = nullptr;
   /// The engine seals every this many chunks: it snapshots the source
-  /// cursor, hands the store the dedup keys claimed since the previous
-  /// seal, asks the sink for its state, and captures the change on its
-  /// consumer thread (VerdictStore::capture_commit).  A background
-  /// writer then writes it as one delta segment (or a base) while the
-  /// stream runs on; the seal is durable once that write's rename
-  /// lands, and the next seal (or the completion) waits for it first.
-  /// A failed write is retried at the next seal, as a base carrying
-  /// everything.
+  /// cursor and the counters, asks the sink for its state, and captures
+  /// the change on its consumer thread (VerdictStore::capture_commit).
+  /// The run's seal writer thread then writes it as one delta segment
+  /// (or a base) while the stream runs on; the seal is durable once
+  /// that write's rename lands, and the next seal (or the completion)
+  /// waits for it first.  A failed write is retried at the next seal,
+  /// as a base carrying everything.
   int checkpoint_every_chunks = 64;
   bool resume = false;
   /// Serializes the sink's fold state into the checkpoint.
@@ -262,8 +262,8 @@ class VerdictStore {
                           std::string* error = nullptr) EXCLUDES(mu_);
 
   /// Commits what changed since this object's last open, save or commit
-  /// at `path` as one delta segment — O(changed rows + new checkpoint
-  /// keys), independent of the store's size.  A no-op when nothing
+  /// at `path` as one delta segment — O(changed rows), independent of
+  /// the store's size.  A no-op when nothing
   /// changed.  Writes a base instead when `path` has no chain this
   /// object knows of, when the previous commit failed, or when the
   /// segments would outgrow the base.  `fold` asks for exactly one file
@@ -375,13 +375,8 @@ class VerdictStore {
     util::SharedLock lock(mu_);
     return checkpoint_;
   }
-  /// Seals an incremental checkpoint: `next`'s counters, cursor and
-  /// sink blob replace the current ones, and `next.seen_keys` — the
-  /// dedup keys claimed since the previous seal, in claim order — are
-  /// appended to the current key list (a fresh checkpoint starts
-  /// empty).  The next segment carries only the appended keys, or the
-  /// whole list after a clear_checkpoint.
-  void extend_checkpoint(StreamCheckpoint next) EXCLUDES(mu_);
+  /// Replaces the checkpoint; the next commit carries it.
+  void set_checkpoint(StreamCheckpoint next) EXCLUDES(mu_);
   void clear_checkpoint() EXCLUDES(mu_);
 
  private:
@@ -395,7 +390,9 @@ class VerdictStore {
     std::uint64_t base_bytes = 0;
     std::uint64_t segment_bytes = 0;
     std::uint64_t generation = 0;  ///< of the base
-    bool base_checkpoint = false;  ///< the base holds a checkpoint
+    /// The base holds a checkpoint record (or a dropped one in the
+    /// old layout).
+    bool base_checkpoint = false;
   };
 
   enum class CommitMode { kDelta, kFold, kBase };
@@ -491,8 +488,6 @@ class VerdictStore {
   bool rows_since_base_ GUARDED_BY(mu_) = false;
   /// The checkpoint changed since the last commit.
   bool checkpoint_dirty_ GUARDED_BY(mu_) = false;
-  /// Leading checkpoint keys the chain's head already holds.
-  std::size_t committed_keys_ GUARDED_BY(mu_) = 0;
   Chain chain_ GUARDED_BY(mu_);
 
   mutable std::atomic<std::uint64_t> hits_{0};

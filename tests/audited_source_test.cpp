@@ -1,15 +1,17 @@
 // The stream fingerprint audit (engine::AuditedSource): the two-way
 // fingerprint/key check fails on a fake collision and on a fake split,
-// an elided novel test and a chunk that does not span its full-build
-// twin's fail too, a failing audit surfaces from run_stream through the
-// producer thread, a passing one forwards cursors and counts the
-// stream's classes, and only an audit with a twin forwards the opt-in
-// to elide repeats.
+// an elided novel test, a chunk that does not span its full-build
+// twin's and a class that spans two program runs of a source that
+// accepted the opt-in fail too, a failing audit surfaces from
+// run_stream through the producer thread, a passing one forwards
+// cursors and counts the stream's classes, and only an audit with a
+// twin forwards the opt-in to elide repeats.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/audited_source.h"
@@ -17,6 +19,7 @@
 #include "engine/verdict_engine.h"
 #include "enumeration/exhaustive.h"
 #include "enumeration/suite.h"
+#include "litmus/catalog.h"
 #include "models/zoo.h"
 
 namespace mcmc {
@@ -194,6 +197,50 @@ TEST(AuditedSource, RejectsAChunkThatDoesNotSpanItsTwin) {
   EXPECT_NE(error.find("does not span its full-build twin's"),
             std::string::npos)
       << error;
+}
+
+/// Accepts the opt-in, and with it certifies its program runs, but
+/// elides nothing: it delivers `corpus` as it is.
+class CertifyingSource final : public engine::TestSource {
+ public:
+  explicit CertifyingSource(std::vector<litmus::LitmusTest> corpus)
+      : inner_(std::move(corpus), 1) {}
+
+  bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
+    return inner_.next_chunk(out);
+  }
+  bool elide_repeats() override { return true; }
+
+ private:
+  engine::VectorSource inner_;
+};
+
+TEST(AuditedSource, RejectsAClassThatSpansTwoProgramRuns) {
+  // Two separately built SB tests are one class in two program objects,
+  // so two program runs; copies of one test share their program object,
+  // so they are one run, and a class may recur inside it.
+  const std::vector<litmus::LitmusTest> two_runs = {
+      litmus::store_buffering(), litmus::store_buffering()};
+  const litmus::LitmusTest sb = litmus::store_buffering();
+  const std::vector<litmus::LitmusTest> one_run = {sb, sb};
+  for (const bool spans : {true, false}) {
+    const auto& corpus = spans ? two_runs : one_run;
+    CertifyingSource source(corpus);
+    engine::VectorSource twin(corpus, 1);
+    engine::AuditedSource audited(source, 1, &twin);
+    ASSERT_TRUE(audited.elide_repeats());
+    const std::string error = logic_error_of([&] {
+      engine::for_each_test(audited, [](const litmus::LitmusTest&) {});
+    });
+    if (spans) {
+      EXPECT_NE(error.find("a class spans two program runs"),
+                std::string::npos)
+          << error;
+    } else {
+      EXPECT_EQ(error, "");
+      EXPECT_EQ(audited.classes(), 1u);
+    }
+  }
 }
 
 TEST(AuditedSource, ForwardsTheOptInOnlyWithATwin) {

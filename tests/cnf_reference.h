@@ -1,14 +1,25 @@
-#include "sat/dimacs.h"
+// Test-side CNF tools: DIMACS text in and out, and a brute-force SAT
+// reference that the CDCL solver and the happens-before encoding are
+// differential-tested against.
+#pragma once
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "sat/types.h"
 #include "util/check.h"
 #include "util/strings.h"
 
 namespace mcmc::sat {
 
-Cnf parse_dimacs(const std::string& text) {
+/// Parses DIMACS CNF text ("p cnf V C" header, clauses terminated by 0).
+/// Throws std::invalid_argument on malformed input.
+inline Cnf parse_dimacs(const std::string& text) {
   Cnf cnf;
   bool seen_header = false;
   int declared_clauses = 0;
@@ -54,7 +65,8 @@ Cnf parse_dimacs(const std::string& text) {
   return cnf;
 }
 
-std::string to_dimacs(const Cnf& cnf) {
+/// Renders a formula as DIMACS CNF text.
+inline std::string to_dimacs(const Cnf& cnf) {
   std::ostringstream out;
   out << "p cnf " << cnf.num_vars << ' ' << cnf.clauses.size() << '\n';
   for (const auto& clause : cnf.clauses) {
@@ -65,6 +77,36 @@ std::string to_dimacs(const Cnf& cnf) {
     out << "0\n";
   }
   return out.str();
+}
+
+/// Decides satisfiability by exhaustive enumeration (feasible up to ~24
+/// variables).  Returns a model if satisfiable, std::nullopt otherwise.
+inline std::optional<std::vector<bool>> brute_force_solve(const Cnf& cnf) {
+  MCMC_REQUIRE_MSG(cnf.num_vars <= 24, "brute force capped at 24 variables");
+  const std::uint64_t limit = 1ULL << cnf.num_vars;
+  for (std::uint64_t bits = 0; bits < limit; ++bits) {
+    bool all_satisfied = true;
+    for (const auto& clause : cnf.clauses) {
+      bool satisfied = false;
+      for (const Lit l : clause) {
+        const bool v = ((bits >> l.var()) & 1) != 0;
+        if (v != l.negated()) {
+          satisfied = true;
+          break;
+        }
+      }
+      if (!satisfied) {
+        all_satisfied = false;
+        break;
+      }
+    }
+    if (all_satisfied) {
+      std::vector<bool> model(static_cast<std::size_t>(cnf.num_vars));
+      for (int v = 0; v < cnf.num_vars; ++v) model[v] = ((bits >> v) & 1) != 0;
+      return model;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace mcmc::sat

@@ -100,6 +100,36 @@ TEST(Analysis, NoFalseDependencies) {
 // Program validation
 // ---------------------------------------------------------------------------
 
+TEST(ProgramValidation, AMutatedMarkedProgramIsValidatedAgain) {
+  // A test's program is validated and marked once; Analysis trusts the
+  // mark, and any mutation through the program clears it.
+  const auto test = litmus::l8();
+  EXPECT_TRUE(test.program().marked_valid());
+  Program p = test.program();
+  EXPECT_TRUE(p.marked_valid());
+  p.mutable_thread(0).push_back(core::make_read(0, 1));  // r1 redefined
+  EXPECT_FALSE(p.marked_valid());
+  EXPECT_THROW((void)Analysis{p}, std::invalid_argument);
+  Program q = test.program();
+  q.add_thread({core::make_read(0, 1)});
+  EXPECT_FALSE(q.marked_valid());
+  EXPECT_THROW((void)Analysis{q}, std::invalid_argument);
+  Program fixed;
+  fixed.add_thread({core::make_read(0, 1)});
+  fixed.validate_and_mark();
+  EXPECT_TRUE(fixed.marked_valid());
+  EXPECT_NO_THROW((void)Analysis{fixed});
+}
+
+TEST(ProgramValidation, AnInvalidRawProgramStillThrowsFromAnalysis) {
+  Program p;
+  p.add_thread({core::make_read(0, 1), core::make_read(1, 1)});
+  EXPECT_FALSE(p.marked_valid());
+  EXPECT_THROW((void)Analysis{p}, std::invalid_argument);
+  Analysis reused;
+  EXPECT_THROW(reused.reset(p), std::invalid_argument);
+}
+
 TEST(ProgramValidation, RejectsDoubleDefinition) {
   Program p;
   p.add_thread({core::make_read(0, 1), core::make_read(1, 1)});

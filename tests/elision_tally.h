@@ -13,7 +13,8 @@
 namespace mcmc {
 
 /// Forwards a source, its cursors and, unless `forward_opt_in` is
-/// false, the opt-in to elide repeats, and tallies what it delivers:
+/// false, the opt-in to elide repeats (with the restored run head), and
+/// tallies what it delivers:
 /// tests built, stream positions elided, programs built, chunks that
 /// elided every position, and the cursor words after every chunk.
 /// Without the opt-in it is the full-build path: its consumer sees
@@ -56,6 +57,9 @@ class ElisionTally final : public engine::TestSource {
     return forward_opt_in_ && inner_.elide_repeats();
   }
   [[nodiscard]] std::size_t elided() const override { return inner_.elided(); }
+  void restored_run_head(std::vector<litmus::LitmusTest>& out) const override {
+    inner_.restored_run_head(out);
+  }
 
   [[nodiscard]] std::size_t built_tests() const { return built_tests_; }
   [[nodiscard]] std::size_t elided_tests() const { return elided_tests_; }

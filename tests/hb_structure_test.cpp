@@ -4,13 +4,12 @@
 
 #include <algorithm>
 
+#include "cnf_reference.h"
 #include "core/analysis.h"
 #include "core/checker.h"
 #include "core/hb.h"
 #include "litmus/catalog.h"
 #include "models/zoo.h"
-#include "sat/brute.h"
-#include "sat/dimacs.h"
 
 namespace mcmc::core {
 namespace {

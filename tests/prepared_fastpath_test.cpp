@@ -191,9 +191,11 @@ TEST(PreparedAllocation, RunRowsChunkAllocatesAtMostOncePerEvaluatedTest) {
   // instead of building them afresh, and the models are hash-consed once
   // per RowModels.  So after a warm-up chunk, run_rows over a chunk of
   // novel tests, as the stream's verdict stage (the extremes) and the
-  // harness sweep (the 90-model space) make them, allocates its per-call
-  // tables and Program::validate's table per program run: at most one
-  // allocation per evaluated test in all.
+  // harness sweep (the 90-model space) make them, allocates only its
+  // per-call tables: the programs were validated when their tests were
+  // built, so an Analysis reset validates none of them again.  That is
+  // fewer allocations than program runs (49 and 54 for 294 tests in 136
+  // runs; 185 and 190 when each run validated its program again).
   struct Chunk {
     std::vector<litmus::LitmusTest> tests;
     std::vector<util::Key128> keys;
@@ -241,10 +243,11 @@ TEST(PreparedAllocation, RunRowsChunkAllocatesAtMostOncePerEvaluatedTest) {
     const engine::EngineStats& stats = eng.last_stats();
     ASSERT_EQ(stats.checks_run, models * measured.tests.size());
     const std::size_t evaluated = measured.tests.size();
-    EXPECT_LE(allocs, evaluated)
+    EXPECT_LT(allocs, stats.unique_analyses)
         << models << " models: " << allocs << " allocations for "
         << evaluated << " evaluated tests in " << stats.unique_analyses
         << " program runs";
+    EXPECT_LE(allocs, evaluated);
   }
 }
 

@@ -1,8 +1,7 @@
 // Unit and property tests for the CDCL SAT solver (src/sat).
 #include <gtest/gtest.h>
 
-#include "sat/brute.h"
-#include "sat/dimacs.h"
+#include "cnf_reference.h"
 #include "sat/solver.h"
 #include "util/rng.h"
 

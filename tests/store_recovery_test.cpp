@@ -21,6 +21,8 @@
 #include "store/fs.h"
 #include "store/verdict_store.h"
 #include "store_cells.h"
+#include "util/bytes.h"
+#include "util/hash128.h"
 
 namespace mcmc {
 namespace {
@@ -44,8 +46,8 @@ const std::vector<core::MemoryModel>& ninety_models() {
   return models;
 }
 
-/// Forwards to an ExhaustiveStream, the opt-in to elide repeats
-/// included, while counting the stream positions actually pulled by the
+/// Forwards to an ExhaustiveStream, the opt-in to elide repeats and the
+/// restored run head included, while counting the stream positions actually pulled by the
 /// engine (tests built plus positions elided) — the direct observable
 /// for "a resumed run does not re-stream sealed chunks".
 class CountingSource final : public engine::TestSource {
@@ -69,6 +71,9 @@ class CountingSource final : public engine::TestSource {
   }
   bool elide_repeats() override { return inner_.elide_repeats(); }
   [[nodiscard]] std::size_t elided() const override { return inner_.elided(); }
+  void restored_run_head(std::vector<litmus::LitmusTest>& out) const override {
+    inner_.restored_run_head(out);
+  }
 
   [[nodiscard]] std::size_t delivered() const { return delivered_; }
 
@@ -239,13 +244,17 @@ class StoreRecovery : public ::testing::Test {
     return ck.has_value() ? ck->tests_streamed : 0;
   }
 
-  /// Resumes path_ and expects the reference, no re-streamed sealed
-  /// chunk, and one checkpoint-free file left behind.
+  /// Resumes path_ and expects the reference, the whole sweep's counts
+  /// (the sink carries the sealed part's), no re-streamed sealed chunk,
+  /// and one checkpoint-free file left behind.
   void expect_resumes_bit_for_bit(std::uint64_t sealed) {
     const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
     ASSERT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
     expect_matches_reference(resumed);
+    EXPECT_EQ(resumed.report.sweep.cells, reference().report.sweep.cells);
+    EXPECT_EQ(resumed.report.sweep.searches,
+              reference().report.sweep.searches);
     EXPECT_EQ(resumed.tests_delivered,
               reference().report.stream.tests_streamed -
                   static_cast<std::size_t>(sealed));
@@ -262,8 +271,7 @@ class StoreRecovery : public ::testing::Test {
     std::optional<store::StreamCheckpoint> ck = opened.store->checkpoint();
     ASSERT_TRUE(ck.has_value());
     edit(*ck);
-    opened.store->clear_checkpoint();
-    opened.store->extend_checkpoint(*ck);
+    opened.store->set_checkpoint(*ck);
     std::string error;
     ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
   }
@@ -333,7 +341,6 @@ TEST_F(StoreRecovery, KillThenResumeReproducesSliceBitForBit) {
     EXPECT_GT(ck.tests_streamed, 0u);
     EXPECT_LT(ck.tests_streamed, reference().report.stream.tests_streamed);
     EXPECT_EQ(ck.tests_streamed, ck.novel_tests + ck.duplicate_tests);
-    EXPECT_EQ(ck.seen_keys.size(), ck.novel_tests);
     EXPECT_FALSE(ck.source_cursor.empty());
     EXPECT_FALSE(ck.sink_state.empty());
     sealed_tests = ck.tests_streamed;
@@ -382,7 +389,7 @@ TEST_F(StoreRecovery, VersionTwoSinkIsRejectedAndTheSliceRestreamed) {
   (void)kill_after(2);
   rewrite_checkpoint([](store::StreamCheckpoint& ck) {
     ASSERT_FALSE(ck.sink_state.empty());
-    EXPECT_EQ(ck.sink_state[0], 3u);
+    EXPECT_EQ(ck.sink_state[0], 4u);
     ck.sink_state[0] = 2;
     ck.sink_state.push_back(0);  // an empty version-2 extra section
   });
@@ -400,6 +407,46 @@ TEST_F(StoreRecovery, VersionThreeCursorIsRejectedAndTheSliceRestreamed) {
     ck.source_cursor[0] = 3;
   });
   expect_full_restream();
+}
+
+// Stale-format class: a checkpoint record in the layout that carried
+// the stream's dedup keys (its own op code, a key section before the
+// counters).  The file is healthy, so its rows load; the record is read
+// past and dropped, never misread, and the run re-streams the whole
+// slice, leaving one checkpoint-free file.
+TEST_F(StoreRecovery, OldLayoutCheckpointIsDroppedAndTheSliceRestreamed) {
+  ASSERT_EQ(kill_after(1), 0);  // the first seal writes a base alone
+  const std::string bytes = read_bytes();
+  // A base: the 56-byte header, the generation word, the rows (count:u64
+  // words:u32 0:u32, then a key and 2 x words words per row), the
+  // checkpoint record (op:u32 0:u32 ...) and the 16-byte trailer.
+  util::ByteReader rows_header(bytes.data() + 64, 16);
+  const std::uint64_t rows = rows_header.read_u64();
+  const std::uint32_t words = rows_header.read_u32();
+  const std::size_t record = 64 + 16 + rows * (16 + 16 * words);
+  ASSERT_LT(record + 8, bytes.size() - 16);
+  util::ByteReader op(bytes.data() + record, 4);
+  ASSERT_EQ(op.read_u32(), 3u);  // the key-free record
+  std::string old = bytes.substr(0, record);
+  util::append_u32(old, 2);  // the keyed record
+  util::append_u32(old, 0);
+  util::append_u64(old, 0);  // kept
+  util::append_u64(old, 2);  // count
+  util::append_key128(old, util::hash128(std::string("a key")));
+  util::append_key128(old, util::hash128(std::string("another")));
+  old += bytes.substr(record + 8, bytes.size() - 16 - record - 8);
+  util::append_key128(old, util::hash128(old.data(), old.size()));
+  write_bytes(old);
+  {
+    auto opened = store::VerdictStore::open(
+        path_, explore::harness_store_meta(ninety_models()));
+    ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded) << opened.detail;
+    EXPECT_EQ(opened.store->size(), static_cast<std::size_t>(rows));
+    EXPECT_FALSE(opened.store->checkpoint().has_value());
+  }
+  expect_full_restream();
+  // The completion rewrote the base rather than keep the dropped record.
+  EXPECT_NE(read_bytes(), old);
 }
 
 // Corruption class: a bit flip in a middle segment of a chain a kill

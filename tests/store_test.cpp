@@ -242,8 +242,7 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
       StreamCheckpoint ck;
       ck.chunks = static_cast<std::uint64_t>(done);
       ck.tests_streamed = static_cast<std::uint64_t>(done) * kChunkSize;
-      store.clear_checkpoint();
-      store.extend_checkpoint(ck);
+      store.set_checkpoint(ck);
       const auto back = store.checkpoint();
       if (!back.has_value() || back->tests_streamed != ck.tests_streamed ||
           back->chunks * kChunkSize != back->tests_streamed) {
@@ -319,10 +318,9 @@ TEST(VerdictStore, SaveOpenRoundTripsEntriesAndCheckpoint) {
   ck.tests_streamed = 640;
   ck.novel_tests = 100;
   ck.duplicate_tests = 540;
-  ck.seen_keys = {key_of(1), key_of(2)};
   ck.source_cursor = {1, 2, 3};
   ck.sink_state = {9, 8};
-  store.extend_checkpoint(ck);
+  store.set_checkpoint(ck);
   ASSERT_TRUE(store.save(path));
 
   auto opened = VerdictStore::open(path, small_meta());
@@ -337,7 +335,9 @@ TEST(VerdictStore, SaveOpenRoundTripsEntriesAndCheckpoint) {
   }
   ASSERT_TRUE(opened.store->checkpoint().has_value());
   EXPECT_EQ(opened.store->checkpoint()->chunks, 5u);
-  EXPECT_EQ(opened.store->checkpoint()->seen_keys.size(), 2u);
+  EXPECT_EQ(opened.store->checkpoint()->tests_streamed, 640u);
+  EXPECT_EQ(opened.store->checkpoint()->novel_tests, 100u);
+  EXPECT_EQ(opened.store->checkpoint()->duplicate_tests, 540u);
   EXPECT_EQ(opened.store->checkpoint()->source_cursor,
             (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(opened.store->checkpoint()->sink_state,
@@ -609,39 +609,42 @@ TEST_F(StoreSegments, UnchangedWritesDirtyNothingAndCommitNothing) {
   expect_reopens_to_store("after a no-op commit");
 }
 
-TEST_F(StoreSegments, CheckpointKeysAccumulateAcrossSegments) {
-  std::vector<util::Key128> all;
+TEST_F(StoreSegments, LatestCheckpointWinsAcrossSegments) {
+  // Each seal's segment carries the whole checkpoint, a few words, and
+  // replaces the one before it.
+  std::uint64_t checkpoint_bytes = 0;
   for (int seal = 0; seal < 3; ++seal) {
     StreamCheckpoint ck;
     ck.chunks = static_cast<std::uint64_t>(seal + 1);
     ck.source_cursor = {static_cast<std::uint64_t>(seal)};
     ck.sink_state = {7};
-    for (int k = 0; k < 4; ++k) {
-      ck.seen_keys.push_back(key_of(1000 + seal * 4 + k));
-      all.push_back(ck.seen_keys.back());
-    }
-    store_->extend_checkpoint(ck);
+    store_->set_checkpoint(ck);
+    const std::uint64_t before = store_->bytes_committed();
     ASSERT_TRUE(store_->commit(path_));
+    if (seal > 0) {
+      EXPECT_EQ(store_->bytes_committed() - before, checkpoint_bytes) << seal;
+    }
+    checkpoint_bytes = store_->bytes_committed() - before;
   }
   EXPECT_TRUE(exists(segment(path_, 3)));
   auto opened = VerdictStore::open(path_, small_meta());
   ASSERT_EQ(opened.outcome, OpenOutcome::Loaded) << opened.detail;
   ASSERT_TRUE(opened.store->checkpoint().has_value());
-  EXPECT_EQ(opened.store->checkpoint()->seen_keys, all);  // claim order
   EXPECT_EQ(opened.store->checkpoint()->chunks, 3u);
   EXPECT_EQ(opened.store->checkpoint()->source_cursor,
             (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(opened.store->checkpoint()->sink_state,
+            (std::vector<std::uint64_t>{7}));
 
-  // A resumed process keeps extending the same list.
+  // A resumed process goes on replacing it.
   StreamCheckpoint more;
   more.chunks = 4;
-  more.seen_keys = {key_of(2000)};
-  all.push_back(key_of(2000));
-  opened.store->extend_checkpoint(more);
+  opened.store->set_checkpoint(more);
   ASSERT_TRUE(opened.store->commit(path_));
   auto again = VerdictStore::open(path_, small_meta());
   ASSERT_TRUE(again.store->checkpoint().has_value());
-  EXPECT_EQ(again.store->checkpoint()->seen_keys, all);
+  EXPECT_EQ(again.store->checkpoint()->chunks, 4u);
+  EXPECT_TRUE(again.store->checkpoint()->source_cursor.empty());
 
   // Folding drops the chain into one checkpoint-free base.
   again.store->clear_checkpoint();
@@ -659,8 +662,7 @@ TEST_F(StoreSegments, FoldOfAnUnchangedStateLeavesTheBaseUntouched) {
   for (int seal = 0; seal < 2; ++seal) {
     StreamCheckpoint ck;
     ck.chunks = static_cast<std::uint64_t>(seal + 1);
-    ck.seen_keys = {key_of(seal)};
-    store_->extend_checkpoint(ck);
+    store_->set_checkpoint(ck);
     ASSERT_TRUE(store_->commit(path_));
   }
   ASSERT_TRUE(exists(segment(path_, 2)));
@@ -881,8 +883,7 @@ TEST(VerdictStore, CommitRacesProbesAndAppends) {
     do {
       StreamCheckpoint ck;
       ck.chunks = static_cast<std::uint64_t>(++seal);
-      ck.seen_keys = {key_of(10000 + seal)};
-      store.extend_checkpoint(ck);
+      store.set_checkpoint(ck);
       if (!store.commit(path)) wrong.store(true);
     } while (!done.load(std::memory_order_acquire));
   });
@@ -916,8 +917,8 @@ TEST(VerdictStore, CommitRacesProbesAndAppends) {
   auto reopened = VerdictStore::open(path, small_meta());
   EXPECT_EQ(reopened.outcome, OpenOutcome::Loaded) << reopened.detail;
   EXPECT_EQ(reopened.store->size(), static_cast<std::size_t>(kKeys));
-  EXPECT_EQ(reopened.store->checkpoint()->seen_keys,
-            store.checkpoint()->seen_keys);
+  EXPECT_EQ(reopened.store->checkpoint()->chunks,
+            store.checkpoint()->chunks);
   for (int i = 0; i < kKeys; ++i) {
     const auto bit = probe_cell(*reopened.store, key_of(i), 1);
     ASSERT_TRUE(bit.has_value()) << i;

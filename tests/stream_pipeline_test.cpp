@@ -86,19 +86,15 @@ TEST(KeySet, KeyIsNewOnceThenADuplicate) {
   EXPECT_FALSE(set.insert(k1));
 }
 
-TEST(KeySet, AllZeroKeyRoundTripsThroughNormalizedAndSeed) {
-  // The all-zero key is the empty-slot sentinel: it is stored remapped,
-  // and a checkpoint records it remapped.
+TEST(KeySet, AllZeroKeyIsNewOnceThenADuplicate) {
+  // The all-zero key is the empty-slot sentinel, so the set stores it
+  // remapped; it still inserts once, beside other keys.
   const util::Key128 zero{};
-  const util::Key128 stored = engine::KeySet::normalized(zero);
-  EXPECT_NE(stored, zero);
-  EXPECT_EQ(engine::KeySet::normalized(stored), stored);
   engine::KeySet set;
   EXPECT_TRUE(set.insert(zero));
   EXPECT_FALSE(set.insert(zero));
-  engine::KeySet resumed;
-  resumed.seed({stored});
-  EXPECT_FALSE(resumed.insert(zero));
+  EXPECT_TRUE(set.insert(util::hash128(std::string("k"))));
+  EXPECT_FALSE(set.insert(zero));
 }
 
 TEST(KeySet, HundredThousandKeysReinsertAsDuplicates) {
@@ -115,14 +111,6 @@ TEST(KeySet, HundredThousandKeysReinsertAsDuplicates) {
   std::size_t duplicates = 0;
   for (const util::Key128 key : keys) duplicates += set.insert(key) ? 0 : 1;
   EXPECT_EQ(duplicates, keys.size());
-}
-
-TEST(KeySet, SeededKeyInsertsAsADuplicate) {
-  const util::Key128 key = util::hash128(std::string("key"));
-  engine::KeySet set;
-  set.seed({engine::KeySet::normalized(key)});
-  EXPECT_FALSE(set.insert(key));
-  EXPECT_TRUE(set.insert(util::hash128(std::string("other"))));
 }
 
 // ---------------------------------------------------------------------------
