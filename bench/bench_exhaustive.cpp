@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 12,\n");
+    std::fprintf(js, "  \"schema_version\": 13,\n");
     const bench::HostInfo host = bench::host_info();
     std::fprintf(js,
                  "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
@@ -501,6 +501,8 @@ int main(int argc, char** argv) {
                  s.stages.seal, s.stages.write);
     std::fprintf(js, "  \"unattributed_seconds\": %.3f,\n",
                  s.unattributed_seconds());
+    std::fprintf(js, "  \"verdict_eval_seconds\": %.3f,\n",
+                 s.engine.eval_seconds);
     std::fprintf(js, "  \"keys_ns_per_test\": %.1f,\n", run_keys_ns);
     if (norun_keys_ns > 0.0) {
       std::fprintf(js,
@@ -518,6 +520,8 @@ int main(int argc, char** argv) {
                  harness.filter_extremes ? "true" : "false");
     std::fprintf(js, "  \"candidate_tests\": %zu,\n", report.candidate_tests);
     std::fprintf(js, "  \"sweep_seconds\": %.3f,\n", report.sweep_seconds);
+    std::fprintf(js, "  \"sweep_eval_seconds\": %.3f,\n",
+                 report.sweep.eval_seconds);
     std::fprintf(js, "  \"sweep_cells\": %zu,\n", report.sweep.cells);
     std::fprintf(js, "  \"sweep_searches\": %zu,\n", report.sweep.searches);
     if (vstore != nullptr) {

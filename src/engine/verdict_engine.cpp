@@ -20,75 +20,140 @@ namespace mcmc::engine {
 
 namespace {
 
-/// run_rows' store traffic: every row is probed under one shared hold
-/// and written back under one exclusive hold — one index lookup per row
-/// each way, and a row is written back only if the call added a column
-/// to it, so store-served verdicts never dirty the store.
+/// Model words per test: bit m % 64 of word m / 64 stands for model m.
+std::size_t model_words(std::size_t models) { return (models + 63) / 64; }
+
+/// The bit of index `i` within its word.
+std::uint64_t bit_of(std::size_t i) { return 1ULL << (i % 64); }
+
+/// Calls `fn` with the index of every bit set in the `words` words at
+/// `row`, in ascending order.
+template <typename Fn>
+void for_each_bit(const std::uint64_t* row, std::size_t words, const Fn& fn) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+    }
+  }
+}
+
+std::size_t count_bits(const std::uint64_t* row, std::size_t words) {
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    n += static_cast<std::size_t>(__builtin_popcountll(row[w]));
+  }
+  return n;
+}
+
+/// The models x tests matrix of `verdicts`, `words` model words per
+/// test, filled from the set bits.
+BitMatrix matrix_of(const std::vector<std::uint64_t>& verdicts,
+                    std::size_t num_models, std::size_t num_tests,
+                    std::size_t words) {
+  BitMatrix matrix(static_cast<int>(num_models), static_cast<int>(num_tests));
+  for (std::size_t t = 0; t < num_tests; ++t) {
+    for_each_bit(verdicts.data() + t * words, words, [&](std::size_t m) {
+      matrix.set(static_cast<int>(m), static_cast<int>(t), true);
+    });
+  }
+  return matrix;
+}
+
+/// run_rows' store traffic, in model words: every row is probed under
+/// one shared hold and turned into model words once, and the columns
+/// the call adds go back under one exclusive hold — one index lookup
+/// per row each way.  Only a call that added a column takes that hold,
+/// and only a row given one is written, so store-served verdicts never
+/// dirty the store.  Without a store every row serves nothing.
 class StoreRows {
  public:
-  explicit StoreRows(std::size_t words) : words_(words) {}
+  /// `rows` rows over a store of `store_words` words per row (0: none),
+  /// where model m has store column col[m] (-1: none).
+  StoreRows(std::size_t rows, std::size_t store_words,
+            const std::vector<int>& col)
+      : store_words_(store_words),
+        words_(model_words(col.size())),
+        col_(col),
+        served_(rows * words_, 0),
+        allowed_(rows * words_, 0),
+        mask_(rows * store_words, 0),
+        bits_(rows * store_words, 0) {}
 
-  /// Adds a row for `key`, asking the probe for the columns set in
-  /// `want` (words_ words).
-  void add(util::Key128 key, const std::uint64_t* want) {
-    keys_.push_back(key);
-    want_.insert(want_.end(), want, want + words_);
-    valid_.resize(valid_.size() + words_, 0);
-    bits_.resize(bits_.size() + words_, 0);
-    touched_.push_back(0);
-  }
-
-  void probe(const store::VerdictStore& vstore) {
+  /// Probes row r's key keys[r], asking for the store columns `want`,
+  /// and turns it into model words: served(r), the models whose column
+  /// the row holds, and allowed(r), those it holds as allowed.  Adds one
+  /// store hit per served model to `stats`, and one miss per other model
+  /// with a column.
+  void probe(const store::VerdictStore& vstore, std::vector<util::Key128> keys,
+             const std::uint64_t* want, EngineStats& stats) {
+    keys_ = std::move(keys);
+    std::size_t stored = 0;
+    for (const int col : col_) stored += col >= 0 ? 1 : 0;
+    std::vector<std::uint64_t> valid(store_words_);
+    std::vector<std::uint64_t> bits(store_words_);
     util::SharedLock lock(vstore.mu());
     for (std::size_t r = 0; r < keys_.size(); ++r) {
-      vstore.probe_words_locked(keys_[r], &want_[r * words_],
-                                &valid_[r * words_], &bits_[r * words_]);
+      vstore.probe_words_locked(keys_[r], want, valid.data(), bits.data());
+      std::uint64_t held = 0;  // a row holding none of `want` serves none
+      for (std::size_t w = 0; w < store_words_; ++w) held |= valid[w] & want[w];
+      std::size_t hits = 0;
+      for (std::size_t m = 0; held != 0 && m < col_.size(); ++m) {
+        if (col_[m] < 0) continue;
+        const auto col = static_cast<std::size_t>(col_[m]);
+        if ((valid[col / 64] & bit_of(col)) == 0) continue;
+        served_[r * words_ + m / 64] |= bit_of(m);
+        if ((bits[col / 64] & bit_of(col)) != 0) {
+          allowed_[r * words_ + m / 64] |= bit_of(m);
+        }
+        ++hits;
+      }
+      stats.store_hits += hits;
+      stats.store_misses += stored - hits;
     }
   }
 
-  /// The verdict of (row, col) if the store held it (or set() added it).
-  [[nodiscard]] std::optional<bool> get(std::size_t row, int col) const {
-    if ((valid_[at(row, col)] & bit(col)) == 0) return std::nullopt;
-    return (bits_[at(row, col)] & bit(col)) != 0;
+  [[nodiscard]] const std::uint64_t* served(std::size_t r) const {
+    return &served_[r * words_];
+  }
+  [[nodiscard]] const std::uint64_t* allowed(std::size_t r) const {
+    return &allowed_[r * words_];
   }
 
-  /// Records a verdict for write-back; a column the row already holds
-  /// is left as it is (verdicts are deterministic).
-  void set(std::size_t row, int col, bool verdict) {
-    const std::size_t i = at(row, col);
-    if ((valid_[i] & bit(col)) != 0) return;
-    valid_[i] |= bit(col);
-    if (verdict) bits_[i] |= bit(col);
-    touched_[row] = 1;
+  /// Records, for the write-back, row r's verdicts (`verdicts`) of the
+  /// models set in `evaluated` that have a store column.
+  void add(std::size_t r, const std::uint64_t* evaluated,
+           const std::uint64_t* verdicts) {
+    for_each_bit(evaluated, words_, [&](std::size_t m) {
+      if (col_[m] < 0) return;
+      const auto col = static_cast<std::size_t>(col_[m]);
+      mask_[r * store_words_ + col / 64] |= bit_of(col);
+      if ((verdicts[m / 64] & bit_of(m)) != 0) {
+        bits_[r * store_words_ + col / 64] |= bit_of(col);
+      }
+      added_ = true;
+    });
   }
 
   void write_back(store::VerdictStore& vstore) {
-    if (std::find(touched_.begin(), touched_.end(), 1) == touched_.end()) {
-      return;
-    }
+    if (!added_) return;
     util::ExclusiveLock lock(vstore.mu());
     for (std::size_t r = 0; r < keys_.size(); ++r) {
-      if (touched_[r] != 0) {
-        vstore.write_row_locked(keys_[r], &valid_[r * words_],
-                                &bits_[r * words_]);
-      }
+      // A row given no column has an empty mask: the store skips it.
+      vstore.write_row_locked(keys_[r], &mask_[r * store_words_],
+                              &bits_[r * store_words_]);
     }
   }
 
  private:
-  [[nodiscard]] std::size_t at(std::size_t row, int col) const {
-    return row * words_ + static_cast<std::size_t>(col) / 64;
-  }
-  [[nodiscard]] static std::uint64_t bit(int col) {
-    return 1ULL << (static_cast<std::size_t>(col) % 64);
-  }
-
+  std::size_t store_words_;
   std::size_t words_;
+  const std::vector<int>& col_;
   std::vector<util::Key128> keys_;
-  std::vector<std::uint64_t> want_;   ///< rows x words_
-  std::vector<std::uint64_t> valid_;  ///< rows x words_
-  std::vector<std::uint64_t> bits_;   ///< rows x words_
-  std::vector<char> touched_;         ///< set() added a column
+  std::vector<std::uint64_t> served_;   ///< rows x words_
+  std::vector<std::uint64_t> allowed_;  ///< rows x words_
+  std::vector<std::uint64_t> mask_;     ///< rows x store_words_: added
+  std::vector<std::uint64_t> bits_;     ///< rows x store_words_
+  bool added_ = false;                  ///< add() gave a row a column
 };
 
 /// Groups `keys` into rows in order of first occurrence: row_of[i] is
@@ -117,17 +182,20 @@ void group_rows(const std::vector<util::Key128>& keys, std::vector<int>& row_of,
   }
 }
 
-/// One program's models grouped by reorder mask, and each group's
-/// verdict on the test being decided: models with equal masks share one
-/// search per test.  Reused across programs: its buffers keep their size.
+/// One program's models grouped by reorder mask, each class with its
+/// models as model words: models with equal masks share one search per
+/// test.  Reused across programs: its buffers keep their size.
 class MaskClasses {
  public:
-  /// Compiles every model of `set` against `analysis` and groups them.
-  void compile(const core::FormulaSet& set, const core::Analysis& analysis) {
+  /// Compiles every model of `set` against `analysis` and groups them,
+  /// `words` model words per class.
+  void compile(const core::FormulaSet& set, const core::Analysis& analysis,
+               std::size_t words) {
     set.compile(analysis, masks_, scratch_);
     const auto n = static_cast<std::size_t>(analysis.num_events());
-    class_of_.resize(masks_.size());
+    words_ = words;
     reps_.clear();
+    models_.clear();
     for (std::size_t m = 0; m < masks_.size(); ++m) {
       const auto& rows = masks_[m].rows;
       std::size_t c = 0;
@@ -136,34 +204,40 @@ class MaskClasses {
                          masks_[reps_[c]].rows.begin())) {
         ++c;
       }
-      if (c == reps_.size()) reps_.push_back(m);
-      class_of_[m] = c;
+      if (c == reps_.size()) {
+        reps_.push_back(m);
+        models_.resize(models_.size() + words, 0);
+      }
+      models_[c * words + m / 64] |= bit_of(m);
     }
   }
 
-  /// Forgets the previous test's verdicts.
-  void begin_test() { verdicts_.assign(reps_.size(), kUnknown); }
-
-  /// The verdict of `model` on `test`, searching only if no model of its
-  /// class has been decided on this test yet.
-  bool decide(int model, const core::PreparedTest& test,
-              std::size_t& searches) {
-    const std::size_t c = class_of_[static_cast<std::size_t>(model)];
-    if (verdicts_[c] == kUnknown) {
-      verdicts_[c] = test.allowed(masks_[reps_[c]]) ? 1 : 0;
+  /// Decides `test` for the models set in `want`: one search per class
+  /// that shares a model with it, and an allowed outcome ORs those
+  /// shared models into `verdicts`.  Returns the searches run.
+  std::size_t decide(const core::PreparedTest& test, const std::uint64_t* want,
+                     std::uint64_t* verdicts) const {
+    std::size_t searches = 0;
+    for (std::size_t c = 0; c < reps_.size(); ++c) {
+      const std::uint64_t* models = &models_[c * words_];
+      std::uint64_t shared = 0;
+      for (std::size_t w = 0; w < words_; ++w) shared |= models[w] & want[w];
+      if (shared == 0) continue;
       ++searches;
+      if (!test.allowed(masks_[reps_[c]])) continue;
+      for (std::size_t w = 0; w < words_; ++w) {
+        verdicts[w] |= models[w] & want[w];
+      }
     }
-    return verdicts_[c] != 0;
+    return searches;
   }
 
  private:
-  static constexpr signed char kUnknown = -1;
-
   std::vector<core::ReorderMask> masks_;  ///< per model of the set
   std::vector<std::uint64_t> scratch_;    ///< FormulaSet node rows
-  std::vector<std::size_t> class_of_;     ///< model -> class
+  std::size_t words_ = 0;                 ///< model words per class
   std::vector<std::size_t> reps_;         ///< class -> its first model
-  std::vector<signed char> verdicts_;     ///< class -> verdict or kUnknown
+  std::vector<std::uint64_t> models_;     ///< class -> its model words
 };
 
 /// One evaluation thread's verdict state, refilled for every program run
@@ -216,6 +290,7 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   unique_analyses += other.unique_analyses;
   if (other.threads_used > threads_used) threads_used = other.threads_used;
   wall_seconds += other.wall_seconds;
+  eval_seconds += other.eval_seconds;
   return *this;
 }
 
@@ -228,23 +303,28 @@ std::string EngineStats::to_string() const {
   }
   os << " backends=explicit:" << explicit_checks << "/sat:" << sat_checks
      << " analyses=" << unique_analyses << " threads=" << threads_used
-     << " wall=" << wall_seconds << "s";
+     << " wall=" << wall_seconds << "s eval=" << eval_seconds << "s";
   return os.str();
 }
 
 RowModels::RowModels(const std::vector<core::MemoryModel>& models,
                      store::VerdictStore* vstore)
-    : models_(models), vstore_(vstore), set_(formulas_of(models)) {
+    : models_(models),
+      vstore_(vstore),
+      set_(formulas_of(models)),
+      words_(model_words(models.size())) {
+  free_.assign(words_, 0);
+  custom_.assign(words_, 0);
   col_.assign(models.size(), -1);
-  custom_.resize(models.size());
-  if (vstore != nullptr) want_.assign(vstore->words_per_row(), 0);
+  if (vstore != nullptr) columns_.assign(vstore->words_per_row(), 0);
   for (std::size_t m = 0; m < models.size(); ++m) {
-    custom_[m] = models[m].formula().has_custom() ? 1 : 0;
-    if (vstore == nullptr || custom_[m] != 0) continue;
+    const bool custom = models[m].formula().has_custom();
+    (custom ? custom_ : free_)[m / 64] |= bit_of(m);
+    if (vstore == nullptr || custom) continue;
     col_[m] = vstore->column_of(store::model_store_key(models[m]));
     if (col_[m] >= 0) {
       const auto col = static_cast<std::size_t>(col_[m]);
-      want_[col / 64] |= 1ULL << (col % 64);
+      columns_[col / 64] |= bit_of(col);
     }
   }
 }
@@ -273,55 +353,41 @@ void VerdictEngine::record(const EngineStats& stats) {
   total_stats_ += stats;
 }
 
-std::vector<char> VerdictEngine::evaluate(
+std::vector<std::uint64_t> VerdictEngine::evaluate(
     const RowModels& rows, const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests, EngineStats& stats) {
-  // ---- Only tests some request needs are analyzed and prepared.  The
-  // requests are bucketed by test; consecutive such tests that share one
-  // program object form a program run (the stream emits a program's
-  // outcomes back to back, and copies of a test share its program), and
-  // each run is one pool task: analyze the program, compile the batch's
-  // models into masks and group the equal ones, then prepare its tests
-  // one at a time and run one search per distinct mask a test's cells
-  // ask for.  All of that is refilled in the running thread's workspace.
-  // Grouping only shares work: a test sharing nothing is a run of its
-  // own. ----
+    const std::vector<std::uint64_t>& want, EngineStats& stats) {
+  // ---- Only tests with a nonzero want row are analyzed and prepared.
+  // Consecutive such tests that share one program object form a program
+  // run (the stream emits a program's outcomes back to back, and copies
+  // of a test share its program), and each run is one pool task:
+  // analyze the program, compile the models into masks and group the
+  // equal ones, then prepare its tests one at a time and run one search
+  // per mask class that shares a model with the test's want row.  All of
+  // that is refilled in the running thread's workspace.  Grouping only
+  // shares work: a test sharing nothing is a run of its own. ----
   const auto& models = rows.models_;
-  const int num_tests = static_cast<int>(tests.size());
-  // Cells of test t: cell_of[cell_begin[t] .. cell_begin[t + 1]).
-  std::vector<std::size_t> cell_begin(tests.size() + 1, 0);
-  for (const auto& r : requests) {
-    ++cell_begin[static_cast<std::size_t>(r.test) + 1];
-  }
-  std::vector<int> eval_tests;
-  for (int t = 0; t < num_tests; ++t) {
-    const auto st = static_cast<std::size_t>(t);
-    if (cell_begin[st + 1] > 0) eval_tests.push_back(t);
-    cell_begin[st + 1] += cell_begin[st];
-  }
-  std::vector<std::size_t> cell_of(requests.size());
-  {
-    std::vector<std::size_t> next(cell_begin.begin(), cell_begin.end() - 1);
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      cell_of[next[static_cast<std::size_t>(requests[k].test)]++] = k;
+  const std::size_t words = rows.words_;
+  std::vector<std::size_t> eval_tests;
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    if (count_bits(want.data() + t * words, words) > 0) {
+      eval_tests.push_back(t);
     }
   }
   // Run r covers eval_tests[run_begin[r] .. run_begin[r + 1]).
   std::vector<std::size_t> run_begin;
   const core::Program* run_program = nullptr;
   for (std::size_t i = 0; i < eval_tests.size(); ++i) {
-    const auto& program =
-        tests[static_cast<std::size_t>(eval_tests[i])].program();
+    const auto& program = tests[eval_tests[i]].program();
     if (&program != run_program) run_begin.push_back(i);
     run_program = &program;
   }
   const std::size_t num_runs = run_begin.size();
   run_begin.push_back(eval_tests.size());
 
-  // Each task writes only its own cells' verdicts, and its counters once
-  // at its end: neighbouring runs execute at the same moment, so
+  // Each task writes only its own tests' verdict words, and its counters
+  // once at its end: neighbouring runs execute at the same moment, so
   // per-search increments into adjacent entries would share cache lines.
-  std::vector<char> results(requests.size(), 0);
+  std::vector<std::uint64_t> verdicts(want.size(), 0);
   struct RunCounts {
     std::size_t searches = 0;
     std::size_t explicit_checks = 0;
@@ -336,38 +402,34 @@ std::vector<char> VerdictEngine::evaluate(
     std::optional<Workspace> nested;
     Workspace& ws = mine.entered ? nested.emplace() : mine;
     const WorkspaceRun entered(ws);
-    ws.analysis.reset(
-        tests[static_cast<std::size_t>(eval_tests[run_begin[r]])].program());
+    ws.analysis.reset(tests[eval_tests[run_begin[r]]].program());
     // Up to 64 events the explicit search decides each mask class;
-    // beyond that there are no masks, and each cell evaluates its model
-    // per event pair and runs the SAT engine.
+    // beyond that there are no masks, and each wanted model is
+    // evaluated per event pair and decided by the SAT engine.
     const bool by_mask = ws.analysis.masks_valid();
-    if (by_mask) ws.classes.compile(rows.set_, ws.analysis);
+    if (by_mask) ws.classes.compile(rows.set_, ws.analysis, words);
     RunCounts counts;
     std::size_t& path_checks =
         by_mask ? counts.explicit_checks : counts.sat_checks;
     for (std::size_t i = run_begin[r]; i < run_begin[r + 1]; ++i) {
-      const auto t = static_cast<std::size_t>(eval_tests[i]);
+      const std::size_t t = eval_tests[i];
+      const std::uint64_t* asked = &want[t * words];
+      std::uint64_t* out = &verdicts[t * words];
       ws.prepared.prepare(ws.analysis, tests[t].outcome());
-      if (by_mask) ws.classes.begin_test();
-      for (std::size_t c = cell_begin[t]; c < cell_begin[t + 1]; ++c) {
-        const std::size_t k = cell_of[c];
-        const int m = requests[k].model;
-        bool verdict = false;
-        if (by_mask) {
-          verdict = ws.classes.decide(m, ws.prepared, counts.searches);
-        } else {
-          verdict =
-              ws.prepared.allowed(models[static_cast<std::size_t>(m)]);
+      if (by_mask) {
+        counts.searches += ws.classes.decide(ws.prepared, asked, out);
+      } else {
+        for_each_bit(asked, words, [&](std::size_t m) {
+          if (ws.prepared.allowed(models[m])) out[m / 64] |= bit_of(m);
           ++counts.searches;
-        }
-        results[k] = verdict ? 1 : 0;
+        });
       }
-      path_checks += cell_begin[t + 1] - cell_begin[t];
+      path_checks += count_bits(asked, words);
     }
     run_counts[r] = counts;
   };
   const int threads = effective_threads();
+  util::Timer eval_timer;
   if (threads > 1 && num_runs > 1) {
     pool().parallel_for(num_runs, run_task);
     stats.threads_used = threads;
@@ -375,14 +437,15 @@ std::vector<char> VerdictEngine::evaluate(
     for (std::size_t r = 0; r < num_runs; ++r) run_task(r);
     stats.threads_used = 1;
   }
-  stats.checks_run += requests.size();
+  stats.eval_seconds += eval_timer.seconds();
   stats.unique_analyses += num_runs;
   for (const RunCounts& counts : run_counts) {
+    stats.checks_run += counts.explicit_checks + counts.sat_checks;
     stats.searches += counts.searches;
     stats.explicit_checks += counts.explicit_checks;
     stats.sat_checks += counts.sat_checks;
   }
-  return results;
+  return verdicts;
 }
 
 BitMatrix VerdictEngine::run_matrix(
@@ -391,22 +454,20 @@ BitMatrix VerdictEngine::run_matrix(
   if (options_.cache_enabled || store_ != nullptr) {
     return run_rows(RowModels(models, store_), tests, {});
   }
-  // The reference setting: every cell is a request of the direct batch.
+  // The reference setting: every test asks the direct batch for every
+  // model.
   util::Timer timer;
   EngineStats stats;
   stats.cells = models.size() * tests.size();
-  std::vector<VerdictRequest> requests;
-  requests.reserve(stats.cells);
-  const int num_models = static_cast<int>(models.size());
-  const int num_tests = static_cast<int>(tests.size());
-  for (int t = 0; t < num_tests; ++t) {
-    for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
+  const RowModels all(models, nullptr);
+  std::vector<std::uint64_t> want(tests.size() * all.words_);
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    for (std::size_t w = 0; w < all.words_; ++w) {
+      want[t * all.words_ + w] = all.free_[w] | all.custom_[w];
+    }
   }
-  const auto flat = evaluate(RowModels(models, nullptr), tests, requests, stats);
-  BitMatrix verdicts(num_models, num_tests);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (flat[i] != 0) verdicts.set(requests[i].model, requests[i].test, true);
-  }
+  const auto out = evaluate(all, tests, want, stats);
+  BitMatrix verdicts = matrix_of(out, models.size(), tests.size(), all.words_);
   stats.wall_seconds = timer.seconds();
   record(stats);
   return verdicts;
@@ -416,17 +477,16 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
                                   const std::vector<litmus::LitmusTest>& tests,
                                   const std::vector<util::Key128>& keys) {
   util::Timer timer;
-  const auto& models = rows.models_;
-  const int num_models = static_cast<int>(models.size());
-  const int num_tests = static_cast<int>(tests.size());
+  const std::size_t num_models = rows.models_.size();
+  const std::size_t num_tests = tests.size();
+  const std::size_t words = rows.words_;
   MCMC_REQUIRE_MSG(keys.empty() || keys.size() == tests.size(),
                    "run_rows needs one key per test");
-  BitMatrix verdicts(num_models, num_tests);
   EngineStats stats;
-  stats.cells = models.size() * tests.size();
+  stats.cells = num_models * num_tests;
   if (stats.cells == 0) {
     record(stats);
-    return verdicts;
+    return BitMatrix(static_cast<int>(num_models), static_cast<int>(num_tests));
   }
 
   // ---- Rows: tests with equal keys share one. ----
@@ -448,78 +508,72 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
   std::vector<std::size_t> row_size(first.size(), 0);
   for (const int row : row_of) ++row_size[static_cast<std::size_t>(row)];
 
-  // ---- One probe per row, under one shared hold. ----
+  // ---- One probe per row, under one shared hold, in model words. ----
   store::VerdictStore* const vstore = rows.vstore_;
-  StoreRows store_rows(vstore != nullptr ? vstore->words_per_row() : 0);
+  StoreRows store_rows(first.size(),
+                       vstore != nullptr ? vstore->words_per_row() : 0,
+                       rows.col_);
   if (vstore != nullptr) {
+    std::vector<util::Key128> row_keys;
+    row_keys.reserve(first.size());
     for (const int t : first) {
-      store_rows.add(test_keys[static_cast<std::size_t>(t)],
-                     rows.want_.data());
+      row_keys.push_back(test_keys[static_cast<std::size_t>(t)]);
     }
-    store_rows.probe(*vstore);
+    store_rows.probe(*vstore, std::move(row_keys), rows.columns_.data(),
+                     stats);
   }
 
-  // ---- The cells the store lacks, for one direct batch: a custom-free
-  // model is decided once per row, on the row's first test; a
-  // custom-predicate model once per test (its verdicts are neither
-  // shared nor stored).  A row's other tests share the verdict as dedup
-  // hits, whether the store served it or it is evaluated. ----
-  std::vector<VerdictRequest> requests;
-  for (int t = 0; t < num_tests; ++t) {
-    const auto row =
-        static_cast<std::size_t>(row_of[static_cast<std::size_t>(t)]);
-    const bool row_first = first[row] == t;
-    for (int m = 0; m < num_models; ++m) {
-      const auto ms = static_cast<std::size_t>(m);
-      const bool custom = rows.custom_[ms] != 0;
-      if (!custom) {
-        if (!row_first) continue;
-        stats.dedup_hits += row_size[row] - 1;
-      }
-      const int col = rows.col_[ms];
-      if (vstore != nullptr && col >= 0) {
-        const std::optional<bool> hit = store_rows.get(row, col);
-        if (hit.has_value()) {
-          if (*hit) verdicts.set(m, t, true);
-          ++stats.store_hits;
-          continue;
-        }
-        ++stats.store_misses;
-      }
-      requests.push_back({m, t});
+  // ---- One want row per test: a row's first test asks for the
+  // custom-free models its store row lacks, every test for the
+  // custom-predicate models (their verdicts are neither shared nor
+  // stored).  A row's other tests share its custom-free verdicts as
+  // dedup hits, whether the store served them or they are
+  // evaluated. ----
+  const std::size_t num_free = count_bits(rows.free_.data(), words);
+  std::vector<std::uint64_t> want(num_tests * words);
+  for (std::size_t t = 0; t < num_tests; ++t) {
+    const auto row = static_cast<std::size_t>(row_of[t]);
+    std::uint64_t* asked = &want[t * words];
+    if (static_cast<std::size_t>(first[row]) != t) {
+      std::copy(rows.custom_.begin(), rows.custom_.end(), asked);
+      continue;
+    }
+    stats.dedup_hits += (row_size[row] - 1) * num_free;
+    const std::uint64_t* served = store_rows.served(row);
+    for (std::size_t w = 0; w < words; ++w) {
+      asked[w] = (rows.free_[w] & ~served[w]) | rows.custom_[w];
     }
   }
 
-  const auto flat = evaluate(rows, tests, requests, stats);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto [m, t] = requests[i];
-    const bool verdict = flat[i] != 0;
-    if (verdict) verdicts.set(m, t, true);
-    const int col = rows.col_[static_cast<std::size_t>(m)];
-    if (vstore != nullptr && col >= 0) {
-      store_rows.set(
-          static_cast<std::size_t>(row_of[static_cast<std::size_t>(t)]), col,
-          verdict);
+  std::vector<std::uint64_t> out = evaluate(rows, tests, want, stats);
+
+  // ---- A row's first test takes the store-served verdicts, and its
+  // evaluated ones go back to the store, so the next run (or the next
+  // process) serves them from disk. ----
+  if (vstore != nullptr) {
+    for (std::size_t row = 0; row < first.size(); ++row) {
+      const auto t = static_cast<std::size_t>(first[row]);
+      const std::uint64_t* allowed = store_rows.allowed(row);
+      for (std::size_t w = 0; w < words; ++w) {
+        out[t * words + w] |= allowed[w];
+      }
+      store_rows.add(row, &want[t * words], &out[t * words]);
     }
+    store_rows.write_back(*vstore);
   }
-  // Evaluated cells go back to the store, so the next run (or the next
-  // process) serves them from disk.
-  if (vstore != nullptr) store_rows.write_back(*vstore);
 
   // ---- A row's later tests take its first test's custom-free
   // verdicts. ----
-  for (int t = 0; t < num_tests; ++t) {
-    const int from = first[static_cast<std::size_t>(
-        row_of[static_cast<std::size_t>(t)])];
+  for (std::size_t t = 0; t < num_tests; ++t) {
+    const auto from = static_cast<std::size_t>(
+        first[static_cast<std::size_t>(row_of[t])]);
     if (from == t) continue;
-    for (int m = 0; m < num_models; ++m) {
-      if (rows.custom_[static_cast<std::size_t>(m)] == 0 &&
-          verdicts.get(m, from)) {
-        verdicts.set(m, t, true);
-      }
+    for (std::size_t w = 0; w < words; ++w) {
+      out[t * words + w] |= out[from * words + w] & rows.free_[w];
     }
   }
 
+  BitMatrix verdicts = matrix_of(out, num_models, num_tests, words);
   stats.wall_seconds = timer.seconds();
   record(stats);
   return verdicts;

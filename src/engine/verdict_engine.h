@@ -21,17 +21,21 @@
 //     litmus::canonical_key is its audited string form) — models with
 //     custom predicates, whose semantics may observe raw
 //     thread/location identity, are decided per test instead,
-//   * mask-class evaluation: the models are hash-consed once per
-//     RowModels as a core::FormulaSet, whose masks are written per
-//     program in one pass (shared subformulas evaluated once); models
-//     with equal masks on a program get equal verdicts on each of its
-//     outcomes, so every prepared test (rf maps and HbProblem
-//     skeletons, prepared once per test) runs one search per distinct
-//     mask its requested models have, not one per cell,
+//   * mask-class evaluation in model words: the models are hash-consed
+//     once per RowModels as a core::FormulaSet, whose masks are written
+//     per program in one pass (shared subformulas evaluated once);
+//     models with equal masks on a program get equal verdicts on each
+//     of its outcomes.  A test's requested models and its verdicts are
+//     64-bit model words (bit m % 64 of word m / 64 is model m), and
+//     each mask class records its models as words, so every prepared
+//     test (rf maps and HbProblem skeletons, prepared once per test)
+//     runs one search per class that shares a model with its want row
+//     and, when the outcome is allowed, ORs the shared models into its
+//     verdicts: O(classes) per test, not O(models),
 //   * the decision procedure picked by test size: up to the 64 events
 //     the bitmask rows hold, precompiled masks and the explicit closure
-//     search; beyond that there are no masks, and each cell evaluates
-//     its model per event pair and runs the SAT engine,
+//     search; beyond that there are no masks, and each wanted model is
+//     evaluated per event pair and decided by the SAT engine,
 //   * a std::thread pool whose threads claim tasks from one shared
 //     counter, one task per program run (analyze, compile masks, then
 //     prepare and decide its tests one at a time),
@@ -39,10 +43,12 @@
 //     producer thread,
 //   * row-level verdict-store traffic (run_rows, the one batch path:
 //     run_matrix, the stream, the Theorem harness's sweep and litmusd
-//     take it): one store probe per canonical class, one direct batch
-//     for the cells the store lacks, one write-back, and
+//     take it): one store probe per canonical class, turned into model
+//     words once; one want row per test for one direct batch (a row's
+//     first test asks for the custom-free models its store row lacks,
+//     every test for the custom-predicate ones); one write-back, and
 //   * per-batch statistics (cells, checks, searches, dedup and store
-//     hits, explicit/SAT split, wall time).
+//     hits, explicit/SAT split, wall time and its evaluation share).
 //
 // No verdict outlives a call: the verdict store (store::VerdictStore)
 // is what keeps them.  explore::AdmissibilityMatrix, model
@@ -77,9 +83,9 @@ struct EngineOptions {
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// false: a run_matrix without an attached store decides every cell
-  /// through the direct batch, with nothing shared between cells — the
-  /// reference setting of the differential tests and of perfbench's
+  /// false: a run_matrix without an attached store asks the direct
+  /// batch for every model on every test, sharing no row between tests
+  /// — the reference setting of the differential tests and of perfbench's
   /// serve oracle, which share no row code with the path they check.
   /// The name is kept from the in-memory verdict cache it once
   /// switched, because those callers set it.  run_rows, run_stream and
@@ -109,6 +115,12 @@ struct EngineStats {
                                    ///  (dedup/store hits need none)
   int threads_used = 1;
   double wall_seconds = 0.0;
+  double eval_seconds = 0.0;       ///< of the wall, the evaluation's
+                                   ///  analyze-and-search section (the
+                                   ///  pool's parallel_for, or the serial
+                                   ///  loop at 1 thread); the rest is
+                                   ///  keys, rows, store traffic and the
+                                   ///  matrix
 
   EngineStats& operator+=(const EngineStats& other);
   /// One-line rendering for the bench harnesses.
@@ -252,10 +264,17 @@ class RowModels {
 
   const std::vector<core::MemoryModel>& models_;
   store::VerdictStore* vstore_;
-  core::FormulaSet set_;             ///< the models, hash-consed once
-  std::vector<int> col_;             ///< store column per model, -1: none
-  std::vector<char> custom_;         ///< custom predicates: per test
-  std::vector<std::uint64_t> want_;  ///< the models' store columns
+  core::FormulaSet set_;  ///< the models, hash-consed once
+  /// Model words per test: bit m % 64 of word m / 64 is model m.
+  std::size_t words_;
+  /// Custom-free models, decided once per row.
+  std::vector<std::uint64_t> free_;
+  /// Custom-predicate models, decided per test.
+  std::vector<std::uint64_t> custom_;
+  /// Store column per model, -1: none.
+  std::vector<int> col_;
+  /// The models' store columns, in store words: what a row probe asks.
+  std::vector<std::uint64_t> columns_;
 };
 
 /// Batched, parallel (model, test) verdict evaluation.
@@ -271,7 +290,7 @@ class VerdictEngine {
   /// the result is the verdict of model `m` on test `t`.  This is
   /// run_rows(RowModels(models, store), tests, {}) with the attached
   /// store (set_store), or none; with cache_enabled off and no store,
-  /// every cell is decided by the direct batch instead.
+  /// every test asks the direct batch for every model instead.
   [[nodiscard]] BitMatrix run_matrix(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests);
@@ -286,8 +305,10 @@ class VerdictEngine {
   /// test, a custom-predicate model per test — and one write-back under
   /// one exclusive hold of the rows this call added a column to.  A
   /// row's later tests count as dedup hits, whether the store served the
-  /// row's cell or it was evaluated.  Throws std::invalid_argument
-  /// unless `keys` is empty or as long as `tests`.
+  /// row's cell or it was evaluated.  Requests, store rows and verdicts
+  /// travel as model words; the matrix is filled from their set bits.
+  /// Throws std::invalid_argument unless `keys` is empty or as long as
+  /// `tests`.
   [[nodiscard]] BitMatrix run_rows(const RowModels& rows,
                                    const std::vector<litmus::LitmusTest>& tests,
                                    const std::vector<util::Key128>& keys);
@@ -351,23 +372,19 @@ class VerdictEngine {
   [[nodiscard]] int effective_threads() const;
 
  private:
-  /// One cell of a direct batch: indices into the caller's model and
-  /// test vectors.
-  struct VerdictRequest {
-    int model = 0;
-    int test = 0;
-  };
-
   ThreadPool& pool();
-  /// The direct batch: every request is one check (no store, no rows);
-  /// program runs share an Analysis, each test runs one search per
-  /// distinct mask its requests ask for, and all of it is refilled in
-  /// the running thread's workspace.  Adds the checks, searches,
-  /// explicit/SAT split and analyses to `stats` and sets its
-  /// threads_used.
-  [[nodiscard]] std::vector<char> evaluate(
+  /// The direct batch (no store, no rows): `want` holds one row of
+  /// rows.words_ model words per test, a set bit one check, and the
+  /// result holds the verdicts in the same layout, bit m set iff model m
+  /// was asked for and allows the test.  Program runs share an Analysis,
+  /// each test runs one search per mask class that shares a model with
+  /// its want row, and all of it is refilled in the running thread's
+  /// workspace; a test with an empty row is not prepared.  Adds the
+  /// checks, searches, explicit/SAT split, analyses and eval_seconds to
+  /// `stats` and sets its threads_used.
+  [[nodiscard]] std::vector<std::uint64_t> evaluate(
       const RowModels& rows, const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, EngineStats& stats);
+      const std::vector<std::uint64_t>& want, EngineStats& stats);
   /// Makes `stats` the last batch's and adds it to the lifetime total.
   void record(const EngineStats& stats);
   /// run_stream's per-run state and stage steps (verdict_engine.cpp).

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <set>
+#include <numeric>
 
 #include "core/formula.h"
 #include "util/check.h"
+#include "util/hash128.h"
 #include "util/timer.h"
 
 namespace mcmc::explore {
@@ -99,40 +100,54 @@ namespace {
 
 /// Folds every test column of a models x tests verdict matrix,
 /// deduplicating identical columns across the whole run (only distinct
-/// columns pay the quadratic pair sweep).
+/// columns pay the quadratic pair sweep).  A chunk's columns are built
+/// in one pass over the model rows; the distinct ones lie back to back
+/// in one flat array, found through an open-addressed table of their
+/// indices.
 class ColumnFolder {
  public:
   ColumnFolder(DistinguishMatrix& matrix, int num_models,
                std::size_t& columns_counter)
       : matrix_(matrix),
         num_models_(num_models),
+        words_(words_for(num_models)),
         columns_counter_(columns_counter) {}
 
   void fold(const engine::BitMatrix& verdicts) {
     MCMC_REQUIRE(verdicts.rows() == num_models_);
-    std::vector<std::uint64_t> column(words_for(num_models_));
-    for (int t = 0; t < verdicts.cols(); ++t) {
-      std::fill(column.begin(), column.end(), 0);
-      for (int m = 0; m < num_models_; ++m) {
-        if (verdicts.get(m, t)) {
-          column[static_cast<std::size_t>(m) / 64] |=
-              1ULL << (static_cast<std::size_t>(m) % 64);
+    const auto num_tests = static_cast<std::size_t>(verdicts.cols());
+    chunk_.assign(num_tests * words_, 0);
+    for (int m = 0; m < num_models_; ++m) {
+      const std::uint64_t* row = verdicts.row(m);
+      const std::size_t word = static_cast<std::size_t>(m) / 64;
+      const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(m) % 64);
+      for (std::size_t w = 0; w < verdicts.words_per_row(); ++w) {
+        for (std::uint64_t tests = row[w]; tests != 0; tests &= tests - 1) {
+          const std::size_t t =
+              w * 64 + static_cast<std::size_t>(__builtin_ctzll(tests));
+          chunk_[t * words_ + word] |= bit;
         }
       }
-      if (seen_.insert(column).second) {
-        matrix_.fold_column(column);
-        ++columns_counter_;
-      }
+    }
+    for (std::size_t t = 0; t < num_tests; ++t) {
+      insert(chunk_.data() + t * words_);
     }
   }
 
-  /// Appends [count, column words...] — std::set iterates in column
-  /// order, so equal fold states export identical words (the
+  /// Appends [count, column words...] in the columns' lexicographic
+  /// word order, so equal fold states export identical words (the
   /// checkpoint file stays bit-for-bit deterministic).
   void export_state(std::vector<std::uint64_t>& out) const {
-    out.push_back(seen_.size());
-    for (const auto& column : seen_)
-      out.insert(out.end(), column.begin(), column.end());
+    std::vector<std::size_t> order(count_);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(column(a), column(a) + words_,
+                                          column(b), column(b) + words_);
+    });
+    out.push_back(count_);
+    for (const std::size_t c : order) {
+      out.insert(out.end(), column(c), column(c) + words_);
+    }
   }
 
   /// Re-adopts an export_state image starting at data[pos].  The
@@ -141,30 +156,62 @@ class ColumnFolder {
   /// serialization exists to drift out of sync.
   [[nodiscard]] bool restore_state(const std::vector<std::uint64_t>& data,
                                    std::size_t& pos) {
-    const std::size_t w = words_for(num_models_);
+    const std::size_t w = words_;
     if (w == 0 || pos >= data.size()) return false;
     const std::uint64_t count = data[pos];
     if (count > (data.size() - pos - 1) / w) return false;
     ++pos;
-    std::vector<std::uint64_t> column(w);
     for (std::uint64_t c = 0; c < count; ++c) {
-      std::copy(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                data.begin() + static_cast<std::ptrdiff_t>(pos + w),
-                column.begin());
+      insert(&data[pos]);
       pos += w;
-      if (seen_.insert(column).second) {
-        matrix_.fold_column(column);
-        ++columns_counter_;
-      }
     }
     return true;
   }
 
  private:
+  static constexpr std::size_t kFree = ~std::size_t{0};
+
+  [[nodiscard]] const std::uint64_t* column(std::size_t c) const {
+    return columns_.data() + c * words_;
+  }
+
+  /// The slot of the folded column equal to `words`, or the free slot
+  /// where it goes.
+  [[nodiscard]] std::size_t find(const std::uint64_t* words) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::size_t w = 0; w < words_; ++w) h = util::mix64(h ^ words[w]);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t at = static_cast<std::size_t>(h) & mask;
+    while (slots_[at] != kFree &&
+           !std::equal(words, words + words_, column(slots_[at]))) {
+      at = (at + 1) & mask;
+    }
+    return at;
+  }
+
+  /// Folds `words` (words_ of them, outside columns_) unless an equal
+  /// column was folded before.
+  void insert(const std::uint64_t* words) {
+    if (2 * (count_ + 1) > slots_.size()) {  // grow, and re-slot them all
+      slots_.assign(slots_.empty() ? 64 : 2 * slots_.size(), kFree);
+      for (std::size_t c = 0; c < count_; ++c) slots_[find(column(c))] = c;
+    }
+    const std::size_t at = find(words);
+    if (slots_[at] != kFree) return;
+    slots_[at] = count_++;
+    columns_.insert(columns_.end(), words, words + words_);
+    matrix_.fold_column(std::vector<std::uint64_t>(words, words + words_));
+    ++columns_counter_;
+  }
+
   DistinguishMatrix& matrix_;
   int num_models_;
+  std::size_t words_;
   std::size_t& columns_counter_;
-  std::set<std::vector<std::uint64_t>> seen_;
+  std::vector<std::uint64_t> chunk_;    ///< the chunk's columns, per test
+  std::vector<std::uint64_t> columns_;  ///< distinct columns, in fold order
+  std::size_t count_ = 0;               ///< distinct columns
+  std::vector<std::size_t> slots_;      ///< column indices, or kFree
 };
 
 }  // namespace

@@ -194,8 +194,8 @@ TEST(PreparedAllocation, RunRowsChunkAllocatesAtMostOncePerEvaluatedTest) {
   // harness sweep (the 90-model space) make them, allocates only its
   // per-call tables: the programs were validated when their tests were
   // built, so an Analysis reset validates none of them again.  That is
-  // fewer allocations than program runs (49 and 54 for 294 tests in 136
-  // runs; 185 and 190 when each run validated its program again).
+  // fewer allocations than program runs (38 for 294 tests in 136 runs,
+  // with either model set).
   struct Chunk {
     std::vector<litmus::LitmusTest> tests;
     std::vector<util::Key128> keys;

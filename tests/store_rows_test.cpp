@@ -9,9 +9,12 @@
 // off), and writes every verdict with a store column into the store
 // cell by cell.  A warm rerun then serves the whole sweep from the
 // store.  run_matrix on a store-attached engine takes the same row
-// path.
+// path.  Requests and verdicts travel as model words: with the models
+// shuffled against the store's column order, each model must still
+// read and write its own column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -19,6 +22,7 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "engine/verdict_engine.h"
@@ -32,6 +36,7 @@
 #include "store_cells.h"
 #include "util/hash128.h"
 #include "util/mutex.h"
+#include "util/rng.h"
 
 namespace mcmc {
 namespace {
@@ -397,6 +402,160 @@ TEST_F(StoreRows, AttachedStoreMatrixTakesTheRowPath) {
     EXPECT_TRUE(warm.run_matrix(models, tests) == want) << label;
     EXPECT_EQ(warm.last_stats().store_misses, 0u) << label;
     EXPECT_EQ(warm.last_stats().checks_run, tests.size()) << label;
+  }
+}
+
+/// Swaps the threads: a canonically equal, structurally distinct twin
+/// over a program object of its own.
+litmus::LitmusTest twin(const litmus::LitmusTest& test) {
+  std::vector<core::Thread> threads = test.program().threads();
+  std::reverse(threads.begin(), threads.end());
+  return litmus::LitmusTest(test.name() + "~",
+                            core::Program(std::move(threads)), test.outcome());
+}
+
+/// The counters a row-path batch reports.
+struct RowCounts {
+  std::size_t cells = 0;
+  std::size_t checks_run = 0;
+  std::size_t searches = 0;
+  std::size_t dedup_hits = 0;
+  std::size_t store_hits = 0;
+  std::size_t store_misses = 0;
+};
+
+void expect_counts(const engine::EngineStats& got, const RowCounts& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.cells, want.cells) << label;
+  EXPECT_EQ(got.checks_run, want.checks_run) << label;
+  EXPECT_EQ(got.searches, want.searches) << label;
+  EXPECT_EQ(got.dedup_hits, want.dedup_hits) << label;
+  EXPECT_EQ(got.store_hits, want.store_hits) << label;
+  EXPECT_EQ(got.store_misses, want.store_misses) << label;
+}
+
+TEST_F(StoreRows, ShuffledModelsReadAndWriteTheirOwnColumns) {
+  // The store's columns follow the canonical order (the extremes, then
+  // the 90 models), while the engine's models are the 90 shuffled, with
+  // a custom-predicate model on each side of the 64-model word boundary,
+  // so no model's store column is a shift of its index.  The store is
+  // partly warm: of the canonical classes of the with-dep suite, in
+  // order, every third row is complete, the next holds only the
+  // extremes and the next is absent.  Every fourth test is followed by
+  // its thread-swapped twin and a copy of itself, both sharing its row.
+  const std::vector<core::MemoryModel> canonical = ninety_models();
+  std::vector<core::MemoryModel> models = canonical;
+  util::Rng rng(32);
+  for (std::size_t i = models.size(); i > 1; --i) {
+    std::swap(models[i - 1], models[rng.below(i)]);
+  }
+  models.insert(models.begin() + 40, models::special_fence_chain(1));
+  models.insert(models.begin() + 80, models::special_fence_chain(3));
+  ASSERT_EQ(models.size(), 92u);
+
+  std::vector<litmus::LitmusTest> tests;
+  const auto suite = enumeration::corollary1_suite(true);
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    tests.push_back(suite[i]);
+    if (i % 4 == 0) {
+      tests.push_back(twin(suite[i]));
+      tests.push_back(suite[i]);
+    }
+  }
+  litmus::KeyScratch scratch;
+  std::vector<util::Key128> keys;
+  std::vector<std::size_t> class_firsts;  // class -> its first test
+  std::unordered_set<util::Key128, util::Key128Hash> classes;
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    keys.push_back(litmus::canonical_fingerprint(tests[t], scratch));
+    if (classes.insert(keys.back()).second) class_firsts.push_back(t);
+  }
+  ASSERT_EQ(tests.size(), 186u);
+  ASSERT_EQ(class_firsts.size(), 124u);
+
+  engine::VerdictEngine reference(cellwise(1));
+  const engine::BitMatrix want = reference.run_matrix(models, tests);
+  const std::vector<core::MemoryModel> extremes = explore::extreme_models();
+  const engine::BitMatrix extreme_verdicts =
+      reference.run_matrix(extremes, tests);
+
+  const store::StoreMeta meta = explore::harness_store_meta(canonical);
+  const auto column = [](const store::VerdictStore& vstore,
+                         const core::MemoryModel& model) {
+    return model.formula().has_custom()
+               ? -1
+               : vstore.column_of(store::model_store_key(model));
+  };
+  const auto warmed = [&] {
+    auto vstore = std::make_unique<store::VerdictStore>(meta);
+    for (std::size_t c = 0; c < class_firsts.size(); ++c) {
+      if (c % 3 == 2) continue;
+      const auto t = static_cast<int>(class_firsts[c]);
+      const util::Key128 key = keys[class_firsts[c]];
+      for (int e = 0; e < 2; ++e) {
+        set_cell(*vstore, key,
+                 column(*vstore, extremes[static_cast<std::size_t>(e)]),
+                 extreme_verdicts.get(e, t));
+      }
+      if (c % 3 != 0) continue;
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        const int col = column(*vstore, models[m]);
+        if (col >= 0) {
+          set_cell(*vstore, key, col, want.get(static_cast<int>(m), t));
+        }
+      }
+    }
+    return vstore;
+  };
+  // Every class's row ends up with the 90 verdicts; the extremes keep
+  // what the warm-up wrote.
+  const auto expect_rows = [&](const store::VerdictStore& vstore,
+                               const std::string& label) {
+    for (std::size_t c = 0; c < class_firsts.size(); ++c) {
+      const auto t = static_cast<int>(class_firsts[c]);
+      const util::Key128 key = keys[class_firsts[c]];
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        const int col = column(vstore, models[m]);
+        if (col < 0) continue;
+        EXPECT_EQ(probe_cell(vstore, key, col),
+                  std::optional<bool>(want.get(static_cast<int>(m), t)))
+            << label << ": class " << c << ", model " << m;
+      }
+      for (int e = 0; e < 2; ++e) {
+        const std::optional<bool> expected =
+            c % 3 == 2 ? std::nullopt
+                       : std::optional<bool>(extreme_verdicts.get(e, t));
+        const int col = column(vstore, extremes[static_cast<std::size_t>(e)]);
+        EXPECT_EQ(probe_cell(vstore, key, col), expected)
+            << label << ": class " << c << ", extreme " << e;
+      }
+    }
+  };
+
+  // The counts, pinned as a row path with one request per cell
+  // reported them: 92 x 186 cells; 62 later tests of a row, each
+  // sharing 90 verdicts; 42 complete rows served from the store and 82
+  // rows whose 90 stored columns missed, evaluated with the two custom
+  // models of every test in 997 searches.
+  const RowCounts pinned{17112, 7752, 997, 5580, 3780, 7380};
+  for (const int threads : {1, 4}) {
+    const std::string label = std::to_string(threads) + " threads";
+    {
+      const auto vstore = warmed();
+      engine::VerdictEngine eng(with_threads(threads));
+      const engine::RowModels rows(models, vstore.get());
+      EXPECT_TRUE(eng.run_rows(rows, tests, keys) == want) << label;
+      expect_counts(eng.last_stats(), pinned, "run_rows, " + label);
+      expect_rows(*vstore, "run_rows, " + label);
+    }
+    {
+      const auto vstore = warmed();
+      engine::VerdictEngine eng(with_threads(threads));
+      eng.set_store(vstore.get());
+      EXPECT_TRUE(eng.run_matrix(models, tests) == want) << label;
+      expect_counts(eng.last_stats(), pinned, "run_matrix, " + label);
+      expect_rows(*vstore, "run_matrix, " + label);
+    }
   }
 }
 

@@ -238,6 +238,12 @@ TEST(VerdictStore, MixedProbeAppendCheckpointScheduleUnderContention) {
 
   std::thread checkpointer([&] {
     for (int round = 0; round < 8; ++round) {
+      // The last round waits for the last chunk, so the final checkpoint
+      // covers every chunk however the threads are scheduled.
+      while (round == 7 &&
+             chunks_published.load(std::memory_order_acquire) < kChunks) {
+        std::this_thread::yield();
+      }
       const int done = chunks_published.load(std::memory_order_acquire);
       StreamCheckpoint ck;
       ck.chunks = static_cast<std::uint64_t>(done);
