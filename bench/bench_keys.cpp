@@ -11,7 +11,7 @@
 //                 tests sharing a program object, then the min-hash of
 //                 each outcome (canonical_fingerprint_loaded)
 //
-// plus the structural pair (structural_key vs structural_fingerprint).
+// plus the structural fingerprint (structural_fingerprint).
 // Each pass folds its results into a checksum so the work cannot be
 // optimized away, and a final differential pass re-derives the keys
 // and asserts that string-key classes, fingerprint classes and
@@ -147,16 +147,7 @@ int main(int argc, char** argv) {
   per_program.seconds = timer.seconds();
   for (const auto& fp : program_major) per_program.checksum ^= fp.lo;
 
-  // ---- Structural: string vs fingerprint. ----
-  Pass structural_string{"structural string key"};
-  std::string structural_buf;
-  timer.reset();
-  for (const auto& test : tests) {
-    litmus::structural_key(test, structural_buf);
-    structural_string.checksum += structural_buf.size();
-  }
-  structural_string.seconds = timer.seconds();
-
+  // ---- Structural. ----
   Pass structural_fp{"structural fingerprint"};
   timer.reset();
   for (const auto& test : tests) {
@@ -166,8 +157,7 @@ int main(int argc, char** argv) {
 
   const Pass* passes[] = {&analysis,          &facts_pass,
                           &string_key,        &fingerprint,
-                          &per_program,       &structural_string,
-                          &structural_fp};
+                          &per_program,       &structural_fp};
   util::Table table({"pass", "total", "ns/test", "checksum"});
   for (const Pass* pass : passes) {
     table.add_row({pass->name, format(pass->seconds, "s"),
@@ -177,16 +167,13 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("Speedups: prerequisites %.1fx, canonical %.1fx, "
-              "per-program facts %.1fx, structural %.1fx.\n\n",
+              "per-program facts %.1fx.\n\n",
               facts_pass.seconds > 0 ? analysis.seconds / facts_pass.seconds
                                      : 0.0,
               fingerprint.seconds > 0 ? string_key.seconds / fingerprint.seconds
                                       : 0.0,
               per_program.seconds > 0
                   ? fingerprint.seconds / per_program.seconds
-                  : 0.0,
-              structural_fp.seconds > 0
-                  ? structural_string.seconds / structural_fp.seconds
                   : 0.0);
 
   // ---- Differential validation on the timed sample: the string-key

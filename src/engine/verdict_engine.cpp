@@ -45,117 +45,6 @@ std::size_t count_bits(const std::uint64_t* row, std::size_t words) {
   return n;
 }
 
-/// The models x tests matrix of `verdicts`, `words` model words per
-/// test, filled from the set bits.
-BitMatrix matrix_of(const std::vector<std::uint64_t>& verdicts,
-                    std::size_t num_models, std::size_t num_tests,
-                    std::size_t words) {
-  BitMatrix matrix(static_cast<int>(num_models), static_cast<int>(num_tests));
-  for (std::size_t t = 0; t < num_tests; ++t) {
-    for_each_bit(verdicts.data() + t * words, words, [&](std::size_t m) {
-      matrix.set(static_cast<int>(m), static_cast<int>(t), true);
-    });
-  }
-  return matrix;
-}
-
-/// run_rows' store traffic, in model words: every row is probed under
-/// one shared hold and turned into model words once, and the columns
-/// the call adds go back under one exclusive hold — one index lookup
-/// per row each way.  Only a call that added a column takes that hold,
-/// and only a row given one is written, so store-served verdicts never
-/// dirty the store.  Without a store every row serves nothing.
-class StoreRows {
- public:
-  /// `rows` rows over a store of `store_words` words per row (0: none),
-  /// where model m has store column col[m] (-1: none).
-  StoreRows(std::size_t rows, std::size_t store_words,
-            const std::vector<int>& col)
-      : store_words_(store_words),
-        words_(model_words(col.size())),
-        col_(col),
-        served_(rows * words_, 0),
-        allowed_(rows * words_, 0),
-        mask_(rows * store_words, 0),
-        bits_(rows * store_words, 0) {}
-
-  /// Probes row r's key keys[r], asking for the store columns `want`,
-  /// and turns it into model words: served(r), the models whose column
-  /// the row holds, and allowed(r), those it holds as allowed.  Adds one
-  /// store hit per served model to `stats`, and one miss per other model
-  /// with a column.
-  void probe(const store::VerdictStore& vstore, std::vector<util::Key128> keys,
-             const std::uint64_t* want, EngineStats& stats) {
-    keys_ = std::move(keys);
-    std::size_t stored = 0;
-    for (const int col : col_) stored += col >= 0 ? 1 : 0;
-    std::vector<std::uint64_t> valid(store_words_);
-    std::vector<std::uint64_t> bits(store_words_);
-    util::SharedLock lock(vstore.mu());
-    for (std::size_t r = 0; r < keys_.size(); ++r) {
-      vstore.probe_words_locked(keys_[r], want, valid.data(), bits.data());
-      std::uint64_t held = 0;  // a row holding none of `want` serves none
-      for (std::size_t w = 0; w < store_words_; ++w) held |= valid[w] & want[w];
-      std::size_t hits = 0;
-      for (std::size_t m = 0; held != 0 && m < col_.size(); ++m) {
-        if (col_[m] < 0) continue;
-        const auto col = static_cast<std::size_t>(col_[m]);
-        if ((valid[col / 64] & bit_of(col)) == 0) continue;
-        served_[r * words_ + m / 64] |= bit_of(m);
-        if ((bits[col / 64] & bit_of(col)) != 0) {
-          allowed_[r * words_ + m / 64] |= bit_of(m);
-        }
-        ++hits;
-      }
-      stats.store_hits += hits;
-      stats.store_misses += stored - hits;
-    }
-  }
-
-  [[nodiscard]] const std::uint64_t* served(std::size_t r) const {
-    return &served_[r * words_];
-  }
-  [[nodiscard]] const std::uint64_t* allowed(std::size_t r) const {
-    return &allowed_[r * words_];
-  }
-
-  /// Records, for the write-back, row r's verdicts (`verdicts`) of the
-  /// models set in `evaluated` that have a store column.
-  void add(std::size_t r, const std::uint64_t* evaluated,
-           const std::uint64_t* verdicts) {
-    for_each_bit(evaluated, words_, [&](std::size_t m) {
-      if (col_[m] < 0) return;
-      const auto col = static_cast<std::size_t>(col_[m]);
-      mask_[r * store_words_ + col / 64] |= bit_of(col);
-      if ((verdicts[m / 64] & bit_of(m)) != 0) {
-        bits_[r * store_words_ + col / 64] |= bit_of(col);
-      }
-      added_ = true;
-    });
-  }
-
-  void write_back(store::VerdictStore& vstore) {
-    if (!added_) return;
-    util::ExclusiveLock lock(vstore.mu());
-    for (std::size_t r = 0; r < keys_.size(); ++r) {
-      // A row given no column has an empty mask: the store skips it.
-      vstore.write_row_locked(keys_[r], &mask_[r * store_words_],
-                              &bits_[r * store_words_]);
-    }
-  }
-
- private:
-  std::size_t store_words_;
-  std::size_t words_;
-  const std::vector<int>& col_;
-  std::vector<util::Key128> keys_;
-  std::vector<std::uint64_t> served_;   ///< rows x words_
-  std::vector<std::uint64_t> allowed_;  ///< rows x words_
-  std::vector<std::uint64_t> mask_;     ///< rows x store_words_: added
-  std::vector<std::uint64_t> bits_;     ///< rows x store_words_
-  bool added_ = false;                  ///< add() gave a row a column
-};
-
 /// Groups `keys` into rows in order of first occurrence: row_of[i] is
 /// the row of keys[i], first[r] the index of row r's first key.
 void group_rows(const std::vector<util::Key128>& keys, std::vector<int>& row_of,
@@ -315,6 +204,7 @@ RowModels::RowModels(const std::vector<core::MemoryModel>& models,
       words_(model_words(models.size())) {
   free_.assign(words_, 0);
   custom_.assign(words_, 0);
+  stored_.assign(words_, 0);
   col_.assign(models.size(), -1);
   if (vstore != nullptr) columns_.assign(vstore->words_per_row(), 0);
   for (std::size_t m = 0; m < models.size(); ++m) {
@@ -325,8 +215,54 @@ RowModels::RowModels(const std::vector<core::MemoryModel>& models,
     if (col_[m] >= 0) {
       const auto col = static_cast<std::size_t>(col_[m]);
       columns_[col / 64] |= bit_of(col);
+      stored_[m / 64] |= bit_of(m);
     }
   }
+}
+
+std::size_t RowModels::from_store(const std::uint64_t* valid,
+                                  const std::uint64_t* bits,
+                                  std::uint64_t* served,
+                                  std::uint64_t* allowed) const {
+  // A row holding none of the columns serves none; one holding all of
+  // them serves every model with a column.
+  bool none = true;
+  bool every = true;
+  for (std::size_t w = 0; w < columns_.size(); ++w) {
+    const std::uint64_t held = valid[w] & columns_[w];
+    none = none && held == 0;
+    every = every && held == columns_[w];
+  }
+  if (none) return 0;
+  if (every) {
+    for (std::size_t w = 0; w < words_; ++w) served[w] |= stored_[w];
+  }
+  std::size_t hits = 0;
+  for (std::size_t m = 0; m < col_.size(); ++m) {
+    if (col_[m] < 0) continue;
+    const auto col = static_cast<std::size_t>(col_[m]);
+    if (!every) {
+      if ((valid[col / 64] & bit_of(col)) == 0) continue;
+      served[m / 64] |= bit_of(m);
+    }
+    ++hits;
+    if ((bits[col / 64] & bit_of(col)) != 0) allowed[m / 64] |= bit_of(m);
+  }
+  return hits;
+}
+
+bool RowModels::to_store(const std::uint64_t* evaluated,
+                         const std::uint64_t* verdicts, std::uint64_t* mask,
+                         std::uint64_t* bits) const {
+  bool added = false;
+  for_each_bit(evaluated, words_, [&](std::size_t m) {
+    if (col_[m] < 0) return;
+    const auto col = static_cast<std::size_t>(col_[m]);
+    mask[col / 64] |= bit_of(col);
+    if ((verdicts[m / 64] & bit_of(m)) != 0) bits[col / 64] |= bit_of(col);
+    added = true;
+  });
+  return added;
 }
 
 VerdictEngine::VerdictEngine(EngineOptions options) : options_(options) {
@@ -451,26 +387,29 @@ std::vector<std::uint64_t> VerdictEngine::evaluate(
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
+  BitMatrix by_test;
   if (options_.cache_enabled || store_ != nullptr) {
-    return run_rows(RowModels(models, store_), tests, {});
-  }
-  // The reference setting: every test asks the direct batch for every
-  // model.
-  util::Timer timer;
-  EngineStats stats;
-  stats.cells = models.size() * tests.size();
-  const RowModels all(models, nullptr);
-  std::vector<std::uint64_t> want(tests.size() * all.words_);
-  for (std::size_t t = 0; t < tests.size(); ++t) {
-    for (std::size_t w = 0; w < all.words_; ++w) {
-      want[t * all.words_ + w] = all.free_[w] | all.custom_[w];
+    by_test = run_rows(RowModels(models, store_), tests, {});
+  } else {
+    // The reference setting: every test asks the direct batch for every
+    // model.
+    util::Timer timer;
+    EngineStats stats;
+    stats.cells = models.size() * tests.size();
+    const RowModels all(models, nullptr);
+    std::vector<std::uint64_t> want(tests.size() * all.words_);
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      for (std::size_t w = 0; w < all.words_; ++w) {
+        want[t * all.words_ + w] = all.free_[w] | all.custom_[w];
+      }
     }
+    by_test = BitMatrix(static_cast<int>(tests.size()),
+                        static_cast<int>(models.size()),
+                        evaluate(all, tests, want, stats));
+    stats.wall_seconds = timer.seconds();
+    record(stats);
   }
-  const auto out = evaluate(all, tests, want, stats);
-  BitMatrix verdicts = matrix_of(out, models.size(), tests.size(), all.words_);
-  stats.wall_seconds = timer.seconds();
-  record(stats);
-  return verdicts;
+  return by_test.transposed();
 }
 
 BitMatrix VerdictEngine::run_rows(const RowModels& rows,
@@ -486,7 +425,7 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
   stats.cells = num_models * num_tests;
   if (stats.cells == 0) {
     record(stats);
-    return BitMatrix(static_cast<int>(num_models), static_cast<int>(num_tests));
+    return BitMatrix(static_cast<int>(num_tests), static_cast<int>(num_models));
   }
 
   // ---- Rows: tests with equal keys share one. ----
@@ -507,20 +446,33 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
   group_rows(test_keys, row_of, first);
   std::vector<std::size_t> row_size(first.size(), 0);
   for (const int row : row_of) ++row_size[static_cast<std::size_t>(row)];
+  const auto row_key = [&](std::size_t row) {
+    return test_keys[static_cast<std::size_t>(first[row])];
+  };
 
-  // ---- One probe per row, under one shared hold, in model words. ----
+  // ---- One probe per row, under one shared hold, turned into model
+  // words: the models whose column the row holds (served) and those it
+  // holds as allowed.  Without a store every row serves nothing. ----
   store::VerdictStore* const vstore = rows.vstore_;
-  StoreRows store_rows(first.size(),
-                       vstore != nullptr ? vstore->words_per_row() : 0,
-                       rows.col_);
+  const std::size_t store_words =
+      vstore != nullptr ? vstore->words_per_row() : 0;
+  std::vector<std::uint64_t> served(first.size() * words, 0);
+  std::vector<std::uint64_t> allowed;
   if (vstore != nullptr) {
-    std::vector<util::Key128> row_keys;
-    row_keys.reserve(first.size());
-    for (const int t : first) {
-      row_keys.push_back(test_keys[static_cast<std::size_t>(t)]);
+    allowed.assign(first.size() * words, 0);
+    const std::size_t stored = count_bits(rows.stored_.data(), words);
+    std::vector<std::uint64_t> valid(store_words);
+    std::vector<std::uint64_t> bits(store_words);
+    util::SharedLock lock(vstore->mu());
+    for (std::size_t row = 0; row < first.size(); ++row) {
+      vstore->probe_words_locked(row_key(row), rows.columns(), valid.data(),
+                                 bits.data());
+      const std::size_t hits =
+          rows.from_store(valid.data(), bits.data(), &served[row * words],
+                          &allowed[row * words]);
+      stats.store_hits += hits;
+      stats.store_misses += stored - hits;
     }
-    store_rows.probe(*vstore, std::move(row_keys), rows.columns_.data(),
-                     stats);
   }
 
   // ---- One want row per test: a row's first test asks for the
@@ -539,27 +491,40 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
       continue;
     }
     stats.dedup_hits += (row_size[row] - 1) * num_free;
-    const std::uint64_t* served = store_rows.served(row);
     for (std::size_t w = 0; w < words; ++w) {
-      asked[w] = (rows.free_[w] & ~served[w]) | rows.custom_[w];
+      asked[w] = (rows.free_[w] & ~served[row * words + w]) | rows.custom_[w];
     }
   }
 
   std::vector<std::uint64_t> out = evaluate(rows, tests, want, stats);
 
   // ---- A row's first test takes the store-served verdicts, and its
-  // evaluated ones go back to the store, so the next run (or the next
-  // process) serves them from disk. ----
+  // evaluated ones go back to the store, under one exclusive hold, so
+  // the next run (or the next process) serves them from disk.  Only a
+  // call that gave a row a column takes that hold, and only such a row
+  // is written, so store-served verdicts never dirty the store. ----
   if (vstore != nullptr) {
+    std::vector<std::uint64_t> mask(first.size() * store_words, 0);
+    std::vector<std::uint64_t> bits(first.size() * store_words, 0);
+    bool added = false;
     for (std::size_t row = 0; row < first.size(); ++row) {
       const auto t = static_cast<std::size_t>(first[row]);
-      const std::uint64_t* allowed = store_rows.allowed(row);
       for (std::size_t w = 0; w < words; ++w) {
-        out[t * words + w] |= allowed[w];
+        out[t * words + w] |= allowed[row * words + w];
       }
-      store_rows.add(row, &want[t * words], &out[t * words]);
+      added = rows.to_store(&want[t * words], &out[t * words],
+                            &mask[row * store_words],
+                            &bits[row * store_words]) ||
+              added;
     }
-    store_rows.write_back(*vstore);
+    if (added) {
+      util::ExclusiveLock lock(vstore->mu());
+      for (std::size_t row = 0; row < first.size(); ++row) {
+        // A row given no column has an empty mask: the store skips it.
+        vstore->write_row_locked(row_key(row), &mask[row * store_words],
+                                 &bits[row * store_words]);
+      }
+    }
   }
 
   // ---- A row's later tests take its first test's custom-free
@@ -573,7 +538,8 @@ BitMatrix VerdictEngine::run_rows(const RowModels& rows,
     }
   }
 
-  BitMatrix verdicts = matrix_of(out, num_models, num_tests, words);
+  BitMatrix verdicts(static_cast<int>(num_tests), static_cast<int>(num_models),
+                     std::move(out));
   stats.wall_seconds = timer.seconds();
   record(stats);
   return verdicts;

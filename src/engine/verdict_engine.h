@@ -119,8 +119,7 @@ struct EngineStats {
                                    ///  analyze-and-search section (the
                                    ///  pool's parallel_for, or the serial
                                    ///  loop at 1 thread); the rest is
-                                   ///  keys, rows, store traffic and the
-                                   ///  matrix
+                                   ///  keys, rows and store traffic
 
   EngineStats& operator+=(const EngineStats& other);
   /// One-line rendering for the bench harnesses.
@@ -241,8 +240,9 @@ struct StreamStats {
 
 /// Per-chunk delivery: the chunk's novel tests, their dedup keys (the
 /// stream's keys stage computed them: canonical fingerprints, or
-/// structural ones when the stream dedups structurally), their models
-/// x tests verdict matrix, and the chunk accounting.  Duplicate tests
+/// structural ones when the stream dedups structurally), their tests x
+/// models verdict matrix (row i holds novel test i's model words, as
+/// run_rows returns them), and the chunk accounting.  Duplicate tests
 /// are not re-delivered (their verdicts equal an earlier chunk's).
 using StreamChunkSink = std::function<void(
     const std::vector<litmus::LitmusTest>& novel_tests,
@@ -251,29 +251,53 @@ using StreamChunkSink = std::function<void(
 
 /// A model list bound to a verdict store for VerdictEngine::run_rows:
 /// each model's store column is resolved, and the models' formulas are
-/// hash-consed into one core::FormulaSet, once, not per call.  Holds
-/// references: `models` and `vstore` (caller-owned, may be null) must
-/// outlive it.
+/// hash-consed into one core::FormulaSet, once, not per call.  It
+/// translates between the store's columns and model words (bit m % 64
+/// of word m / 64 is model m, one word per 64 models): a probed store
+/// row into the models it serves, and evaluated verdicts into the
+/// columns written back.  Holds references: `models` and `vstore`
+/// (caller-owned, may be null) must outlive it.
 class RowModels {
  public:
   RowModels(const std::vector<core::MemoryModel>& models,
             store::VerdictStore* vstore);
 
+  /// The models' store columns, in store words: what a row probe asks
+  /// for (VerdictStore::probe_words_locked's `want`).
+  [[nodiscard]] const std::uint64_t* columns() const {
+    return columns_.data();
+  }
+
+  /// Turns a store row probed for columns() (`valid` and `bits`, in
+  /// store words) into model words: ORs into `served` the models whose
+  /// column the row holds, and into `allowed` those it holds as allowed.
+  /// Returns the number of models served.
+  std::size_t from_store(const std::uint64_t* valid, const std::uint64_t* bits,
+                         std::uint64_t* served, std::uint64_t* allowed) const;
+
  private:
   friend class VerdictEngine;
+
+  /// Records, in store words, the verdicts (`verdicts`) of the models
+  /// set in `evaluated` that have a store column: their columns go into
+  /// `mask`, the allowed ones into `bits`.  False iff none has one.
+  bool to_store(const std::uint64_t* evaluated, const std::uint64_t* verdicts,
+                std::uint64_t* mask, std::uint64_t* bits) const;
 
   const std::vector<core::MemoryModel>& models_;
   store::VerdictStore* vstore_;
   core::FormulaSet set_;  ///< the models, hash-consed once
-  /// Model words per test: bit m % 64 of word m / 64 is model m.
+  /// Model words per test.
   std::size_t words_;
   /// Custom-free models, decided once per row.
   std::vector<std::uint64_t> free_;
   /// Custom-predicate models, decided per test.
   std::vector<std::uint64_t> custom_;
+  /// Models with a store column.
+  std::vector<std::uint64_t> stored_;
   /// Store column per model, -1: none.
   std::vector<int> col_;
-  /// The models' store columns, in store words: what a row probe asks.
+  /// The models' store columns, in store words.
   std::vector<std::uint64_t> columns_;
 };
 
@@ -287,16 +311,19 @@ class VerdictEngine {
   VerdictEngine& operator=(const VerdictEngine&) = delete;
 
   /// Evaluates the full `models` x `tests` cross product; bit (m, t) of
-  /// the result is the verdict of model `m` on test `t`.  This is
-  /// run_rows(RowModels(models, store), tests, {}) with the attached
-  /// store (set_store), or none; with cache_enabled off and no store,
-  /// every test asks the direct batch for every model instead.
+  /// the models x tests result is the verdict of model `m` on test `t`.
+  /// This is run_rows(RowModels(models, store), tests, {}) with the
+  /// attached store (set_store), or none, transposed; with
+  /// cache_enabled off and no store, every test asks the direct batch
+  /// for every model instead.
   [[nodiscard]] BitMatrix run_matrix(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests);
 
-  /// The engine's batch path: the verdict matrix of the models `rows`
-  /// binds x `tests`, with tests keyed by `keys`: their canonical
+  /// The engine's batch path: the tests x models verdict matrix of
+  /// `tests` under the models `rows` binds, row t holding test t's model
+  /// words (bit (t, m) is model m's verdict on test t), with tests keyed
+  /// by `keys`: their canonical
   /// fingerprints (litmus::canonical_fingerprint), parallel to `tests`,
   /// or empty to have them computed here.  Tests with equal keys share
   /// one row: one probe per row of the store `rows` binds (may be null)
@@ -306,7 +333,7 @@ class VerdictEngine {
   /// one exclusive hold of the rows this call added a column to.  A
   /// row's later tests count as dedup hits, whether the store served the
   /// row's cell or it was evaluated.  Requests, store rows and verdicts
-  /// travel as model words; the matrix is filled from their set bits.
+  /// travel as model words, and the matrix adopts the verdict words.
   /// Throws std::invalid_argument unless `keys` is empty or as long as
   /// `tests`.
   [[nodiscard]] BitMatrix run_rows(const RowModels& rows,

@@ -38,6 +38,18 @@ constexpr std::size_t kSinkHeader = 5 + 9;  // through the sweep counters
 DistinguishMatrix::DistinguishMatrix(int num_models)
     : bits_(num_models, num_models) {}
 
+DistinguishMatrix::DistinguishMatrix(const engine::BitMatrix& verdicts)
+    : DistinguishMatrix(verdicts.rows()) {
+  for (int a = 0; a < num_models(); ++a) {
+    for (int b = a + 1; b < num_models(); ++b) {
+      if (!verdicts.rows_equal(a, b)) {
+        bits_.set(a, b, true);
+        bits_.set(b, a, true);
+      }
+    }
+  }
+}
+
 bool DistinguishMatrix::distinguished(int a, int b) const {
   MCMC_REQUIRE(a >= 0 && a < num_models() && b >= 0 && b < num_models());
   return bits_.get(a, b);
@@ -53,9 +65,8 @@ long long DistinguishMatrix::distinguished_pairs() const {
   return count;
 }
 
-void DistinguishMatrix::fold_column(const std::vector<std::uint64_t>& column) {
+void DistinguishMatrix::fold_column(const std::uint64_t* column) {
   const int n = num_models();
-  MCMC_REQUIRE(column.size() == words_for(n));
   for (int a = 0; a < n; ++a) {
     const bool va = (column[static_cast<std::size_t>(a) / 64] >>
                      (static_cast<std::size_t>(a) % 64)) &
@@ -98,40 +109,21 @@ std::vector<std::pair<int, int>> DistinguishMatrix::pairs_beyond(
 
 namespace {
 
-/// Folds every test column of a models x tests verdict matrix,
-/// deduplicating identical columns across the whole run (only distinct
-/// columns pay the quadratic pair sweep).  A chunk's columns are built
-/// in one pass over the model rows; the distinct ones lie back to back
-/// in one flat array, found through an open-addressed table of their
-/// indices.
+/// Folds every test's verdict column, a row of a tests x models
+/// verdict matrix, deduplicating identical columns across the whole run
+/// (only distinct columns pay the quadratic pair sweep).  The distinct
+/// ones lie back to back in one flat array, found through an
+/// open-addressed table of their indices.
 class ColumnFolder {
  public:
-  ColumnFolder(DistinguishMatrix& matrix, int num_models,
-               std::size_t& columns_counter)
+  ColumnFolder(DistinguishMatrix& matrix, std::size_t& columns_counter)
       : matrix_(matrix),
-        num_models_(num_models),
-        words_(words_for(num_models)),
+        words_(words_for(matrix.num_models())),
         columns_counter_(columns_counter) {}
 
   void fold(const engine::BitMatrix& verdicts) {
-    MCMC_REQUIRE(verdicts.rows() == num_models_);
-    const auto num_tests = static_cast<std::size_t>(verdicts.cols());
-    chunk_.assign(num_tests * words_, 0);
-    for (int m = 0; m < num_models_; ++m) {
-      const std::uint64_t* row = verdicts.row(m);
-      const std::size_t word = static_cast<std::size_t>(m) / 64;
-      const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(m) % 64);
-      for (std::size_t w = 0; w < verdicts.words_per_row(); ++w) {
-        for (std::uint64_t tests = row[w]; tests != 0; tests &= tests - 1) {
-          const std::size_t t =
-              w * 64 + static_cast<std::size_t>(__builtin_ctzll(tests));
-          chunk_[t * words_ + word] |= bit;
-        }
-      }
-    }
-    for (std::size_t t = 0; t < num_tests; ++t) {
-      insert(chunk_.data() + t * words_);
-    }
+    MCMC_REQUIRE(verdicts.cols() == matrix_.num_models());
+    for (int t = 0; t < verdicts.rows(); ++t) insert(verdicts.row(t));
   }
 
   /// Appends [count, column words...] in the columns' lexicographic
@@ -200,15 +192,13 @@ class ColumnFolder {
     if (slots_[at] != kFree) return;
     slots_[at] = count_++;
     columns_.insert(columns_.end(), words, words + words_);
-    matrix_.fold_column(std::vector<std::uint64_t>(words, words + words_));
+    matrix_.fold_column(words);
     ++columns_counter_;
   }
 
   DistinguishMatrix& matrix_;
-  int num_models_;
   std::size_t words_;
   std::size_t& columns_counter_;
-  std::vector<std::uint64_t> chunk_;    ///< the chunk's columns, per test
   std::vector<std::uint64_t> columns_;  ///< distinct columns, in fold order
   std::size_t count_ = 0;               ///< distinct columns
   std::vector<std::size_t> slots_;      ///< column indices, or kFree
@@ -231,12 +221,7 @@ store::StoreMeta harness_store_meta(
 DistinguishMatrix distinguishability(
     engine::VerdictEngine& eng, const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
-  const int n = static_cast<int>(models.size());
-  DistinguishMatrix matrix(n);
-  std::size_t columns = 0;
-  ColumnFolder folder(matrix, n, columns);
-  folder.fold(eng.run_matrix(models, tests));
-  return matrix;
+  return DistinguishMatrix(eng.run_matrix(models, tests));
 }
 
 DistinguishMatrix distinguishability_streamed(
@@ -248,7 +233,7 @@ DistinguishMatrix distinguishability_streamed(
   TheoremHarnessReport local;
   TheoremHarnessReport& rep = report != nullptr ? *report : local;
   rep = TheoremHarnessReport{};
-  ColumnFolder folder(matrix, n, rep.verdict_columns);
+  ColumnFolder folder(matrix, rep.verdict_columns);
 
   // Checkpoint sink: the harness state a resumed run re-adopts is the
   // distinct-column fold (the matrix is a pure function of it) plus the
@@ -366,8 +351,9 @@ DistinguishMatrix distinguishability_streamed(
         candidates.clear();
         candidate_keys.clear();
         for (std::size_t i = 0; i < novel.size(); ++i) {
-          const bool weak_allows = verdicts.get(0, static_cast<int>(i));
-          const bool strong_allows = verdicts.get(1, static_cast<int>(i));
+          const std::uint64_t allows = verdicts.row(static_cast<int>(i))[0];
+          const bool weak_allows = (allows & 1) != 0;
+          const bool strong_allows = (allows & 2) != 0;
           if (weak_allows && !strong_allows) {
             candidates.push_back(novel[i]);
             if (stream_keys_are_rows) candidate_keys.push_back(novel_keys[i]);

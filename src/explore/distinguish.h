@@ -16,7 +16,8 @@
 // computation across the engine's thread pool, and dedups by 128-bit
 // key hash in chunk order (the report's stream.stages carries the
 // produce/keys/dedup/verdict wall breakdown) — each novel test's
-// 90-bit verdict column is folded into the pair matrix in chunk order
+// 90-bit verdict column (its row of the tests x models matrix the
+// engine delivers) is folded into the pair matrix in chunk order
 // (bit-for-bit deterministic under any thread count), and only
 // distinct verdict columns pay the quadratic pair sweep.  For
 // monotone model classes an extremes prefilter
@@ -49,6 +50,9 @@ class DistinguishMatrix {
  public:
   DistinguishMatrix() = default;
   explicit DistinguishMatrix(int num_models);
+  /// The pairs a models x tests verdict matrix splits: models a and b
+  /// are distinguished iff their verdict rows differ.
+  explicit DistinguishMatrix(const engine::BitMatrix& verdicts);
 
   [[nodiscard]] int num_models() const { return bits_.rows(); }
 
@@ -57,9 +61,10 @@ class DistinguishMatrix {
   /// Distinguished pairs over a < b.
   [[nodiscard]] long long distinguished_pairs() const;
 
-  /// Folds one verdict column (bit m = model m's verdict on one test):
-  /// every pair the column splits becomes distinguished.
-  void fold_column(const std::vector<std::uint64_t>& column);
+  /// Folds one verdict column, (num_models() + 63) / 64 words (bit m =
+  /// model m's verdict on one test): every pair the column splits
+  /// becomes distinguished.
+  void fold_column(const std::uint64_t* column);
 
   /// True iff every pair distinguished here is distinguished in `other`.
   [[nodiscard]] bool subset_of(const DistinguishMatrix& other) const;
@@ -82,7 +87,7 @@ class DistinguishMatrix {
 };
 
 /// Distinguishability of `models` over an in-memory corpus: one batched
-/// engine run, then a column fold.
+/// engine run (run_matrix), then a comparison of its model rows.
 [[nodiscard]] DistinguishMatrix distinguishability(
     engine::VerdictEngine& eng, const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests);

@@ -1,7 +1,6 @@
 #include "litmus/test.h"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
 #include <numeric>
 #include <set>
@@ -10,19 +9,6 @@
 
 namespace mcmc::litmus {
 
-namespace {
-
-/// Appends the decimal rendering of `v` in place — no intermediate
-/// std::string (the keys below are computed millions of times per
-/// streamed run).
-void append_int(std::string& out, long long v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-}  // namespace
-
 std::string LitmusTest::to_string() const {
   std::string out = "Test " + name_;
   if (!description_.empty()) out += " (" + description_ + ")";
@@ -30,42 +16,6 @@ std::string LitmusTest::to_string() const {
   out += program_->to_string();
   out += "Outcome: " + outcome_.to_string() + "\n";
   return out;
-}
-
-std::string structural_key(const LitmusTest& test) {
-  std::string key;
-  structural_key(test, key);
-  return key;
-}
-
-void structural_key(const LitmusTest& test, std::string& key) {
-  key.clear();
-  for (const auto& thread : test.program().threads()) {
-    key += '|';
-    for (const auto& instr : thread) {
-      key += ';';
-      append_int(key, static_cast<int>(instr.op));
-      key += ',';
-      append_int(key, instr.loc);
-      key += ',';
-      append_int(key, instr.addr_reg);
-      key += ',';
-      append_int(key, instr.dst);
-      key += ',';
-      append_int(key, instr.src);
-      key += ',';
-      append_int(key, instr.value);
-      key += ',';
-      append_int(key, static_cast<int>(instr.value_from_reg));
-    }
-  }
-  key += '#';
-  for (const auto& [reg, value] : test.outcome().constraints()) {
-    append_int(key, reg);
-    key += '=';
-    append_int(key, value);
-    key += ';';
-  }
 }
 
 namespace {

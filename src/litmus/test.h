@@ -76,18 +76,6 @@ class LitmusTest {
   core::Outcome outcome_;
 };
 
-/// Syntactic identity key: equal keys mean the programs match
-/// instruction-for-instruction (same thread order, locations, registers)
-/// and the outcomes constrain the same registers to the same values.
-/// Safe for deduplicating verdicts under *any* model.
-[[nodiscard]] std::string structural_key(const LitmusTest& test);
-
-/// Allocation-reusing variant: clears `out` and writes the key into it,
-/// keeping its capacity across calls.  The streaming pipeline computes
-/// one key per streamed test (millions per run), so each worker thread
-/// holds one buffer instead of allocating per test.
-void structural_key(const LitmusTest& test, std::string& out);
-
 /// Reusable buffers for repeated canonical-key / canonical-fingerprint
 /// computation.  One KeyScratch per worker thread; the reference
 /// returned by the scratch-taking `canonical_key` overload points into
@@ -130,7 +118,7 @@ struct KeyScratch {
 /// read-from matching is preserved by any per-location value bijection
 /// that fixes 0.  Formulas with custom predicates may inspect raw
 /// thread/location/value identity, so callers must fall back to
-/// `structural_key` for those models.
+/// structural identity (structural_fingerprint) for those models.
 [[nodiscard]] std::string canonical_key(const core::Analysis& analysis,
                                         const core::Outcome& outcome);
 
@@ -179,9 +167,12 @@ void load_key_facts(const core::Program& program, KeyScratch& scratch);
 [[nodiscard]] util::Key128 canonical_fingerprint_loaded(
     const core::Outcome& outcome, KeyScratch& scratch);
 
-/// 128-bit digest of the structural identity (same equality classes as
-/// `structural_key`, up to hash collisions): raw instruction fields and
-/// outcome constraints, no canonicalization, no allocation.
+/// 128-bit digest of a test's structural identity: equal digests mean,
+/// up to hash collisions, that the programs match instruction for
+/// instruction (same thread order, locations, registers) and the
+/// outcomes constrain the same registers to the same values, so it is
+/// safe for deduplicating verdicts under *any* model.  Raw instruction
+/// fields and outcome constraints, no canonicalization, no allocation.
 [[nodiscard]] util::Key128 structural_fingerprint(const LitmusTest& test);
 
 }  // namespace mcmc::litmus

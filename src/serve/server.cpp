@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -77,7 +78,14 @@ Server::~Server() {
 }
 
 bool Server::start(std::string* error) {
+  // A failed start closes what it opened and unlinks the socket it
+  // bound, so no file is left that looks like a live daemon.
   const auto fail = [&](const std::string& why) {
+    if (unix_fd_ >= 0) ::unlink(options_.socket_path.c_str());
+    for (int* fd : {&unix_fd_, &tcp_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
     if (error != nullptr) *error = why;
     return false;
   };
@@ -102,13 +110,10 @@ bool Server::start(std::string* error) {
     auto opened = store::VerdictStore::open(options_.store_path, meta);
     store_ = std::move(opened.store);
   }
-  store_want_.assign(store_->words_per_row(), 0);
   for (const auto& model : models_) {
-    const int col = store_->column_of(store::model_store_key(model));
-    if (col < 0) return fail("served model has no store column");
-    store_cols_.push_back(col);
-    store_want_[static_cast<std::size_t>(col) / 64] |=
-        1ULL << (static_cast<std::size_t>(col) % 64);
+    if (store_->column_of(store::model_store_key(model)) < 0) {
+      return fail("served model has no store column");
+    }
   }
 
   engine_ = std::make_unique<engine::VerdictEngine>(options_.engine);
@@ -128,8 +133,6 @@ bool Server::start(std::string* error) {
     if (::bind(unix_fd_, reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) != 0 ||
         ::listen(unix_fd_, 64) != 0) {
-      ::close(unix_fd_);
-      unix_fd_ = -1;
       return fail("bind/listen on " + options_.socket_path + " failed: " +
                   std::strerror(errno));
     }
@@ -146,8 +149,6 @@ bool Server::start(std::string* error) {
     if (::bind(tcp_fd_, reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) != 0 ||
         ::listen(tcp_fd_, 64) != 0) {
-      ::close(tcp_fd_);
-      tcp_fd_ = -1;
       return fail(std::string("tcp bind/listen failed: ") +
                   std::strerror(errno));
     }
@@ -338,33 +339,26 @@ std::uint64_t Server::store_rows(const std::vector<util::Key128>& keys,
   {
     util::SharedLock lock(vstore.mu());
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      vstore.probe_words_locked(keys[i], store_want_.data(), &valid[i * words],
+      vstore.probe_words_locked(keys[i], rows_->columns(), &valid[i * words],
                                 &bits[i * words]);
     }
   }
-  const std::vector<std::uint64_t> none(row_words(models_.size()), 0);
-  const std::vector<std::uint64_t> all = full_valid(models_.size());
+  const std::size_t model_words = row_words(models_.size());
   std::uint64_t served = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::uint64_t* row_valid = &valid[i * words];
-    const std::uint64_t* row_bits = &bits[i * words];
-    bool stored = true;
-    for (std::size_t w = 0; w < words; ++w) {
-      stored = stored && (row_valid[w] & store_want_[w]) == store_want_[w];
-    }
     VerdictRowWire& row = rows[i];
-    row.source = stored ? VerdictSource::kStore : VerdictSource::kUnknown;
     row.num_models = static_cast<std::uint32_t>(models_.size());
-    row.valid = stored ? all : none;
-    row.bits = none;
-    if (!stored) continue;
-    ++served;
-    for (std::size_t m = 0; m < models_.size(); ++m) {
-      const auto col = static_cast<std::size_t>(store_cols_[m]);
-      if ((row_bits[col / 64] >> (col % 64) & 1) != 0) {
-        row.bits[m / 64] |= 1ULL << (m % 64);
-      }
+    row.valid.assign(model_words, 0);
+    row.bits.assign(model_words, 0);
+    const bool stored =
+        rows_->from_store(&valid[i * words], &bits[i * words],
+                          row.valid.data(), row.bits.data()) == models_.size();
+    row.source = stored ? VerdictSource::kStore : VerdictSource::kUnknown;
+    if (!stored) {  // a row lacking a served column serves none of them
+      std::fill(row.valid.begin(), row.valid.end(), 0);
+      std::fill(row.bits.begin(), row.bits.end(), 0);
     }
+    served += stored ? 1 : 0;
   }
   return served;
 }
@@ -561,23 +555,17 @@ void Server::batcher_loop() {
       // what warms the store under live traffic.
       const engine::BitMatrix verdicts =
           engine_->run_rows(*rows_, tests, keys);
-      std::size_t offset = 0;
+      const std::vector<std::uint64_t> all = full_valid(models_.size());
+      int offset = 0;
       for (auto& item : batch) {
         std::vector<VerdictRowWire> rows(item.tests.size());
-        for (std::size_t j = 0; j < item.tests.size(); ++j) {
-          auto& row = rows[j];
+        for (auto& row : rows) {
+          const std::uint64_t* words = verdicts.row(offset++);
           row.source = VerdictSource::kComputed;
           row.num_models = static_cast<std::uint32_t>(models_.size());
-          row.valid = full_valid(models_.size());
-          row.bits.assign(row_words(models_.size()), 0);
-          for (std::size_t m = 0; m < models_.size(); ++m) {
-            if (verdicts.get(static_cast<int>(m),
-                             static_cast<int>(offset + j))) {
-              row.bits[m / 64] |= 1ULL << (m % 64);
-            }
-          }
+          row.valid = all;
+          row.bits.assign(words, words + verdicts.words_per_row());
         }
-        offset += item.tests.size();
         item.promise.set_value(std::move(rows));
       }
     } catch (...) {

@@ -151,11 +151,10 @@ class Server {
   ServerOptions options_;
   std::vector<core::MemoryModel> models_;
   std::vector<std::string> model_names_;
-  std::vector<int> store_cols_;  ///< store column per served model
-  std::vector<std::uint64_t> store_want_;  ///< store_cols_ as a row mask
   std::unique_ptr<store::VerdictStore> store_;
   std::unique_ptr<engine::VerdictEngine> engine_;
-  /// The served models bound to store_ for the batcher's run_rows.
+  /// The served models bound to store_: the batcher's run_rows, and
+  /// the readers' store-column translation (RowModels::from_store).
   std::unique_ptr<engine::RowModels> rows_;
 
   int unix_fd_ = -1;

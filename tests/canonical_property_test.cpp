@@ -24,6 +24,7 @@
 #include "litmus/catalog.h"
 #include "litmus/test.h"
 #include "program_classes.h"
+#include "structural_key.h"
 #include "util/hash128.h"
 #include "util/rng.h"
 
@@ -393,7 +394,7 @@ TEST(CanonicalProperty, StructuralFingerprintMatchesStructuralKeyClasses) {
   std::unordered_map<std::string, util::Key128> key_to_fp;
   std::unordered_map<util::Key128, std::string, util::Key128Hash> fp_to_key;
   for (const auto& test : corpus) {
-    const std::string key = litmus::structural_key(test);
+    const std::string key = structural_key(test);
     const util::Key128 fp = litmus::structural_fingerprint(test);
     const auto k_it = key_to_fp.emplace(key, fp).first;
     EXPECT_EQ(k_it->second, fp) << test.to_string();

@@ -171,9 +171,9 @@ StreamedRun stream_run(engine::TestSource& source, const RunSpec& spec) {
             run.novel_names.push_back(novel[i].name());
             run.novel_keys.push_back(keys[i]);
             run.novel_chunks.push_back(cs.index);
-            for (int m = 0; m < verdicts.rows(); ++m) {
+            for (int m = 0; m < verdicts.cols(); ++m) {
               run.verdict_bits.push_back(
-                  verdicts.get(m, static_cast<int>(i)) ? 1 : 0);
+                  verdicts.get(static_cast<int>(i), m) ? 1 : 0);
             }
           }
           run.chunk_counts.insert(run.chunk_counts.end(),

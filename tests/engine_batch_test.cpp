@@ -2,10 +2,15 @@
 // core::is_allowed, symmetric duplicate tests must share one check
 // within a call (and no verdict may outlive it), results must not
 // depend on the thread count, and tests beyond 64 events must take the
-// per-pair SAT path with the SAT oracle's verdicts.
+// per-pair SAT path with the SAT oracle's verdicts.  BitMatrix, the
+// batches' result, transposes ragged shapes losslessly and adopts only
+// well-formed words.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/analysis.h"
 #include "core/checker.h"
@@ -19,6 +24,7 @@
 #include "litmus/test.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
+#include "structural_key.h"
 #include "util/hash128.h"
 
 namespace mcmc {
@@ -30,6 +36,48 @@ std::vector<core::MemoryModel> mixed_models() {
   models.push_back(explore::ModelChoices{1, 1, 1, 0}.to_model());
   models.push_back(explore::ModelChoices{1, 0, 3, 2}.to_model());
   return models;
+}
+
+TEST(BitMatrix, TransposedRoundTripsRaggedShapes) {
+  // Every row's and every column's last bit is set, so each shape has
+  // bits in the last word of its rows and of its transpose's rows.
+  const std::pair<int, int> shapes[] = {{90, 130}, {130, 90}, {2, 1}, {0, 7}};
+  for (const auto& [rows, cols] : shapes) {
+    engine::BitMatrix m(rows, cols);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        m.set(r, c, (r * 7 + c * 3) % 5 == 0 || r == rows - 1 || c == cols - 1);
+      }
+    }
+    const engine::BitMatrix t = m.transposed();
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        ASSERT_EQ(t.get(c, r), m.get(r, c)) << rows << "x" << cols;
+      }
+    }
+    EXPECT_TRUE(t.transposed() == m) << rows << "x" << cols;
+  }
+}
+
+TEST(BitMatrix, AdoptingConstructorRefusesMisshapenWords) {
+  // 3 x 70: two words per row.
+  std::vector<std::uint64_t> words(6, 0);
+  words[1] = 1ULL << 5;  // (0, 69)
+  words[4] = 1;          // (2, 0)
+  const engine::BitMatrix m(3, 70, words);
+  EXPECT_TRUE(m.get(0, 69));
+  EXPECT_TRUE(m.get(2, 0));
+  EXPECT_FALSE(m.get(1, 0));
+  for (const std::size_t size : {0, 3, 5, 7, 12}) {
+    EXPECT_THROW(engine::BitMatrix(3, 70, std::vector<std::uint64_t>(size)),
+                 std::invalid_argument)
+        << size << " words";
+  }
+  // Nor does it take a bit beyond the last column.
+  words[3] = 1ULL << 6;  // (1, 70)
+  EXPECT_THROW(engine::BitMatrix(3, 70, words), std::invalid_argument);
 }
 
 TEST(VerdictEngineBatch, MatchesPerCallVerdicts) {
@@ -69,7 +117,7 @@ TEST(VerdictEngineBatch, SymmetricDuplicatesHitTheCache) {
       litmus::LitmusTest("sb-twin", sb_twin, both_stale)};
 
   ASSERT_EQ(litmus::canonical_key(tests[0]), litmus::canonical_key(tests[1]));
-  ASSERT_NE(litmus::structural_key(tests[0]), litmus::structural_key(tests[1]));
+  ASSERT_NE(structural_key(tests[0]), structural_key(tests[1]));
 
   const std::vector<core::MemoryModel> models = {models::tso()};
   engine::VerdictEngine eng;

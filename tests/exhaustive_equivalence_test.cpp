@@ -287,8 +287,8 @@ TEST(RunStream, ChunkAccountingAndCrossChunkDedup) {
           const engine::StreamChunkStats& cs) {
         EXPECT_EQ(cs.streamed, cs.novel + cs.duplicates);
         EXPECT_EQ(novel.size(), cs.novel);
-        EXPECT_EQ(verdicts.cols(), static_cast<int>(novel.size()));
-        EXPECT_EQ(verdicts.rows(), 2);
+        EXPECT_EQ(verdicts.rows(), static_cast<int>(novel.size()));
+        EXPECT_EQ(verdicts.cols(), 2);
         chunk_streamed += cs.streamed;
         chunk_novel += cs.novel;
         delivered_tests += novel.size();
@@ -328,8 +328,8 @@ TEST(RunStream, StreamedVerdictsMatchMaterializedBatch) {
           const engine::StreamChunkStats&) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           std::vector<bool> column;
-          for (int m = 0; m < verdicts.rows(); ++m) {
-            column.push_back(verdicts.get(m, static_cast<int>(i)));
+          for (int m = 0; m < verdicts.cols(); ++m) {
+            column.push_back(verdicts.get(static_cast<int>(i), m));
           }
           streamed.emplace_back(novel[i].name(), std::move(column));
         }

@@ -189,7 +189,7 @@ TEST(OutcomeSpill, EngineVerdictsMatchThePerCellOracle) {
   const engine::BitMatrix batch = eng.run_matrix(models, {test});
   // The stream path: canonical fingerprint, row path, delivered row.
   engine::VectorSource source({test}, 1);
-  engine::BitMatrix streamed(static_cast<int>(models.size()), 1);
+  engine::BitMatrix streamed(1, static_cast<int>(models.size()));
   (void)eng.run_stream(
       models, source,
       [&](const std::vector<litmus::LitmusTest>& novel,
@@ -204,7 +204,7 @@ TEST(OutcomeSpill, EngineVerdictsMatchThePerCellOracle) {
   for (std::size_t m = 0; m < models.size(); ++m) {
     const bool oracle = core::is_allowed(analysis, models[m], test.outcome());
     EXPECT_EQ(batch.get(static_cast<int>(m), 0), oracle) << models[m].name();
-    EXPECT_EQ(streamed.get(static_cast<int>(m), 0), oracle)
+    EXPECT_EQ(streamed.get(0, static_cast<int>(m)), oracle)
         << models[m].name();
     allowed += oracle ? 1 : 0;
   }

@@ -194,7 +194,7 @@ TEST(PreparedAllocation, RunRowsChunkAllocatesAtMostOncePerEvaluatedTest) {
   // harness sweep (the 90-model space) make them, allocates only its
   // per-call tables: the programs were validated when their tests were
   // built, so an Analysis reset validates none of them again.  That is
-  // fewer allocations than program runs (38 for 294 tests in 136 runs,
+  // fewer allocations than program runs (36 for 294 tests in 136 runs,
   // with either model set).
   struct Chunk {
     std::vector<litmus::LitmusTest> tests;

@@ -374,14 +374,15 @@ std::vector<litmus::LitmusTest> slice_tests(bool deps, int min_events,
   return out;
 }
 
-/// Expects `verdicts` to be core::is_allowed's, cell by cell.
+/// Expects `verdicts`, tests x models as run_rows returns them, to be
+/// core::is_allowed's, cell by cell.
 void expect_oracle_verdicts(const std::vector<core::MemoryModel>& models,
                             const std::vector<litmus::LitmusTest>& tests,
                             const engine::BitMatrix& verdicts, int threads) {
   for (std::size_t t = 0; t < tests.size(); ++t) {
     const core::Analysis own(tests[t].program());
     for (std::size_t m = 0; m < models.size(); ++m) {
-      ASSERT_EQ(verdicts.get(static_cast<int>(m), static_cast<int>(t)),
+      ASSERT_EQ(verdicts.get(static_cast<int>(t), static_cast<int>(m)),
                 core::is_allowed(own, models[m], tests[t].outcome()))
           << tests[t].name() << " under " << models[m].name() << " at "
           << threads << " threads";

@@ -12,10 +12,12 @@
 // quarantine path, end to end), garbage bytes on the socket never
 // take the server down, a test over the event bound is refused before
 // it reaches the engine, verdicts filled into a row that already
-// existed are committed periodically, surviving a SIGKILL, and a batch
-// probe serves a row only when it holds every served column.
+// existed are committed periodically, surviving a SIGKILL, a batch
+// probe serves a row only when it holds every served column, and a
+// start that fails after binding its socket leaves no socket file.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -240,6 +242,40 @@ TEST_F(ServeE2E, InPlaceVerdictsAreCommittedAndSurviveSigkill) {
   for (int col = 0; col < meta.num_models(); ++col) {
     EXPECT_TRUE(probe_cell(*opened.store, key, col).has_value()) << col;
   }
+}
+
+TEST_F(ServeE2E, FailedTcpBindLeavesNoSocketBehind) {
+  // Another listener holds a loopback port; litmusd binds its Unix
+  // socket first, then fails on the port, and must exit 1 without
+  // leaving the socket file, which a caller would take for a ready
+  // daemon.
+  const int held = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(held, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(held, reinterpret_cast<const sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(held, 1), 0);
+  ASSERT_EQ(::getsockname(held, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::string port = std::to_string(ntohs(addr.sin_port));
+
+  pid_ = ::fork();
+  ASSERT_GE(pid_, 0);
+  if (pid_ == 0) {
+    const char* argv[] = {LITMUSD_PATH, "--socket", socket_path_.c_str(),
+                          "--tcp",      port.c_str(), nullptr};
+    ::execv(LITMUSD_PATH, const_cast<char**>(argv));
+    ::_exit(127);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid_, &status, 0), pid_);
+  pid_ = -1;
+  ::close(held);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(::access(socket_path_.c_str(), F_OK), 0)
+      << "the failed start left " << socket_path_;
 }
 
 TEST_F(ServeE2E, UnknownFingerprintProbeNeverComputes) {

@@ -185,7 +185,7 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
         candidates.clear();
         for (std::size_t i = 0; i < novel.size(); ++i) {
           const auto t = static_cast<int>(i);
-          if (verdicts.get(0, t) && !verdicts.get(1, t)) {
+          if (verdicts.get(t, 0) && !verdicts.get(t, 1)) {
             candidates.push_back(novel[i]);
           } else {
             ++filtered;
@@ -225,7 +225,9 @@ SliceRun reference_run(const std::vector<core::MemoryModel>& models, bool deps,
                   1ULL << (static_cast<std::size_t>(m) % 64);
             }
           }
-          if (columns.insert(column).second) run.matrix.fold_column(column);
+          if (columns.insert(column).second) {
+            run.matrix.fold_column(column.data());
+          }
         }
       },
       stream_options);
@@ -544,7 +546,8 @@ TEST_F(StoreRows, ShuffledModelsReadAndWriteTheirOwnColumns) {
       const auto vstore = warmed();
       engine::VerdictEngine eng(with_threads(threads));
       const engine::RowModels rows(models, vstore.get());
-      EXPECT_TRUE(eng.run_rows(rows, tests, keys) == want) << label;
+      EXPECT_TRUE(eng.run_rows(rows, tests, keys).transposed() == want)
+          << label;
       expect_counts(eng.last_stats(), pinned, "run_rows, " + label);
       expect_rows(*vstore, "run_rows, " + label);
     }

@@ -24,6 +24,7 @@
 #include "explore/distinguish.h"
 #include "explore/space.h"
 #include "models/zoo.h"
+#include "structural_key.h"
 #include "util/hash128.h"
 
 namespace mcmc {
@@ -66,8 +67,8 @@ TEST(Hash128, ScratchOverloadMatchesAllocatingOverload) {
     EXPECT_EQ(litmus::canonical_key(analysis, test.outcome(), scratch),
               litmus::canonical_key(analysis, test.outcome()));
     std::string structural;
-    litmus::structural_key(test, structural);
-    EXPECT_EQ(structural, litmus::structural_key(test));
+    structural_key(test, structural);
+    EXPECT_EQ(structural, structural_key(test));
   }
 }
 
@@ -523,9 +524,9 @@ StreamCapture run_slice_stream(int threads) {
           const engine::StreamChunkStats& cs) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           capture.novel_names.push_back(novel[i].name());
-          for (int m = 0; m < verdicts.rows(); ++m) {
+          for (int m = 0; m < verdicts.cols(); ++m) {
             capture.verdict_bits.push_back(
-                verdicts.get(m, static_cast<int>(i)) ? 1 : 0);
+                verdicts.get(static_cast<int>(i), m) ? 1 : 0);
           }
         }
         capture.chunk_streamed.push_back(cs.streamed);

@@ -61,8 +61,8 @@ Folded run_once(const std::vector<litmus::LitmusTest>& corpus, int threads,
           const engine::StreamChunkStats&) {
         for (std::size_t i = 0; i < novel.size(); ++i) {
           folded.names.push_back(novel[i].name());
-          for (int m = 0; m < verdicts.rows(); ++m) {
-            folded.bits.push_back(verdicts.get(m, static_cast<int>(i)) ? 1 : 0);
+          for (int m = 0; m < verdicts.cols(); ++m) {
+            folded.bits.push_back(verdicts.get(static_cast<int>(i), m) ? 1 : 0);
           }
         }
       });
